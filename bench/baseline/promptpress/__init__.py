@@ -1,0 +1,92 @@
+"""promptpress: task-agnostic prompt compression.
+
+Token deletion is modeled as a sequential decision process: a per-token
+keep/drop policy compresses a prompt over a handful of rounds, trained
+with a clipped-surrogate policy update against a reward balancing the
+compression ratio, key-information retention, and the divergence of a
+proxy model's continuations, under a curriculum that gradually tightens
+the permitted compression band.
+"""
+
+__version__ = "0.1.0"
+
+from .baselines import (
+    CompressionResult,
+    IdentityCompressor,
+    PolicyCompressor,
+    RandomCompressor,
+    SelfInfoCompressor,
+    random_compress,
+    selfinfo_compress,
+)
+from .encoder import EncoderConfig, SequenceEncoder, TinyTransformerEncoder
+from .env import (
+    ActionVector,
+    CompressionState,
+    EpisodeConfig,
+    apply_action,
+    compression_rate,
+    is_terminal,
+    reset,
+)
+from .evaluation import EvalReport, EvalSettings, evaluate
+from .metrics import exact_match, lcs_length, rouge_l, rouge_n, token_f1
+from .policy import (
+    Actor,
+    Critic,
+    PolicyOutput,
+    greedy_actions,
+    load_model,
+    policy_forward,
+    sample_actions,
+    save_model,
+    value_forward,
+)
+from .reward import Band, RewardBreakdown, RewardConfig, assemble_reward, compute_reward, in_band
+from .scoring import (
+    IdfRetentionScorer,
+    NextTokenDistribution,
+    NgramLM,
+    ProxyLM,
+    RetentionScorer,
+    fit_ngram_lm,
+    generate_reference,
+    idf_retention_score,
+    kl_divergence,
+    output_distribution_kl,
+)
+from .text import (
+    PromptRecord,
+    TokenSequence,
+    Vocabulary,
+    build_vocabulary,
+    compute_idf_table,
+    detokenize,
+    load_corpus,
+    load_idf_table,
+    make_synthetic_corpus,
+    normalize_whitespace,
+    save_corpus,
+    save_idf_table,
+    tokenize,
+)
+from .trainer import (
+    CurriculumSchedule,
+    ReplayBuffer,
+    Scorers,
+    TrainerConfig,
+    TrainingDiverged,
+    TrainingLog,
+    TrainState,
+    Trajectory,
+    TrajectoryStep,
+    collect_trajectory,
+    curriculum_bounds,
+    hpc_train,
+    init_train_state,
+    load_checkpoint,
+    ppo_objective,
+    returns_from,
+    save_checkpoint,
+    td_error,
+)

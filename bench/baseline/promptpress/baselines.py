@@ -1,0 +1,151 @@
+"""Comparison compressors: random deletion, self-information ranking, and
+the trained policy wrapped behind the same interface."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Protocol, runtime_checkable
+
+import numpy as np
+
+from .env import apply_action, compression_rate, reset
+from .policy import Actor, greedy_actions, policy_forward
+from .scoring import ProxyLM
+from .text import TokenSequence
+
+
+def _round_half_up(x: float) -> int:
+    return int(math.floor(x + 0.5))
+
+
+def keep_count(length: int, rho_target: float) -> int:
+    """Tokens to keep for a target rate: max(1, round(rho * L))."""
+    return max(1, _round_half_up(rho_target * length))
+
+
+@dataclass(frozen=True)
+class CompressionResult:
+    original: TokenSequence
+    compressed: TokenSequence
+    rho: float
+    method: str
+
+
+@runtime_checkable
+class Compressor(Protocol):
+    """Sequence-in, subsequence-out; ``key`` diversifies per-prompt seeds."""
+
+    name: str
+
+    def compress(self, seq: TokenSequence, key: int = 0) -> CompressionResult: ...
+
+
+def random_compress(
+    seq: TokenSequence, rho_target: float, seed: int
+) -> CompressionResult:
+    """Keep a uniformly random subset of exactly max(1, round(rho*L)) tokens."""
+    if not 0.0 < rho_target <= 1.0:
+        raise ValueError("rho_target must be in (0, 1]")
+    n = len(seq)
+    k = keep_count(n, rho_target)
+    rng = np.random.default_rng(seed)
+    kept_idx = np.sort(rng.choice(n, size=k, replace=False))
+    compressed = TokenSequence(tuple(seq.ids[int(i)] for i in kept_idx))
+    return CompressionResult(
+        original=seq, compressed=compressed, rho=k / n, method="random"
+    )
+
+
+def selfinfo_compress(
+    seq: TokenSequence, lm: ProxyLM, rho_target: float
+) -> CompressionResult:
+    """Keep the tokens with the highest self-information under the model.
+
+    Token i scores -ln P(token_i | tokens_<i); ties keep the earlier
+    token. Order is preserved.
+    """
+    if not 0.0 < rho_target <= 1.0:
+        raise ValueError("rho_target must be in (0, 1]")
+    n = len(seq)
+    k = keep_count(n, rho_target)
+    scores = np.empty(n)
+    for i in range(n):
+        dist = lm.next_token_dist(seq.prefix(i))
+        scores[i] = -math.log(max(float(dist.probs[seq.ids[i]]), 1e-300))
+    # descending score; among equals the earlier index sorts first
+    order = np.lexsort((np.arange(n), -scores))
+    kept_idx = np.sort(order[:k])
+    compressed = TokenSequence(tuple(seq.ids[int(i)] for i in kept_idx))
+    return CompressionResult(
+        original=seq, compressed=compressed, rho=k / n, method="selfinfo"
+    )
+
+
+@dataclass(frozen=True)
+class IdentityCompressor:
+    name: str = "identity"
+
+    def compress(self, seq: TokenSequence, key: int = 0) -> CompressionResult:
+        return CompressionResult(
+            original=seq, compressed=seq, rho=1.0, method=self.name
+        )
+
+
+@dataclass(frozen=True)
+class RandomCompressor:
+    rho_target: float
+    seed: int
+    name: str = "random"
+
+    def compress(self, seq: TokenSequence, key: int = 0) -> CompressionResult:
+        # deterministic per (seed, key) so prompts get distinct subsets
+        child = int(np.random.SeedSequence((self.seed, key)).generate_state(1)[0])
+        return random_compress(seq, self.rho_target, child)
+
+
+@dataclass(frozen=True)
+class SelfInfoCompressor:
+    lm: ProxyLM
+    rho_target: float
+    name: str = "selfinfo"
+
+    def compress(self, seq: TokenSequence, key: int = 0) -> CompressionResult:
+        return selfinfo_compress(seq, self.lm, self.rho_target)
+
+
+@dataclass(frozen=True)
+class PolicyCompressor:
+    """Greedy inference-time use of a trained actor.
+
+    With ``rho_target`` set, each of the k steps drops enough of the
+    lowest-keep-probability tokens to land on the target rate by the
+    final step; otherwise each step drops ``drop_budget`` tokens (0
+    meaning plain 0.5-thresholding).
+    """
+
+    actor: Actor
+    steps: int = 1
+    drop_budget: int = 0
+    rho_target: float | None = None
+    name: str = "policy"
+
+    def compress(self, seq: TokenSequence, key: int = 0) -> CompressionResult:
+        state = reset(seq)
+        for step in range(self.steps):
+            out = policy_forward(self.actor, state)
+            if self.rho_target is not None:
+                # per-step relative keep rate compounding to the target
+                per_step = self.rho_target ** ((step + 1) / self.steps)
+                goal_len = keep_count(len(seq), per_step)
+                budget = max(len(state.current) - goal_len, 0)
+            else:
+                budget = self.drop_budget
+            action = greedy_actions(out, budget)
+            state = apply_action(state, action, out.keep_probs)
+        return CompressionResult(
+            original=seq,
+            compressed=state.current,
+            rho=compression_rate(state),
+            method=self.name,
+        )

@@ -1,0 +1,485 @@
+"""Operator entry points: make-corpus, train, compress, eval.
+
+Configuration has three layers: built-in defaults, then a flat JSON
+config file, then command-line flags. The resolved result is frozen in
+a run manifest written before any long-running work, so every run is
+reproducible from its manifest alone. Exit codes: 0 success, 2 usage or
+validation error, 1 runtime failure. Artifacts are written to a
+``.partial`` path and renamed only when complete.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from pathlib import Path
+
+from . import __version__
+from .baselines import (
+    IdentityCompressor,
+    PolicyCompressor,
+    RandomCompressor,
+    SelfInfoCompressor,
+)
+from .encoder import EncoderConfig
+from .env import apply_action, compression_rate, reset
+from .evaluation import EvalSettings, evaluate
+from .policy import greedy_actions, policy_forward
+from .reward import RewardConfig
+from .scoring import IdfRetentionScorer, fit_ngram_lm
+from .text import (
+    build_vocabulary,
+    compute_idf_table,
+    detokenize,
+    load_corpus,
+    make_synthetic_corpus,
+    save_corpus,
+    tokenize,
+)
+from .trainer import (
+    CurriculumSchedule,
+    Scorers,
+    TrainerConfig,
+    hpc_train,
+    load_checkpoint,
+    save_checkpoint,
+)
+
+CONFIG_DEFAULTS: dict[str, object] = {
+    "trainer.actor_lr": 1e-5,
+    "trainer.critic_lr": 1e-6,
+    "trainer.clip_eps": 0.15,
+    "trainer.batch_size": 4,
+    "trainer.buffer_m": 16,
+    "trainer.discount": 1.0,
+    "trainer.seed": None,
+    "curriculum.psi": 0.1,
+    "curriculum.t_max": [2, 2, 1],
+    "curriculum.epochs": [1, 1, 2],
+    "reward.alpha": 1.0,
+    "reward.beta": 1.0,
+    "reward.gamma": 1.0,
+    "reward.p_s": 200.0,
+    "reward.p_l": 100.0,
+    "scoring.ngram_order": 2,
+    "scoring.ngram_k": 0.1,
+    "scoring.n_gen": 32,
+    "model.d_model": 64,
+    "model.n_heads": 2,
+    "model.n_layers": 2,
+    "model.d_ff": 256,
+    "model.max_len": 256,
+    "vocab.max_size": 512,
+}
+
+EVAL_METHODS = ("identity", "random", "selfinfo", "policy")
+
+
+class UsageError(Exception):
+    pass
+
+
+def _atomic_write_text(path: Path, content: str) -> None:
+    partial = path.with_name(path.name + ".partial")
+    partial.write_text(content, encoding="utf-8")
+    os.replace(partial, path)
+
+
+def _atomic(path: Path, writer) -> None:
+    """Run ``writer`` against a .partial path, then rename into place."""
+    partial = path.with_name(path.name + ".partial")
+    writer(partial)
+    os.replace(partial, path)
+
+
+def resolve_config(
+    config_path: str | None, overrides: dict[str, object]
+) -> dict[str, object]:
+    """defaults <- config file <- flag overrides; unknown keys are errors."""
+    resolved = dict(CONFIG_DEFAULTS)
+    if config_path:
+        try:
+            loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError) as exc:
+            raise UsageError(f"cannot read config file {config_path}: {exc}")
+        if not isinstance(loaded, dict):
+            raise UsageError("config file must hold one flat JSON object")
+        for key, value in loaded.items():
+            if key not in resolved:
+                raise UsageError(f"unknown config key in file: {key}")
+            resolved[key] = value
+    for key, value in overrides.items():
+        if key not in resolved:
+            raise UsageError(f"unknown config key: {key}")
+        resolved[key] = value
+    return resolved
+
+
+def _parse_set_flags(pairs: list[str]) -> dict[str, object]:
+    overrides: dict[str, object] = {}
+    for pair in pairs:
+        if "=" not in pair:
+            raise UsageError(f"--set expects key=value, got {pair!r}")
+        key, raw = pair.split("=", 1)
+        try:
+            overrides[key] = json.loads(raw)
+        except json.JSONDecodeError:
+            overrides[key] = raw
+    return overrides
+
+
+def resolve_seed(flag_seed: int | None, config_seed: object) -> int:
+    """Flag beats config beats the DCP_SEED environment fallback."""
+    if flag_seed is not None:
+        return flag_seed
+    if config_seed is not None:
+        return int(config_seed)  # type: ignore[arg-type]
+    env = os.environ.get("DCP_SEED")
+    if env is not None:
+        try:
+            return int(env)
+        except ValueError:
+            raise UsageError(f"DCP_SEED must be an integer, got {env!r}")
+    return 0
+
+
+def write_manifest(
+    path: Path,
+    command: str,
+    seed: int,
+    config: dict[str, object],
+    inputs: dict[str, str],
+    artifacts: dict[str, str],
+) -> None:
+    manifest = {
+        "tool": "promptpress",
+        "version": __version__,
+        "command": command,
+        "seed": seed,
+        "config": config,
+        "inputs": inputs,
+        "artifacts": artifacts,
+    }
+    _atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _build_training_pieces(config: dict[str, object], seed: int, no_hpc: bool,
+                           fixed_c_s: float, fixed_c_l: float):
+    trainer_cfg = TrainerConfig(
+        actor_lr=float(config["trainer.actor_lr"]),
+        critic_lr=float(config["trainer.critic_lr"]),
+        clip_eps=float(config["trainer.clip_eps"]),
+        batch_size=int(config["trainer.batch_size"]),
+        buffer_capacity=int(config["trainer.buffer_m"]),
+        discount=float(config["trainer.discount"]),
+        seed=seed,
+    )
+    t_max = tuple(int(v) for v in config["curriculum.t_max"])
+    epochs = tuple(int(v) for v in config["curriculum.epochs"])
+    schedule = CurriculumSchedule(
+        psi=float(config["curriculum.psi"]),
+        n_stages=len(t_max),
+        t_max_per_stage=t_max,
+        epochs_per_stage=epochs,
+        fixed_bounds=(fixed_c_s, fixed_c_l) if no_hpc else None,
+    )
+    reward_cfg = RewardConfig(
+        alpha=float(config["reward.alpha"]),
+        beta=float(config["reward.beta"]),
+        gamma=float(config["reward.gamma"]),
+        p_s=float(config["reward.p_s"]),
+        p_l=float(config["reward.p_l"]),
+    )
+    return trainer_cfg, schedule, reward_cfg
+
+
+def cmd_make_corpus(args: argparse.Namespace) -> int:
+    if not 0.0 <= args.filler <= 1.0:
+        raise UsageError("--filler must be in [0, 1]")
+    if args.n < 1:
+        raise UsageError("--n must be >= 1")
+    seed = resolve_seed(args.seed, None)
+    out = Path(args.out)
+    write_manifest(
+        out.with_name(out.name + ".manifest.json"),
+        command="make-corpus",
+        seed=seed,
+        config={"n": args.n, "filler": args.filler},
+        inputs={},
+        artifacts={"corpus": str(out)},
+    )
+    records = make_synthetic_corpus(seed, args.n, args.filler)
+    _atomic(out, lambda p: save_corpus(records, p))
+    print(f"wrote {len(records)} records to {out}")
+    return 0
+
+
+def cmd_train(args: argparse.Namespace) -> int:
+    overrides = _parse_set_flags(args.set or [])
+    for flag, key in (
+        ("psi", "curriculum.psi"),
+        ("alpha", "reward.alpha"),
+        ("beta", "reward.beta"),
+        ("gamma", "reward.gamma"),
+    ):
+        value = getattr(args, flag)
+        if value is not None:
+            overrides[key] = value
+    config = resolve_config(args.config, overrides)
+    seed = resolve_seed(args.seed, config["trainer.seed"])
+    config["trainer.seed"] = seed
+
+    corpus = load_corpus(args.corpus)
+    if not corpus:
+        raise UsageError(f"corpus {args.corpus} is empty")
+
+    out = Path(args.out)
+    log_path = Path(args.log) if args.log else out.with_name(out.name + ".log.jsonl")
+    write_manifest(
+        out.with_name(out.name + ".manifest.json"),
+        command="train",
+        seed=seed,
+        config={**config, "no_hpc": bool(args.no_hpc),
+                "fixed_c_s": args.fixed_c_s, "fixed_c_l": args.fixed_c_l},
+        inputs={"corpus": str(args.corpus)},
+        artifacts={"checkpoint": str(out), "log": str(log_path)},
+    )
+
+    trainer_cfg, schedule, reward_cfg = _build_training_pieces(
+        config, seed, args.no_hpc, args.fixed_c_s, args.fixed_c_l
+    )
+    vocab = build_vocabulary(corpus, int(config["vocab.max_size"]))
+    lm = fit_ngram_lm(
+        corpus,
+        order=int(config["scoring.ngram_order"]),
+        smoothing=float(config["scoring.ngram_k"]),
+        vocab=vocab,
+    )
+    scorers = Scorers(
+        retention=IdfRetentionScorer(compute_idf_table(corpus, vocab)),
+        lm=lm,
+        n_gen=int(config["scoring.n_gen"]),
+    )
+    encoder_cfg = EncoderConfig(
+        vocab_size=vocab.size,
+        d_model=int(config["model.d_model"]),
+        n_heads=int(config["model.n_heads"]),
+        n_layers=int(config["model.n_layers"]),
+        d_ff=int(config["model.d_ff"]),
+        max_len=int(config["model.max_len"]),
+    )
+    state = hpc_train(
+        corpus,
+        vocab,
+        trainer_cfg,
+        schedule,
+        reward_cfg,
+        scorers,
+        encoder_cfg=encoder_cfg,
+        progress=lambda msg: print(msg, file=sys.stderr),
+    )
+    _atomic(out, lambda p: save_checkpoint(state, vocab, p))
+    _atomic_write_text(log_path, state.log.dumps())
+    print(f"wrote checkpoint {out} and log {log_path}")
+    return 0
+
+
+def cmd_compress(args: argparse.Namespace) -> int:
+    if args.steps < 0:
+        raise UsageError("--steps must be >= 0")
+    if args.budget < 0:
+        raise UsageError("--budget must be >= 0")
+    state, vocab = load_checkpoint(args.checkpoint)
+    corpus = load_corpus(args.input)
+    out = Path(args.out)
+    write_manifest(
+        out.with_name(out.name + ".manifest.json"),
+        command="compress",
+        seed=0,
+        config={"steps": args.steps, "budget": args.budget},
+        inputs={"checkpoint": str(args.checkpoint), "input": str(args.input)},
+        artifacts={"output": str(out)},
+    )
+    lines = []
+    for record in corpus:
+        seq = tokenize(record.text, vocab)
+        if len(seq) == 0:
+            raise ValueError(f"record {record.id!r} tokenizes to nothing")
+        env_state = reset(seq)
+        for _ in range(args.steps):
+            output = policy_forward(state.actor, env_state)
+            action = greedy_actions(output, args.budget)
+            env_state = apply_action(env_state, action, output.keep_probs)
+        lines.append(
+            json.dumps(
+                {
+                    "id": record.id,
+                    "original": record.text,
+                    "compressed": detokenize(env_state.current, vocab),
+                    "rho": compression_rate(env_state),
+                    "tokens_before": len(seq),
+                    "tokens_after": len(env_state.current),
+                },
+                sort_keys=True,
+            )
+        )
+    _atomic_write_text(out, "\n".join(lines) + "\n")
+    print(f"wrote {len(lines)} compressed prompts to {out}")
+    return 0
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    for method in methods:
+        if method not in EVAL_METHODS:
+            raise UsageError(
+                f"unknown compressor {method!r}; valid names: "
+                + ", ".join(EVAL_METHODS)
+            )
+    if not methods:
+        raise UsageError("--methods must name at least one compressor")
+    if not 0.0 < args.rho <= 1.0:
+        raise UsageError("--rho must be in (0, 1]")
+    seed = resolve_seed(args.seed, None)
+    corpus = load_corpus(args.corpus)
+    if not corpus:
+        raise UsageError(f"corpus {args.corpus} is empty")
+
+    prefix = Path(args.out_prefix)
+    jsonl_path = prefix.with_name(prefix.name + ".jsonl")
+    table_path = prefix.with_name(prefix.name + ".txt")
+    write_manifest(
+        prefix.with_name(prefix.name + ".manifest.json"),
+        command="eval",
+        seed=seed,
+        config={
+            "methods": methods,
+            "rho": args.rho,
+            "ngram_order": args.ngram_order,
+            "n_gen": args.n_gen,
+            "steps": args.steps,
+        },
+        inputs={"corpus": str(args.corpus), "checkpoint": args.checkpoint or ""},
+        artifacts={"rows": str(jsonl_path), "table": str(table_path)},
+    )
+
+    vocab = build_vocabulary(corpus, args.vocab_size)
+    lm = fit_ngram_lm(corpus, order=args.ngram_order, smoothing=0.1, vocab=vocab)
+    settings = EvalSettings(
+        vocab=vocab,
+        n_gen=args.n_gen,
+        lm_description=f"add-k bigram proxy (order={args.ngram_order}, fit on eval corpus)",
+    )
+    compressors = []
+    for method in methods:
+        if method == "identity":
+            compressors.append(IdentityCompressor())
+        elif method == "random":
+            compressors.append(RandomCompressor(rho_target=args.rho, seed=seed))
+        elif method == "selfinfo":
+            compressors.append(SelfInfoCompressor(lm=lm, rho_target=args.rho))
+        else:
+            if not args.checkpoint:
+                raise UsageError("--checkpoint is required for the policy method")
+            state, ckpt_vocab = load_checkpoint(args.checkpoint)
+            settings = EvalSettings(
+                vocab=ckpt_vocab, n_gen=args.n_gen,
+                lm_description=settings.lm_description,
+            )
+            vocab = ckpt_vocab
+            lm = fit_ngram_lm(corpus, order=args.ngram_order, smoothing=0.1,
+                              vocab=ckpt_vocab)
+            compressors.append(
+                PolicyCompressor(
+                    actor=state.actor, steps=args.steps, rho_target=args.rho
+                )
+            )
+
+    reports = [evaluate(c, corpus, lm, settings) for c in compressors]
+    records = [rec for report in reports for rec in report.jsonl_records()]
+    _atomic_write_text(
+        jsonl_path,
+        "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records),
+    )
+    _atomic_write_text(table_path, "\n".join(r.table() for r in reports))
+    print(f"wrote {jsonl_path} and {table_path}")
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="promptpress",
+        description="Train and evaluate keep/drop prompt compression policies.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("make-corpus", help="generate a synthetic corpus")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--filler", type=float, required=True)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_make_corpus)
+
+    p = sub.add_parser("train", help="train a compression policy")
+    p.add_argument("--corpus", required=True)
+    p.add_argument("--out", required=True, help="checkpoint path")
+    p.add_argument("--log", default=None, help="training log path (JSONL)")
+    p.add_argument("--config", default=None, help="flat JSON config file")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--no-hpc", action="store_true",
+                   help="freeze the compression band instead of the curriculum")
+    p.add_argument("--fixed-c-s", type=float, default=0.5,
+                   help="lower band bound used with --no-hpc")
+    p.add_argument("--fixed-c-l", type=float, default=0.9,
+                   help="upper band bound used with --no-hpc")
+    p.add_argument("--psi", type=float, default=None)
+    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                   help="override any config key")
+    p.set_defaults(func=cmd_train)
+
+    p = sub.add_parser("compress", help="compress prompts with a trained policy")
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--input", required=True, help="JSONL corpus to compress")
+    p.add_argument("--out", required=True)
+    p.add_argument("--steps", type=int, default=1)
+    p.add_argument("--budget", type=int, default=0,
+                   help="tokens dropped per step; 0 uses 0.5-thresholding")
+    p.set_defaults(func=cmd_compress)
+
+    p = sub.add_parser("eval", help="evaluate compressors on a corpus")
+    p.add_argument("--corpus", required=True)
+    p.add_argument("--methods", default="random,selfinfo",
+                   help="comma-separated: " + ", ".join(EVAL_METHODS))
+    p.add_argument("--rho", type=float, default=0.5)
+    p.add_argument("--checkpoint", default=None)
+    p.add_argument("--steps", type=int, default=1, help="policy rollout steps")
+    p.add_argument("--ngram-order", type=int, default=2)
+    p.add_argument("--n-gen", type=int, default=32)
+    p.add_argument("--vocab-size", type=int, default=512)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out-prefix", required=True)
+    p.set_defaults(func=cmd_eval)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # runtime failure
+        print(f"failure: {exc}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

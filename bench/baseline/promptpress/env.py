@@ -1,0 +1,101 @@
+"""The compression environment: states, keep/drop actions, transitions."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from .text import TokenSequence
+
+
+def _is_subsequence(sub: tuple[int, ...], full: tuple[int, ...]) -> bool:
+    it = iter(full)
+    return all(any(x == y for y in it) for x in sub)
+
+
+@dataclass(frozen=True)
+class CompressionState:
+    """MDP state: the original prompt, the current compressed prompt, and
+    the number of compression rounds applied so far."""
+
+    original: TokenSequence
+    current: TokenSequence
+    step: int
+
+    def __post_init__(self) -> None:
+        if self.step < 0:
+            raise ValueError("step must be >= 0")
+        if self.step == 0 and self.current.ids != self.original.ids:
+            raise ValueError("step 0 requires current == original")
+        if not _is_subsequence(self.current.ids, self.original.ids):
+            raise ValueError("current is not a subsequence of original")
+
+
+@dataclass(frozen=True)
+class ActionVector:
+    """Per-token keep/drop labels: 0 removes the token, 1 preserves it."""
+
+    labels: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if any(l not in (0, 1) for l in self.labels):
+            raise ValueError("labels must be 0 or 1")
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+@dataclass(frozen=True)
+class EpisodeConfig:
+    max_steps: int
+
+    def __post_init__(self) -> None:
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
+
+
+def reset(prompt: TokenSequence) -> CompressionState:
+    """Start an episode: the prompt is both the original and the current sequence."""
+    if len(prompt) == 0:
+        raise ValueError("empty prompt")
+    return CompressionState(original=prompt, current=prompt, step=0)
+
+
+def apply_action(
+    state: CompressionState,
+    action: ActionVector,
+    keep_probs: Sequence[float] | None = None,
+) -> CompressionState:
+    """Keep exactly the tokens labeled 1, in order, and advance the step.
+
+    An all-zeros action would empty the prompt, which leaves the
+    compression rate and all scorers undefined; instead one token is
+    force-kept: the one with the highest keep probability when
+    ``keep_probs`` is given, otherwise the first token.
+    """
+    if len(action) != len(state.current):
+        raise ValueError(
+            f"action/sequence length mismatch: {len(action)} != {len(state.current)}"
+        )
+    kept = tuple(
+        tid for tid, label in zip(state.current.ids, action.labels) if label == 1
+    )
+    if not kept:
+        index = int(np.argmax(keep_probs)) if keep_probs is not None else 0
+        kept = (state.current.ids[index],)
+    return CompressionState(
+        original=state.original,
+        current=TokenSequence(kept),
+        step=state.step + 1,
+    )
+
+
+def compression_rate(state: CompressionState) -> float:
+    """rho = compressed length / original length, in (0, 1]."""
+    return len(state.current) / len(state.original)
+
+
+def is_terminal(state: CompressionState, cfg: EpisodeConfig) -> bool:
+    return state.step >= cfg.max_steps

@@ -1,0 +1,135 @@
+"""Evaluation harness: compress, regenerate, and compare.
+
+The proxy model plays the target LLM's role: for every prompt it
+greedy-generates once from the original and once from the compressed
+prompt, and the report scores the two generations against each other
+(ROUGE-1/2/L, token F1) and the compressed generation against the
+record's reference output (exact match), when one is present.
+
+Exact match is applied to the full normalized generation; the report
+header records this, and which model produced the generations.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Sequence
+
+from .baselines import Compressor
+from .metrics import exact_match, rouge_l, rouge_n, token_f1
+from .scoring import ProxyLM
+from .text import PromptRecord, Vocabulary, detokenize, tokenize
+
+EM_NOTE = "exact match compares the full normalized generation to the reference"
+
+TABLE_COLUMNS = (
+    ("method", "Method"),
+    ("rouge1_f", "Rouge-1"),
+    ("rouge2_f", "Rouge-2"),
+    ("rougeL_f", "Rouge-L"),
+    ("token_f1", "TokenF1"),
+    ("em", "EM"),
+    ("tokens", "Tokens"),
+    ("inv_rho", "1/rho"),
+)
+
+
+@dataclass(frozen=True)
+class EvalSettings:
+    vocab: Vocabulary
+    n_gen: int = 32
+    lm_description: str | None = None
+
+
+@dataclass
+class EvalReport:
+    method: str
+    lm_description: str
+    note: str
+    rows: list[dict]
+    aggregate: dict = field(default_factory=dict)
+
+    def jsonl_records(self) -> list[dict]:
+        header = {
+            "record": "header",
+            "method": self.method,
+            "lm": self.lm_description,
+            "note": self.note,
+        }
+        rows = [{"record": "row", **row} for row in self.rows]
+        return [header, *rows, {"record": "aggregate", **self.aggregate}]
+
+    def table(self) -> str:
+        lines = [
+            f"# generations produced by: {self.lm_description}",
+            f"# note: {self.note}",
+        ]
+        values = []
+        for key, _ in TABLE_COLUMNS:
+            val = self.aggregate.get(key)
+            if key == "method":
+                values.append(self.method)
+            elif val is None:
+                values.append("-")
+            elif key == "tokens":
+                values.append(f"{val:.1f}")
+            else:
+                values.append(f"{val:.4f}")
+        headers = [title for _, title in TABLE_COLUMNS]
+        widths = [max(len(h), len(v)) for h, v in zip(headers, values)]
+        lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
+        lines.append("  ".join(v.ljust(w) for v, w in zip(values, widths)))
+        return "\n".join(lines) + "\n"
+
+
+def _mean(values: Sequence[float]) -> float | None:
+    vals = [v for v in values if v is not None]
+    return sum(vals) / len(vals) if vals else None
+
+
+def evaluate(
+    compressor: Compressor,
+    corpus: Sequence[PromptRecord],
+    lm: ProxyLM,
+    settings: EvalSettings,
+) -> EvalReport:
+    """Per-prompt metric rows plus arithmetic-mean aggregates."""
+    vocab = settings.vocab
+    rows: list[dict] = []
+    for index, record in enumerate(corpus):
+        seq = tokenize(record.text, vocab)
+        if len(seq) == 0:
+            raise ValueError(f"corpus record {record.id!r} tokenizes to nothing")
+        result = compressor.compress(seq, key=index)
+        gen_c = lm.greedy_continue(result.compressed, settings.n_gen)
+        gen_o = lm.greedy_continue(seq, settings.n_gen)
+        em = None
+        if record.reference_output is not None:
+            em = exact_match(detokenize(gen_c, vocab), record.reference_output)
+        rows.append(
+            {
+                "id": record.id,
+                "method": compressor.name,
+                "tokens_before": len(seq),
+                "tokens": len(result.compressed),
+                "rho": result.rho,
+                "inv_rho": 1.0 / result.rho,
+                "rouge1_f": rouge_n(gen_c.ids, gen_o.ids, 1)[2],
+                "rouge2_f": rouge_n(gen_c.ids, gen_o.ids, 2)[2],
+                "rougeL_f": rouge_l(gen_c.ids, gen_o.ids)[2],
+                "token_f1": token_f1(gen_c.ids, gen_o.ids)[2],
+                "em": em,
+            }
+        )
+    aggregate = {"method": compressor.name, "n": len(rows)}
+    for key in ("tokens", "rho", "inv_rho", "rouge1_f", "rouge2_f", "rougeL_f",
+                "token_f1", "em"):
+        aggregate[key] = _mean([row[key] for row in rows])
+    lm_description = settings.lm_description or type(lm).__name__
+    return EvalReport(
+        method=compressor.name,
+        lm_description=lm_description,
+        note=EM_NOTE,
+        rows=rows,
+        aggregate=aggregate,
+    )

@@ -1,0 +1,84 @@
+"""Evaluation metrics: exact match, token F1, and ROUGE (n-gram and LCS).
+
+All metrics follow the standard clipped-count definitions with no
+stemming or stopword handling, so every value can be recomputed by a
+brute-force counter.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from typing import Hashable, Sequence
+
+
+def normalize_text(text: str) -> str:
+    """Trim, collapse whitespace, casefold."""
+    return " ".join(text.split()).casefold()
+
+
+def exact_match(predicted: str, reference: str) -> int:
+    """1 iff the normalized strings are equal."""
+    return int(normalize_text(predicted) == normalize_text(reference))
+
+
+def _prf(overlap: float, n_cand: float, n_ref: float) -> tuple[float, float, float]:
+    precision = overlap / n_cand if n_cand else 0.0
+    recall = overlap / n_ref if n_ref else 0.0
+    f1 = (
+        2.0 * precision * recall / (precision + recall)
+        if precision + recall > 0
+        else 0.0
+    )
+    return precision, recall, f1
+
+
+def token_f1(
+    candidate: Sequence[Hashable], reference: Sequence[Hashable]
+) -> tuple[float, float, float]:
+    """Clipped unigram-overlap precision/recall/F1 over token multisets."""
+    cand = Counter(candidate)
+    ref = Counter(reference)
+    overlap = sum(min(n, ref[tok]) for tok, n in cand.items())
+    return _prf(overlap, sum(cand.values()), sum(ref.values()))
+
+
+def _ngrams(tokens: Sequence[Hashable], n: int) -> Counter:
+    return Counter(
+        tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)
+    )
+
+
+def rouge_n(
+    candidate: Sequence[Hashable], reference: Sequence[Hashable], n: int
+) -> tuple[float, float, float]:
+    """Clipped n-gram overlap; (0, 0, 0) when either side is degenerate."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    cand = _ngrams(candidate, n)
+    ref = _ngrams(reference, n)
+    overlap = sum(min(count, ref[gram]) for gram, count in cand.items())
+    return _prf(overlap, sum(cand.values()), sum(ref.values()))
+
+
+def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
+    """Longest common subsequence length by dynamic programming."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        curr = [0]
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                curr.append(prev[j - 1] + 1)
+            else:
+                curr.append(max(prev[j], curr[j - 1]))
+        prev = curr
+    return prev[-1]
+
+
+def rouge_l(
+    candidate: Sequence[Hashable], reference: Sequence[Hashable]
+) -> tuple[float, float, float]:
+    """LCS-based precision/recall/F1."""
+    lcs = lcs_length(list(candidate), list(reference))
+    return _prf(lcs, len(candidate), len(reference))

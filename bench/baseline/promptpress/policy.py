@@ -1,0 +1,292 @@
+"""Actor (per-token keep/drop classifier) and critic (state-value estimator).
+
+Both wrap a :class:`SequenceEncoder`. The actor adds a linear 2-way head
+per token; the critic mean-pools token features and applies two stacked
+linear layers (an affine composite) to produce one scalar. Keep
+probabilities are floored away from {0, 1} so log-probabilities and
+policy ratios stay finite.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Sequence
+
+import numpy as np
+
+from .encoder import EncoderConfig, SequenceEncoder, TinyTransformerEncoder
+from .env import ActionVector, CompressionState
+
+PROB_FLOOR = 1e-6
+MODEL_SCHEMA_VERSION = 1
+
+
+@dataclass(frozen=True)
+class PolicyOutput:
+    """Per-token action distributions for one state.
+
+    ``keep_probs[i]`` is the floored probability of label 1 for token i;
+    ``log_probs[i, a]`` is the log-probability of label a, so the
+    log-probability of a selected action vector is
+    ``log_probs[arange(L), labels].sum()``.
+    """
+
+    keep_probs: np.ndarray
+    log_probs: np.ndarray
+
+
+class Actor:
+    def __init__(self, encoder: SequenceEncoder, head_w: np.ndarray, head_b: np.ndarray):
+        self.encoder = encoder
+        self.head_w = head_w
+        self.head_b = head_b
+
+    @classmethod
+    def build(cls, cfg: EncoderConfig, seed: int) -> "Actor":
+        # Zero head: every token starts at keep probability 0.5.
+        return cls(
+            encoder=TinyTransformerEncoder.create(cfg, seed),
+            head_w=np.zeros((cfg.d_model, 2)),
+            head_b=np.zeros(2),
+        )
+
+    def parameters(self) -> dict[str, np.ndarray]:
+        params = {f"enc.{k}": v for k, v in self.encoder.params.items()}
+        params["head_w"] = self.head_w
+        params["head_b"] = self.head_b
+        return params
+
+    def clone(self) -> "Actor":
+        enc = TinyTransformerEncoder(
+            self.encoder.cfg, {k: v.copy() for k, v in self.encoder.params.items()}
+        )
+        return Actor(enc, self.head_w.copy(), self.head_b.copy())
+
+
+class Critic:
+    def __init__(self, encoder, vh_w1, vh_b1, vh_w2, vh_b2):
+        self.encoder = encoder
+        self.vh_w1 = vh_w1
+        self.vh_b1 = vh_b1
+        self.vh_w2 = vh_w2
+        self.vh_b2 = vh_b2
+
+    @classmethod
+    def build(cls, cfg: EncoderConfig, seed: int) -> "Critic":
+        d = cfg.d_model
+        return cls(
+            encoder=TinyTransformerEncoder.create(cfg, seed),
+            vh_w1=np.zeros((d, d)),
+            vh_b1=np.zeros(d),
+            vh_w2=np.zeros(d),
+            vh_b2=np.zeros(()),
+        )
+
+    def parameters(self) -> dict[str, np.ndarray]:
+        params = {f"enc.{k}": v for k, v in self.encoder.params.items()}
+        params.update(
+            vh_w1=self.vh_w1, vh_b1=self.vh_b1, vh_w2=self.vh_w2, vh_b2=self.vh_b2
+        )
+        return params
+
+    def clone(self) -> "Critic":
+        enc = TinyTransformerEncoder(
+            self.encoder.cfg, {k: v.copy() for k, v in self.encoder.params.items()}
+        )
+        return Critic(
+            enc,
+            self.vh_w1.copy(),
+            self.vh_b1.copy(),
+            self.vh_w2.copy(),
+            self.vh_b2.copy(),
+        )
+
+
+def _softmax2(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _output_from_logits(logits: np.ndarray) -> PolicyOutput:
+    probs = _softmax2(logits)
+    kp = np.clip(probs[:, 1], PROB_FLOOR, 1.0 - PROB_FLOOR)
+    log_probs = np.stack([np.log1p(-kp), np.log(kp)], axis=1)
+    return PolicyOutput(keep_probs=kp, log_probs=log_probs)
+
+
+def policy_forward(actor: Actor, state: CompressionState) -> PolicyOutput:
+    """Per-token keep/drop distributions for the state's current prompt."""
+    if len(state.current) == 0:
+        raise ValueError("empty state")
+    h = actor.encoder.encode(state.current.ids)
+    logits = h @ actor.head_w + actor.head_b
+    return _output_from_logits(logits)
+
+
+def sample_actions(output: PolicyOutput, rng_seed: int) -> tuple[ActionVector, float]:
+    """Draw each token's label independently; returns the summed log-prob."""
+    rng = np.random.default_rng(rng_seed)
+    labels = (rng.random(output.keep_probs.shape[0]) < output.keep_probs).astype(int)
+    total = float(output.log_probs[np.arange(labels.size), labels].sum())
+    return ActionVector(tuple(int(l) for l in labels)), total
+
+
+def greedy_actions(output: PolicyOutput, drop_budget: int) -> ActionVector:
+    """Deterministic action selection.
+
+    With no budget, drop every token whose keep probability is below
+    0.5. With a budget, drop exactly min(budget, L - 1) tokens with the
+    lowest keep probabilities (ties drop the higher index first). Both
+    variants keep at least one token.
+    """
+    if drop_budget < 0:
+        raise ValueError("drop_budget must be >= 0")
+    kp = output.keep_probs
+    n = kp.shape[0]
+    if drop_budget == 0:
+        labels = (kp >= 0.5).astype(int)
+        if labels.sum() == 0:
+            labels[int(np.argmax(kp))] = 1
+        return ActionVector(tuple(int(l) for l in labels))
+    n_drop = min(drop_budget, n - 1)
+    # ascending keep prob; among equals the higher index sorts first
+    order = np.lexsort((-np.arange(n), kp))
+    labels = np.ones(n, dtype=int)
+    labels[order[:n_drop]] = 0
+    return ActionVector(tuple(int(l) for l in labels))
+
+
+def value_forward(critic: Critic, state: CompressionState) -> float:
+    """Scalar value estimate: mean-pooled features through the value head."""
+    if len(state.current) == 0:
+        raise ValueError("empty state")
+    h = critic.encoder.encode(state.current.ids)
+    hbar = h.mean(axis=0)
+    z = hbar @ critic.vh_w1 + critic.vh_b1
+    return float(z @ critic.vh_w2 + critic.vh_b2)
+
+
+def action_log_prob(actor: Actor, ids: Sequence[int], labels: Sequence[int]) -> float:
+    """Log-probability of a full action vector under the actor."""
+    h = actor.encoder.encode(ids)
+    out = _output_from_logits(h @ actor.head_w + actor.head_b)
+    idx = np.asarray(labels, dtype=int)
+    return float(out.log_probs[np.arange(idx.size), idx].sum())
+
+
+def action_log_prob_and_grad(
+    actor: Actor, ids: Sequence[int], labels: Sequence[int]
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Log-probability plus its gradient w.r.t. every actor parameter.
+
+    Requires a trainable encoder (forward/backward). Tokens whose keep
+    probability sits at the floor get zero gradient, matching the
+    clamped forward value.
+    """
+    h, cache = actor.encoder.forward(ids)
+    logits = h @ actor.head_w + actor.head_b
+    probs = _softmax2(logits)
+    kp_raw = probs[:, 1]
+    out = _output_from_logits(logits)
+    idx = np.asarray(labels, dtype=int)
+    n = idx.size
+    lp = float(out.log_probs[np.arange(n), idx].sum())
+
+    dlogits = -probs.copy()
+    dlogits[np.arange(n), idx] += 1.0
+    unclamped = (kp_raw > PROB_FLOOR) & (kp_raw < 1.0 - PROB_FLOOR)
+    dlogits[~unclamped] = 0.0
+
+    grads = {
+        "head_w": h.T @ dlogits,
+        "head_b": dlogits.sum(axis=0),
+    }
+    dh = dlogits @ actor.head_w.T
+    enc_grads = actor.encoder.backward(cache, dh)
+    grads.update({f"enc.{k}": v for k, v in enc_grads.items()})
+    return lp, grads
+
+
+def value_and_grad(
+    critic: Critic, ids: Sequence[int]
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Value estimate plus its gradient w.r.t. every critic parameter."""
+    h, cache = critic.encoder.forward(ids)
+    n = h.shape[0]
+    hbar = h.mean(axis=0)
+    z = hbar @ critic.vh_w1 + critic.vh_b1
+    v = float(z @ critic.vh_w2 + critic.vh_b2)
+
+    dz = critic.vh_w2
+    grads = {
+        "vh_w2": z.copy(),
+        "vh_b2": np.ones(()),
+        "vh_w1": np.outer(hbar, dz),
+        "vh_b1": dz.copy(),
+    }
+    dhbar = critic.vh_w1 @ dz
+    dh = np.tile(dhbar / n, (n, 1))
+    enc_grads = critic.encoder.backward(cache, dh)
+    grads.update({f"enc.{k}": v for k, v in enc_grads.items()})
+    return v, grads
+
+
+def _meta_for(model: Actor | Critic, kind: str) -> dict:
+    cfg = model.encoder.cfg
+    return {
+        "schema_version": MODEL_SCHEMA_VERSION,
+        "kind": kind,
+        "encoder_cfg": {
+            "vocab_size": cfg.vocab_size,
+            "d_model": cfg.d_model,
+            "n_heads": cfg.n_heads,
+            "n_layers": cfg.n_layers,
+            "d_ff": cfg.d_ff,
+            "max_len": cfg.max_len,
+        },
+    }
+
+
+def save_model(model: Actor | Critic, path: str | Path) -> None:
+    """Schema-versioned serialization of encoder + head parameters."""
+    kind = "actor" if isinstance(model, Actor) else "critic"
+    arrays = dict(model.parameters())
+    arrays["__meta__"] = np.frombuffer(
+        json.dumps(_meta_for(model, kind)).encode("utf-8"), dtype=np.uint8
+    )
+    with open(path, "wb") as fh:  # keep the exact path, no .npz suffixing
+        np.savez(fh, **arrays)
+
+
+def load_model(path: str | Path) -> Actor | Critic:
+    """Load a model, validating schema version and parameter shapes."""
+    try:
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+    except Exception as exc:
+        raise ValueError(f"corrupt model file: {exc}") from exc
+    if "__meta__" not in arrays:
+        raise ValueError("corrupt model file: missing field __meta__")
+    meta = json.loads(arrays.pop("__meta__").tobytes().decode("utf-8"))
+    version = meta.get("schema_version")
+    if version != MODEL_SCHEMA_VERSION:
+        raise ValueError(f"unsupported model schema_version: {version!r}")
+    cfg = EncoderConfig(**meta["encoder_cfg"])
+    template = (
+        Actor.build(cfg, seed=0) if meta["kind"] == "actor" else Critic.build(cfg, seed=0)
+    )
+    expected = template.parameters()
+    if set(expected) != set(arrays):
+        missing = sorted(set(expected) ^ set(arrays))
+        raise ValueError(f"corrupt model file: parameter set mismatch: {missing}")
+    for key, value in arrays.items():
+        if value.shape != expected[key].shape:
+            raise ValueError(
+                f"corrupt model file: field {key} has shape {value.shape}, "
+                f"expected {expected[key].shape}"
+            )
+        expected[key][...] = value
+    return template

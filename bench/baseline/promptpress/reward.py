@@ -1,0 +1,116 @@
+"""Per-step reward: compression ratio, retention, divergence, band penalties.
+
+The scalar reward for reaching compressed prompt st from original s0 is
+
+    alpha * (1 / rho) + beta * D(s0, st) - gamma * KL_term
+        - 1[rho < c_s] * p_s - 1[rho > c_l] * p_l
+
+with rho = |st| / |s0|. The band [c_s, c_l] is supplied per step by the
+curriculum; the indicator comparisons are strict, so boundary values are
+penalty-free.
+"""
+
+from __future__ import annotations
+
+import enum
+from dataclasses import dataclass, replace
+
+from .scoring import ProxyLM, RetentionScorer, output_distribution_kl
+from .text import TokenSequence
+
+
+@dataclass(frozen=True)
+class RewardConfig:
+    alpha: float = 1.0
+    beta: float = 1.0
+    gamma: float = 1.0
+    c_s: float = 0.5
+    c_l: float = 0.9
+    p_s: float = 200.0
+    p_l: float = 100.0
+
+    def __post_init__(self) -> None:
+        if min(self.alpha, self.beta, self.gamma) < 0:
+            raise ValueError("alpha, beta, gamma must be >= 0")
+        if not 0.0 < self.c_s < self.c_l <= 1.0:
+            raise ValueError("bounds must satisfy 0 < c_s < c_l <= 1")
+        if self.p_s < 0 or self.p_l < 0:
+            raise ValueError("penalties must be >= 0")
+
+    def with_bounds(self, c_s: float, c_l: float) -> "RewardConfig":
+        """Copy with the compression band replaced (curriculum hook)."""
+        return replace(self, c_s=c_s, c_l=c_l)
+
+
+class Band(enum.Enum):
+    BELOW = "below"
+    INSIDE = "inside"
+    ABOVE = "above"
+
+
+def in_band(rho: float, cfg: RewardConfig) -> Band:
+    """Position of rho relative to (c_s, c_l); boundaries count as inside."""
+    if not 0.0 < rho <= 1.0:
+        raise ValueError("rho must be in (0, 1]")
+    if rho < cfg.c_s:
+        return Band.BELOW
+    if rho > cfg.c_l:
+        return Band.ABOVE
+    return Band.INSIDE
+
+
+@dataclass(frozen=True)
+class RewardBreakdown:
+    """Diagnostic decomposition; total is the exact sum of its parts."""
+
+    ratio_term: float
+    retention_term: float
+    kl_term: float
+    penalty: float
+
+    @property
+    def total(self) -> float:
+        return self.ratio_term + self.retention_term - self.kl_term - self.penalty
+
+
+def assemble_reward(
+    rho: float, retention: float, kl: float, cfg: RewardConfig
+) -> RewardBreakdown:
+    """Assemble the reward from its three measured ingredients."""
+    band = in_band(rho, cfg)
+    if band is Band.BELOW:
+        penalty = cfg.p_s
+    elif band is Band.ABOVE:
+        penalty = cfg.p_l
+    else:
+        penalty = 0.0
+    return RewardBreakdown(
+        ratio_term=cfg.alpha * (1.0 / rho),
+        retention_term=cfg.beta * retention,
+        kl_term=cfg.gamma * kl,
+        penalty=penalty,
+    )
+
+
+def compute_reward(
+    s0: TokenSequence,
+    st: TokenSequence,
+    cfg: RewardConfig,
+    retention: RetentionScorer,
+    lm: ProxyLM,
+    reference: TokenSequence,
+) -> RewardBreakdown:
+    """Score a compressed prompt st against its original s0.
+
+    ``reference`` must be the greedy continuation generated from s0; it
+    is the fixed comparison target for the divergence term. With
+    gamma = 0 the divergence is not evaluated at all.
+    """
+    if len(s0) == 0 or len(st) == 0:
+        raise ValueError("empty prompt")
+    rho = len(st) / len(s0)
+    d = retention.score(s0, st)
+    kl = 0.0
+    if cfg.gamma > 0.0:
+        kl = output_distribution_kl(lm, s0, st, reference)
+    return assemble_reward(rho, d, kl, cfg)

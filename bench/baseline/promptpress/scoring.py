@@ -1,0 +1,285 @@
+"""Learned-signal ingredients of the reward.
+
+Two pluggable scorer interfaces with deterministic reference
+implementations:
+
+* :class:`RetentionScorer` measures how much of the original prompt's key
+  information survives in the compressed prompt. The reference is an
+  IDF-weighted token recall, which keeps the scorer auditable; an
+  embedding-based scorer can be dropped in behind the same interface.
+* :class:`ProxyLM` stands in for the target model's output distribution.
+  The reference is an add-k smoothed n-gram model with backoff; a
+  distribution-aligned neural model can be injected behind the same
+  interface.
+"""
+
+from __future__ import annotations
+
+import json
+from collections import Counter
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Mapping, Protocol, Sequence, runtime_checkable
+
+import numpy as np
+
+from .text import PromptRecord, TokenSequence, Vocabulary, build_vocabulary, tokenize
+
+KL_FLOOR = 1e-10
+NGRAM_SCHEMA_VERSION = 1
+
+
+@dataclass(frozen=True)
+class NextTokenDistribution:
+    """A probability vector over the vocabulary; entries sum to 1."""
+
+    probs: np.ndarray
+
+    def __post_init__(self) -> None:
+        probs = np.asarray(self.probs, dtype=np.float64)
+        if probs.ndim != 1:
+            raise ValueError("probs must be a vector")
+        if np.any(probs < 0):
+            raise ValueError("probs must be non-negative")
+        if abs(float(probs.sum()) - 1.0) > 1e-9:
+            raise ValueError("probs must sum to 1 within 1e-9")
+        probs = probs.copy()
+        probs.flags.writeable = False
+        object.__setattr__(self, "probs", probs)
+
+    @property
+    def size(self) -> int:
+        return self.probs.shape[0]
+
+
+@runtime_checkable
+class ProxyLM(Protocol):
+    """Small local model playing the target LLM's output-distribution role."""
+
+    def next_token_dist(self, context: TokenSequence) -> NextTokenDistribution: ...
+
+    def greedy_continue(self, context: TokenSequence, n: int) -> TokenSequence: ...
+
+
+@runtime_checkable
+class RetentionScorer(Protocol):
+    """score(s0, st) in [0, 1]; 1 when everything is retained."""
+
+    def score(self, s0: TokenSequence, st: TokenSequence) -> float: ...
+
+
+def idf_retention_score(
+    s0: TokenSequence, st: TokenSequence, idf: Mapping[int, float]
+) -> float:
+    """IDF-weighted recall of the original prompt's tokens.
+
+    Σ idf over the multiset intersection of s0 and st, divided by Σ idf
+    over s0. Ids missing from the table weigh 1.
+    """
+    if len(s0) == 0:
+        raise ValueError("undefined retention: empty original sequence")
+    counts0 = Counter(s0.ids)
+    counts_t = Counter(st.ids)
+    total = sum(idf.get(tid, 1.0) * n for tid, n in counts0.items())
+    if total <= 0.0:
+        # Degenerate table (all-zero weights): everything counts equally.
+        total = float(len(s0))
+        kept = float(sum(min(n, counts_t[tid]) for tid, n in counts0.items()))
+        return kept / total
+    kept = sum(
+        idf.get(tid, 1.0) * min(n, counts_t[tid]) for tid, n in counts0.items()
+    )
+    return kept / total
+
+
+@dataclass(frozen=True)
+class IdfRetentionScorer:
+    idf: Mapping[int, float]
+
+    def score(self, s0: TokenSequence, st: TokenSequence) -> float:
+        return idf_retention_score(s0, st, self.idf)
+
+
+def kl_divergence(p: NextTokenDistribution, q: NextTokenDistribution) -> float:
+    """KL(P || Q) in nats, with Q floored at 1e-10 and renormalized."""
+    if p.size != q.size:
+        raise ValueError(f"dimension mismatch: {p.size} != {q.size}")
+    pv = p.probs
+    qv = np.maximum(q.probs, KL_FLOOR)
+    qv = qv / qv.sum()
+    mask = pv > 0
+    return float(np.sum(pv[mask] * np.log(pv[mask] / qv[mask])))
+
+
+def generate_reference(
+    lm: ProxyLM, s0: TokenSequence, n_gen: int
+) -> TokenSequence:
+    """Greedy continuation of s0: n_gen argmax steps, ties -> lowest id."""
+    if n_gen < 1:
+        raise ValueError("n_gen must be >= 1")
+    context = s0
+    out: list[int] = []
+    for _ in range(n_gen):
+        dist = lm.next_token_dist(context)
+        tid = int(np.argmax(dist.probs))
+        out.append(tid)
+        context = context.concat(TokenSequence((tid,)))
+    return TokenSequence(tuple(out))
+
+
+def output_distribution_kl(
+    lm: ProxyLM,
+    s0: TokenSequence,
+    st: TokenSequence,
+    reference: TokenSequence,
+) -> float:
+    """Teacher-forced divergence between generating from st and from s0.
+
+    Mean over reference positions i of
+    KL(P(. | st ++ ref[:i]) || P(. | s0 ++ ref[:i])), a factorized
+    surrogate for the divergence between the two generation
+    distributions along the fixed s0-conditioned continuation.
+    """
+    if len(reference) == 0:
+        raise ValueError("empty reference continuation")
+    if st.ids == s0.ids:
+        return 0.0
+    total = 0.0
+    for i in range(len(reference)):
+        prefix = reference.prefix(i)
+        p = lm.next_token_dist(st.concat(prefix))
+        q = lm.next_token_dist(s0.concat(prefix))
+        total += kl_divergence(p, q)
+    return total / len(reference)
+
+
+class NgramLM:
+    """Add-k smoothed n-gram model with backoff to shorter contexts.
+
+    Count tables are immutable after fitting; the model is safe to share
+    across trajectory-collection workers.
+    """
+
+    def __init__(
+        self,
+        order: int,
+        smoothing: float,
+        vocab: Vocabulary,
+        counts: Sequence[dict[tuple[int, ...], dict[int, int]]],
+    ) -> None:
+        if order < 1:
+            raise ValueError("order must be >= 1")
+        if smoothing <= 0:
+            raise ValueError("smoothing must be > 0")
+        self.order = order
+        self.smoothing = smoothing
+        self.vocab = vocab
+        # counts[o - 1] maps a length-(o-1) context to continuation counts.
+        self._counts = counts
+        self._totals = [
+            {ctx: sum(cont.values()) for ctx, cont in level.items()}
+            for level in counts
+        ]
+
+    def next_token_dist(self, context: TokenSequence) -> NextTokenDistribution:
+        v = self.vocab.size
+        k = self.smoothing
+        for o in range(self.order, 0, -1):
+            if len(context) < o - 1:
+                continue
+            ctx = context.ids[len(context) - (o - 1):] if o > 1 else ()
+            cont = self._counts[o - 1].get(ctx)
+            if cont is None and o > 1:
+                continue
+            probs = np.full(v, k, dtype=np.float64)
+            total = k * v
+            if cont:
+                for tid, n in cont.items():
+                    probs[tid] += n
+                total += self._totals[o - 1][ctx]
+            return NextTokenDistribution(probs / total)
+        raise RuntimeError("unreachable: unigram level always answers")
+
+    def greedy_continue(self, context: TokenSequence, n: int) -> TokenSequence:
+        return generate_reference(self, context, n)
+
+    def save(self, path: str | Path) -> None:
+        payload = {
+            "schema_version": NGRAM_SCHEMA_VERSION,
+            "kind": "ngram-lm",
+            "order": self.order,
+            "smoothing": self.smoothing,
+            "unknown_id": self.vocab.unknown_id,
+            "surfaces": list(self.vocab.surfaces),
+            "counts": [
+                [[list(ctx), sorted(cont.items())] for ctx, cont in level.items()]
+                for level in self._counts
+            ],
+        }
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+
+    @classmethod
+    def load(cls, path: str | Path) -> "NgramLM":
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except (json.JSONDecodeError, OSError) as exc:
+            raise ValueError(f"corrupt language model file: {exc}") from exc
+        version = payload.get("schema_version")
+        if version != NGRAM_SCHEMA_VERSION:
+            raise ValueError(
+                f"unsupported language model schema_version: {version!r}"
+            )
+        vocab = Vocabulary(
+            surfaces=tuple(payload["surfaces"]),
+            unknown_id=int(payload["unknown_id"]),
+        )
+        counts = [
+            {
+                tuple(ctx): {int(t): int(n) for t, n in cont}
+                for ctx, cont in level
+            }
+            for level in payload["counts"]
+        ]
+        return cls(
+            order=int(payload["order"]),
+            smoothing=float(payload["smoothing"]),
+            vocab=vocab,
+            counts=counts,
+        )
+
+
+def fit_ngram_lm(
+    corpus: Sequence[PromptRecord],
+    order: int,
+    smoothing: float,
+    vocab: Vocabulary | None = None,
+    max_vocab: int = 512,
+) -> NgramLM:
+    """Fit the reference proxy model on a corpus.
+
+    When no vocabulary is supplied one is built from the corpus with at
+    most ``max_vocab`` entries.
+    """
+    if not corpus:
+        raise ValueError("empty corpus")
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if smoothing <= 0:
+        raise ValueError("smoothing must be > 0")
+    if vocab is None:
+        vocab = build_vocabulary(corpus, max_vocab)
+    counts: list[dict[tuple[int, ...], dict[int, int]]] = [
+        {} for _ in range(order)
+    ]
+    for record in corpus:
+        ids = tokenize(record.text, vocab).ids
+        for i, tid in enumerate(ids):
+            for o in range(1, order + 1):
+                if i < o - 1:
+                    continue
+                ctx = ids[i - (o - 1): i]
+                cont = counts[o - 1].setdefault(ctx, {})
+                cont[tid] = cont.get(tid, 0) + 1
+    return NgramLM(order=order, smoothing=smoothing, vocab=vocab, counts=counts)

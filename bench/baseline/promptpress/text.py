@@ -1,0 +1,282 @@
+"""Tokenization, vocabulary management, and corpus ingestion.
+
+The reference tokenizer splits on whitespace runs, so that joining token
+surfaces with single spaces reproduces the whitespace-normalized input.
+Subword tokenizers can be swapped in by building a :class:`Vocabulary`
+over their surfaces; everything downstream only sees token ids.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from collections import Counter
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
+
+UNKNOWN_SURFACE = "<unk>"
+
+
+def normalize_whitespace(text: str) -> str:
+    """Collapse whitespace runs to single spaces and trim the ends."""
+    return " ".join(text.split())
+
+
+@dataclass(frozen=True)
+class TokenSequence:
+    """Immutable ordered list of token ids."""
+
+    ids: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.ids, tuple):
+            object.__setattr__(self, "ids", tuple(int(i) for i in self.ids))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return TokenSequence(self.ids[index])
+        return self.ids[index]
+
+    def concat(self, other: "TokenSequence") -> "TokenSequence":
+        return TokenSequence(self.ids + other.ids)
+
+    def prefix(self, n: int) -> "TokenSequence":
+        return TokenSequence(self.ids[:n])
+
+
+@dataclass(frozen=True)
+class Vocabulary:
+    """Bidirectional token-id/surface map with a dedicated unknown id."""
+
+    surfaces: tuple[str, ...]
+    unknown_id: int
+    _index: Mapping[str, int] = field(repr=False, compare=False, default=None)
+
+    def __post_init__(self) -> None:
+        if len(set(self.surfaces)) != len(self.surfaces):
+            raise ValueError("duplicate surfaces in vocabulary")
+        if not 0 <= self.unknown_id < len(self.surfaces):
+            raise ValueError("unknown_id out of range")
+        object.__setattr__(
+            self, "_index", {s: i for i, s in enumerate(self.surfaces)}
+        )
+
+    @property
+    def size(self) -> int:
+        return len(self.surfaces)
+
+    def id_of(self, surface: str) -> int:
+        """Id of a surface string; unknown surfaces map to ``unknown_id``."""
+        return self._index.get(surface, self.unknown_id)
+
+    def surface_of(self, token_id: int) -> str:
+        if not 0 <= token_id < self.size:
+            raise ValueError(f"id out of range: {token_id}")
+        return self.surfaces[token_id]
+
+    def __contains__(self, surface: str) -> bool:
+        return surface in self._index
+
+
+@dataclass(frozen=True)
+class PromptRecord:
+    """One corpus entry: a prompt, plus optional evaluation metadata.
+
+    ``filler_mask`` is only present on synthetic corpora and marks, per
+    token of the whitespace-split text, planted redundancy (True = filler).
+    """
+
+    id: str
+    text: str
+    reference_output: str | None = None
+    filler_mask: tuple[bool, ...] | None = None
+
+
+def split_surfaces(text: str) -> list[str]:
+    """Reference split: maximal non-whitespace runs, in order."""
+    return text.split()
+
+
+def build_vocabulary(corpus: Sequence[PromptRecord], max_size: int) -> Vocabulary:
+    """Build a vocabulary of the ``max_size - 1`` most frequent surfaces.
+
+    Ties are broken by lexicographic order of the surface string. The
+    unknown token takes the last id.
+    """
+    if not corpus:
+        raise ValueError("empty corpus")
+    if max_size < 2:
+        raise ValueError("max_size must be >= 2")
+    counts: Counter[str] = Counter()
+    for record in corpus:
+        counts.update(split_surfaces(record.text))
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    kept = [surface for surface, _ in ranked[: max_size - 1]]
+    surfaces = tuple(kept) + (UNKNOWN_SURFACE,)
+    return Vocabulary(surfaces=surfaces, unknown_id=len(surfaces) - 1)
+
+
+def tokenize(text: str, vocab: Vocabulary) -> TokenSequence:
+    """Deterministic text -> ids; out-of-vocabulary surfaces become unknown."""
+    return TokenSequence(tuple(vocab.id_of(s) for s in split_surfaces(text)))
+
+
+def detokenize(seq: TokenSequence, vocab: Vocabulary) -> str:
+    """Ids -> text, surfaces joined by single spaces."""
+    return " ".join(vocab.surface_of(i) for i in seq)
+
+
+def load_corpus(path: str | Path) -> list[PromptRecord]:
+    """Read a JSONL corpus: one object per line with at least ``text``.
+
+    Optional fields stay absent when missing. Malformed lines raise an
+    error naming the line number.
+    """
+    records: list[PromptRecord] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"malformed corpus line {lineno}: {exc}") from exc
+            if not isinstance(obj, dict) or "text" not in obj:
+                raise ValueError(f"malformed corpus line {lineno}: missing 'text'")
+            mask = obj.get("filler_mask")
+            if mask is not None:
+                mask = tuple(bool(v) for v in mask)
+                if len(mask) != len(split_surfaces(obj["text"])):
+                    raise ValueError(
+                        f"malformed corpus line {lineno}: filler_mask length "
+                        f"{len(mask)} != token length"
+                    )
+            records.append(
+                PromptRecord(
+                    id=str(obj.get("id", f"rec-{lineno:05d}")),
+                    text=str(obj["text"]),
+                    reference_output=obj.get("reference_output"),
+                    filler_mask=mask,
+                )
+            )
+    return records
+
+
+def save_corpus(records: Iterable[PromptRecord], path: str | Path) -> None:
+    """Write records as JSONL, omitting absent optional fields."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            obj: dict = {"id": record.id, "text": record.text}
+            if record.reference_output is not None:
+                obj["reference_output"] = record.reference_output
+            if record.filler_mask is not None:
+                obj["filler_mask"] = [int(v) for v in record.filler_mask]
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+# Disjoint lexicons for synthetic corpora. Key words are the "information"
+# a compressor should keep; filler words are planted redundancy.
+KEY_LEXICON = tuple(
+    f"{a}{b}"
+    for a in (
+        "gran", "vel", "mar", "tor", "bel", "cor", "dal", "fen",
+        "hol", "jur", "kam", "lin", "mon", "nor", "pol", "quin",
+    )
+    for b in ("ite", "ak", "um", "or")
+)
+FILLER_LEXICON = ("the", "um", "well", "basically", "just", "so")
+
+
+def make_synthetic_corpus(
+    seed: int,
+    n_prompts: int,
+    filler_fraction: float,
+    min_tokens: int = 24,
+    max_tokens: int = 48,
+) -> list[PromptRecord]:
+    """Generate prompts that interleave key words with filler words.
+
+    Each token position is filler with probability ``filler_fraction``;
+    the key words (in order) become the record's ``reference_output``.
+    Identical seeds give identical corpora.
+    """
+    if n_prompts < 1:
+        raise ValueError("n_prompts must be >= 1")
+    if not 0.0 <= filler_fraction <= 1.0:
+        raise ValueError("filler_fraction must be in [0, 1]")
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(n_prompts):
+        length = int(rng.integers(min_tokens, max_tokens + 1))
+        is_filler = rng.random(length) < filler_fraction
+        words = []
+        keys = []
+        for filler in is_filler:
+            if filler:
+                words.append(FILLER_LEXICON[int(rng.integers(len(FILLER_LEXICON)))])
+            else:
+                word = KEY_LEXICON[int(rng.integers(len(KEY_LEXICON)))]
+                words.append(word)
+                keys.append(word)
+        records.append(
+            PromptRecord(
+                id=f"syn-{i:04d}",
+                text=" ".join(words),
+                reference_output=" ".join(keys),
+                filler_mask=tuple(bool(v) for v in is_filler),
+            )
+        )
+    return records
+
+
+def compute_idf_table(
+    corpus: Sequence[PromptRecord], vocab: Vocabulary
+) -> dict[int, float]:
+    """Classic inverse document frequency, ln(N / df), per token id.
+
+    Tokens present in every record get weight 0 and therefore do not
+    count as retained information. Ids never seen in the corpus are
+    omitted (scorers fall back to weight 1 for them).
+    """
+    n_docs = len(corpus)
+    if n_docs == 0:
+        raise ValueError("empty corpus")
+    df: Counter[int] = Counter()
+    for record in corpus:
+        df.update(set(tokenize(record.text, vocab)))
+    return {tid: math.log(n_docs / count) for tid, count in df.items()}
+
+
+def save_idf_table(
+    table: Mapping[int, float], vocab: Vocabulary, path: str | Path
+) -> None:
+    """Write an IDF table as JSONL of {token, weight}."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for tid in sorted(table):
+            fh.write(
+                json.dumps({"token": vocab.surface_of(tid), "weight": table[tid]})
+                + "\n"
+            )
+
+
+def load_idf_table(path: str | Path, vocab: Vocabulary) -> dict[int, float]:
+    table: dict[int, float] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                table[vocab.id_of(obj["token"])] = float(obj["weight"])
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise ValueError(f"malformed idf line {lineno}: {exc}") from exc
+    return table

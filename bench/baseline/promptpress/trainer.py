@@ -1,0 +1,673 @@
+"""Training loop: trajectory collection, replay buffer, clipped-surrogate
+policy updates, critic TD updates, and the staged compression curriculum.
+
+Collection always runs with frozen copies of the actor and critic; the
+live pair is updated from buffered trajectories and copied back after
+every update round. The compression band [c_s, c_l] that the reward
+enforces tightens with the stage index and, within an episode, with the
+step index, so the task hardens gradually. Everything is deterministic
+given (seed, corpus, configs): per-episode and per-update RNG streams
+are derived from (seed, stage, epoch, index) so a run resumed from a
+stage boundary reproduces the uninterrupted run exactly.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Callable, Sequence
+
+import numpy as np
+
+from .encoder import EncoderConfig
+from .env import ActionVector, CompressionState, apply_action, compression_rate, reset
+from .optim import Adam, clip_gradients
+from .policy import (
+    Actor,
+    Critic,
+    action_log_prob,
+    action_log_prob_and_grad,
+    policy_forward,
+    sample_actions,
+    value_and_grad,
+    value_forward,
+)
+from .reward import RewardConfig, compute_reward
+from .scoring import ProxyLM, RetentionScorer, generate_reference
+from .text import PromptRecord, TokenSequence, Vocabulary, tokenize
+
+CHECKPOINT_SCHEMA_VERSION = 1
+GRAD_CLIP_NORM = 1.0
+
+_TAG_ACTOR = 101
+_TAG_CRITIC = 102
+_TAG_EPISODE = 103
+_TAG_UPDATE = 104
+
+
+def seed_for(*parts: int) -> int:
+    """Derive a child seed from integer coordinates, platform-stably."""
+    ss = np.random.SeedSequence(tuple(int(p) for p in parts))
+    return int(ss.generate_state(1)[0])
+
+
+class TrainingDiverged(RuntimeError):
+    pass
+
+
+# ---------------------------------------------------------------------------
+# curriculum
+
+
+def curriculum_bounds(
+    stage: int, t: int, t_max: int, psi: float
+) -> tuple[float, float]:
+    """Compression band for stage P_i at within-episode step t.
+
+    c_s = 0.6 - (P_i + t / T_max) * psi and c_l = 1.0 - the same offset,
+    so the band keeps width 0.4 and slides down as training progresses.
+    Clamps (c_s at 0.05, c_l at 0.1) keep the band usable far outside
+    the reference schedule; they are inactive for the default stages.
+    """
+    if stage < 1:
+        raise ValueError("stage must be >= 1")
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
+    if not 0 <= t <= t_max:
+        raise ValueError("step t must satisfy 0 <= t <= t_max")
+    offset = (stage + t / t_max) * psi
+    c_s = max(0.6 - offset, 0.05)
+    c_l = max(1.0 - offset, 0.1)
+    return c_s, c_l
+
+
+@dataclass(frozen=True)
+class CurriculumSchedule:
+    """Stage schedule; ``fixed_bounds`` disables the curriculum entirely."""
+
+    psi: float = 0.1
+    n_stages: int = 3
+    t_max_per_stage: tuple[int, ...] = (2, 2, 1)
+    epochs_per_stage: tuple[int, ...] = (1, 1, 2)
+    fixed_bounds: tuple[float, float] | None = None
+
+    def __post_init__(self) -> None:
+        if self.n_stages < 1:
+            raise ValueError("n_stages must be >= 1")
+        if len(self.t_max_per_stage) != self.n_stages:
+            raise ValueError("t_max_per_stage length must equal n_stages")
+        if len(self.epochs_per_stage) != self.n_stages:
+            raise ValueError("epochs_per_stage length must equal n_stages")
+        if min(self.t_max_per_stage) < 1 or min(self.epochs_per_stage) < 1:
+            raise ValueError("per-stage entries must be >= 1")
+        if self.psi <= 0:
+            raise ValueError("psi must be > 0")
+
+    def t_max_for(self, stage: int) -> int:
+        self._check_stage(stage)
+        return self.t_max_per_stage[stage - 1]
+
+    def bounds_for(self, stage: int, t: int) -> tuple[float, float]:
+        self._check_stage(stage)
+        if self.fixed_bounds is not None:
+            return self.fixed_bounds
+        return curriculum_bounds(stage, t, self.t_max_for(stage), self.psi)
+
+    def _check_stage(self, stage: int) -> None:
+        if not 1 <= stage <= self.n_stages:
+            raise ValueError(f"stage {stage} outside 1..{self.n_stages}")
+
+
+# ---------------------------------------------------------------------------
+# trajectories
+
+
+@dataclass(frozen=True)
+class TrajectoryStep:
+    state: CompressionState
+    action: ActionVector
+    old_log_prob: float
+    reward: float
+    value: float
+    advantage: float
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    steps: tuple[TrajectoryStep, ...]
+    final_state: CompressionState
+    reference: TokenSequence
+    bounds: tuple[tuple[float, float], ...]
+    prompt_id: str | None = None
+
+    @property
+    def final_rho(self) -> float:
+        return compression_rate(self.final_state)
+
+    @property
+    def rewards(self) -> list[float]:
+        return [s.reward for s in self.steps]
+
+
+class ReplayBuffer:
+    """Bounded trajectory store, filled during collection and drained
+    (uniform sampling with replacement) during update rounds."""
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self._items: list[Trajectory] = []
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    @property
+    def items(self) -> tuple[Trajectory, ...]:
+        return tuple(self._items)
+
+    def add(self, traj: Trajectory) -> None:
+        if len(self._items) >= self.capacity:
+            raise ValueError("buffer full")
+        self._items.append(traj)
+
+    def is_full(self) -> bool:
+        return len(self._items) == self.capacity
+
+    def sample(self, rng: np.random.Generator, k: int) -> list[Trajectory]:
+        picks = rng.integers(0, len(self._items), size=k)
+        return [self._items[int(i)] for i in picks]
+
+    def clear(self) -> None:
+        self._items.clear()
+
+
+@dataclass(frozen=True)
+class Scorers:
+    """Reward ingredients shared by all collection workers."""
+
+    retention: RetentionScorer
+    lm: ProxyLM
+    n_gen: int = 32
+
+
+def collect_trajectory(
+    prompt: TokenSequence,
+    actor_old: Actor,
+    critic_old: Critic,
+    schedule: CurriculumSchedule,
+    stage: int,
+    reward_cfg: RewardConfig,
+    scorers: Scorers,
+    seed: int,
+    prompt_id: str | None = None,
+) -> Trajectory:
+    """Roll out one episode of the stage's length with the frozen models.
+
+    The greedy reference continuation is generated once from the
+    original prompt and reused for every step's divergence term. The
+    per-step reward scores the post-action prompt against the original,
+    with the step's curriculum band substituted into the reward config.
+    """
+    state = reset(prompt)
+    reference = generate_reference(scorers.lm, prompt, scorers.n_gen)
+    t_max = schedule.t_max_for(stage)
+    steps: list[TrajectoryStep] = []
+    bounds: list[tuple[float, float]] = []
+    for t in range(t_max):
+        c_s, c_l = schedule.bounds_for(stage, t)
+        out = policy_forward(actor_old, state)
+        action, log_prob = sample_actions(out, seed_for(seed, t))
+        next_state = apply_action(state, action, out.keep_probs)
+        breakdown = compute_reward(
+            prompt,
+            next_state.current,
+            reward_cfg.with_bounds(c_s, c_l),
+            scorers.retention,
+            scorers.lm,
+            reference,
+        )
+        value = value_forward(critic_old, state)
+        steps.append(
+            TrajectoryStep(
+                state=state,
+                action=action,
+                old_log_prob=log_prob,
+                reward=breakdown.total,
+                value=value,
+                advantage=breakdown.total - value,
+            )
+        )
+        bounds.append((c_s, c_l))
+        state = next_state
+    return Trajectory(
+        steps=tuple(steps),
+        final_state=state,
+        reference=reference,
+        bounds=tuple(bounds),
+        prompt_id=prompt_id,
+    )
+
+
+# ---------------------------------------------------------------------------
+# objectives
+
+
+def ppo_objective(
+    batch: Sequence[TrajectoryStep], actor_new: Actor, clip_eps: float
+) -> float:
+    """Mean clipped-surrogate value of a step batch under the new actor."""
+    if not batch:
+        raise ValueError("empty batch")
+    total = 0.0
+    for step in batch:
+        new_lp = action_log_prob(
+            actor_new, step.state.current.ids, step.action.labels
+        )
+        total += _clipped_term(new_lp, step, clip_eps)[0]
+    return total / len(batch)
+
+
+def _clipped_term(
+    new_lp: float, step: TrajectoryStep, clip_eps: float
+) -> tuple[float, bool, float]:
+    """One step's min(delta*A, clip(delta)*A); flags whether the
+    unclipped branch is active (i.e. gradient flows)."""
+    with np.errstate(over="ignore"):
+        delta = float(np.exp(new_lp - step.old_log_prob))
+    if not math.isfinite(delta):
+        raise ValueError("degenerate policy ratio")
+    adv = step.advantage
+    unclipped = delta * adv
+    clipped = min(max(delta, 1.0 - clip_eps), 1.0 + clip_eps) * adv
+    if unclipped <= clipped:
+        return unclipped, True, delta
+    return clipped, False, delta
+
+
+def ppo_objective_and_grads(
+    batch: Sequence[TrajectoryStep], actor_new: Actor, clip_eps: float
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Objective plus its gradient w.r.t. the new actor's parameters.
+
+    Steps where the clipped branch is the active minimum contribute no
+    gradient, exactly like the piecewise objective.
+    """
+    if not batch:
+        raise ValueError("empty batch")
+    grads = {k: np.zeros_like(v) for k, v in actor_new.parameters().items()}
+    total = 0.0
+    n = len(batch)
+    for step in batch:
+        new_lp, step_grads = action_log_prob_and_grad(
+            actor_new, step.state.current.ids, step.action.labels
+        )
+        term, flows, delta = _clipped_term(new_lp, step, clip_eps)
+        total += term
+        if flows:
+            coeff = delta * step.advantage / n
+            for key, grad in step_grads.items():
+                grads[key] += coeff * grad
+    return total / n, grads
+
+
+def returns_from(rewards: Sequence[float], t: int, discount: float) -> float:
+    """Discounted return G_t = sum_{k>=t} discount^(k-t) * r_k."""
+    if not 0 <= t < len(rewards):
+        raise ValueError(f"t {t} out of range for {len(rewards)} rewards")
+    total = 0.0
+    factor = 1.0
+    for r in rewards[t:]:
+        total += factor * r
+        factor *= discount
+    return total
+
+
+def td_error(g_t: float, v: float) -> float:
+    return g_t - v
+
+
+def critic_loss_and_grads(
+    batch: Sequence[tuple[TrajectoryStep, float]], critic: Critic
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean-square TD error over (step, return) pairs, with gradients."""
+    if not batch:
+        raise ValueError("empty batch")
+    grads = {k: np.zeros_like(v) for k, v in critic.parameters().items()}
+    loss = 0.0
+    n = len(batch)
+    for step, g_t in batch:
+        v, v_grads = value_and_grad(critic, step.state.current.ids)
+        err = td_error(g_t, v)
+        loss += err * err / n
+        coeff = -2.0 * err / n  # d/dv of (g - v)^2 is -2 (g - v)
+        for key, grad in v_grads.items():
+            grads[key] += coeff * grad
+    return loss, grads
+
+
+# ---------------------------------------------------------------------------
+# training
+
+
+@dataclass(frozen=True)
+class TrainerConfig:
+    actor_lr: float = 1e-5
+    critic_lr: float = 1e-6
+    clip_eps: float = 0.15
+    batch_size: int = 4
+    buffer_capacity: int = 16
+    discount: float = 1.0
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.clip_eps < 1.0:
+            raise ValueError("clip_eps must be in (0, 1)")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.buffer_capacity < self.batch_size:
+            raise ValueError("buffer capacity must be >= batch_size")
+        if not 0.0 < self.discount <= 1.0:
+            raise ValueError("discount must be in (0, 1]")
+        if self.actor_lr <= 0 or self.critic_lr <= 0:
+            raise ValueError("learning rates must be > 0")
+
+
+class TrainingLog:
+    """Ordered per-update records, serializable as JSONL."""
+
+    def __init__(self, records: list[dict] | None = None) -> None:
+        self.records: list[dict] = list(records or [])
+
+    def append(self, record: dict) -> None:
+        self.records.append(record)
+
+    def to_jsonl(self, path: str | Path) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            for record in self.records:
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+    def dumps(self) -> str:
+        return "".join(
+            json.dumps(record, sort_keys=True) + "\n" for record in self.records
+        )
+
+    @classmethod
+    def from_jsonl(cls, path: str | Path) -> "TrainingLog":
+        with open(path, "r", encoding="utf-8") as fh:
+            return cls([json.loads(line) for line in fh if line.strip()])
+
+
+@dataclass
+class TrainState:
+    """Everything needed to continue training from a stage boundary."""
+
+    actor: Actor
+    critic: Critic
+    actor_opt: Adam
+    critic_opt: Adam
+    log: TrainingLog
+    next_stage: int = 1
+
+    @property
+    def models(self) -> tuple[Actor, Critic]:
+        return self.actor, self.critic
+
+
+def init_train_state(
+    trainer_cfg: TrainerConfig, encoder_cfg: EncoderConfig
+) -> TrainState:
+    actor = Actor.build(encoder_cfg, seed_for(trainer_cfg.seed, _TAG_ACTOR))
+    critic = Critic.build(encoder_cfg, seed_for(trainer_cfg.seed, _TAG_CRITIC))
+    return TrainState(
+        actor=actor,
+        critic=critic,
+        actor_opt=Adam(actor.parameters(), lr=trainer_cfg.actor_lr),
+        critic_opt=Adam(critic.parameters(), lr=trainer_cfg.critic_lr),
+        log=TrainingLog(),
+        next_stage=1,
+    )
+
+
+def _update_round(
+    buffer: ReplayBuffer,
+    state: TrainState,
+    trainer_cfg: TrainerConfig,
+    stage: int,
+    epoch: int,
+    round_idx: int,
+) -> None:
+    trajs = buffer.items
+    all_steps = [s for traj in trajs for s in traj.steps]
+    mean_reward = sum(s.reward for s in all_steps) / len(all_steps)
+    mean_rho = sum(t.final_rho for t in trajs) / len(trajs)
+    all_bounds = [b for traj in trajs for b in traj.bounds]
+    mean_c_s = sum(b[0] for b in all_bounds) / len(all_bounds)
+    mean_c_l = sum(b[1] for b in all_bounds) / len(all_bounds)
+
+    actor_params = state.actor.parameters()
+    critic_params = state.critic.parameters()
+    for iteration in range(trainer_cfg.buffer_capacity):
+        rng = np.random.default_rng(
+            seed_for(trainer_cfg.seed, _TAG_UPDATE, stage, epoch, round_idx, iteration)
+        )
+        picked = buffer.sample(rng, trainer_cfg.batch_size)
+        batch: list[tuple[TrajectoryStep, float]] = []
+        for traj in picked:
+            rewards = traj.rewards
+            for t, step in enumerate(traj.steps):
+                batch.append(
+                    (step, returns_from(rewards, t, trainer_cfg.discount))
+                )
+        steps_only = [s for s, _ in batch]
+
+        objective, actor_grads = ppo_objective_and_grads(
+            steps_only, state.actor, trainer_cfg.clip_eps
+        )
+        critic_loss, critic_grads = critic_loss_and_grads(batch, state.critic)
+        if not (math.isfinite(objective) and math.isfinite(critic_loss)):
+            state.log.append(
+                {
+                    "event": "diverged",
+                    "stage": stage,
+                    "epoch": epoch,
+                    "round": round_idx,
+                    "iteration": iteration,
+                    "objective": objective,
+                    "critic_loss": critic_loss,
+                }
+            )
+            raise TrainingDiverged(
+                f"non-finite loss at stage {stage} epoch {epoch} "
+                f"round {round_idx} iteration {iteration}: "
+                f"objective={objective} critic_loss={critic_loss}"
+            )
+
+        clip_gradients(actor_grads, GRAD_CLIP_NORM)
+        for g in actor_grads.values():  # ascend on the surrogate objective
+            np.negative(g, out=g)
+        state.actor_opt.step(actor_params, actor_grads)
+
+        clip_gradients(critic_grads, GRAD_CLIP_NORM)
+        state.critic_opt.step(critic_params, critic_grads)
+
+        state.log.append(
+            {
+                "stage": stage,
+                "epoch": epoch,
+                "round": round_idx,
+                "iteration": iteration,
+                "objective": objective,
+                "critic_loss": critic_loss,
+                "mean_reward": mean_reward,
+                "mean_rho": mean_rho,
+                "mean_c_s": mean_c_s,
+                "mean_c_l": mean_c_l,
+            }
+        )
+
+
+def hpc_train(
+    corpus: Sequence[PromptRecord],
+    vocab: Vocabulary,
+    trainer_cfg: TrainerConfig,
+    schedule: CurriculumSchedule,
+    reward_cfg: RewardConfig,
+    scorers: Scorers,
+    encoder_cfg: EncoderConfig | None = None,
+    state: TrainState | None = None,
+    progress: Callable[[str], None] | None = None,
+) -> TrainState:
+    """Run the staged training loop; returns the final train state.
+
+    Per stage and epoch, every corpus prompt yields one trajectory
+    collected with the frozen old actor/critic. Whenever the buffer
+    reaches capacity M, M update iterations run (each on a uniformly
+    sampled batch of trajectories), the buffer is emptied, and the
+    frozen pair is refreshed. Passing a ``state`` from a checkpoint
+    resumes at ``state.next_stage`` and reproduces the uninterrupted
+    run exactly.
+    """
+    if not corpus:
+        raise ValueError("empty corpus")
+    if encoder_cfg is None:
+        encoder_cfg = EncoderConfig(vocab_size=vocab.size)
+    if encoder_cfg.vocab_size != vocab.size:
+        raise ValueError("encoder vocab_size does not match vocabulary size")
+    if state is None:
+        state = init_train_state(trainer_cfg, encoder_cfg)
+
+    prompts: list[tuple[str, TokenSequence]] = []
+    for record in corpus:
+        seq = tokenize(record.text, vocab)
+        if len(seq) == 0:
+            raise ValueError(f"corpus record {record.id!r} tokenizes to nothing")
+        prompts.append((record.id, seq))
+
+    actor_old = state.actor.clone()
+    critic_old = state.critic.clone()
+    buffer = ReplayBuffer(trainer_cfg.buffer_capacity)
+
+    for stage in range(state.next_stage, schedule.n_stages + 1):
+        for epoch in range(1, schedule.epochs_per_stage[stage - 1] + 1):
+            round_idx = 0
+            for ep_idx, (prompt_id, prompt) in enumerate(prompts):
+                traj = collect_trajectory(
+                    prompt,
+                    actor_old,
+                    critic_old,
+                    schedule,
+                    stage,
+                    reward_cfg,
+                    scorers,
+                    seed=seed_for(trainer_cfg.seed, _TAG_EPISODE, stage, epoch, ep_idx),
+                    prompt_id=prompt_id,
+                )
+                buffer.add(traj)
+                if buffer.is_full():
+                    _update_round(buffer, state, trainer_cfg, stage, epoch, round_idx)
+                    buffer.clear()
+                    actor_old = state.actor.clone()
+                    critic_old = state.critic.clone()
+                    round_idx += 1
+            if progress is not None:
+                progress(f"stage {stage} epoch {epoch} done ({round_idx} rounds)")
+        # Trajectories left over at a stage boundary were collected under
+        # the previous band; drop them so resume-from-checkpoint matches.
+        buffer.clear()
+        state.next_stage = stage + 1
+    return state
+
+
+# ---------------------------------------------------------------------------
+# checkpointing
+
+
+def save_checkpoint(
+    state: TrainState, vocab: Vocabulary, path: str | Path
+) -> None:
+    """Write models, optimizer state, log, and progress as one file.
+
+    The round-trip is bitwise: loading and saving again reproduces
+    identical parameter arrays.
+    """
+    cfg = state.actor.encoder.cfg
+    meta = {
+        "schema_version": CHECKPOINT_SCHEMA_VERSION,
+        "kind": "promptpress-checkpoint",
+        "encoder_cfg": {
+            "vocab_size": cfg.vocab_size,
+            "d_model": cfg.d_model,
+            "n_heads": cfg.n_heads,
+            "n_layers": cfg.n_layers,
+            "d_ff": cfg.d_ff,
+            "max_len": cfg.max_len,
+        },
+        "vocab": {
+            "surfaces": list(vocab.surfaces),
+            "unknown_id": vocab.unknown_id,
+        },
+        "actor_lr": state.actor_opt.lr,
+        "critic_lr": state.critic_opt.lr,
+        "next_stage": state.next_stage,
+        "log": state.log.records,
+    }
+    arrays: dict[str, np.ndarray] = {}
+    arrays.update({f"actor.{k}": v for k, v in state.actor.parameters().items()})
+    arrays.update({f"critic.{k}": v for k, v in state.critic.parameters().items()})
+    arrays.update(state.actor_opt.state_arrays("opt_actor"))
+    arrays.update(state.critic_opt.state_arrays("opt_critic"))
+    arrays["__meta__"] = np.frombuffer(
+        json.dumps(meta).encode("utf-8"), dtype=np.uint8
+    )
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def load_checkpoint(path: str | Path) -> tuple[TrainState, Vocabulary]:
+    """Load a checkpoint; validates version, field presence, and shapes."""
+    try:
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+    except Exception as exc:
+        raise ValueError(f"corrupt checkpoint: {exc}") from exc
+    if "__meta__" not in arrays:
+        raise ValueError("corrupt checkpoint: missing field __meta__")
+    meta = json.loads(arrays.pop("__meta__").tobytes().decode("utf-8"))
+    version = meta.get("schema_version")
+    if version != CHECKPOINT_SCHEMA_VERSION:
+        raise ValueError(f"unsupported checkpoint schema_version: {version!r}")
+    encoder_cfg = EncoderConfig(**meta["encoder_cfg"])
+    vocab = Vocabulary(
+        surfaces=tuple(meta["vocab"]["surfaces"]),
+        unknown_id=int(meta["vocab"]["unknown_id"]),
+    )
+    actor = Actor.build(encoder_cfg, seed=0)
+    critic = Critic.build(encoder_cfg, seed=0)
+    for model, prefix in ((actor, "actor"), (critic, "critic")):
+        params = model.parameters()
+        for key, template in params.items():
+            full = f"{prefix}.{key}"
+            if full not in arrays:
+                raise ValueError(f"corrupt checkpoint: missing field {full}")
+            if arrays[full].shape != template.shape:
+                raise ValueError(
+                    f"corrupt checkpoint: field {full} has shape "
+                    f"{arrays[full].shape}, expected {template.shape}"
+                )
+            template[...] = arrays[full]
+    actor_opt = Adam(actor.parameters(), lr=float(meta["actor_lr"]))
+    critic_opt = Adam(critic.parameters(), lr=float(meta["critic_lr"]))
+    actor_opt.load_state_arrays("opt_actor", arrays)
+    critic_opt.load_state_arrays("opt_critic", arrays)
+    state = TrainState(
+        actor=actor,
+        critic=critic,
+        actor_opt=actor_opt,
+        critic_opt=critic_opt,
+        log=TrainingLog(meta["log"]),
+        next_stage=int(meta["next_stage"]),
+    )
+    return state, vocab
