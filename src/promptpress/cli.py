@@ -340,6 +340,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
     if not methods:
         raise UsageError("--methods must name at least one compressor")
+    if "policy" in methods and not args.checkpoint:
+        raise UsageError("--checkpoint is required for the policy method")
     if not 0.0 < args.rho <= 1.0:
         raise UsageError("--rho must be in (0, 1]")
     seed = resolve_seed(args.seed, None)
@@ -365,7 +367,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         artifacts={"rows": str(jsonl_path), "table": str(table_path)},
     )
 
-    vocab = build_vocabulary(corpus, args.vocab_size)
+    # One vocabulary and one LM serve every method: the checkpoint's
+    # vocabulary when there is one, since the policy reads its ids.
+    if args.checkpoint:
+        state, vocab = load_checkpoint(args.checkpoint)
+    else:
+        vocab = build_vocabulary(corpus, args.vocab_size)
     lm = fit_ngram_lm(corpus, order=args.ngram_order, smoothing=0.1, vocab=vocab)
     settings = EvalSettings(
         vocab=vocab,
@@ -381,16 +388,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         elif method == "selfinfo":
             compressors.append(SelfInfoCompressor(lm=lm, rho_target=args.rho))
         else:
-            if not args.checkpoint:
-                raise UsageError("--checkpoint is required for the policy method")
-            state, ckpt_vocab = load_checkpoint(args.checkpoint)
-            settings = EvalSettings(
-                vocab=ckpt_vocab, n_gen=args.n_gen,
-                lm_description=settings.lm_description,
-            )
-            vocab = ckpt_vocab
-            lm = fit_ngram_lm(corpus, order=args.ngram_order, smoothing=0.1,
-                              vocab=ckpt_vocab)
             compressors.append(
                 PolicyCompressor(
                     actor=state.actor, steps=args.steps, rho_target=args.rho
@@ -461,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=1, help="policy rollout steps")
     p.add_argument("--ngram-order", type=int, default=2)
     p.add_argument("--n-gen", type=int, default=32)
-    p.add_argument("--vocab-size", type=int, default=512)
+    p.add_argument("--vocab-size", type=int, default=512,
+                   help="vocabulary cap when no --checkpoint supplies one")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_eval)

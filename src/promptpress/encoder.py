@@ -5,10 +5,16 @@ pass, so gradients are exactly checkable against finite differences.
 Two pre-norm transformer layers, learned positional embeddings, GELU
 feed-forward blocks, and a final layer norm. Deterministic given its
 parameters; there is no dropout.
+
+The forward and backward passes take a pack: several sequences back to
+back with their lengths. Per-token work runs once over the whole pack
+and attention stays within each sequence, so a pack of one computes
+exactly what a single sequence does.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
@@ -45,22 +51,27 @@ class EncoderConfig:
             raise ValueError("n_layers, d_ff, max_len must be >= 1")
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+def _gelu(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """GELU of x, given e = erf(x / sqrt(2))."""
+    return 0.5 * x * (1.0 + e)
 
 
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x / math.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / math.sqrt(
-        2.0 * math.pi
-    )
+def _gelu_grad(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + e) + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
 def _layer_norm(x, gain, bias):
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
-    return gain * xhat + bias, (xhat, inv, gain)
+    cache = ((x - mu) * inv, inv, gain)
+    return _layer_norm_output(cache, bias), cache
+
+
+def _layer_norm_output(cache, bias):
+    """Layer-norm output from its backward cache (the backward recomputes it)."""
+    xhat, _, gain = cache
+    return gain * xhat + bias
 
 
 def _layer_norm_backward(dy, cache):
@@ -129,115 +140,159 @@ class TinyTransformerEncoder:
     def num_params(self) -> int:
         return int(sum(v.size for v in self.params.values()))
 
-    def _check_ids(self, ids: Sequence[int]) -> np.ndarray:
+    def _check_ids(
+        self, ids: Sequence[int], lengths: Sequence[int] | None
+    ) -> tuple[np.ndarray, list[tuple[int, int]]]:
+        """Validated id array and the [start, end) bounds of each segment."""
         arr = np.asarray(ids, dtype=np.int64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("ids must be a non-empty 1-d sequence")
-        if arr.size > self.cfg.max_len:
+        if lengths is None:
+            lengths = (arr.size,)
+        if min(lengths) < 1:
+            raise ValueError("every segment must hold at least one token")
+        if sum(lengths) != arr.size:
             raise ValueError(
-                f"sequence length {arr.size} exceeds encoder max_len "
+                f"segment lengths sum to {sum(lengths)}, not to the "
+                f"{arr.size} ids given"
+            )
+        if max(lengths) > self.cfg.max_len:
+            raise ValueError(
+                f"sequence length {max(lengths)} exceeds encoder max_len "
                 f"{self.cfg.max_len}"
             )
         if arr.min() < 0 or arr.max() >= self.cfg.vocab_size:
             raise ValueError("token id out of range for encoder vocabulary")
-        return arr
+        ends = list(itertools.accumulate(lengths))
+        return arr, list(zip([0] + ends[:-1], ends))
 
     def encode(self, ids: Sequence[int]) -> np.ndarray:
         h, _ = self.forward(ids)
         return h
 
-    def forward(self, ids: Sequence[int]):
-        """Full forward pass; returns features [L, d] and a backward cache."""
+    def _heads(self, x: np.ndarray) -> np.ndarray:
+        """[L, d] -> [heads, L, d / heads] view."""
+        heads = self.cfg.n_heads
+        return x.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
+
+    def forward(self, ids: Sequence[int], lengths: Sequence[int] | None = None):
+        """Forward pass over a pack of sequences.
+
+        ``ids`` holds the sequences back to back and ``lengths`` their
+        lengths (default: one sequence). Per-token work runs once over all
+        T tokens; attention stays within each sequence, and positions
+        restart at 0 in each. Returns features [T, d] and a backward cache.
+        """
         p = self.params
         cfg = self.cfg
-        arr = self._check_ids(ids)
-        L = arr.size
-        heads, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
-        scale = 1.0 / math.sqrt(dh)
+        arr, bounds = self._check_ids(ids, lengths)
+        scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
 
-        x = p["tok_emb"][arr] + p["pos_emb"][:L]
+        x = p["tok_emb"][arr]
+        for s, e in bounds:
+            x[s:e] += p["pos_emb"][: e - s]
         layer_caches = []
         for i in range(cfg.n_layers):
             u, ln1 = _layer_norm(x, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
             q = u @ p[f"l{i}.wq"] + p[f"l{i}.bq"]
             k = u @ p[f"l{i}.wk"] + p[f"l{i}.bk"]
             v = u @ p[f"l{i}.wv"] + p[f"l{i}.bv"]
-            qh = q.reshape(L, heads, dh).transpose(1, 0, 2)
-            kh = k.reshape(L, heads, dh).transpose(1, 0, 2)
-            vh = v.reshape(L, heads, dh).transpose(1, 0, 2)
-            att = _softmax_rows(qh @ kh.transpose(0, 2, 1) * scale)
-            ctx = att @ vh
-            c = ctx.transpose(1, 0, 2).reshape(L, cfg.d_model)
+            c = np.empty_like(q)
+            atts = []
+            for s, e in bounds:
+                qh, kh = self._heads(q[s:e]), self._heads(k[s:e])
+                att = _softmax_rows(qh @ kh.transpose(0, 2, 1) * scale)
+                self._heads(c[s:e])[...] = att @ self._heads(v[s:e])
+                atts.append(att)
             x_attn = x + (c @ p[f"l{i}.wo"] + p[f"l{i}.bo"])
 
             w_in, ln2 = _layer_norm(x_attn, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
             z1 = w_in @ p[f"l{i}.w1"] + p[f"l{i}.b1"]
-            z2 = _gelu(z1)
-            x = x_attn + (z2 @ p[f"l{i}.w2"] + p[f"l{i}.b2"])
+            e1 = erf(z1 / math.sqrt(2.0))
+            x = x_attn + (_gelu(z1, e1) @ p[f"l{i}.w2"] + p[f"l{i}.b2"])
+            # Kept small: the backward recomputes u, w_in, z1 and the GELU
+            # output with a few cheap ops; only erf, the costly one, is kept.
             layer_caches.append(
-                dict(u=u, ln1=ln1, qh=qh, kh=kh, vh=vh, att=att, c=c,
-                     w_in=w_in, ln2=ln2, z1=z1, z2=z2)
+                dict(ln1=ln1, q=q, k=k, v=v, atts=atts, c=c, ln2=ln2, e1=e1)
             )
         h, lnf = _layer_norm(x, p["lnf_g"], p["lnf_b"])
-        cache = dict(ids=arr, L=L, layers=layer_caches, lnf=lnf)
+        cache = dict(ids=arr, bounds=bounds, layers=layer_caches, lnf=lnf)
         return h, cache
 
     def backward(self, cache, dh: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients of a scalar with upstream dh = d(scalar)/d(features)."""
+        """Gradients of a scalar with upstream dh = d(scalar)/d(features).
+
+        ``dh`` is [T, d] for the pack ``cache`` came from; the gradients
+        are summed over every sequence of the pack. The cache is consumed:
+        each entry is released as soon as it has been used.
+        """
         p = self.params
-        cfg = self.cfg
-        L = cache["L"]
-        heads, dh_dim = cfg.n_heads, cfg.d_model // cfg.n_heads
-        scale = 1.0 / math.sqrt(dh_dim)
-        grads: dict[str, np.ndarray] = {
-            key: np.zeros_like(val) for key, val in p.items()
-        }
+        bounds = cache["bounds"]
+        layers = cache["layers"]
+        # Same key order as the parameters, so norms sum in a fixed order.
+        grads: dict[str, np.ndarray] = dict.fromkeys(p)
 
-        dx, grads["lnf_g"], grads["lnf_b"] = _layer_norm_backward(dh, cache["lnf"])
-        for i in reversed(range(cfg.n_layers)):
-            lc = cache["layers"][i]
-            # feed-forward block
-            df = dx
-            dz2 = df @ p[f"l{i}.w2"].T
-            grads[f"l{i}.w2"] = lc["z2"].T @ df
-            grads[f"l{i}.b2"] = df.sum(axis=0)
-            dz1 = dz2 * _gelu_grad(lc["z1"])
-            dw_in = dz1 @ p[f"l{i}.w1"].T
-            grads[f"l{i}.w1"] = lc["w_in"].T @ dz1
-            grads[f"l{i}.b1"] = dz1.sum(axis=0)
-            dx_attn, grads[f"l{i}.ln2_g"], grads[f"l{i}.ln2_b"] = (
-                _layer_norm_backward(dw_in, lc["ln2"])
-            )
-            dx_attn = dx_attn + dx  # residual
+        dx, grads["lnf_g"], grads["lnf_b"] = _layer_norm_backward(dh, cache.pop("lnf"))
+        for i in reversed(range(self.cfg.n_layers)):
+            lc = layers.pop()
+            dx = self._ffn_backward(i, lc, dx, grads)
+            dx = self._attention_backward(i, lc, bounds, dx, grads)
 
-            # attention block
-            da = dx_attn
-            dc = da @ p[f"l{i}.wo"].T
-            grads[f"l{i}.wo"] = lc["c"].T @ da
-            grads[f"l{i}.bo"] = da.sum(axis=0)
-            dctx = dc.reshape(L, heads, dh_dim).transpose(1, 0, 2)
-            datt = dctx @ lc["vh"].transpose(0, 2, 1)
-            dvh = lc["att"].transpose(0, 2, 1) @ dctx
-            att = lc["att"]
-            dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
-            dqh = dscores @ lc["kh"] * scale
-            dkh = dscores.transpose(0, 2, 1) @ lc["qh"] * scale
-            dq = dqh.transpose(1, 0, 2).reshape(L, cfg.d_model)
-            dk = dkh.transpose(1, 0, 2).reshape(L, cfg.d_model)
-            dv = dvh.transpose(1, 0, 2).reshape(L, cfg.d_model)
-            u = lc["u"]
-            du = dq @ p[f"l{i}.wq"].T + dk @ p[f"l{i}.wk"].T + dv @ p[f"l{i}.wv"].T
-            grads[f"l{i}.wq"] = u.T @ dq
-            grads[f"l{i}.bq"] = dq.sum(axis=0)
-            grads[f"l{i}.wk"] = u.T @ dk
-            grads[f"l{i}.bk"] = dk.sum(axis=0)
-            grads[f"l{i}.wv"] = u.T @ dv
-            grads[f"l{i}.bv"] = dv.sum(axis=0)
-            dx_pre, grads[f"l{i}.ln1_g"], grads[f"l{i}.ln1_b"] = (
-                _layer_norm_backward(du, lc["ln1"])
-            )
-            dx = dx_pre + dx_attn  # residual
-
+        grads["tok_emb"] = np.zeros_like(p["tok_emb"])
         np.add.at(grads["tok_emb"], cache["ids"], dx)
-        grads["pos_emb"][:L] = dx
+        grads["pos_emb"] = np.zeros_like(p["pos_emb"])
+        for s, e in bounds:
+            grads["pos_emb"][: e - s] += dx[s:e]
         return grads
+
+    def _ffn_backward(self, i, lc, dx, grads):
+        """Feed-forward block of layer i plus its residual; returns d(x_attn)."""
+        p = self.params
+        e1, ln2 = lc.pop("e1"), lc.pop("ln2")
+        w_in = _layer_norm_output(ln2, p[f"l{i}.ln2_b"])
+        z1 = w_in @ p[f"l{i}.w1"] + p[f"l{i}.b1"]
+        grads[f"l{i}.w2"] = _gelu(z1, e1).T @ dx
+        grads[f"l{i}.b2"] = dx.sum(axis=0)
+        dz1 = (dx @ p[f"l{i}.w2"].T) * _gelu_grad(z1, e1)
+        grads[f"l{i}.w1"] = w_in.T @ dz1
+        grads[f"l{i}.b1"] = dz1.sum(axis=0)
+        dx_attn, grads[f"l{i}.ln2_g"], grads[f"l{i}.ln2_b"] = _layer_norm_backward(
+            dz1 @ p[f"l{i}.w1"].T, ln2
+        )
+        return dx_attn + dx  # residual
+
+    def _attention_backward(self, i, lc, bounds, da, grads):
+        """Attention block of layer i plus its residual; returns d(x)."""
+        p = self.params
+        d = self.cfg.d_model
+        scale = 1.0 / math.sqrt(d // self.cfg.n_heads)
+        q, k, v, atts, ln1 = (lc.pop(key) for key in ("q", "k", "v", "atts", "ln1"))
+        dc = da @ p[f"l{i}.wo"].T
+        grads[f"l{i}.wo"] = lc.pop("c").T @ da
+        grads[f"l{i}.bo"] = da.sum(axis=0)
+        # attention stays within each sequence
+        dq, dk, dv = np.empty_like(dc), np.empty_like(dc), np.empty_like(dc)
+        for (s, e), att in zip(bounds, atts):
+            n = e - s
+            dctx = self._heads(dc[s:e])
+            datt = dctx @ self._heads(v[s:e]).transpose(0, 2, 1)
+            dvh = att.transpose(0, 2, 1) @ dctx
+            dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
+            dqh = dscores @ self._heads(k[s:e]) * scale
+            dkh = dscores.transpose(0, 2, 1) @ self._heads(q[s:e]) * scale
+            dq[s:e] = dqh.transpose(1, 0, 2).reshape(n, d)
+            dk[s:e] = dkh.transpose(1, 0, 2).reshape(n, d)
+            dv[s:e] = dvh.transpose(1, 0, 2).reshape(n, d)
+        u = _layer_norm_output(ln1, p[f"l{i}.ln1_b"])
+        du = dq @ p[f"l{i}.wq"].T + dk @ p[f"l{i}.wk"].T + dv @ p[f"l{i}.wv"].T
+        grads[f"l{i}.wq"] = u.T @ dq
+        grads[f"l{i}.bq"] = dq.sum(axis=0)
+        grads[f"l{i}.wk"] = u.T @ dk
+        grads[f"l{i}.bk"] = dk.sum(axis=0)
+        grads[f"l{i}.wv"] = u.T @ dv
+        grads[f"l{i}.bv"] = dv.sum(axis=0)
+        dx_pre, grads[f"l{i}.ln1_g"], grads[f"l{i}.ln1_b"] = (
+            _layer_norm_backward(du, ln1)
+        )
+        return dx_pre + da  # residual
+

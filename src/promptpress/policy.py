@@ -12,10 +12,11 @@ from {0, 1} so log-probabilities and policy ratios stay finite.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from .env import ActionVector, CompressionState
 
 PROB_FLOOR = 1e-6
 MODEL_SCHEMA_VERSION = 1
+
+# Maps per-sequence coefficients to the gradient of their weighted sum.
+GradientOf = Callable[[np.ndarray], dict[str, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -186,61 +190,101 @@ def action_log_prob(actor: Actor, ids: Sequence[int], labels: Sequence[int]) -> 
     return float(out.log_probs[np.arange(idx.size), idx].sum())
 
 
+def _pack(seqs: Sequence[Sequence[int]]):
+    """Back-to-back ids, lengths and [start, end) bounds of ``seqs``."""
+    lengths = [len(seq) for seq in seqs]
+    ends = list(itertools.accumulate(lengths))
+    bounds = list(zip([0] + ends[:-1], ends))
+    return [tid for seq in seqs for tid in seq], lengths, bounds
+
+
+def packed_action_log_probs(
+    actor: Actor, seqs: Sequence[Sequence[int]], labels: Sequence[Sequence[int]]
+) -> tuple[np.ndarray, GradientOf]:
+    """Log-probability of each action vector ``labels[j]`` on ``seqs[j]``.
+
+    One encoder forward pass covers the whole pack. The returned function
+    maps per-sequence coefficients c to the gradient of
+    sum_j c_j * log_prob_j w.r.t. every actor parameter, in one backward
+    pass; call it at most once, as the backward consumes the forward's
+    cache. Tokens whose keep probability sits at the floor get zero
+    gradient, matching the clamped forward value. Requires a trainable
+    encoder (forward/backward).
+    """
+    if [len(l) for l in labels] != [len(seq) for seq in seqs]:
+        raise ValueError("each label vector must match its sequence's length")
+    ids, lengths, bounds = _pack(seqs)
+    h, cache = actor.encoder.forward(ids, lengths)
+    logits = h @ actor.head_w + actor.head_b
+    probs = _softmax2(logits)
+    out = _output_from_logits(logits)
+    rows = np.arange(len(ids))
+    idx = np.asarray([a for l in labels for a in l], dtype=int)
+    picked = out.log_probs[rows, idx]
+    log_probs = np.array([picked[s:e].sum() for s, e in bounds])
+
+    def gradient_of(coeffs: np.ndarray) -> dict[str, np.ndarray]:
+        dlogits = -probs
+        dlogits[rows, idx] += 1.0
+        unclamped = (probs[:, 1] > PROB_FLOOR) & (probs[:, 1] < 1.0 - PROB_FLOOR)
+        dlogits[~unclamped] = 0.0
+        dlogits *= np.repeat(np.asarray(coeffs, dtype=float), lengths)[:, None]
+        enc_grads = actor.encoder.backward(cache, dlogits @ actor.head_w.T)
+        grads = {f"enc.{k}": v for k, v in enc_grads.items()}
+        grads["head_w"] = h.T @ dlogits
+        grads["head_b"] = dlogits.sum(axis=0)
+        return grads
+
+    return log_probs, gradient_of
+
+
 def action_log_prob_and_grad(
     actor: Actor, ids: Sequence[int], labels: Sequence[int]
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Log-probability plus its gradient w.r.t. every actor parameter.
+    """Log-probability plus its gradient w.r.t. every actor parameter."""
+    log_probs, gradient_of = packed_action_log_probs(actor, [ids], [labels])
+    return float(log_probs[0]), gradient_of(np.ones(1))
 
-    Requires a trainable encoder (forward/backward). Tokens whose keep
-    probability sits at the floor get zero gradient, matching the
-    clamped forward value.
+
+def packed_values(
+    critic: Critic, seqs: Sequence[Sequence[int]]
+) -> tuple[np.ndarray, GradientOf]:
+    """Value estimate of each sequence in ``seqs``.
+
+    One encoder forward pass covers the whole pack. The returned function
+    maps per-sequence coefficients c to the gradient of sum_j c_j * V_j
+    w.r.t. every critic parameter, in one backward pass; call it at most
+    once.
     """
-    h, cache = actor.encoder.forward(ids)
-    logits = h @ actor.head_w + actor.head_b
-    probs = _softmax2(logits)
-    kp_raw = probs[:, 1]
-    out = _output_from_logits(logits)
-    idx = np.asarray(labels, dtype=int)
-    n = idx.size
-    lp = float(out.log_probs[np.arange(n), idx].sum())
+    ids, lengths, bounds = _pack(seqs)
+    h, cache = critic.encoder.forward(ids, lengths)
+    hbar = np.stack([h[s:e].mean(axis=0) for s, e in bounds])
+    z = hbar @ critic.vh_w1 + critic.vh_b1
+    values = z @ critic.vh_w2 + critic.vh_b2
 
-    dlogits = -probs.copy()
-    dlogits[np.arange(n), idx] += 1.0
-    unclamped = (kp_raw > PROB_FLOOR) & (kp_raw < 1.0 - PROB_FLOOR)
-    dlogits[~unclamped] = 0.0
+    def gradient_of(coeffs: np.ndarray) -> dict[str, np.ndarray]:
+        c = np.asarray(coeffs, dtype=float)
+        # dV_j/dh is the same row, (vh_w1 @ vh_w2) / L_j, for each of the
+        # L_j tokens of sequence j.
+        row = critic.vh_w1 @ critic.vh_w2
+        dh = np.repeat(c / lengths, lengths)[:, None] * row
+        enc_grads = critic.encoder.backward(cache, dh)
+        grads = {f"enc.{k}": v for k, v in enc_grads.items()}
+        grads["vh_w1"] = np.outer(c @ hbar, critic.vh_w2)
+        grads["vh_b1"] = c.sum() * critic.vh_w2
+        grads["vh_w2"] = c @ z
+        grads["vh_b2"] = np.asarray(c.sum())
+        return grads
 
-    grads = {
-        "head_w": h.T @ dlogits,
-        "head_b": dlogits.sum(axis=0),
-    }
-    dh = dlogits @ actor.head_w.T
-    enc_grads = actor.encoder.backward(cache, dh)
-    grads.update({f"enc.{k}": v for k, v in enc_grads.items()})
-    return lp, grads
+    return values, gradient_of
 
 
 def value_and_grad(
     critic: Critic, ids: Sequence[int]
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Value estimate plus its gradient w.r.t. every critic parameter."""
-    h, cache = critic.encoder.forward(ids)
-    n = h.shape[0]
-    hbar = h.mean(axis=0)
-    z = hbar @ critic.vh_w1 + critic.vh_b1
-    v = float(z @ critic.vh_w2 + critic.vh_b2)
-
-    dz = critic.vh_w2
-    grads = {
-        "vh_w2": z.copy(),
-        "vh_b2": np.ones(()),
-        "vh_w1": np.outer(hbar, dz),
-        "vh_b1": dz.copy(),
-    }
-    dhbar = critic.vh_w1 @ dz
-    dh = np.tile(dhbar / n, (n, 1))
-    enc_grads = critic.encoder.backward(cache, dh)
-    grads.update({f"enc.{k}": v for k, v in enc_grads.items()})
-    return v, grads
+    values, gradient_of = packed_values(critic, [ids])
+    return float(values[0]), gradient_of(np.ones(1))
 
 
 def _meta_for(model: Actor | Critic, kind: str) -> dict:

@@ -54,7 +54,12 @@ class NextTokenDistribution:
 
 @runtime_checkable
 class ProxyLM(Protocol):
-    """Small local model playing the target LLM's output-distribution role."""
+    """Small local model playing the target LLM's output-distribution role.
+
+    A model may also expose ``context_window``: the number of trailing
+    context tokens its distributions depend on. A model without it is
+    taken to read its whole context.
+    """
 
     def next_token_dist(self, context: TokenSequence) -> NextTokenDistribution: ...
 
@@ -139,13 +144,20 @@ def output_distribution_kl(
     KL(P(. | st ++ ref[:i]) || P(. | s0 ++ ref[:i])), a factorized
     surrogate for the divergence between the two generation
     distributions along the fixed s0-conditioned continuation.
+
+    With a finite ``lm.context_window`` w, positions i >= w are skipped:
+    both contexts then end in the same w reference tokens, so their
+    distributions are equal and the term is 0. The mean still divides by
+    every reference position.
     """
     if len(reference) == 0:
         raise ValueError("empty reference continuation")
     if st.ids == s0.ids:
         return 0.0
+    window = getattr(lm, "context_window", None)
+    scored = len(reference) if window is None else min(len(reference), window)
     total = 0.0
-    for i in range(len(reference)):
+    for i in range(scored):
         prefix = reference.prefix(i)
         p = lm.next_token_dist(st.concat(prefix))
         q = lm.next_token_dist(s0.concat(prefix))
@@ -180,6 +192,11 @@ class NgramLM:
             {ctx: sum(cont.values()) for ctx, cont in level.items()}
             for level in counts
         ]
+
+    @property
+    def context_window(self) -> int:
+        """Trailing tokens read: an order-n model conditions on n - 1."""
+        return self.order - 1
 
     def next_token_dist(self, context: TokenSequence) -> NextTokenDistribution:
         v = self.vocab.size

@@ -28,10 +28,10 @@ from .policy import (
     Actor,
     Critic,
     action_log_prob,
-    action_log_prob_and_grad,
+    packed_action_log_probs,
+    packed_values,
     policy_forward,
     sample_actions,
-    value_and_grad,
     value_forward,
 )
 from .reward import RewardConfig, compute_reward
@@ -203,16 +203,20 @@ def collect_trajectory(
     scorers: Scorers,
     seed: int,
     prompt_id: str | None = None,
+    reference: TokenSequence | None = None,
 ) -> Trajectory:
     """Roll out one episode of the stage's length with the frozen models.
 
-    The greedy reference continuation is generated once from the
-    original prompt and reused for every step's divergence term. The
-    per-step reward scores the post-action prompt against the original,
-    with the step's curriculum band substituted into the reward config.
+    The greedy reference continuation of the original prompt is reused
+    for every step's divergence term. It depends only on the prompt and
+    ``scorers.lm``, so a caller that already has it passes it as
+    ``reference``; otherwise it is generated here. The per-step reward
+    scores the post-action prompt against the original, with the step's
+    curriculum band substituted into the reward config.
     """
     state = reset(prompt)
-    reference = generate_reference(scorers.lm, prompt, scorers.n_gen)
+    if reference is None:
+        reference = generate_reference(scorers.lm, prompt, scorers.n_gen)
     t_max = schedule.t_max_for(stage)
     steps: list[TrajectoryStep] = []
     bounds: list[tuple[float, float]] = []
@@ -292,25 +296,28 @@ def ppo_objective_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Objective plus its gradient w.r.t. the new actor's parameters.
 
-    Steps where the clipped branch is the active minimum contribute no
-    gradient, exactly like the piecewise objective.
+    One encoder forward and one backward pass cover the whole batch: each
+    step's coefficient delta * A / n is applied to its tokens' upstream
+    gradient before the backward. Steps where the clipped branch is the
+    active minimum get coefficient 0 and so contribute no gradient,
+    exactly like the piecewise objective.
     """
     if not batch:
         raise ValueError("empty batch")
-    grads = {k: np.zeros_like(v) for k, v in actor_new.parameters().items()}
+    new_lps, gradient_of = packed_action_log_probs(
+        actor_new,
+        [step.state.current.ids for step in batch],
+        [step.action.labels for step in batch],
+    )
     total = 0.0
     n = len(batch)
-    for step in batch:
-        new_lp, step_grads = action_log_prob_and_grad(
-            actor_new, step.state.current.ids, step.action.labels
-        )
-        term, flows, delta = _clipped_term(new_lp, step, clip_eps)
+    coeffs = np.zeros(n)
+    for j, step in enumerate(batch):
+        term, flows, delta = _clipped_term(float(new_lps[j]), step, clip_eps)
         total += term
         if flows:
-            coeff = delta * step.advantage / n
-            for key, grad in step_grads.items():
-                grads[key] += coeff * grad
-    return total / n, grads
+            coeffs[j] = delta * step.advantage / n
+    return total / n, gradient_of(coeffs)
 
 
 def returns_from(rewards: Sequence[float], t: int, discount: float) -> float:
@@ -332,20 +339,23 @@ def td_error(g_t: float, v: float) -> float:
 def critic_loss_and_grads(
     batch: Sequence[tuple[TrajectoryStep, float]], critic: Critic
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean-square TD error over (step, return) pairs, with gradients."""
+    """Mean-square TD error over (step, return) pairs, with gradients.
+
+    One encoder forward and one backward pass cover the whole batch.
+    """
     if not batch:
         raise ValueError("empty batch")
-    grads = {k: np.zeros_like(v) for k, v in critic.parameters().items()}
+    values, gradient_of = packed_values(
+        critic, [step.state.current.ids for step, _ in batch]
+    )
     loss = 0.0
     n = len(batch)
-    for step, g_t in batch:
-        v, v_grads = value_and_grad(critic, step.state.current.ids)
-        err = td_error(g_t, v)
+    coeffs = np.zeros(n)
+    for j, (_, g_t) in enumerate(batch):
+        err = td_error(g_t, float(values[j]))
         loss += err * err / n
-        coeff = -2.0 * err / n  # d/dv of (g - v)^2 is -2 (g - v)
-        for key, grad in v_grads.items():
-            grads[key] += coeff * grad
-    return loss, grads
+        coeffs[j] = -2.0 * err / n  # d/dv of (g - v)^2 is -2 (g - v)
+    return loss, gradient_of(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +549,12 @@ def hpc_train(
     frozen pair is refreshed. Passing a ``state`` from a checkpoint
     resumes at ``state.next_stage`` and reproduces the uninterrupted
     run exactly.
+
+    A stage's trajectories past its last full buffer would be dropped
+    unread at the stage boundary (they were collected under that stage's
+    band), so they are not collected: of the P * E episodes of a stage
+    with E epochs, only the first floor(P * E / M) * M run. Each prompt's
+    greedy reference is generated once, on its first episode.
     """
     if not corpus:
         raise ValueError("empty corpus")
@@ -549,21 +565,37 @@ def hpc_train(
     if state is None:
         state = init_train_state(trainer_cfg, encoder_cfg)
 
+    max_len = state.actor.encoder.cfg.max_len
     prompts: list[tuple[str, TokenSequence]] = []
     for record in corpus:
         seq = tokenize(record.text, vocab)
         if len(seq) == 0:
             raise ValueError(f"corpus record {record.id!r} tokenizes to nothing")
+        if len(seq) > max_len:
+            raise ValueError(
+                f"corpus record {record.id!r} has {len(seq)} tokens, more than "
+                f"the encoder max_len {max_len}"
+            )
         prompts.append((record.id, seq))
+    references: dict[int, TokenSequence] = {}
 
     actor_old = state.actor.clone()
     critic_old = state.critic.clone()
     buffer = ReplayBuffer(trainer_cfg.buffer_capacity)
+    m = buffer.capacity
 
     for stage in range(state.next_stage, schedule.n_stages + 1):
-        for epoch in range(1, schedule.epochs_per_stage[stage - 1] + 1):
+        n_epochs = schedule.epochs_per_stage[stage - 1]
+        n_used = len(prompts) * n_epochs // m * m
+        for epoch in range(1, n_epochs + 1):
             round_idx = 0
             for ep_idx, (prompt_id, prompt) in enumerate(prompts):
+                if (epoch - 1) * len(prompts) + ep_idx >= n_used:
+                    break
+                if ep_idx not in references:
+                    references[ep_idx] = generate_reference(
+                        scorers.lm, prompt, scorers.n_gen
+                    )
                 traj = collect_trajectory(
                     prompt,
                     actor_old,
@@ -574,6 +606,7 @@ def hpc_train(
                     scorers,
                     seed=seed_for(trainer_cfg.seed, _TAG_EPISODE, stage, epoch, ep_idx),
                     prompt_id=prompt_id,
+                    reference=references[ep_idx],
                 )
                 buffer.add(traj)
                 if buffer.is_full():
@@ -584,9 +617,8 @@ def hpc_train(
                     round_idx += 1
             if progress is not None:
                 progress(f"stage {stage} epoch {epoch} done ({round_idx} rounds)")
-        # Trajectories left over at a stage boundary were collected under
-        # the previous band; drop them so resume-from-checkpoint matches.
-        buffer.clear()
+        # n_used is a multiple of M, so the buffer is empty here and a run
+        # resumed from this boundary starts from the same (empty) buffer.
         state.next_stage = stage + 1
     return state
 

@@ -311,3 +311,49 @@ class TestEncoderContract:
         enc = TinyTransformerEncoder.create(TINY, seed=0)
         with pytest.raises(ValueError, match="out of range"):
             enc.encode((TINY.vocab_size,))
+
+
+class TestPackedEncoder:
+    """A pack of sequences: one [T] id array plus per-sequence lengths."""
+
+    LENGTHS = (3, 1, TINY.max_len, 5)
+
+    def _pack(self, seed=0):
+        rng = np.random.default_rng(seed)
+        seqs = [tuple(int(t) for t in rng.integers(0, TINY.vocab_size, n))
+                for n in self.LENGTHS]
+        return seqs, [t for seq in seqs for t in seq]
+
+    def test_segments_match_solo_encode(self):
+        enc = TinyTransformerEncoder.create(TINY, seed=4)
+        seqs, ids = self._pack()
+        h, _ = enc.forward(ids, self.LENGTHS)
+        assert h.shape == (len(ids), TINY.d_model)
+        start = 0
+        for seq in seqs:
+            solo = enc.encode(seq)
+            got = h[start:start + len(seq)]
+            assert np.abs(got - solo).max() <= 1e-12 * np.abs(solo).max()
+            start += len(seq)
+
+    def test_packed_backward_finite_difference(self):
+        enc = TinyTransformerEncoder.create(TINY, seed=5)
+        _, ids = self._pack(seed=1)
+        # Scalar sum(W * h): its upstream gradient is W.
+        weight = np.random.default_rng(2).normal(size=(len(ids), TINY.d_model))
+        _, cache = enc.forward(ids, self.LENGTHS)
+        grads = enc.backward(cache, weight)
+        worst, where = max_relative_error(
+            enc.params, grads,
+            lambda: float((weight * enc.forward(ids, self.LENGTHS)[0]).sum()),
+        )
+        assert worst < REL_TOL, f"worst gradient error {worst:.2e} at {where}"
+
+    def test_bad_lengths_error(self):
+        enc = TinyTransformerEncoder.create(TINY, seed=0)
+        with pytest.raises(ValueError, match="sum"):
+            enc.forward((1, 2, 3), (1, 1))
+        with pytest.raises(ValueError, match="at least one"):
+            enc.forward((1, 2, 3), (3, 0))
+        with pytest.raises(ValueError, match="max_len"):
+            enc.forward((1,) * (TINY.max_len + 2), (1, TINY.max_len + 1))

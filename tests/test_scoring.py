@@ -275,3 +275,23 @@ class TestOutputDistributionKL:
         )
         assert output_distribution_kl(lm, s0, st, ref) == pytest.approx(float(expected))
         assert output_distribution_kl(lm, s0, st, ref) >= 0.0
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_context_window_skips_only_zero_terms(self, order):
+        corpus = [PromptRecord("0", "a b a c b a b c c a d b a d c")]
+        lm = fit_ngram_lm(corpus, order=order, smoothing=0.2)
+        assert lm.context_window == order - 1
+        s0 = tokenize("a b a c b d", lm.vocab)
+        st = tokenize("a c b a", lm.vocab)
+        ref = generate_reference(lm, s0, 6)
+        all_positions = np.mean(
+            [
+                kl_divergence(
+                    lm.next_token_dist(st.concat(ref.prefix(i))),
+                    lm.next_token_dist(s0.concat(ref.prefix(i))),
+                )
+                for i in range(len(ref))
+            ]
+        )
+        got = output_distribution_kl(lm, s0, st, ref)
+        assert abs(got - all_positions) <= 1e-12

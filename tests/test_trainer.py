@@ -7,11 +7,22 @@ import numpy as np
 import pytest
 
 from conftest import tiny_world
+from gradcheck import REL_TOL, max_relative_error
+from promptpress import trainer
+from promptpress.encoder import EncoderConfig
 from promptpress.env import ActionVector, reset
-from promptpress.optim import Adam, clip_gradients
-from promptpress.policy import Actor, Critic, action_log_prob, policy_forward, value_forward
+from promptpress.optim import Adam, clip_gradients, global_norm
+from promptpress.policy import (
+    Actor,
+    Critic,
+    action_log_prob,
+    action_log_prob_and_grad,
+    policy_forward,
+    value_and_grad,
+    value_forward,
+)
 from promptpress.reward import RewardConfig
-from promptpress.text import TokenSequence, tokenize
+from promptpress.text import PromptRecord, TokenSequence, tokenize
 from promptpress.trainer import (
     CurriculumSchedule,
     ReplayBuffer,
@@ -187,6 +198,106 @@ class TestPpoObjective:
             grads,
             lambda: ppo_objective(steps, actor, 0.15),
         )
+        assert worst < REL_TOL, f"worst {worst:.2e} at {where}"
+
+
+def _relative_gap(got, expected):
+    """Global norm of got - expected over the norm of expected."""
+    diff = {k: got[k] - expected[k] for k in expected}
+    assert set(got) == set(expected)
+    return global_norm(diff) / global_norm(expected)
+
+
+class TestPackedObjectives:
+    """Both batch objectives run one encoder pass over the packed batch.
+
+    The references below are the per-step loops: one single-sequence
+    gradient per step, scaled by its coefficient and summed.
+    """
+
+    def _models(self):
+        _, vocab, _, _ = tiny_world()
+        cfg = EncoderConfig(vocab_size=vocab.size, d_model=8, n_heads=2,
+                            n_layers=2, d_ff=16, max_len=12)
+        rng = np.random.default_rng(17)
+        actor = Actor.build(cfg, seed=5)
+        actor.head_w[...] = rng.normal(0, 0.4, actor.head_w.shape)
+        critic = Critic.build(cfg, seed=6)
+        critic.vh_w2[...] = rng.normal(0, 0.5, critic.vh_w2.shape)
+        critic.vh_b2[...] = 0.2
+        return cfg, actor, critic
+
+    def _batch(self, cfg, actor):
+        """Mixed lengths, including 1 and max_len; two of the four clip."""
+        rng = np.random.default_rng(23)
+        lengths = (4, 1, cfg.max_len, 7)
+        ratios = (1.05, 0.9, 1.4, 0.7)
+        advantages = (2.0, -1.0, 1.5, -0.5)
+        batch = []
+        for n, delta, adv in zip(lengths, ratios, advantages):
+            ids = tuple(int(t) for t in rng.integers(0, cfg.vocab_size, n))
+            labels = tuple(int(a) for a in rng.integers(0, 2, n))
+            batch.append(_synthetic_step(actor, ids, labels, delta, adv))
+        return batch
+
+    def test_ppo_matches_per_step_sum(self):
+        cfg, actor, _ = self._models()
+        batch = self._batch(cfg, actor)
+        eps, n = 0.15, len(batch)
+        expected = {k: np.zeros_like(v) for k, v in actor.parameters().items()}
+        total, flowing = 0.0, 0
+        for step in batch:
+            lp, grads = action_log_prob_and_grad(
+                actor, step.state.current.ids, step.action.labels
+            )
+            delta = math.exp(lp - step.old_log_prob)
+            unclipped = delta * step.advantage
+            clipped = min(max(delta, 1 - eps), 1 + eps) * step.advantage
+            total += min(unclipped, clipped)
+            if unclipped <= clipped:
+                flowing += 1
+                for k, g in grads.items():
+                    expected[k] += delta * step.advantage / n * g
+        assert flowing == 2
+        objective, got = ppo_objective_and_grads(batch, actor, eps)
+        assert objective == pytest.approx(total / n, rel=1e-12)
+        assert _relative_gap(got, expected) <= 1e-12
+
+    def test_critic_matches_per_step_sum(self):
+        cfg, actor, critic = self._models()
+        batch = list(zip(self._batch(cfg, actor), (3.0, -1.0, 0.5, 2.0)))
+        n = len(batch)
+        expected = {k: np.zeros_like(v) for k, v in critic.parameters().items()}
+        loss = 0.0
+        for step, g_t in batch:
+            v, grads = value_and_grad(critic, step.state.current.ids)
+            loss += (g_t - v) ** 2 / n
+            for k, g in grads.items():
+                expected[k] += -2.0 * (g_t - v) / n * g
+        got_loss, got = critic_loss_and_grads(batch, critic)
+        assert got_loss == pytest.approx(loss, rel=1e-12)
+        assert _relative_gap(got, expected) <= 1e-12
+
+    def test_ppo_finite_difference(self):
+        cfg, actor, _ = self._models()
+        batch = self._batch(cfg, actor)
+        _, grads = ppo_objective_and_grads(batch, actor, 0.15)
+        worst, where = max_relative_error(
+            actor.parameters(), grads, lambda: ppo_objective(batch, actor, 0.15)
+        )
+        assert worst < REL_TOL, f"worst {worst:.2e} at {where}"
+
+    def test_critic_finite_difference(self):
+        cfg, actor, critic = self._models()
+        batch = list(zip(self._batch(cfg, actor), (3.0, -1.0, 0.5, 2.0)))
+        _, grads = critic_loss_and_grads(batch, critic)
+
+        def loss():
+            return float(np.mean(
+                [(g - value_forward(critic, step.state)) ** 2 for step, g in batch]
+            ))
+
+        worst, where = max_relative_error(critic.parameters(), grads, loss)
         assert worst < REL_TOL, f"worst {worst:.2e} at {where}"
 
 
@@ -446,6 +557,68 @@ class TestHpcTrain:
         with pytest.raises(ValueError, match="empty corpus"):
             hpc_train(
                 [], vocab, trainer_cfg, CurriculumSchedule(), RewardConfig(),
+                scorers, encoder_cfg=encoder_cfg,
+            )
+
+
+class TestCollectionPlan:
+    """Only the episodes that fill a buffer within their stage are run."""
+
+    def _counting(self, monkeypatch, name):
+        calls = []
+        original = getattr(trainer, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, name, counted)
+        return calls
+
+    def test_corpus_below_buffer_collects_nothing(self, monkeypatch):
+        corpus, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
+            n_prompts=3
+        )
+        schedule = CurriculumSchedule(
+            n_stages=2, t_max_per_stage=(2, 1), epochs_per_stage=(1, 1)
+        )
+        calls = self._counting(monkeypatch, "collect_trajectory")
+        state = hpc_train(
+            corpus, vocab, trainer_cfg, schedule, RewardConfig(), scorers,
+            encoder_cfg=encoder_cfg,
+        )
+        assert calls == [] and state.log.records == [] and state.next_stage == 3
+        initial = init_train_state(trainer_cfg, encoder_cfg)
+        for got, want in ((state.actor, initial.actor), (state.critic, initial.critic)):
+            pg, pw = got.parameters(), want.parameters()
+            assert all(np.array_equal(pg[k], pw[k]) for k in pw)
+
+    def test_collects_full_buffers_and_each_reference_once(self, monkeypatch):
+        corpus, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
+            n_prompts=5
+        )
+        schedule = CurriculumSchedule(
+            n_stages=2, t_max_per_stage=(1, 1), epochs_per_stage=(1, 2)
+        )
+        episodes = self._counting(monkeypatch, "collect_trajectory")
+        references = self._counting(monkeypatch, "generate_reference")
+        hpc_train(
+            corpus, vocab, trainer_cfg, schedule, RewardConfig(), scorers,
+            encoder_cfg=encoder_cfg,
+        )
+        # M = 4: stage 1 runs floor(5 / 4) * 4 = 4 episodes, stage 2 runs 8.
+        assert [args[4] for args in episodes] == [1] * 4 + [2] * 8
+        assert len(references) == 5
+
+    def test_overlong_prompt_fails_before_collection(self):
+        corpus, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
+            n_prompts=2
+        )
+        long_text = " ".join(["w1"] * (encoder_cfg.max_len + 3))
+        corpus = corpus + [PromptRecord("too-long", long_text)]
+        with pytest.raises(ValueError, match=r"'too-long' has 35 tokens.*max_len 32"):
+            hpc_train(
+                corpus, vocab, trainer_cfg, CurriculumSchedule(), RewardConfig(),
                 scorers, encoder_cfg=encoder_cfg,
             )
 
