@@ -377,7 +377,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     settings = EvalSettings(
         vocab=vocab,
         n_gen=args.n_gen,
-        lm_description=f"add-k bigram proxy (order={args.ngram_order}, fit on eval corpus)",
+        lm_description=(
+            f"add-k n-gram proxy (order={lm.order}, context window "
+            f"{lm.context_window} tokens, fit on eval corpus)"
+        ),
     )
     compressors = []
     for method in methods:

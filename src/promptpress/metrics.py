@@ -61,19 +61,26 @@ def rouge_n(
 
 
 def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
-    """Longest common subsequence length by dynamic programming."""
+    """Longest common subsequence length, bit-parallel over ``b``.
+
+    The Allison-Dix / Hyyro recurrence on Python ints: bit j of ``v`` is
+    0 where the LCS row grows at b[j], so after every symbol of ``a`` the
+    LCS is the number of zero bits. Exact; each symbol of ``a`` costs a
+    few big-int operations instead of a row of len(b) table cells.
+    """
     if not a or not b:
         return 0
-    prev = [0] * (len(b) + 1)
+    masks: dict[Hashable, int] = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        curr = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                curr.append(prev[j - 1] + 1)
-            else:
-                curr.append(max(prev[j], curr[j - 1]))
-        prev = curr
-    return prev[-1]
+        m = masks.get(x)
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(

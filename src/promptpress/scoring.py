@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
@@ -31,9 +31,13 @@ NGRAM_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class NextTokenDistribution:
-    """A probability vector over the vocabulary; entries sum to 1."""
+    """A probability vector over the vocabulary; entries sum to 1.
+
+    ``greedy`` is its argmax, the lowest id on ties.
+    """
 
     probs: np.ndarray
+    greedy: int = field(init=False)
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=np.float64)
@@ -46,6 +50,7 @@ class NextTokenDistribution:
         probs = probs.copy()
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "greedy", int(np.argmax(probs)))
 
     @property
     def size(self) -> int:
@@ -116,19 +121,30 @@ def kl_divergence(p: NextTokenDistribution, q: NextTokenDistribution) -> float:
     return float(np.sum(pv[mask] * np.log(pv[mask] / qv[mask])))
 
 
+def _tail(ids: tuple[int, ...], window: int | None) -> tuple[int, ...]:
+    """The trailing ``window`` ids; all of them when None or fewer."""
+    if window is None:
+        return ids
+    return ids[max(0, len(ids) - window):]
+
+
 def generate_reference(
     lm: ProxyLM, s0: TokenSequence, n_gen: int
 ) -> TokenSequence:
-    """Greedy continuation of s0: n_gen argmax steps, ties -> lowest id."""
+    """Greedy continuation of s0: n_gen argmax steps, ties -> lowest id.
+
+    With a finite ``lm.context_window`` w, each step passes the model
+    only the last w tokens, which are all it reads.
+    """
     if n_gen < 1:
         raise ValueError("n_gen must be >= 1")
-    context = s0
+    window = getattr(lm, "context_window", None)
+    context = _tail(s0.ids, window)
     out: list[int] = []
     for _ in range(n_gen):
-        dist = lm.next_token_dist(context)
-        tid = int(np.argmax(dist.probs))
+        tid = lm.next_token_dist(TokenSequence(context)).greedy
         out.append(tid)
-        context = context.concat(TokenSequence((tid,)))
+        context = _tail(context + (tid,), window)
     return TokenSequence(tuple(out))
 
 
@@ -145,9 +161,11 @@ def output_distribution_kl(
     surrogate for the divergence between the two generation
     distributions along the fixed s0-conditioned continuation.
 
-    With a finite ``lm.context_window`` w, positions i >= w are skipped:
-    both contexts then end in the same w reference tokens, so their
-    distributions are equal and the term is 0. The mean still divides by
+    With a finite ``lm.context_window`` w, a position is skipped when
+    both contexts end in the same w tokens (or, shorter than w, are
+    equal): their distributions are then equal and the term is 0. That
+    holds for every i >= w, where both end in the same reference tokens,
+    so only positions i < w are looked at. The mean still divides by
     every reference position.
     """
     if len(reference) == 0:
@@ -158,9 +176,13 @@ def output_distribution_kl(
     scored = len(reference) if window is None else min(len(reference), window)
     total = 0.0
     for i in range(scored):
-        prefix = reference.prefix(i)
-        p = lm.next_token_dist(st.concat(prefix))
-        q = lm.next_token_dist(s0.concat(prefix))
+        prefix = reference.ids[:i]
+        ctx_t = st.ids + prefix
+        ctx_0 = s0.ids + prefix
+        if _tail(ctx_t, window) == _tail(ctx_0, window):
+            continue
+        p = lm.next_token_dist(TokenSequence(ctx_t))
+        q = lm.next_token_dist(TokenSequence(ctx_0))
         total += kl_divergence(p, q)
     return total / len(reference)
 
@@ -168,8 +190,18 @@ def output_distribution_kl(
 class NgramLM:
     """Add-k smoothed n-gram model with backoff to shorter contexts.
 
-    Count tables are immutable after fitting; the model is safe to share
-    across trajectory-collection workers.
+    A distribution is answered by the longest trailing context (at most
+    ``context_window`` tokens) found in the count tables, or by the
+    unigram level. Each distinct answering context is built once and
+    memoised on the model, so the memo holds at most one validated,
+    read-only :class:`NextTokenDistribution` per fitted context plus the
+    unigram one: at most (contexts + 1) * V * 8 bytes, bounded by the
+    count tables and not by how many queries are made.
+
+    Count tables are immutable after fitting, and memo entries are only
+    ever added, each immutable and equal to what a fresh model would
+    build, so the model is safe to share between compressors, episodes
+    and trajectory-collection workers.
     """
 
     def __init__(
@@ -192,6 +224,8 @@ class NgramLM:
             {ctx: sum(cont.values()) for ctx, cont in level.items()}
             for level in counts
         ]
+        # Answering context (its length picks the level) -> distribution.
+        self._memo: dict[tuple[int, ...], NextTokenDistribution] = {}
 
     @property
     def context_window(self) -> int:
@@ -199,23 +233,29 @@ class NgramLM:
         return self.order - 1
 
     def next_token_dist(self, context: TokenSequence) -> NextTokenDistribution:
+        ids = context.ids
+        ctx: tuple[int, ...] = ()
+        for o in range(min(self.order, len(ids) + 1), 1, -1):
+            tail = ids[len(ids) - (o - 1):]
+            if tail in self._counts[o - 1]:
+                ctx = tail
+                break
+        dist = self._memo.get(ctx)
+        if dist is None:
+            dist = self._memo[ctx] = self._build_dist(ctx)
+        return dist
+
+    def _build_dist(self, ctx: tuple[int, ...]) -> NextTokenDistribution:
         v = self.vocab.size
         k = self.smoothing
-        for o in range(self.order, 0, -1):
-            if len(context) < o - 1:
-                continue
-            ctx = context.ids[len(context) - (o - 1):] if o > 1 else ()
-            cont = self._counts[o - 1].get(ctx)
-            if cont is None and o > 1:
-                continue
-            probs = np.full(v, k, dtype=np.float64)
-            total = k * v
-            if cont:
-                for tid, n in cont.items():
-                    probs[tid] += n
-                total += self._totals[o - 1][ctx]
-            return NextTokenDistribution(probs / total)
-        raise RuntimeError("unreachable: unigram level always answers")
+        probs = np.full(v, k, dtype=np.float64)
+        total = k * v
+        cont = self._counts[len(ctx)].get(ctx)
+        if cont:
+            for tid, n in cont.items():
+                probs[tid] += n
+            total += self._totals[len(ctx)][ctx]
+        return NextTokenDistribution(probs / total)
 
     def greedy_continue(self, context: TokenSequence, n: int) -> TokenSequence:
         return generate_reference(self, context, n)

@@ -1,0 +1,65 @@
+"""Metric tests: LCS against a dynamic-programming oracle, ROUGE-L values."""
+
+import numpy as np
+import pytest
+
+from promptpress.metrics import lcs_length, rouge_l
+
+
+def dp_lcs(a, b):
+    """Textbook (len(a)+1) x (len(b)+1) LCS table."""
+    table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i, x in enumerate(a, start=1):
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                table[i][j] = table[i - 1][j - 1] + 1
+            else:
+                table[i][j] = max(table[i - 1][j], table[i][j - 1])
+    return table[-1][-1]
+
+
+class TestLcsLength:
+    def test_empty_sides(self):
+        assert lcs_length([], []) == 0
+        assert lcs_length([], [1, 2]) == 0
+        assert lcs_length([1, 2], []) == 0
+
+    def test_hand_values(self):
+        assert lcs_length("ABCBDAB", "BDCABA") == 4
+        assert lcs_length([1, 2, 3], [1, 2, 3]) == 3
+        assert lcs_length([1, 2, 3], [4, 5]) == 0
+        assert lcs_length([7], [7, 7, 7]) == 1
+
+    def test_matches_dp_oracle_on_random_pairs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            alphabet = int(rng.integers(1, 7))
+            a = [int(x) for x in rng.integers(0, alphabet, size=int(rng.integers(0, 201)))]
+            b = [int(x) for x in rng.integers(0, alphabet, size=int(rng.integers(0, 201)))]
+            assert lcs_length(a, b) == dp_lcs(a, b), (alphabet, a, b)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 130, 200])
+    def test_masks_wider_than_a_machine_word(self, n):
+        rng = np.random.default_rng(n)
+        a = [int(x) for x in rng.integers(0, 3, size=n)]
+        b = [int(x) for x in rng.integers(0, 3, size=n)]
+        assert lcs_length(a, b) == dp_lcs(a, b)
+        assert lcs_length(a, a) == n
+
+    def test_symmetric(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            a = [int(x) for x in rng.integers(0, 4, size=int(rng.integers(0, 40)))]
+            b = [int(x) for x in rng.integers(0, 4, size=int(rng.integers(0, 40)))]
+            assert lcs_length(a, b) == lcs_length(b, a)
+
+
+class TestRougeL:
+    def test_hand_value(self):
+        # LCS of (1 2 3 4) and (1 3 4 5 6) is 3: P = 3/4, R = 3/5.
+        p, r, f = rouge_l((1, 2, 3, 4), (1, 3, 4, 5, 6))
+        assert (p, r) == (0.75, 0.6)
+        assert f == pytest.approx(2 * 0.75 * 0.6 / 1.35)
+
+    def test_degenerate_is_zero(self):
+        assert rouge_l((), (1, 2)) == (0.0, 0.0, 0.0)

@@ -1,10 +1,17 @@
 """Scoring tests: retention oracle, KL properties, n-gram model, divergence."""
 
+import itertools
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from promptpress.baselines import (
+    IdentityCompressor,
+    RandomCompressor,
+    SelfInfoCompressor,
+)
+from promptpress.evaluation import EvalSettings, evaluate
 from promptpress.scoring import (
     IdfRetentionScorer,
     NextTokenDistribution,
@@ -37,6 +44,42 @@ class ConstantLM:
 
     def greedy_continue(self, context, n):
         return generate_reference(self, context, n)
+
+
+class LengthLM:
+    """Stub without ``context_window`` that reads its whole context.
+
+    On a context of even length entries 0 and 1 tie (greedy takes 0); on
+    an odd one entry 2 wins, so the output shows whether every token of
+    the growing context was passed.
+    """
+
+    def next_token_dist(self, context):
+        if len(context) % 2 == 0:
+            return dist(0.4, 0.4, 0.2)
+        return dist(0.1, 0.2, 0.7)
+
+    def greedy_continue(self, context, n):
+        return generate_reference(self, context, n)
+
+
+def stepwise_argmax_trace(lm, context, n):
+    """Full-context greedy decoding, one np.argmax per step."""
+    expected = []
+    trace = context
+    for _ in range(n):
+        tid = int(np.argmax(lm.next_token_dist(trace).probs))
+        expected.append(tid)
+        trace = trace.concat(seq(tid))
+    return tuple(expected)
+
+
+# "d" never occurs, so contexts ending in it back off to the unigram level.
+MEMO_VOCAB = Vocabulary(surfaces=("a", "b", "c", "d", "<unk>"), unknown_id=4)
+MEMO_CORPUS = [
+    PromptRecord("0", "a b a c b a b c c a"),
+    PromptRecord("1", "b b c a a"),
+]
 
 
 def brute_force_retention(s0_ids, st_ids, idf):
@@ -166,6 +209,31 @@ class TestGenerateReference:
             trace = trace.concat(seq(tid))
         assert generate_reference(lm, context, 8).ids == tuple(expected)
 
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("prompt", ["", "c", "a b", "d a c b b"])
+    def test_window_tail_walk_matches_full_context_trace(self, order, prompt):
+        lm = fit_ngram_lm(MEMO_CORPUS, order=order, smoothing=0.1, vocab=MEMO_VOCAB)
+        context = tokenize(prompt, MEMO_VOCAB)
+        expected = stepwise_argmax_trace(lm, context, 12)
+        assert generate_reference(lm, context, 12).ids == expected
+
+    @pytest.mark.parametrize("probs", [[0.1, 0.7, 0.2], [0.4, 0.4, 0.2]])
+    def test_constant_lm_matches_stepwise_trace(self, probs):
+        lm = ConstantLM(probs)
+        assert generate_reference(lm, seq(2, 1), 5).ids == stepwise_argmax_trace(
+            lm, seq(2, 1), 5
+        )
+
+    def test_model_without_window_sees_whole_context(self):
+        lm = LengthLM()
+        got = generate_reference(lm, seq(2, 2, 2), 6).ids
+        assert got == stepwise_argmax_trace(lm, seq(2, 2, 2), 6)
+        assert got == (2, 0, 2, 0, 2, 0)
+
+    def test_greedy_field_is_lowest_argmax(self):
+        assert dist(0.4, 0.4, 0.2).greedy == 0
+        assert dist(0.1, 0.2, 0.7).greedy == 2
+
 
 class TestNgramLM:
     def test_add_k_bigram_hand_count(self):
@@ -237,6 +305,92 @@ class TestNgramLM:
             NgramLM.load(path)
 
 
+class TestNgramMemo:
+    @staticmethod
+    def contexts(max_len=4):
+        ids = range(MEMO_VOCAB.size)
+        for n in range(max_len + 1):
+            for ctx in itertools.product(ids, repeat=n):
+                yield TokenSequence(ctx)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_memoised_equals_fresh_model(self, order):
+        lm = fit_ngram_lm(MEMO_CORPUS, order=order, smoothing=0.1, vocab=MEMO_VOCAB)
+        for _ in range(2):  # the second pass reads only memo entries
+            for ctx in self.contexts():
+                fresh = fit_ngram_lm(
+                    MEMO_CORPUS, order=order, smoothing=0.1, vocab=MEMO_VOCAB
+                )
+                got = lm.next_token_dist(ctx)
+                want = fresh.next_token_dist(ctx)
+                assert got.probs.tobytes() == want.probs.tobytes(), ctx.ids
+                assert got.greedy == int(np.argmax(want.probs))
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_memo_is_bounded_by_count_tables(self, order):
+        lm = fit_ngram_lm(MEMO_CORPUS, order=order, smoothing=0.1, vocab=MEMO_VOCAB)
+        fitted = set()
+        for record in MEMO_CORPUS:
+            ids = tokenize(record.text, MEMO_VOCAB).ids
+            for i in range(len(ids)):
+                for o in range(1, min(order, i + 1) + 1):
+                    fitted.add(ids[i - (o - 1): i])
+        for ctx in self.contexts():
+            lm.next_token_dist(ctx)
+        assert 0 < len(lm._memo) <= len(fitted) + 1
+
+    def test_backed_off_contexts_share_one_entry(self):
+        lm = fit_ngram_lm(MEMO_CORPUS, order=3, smoothing=0.1, vocab=MEMO_VOCAB)
+        unigram = lm.next_token_dist(TokenSequence(()))
+        # Neither "d" nor "a d" was seen: both back off to the unigram level.
+        assert lm.next_token_dist(tokenize("d", MEMO_VOCAB)) is unigram
+        assert lm.next_token_dist(tokenize("a d", MEMO_VOCAB)) is unigram
+        # In "c d a" the trigram context "d a" is unseen, so "a" answers.
+        assert (
+            lm.next_token_dist(tokenize("c d a", MEMO_VOCAB))
+            is lm.next_token_dist(tokenize("a", MEMO_VOCAB))
+        )
+
+    def test_repeat_query_returns_same_read_only_object(self):
+        lm = fit_ngram_lm(MEMO_CORPUS, order=2, smoothing=0.1, vocab=MEMO_VOCAB)
+        ctx = tokenize("b a", MEMO_VOCAB)
+        first = lm.next_token_dist(ctx)
+        assert lm.next_token_dist(TokenSequence(ctx.ids)) is first
+        assert not first.probs.flags.writeable
+        with pytest.raises(ValueError):
+            first.probs[0] = 1.0
+
+    def test_shared_lm_gives_same_rows_as_fresh_lms(self):
+        corpus = [
+            PromptRecord(str(i), text)
+            for i, text in enumerate(
+                ["a b a c b a b c c a", "b b c a a d", "c a b", "d d a b c a b b"]
+            )
+        ]
+        settings = EvalSettings(vocab=MEMO_VOCAB, n_gen=8)
+
+        def fit():
+            return fit_ngram_lm(corpus, order=3, smoothing=0.1, vocab=MEMO_VOCAB)
+
+        def compressors(lm):
+            return [
+                IdentityCompressor(),
+                SelfInfoCompressor(lm=lm, rho_target=0.5),
+                RandomCompressor(rho_target=0.5, seed=3),
+                SelfInfoCompressor(lm=lm, rho_target=0.3),
+            ]
+
+        shared = fit()
+        shared_rows = [
+            evaluate(c, corpus, shared, settings).rows for c in compressors(shared)
+        ]
+        fresh_rows = []
+        for i in range(4):
+            lm = fit()
+            fresh_rows.append(evaluate(compressors(lm)[i], corpus, lm, settings).rows)
+        assert shared_rows == fresh_rows
+
+
 class TestOutputDistributionKL:
     def test_identity_context_is_zero(self):
         corpus = [PromptRecord("0", "a b c a")]
@@ -295,3 +449,24 @@ class TestOutputDistributionKL:
         )
         got = output_distribution_kl(lm, s0, st, ref)
         assert abs(got - all_positions) <= 1e-12
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "s0_text,st_text",
+        [("c a", "b a"), ("a b a c b", "c b"), ("d a b", "a b"), ("b", "a")],
+    )
+    def test_shared_tail_skip_matches_all_positions(self, order, s0_text, st_text):
+        lm = fit_ngram_lm(MEMO_CORPUS, order=order, smoothing=0.2, vocab=MEMO_VOCAB)
+        s0 = tokenize(s0_text, MEMO_VOCAB)
+        st = tokenize(st_text, MEMO_VOCAB)
+        ref = generate_reference(lm, s0, 5)
+        all_positions = np.mean(
+            [
+                kl_divergence(
+                    lm.next_token_dist(st.concat(ref.prefix(i))),
+                    lm.next_token_dist(s0.concat(ref.prefix(i))),
+                )
+                for i in range(len(ref))
+            ]
+        )
+        assert abs(output_distribution_kl(lm, s0, st, ref) - all_positions) <= 1e-12
