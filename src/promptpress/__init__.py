@@ -23,10 +23,8 @@ from .encoder import EncoderConfig, SequenceEncoder, TinyTransformerEncoder
 from .env import (
     ActionVector,
     CompressionState,
-    EpisodeConfig,
     apply_action,
     compression_rate,
-    is_terminal,
     reset,
 )
 from .evaluation import EvalReport, EvalSettings, evaluate
@@ -36,10 +34,8 @@ from .policy import (
     Critic,
     PolicyOutput,
     greedy_actions,
-    load_model,
     policy_forward,
     sample_actions,
-    save_model,
     value_forward,
 )
 from .reward import Band, RewardBreakdown, RewardConfig, assemble_reward, compute_reward, in_band
@@ -63,11 +59,8 @@ from .text import (
     compute_idf_table,
     detokenize,
     load_corpus,
-    load_idf_table,
     make_synthetic_corpus,
-    normalize_whitespace,
     save_corpus,
-    save_idf_table,
     tokenize,
 )
 from .trainer import (

@@ -137,9 +137,6 @@ class TinyTransformerEncoder:
             )
         return cls(cfg, params)
 
-    def num_params(self) -> int:
-        return int(sum(v.size for v in self.params.values()))
-
     def _check_ids(
         self, ids: Sequence[int], lengths: Sequence[int] | None
     ) -> tuple[np.ndarray, list[tuple[int, int]]]:

@@ -47,15 +47,6 @@ class ActionVector:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class EpisodeConfig:
-    max_steps: int
-
-    def __post_init__(self) -> None:
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-
-
 def reset(prompt: TokenSequence) -> CompressionState:
     """Start an episode: the prompt is both the original and the current sequence."""
     if len(prompt) == 0:
@@ -95,7 +86,3 @@ def apply_action(
 def compression_rate(state: CompressionState) -> float:
     """rho = compressed length / original length, in (0, 1]."""
     return len(state.current) / len(state.original)
-
-
-def is_terminal(state: CompressionState, cfg: EpisodeConfig) -> bool:
-    return state.step >= cfg.max_steps

@@ -53,29 +53,3 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * grad * grad
             params[key] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-    def state_arrays(self, prefix: str) -> dict[str, np.ndarray]:
-        """Flatten optimizer state for checkpointing."""
-        out = {f"{prefix}.t": np.array(self.t, dtype=np.int64)}
-        for key, val in self.m.items():
-            out[f"{prefix}.m.{key}"] = val
-        for key, val in self.v.items():
-            out[f"{prefix}.v.{key}"] = val
-        return out
-
-    def load_state_arrays(self, prefix: str, arrays: dict[str, np.ndarray]) -> None:
-        key_t = f"{prefix}.t"
-        if key_t not in arrays:
-            raise ValueError(f"corrupt checkpoint: missing field {key_t}")
-        self.t = int(arrays[key_t])
-        for store, tag in ((self.m, "m"), (self.v, "v")):
-            for key, val in store.items():
-                full = f"{prefix}.{tag}.{key}"
-                if full not in arrays:
-                    raise ValueError(f"corrupt checkpoint: missing field {full}")
-                if arrays[full].shape != val.shape:
-                    raise ValueError(
-                        f"corrupt checkpoint: field {full} has shape "
-                        f"{arrays[full].shape}, expected {val.shape}"
-                    )
-                val[...] = arrays[full]

@@ -13,9 +13,7 @@ from {0, 1} so log-probabilities and policy ratios stay finite.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +22,6 @@ from .encoder import EncoderConfig, SequenceEncoder, TinyTransformerEncoder
 from .env import ActionVector, CompressionState
 
 PROB_FLOOR = 1e-6
-MODEL_SCHEMA_VERSION = 1
 
 # Maps per-sequence coefficients to the gradient of their weighted sum.
 GradientOf = Callable[[np.ndarray], dict[str, np.ndarray]]
@@ -238,14 +235,6 @@ def packed_action_log_probs(
     return log_probs, gradient_of
 
 
-def action_log_prob_and_grad(
-    actor: Actor, ids: Sequence[int], labels: Sequence[int]
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Log-probability plus its gradient w.r.t. every actor parameter."""
-    log_probs, gradient_of = packed_action_log_probs(actor, [ids], [labels])
-    return float(log_probs[0]), gradient_of(np.ones(1))
-
-
 def packed_values(
     critic: Critic, seqs: Sequence[Sequence[int]]
 ) -> tuple[np.ndarray, GradientOf]:
@@ -277,69 +266,3 @@ def packed_values(
         return grads
 
     return values, gradient_of
-
-
-def value_and_grad(
-    critic: Critic, ids: Sequence[int]
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Value estimate plus its gradient w.r.t. every critic parameter."""
-    values, gradient_of = packed_values(critic, [ids])
-    return float(values[0]), gradient_of(np.ones(1))
-
-
-def _meta_for(model: Actor | Critic, kind: str) -> dict:
-    cfg = model.encoder.cfg
-    return {
-        "schema_version": MODEL_SCHEMA_VERSION,
-        "kind": kind,
-        "encoder_cfg": {
-            "vocab_size": cfg.vocab_size,
-            "d_model": cfg.d_model,
-            "n_heads": cfg.n_heads,
-            "n_layers": cfg.n_layers,
-            "d_ff": cfg.d_ff,
-            "max_len": cfg.max_len,
-        },
-    }
-
-
-def save_model(model: Actor | Critic, path: str | Path) -> None:
-    """Schema-versioned serialization of encoder + head parameters."""
-    kind = "actor" if isinstance(model, Actor) else "critic"
-    arrays = dict(model.parameters())
-    arrays["__meta__"] = np.frombuffer(
-        json.dumps(_meta_for(model, kind)).encode("utf-8"), dtype=np.uint8
-    )
-    with open(path, "wb") as fh:  # keep the exact path, no .npz suffixing
-        np.savez(fh, **arrays)
-
-
-def load_model(path: str | Path) -> Actor | Critic:
-    """Load a model, validating schema version and parameter shapes."""
-    try:
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-    except Exception as exc:
-        raise ValueError(f"corrupt model file: {exc}") from exc
-    if "__meta__" not in arrays:
-        raise ValueError("corrupt model file: missing field __meta__")
-    meta = json.loads(arrays.pop("__meta__").tobytes().decode("utf-8"))
-    version = meta.get("schema_version")
-    if version != MODEL_SCHEMA_VERSION:
-        raise ValueError(f"unsupported model schema_version: {version!r}")
-    cfg = EncoderConfig(**meta["encoder_cfg"])
-    template = (
-        Actor.build(cfg, seed=0) if meta["kind"] == "actor" else Critic.build(cfg, seed=0)
-    )
-    expected = template.parameters()
-    if set(expected) != set(arrays):
-        missing = sorted(set(expected) ^ set(arrays))
-        raise ValueError(f"corrupt model file: parameter set mismatch: {missing}")
-    for key, value in arrays.items():
-        if value.shape != expected[key].shape:
-            raise ValueError(
-                f"corrupt model file: field {key} has shape {value.shape}, "
-                f"expected {expected[key].shape}"
-            )
-        expected[key][...] = value
-    return template

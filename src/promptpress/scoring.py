@@ -15,10 +15,8 @@ implementations:
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -26,7 +24,6 @@ import numpy as np
 from .text import PromptRecord, TokenSequence, Vocabulary, build_vocabulary, tokenize
 
 KL_FLOOR = 1e-10
-NGRAM_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -260,51 +257,6 @@ class NgramLM:
     def greedy_continue(self, context: TokenSequence, n: int) -> TokenSequence:
         return generate_reference(self, context, n)
 
-    def save(self, path: str | Path) -> None:
-        payload = {
-            "schema_version": NGRAM_SCHEMA_VERSION,
-            "kind": "ngram-lm",
-            "order": self.order,
-            "smoothing": self.smoothing,
-            "unknown_id": self.vocab.unknown_id,
-            "surfaces": list(self.vocab.surfaces),
-            "counts": [
-                [[list(ctx), sorted(cont.items())] for ctx, cont in level.items()]
-                for level in self._counts
-            ],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "NgramLM":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (json.JSONDecodeError, OSError) as exc:
-            raise ValueError(f"corrupt language model file: {exc}") from exc
-        version = payload.get("schema_version")
-        if version != NGRAM_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported language model schema_version: {version!r}"
-            )
-        vocab = Vocabulary(
-            surfaces=tuple(payload["surfaces"]),
-            unknown_id=int(payload["unknown_id"]),
-        )
-        counts = [
-            {
-                tuple(ctx): {int(t): int(n) for t, n in cont}
-                for ctx, cont in level
-            }
-            for level in payload["counts"]
-        ]
-        return cls(
-            order=int(payload["order"]),
-            smoothing=float(payload["smoothing"]),
-            vocab=vocab,
-            counts=counts,
-        )
 
 
 def fit_ngram_lm(

@@ -20,11 +20,6 @@ import numpy as np
 UNKNOWN_SURFACE = "<unk>"
 
 
-def normalize_whitespace(text: str) -> str:
-    """Collapse whitespace runs to single spaces and trim the ends."""
-    return " ".join(text.split())
-
-
 @dataclass(frozen=True)
 class TokenSequence:
     """Immutable ordered list of token ids."""
@@ -45,9 +40,6 @@ class TokenSequence:
         if isinstance(index, slice):
             return TokenSequence(self.ids[index])
         return self.ids[index]
-
-    def concat(self, other: "TokenSequence") -> "TokenSequence":
-        return TokenSequence(self.ids + other.ids)
 
     def prefix(self, n: int) -> "TokenSequence":
         return TokenSequence(self.ids[:n])
@@ -254,29 +246,3 @@ def compute_idf_table(
     for record in corpus:
         df.update(set(tokenize(record.text, vocab)))
     return {tid: math.log(n_docs / count) for tid, count in df.items()}
-
-
-def save_idf_table(
-    table: Mapping[int, float], vocab: Vocabulary, path: str | Path
-) -> None:
-    """Write an IDF table as JSONL of {token, weight}."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for tid in sorted(table):
-            fh.write(
-                json.dumps({"token": vocab.surface_of(tid), "weight": table[tid]})
-                + "\n"
-            )
-
-
-def load_idf_table(path: str | Path, vocab: Vocabulary) -> dict[int, float]:
-    table: dict[int, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                table[vocab.id_of(obj["token"])] = float(obj["weight"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"malformed idf line {lineno}: {exc}") from exc
-    return table

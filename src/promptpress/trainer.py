@@ -13,9 +13,10 @@ stage boundary reproduces the uninterrupted run exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -394,20 +395,10 @@ class TrainingLog:
     def append(self, record: dict) -> None:
         self.records.append(record)
 
-    def to_jsonl(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in self.records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-
     def dumps(self) -> str:
         return "".join(
             json.dumps(record, sort_keys=True) + "\n" for record in self.records
         )
-
-    @classmethod
-    def from_jsonl(cls, path: str | Path) -> "TrainingLog":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls([json.loads(line) for line in fh if line.strip()])
 
 
 @dataclass
@@ -420,10 +411,6 @@ class TrainState:
     critic_opt: Adam
     log: TrainingLog
     next_stage: int = 1
-
-    @property
-    def models(self) -> tuple[Actor, Critic]:
-        return self.actor, self.critic
 
 
 def init_train_state(
@@ -627,26 +614,43 @@ def hpc_train(
 # checkpointing
 
 
+def _checkpoint_arrays(state: TrainState) -> dict[str, np.ndarray]:
+    """Every array member of a checkpoint, by name, in file order.
+
+    Parameters and Adam moments are views into ``state``, so assigning
+    into them restores it; each optimizer's step count is a 0-d copy of
+    ``t``. This table is the one list of members: ``save_checkpoint``
+    writes it and ``load_checkpoint`` requires exactly its names.
+    """
+    arrays: dict[str, np.ndarray] = {}
+    for prefix, model in (("actor", state.actor), ("critic", state.critic)):
+        arrays.update({f"{prefix}.{k}": v for k, v in model.parameters().items()})
+    optimizers = (("opt_actor", state.actor_opt), ("opt_critic", state.critic_opt))
+    for prefix, opt in optimizers:
+        arrays[f"{prefix}.t"] = np.array(opt.t, dtype=np.int64)
+        arrays.update({f"{prefix}.m.{k}": v for k, v in opt.m.items()})
+        arrays.update({f"{prefix}.v.{k}": v for k, v in opt.v.items()})
+    return arrays
+
+
 def save_checkpoint(
     state: TrainState, vocab: Vocabulary, path: str | Path
 ) -> None:
-    """Write models, optimizer state, log, and progress as one file.
+    """Write everything needed to resume training, or to compress, as one
+    npz file.
 
-    The round-trip is bitwise: loading and saving again reproduces
-    identical parameter arrays.
+    Its members are the arrays of ``_checkpoint_arrays`` (actor and
+    critic parameters, then each optimizer's step count and moments),
+    which is the one list of what a checkpoint holds, followed by
+    ``__meta__``: UTF-8 JSON with the schema version, the encoder
+    config, the vocabulary, both learning rates, the next stage and the
+    training log. The round-trip is bitwise: loading and saving again
+    reproduces identical arrays.
     """
-    cfg = state.actor.encoder.cfg
     meta = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "kind": "promptpress-checkpoint",
-        "encoder_cfg": {
-            "vocab_size": cfg.vocab_size,
-            "d_model": cfg.d_model,
-            "n_heads": cfg.n_heads,
-            "n_layers": cfg.n_layers,
-            "d_ff": cfg.d_ff,
-            "max_len": cfg.max_len,
-        },
+        "encoder_cfg": dataclasses.asdict(state.actor.encoder.cfg),
         "vocab": {
             "surfaces": list(vocab.surfaces),
             "unknown_id": vocab.unknown_id,
@@ -656,11 +660,7 @@ def save_checkpoint(
         "next_stage": state.next_stage,
         "log": state.log.records,
     }
-    arrays: dict[str, np.ndarray] = {}
-    arrays.update({f"actor.{k}": v for k, v in state.actor.parameters().items()})
-    arrays.update({f"critic.{k}": v for k, v in state.critic.parameters().items()})
-    arrays.update(state.actor_opt.state_arrays("opt_actor"))
-    arrays.update(state.critic_opt.state_arrays("opt_critic"))
+    arrays = _checkpoint_arrays(state)
     arrays["__meta__"] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
     )
@@ -669,7 +669,7 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[TrainState, Vocabulary]:
-    """Load a checkpoint; validates version, field presence, and shapes."""
+    """Load a checkpoint; validates version, the member set, and shapes."""
     try:
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files}
@@ -688,28 +688,25 @@ def load_checkpoint(path: str | Path) -> tuple[TrainState, Vocabulary]:
     )
     actor = Actor.build(encoder_cfg, seed=0)
     critic = Critic.build(encoder_cfg, seed=0)
-    for model, prefix in ((actor, "actor"), (critic, "critic")):
-        params = model.parameters()
-        for key, template in params.items():
-            full = f"{prefix}.{key}"
-            if full not in arrays:
-                raise ValueError(f"corrupt checkpoint: missing field {full}")
-            if arrays[full].shape != template.shape:
-                raise ValueError(
-                    f"corrupt checkpoint: field {full} has shape "
-                    f"{arrays[full].shape}, expected {template.shape}"
-                )
-            template[...] = arrays[full]
-    actor_opt = Adam(actor.parameters(), lr=float(meta["actor_lr"]))
-    critic_opt = Adam(critic.parameters(), lr=float(meta["critic_lr"]))
-    actor_opt.load_state_arrays("opt_actor", arrays)
-    critic_opt.load_state_arrays("opt_critic", arrays)
     state = TrainState(
         actor=actor,
         critic=critic,
-        actor_opt=actor_opt,
-        critic_opt=critic_opt,
+        actor_opt=Adam(actor.parameters(), lr=float(meta["actor_lr"])),
+        critic_opt=Adam(critic.parameters(), lr=float(meta["critic_lr"])),
         log=TrainingLog(meta["log"]),
         next_stage=int(meta["next_stage"]),
     )
+    table = _checkpoint_arrays(state)
+    if set(table) != set(arrays):
+        diff = sorted(set(table) ^ set(arrays))
+        raise ValueError(f"corrupt checkpoint: field set mismatch: {diff}")
+    for name, target in table.items():
+        if arrays[name].shape != target.shape:
+            raise ValueError(
+                f"corrupt checkpoint: field {name} has shape "
+                f"{arrays[name].shape}, expected {target.shape}"
+            )
+        target[...] = arrays[name]
+    state.actor_opt.t = int(table["opt_actor.t"])
+    state.critic_opt.t = int(table["opt_critic.t"])
     return state, vocab

@@ -1,11 +1,14 @@
-"""Shared builders for small deterministic training worlds."""
+"""Shared builders for small deterministic training worlds, and checkpoint
+edits for the load-validation tests."""
+
+import json
 
 import numpy as np
 
 from promptpress.encoder import EncoderConfig
 from promptpress.scoring import IdfRetentionScorer, fit_ngram_lm
 from promptpress.text import PromptRecord, build_vocabulary, compute_idf_table
-from promptpress.trainer import Scorers
+from promptpress.trainer import CHECKPOINT_SCHEMA_VERSION, Scorers
 
 
 def tiny_corpus(n_prompts=8, seed=0, min_len=6, max_len=10):
@@ -35,3 +38,19 @@ def tiny_world(n_prompts=8, seed=0, n_gen=4, d_model=8):
         d_ff=2 * d_model, max_len=32,
     )
     return corpus, vocab, scorers, encoder_cfg
+
+
+def rewrite_checkpoint(path, edit):
+    """Apply ``edit`` to a checkpoint's member dict (file order kept) and save."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    edit(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def bump_schema_version(arrays):
+    """A ``rewrite_checkpoint`` edit: the next, unsupported schema version."""
+    meta = json.loads(arrays["__meta__"].tobytes().decode())
+    meta["schema_version"] = CHECKPOINT_SCHEMA_VERSION + 1
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)

@@ -1,6 +1,9 @@
-"""Central finite-difference gradient checking shared by test modules."""
+"""Central finite-difference gradient checking shared by test modules, and
+the single-sequence gradients the checks compare against."""
 
 import numpy as np
+
+from promptpress.policy import packed_action_log_probs, packed_values
 
 # Relative error with a small absolute floor: below the floor both the
 # analytic and numeric values are dominated by round-off noise.
@@ -38,3 +41,15 @@ def max_relative_error(
                 worst = rel
                 worst_key = f"{key}[{i}]"
     return worst, worst_key
+
+
+def packed_log_prob_and_grad(actor, ids, labels):
+    """Log-probability of one action vector and its gradient, as a pack of one."""
+    log_probs, gradient_of = packed_action_log_probs(actor, [ids], [labels])
+    return float(log_probs[0]), gradient_of(np.ones(1))
+
+
+def packed_value_and_grad(critic, ids):
+    """Value of one sequence and its gradient, as a pack of one."""
+    values, gradient_of = packed_values(critic, [ids])
+    return float(values[0]), gradient_of(np.ones(1))

@@ -1,9 +1,11 @@
-"""CLI tests: eval scores every method against one vocabulary/LM pairing."""
+"""CLI tests: compress reads what train writes, and eval scores every
+method against one vocabulary/LM pairing."""
 
 import json
 
+from conftest import bump_schema_version, rewrite_checkpoint
 from promptpress.cli import main
-from promptpress.text import make_synthetic_corpus, save_corpus
+from promptpress.text import PromptRecord, make_synthetic_corpus, save_corpus
 
 
 def _small_corpus(path):
@@ -64,3 +66,41 @@ class TestEvalPairing:
         assert code == 2
         assert "--checkpoint" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [corpus]  # no manifest, no output
+
+
+class TestCompressRoundTrip:
+    @staticmethod
+    def _compress(ckpt, tmp_path):
+        """``compress --steps 1 --budget 3`` on synthetic prompts plus ones
+        shorter than the budget; returns the exit code and output path."""
+        records = make_synthetic_corpus(seed=2, n_prompts=3, filler_fraction=0.5)
+        words = records[0].text.split()
+        records += [
+            PromptRecord(f"short-{n}", " ".join(words[:n])) for n in (1, 2, 3, 4)
+        ]
+        source = tmp_path / "input.jsonl"
+        save_corpus(records, source)
+        out = tmp_path / "compressed.jsonl"
+        code = main([
+            "compress", "--checkpoint", str(ckpt), "--input", str(source),
+            "--out", str(out), "--steps", "1", "--budget", "3",
+        ])
+        return code, out
+
+    def test_train_then_compress_drops_the_budget(self, tmp_path):
+        code, out = self._compress(_checkpoint_on_larger_corpus(tmp_path), tmp_path)
+        assert code == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(rows) == 7
+        for row in rows:
+            before = row["tokens_before"]
+            assert row["tokens_after"] == before - min(3, before - 1), row["id"]
+
+    def test_bumped_schema_version_fails_without_output(self, tmp_path, capsys):
+        ckpt = _checkpoint_on_larger_corpus(tmp_path)
+        rewrite_checkpoint(ckpt, bump_schema_version)
+        code, out = self._compress(ckpt, tmp_path)
+        assert code == 1
+        assert "schema_version" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_name(out.name + ".partial").exists()

@@ -1,4 +1,4 @@
-"""Environment tests: transitions, compression rate, termination, fuzz."""
+"""Environment tests: transitions, compression rate, fuzz."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,8 @@ import pytest
 from promptpress.env import (
     ActionVector,
     CompressionState,
-    EpisodeConfig,
     apply_action,
     compression_rate,
-    is_terminal,
     reset,
 )
 from promptpress.text import TokenSequence
@@ -109,25 +107,6 @@ class TestCompressionRate:
             labels = tuple(int(x) for x in rng.integers(0, 2, size=len(state.current)))
             state = apply_action(state, ActionVector(labels), keep_probs=rng.random(len(labels)))
             assert compression_rate(state) == len(state.current.ids) / len(ids)
-
-
-class TestTermination:
-    def test_at_max(self):
-        state = CompressionState(original=seq(1), current=seq(1), step=2)
-        assert is_terminal(state, EpisodeConfig(max_steps=2))
-
-    def test_before_max(self):
-        assert not is_terminal(reset(seq(1)), EpisodeConfig(max_steps=1))
-
-    def test_episode_terminates_exactly_once_at_end(self):
-        cfg = EpisodeConfig(max_steps=4)
-        state = reset(TokenSequence(tuple(range(10))))
-        terminal_flags = []
-        while not is_terminal(state, cfg):
-            terminal_flags.append(False)
-            state = apply_action(state, ActionVector((1,) * len(state.current)))
-        assert terminal_flags == [False] * 4
-        assert state.step == 4
 
 
 class TestInvariants:

@@ -1,10 +1,14 @@
-"""Actor/critic tests: forward math, sampling, greedy selection, gradients,
-and model serialization."""
+"""Actor/critic tests: forward math, sampling, greedy selection and gradients."""
 
 import numpy as np
 import pytest
 
-from gradcheck import REL_TOL, max_relative_error
+from gradcheck import (
+    REL_TOL,
+    max_relative_error,
+    packed_log_prob_and_grad,
+    packed_value_and_grad,
+)
 from promptpress.encoder import LN_EPS, EncoderConfig, TinyTransformerEncoder
 from promptpress.env import reset
 from promptpress.optim import Adam
@@ -13,13 +17,9 @@ from promptpress.policy import (
     Critic,
     PolicyOutput,
     action_log_prob,
-    action_log_prob_and_grad,
     greedy_actions,
-    load_model,
     policy_forward,
     sample_actions,
-    save_model,
-    value_and_grad,
     value_forward,
 )
 from promptpress.text import TokenSequence
@@ -207,7 +207,7 @@ class TestGradients:
     def test_actor_log_prob_gradient(self):
         actor = self._randomized_actor()
         ids, labels = (2, 7, 2), (1, 0, 1)
-        _, grads = action_log_prob_and_grad(actor, ids, labels)
+        _, grads = packed_log_prob_and_grad(actor, ids, labels)
         worst, where = max_relative_error(
             actor.parameters(), grads, lambda: action_log_prob(actor, ids, labels)
         )
@@ -222,7 +222,7 @@ class TestGradients:
         critic.vh_b2[...] = 0.1
         ids = (1, 6, 3)
         state = reset(TokenSequence(ids))
-        _, grads = value_and_grad(critic, ids)
+        _, grads = packed_value_and_grad(critic, ids)
         worst, where = max_relative_error(
             critic.parameters(), grads, lambda: value_forward(critic, state)
         )
@@ -232,11 +232,11 @@ class TestGradients:
         # An all-zero value head leaves every gradient but vh_b2's at 0.
         critic = Critic.build(TINY, seed=5)
         ids = (1, 6, 3)
-        _, grads = value_and_grad(critic, ids)
+        _, grads = packed_value_and_grad(critic, ids)
         assert np.any(grads["vh_w2"] != 0)
         params = critic.parameters()
         Adam(params, lr=1e-2).step(params, grads)
-        _, grads = value_and_grad(critic, ids)
+        _, grads = packed_value_and_grad(critic, ids)
         assert np.any(grads["vh_w1"] != 0)
         assert np.any(grads["vh_b1"] != 0)
         assert any(np.any(g != 0) for k, g in grads.items() if k.startswith("enc."))
@@ -245,55 +245,8 @@ class TestGradients:
         actor = self._randomized_actor()
         actor.head_w[...] = 0.0
         actor.head_b[...] = (-50.0, 50.0)  # keep prob pinned at the ceiling
-        _, grads = action_log_prob_and_grad(actor, (1, 2), (1, 1))
+        _, grads = packed_log_prob_and_grad(actor, (1, 2), (1, 1))
         assert all(np.all(g == 0) for g in grads.values())
-
-
-class TestModelSerialization:
-    def test_round_trip_identical_outputs(self, tmp_path):
-        actor = Actor.build(TINY, seed=12)
-        rng = np.random.default_rng(4)
-        actor.head_w[...] = rng.normal(0, 0.5, actor.head_w.shape)
-        path = tmp_path / "actor.npz"
-        save_model(actor, path)
-        loaded = load_model(path)
-        state = reset(TokenSequence((1, 2, 3)))
-        a = policy_forward(actor, state)
-        b = policy_forward(loaded, state)
-        assert np.array_equal(a.keep_probs, b.keep_probs)
-
-    def test_truncated_file_errors(self, tmp_path):
-        actor = Actor.build(TINY, seed=12)
-        path = tmp_path / "actor.npz"
-        save_model(actor, path)
-        path.write_bytes(path.read_bytes()[:100])
-        with pytest.raises(ValueError, match="corrupt"):
-            load_model(path)
-
-    def test_version_mismatch_errors(self, tmp_path):
-        import json
-
-        actor = Actor.build(TINY, seed=12)
-        path = tmp_path / "actor.npz"
-        save_model(actor, path)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        meta = json.loads(arrays["__meta__"].tobytes().decode())
-        meta["schema_version"] = 999
-        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
-        with pytest.raises(ValueError, match="schema_version"):
-            load_model(path)
-
-    def test_critic_round_trip(self, tmp_path):
-        critic = Critic.build(TINY, seed=13)
-        path = tmp_path / "critic.npz"
-        save_model(critic, path)
-        loaded = load_model(path)
-        assert isinstance(loaded, Critic)
-        state = reset(TokenSequence((4, 5)))
-        assert value_forward(loaded, state) == value_forward(critic, state)
 
 
 class TestEncoderContract:

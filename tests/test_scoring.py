@@ -15,7 +15,6 @@ from promptpress.evaluation import EvalSettings, evaluate
 from promptpress.scoring import (
     IdfRetentionScorer,
     NextTokenDistribution,
-    NgramLM,
     fit_ngram_lm,
     generate_reference,
     idf_retention_score,
@@ -70,7 +69,7 @@ def stepwise_argmax_trace(lm, context, n):
     for _ in range(n):
         tid = int(np.argmax(lm.next_token_dist(trace).probs))
         expected.append(tid)
-        trace = trace.concat(seq(tid))
+        trace = TokenSequence(trace.ids + (tid,))
     return tuple(expected)
 
 
@@ -206,7 +205,7 @@ class TestGenerateReference:
             probs = lm.next_token_dist(trace).probs
             tid = int(np.argmax(probs))
             expected.append(tid)
-            trace = trace.concat(seq(tid))
+            trace = TokenSequence(trace.ids + (tid,))
         assert generate_reference(lm, context, 8).ids == tuple(expected)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -272,37 +271,6 @@ class TestNgramLM:
             fit_ngram_lm([PromptRecord("0", "a")], order=0, smoothing=0.1)
         with pytest.raises(ValueError):
             fit_ngram_lm([PromptRecord("0", "a")], order=1, smoothing=0.0)
-
-    def test_save_load_round_trip(self, tmp_path):
-        corpus = [PromptRecord("0", "a b c a b d e")]
-        lm = fit_ngram_lm(corpus, order=2, smoothing=0.1)
-        path = tmp_path / "lm.json"
-        lm.save(path)
-        loaded = NgramLM.load(path)
-        ctx = tokenize("a", lm.vocab)
-        np.testing.assert_array_equal(
-            lm.next_token_dist(ctx).probs, loaded.next_token_dist(ctx).probs
-        )
-        assert loaded.vocab.surfaces == lm.vocab.surfaces
-
-    def test_load_rejects_bad_version(self, tmp_path):
-        corpus = [PromptRecord("0", "a b")]
-        lm = fit_ngram_lm(corpus, order=1, smoothing=0.1)
-        path = tmp_path / "lm.json"
-        lm.save(path)
-        import json
-
-        payload = json.loads(path.read_text())
-        payload["schema_version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="schema_version"):
-            NgramLM.load(path)
-
-    def test_load_rejects_corrupt_file(self, tmp_path):
-        path = tmp_path / "lm.json"
-        path.write_text("{truncated")
-        with pytest.raises(ValueError, match="corrupt"):
-            NgramLM.load(path)
 
 
 class TestNgramMemo:
@@ -421,8 +389,8 @@ class TestOutputDistributionKL:
         expected = np.mean(
             [
                 kl_divergence(
-                    lm.next_token_dist(st.concat(ref.prefix(i))),
-                    lm.next_token_dist(s0.concat(ref.prefix(i))),
+                    lm.next_token_dist(TokenSequence(st.ids + ref.prefix(i).ids)),
+                    lm.next_token_dist(TokenSequence(s0.ids + ref.prefix(i).ids)),
                 )
                 for i in range(10)
             ]
@@ -441,8 +409,8 @@ class TestOutputDistributionKL:
         all_positions = np.mean(
             [
                 kl_divergence(
-                    lm.next_token_dist(st.concat(ref.prefix(i))),
-                    lm.next_token_dist(s0.concat(ref.prefix(i))),
+                    lm.next_token_dist(TokenSequence(st.ids + ref.prefix(i).ids)),
+                    lm.next_token_dist(TokenSequence(s0.ids + ref.prefix(i).ids)),
                 )
                 for i in range(len(ref))
             ]
@@ -463,8 +431,8 @@ class TestOutputDistributionKL:
         all_positions = np.mean(
             [
                 kl_divergence(
-                    lm.next_token_dist(st.concat(ref.prefix(i))),
-                    lm.next_token_dist(s0.concat(ref.prefix(i))),
+                    lm.next_token_dist(TokenSequence(st.ids + ref.prefix(i).ids)),
+                    lm.next_token_dist(TokenSequence(s0.ids + ref.prefix(i).ids)),
                 )
                 for i in range(len(ref))
             ]

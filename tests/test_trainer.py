@@ -6,8 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import tiny_world
-from gradcheck import REL_TOL, max_relative_error
+from conftest import bump_schema_version, rewrite_checkpoint, tiny_world
+from gradcheck import (
+    REL_TOL,
+    max_relative_error,
+    packed_log_prob_and_grad,
+    packed_value_and_grad,
+)
 from promptpress import trainer
 from promptpress.encoder import EncoderConfig
 from promptpress.env import ActionVector, reset
@@ -16,9 +21,7 @@ from promptpress.policy import (
     Actor,
     Critic,
     action_log_prob,
-    action_log_prob_and_grad,
     policy_forward,
-    value_and_grad,
     value_forward,
 )
 from promptpress.reward import RewardConfig
@@ -247,7 +250,7 @@ class TestPackedObjectives:
         expected = {k: np.zeros_like(v) for k, v in actor.parameters().items()}
         total, flowing = 0.0, 0
         for step in batch:
-            lp, grads = action_log_prob_and_grad(
+            lp, grads = packed_log_prob_and_grad(
                 actor, step.state.current.ids, step.action.labels
             )
             delta = math.exp(lp - step.old_log_prob)
@@ -270,7 +273,7 @@ class TestPackedObjectives:
         expected = {k: np.zeros_like(v) for k, v in critic.parameters().items()}
         loss = 0.0
         for step, g_t in batch:
-            v, grads = value_and_grad(critic, step.state.current.ids)
+            v, grads = packed_value_and_grad(critic, step.state.current.ids)
             loss += (g_t - v) ** 2 / n
             for k, g in grads.items():
                 expected[k] += -2.0 * (g_t - v) / n * g
@@ -659,6 +662,62 @@ class TestCheckpoint:
         save_checkpoint(state, vocab, path)
         path.write_bytes(path.read_bytes()[:200])
         with pytest.raises(ValueError, match="corrupt checkpoint"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _fresh_checkpoint(tmp_path):
+        _, vocab, _, encoder_cfg, trainer_cfg = _small_training_setup(n_prompts=4)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(init_train_state(trainer_cfg, encoder_cfg), vocab, path)
+        return path
+
+    def test_member_order(self, tmp_path):
+        # Parameters, then each optimizer's t, m and v, then the metadata:
+        # the order checkpoints have always been written in.
+        path = self._fresh_checkpoint(tmp_path)
+        state, _ = load_checkpoint(path)
+        with np.load(path) as data:
+            names = list(data.files)
+        expected = [f"actor.{k}" for k in state.actor.parameters()]
+        expected += [f"critic.{k}" for k in state.critic.parameters()]
+        optimizers = (("opt_actor", state.actor_opt), ("opt_critic", state.critic_opt))
+        for prefix, opt in optimizers:
+            expected.append(f"{prefix}.t")
+            expected += [f"{prefix}.m.{k}" for k in opt.m]
+            expected += [f"{prefix}.v.{k}" for k in opt.v]
+        assert names == expected + ["__meta__"]
+
+    def test_version_mismatch_errors(self, tmp_path):
+        path = self._fresh_checkpoint(tmp_path)
+        rewrite_checkpoint(path, bump_schema_version)
+        with pytest.raises(ValueError, match="schema_version"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("member", ["actor.head_w", "opt_critic.v.vh_w1"])
+    def test_wrong_shape_errors(self, tmp_path, member):
+        path = self._fresh_checkpoint(tmp_path)
+
+        def reshape(arrays):
+            arrays[member] = np.zeros(arrays[member].shape + (1,))
+
+        rewrite_checkpoint(path, reshape)
+        match = f"corrupt checkpoint: field {member} has shape"
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "member", ["critic.vh_b2", "opt_actor.t", "opt_actor.m.head_b"]
+    )
+    def test_missing_member_errors(self, tmp_path, member):
+        path = self._fresh_checkpoint(tmp_path)
+        rewrite_checkpoint(path, lambda arrays: arrays.pop(member))
+        with pytest.raises(ValueError, match="field set mismatch"):
+            load_checkpoint(path)
+
+    def test_extra_member_errors(self, tmp_path):
+        path = self._fresh_checkpoint(tmp_path)
+        rewrite_checkpoint(path, lambda arrays: arrays.update({"actor.stray": np.zeros(2)}))
+        with pytest.raises(ValueError, match="field set mismatch"):
             load_checkpoint(path)
 
     def test_resume_reproduces_full_run(self, tmp_path):
