@@ -1,11 +1,13 @@
 """promptpress: task-agnostic prompt compression.
 
 Token deletion is modeled as a sequential decision process: a per-token
-keep/drop policy compresses a prompt over a handful of rounds, trained
-with a clipped-surrogate policy update against a reward balancing the
-compression ratio, key-information retention, and the divergence of a
-proxy model's continuations, under a curriculum that gradually tightens
-the permitted compression band.
+keep/drop policy compresses a prompt over a handful of rounds. It is
+trained with a clipped-surrogate policy update and no value network: each
+step's advantage is its return minus the mean return of the other
+trajectories in the update buffer. The reward balances the compression
+ratio, key-information retention, and the divergence of a proxy model's
+continuations, under a curriculum that gradually tightens the permitted
+compression band.
 """
 
 __version__ = "0.1.0"
@@ -19,7 +21,7 @@ from .baselines import (
     random_compress,
     selfinfo_compress,
 )
-from .encoder import EncoderConfig, SequenceEncoder, TinyTransformerEncoder
+from .encoder import EncoderConfig, TinyTransformerEncoder
 from .env import (
     ActionVector,
     CompressionState,
@@ -31,12 +33,10 @@ from .evaluation import EvalReport, EvalSettings, evaluate
 from .metrics import exact_match, lcs_length, rouge_l, rouge_n, token_f1
 from .policy import (
     Actor,
-    Critic,
     PolicyOutput,
     greedy_actions,
     policy_forward,
     sample_actions,
-    value_forward,
 )
 from .reward import Band, RewardBreakdown, RewardConfig, assemble_reward, compute_reward, in_band
 from .scoring import (
@@ -81,5 +81,4 @@ from .trainer import (
     ppo_objective,
     returns_from,
     save_checkpoint,
-    td_error,
 )

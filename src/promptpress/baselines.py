@@ -118,29 +118,23 @@ class SelfInfoCompressor:
 class PolicyCompressor:
     """Greedy inference-time use of a trained actor.
 
-    With ``rho_target`` set, each of the k steps drops enough of the
-    lowest-keep-probability tokens to land on the target rate by the
-    final step; otherwise each step drops ``drop_budget`` tokens (0
-    meaning plain 0.5-thresholding).
+    Each of the k steps drops enough of the lowest-keep-probability
+    tokens to land on ``rho_target`` by the final step.
     """
 
     actor: Actor
+    rho_target: float
     steps: int = 1
-    drop_budget: int = 0
-    rho_target: float | None = None
     name: str = "policy"
 
     def compress(self, seq: TokenSequence, key: int = 0) -> CompressionResult:
         state = reset(seq)
         for step in range(self.steps):
             out = policy_forward(self.actor, state)
-            if self.rho_target is not None:
-                # per-step relative keep rate compounding to the target
-                per_step = self.rho_target ** ((step + 1) / self.steps)
-                goal_len = keep_count(len(seq), per_step)
-                budget = max(len(state.current) - goal_len, 0)
-            else:
-                budget = self.drop_budget
+            # per-step relative keep rate compounding to the target
+            per_step = self.rho_target ** ((step + 1) / self.steps)
+            goal_len = keep_count(len(seq), per_step)
+            budget = max(len(state.current) - goal_len, 0)
             action = greedy_actions(out, budget)
             state = apply_action(state, action, out.keep_probs)
         return CompressionResult(

@@ -49,7 +49,6 @@ from .trainer import (
 
 CONFIG_DEFAULTS: dict[str, object] = {
     "trainer.actor_lr": 1e-5,
-    "trainer.critic_lr": 1e-6,
     "trainer.clip_eps": 0.15,
     "trainer.batch_size": 4,
     "trainer.buffer_m": 16,
@@ -166,10 +165,9 @@ def write_manifest(
 
 
 def _build_training_pieces(config: dict[str, object], seed: int, no_hpc: bool,
-                           fixed_c_s: float, fixed_c_l: float):
+                           fixed_c_s: float, fixed_c_l: float, vocab_size: int):
     trainer_cfg = TrainerConfig(
         actor_lr=float(config["trainer.actor_lr"]),
-        critic_lr=float(config["trainer.critic_lr"]),
         clip_eps=float(config["trainer.clip_eps"]),
         batch_size=int(config["trainer.batch_size"]),
         buffer_capacity=int(config["trainer.buffer_m"]),
@@ -192,7 +190,15 @@ def _build_training_pieces(config: dict[str, object], seed: int, no_hpc: bool,
         p_s=float(config["reward.p_s"]),
         p_l=float(config["reward.p_l"]),
     )
-    return trainer_cfg, schedule, reward_cfg
+    encoder_cfg = EncoderConfig(
+        vocab_size=vocab_size,
+        d_model=int(config["model.d_model"]),
+        n_heads=int(config["model.n_heads"]),
+        n_layers=int(config["model.n_layers"]),
+        d_ff=int(config["model.d_ff"]),
+        max_len=int(config["model.max_len"]),
+    )
+    return trainer_cfg, schedule, reward_cfg, encoder_cfg
 
 
 def cmd_make_corpus(args: argparse.Namespace) -> int:
@@ -234,6 +240,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     if not corpus:
         raise UsageError(f"corpus {args.corpus} is empty")
+    # A bad config value is a usage error, found before the manifest is written.
+    try:
+        vocab = build_vocabulary(corpus, int(config["vocab.max_size"]))
+        trainer_cfg, schedule, reward_cfg, encoder_cfg = _build_training_pieces(
+            config, seed, args.no_hpc, args.fixed_c_s, args.fixed_c_l, vocab.size
+        )
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"invalid training config: {exc}") from exc
 
     out = Path(args.out)
     log_path = Path(args.log) if args.log else out.with_name(out.name + ".log.jsonl")
@@ -247,10 +261,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         artifacts={"checkpoint": str(out), "log": str(log_path)},
     )
 
-    trainer_cfg, schedule, reward_cfg = _build_training_pieces(
-        config, seed, args.no_hpc, args.fixed_c_s, args.fixed_c_l
-    )
-    vocab = build_vocabulary(corpus, int(config["vocab.max_size"]))
     lm = fit_ngram_lm(
         corpus,
         order=int(config["scoring.ngram_order"]),
@@ -261,14 +271,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         retention=IdfRetentionScorer(compute_idf_table(corpus, vocab)),
         lm=lm,
         n_gen=int(config["scoring.n_gen"]),
-    )
-    encoder_cfg = EncoderConfig(
-        vocab_size=vocab.size,
-        d_model=int(config["model.d_model"]),
-        n_heads=int(config["model.n_heads"]),
-        n_layers=int(config["model.n_layers"]),
-        d_ff=int(config["model.d_ff"]),
-        max_len=int(config["model.max_len"]),
     )
     state = hpc_train(
         corpus,

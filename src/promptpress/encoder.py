@@ -17,20 +17,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
 import numpy as np
 from scipy.special import erf
 
 LN_EPS = 1e-5
 INIT_STD = 0.02
-
-
-@runtime_checkable
-class SequenceEncoder(Protocol):
-    """Per-token feature extractor: ids -> [L, d] feature matrix."""
-
-    def encode(self, ids: Sequence[int]) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -94,7 +87,7 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
 
 
 class TinyTransformerEncoder:
-    """Trainable reference implementation of :class:`SequenceEncoder`."""
+    """Per-token feature extractor: ids -> [L, d] feature matrix, trainable."""
 
     def __init__(self, cfg: EncoderConfig, params: dict[str, np.ndarray]) -> None:
         self.cfg = cfg

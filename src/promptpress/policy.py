@@ -1,13 +1,9 @@
-"""Actor (per-token keep/drop classifier) and critic (state-value estimator).
+"""Actor: a per-token keep/drop classifier over a transformer encoder.
 
-Both wrap a :class:`SequenceEncoder`. The actor adds a linear 2-way head
-per token; the critic mean-pools token features and applies two stacked
-linear layers (an affine composite) to produce one scalar. The critic's
-hidden layer starts small and random and its output layer starts at
-zero, so V(s) is exactly 0 at build yet gradient reaches every critic
-parameter from the first update on (an all-zero head would leave every
-gradient but the output bias at 0). Keep probabilities are floored away
-from {0, 1} so log-probabilities and policy ratios stay finite.
+The actor adds a linear 2-way head per token to a
+:class:`TinyTransformerEncoder`. The head starts at zero, so every token
+starts at keep probability 0.5. Keep probabilities are floored away from
+{0, 1} so log-probabilities and policy ratios stay finite.
 """
 
 from __future__ import annotations
@@ -18,13 +14,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .encoder import EncoderConfig, SequenceEncoder, TinyTransformerEncoder
+from .encoder import EncoderConfig, TinyTransformerEncoder
 from .env import ActionVector, CompressionState
 
 PROB_FLOOR = 1e-6
-
-# Maps per-sequence coefficients to the gradient of their weighted sum.
-GradientOf = Callable[[np.ndarray], dict[str, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -42,7 +35,9 @@ class PolicyOutput:
 
 
 class Actor:
-    def __init__(self, encoder: SequenceEncoder, head_w: np.ndarray, head_b: np.ndarray):
+    def __init__(
+        self, encoder: TinyTransformerEncoder, head_w: np.ndarray, head_b: np.ndarray
+    ):
         self.encoder = encoder
         self.head_w = head_w
         self.head_b = head_b
@@ -67,51 +62,6 @@ class Actor:
             self.encoder.cfg, {k: v.copy() for k, v in self.encoder.params.items()}
         )
         return Actor(enc, self.head_w.copy(), self.head_b.copy())
-
-
-class Critic:
-    def __init__(self, encoder, vh_w1, vh_b1, vh_w2, vh_b2):
-        self.encoder = encoder
-        self.vh_w1 = vh_w1
-        self.vh_b1 = vh_b1
-        self.vh_w2 = vh_w2
-        self.vh_b2 = vh_b2
-
-    @classmethod
-    def build(cls, cfg: EncoderConfig, seed: int) -> "Critic":
-        d = cfg.d_model
-        # Random hidden layer, zero output layer: V(s) is exactly 0 at build,
-        # the first update moves vh_w2 (its gradient is the nonzero hidden
-        # activation), and vh_w1, vh_b1 and the encoder then get gradient
-        # through vh_w2. With both layers zero only vh_b2 could ever move.
-        # A separate stream keeps the encoder init independent of the head.
-        head_rng = np.random.default_rng([seed, 1])
-        return cls(
-            encoder=TinyTransformerEncoder.create(cfg, seed),
-            vh_w1=head_rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d)),
-            vh_b1=np.zeros(d),
-            vh_w2=np.zeros(d),
-            vh_b2=np.zeros(()),
-        )
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        params = {f"enc.{k}": v for k, v in self.encoder.params.items()}
-        params.update(
-            vh_w1=self.vh_w1, vh_b1=self.vh_b1, vh_w2=self.vh_w2, vh_b2=self.vh_b2
-        )
-        return params
-
-    def clone(self) -> "Critic":
-        enc = TinyTransformerEncoder(
-            self.encoder.cfg, {k: v.copy() for k, v in self.encoder.params.items()}
-        )
-        return Critic(
-            enc,
-            self.vh_w1.copy(),
-            self.vh_b1.copy(),
-            self.vh_w2.copy(),
-            self.vh_b2.copy(),
-        )
 
 
 def _softmax2(logits: np.ndarray) -> np.ndarray:
@@ -169,16 +119,6 @@ def greedy_actions(output: PolicyOutput, drop_budget: int) -> ActionVector:
     return ActionVector(tuple(int(l) for l in labels))
 
 
-def value_forward(critic: Critic, state: CompressionState) -> float:
-    """Scalar value estimate: mean-pooled features through the value head."""
-    if len(state.current) == 0:
-        raise ValueError("empty state")
-    h = critic.encoder.encode(state.current.ids)
-    hbar = h.mean(axis=0)
-    z = hbar @ critic.vh_w1 + critic.vh_b1
-    return float(z @ critic.vh_w2 + critic.vh_b2)
-
-
 def action_log_prob(actor: Actor, ids: Sequence[int], labels: Sequence[int]) -> float:
     """Log-probability of a full action vector under the actor."""
     h = actor.encoder.encode(ids)
@@ -187,17 +127,9 @@ def action_log_prob(actor: Actor, ids: Sequence[int], labels: Sequence[int]) -> 
     return float(out.log_probs[np.arange(idx.size), idx].sum())
 
 
-def _pack(seqs: Sequence[Sequence[int]]):
-    """Back-to-back ids, lengths and [start, end) bounds of ``seqs``."""
-    lengths = [len(seq) for seq in seqs]
-    ends = list(itertools.accumulate(lengths))
-    bounds = list(zip([0] + ends[:-1], ends))
-    return [tid for seq in seqs for tid in seq], lengths, bounds
-
-
 def packed_action_log_probs(
     actor: Actor, seqs: Sequence[Sequence[int]], labels: Sequence[Sequence[int]]
-) -> tuple[np.ndarray, GradientOf]:
+) -> tuple[np.ndarray, Callable[[np.ndarray], dict[str, np.ndarray]]]:
     """Log-probability of each action vector ``labels[j]`` on ``seqs[j]``.
 
     One encoder forward pass covers the whole pack. The returned function
@@ -208,9 +140,10 @@ def packed_action_log_probs(
     gradient, matching the clamped forward value. Requires a trainable
     encoder (forward/backward).
     """
-    if [len(l) for l in labels] != [len(seq) for seq in seqs]:
+    lengths = [len(seq) for seq in seqs]
+    if [len(l) for l in labels] != lengths:
         raise ValueError("each label vector must match its sequence's length")
-    ids, lengths, bounds = _pack(seqs)
+    ids = [tid for seq in seqs for tid in seq]
     h, cache = actor.encoder.forward(ids, lengths)
     logits = h @ actor.head_w + actor.head_b
     probs = _softmax2(logits)
@@ -218,7 +151,8 @@ def packed_action_log_probs(
     rows = np.arange(len(ids))
     idx = np.asarray([a for l in labels for a in l], dtype=int)
     picked = out.log_probs[rows, idx]
-    log_probs = np.array([picked[s:e].sum() for s, e in bounds])
+    ends = list(itertools.accumulate(lengths))
+    log_probs = np.array([picked[s:e].sum() for s, e in zip([0] + ends[:-1], ends)])
 
     def gradient_of(coeffs: np.ndarray) -> dict[str, np.ndarray]:
         dlogits = -probs
@@ -234,35 +168,3 @@ def packed_action_log_probs(
 
     return log_probs, gradient_of
 
-
-def packed_values(
-    critic: Critic, seqs: Sequence[Sequence[int]]
-) -> tuple[np.ndarray, GradientOf]:
-    """Value estimate of each sequence in ``seqs``.
-
-    One encoder forward pass covers the whole pack. The returned function
-    maps per-sequence coefficients c to the gradient of sum_j c_j * V_j
-    w.r.t. every critic parameter, in one backward pass; call it at most
-    once.
-    """
-    ids, lengths, bounds = _pack(seqs)
-    h, cache = critic.encoder.forward(ids, lengths)
-    hbar = np.stack([h[s:e].mean(axis=0) for s, e in bounds])
-    z = hbar @ critic.vh_w1 + critic.vh_b1
-    values = z @ critic.vh_w2 + critic.vh_b2
-
-    def gradient_of(coeffs: np.ndarray) -> dict[str, np.ndarray]:
-        c = np.asarray(coeffs, dtype=float)
-        # dV_j/dh is the same row, (vh_w1 @ vh_w2) / L_j, for each of the
-        # L_j tokens of sequence j.
-        row = critic.vh_w1 @ critic.vh_w2
-        dh = np.repeat(c / lengths, lengths)[:, None] * row
-        enc_grads = critic.encoder.backward(cache, dh)
-        grads = {f"enc.{k}": v for k, v in enc_grads.items()}
-        grads["vh_w1"] = np.outer(c @ hbar, critic.vh_w2)
-        grads["vh_b1"] = c.sum() * critic.vh_w2
-        grads["vh_w2"] = c @ z
-        grads["vh_b2"] = np.asarray(c.sum())
-        return grads
-
-    return values, gradient_of

@@ -1,9 +1,13 @@
 """Training loop: trajectory collection, replay buffer, clipped-surrogate
-policy updates, critic TD updates, and the staged compression curriculum.
+policy updates against a leave-one-out baseline, and the staged
+compression curriculum.
 
-Collection always runs with frozen copies of the actor and critic; the
-live pair is updated from buffered trajectories and copied back after
-every update round. The compression band [c_s, c_l] that the reward
+Collection always runs with a frozen copy of the actor; the live actor
+is updated from buffered trajectories and copied back after every update
+round. There is no learned value function: each step's advantage is its
+return minus the mean return of the other trajectories in the buffer at
+the same step index (the leave-one-out baseline of RLOO,
+arXiv:2402.14740). The compression band [c_s, c_l] that the reward
 enforces tightens with the stage index and, within an episode, with the
 step index, so the task hardens gradually. Everything is deterministic
 given (seed, corpus, configs): per-episode and per-update RNG streams
@@ -27,23 +31,19 @@ from .env import ActionVector, CompressionState, apply_action, compression_rate,
 from .optim import Adam, clip_gradients
 from .policy import (
     Actor,
-    Critic,
     action_log_prob,
     packed_action_log_probs,
-    packed_values,
     policy_forward,
     sample_actions,
-    value_forward,
 )
 from .reward import RewardConfig, compute_reward
 from .scoring import ProxyLM, RetentionScorer, generate_reference
 from .text import PromptRecord, TokenSequence, Vocabulary, tokenize
 
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 GRAD_CLIP_NORM = 1.0
 
 _TAG_ACTOR = 101
-_TAG_CRITIC = 102
 _TAG_EPISODE = 103
 _TAG_UPDATE = 104
 
@@ -131,8 +131,6 @@ class TrajectoryStep:
     action: ActionVector
     old_log_prob: float
     reward: float
-    value: float
-    advantage: float
 
 
 @dataclass(frozen=True)
@@ -141,7 +139,6 @@ class Trajectory:
     final_state: CompressionState
     reference: TokenSequence
     bounds: tuple[tuple[float, float], ...]
-    prompt_id: str | None = None
 
     @property
     def final_rho(self) -> float:
@@ -177,9 +174,9 @@ class ReplayBuffer:
     def is_full(self) -> bool:
         return len(self._items) == self.capacity
 
-    def sample(self, rng: np.random.Generator, k: int) -> list[Trajectory]:
-        picks = rng.integers(0, len(self._items), size=k)
-        return [self._items[int(i)] for i in picks]
+    def sample(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """Positions of k trajectories, drawn uniformly with replacement."""
+        return rng.integers(0, len(self._items), size=k)
 
     def clear(self) -> None:
         self._items.clear()
@@ -197,16 +194,14 @@ class Scorers:
 def collect_trajectory(
     prompt: TokenSequence,
     actor_old: Actor,
-    critic_old: Critic,
     schedule: CurriculumSchedule,
     stage: int,
     reward_cfg: RewardConfig,
     scorers: Scorers,
     seed: int,
-    prompt_id: str | None = None,
     reference: TokenSequence | None = None,
 ) -> Trajectory:
-    """Roll out one episode of the stage's length with the frozen models.
+    """Roll out one episode of the stage's length with the frozen actor.
 
     The greedy reference continuation of the original prompt is reused
     for every step's divergence term. It depends only on the prompt and
@@ -234,15 +229,12 @@ def collect_trajectory(
             scorers.lm,
             reference,
         )
-        value = value_forward(critic_old, state)
         steps.append(
             TrajectoryStep(
                 state=state,
                 action=action,
                 old_log_prob=log_prob,
                 reward=breakdown.total,
-                value=value,
-                advantage=breakdown.total - value,
             )
         )
         bounds.append((c_s, c_l))
@@ -252,7 +244,6 @@ def collect_trajectory(
         final_state=state,
         reference=reference,
         bounds=tuple(bounds),
-        prompt_id=prompt_id,
     )
 
 
@@ -261,22 +252,23 @@ def collect_trajectory(
 
 
 def ppo_objective(
-    batch: Sequence[TrajectoryStep], actor_new: Actor, clip_eps: float
+    batch: Sequence[tuple[TrajectoryStep, float]], actor_new: Actor, clip_eps: float
 ) -> float:
-    """Mean clipped-surrogate value of a step batch under the new actor."""
+    """Mean clipped-surrogate value of (step, advantage) pairs under the
+    new actor."""
     if not batch:
         raise ValueError("empty batch")
     total = 0.0
-    for step in batch:
+    for step, advantage in batch:
         new_lp = action_log_prob(
             actor_new, step.state.current.ids, step.action.labels
         )
-        total += _clipped_term(new_lp, step, clip_eps)[0]
+        total += _clipped_term(new_lp, step, advantage, clip_eps)[0]
     return total / len(batch)
 
 
 def _clipped_term(
-    new_lp: float, step: TrajectoryStep, clip_eps: float
+    new_lp: float, step: TrajectoryStep, adv: float, clip_eps: float
 ) -> tuple[float, bool, float]:
     """One step's min(delta*A, clip(delta)*A); flags whether the
     unclipped branch is active (i.e. gradient flows)."""
@@ -284,7 +276,6 @@ def _clipped_term(
         delta = float(np.exp(new_lp - step.old_log_prob))
     if not math.isfinite(delta):
         raise ValueError("degenerate policy ratio")
-    adv = step.advantage
     unclipped = delta * adv
     clipped = min(max(delta, 1.0 - clip_eps), 1.0 + clip_eps) * adv
     if unclipped <= clipped:
@@ -293,7 +284,7 @@ def _clipped_term(
 
 
 def ppo_objective_and_grads(
-    batch: Sequence[TrajectoryStep], actor_new: Actor, clip_eps: float
+    batch: Sequence[tuple[TrajectoryStep, float]], actor_new: Actor, clip_eps: float
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Objective plus its gradient w.r.t. the new actor's parameters.
 
@@ -307,17 +298,17 @@ def ppo_objective_and_grads(
         raise ValueError("empty batch")
     new_lps, gradient_of = packed_action_log_probs(
         actor_new,
-        [step.state.current.ids for step in batch],
-        [step.action.labels for step in batch],
+        [step.state.current.ids for step, _ in batch],
+        [step.action.labels for step, _ in batch],
     )
     total = 0.0
     n = len(batch)
     coeffs = np.zeros(n)
-    for j, step in enumerate(batch):
-        term, flows, delta = _clipped_term(float(new_lps[j]), step, clip_eps)
+    for j, (step, adv) in enumerate(batch):
+        term, flows, delta = _clipped_term(float(new_lps[j]), step, adv, clip_eps)
         total += term
         if flows:
-            coeffs[j] = delta * step.advantage / n
+            coeffs[j] = delta * adv / n
     return total / n, gradient_of(coeffs)
 
 
@@ -333,30 +324,27 @@ def returns_from(rewards: Sequence[float], t: int, discount: float) -> float:
     return total
 
 
-def td_error(g_t: float, v: float) -> float:
-    return g_t - v
+def leave_one_out_advantages(
+    trajs: Sequence[Trajectory], discount: float
+) -> list[list[float]]:
+    """A[i][t] = G_{i,t} - mean_{j != i} G_{j,t} over M >= 2 trajectories
+    of one length.
 
-
-def critic_loss_and_grads(
-    batch: Sequence[tuple[TrajectoryStep, float]], critic: Critic
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean-square TD error over (step, return) pairs, with gradients.
-
-    One encoder forward and one backward pass cover the whole batch.
+    G is ``returns_from``. The baseline of trajectory i is the mean return
+    of the others at the same step index, so it needs no learned weights
+    and is independent of i's own action. Returns are taken relative to
+    the first trajectory's, which leaves A unchanged in exact arithmetic
+    and makes it exactly 0 when every return at a step index is equal.
     """
-    if not batch:
-        raise ValueError("empty batch")
-    values, gradient_of = packed_values(
-        critic, [step.state.current.ids for step, _ in batch]
+    m = len(trajs)
+    returns = np.array(
+        [
+            [returns_from(traj.rewards, t, discount) for t in range(len(traj.steps))]
+            for traj in trajs
+        ]
     )
-    loss = 0.0
-    n = len(batch)
-    coeffs = np.zeros(n)
-    for j, (_, g_t) in enumerate(batch):
-        err = td_error(g_t, float(values[j]))
-        loss += err * err / n
-        coeffs[j] = -2.0 * err / n  # d/dv of (g - v)^2 is -2 (g - v)
-    return loss, gradient_of(coeffs)
+    d = returns - returns[0]
+    return ((m * d - d.sum(axis=0)) / (m - 1)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +354,6 @@ def critic_loss_and_grads(
 @dataclass(frozen=True)
 class TrainerConfig:
     actor_lr: float = 1e-5
-    critic_lr: float = 1e-6
     clip_eps: float = 0.15
     batch_size: int = 4
     buffer_capacity: int = 16
@@ -380,10 +367,12 @@ class TrainerConfig:
             raise ValueError("batch_size must be >= 1")
         if self.buffer_capacity < self.batch_size:
             raise ValueError("buffer capacity must be >= batch_size")
+        if self.buffer_capacity < 2:
+            raise ValueError("buffer capacity must be >= 2 (leave-one-out baseline)")
         if not 0.0 < self.discount <= 1.0:
             raise ValueError("discount must be in (0, 1]")
-        if self.actor_lr <= 0 or self.critic_lr <= 0:
-            raise ValueError("learning rates must be > 0")
+        if self.actor_lr <= 0:
+            raise ValueError("actor_lr must be > 0")
 
 
 class TrainingLog:
@@ -406,9 +395,7 @@ class TrainState:
     """Everything needed to continue training from a stage boundary."""
 
     actor: Actor
-    critic: Critic
     actor_opt: Adam
-    critic_opt: Adam
     log: TrainingLog
     next_stage: int = 1
 
@@ -417,12 +404,9 @@ def init_train_state(
     trainer_cfg: TrainerConfig, encoder_cfg: EncoderConfig
 ) -> TrainState:
     actor = Actor.build(encoder_cfg, seed_for(trainer_cfg.seed, _TAG_ACTOR))
-    critic = Critic.build(encoder_cfg, seed_for(trainer_cfg.seed, _TAG_CRITIC))
     return TrainState(
         actor=actor,
-        critic=critic,
         actor_opt=Adam(actor.parameters(), lr=trainer_cfg.actor_lr),
-        critic_opt=Adam(critic.parameters(), lr=trainer_cfg.critic_lr),
         log=TrainingLog(),
         next_stage=1,
     )
@@ -454,27 +438,25 @@ def _update_round(
     mean_c_s = _exact_mean([b[0] for b in all_bounds])
     mean_c_l = _exact_mean([b[1] for b in all_bounds])
 
+    # The buffer is empty at every stage boundary, so all M trajectories
+    # share one stage and one t_max.
+    advantages = leave_one_out_advantages(trajs, trainer_cfg.discount)
+
     actor_params = state.actor.parameters()
-    critic_params = state.critic.parameters()
     for iteration in range(trainer_cfg.buffer_capacity):
         rng = np.random.default_rng(
             seed_for(trainer_cfg.seed, _TAG_UPDATE, stage, epoch, round_idx, iteration)
         )
-        picked = buffer.sample(rng, trainer_cfg.batch_size)
-        batch: list[tuple[TrajectoryStep, float]] = []
-        for traj in picked:
-            rewards = traj.rewards
-            for t, step in enumerate(traj.steps):
-                batch.append(
-                    (step, returns_from(rewards, t, trainer_cfg.discount))
-                )
-        steps_only = [s for s, _ in batch]
+        batch = [
+            (step, advantages[i][t])
+            for i in buffer.sample(rng, trainer_cfg.batch_size)
+            for t, step in enumerate(trajs[i].steps)
+        ]
 
         objective, actor_grads = ppo_objective_and_grads(
-            steps_only, state.actor, trainer_cfg.clip_eps
+            batch, state.actor, trainer_cfg.clip_eps
         )
-        critic_loss, critic_grads = critic_loss_and_grads(batch, state.critic)
-        if not (math.isfinite(objective) and math.isfinite(critic_loss)):
+        if not math.isfinite(objective):
             state.log.append(
                 {
                     "event": "diverged",
@@ -483,22 +465,17 @@ def _update_round(
                     "round": round_idx,
                     "iteration": iteration,
                     "objective": objective,
-                    "critic_loss": critic_loss,
                 }
             )
             raise TrainingDiverged(
-                f"non-finite loss at stage {stage} epoch {epoch} "
-                f"round {round_idx} iteration {iteration}: "
-                f"objective={objective} critic_loss={critic_loss}"
+                f"non-finite objective at stage {stage} epoch {epoch} "
+                f"round {round_idx} iteration {iteration}: {objective}"
             )
 
         clip_gradients(actor_grads, GRAD_CLIP_NORM)
         for g in actor_grads.values():  # ascend on the surrogate objective
             np.negative(g, out=g)
         state.actor_opt.step(actor_params, actor_grads)
-
-        clip_gradients(critic_grads, GRAD_CLIP_NORM)
-        state.critic_opt.step(critic_params, critic_grads)
 
         state.log.append(
             {
@@ -507,7 +484,6 @@ def _update_round(
                 "round": round_idx,
                 "iteration": iteration,
                 "objective": objective,
-                "critic_loss": critic_loss,
                 "mean_reward": mean_reward,
                 "mean_rho": mean_rho,
                 "mean_c_s": mean_c_s,
@@ -530,12 +506,12 @@ def hpc_train(
     """Run the staged training loop; returns the final train state.
 
     Per stage and epoch, every corpus prompt yields one trajectory
-    collected with the frozen old actor/critic. Whenever the buffer
-    reaches capacity M, M update iterations run (each on a uniformly
-    sampled batch of trajectories), the buffer is emptied, and the
-    frozen pair is refreshed. Passing a ``state`` from a checkpoint
-    resumes at ``state.next_stage`` and reproduces the uninterrupted
-    run exactly.
+    collected with the frozen old actor. Whenever the buffer reaches
+    capacity M, each step's leave-one-out advantage is computed over the
+    M trajectories, M update iterations run (each on a uniformly sampled
+    batch of trajectories), the buffer is emptied, and the frozen actor
+    is refreshed. Passing a ``state`` from a checkpoint resumes at
+    ``state.next_stage`` and reproduces the uninterrupted run exactly.
 
     A stage's trajectories past its last full buffer would be dropped
     unread at the stage boundary (they were collected under that stage's
@@ -553,7 +529,7 @@ def hpc_train(
         state = init_train_state(trainer_cfg, encoder_cfg)
 
     max_len = state.actor.encoder.cfg.max_len
-    prompts: list[tuple[str, TokenSequence]] = []
+    prompts: list[TokenSequence] = []
     for record in corpus:
         seq = tokenize(record.text, vocab)
         if len(seq) == 0:
@@ -563,11 +539,10 @@ def hpc_train(
                 f"corpus record {record.id!r} has {len(seq)} tokens, more than "
                 f"the encoder max_len {max_len}"
             )
-        prompts.append((record.id, seq))
+        prompts.append(seq)
     references: dict[int, TokenSequence] = {}
 
     actor_old = state.actor.clone()
-    critic_old = state.critic.clone()
     buffer = ReplayBuffer(trainer_cfg.buffer_capacity)
     m = buffer.capacity
 
@@ -576,7 +551,7 @@ def hpc_train(
         n_used = len(prompts) * n_epochs // m * m
         for epoch in range(1, n_epochs + 1):
             round_idx = 0
-            for ep_idx, (prompt_id, prompt) in enumerate(prompts):
+            for ep_idx, prompt in enumerate(prompts):
                 if (epoch - 1) * len(prompts) + ep_idx >= n_used:
                     break
                 if ep_idx not in references:
@@ -586,13 +561,11 @@ def hpc_train(
                 traj = collect_trajectory(
                     prompt,
                     actor_old,
-                    critic_old,
                     schedule,
                     stage,
                     reward_cfg,
                     scorers,
                     seed=seed_for(trainer_cfg.seed, _TAG_EPISODE, stage, epoch, ep_idx),
-                    prompt_id=prompt_id,
                     reference=references[ep_idx],
                 )
                 buffer.add(traj)
@@ -600,7 +573,6 @@ def hpc_train(
                     _update_round(buffer, state, trainer_cfg, stage, epoch, round_idx)
                     buffer.clear()
                     actor_old = state.actor.clone()
-                    critic_old = state.critic.clone()
                     round_idx += 1
             if progress is not None:
                 progress(f"stage {stage} epoch {epoch} done ({round_idx} rounds)")
@@ -618,18 +590,15 @@ def _checkpoint_arrays(state: TrainState) -> dict[str, np.ndarray]:
     """Every array member of a checkpoint, by name, in file order.
 
     Parameters and Adam moments are views into ``state``, so assigning
-    into them restores it; each optimizer's step count is a 0-d copy of
+    into them restores it; the optimizer's step count is a 0-d copy of
     ``t``. This table is the one list of members: ``save_checkpoint``
     writes it and ``load_checkpoint`` requires exactly its names.
     """
-    arrays: dict[str, np.ndarray] = {}
-    for prefix, model in (("actor", state.actor), ("critic", state.critic)):
-        arrays.update({f"{prefix}.{k}": v for k, v in model.parameters().items()})
-    optimizers = (("opt_actor", state.actor_opt), ("opt_critic", state.critic_opt))
-    for prefix, opt in optimizers:
-        arrays[f"{prefix}.t"] = np.array(opt.t, dtype=np.int64)
-        arrays.update({f"{prefix}.m.{k}": v for k, v in opt.m.items()})
-        arrays.update({f"{prefix}.v.{k}": v for k, v in opt.v.items()})
+    arrays = {f"actor.{k}": v for k, v in state.actor.parameters().items()}
+    opt = state.actor_opt
+    arrays["opt_actor.t"] = np.array(opt.t, dtype=np.int64)
+    arrays.update({f"opt_actor.m.{k}": v for k, v in opt.m.items()})
+    arrays.update({f"opt_actor.v.{k}": v for k, v in opt.v.items()})
     return arrays
 
 
@@ -639,13 +608,13 @@ def save_checkpoint(
     """Write everything needed to resume training, or to compress, as one
     npz file.
 
-    Its members are the arrays of ``_checkpoint_arrays`` (actor and
-    critic parameters, then each optimizer's step count and moments),
+    Its members are the arrays of ``_checkpoint_arrays`` (actor
+    parameters, then the actor optimizer's step count and moments),
     which is the one list of what a checkpoint holds, followed by
     ``__meta__``: UTF-8 JSON with the schema version, the encoder
-    config, the vocabulary, both learning rates, the next stage and the
-    training log. The round-trip is bitwise: loading and saving again
-    reproduces identical arrays.
+    config, the vocabulary, the actor learning rate, the next stage and
+    the training log. The round-trip is bitwise: loading and saving
+    again reproduces identical arrays.
     """
     meta = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
@@ -656,7 +625,6 @@ def save_checkpoint(
             "unknown_id": vocab.unknown_id,
         },
         "actor_lr": state.actor_opt.lr,
-        "critic_lr": state.critic_opt.lr,
         "next_stage": state.next_stage,
         "log": state.log.records,
     }
@@ -668,8 +636,51 @@ def save_checkpoint(
         np.savez(fh, **arrays)
 
 
+def _read_meta(raw: np.ndarray) -> dict:
+    """Decode ``__meta__`` and check the version and each field's type.
+
+    Any defect other than the version is reported as a corrupt checkpoint,
+    naming the field, so a damaged file never surfaces as a bare KeyError.
+    """
+    try:
+        meta = json.loads(raw.tobytes().decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ValueError(
+            f"corrupt checkpoint: __meta__ is not UTF-8 JSON: {exc}"
+        ) from exc
+    if not isinstance(meta, dict):
+        raise ValueError("corrupt checkpoint: __meta__ is not a JSON object")
+    version = meta.get("schema_version")
+    if version != CHECKPOINT_SCHEMA_VERSION:
+        raise ValueError(f"unsupported checkpoint schema_version: {version!r}")
+    cfg, vocab, lr, stage, log = (
+        meta.get(k) for k in ("encoder_cfg", "vocab", "actor_lr", "next_stage", "log")
+    )
+    # type(...) is int, unlike isinstance, rejects JSON true and false.
+    cfg_names = {f.name for f in dataclasses.fields(EncoderConfig)}
+    well_typed = {
+        "encoder_cfg": type(cfg) is dict
+        and set(cfg) == cfg_names
+        and all(type(v) is int for v in cfg.values()),
+        "vocab": type(vocab) is dict
+        and type(vocab.get("surfaces")) is list
+        and all(type(w) is str for w in vocab["surfaces"])
+        and type(vocab.get("unknown_id")) is int,
+        "actor_lr": type(lr) in (int, float) and 0 < lr < math.inf,
+        "next_stage": type(stage) is int and stage >= 1,
+        "log": type(log) is list and all(type(r) is dict for r in log),
+    }
+    for name, ok in well_typed.items():
+        if not ok:
+            raise ValueError(
+                f"corrupt checkpoint: __meta__ field {name} is missing or ill-typed"
+            )
+    return meta
+
+
 def load_checkpoint(path: str | Path) -> tuple[TrainState, Vocabulary]:
-    """Load a checkpoint; validates version, the member set, and shapes."""
+    """Load a checkpoint; validates version, metadata, the member set,
+    and shapes."""
     try:
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files}
@@ -677,24 +688,21 @@ def load_checkpoint(path: str | Path) -> tuple[TrainState, Vocabulary]:
         raise ValueError(f"corrupt checkpoint: {exc}") from exc
     if "__meta__" not in arrays:
         raise ValueError("corrupt checkpoint: missing field __meta__")
-    meta = json.loads(arrays.pop("__meta__").tobytes().decode("utf-8"))
-    version = meta.get("schema_version")
-    if version != CHECKPOINT_SCHEMA_VERSION:
-        raise ValueError(f"unsupported checkpoint schema_version: {version!r}")
-    encoder_cfg = EncoderConfig(**meta["encoder_cfg"])
-    vocab = Vocabulary(
-        surfaces=tuple(meta["vocab"]["surfaces"]),
-        unknown_id=int(meta["vocab"]["unknown_id"]),
-    )
+    meta = _read_meta(arrays.pop("__meta__"))
+    try:
+        encoder_cfg = EncoderConfig(**meta["encoder_cfg"])
+        vocab = Vocabulary(
+            surfaces=tuple(meta["vocab"]["surfaces"]),
+            unknown_id=meta["vocab"]["unknown_id"],
+        )
+    except ValueError as exc:
+        raise ValueError(f"corrupt checkpoint: {exc}") from exc
     actor = Actor.build(encoder_cfg, seed=0)
-    critic = Critic.build(encoder_cfg, seed=0)
     state = TrainState(
         actor=actor,
-        critic=critic,
         actor_opt=Adam(actor.parameters(), lr=float(meta["actor_lr"])),
-        critic_opt=Adam(critic.parameters(), lr=float(meta["critic_lr"])),
         log=TrainingLog(meta["log"]),
-        next_stage=int(meta["next_stage"]),
+        next_stage=meta["next_stage"],
     )
     table = _checkpoint_arrays(state)
     if set(table) != set(arrays):
@@ -708,5 +716,4 @@ def load_checkpoint(path: str | Path) -> tuple[TrainState, Vocabulary]:
             )
         target[...] = arrays[name]
     state.actor_opt.t = int(table["opt_actor.t"])
-    state.critic_opt.t = int(table["opt_critic.t"])
     return state, vocab

@@ -49,6 +49,18 @@ def rewrite_checkpoint(path, edit):
         np.savez(fh, **arrays)
 
 
+def edit_meta(change):
+    """A ``rewrite_checkpoint`` edit that applies ``change`` to the decoded
+    ``__meta__`` dict."""
+
+    def edit(arrays):
+        meta = json.loads(arrays["__meta__"].tobytes().decode())
+        change(meta)
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+
+    return edit
+
+
 def bump_schema_version(arrays):
     """A ``rewrite_checkpoint`` edit: the next, unsupported schema version."""
     meta = json.loads(arrays["__meta__"].tobytes().decode())

@@ -1,9 +1,9 @@
 """Central finite-difference gradient checking shared by test modules, and
-the single-sequence gradients the checks compare against."""
+the single-sequence gradient the checks compare against."""
 
 import numpy as np
 
-from promptpress.policy import packed_action_log_probs, packed_values
+from promptpress.policy import packed_action_log_probs
 
 # Relative error with a small absolute floor: below the floor both the
 # analytic and numeric values are dominated by round-off noise.
@@ -48,8 +48,3 @@ def packed_log_prob_and_grad(actor, ids, labels):
     log_probs, gradient_of = packed_action_log_probs(actor, [ids], [labels])
     return float(log_probs[0]), gradient_of(np.ones(1))
 
-
-def packed_value_and_grad(critic, ids):
-    """Value of one sequence and its gradient, as a pack of one."""
-    values, gradient_of = packed_values(critic, [ids])
-    return float(values[0]), gradient_of(np.ones(1))

@@ -1,9 +1,12 @@
-"""CLI tests: compress reads what train writes, and eval scores every
-method against one vocabulary/LM pairing."""
+"""CLI tests: compress reads what train writes, eval scores every method
+against one vocabulary/LM pairing, and bad training config is a usage
+error."""
 
 import json
 
-from conftest import bump_schema_version, rewrite_checkpoint
+import pytest
+
+from conftest import bump_schema_version, edit_meta, rewrite_checkpoint
 from promptpress.cli import main
 from promptpress.text import PromptRecord, make_synthetic_corpus, save_corpus
 
@@ -104,3 +107,54 @@ class TestCompressRoundTrip:
         assert "schema_version" in capsys.readouterr().err
         assert not out.exists()
         assert not out.with_name(out.name + ".partial").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(
+                edit_meta(lambda meta: meta.update(schema_version=1)),
+                "unsupported checkpoint schema_version: 1",
+                id="schema-v1",
+            ),
+            pytest.param(
+                edit_meta(lambda meta: meta.pop("vocab")),
+                "corrupt checkpoint: __meta__ field vocab is missing or ill-typed",
+                id="no-vocab",
+            ),
+        ],
+    )
+    def test_bad_metadata_fails_without_output(self, tmp_path, capsys, edit, message):
+        ckpt = _checkpoint_on_larger_corpus(tmp_path)
+        rewrite_checkpoint(ckpt, edit)
+        code, out = self._compress(ckpt, tmp_path)
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_name(out.name + ".partial").exists()
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            pytest.param(["trainer.buffer_m=1"], "invalid training config",
+                         id="buffer-below-batch"),
+            pytest.param(["trainer.batch_size=1", "trainer.buffer_m=1"],
+                         "leave-one-out", id="buffer-of-one"),
+            pytest.param(["vocab.max_size=1"], "max_size must be >= 2",
+                         id="vocab-max-size"),
+            pytest.param(["trainer.critic_lr=1e-6"],
+                         "unknown config key: trainer.critic_lr", id="critic_lr"),
+        ],
+    )
+    def test_bad_value_is_usage_error_before_any_output(
+        self, tmp_path, capsys, sets, message
+    ):
+        corpus = tmp_path / "train.jsonl"
+        _small_corpus(corpus)
+        argv = ["train", "--corpus", str(corpus), "--out", str(tmp_path / "p.ckpt")]
+        for pair in sets:
+            argv += ["--set", pair]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [corpus]  # no manifest, no checkpoint

@@ -1,26 +1,18 @@
-"""Actor/critic tests: forward math, sampling, greedy selection and gradients."""
+"""Actor tests: forward math, sampling, greedy selection and gradients."""
 
 import numpy as np
 import pytest
 
-from gradcheck import (
-    REL_TOL,
-    max_relative_error,
-    packed_log_prob_and_grad,
-    packed_value_and_grad,
-)
+from gradcheck import REL_TOL, max_relative_error, packed_log_prob_and_grad
 from promptpress.encoder import LN_EPS, EncoderConfig, TinyTransformerEncoder
 from promptpress.env import reset
-from promptpress.optim import Adam
 from promptpress.policy import (
     Actor,
-    Critic,
     PolicyOutput,
     action_log_prob,
     greedy_actions,
     policy_forward,
     sample_actions,
-    value_forward,
 )
 from promptpress.text import TokenSequence
 
@@ -161,41 +153,6 @@ class TestGreedyActions:
             assert action.labels == expected
 
 
-class TestValueForward:
-    def test_zero_head_gives_zero(self):
-        critic = Critic.build(TINY, seed=6)
-        assert value_forward(critic, reset(TokenSequence((1, 2)))) == 0.0
-
-    def test_determinism(self):
-        critic = Critic.build(TINY, seed=6)
-        rng = np.random.default_rng(1)
-        critic.vh_w1[...] = rng.normal(0, 0.5, critic.vh_w1.shape)
-        critic.vh_w2[...] = rng.normal(0, 0.5, critic.vh_w2.shape)
-        state = reset(TokenSequence((3, 1, 4)))
-        assert value_forward(critic, state) == value_forward(critic, state)
-
-    def test_hand_computed_pooling_affine(self):
-        critic = Critic.build(TINY, seed=7)
-        for i in range(TINY.n_layers):
-            for name in ("wv", "wo", "w2"):
-                critic.encoder.params[f"l{i}.{name}"][...] = 0.0
-        rng = np.random.default_rng(8)
-        critic.vh_w1[...] = rng.normal(0, 0.5, critic.vh_w1.shape)
-        critic.vh_b1[...] = rng.normal(0, 0.1, critic.vh_b1.shape)
-        critic.vh_w2[...] = rng.normal(0, 0.5, critic.vh_w2.shape)
-        critic.vh_b2[...] = 0.3
-        ids = (5, 9)
-        p = critic.encoder.params
-        x = p["tok_emb"][list(ids)] + p["pos_emb"][:2]
-        mu = x.mean(axis=1, keepdims=True)
-        var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
-        h = p["lnf_g"] * (x - mu) / np.sqrt(var + LN_EPS) + p["lnf_b"]
-        hbar = h.mean(axis=0)
-        expected = (hbar @ critic.vh_w1 + critic.vh_b1) @ critic.vh_w2 + 0.3
-        got = value_forward(critic, reset(TokenSequence(ids)))
-        assert got == pytest.approx(float(expected), rel=1e-12)
-
-
 class TestGradients:
     def _randomized_actor(self):
         actor = Actor.build(TINY, seed=3)
@@ -212,34 +169,6 @@ class TestGradients:
             actor.parameters(), grads, lambda: action_log_prob(actor, ids, labels)
         )
         assert worst < REL_TOL, f"worst gradient error {worst:.2e} at {where}"
-
-    def test_critic_value_gradient(self):
-        critic = Critic.build(TINY, seed=5)
-        rng = np.random.default_rng(2)
-        critic.vh_w1[...] = rng.normal(0, 0.3, critic.vh_w1.shape)
-        critic.vh_b1[...] = rng.normal(0, 0.1, critic.vh_b1.shape)
-        critic.vh_w2[...] = rng.normal(0, 0.3, critic.vh_w2.shape)
-        critic.vh_b2[...] = 0.1
-        ids = (1, 6, 3)
-        state = reset(TokenSequence(ids))
-        _, grads = packed_value_and_grad(critic, ids)
-        worst, where = max_relative_error(
-            critic.parameters(), grads, lambda: value_forward(critic, state)
-        )
-        assert worst < REL_TOL, f"worst gradient error {worst:.2e} at {where}"
-
-    def test_fresh_critic_gradient_reaches_every_layer(self):
-        # An all-zero value head leaves every gradient but vh_b2's at 0.
-        critic = Critic.build(TINY, seed=5)
-        ids = (1, 6, 3)
-        _, grads = packed_value_and_grad(critic, ids)
-        assert np.any(grads["vh_w2"] != 0)
-        params = critic.parameters()
-        Adam(params, lr=1e-2).step(params, grads)
-        _, grads = packed_value_and_grad(critic, ids)
-        assert np.any(grads["vh_w1"] != 0)
-        assert np.any(grads["vh_b1"] != 0)
-        assert any(np.any(g != 0) for k, g in grads.items() if k.startswith("enc."))
 
     def test_floored_tokens_get_zero_gradient(self):
         actor = self._randomized_actor()

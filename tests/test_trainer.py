@@ -1,29 +1,19 @@
-"""Trainer tests: curriculum schedule, PPO objective, returns, buffer,
-trajectory collection, the full loop, and checkpoint/resume."""
+"""Trainer tests: curriculum schedule, PPO objective, returns and their
+leave-one-out advantages, buffer, trajectory collection, the full loop,
+and checkpoint/resume."""
 
 import math
 
 import numpy as np
 import pytest
 
-from conftest import bump_schema_version, rewrite_checkpoint, tiny_world
-from gradcheck import (
-    REL_TOL,
-    max_relative_error,
-    packed_log_prob_and_grad,
-    packed_value_and_grad,
-)
+from conftest import bump_schema_version, edit_meta, rewrite_checkpoint, tiny_world
+from gradcheck import REL_TOL, max_relative_error, packed_log_prob_and_grad
 from promptpress import trainer
 from promptpress.encoder import EncoderConfig
 from promptpress.env import ActionVector, reset
-from promptpress.optim import Adam, clip_gradients, global_norm
-from promptpress.policy import (
-    Actor,
-    Critic,
-    action_log_prob,
-    policy_forward,
-    value_forward,
-)
+from promptpress.optim import global_norm
+from promptpress.policy import Actor, action_log_prob, policy_forward
 from promptpress.reward import RewardConfig
 from promptpress.text import PromptRecord, TokenSequence, tokenize
 from promptpress.trainer import (
@@ -32,17 +22,16 @@ from promptpress.trainer import (
     TrainerConfig,
     TrajectoryStep,
     collect_trajectory,
-    critic_loss_and_grads,
     curriculum_bounds,
     hpc_train,
     init_train_state,
+    leave_one_out_advantages,
     load_checkpoint,
     ppo_objective,
     ppo_objective_and_grads,
     returns_from,
     save_checkpoint,
     seed_for,
-    td_error,
 )
 
 # Hand-evaluated schedule grid for psi = 0.1, stages (T_max): 1..2 -> 2, 3 -> 1.
@@ -116,16 +105,16 @@ class TestCurriculumBounds:
 
 
 def _synthetic_step(actor, ids, labels, delta, advantage):
-    """A step whose policy ratio under ``actor`` is exactly ``delta``."""
+    """A (step, advantage) pair whose policy ratio under ``actor`` is
+    exactly ``delta``."""
     new_lp = action_log_prob(actor, ids, labels)
-    return TrajectoryStep(
+    step = TrajectoryStep(
         state=reset(TokenSequence(ids)),
         action=ActionVector(labels),
         old_log_prob=new_lp - math.log(delta),
         reward=advantage,
-        value=0.0,
-        advantage=advantage,
     )
+    return step, advantage
 
 
 class TestPpoObjective:
@@ -170,11 +159,9 @@ class TestPpoObjective:
             action=ActionVector((1, 1)),
             old_log_prob=-1e6,
             reward=0.0,
-            value=0.0,
-            advantage=1.0,
         )
         with pytest.raises(ValueError, match="degenerate policy ratio"):
-            ppo_objective([step], actor, 0.15)
+            ppo_objective([(step, 1.0)], actor, 0.15)
 
     def test_empty_batch_errors(self):
         with pytest.raises(ValueError):
@@ -212,9 +199,9 @@ def _relative_gap(got, expected):
 
 
 class TestPackedObjectives:
-    """Both batch objectives run one encoder pass over the packed batch.
+    """The batch objective runs one encoder pass over the packed batch.
 
-    The references below are the per-step loops: one single-sequence
+    The reference below is the per-step loop: one single-sequence
     gradient per step, scaled by its coefficient and summed.
     """
 
@@ -225,10 +212,7 @@ class TestPackedObjectives:
         rng = np.random.default_rng(17)
         actor = Actor.build(cfg, seed=5)
         actor.head_w[...] = rng.normal(0, 0.4, actor.head_w.shape)
-        critic = Critic.build(cfg, seed=6)
-        critic.vh_w2[...] = rng.normal(0, 0.5, critic.vh_w2.shape)
-        critic.vh_b2[...] = 0.2
-        return cfg, actor, critic
+        return cfg, actor
 
     def _batch(self, cfg, actor):
         """Mixed lengths, including 1 and max_len; two of the four clip."""
@@ -244,45 +228,30 @@ class TestPackedObjectives:
         return batch
 
     def test_ppo_matches_per_step_sum(self):
-        cfg, actor, _ = self._models()
+        cfg, actor = self._models()
         batch = self._batch(cfg, actor)
         eps, n = 0.15, len(batch)
         expected = {k: np.zeros_like(v) for k, v in actor.parameters().items()}
         total, flowing = 0.0, 0
-        for step in batch:
+        for step, advantage in batch:
             lp, grads = packed_log_prob_and_grad(
                 actor, step.state.current.ids, step.action.labels
             )
             delta = math.exp(lp - step.old_log_prob)
-            unclipped = delta * step.advantage
-            clipped = min(max(delta, 1 - eps), 1 + eps) * step.advantage
+            unclipped = delta * advantage
+            clipped = min(max(delta, 1 - eps), 1 + eps) * advantage
             total += min(unclipped, clipped)
             if unclipped <= clipped:
                 flowing += 1
                 for k, g in grads.items():
-                    expected[k] += delta * step.advantage / n * g
+                    expected[k] += delta * advantage / n * g
         assert flowing == 2
         objective, got = ppo_objective_and_grads(batch, actor, eps)
         assert objective == pytest.approx(total / n, rel=1e-12)
         assert _relative_gap(got, expected) <= 1e-12
 
-    def test_critic_matches_per_step_sum(self):
-        cfg, actor, critic = self._models()
-        batch = list(zip(self._batch(cfg, actor), (3.0, -1.0, 0.5, 2.0)))
-        n = len(batch)
-        expected = {k: np.zeros_like(v) for k, v in critic.parameters().items()}
-        loss = 0.0
-        for step, g_t in batch:
-            v, grads = packed_value_and_grad(critic, step.state.current.ids)
-            loss += (g_t - v) ** 2 / n
-            for k, g in grads.items():
-                expected[k] += -2.0 * (g_t - v) / n * g
-        got_loss, got = critic_loss_and_grads(batch, critic)
-        assert got_loss == pytest.approx(loss, rel=1e-12)
-        assert _relative_gap(got, expected) <= 1e-12
-
     def test_ppo_finite_difference(self):
-        cfg, actor, _ = self._models()
+        cfg, actor = self._models()
         batch = self._batch(cfg, actor)
         _, grads = ppo_objective_and_grads(batch, actor, 0.15)
         worst, where = max_relative_error(
@@ -290,21 +259,8 @@ class TestPackedObjectives:
         )
         assert worst < REL_TOL, f"worst {worst:.2e} at {where}"
 
-    def test_critic_finite_difference(self):
-        cfg, actor, critic = self._models()
-        batch = list(zip(self._batch(cfg, actor), (3.0, -1.0, 0.5, 2.0)))
-        _, grads = critic_loss_and_grads(batch, critic)
 
-        def loss():
-            return float(np.mean(
-                [(g - value_forward(critic, step.state)) ** 2 for step, g in batch]
-            ))
-
-        worst, where = max_relative_error(critic.parameters(), grads, loss)
-        assert worst < REL_TOL, f"worst {worst:.2e} at {where}"
-
-
-class TestReturnsAndTd:
+class TestReturns:
     def test_hand_sums(self):
         assert returns_from([1.0, 2.0], 0, 1.0) == pytest.approx(3.0)
         assert returns_from([1.0, 2.0], 1, 1.0) == pytest.approx(2.0)
@@ -316,40 +272,109 @@ class TestReturnsAndTd:
         with pytest.raises(ValueError):
             returns_from([1.0], -1, 1.0)
 
-    def test_td_error(self):
-        assert td_error(3.0, 1.0) == 2.0
-        assert td_error(2.0, 2.0) == 0.0
 
-    def test_batch_mse_hand_value(self):
-        _, _, _, encoder_cfg = tiny_world()
-        critic = Critic.build(encoder_cfg, seed=2)  # zero value head -> v = 0
-        targets = [1.0, -2.0, 0.5, 3.0]
-        batch = [
-            (
-                TrajectoryStep(
-                    state=reset(TokenSequence((1, 2))),
-                    action=ActionVector((1, 1)),
-                    old_log_prob=0.0,
-                    reward=g,
-                    value=0.0,
-                    advantage=g,
-                ),
-                g,
-            )
-            for g in targets
+def _trajectory_with_rewards(rewards):
+    """A trajectory whose steps carry ``rewards``; nothing else is read."""
+    state = reset(TokenSequence((1, 2)))
+    steps = tuple(
+        TrajectoryStep(state, ActionVector((1, 1)), old_log_prob=0.0, reward=r)
+        for r in rewards
+    )
+    return trainer.Trajectory(
+        steps=steps, final_state=state, reference=TokenSequence((1,)),
+        bounds=((0.5, 0.9),) * len(rewards),
+    )
+
+
+class TestLeaveOneOut:
+    """A[i][t] = G_{i,t} - mean_{j != i} G_{j,t} over the update buffer."""
+
+    def test_hand_values(self):
+        # Returns G (discount 1): [3, 2], [1, 1], [2, -2].
+        rewards = ([1.0, 2.0], [0.0, 1.0], [4.0, -2.0])
+        trajs = [_trajectory_with_rewards(r) for r in rewards]
+        advantages = leave_one_out_advantages(trajs, 1.0)
+        # t = 0: 3 - (1 + 2) / 2, 1 - (3 + 2) / 2, 2 - (3 + 1) / 2
+        # t = 1: 2 - (1 - 2) / 2, 1 - (2 - 2) / 2, -2 - (2 + 1) / 2
+        expected = [[1.5, 2.5], [-1.5, 1.0], [0.0, -3.5]]
+        assert np.allclose(advantages, expected, rtol=0, atol=1e-12)
+
+    def test_sums_to_zero_at_each_step_index(self):
+        rng = np.random.default_rng(3)
+        trajs = [
+            _trajectory_with_rewards(rng.normal(-150, 60, size=2)) for _ in range(16)
         ]
-        loss, _ = critic_loss_and_grads(batch, critic)
-        assert loss == pytest.approx(np.mean(np.square(targets)))
+        advantages = np.asarray(leave_one_out_advantages(trajs, 0.9))
+        assert advantages.shape == (16, 2)
+        assert np.abs(advantages.sum(axis=0)).max() <= 1e-10
+        assert np.abs(advantages).max() > 1.0
+
+    def test_identical_returns_leave_the_actor_unmoved(self):
+        corpus, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup()
+        traj = collect_trajectory(
+            tokenize(corpus[1].text, vocab), Actor.build(encoder_cfg, seed=3),
+            CurriculumSchedule(), 1, RewardConfig(), scorers, seed=5,
+        )
+        buffer = ReplayBuffer(trainer_cfg.buffer_capacity)
+        while not buffer.is_full():
+            buffer.add(traj)
+        assert leave_one_out_advantages(buffer.items, 1.0) == [[0.0, 0.0]] * 4
+        state = init_train_state(trainer_cfg, encoder_cfg)
+        before = {k: v.copy() for k, v in state.actor.parameters().items()}
+        trainer._update_round(buffer, state, trainer_cfg, 1, 1, 0)
+        after = state.actor.parameters()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
+        assert [r["objective"] for r in state.log.records] == [0.0] * 4
+        # Exact for any M: with M = 6 the uncentred (M G_i - sum_j G_j) / (M - 1)
+        # leaves about 5e-14 here.
+        six = [_trajectory_with_rewards([-187.3, 0.1])] * 6
+        assert leave_one_out_advantages(six, 1.0) == [[0.0, 0.0]] * 6
+
+    def test_each_step_is_scored_with_its_own_advantage(self, monkeypatch):
+        corpus, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup()
+        state = init_train_state(trainer_cfg, encoder_cfg)
+        buffer = ReplayBuffer(trainer_cfg.buffer_capacity)
+        for i in range(buffer.capacity):
+            buffer.add(collect_trajectory(
+                tokenize(corpus[i].text, vocab), state.actor, CurriculumSchedule(), 1,
+                RewardConfig(), scorers, seed=i,
+            ))
+        advantages = leave_one_out_advantages(buffer.items, trainer_cfg.discount)
+        assert len({a for row in advantages for a in row}) == 2 * buffer.capacity
+        batches = []
+        objective_and_grads = trainer.ppo_objective_and_grads
+
+        def record(batch, *args):
+            batches.append(batch)
+            return objective_and_grads(batch, *args)
+
+        monkeypatch.setattr(trainer, "ppo_objective_and_grads", record)
+        trainer._update_round(buffer, state, trainer_cfg, 1, 1, 0)
+        expected = []
+        for iteration in range(buffer.capacity):
+            rng = np.random.default_rng(
+                seed_for(trainer_cfg.seed, trainer._TAG_UPDATE, 1, 1, 0, iteration)
+            )
+            picks = rng.integers(0, buffer.capacity, size=trainer_cfg.batch_size)
+            expected.append([
+                (step, advantages[i][t])
+                for i in picks
+                for t, step in enumerate(buffer.items[i].steps)
+            ])
+        assert batches == expected
+
+    def test_buffer_of_one_errors(self):
+        with pytest.raises(ValueError, match="leave-one-out"):
+            TrainerConfig(batch_size=1, buffer_capacity=1)
 
 
 class TestReplayBuffer:
     def _traj(self):
         corpus, vocab, scorers, encoder_cfg = tiny_world()
         actor = Actor.build(encoder_cfg, seed=1)
-        critic = Critic.build(encoder_cfg, seed=2)
         prompt = tokenize(corpus[0].text, vocab)
         return collect_trajectory(
-            prompt, actor, critic, CurriculumSchedule(), 1,
+            prompt, actor, CurriculumSchedule(), 1,
             RewardConfig(), scorers, seed=3,
         )
 
@@ -381,12 +406,11 @@ class TestCollectTrajectory:
     def setup_method(self):
         self.corpus, self.vocab, self.scorers, self.encoder_cfg = tiny_world()
         self.actor = Actor.build(self.encoder_cfg, seed=11)
-        self.critic = Critic.build(self.encoder_cfg, seed=12)
         self.prompt = tokenize(self.corpus[1].text, self.vocab)
 
     def test_stage3_has_one_step(self):
         traj = collect_trajectory(
-            self.prompt, self.actor, self.critic, CurriculumSchedule(), 3,
+            self.prompt, self.actor, CurriculumSchedule(), 3,
             RewardConfig(), self.scorers, seed=9,
         )
         assert len(traj.steps) == 1
@@ -394,7 +418,7 @@ class TestCollectTrajectory:
 
     def test_fixed_seed_repeats_bitwise(self):
         kwargs = dict(
-            prompt=self.prompt, actor_old=self.actor, critic_old=self.critic,
+            prompt=self.prompt, actor_old=self.actor,
             schedule=CurriculumSchedule(), stage=1, reward_cfg=RewardConfig(),
             scorers=self.scorers, seed=4,
         )
@@ -411,7 +435,7 @@ class TestCollectTrajectory:
         reward_cfg = RewardConfig()
         stage, seed = 1, 21
         traj = collect_trajectory(
-            self.prompt, self.actor, self.critic, schedule, stage,
+            self.prompt, self.actor, schedule, stage,
             reward_cfg, self.scorers, seed=seed,
         )
         reference = generate_reference(self.scorers.lm, self.prompt, self.scorers.n_gen)
@@ -430,64 +454,15 @@ class TestCollectTrajectory:
                 self.scorers.retention, self.scorers.lm, reference,
             ).total
             assert step.reward == expected_reward
-            assert step.value == value_forward(self.critic, state)
-            assert step.advantage == step.reward - step.value
             state = nxt
         assert traj.final_state == state
         assert traj.final_rho == compression_rate(state)
 
 
-class TestCriticConvergence:
-    def test_frozen_batch_td_updates_converge(self):
-        """TD updates on a frozen batch fit the critic to its return targets.
-
-        Thresholds are relative to var(targets), the least MSE a constant
-        predictor reaches (the best a critic whose only live parameter is
-        vh_b2 can do). An absolute bound does not fit here: the band
-        penalties put these returns near -190..-390, so the gradient norm
-        stays far above the clip norm, every Adam step is clipped to unit
-        norm, and the attainable precision is set by the learning rate,
-        not by the fit. The loss must reach 1e-2 * var and stay below
-        0.1 * var over the last 100 steps.
-        """
-        corpus, vocab, scorers, encoder_cfg = tiny_world(n_prompts=5)
-        actor = Actor.build(encoder_cfg, seed=31)
-        critic = Critic.build(encoder_cfg, seed=32)
-        batch = []
-        for i, record in enumerate(corpus[:4]):
-            traj = collect_trajectory(
-                tokenize(record.text, vocab), actor, critic,
-                CurriculumSchedule(), 1, RewardConfig(), scorers, seed=100 + i,
-            )
-            for t, step in enumerate(traj.steps):
-                batch.append((step, returns_from(traj.rewards, t, 1.0)))
-        batch = batch[:8]
-        assert len(batch) == 8
-
-        opt = Adam(critic.parameters(), lr=0.05)
-        params = critic.parameters()
-        losses = []
-        for _ in range(500):
-            loss, grads = critic_loss_and_grads(batch, critic)
-            losses.append(loss)
-            clip_gradients(grads, 1.0)
-            opt.step(params, grads)
-        var = float(np.var([g for _, g in batch]))
-        rel = np.asarray(losses) / var
-        assert rel.min() < 1e-2, (
-            f"min loss {rel.min():.2e} * var(targets) never went below 1e-2 * var; "
-            f"a constant predictor reaches 1 * var"
-        )
-        assert rel[-100:].max() < 0.1, (
-            f"loss rose to {rel[-100:].max():.2e} * var(targets) in the last 100 "
-            f"steps; it must stay below 0.1 * var"
-        )
-
-
 def _small_training_setup(n_prompts=8, n_gen=2):
     corpus, vocab, scorers, encoder_cfg = tiny_world(n_prompts=n_prompts, n_gen=n_gen)
     trainer_cfg = TrainerConfig(
-        actor_lr=1e-3, critic_lr=1e-2, clip_eps=0.15,
+        actor_lr=1e-3, clip_eps=0.15,
         batch_size=2, buffer_capacity=4, discount=1.0, seed=77,
     )
     return corpus, vocab, scorers, encoder_cfg, trainer_cfg
@@ -592,9 +567,8 @@ class TestCollectionPlan:
         )
         assert calls == [] and state.log.records == [] and state.next_stage == 3
         initial = init_train_state(trainer_cfg, encoder_cfg)
-        for got, want in ((state.actor, initial.actor), (state.critic, initial.critic)):
-            pg, pw = got.parameters(), want.parameters()
-            assert all(np.array_equal(pg[k], pw[k]) for k in pw)
+        pg, pw = state.actor.parameters(), initial.actor.parameters()
+        assert all(np.array_equal(pg[k], pw[k]) for k in pw)
 
     def test_collects_full_buffers_and_each_reference_once(self, monkeypatch):
         corpus, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
@@ -610,7 +584,7 @@ class TestCollectionPlan:
             encoder_cfg=encoder_cfg,
         )
         # M = 4: stage 1 runs floor(5 / 4) * 4 = 4 episodes, stage 2 runs 8.
-        assert [args[4] for args in episodes] == [1] * 4 + [2] * 8
+        assert [args[3] for args in episodes] == [1] * 4 + [2] * 8
         assert len(references) == 5
 
     def test_overlong_prompt_fails_before_collection(self):
@@ -648,9 +622,6 @@ class TestCheckpoint:
         a = policy_forward(state.actor, reset(prompt))
         b = policy_forward(loaded.actor, reset(prompt))
         assert np.array_equal(a.keep_probs, b.keep_probs)
-        assert value_forward(loaded.critic, reset(prompt)) == value_forward(
-            state.critic, reset(prompt)
-        )
         assert loaded.actor_opt.t == state.actor_opt.t
 
     def test_truncated_checkpoint_errors(self, tmp_path):
@@ -672,19 +643,16 @@ class TestCheckpoint:
         return path
 
     def test_member_order(self, tmp_path):
-        # Parameters, then each optimizer's t, m and v, then the metadata:
-        # the order checkpoints have always been written in.
+        # Actor parameters, then the optimizer's t, m and v, then the
+        # metadata.
         path = self._fresh_checkpoint(tmp_path)
         state, _ = load_checkpoint(path)
         with np.load(path) as data:
             names = list(data.files)
         expected = [f"actor.{k}" for k in state.actor.parameters()]
-        expected += [f"critic.{k}" for k in state.critic.parameters()]
-        optimizers = (("opt_actor", state.actor_opt), ("opt_critic", state.critic_opt))
-        for prefix, opt in optimizers:
-            expected.append(f"{prefix}.t")
-            expected += [f"{prefix}.m.{k}" for k in opt.m]
-            expected += [f"{prefix}.v.{k}" for k in opt.v]
+        expected.append("opt_actor.t")
+        expected += [f"opt_actor.m.{k}" for k in state.actor_opt.m]
+        expected += [f"opt_actor.v.{k}" for k in state.actor_opt.v]
         assert names == expected + ["__meta__"]
 
     def test_version_mismatch_errors(self, tmp_path):
@@ -693,7 +661,7 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="schema_version"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("member", ["actor.head_w", "opt_critic.v.vh_w1"])
+    @pytest.mark.parametrize("member", ["actor.head_w", "opt_actor.v.head_w"])
     def test_wrong_shape_errors(self, tmp_path, member):
         path = self._fresh_checkpoint(tmp_path)
 
@@ -706,7 +674,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "member", ["critic.vh_b2", "opt_actor.t", "opt_actor.m.head_b"]
+        "member", ["actor.head_b", "opt_actor.t", "opt_actor.m.head_b"]
     )
     def test_missing_member_errors(self, tmp_path, member):
         path = self._fresh_checkpoint(tmp_path)
@@ -718,6 +686,63 @@ class TestCheckpoint:
         path = self._fresh_checkpoint(tmp_path)
         rewrite_checkpoint(path, lambda arrays: arrays.update({"actor.stray": np.zeros(2)}))
         with pytest.raises(ValueError, match="field set mismatch"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            pytest.param(lambda raw: b"\xff" + raw, id="not-utf8"),
+            pytest.param(lambda raw: raw[:-20], id="truncated-json"),
+        ],
+    )
+    def test_undecodable_meta_errors(self, tmp_path, cut):
+        path = self._fresh_checkpoint(tmp_path)
+
+        def edit(arrays):
+            raw = cut(arrays["__meta__"].tobytes())
+            arrays["__meta__"] = np.frombuffer(raw, dtype=np.uint8)
+
+        rewrite_checkpoint(path, edit)
+        match = "corrupt checkpoint: __meta__ is not UTF-8 JSON"
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("vocab", lambda m: m.pop("vocab")),
+            ("vocab", lambda m: m["vocab"].update(surfaces="w0 w1")),
+            ("vocab", lambda m: m["vocab"].update(unknown_id="0")),
+            ("encoder_cfg", lambda m: m.pop("encoder_cfg")),
+            ("encoder_cfg", lambda m: m["encoder_cfg"].update(d_model=8.0)),
+            ("encoder_cfg", lambda m: m["encoder_cfg"].pop("max_len")),
+            ("actor_lr", lambda m: m.pop("actor_lr")),
+            ("actor_lr", lambda m: m.update(actor_lr="0.001")),
+            ("actor_lr", lambda m: m.update(actor_lr=float("inf"))),
+            ("next_stage", lambda m: m.pop("next_stage")),
+            ("next_stage", lambda m: m.update(next_stage=True)),
+            ("log", lambda m: m.pop("log")),
+            ("log", lambda m: m.update(log="[]")),
+        ],
+    )
+    def test_missing_or_ill_typed_meta_field_errors(self, tmp_path, field, change):
+        path = self._fresh_checkpoint(tmp_path)
+        rewrite_checkpoint(path, edit_meta(change))
+        match = f"corrupt checkpoint: __meta__ field {field} is missing or ill-typed"
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda m: m["vocab"].update(unknown_id=10**6), "unknown_id out of range"),
+            (lambda m: m["encoder_cfg"].update(n_heads=3), "divisible by n_heads"),
+        ],
+    )
+    def test_invalid_meta_value_errors(self, tmp_path, change, message):
+        path = self._fresh_checkpoint(tmp_path)
+        rewrite_checkpoint(path, edit_meta(change))
+        with pytest.raises(ValueError, match=f"corrupt checkpoint: .*{message}"):
             load_checkpoint(path)
 
     def test_resume_reproduces_full_run(self, tmp_path):
