@@ -4,7 +4,7 @@ Token deletion is modeled as a sequential decision process: a per-token
 keep/drop policy compresses a prompt over a handful of rounds. It is
 trained with a clipped-surrogate policy update and no value network: each
 step's advantage is its return minus the mean return of the other
-trajectories in the update buffer. The reward balances the compression
+trajectories in its update round. The reward balances the compression
 ratio, key-information retention, and the divergence of a proxy model's
 continuations, under a curriculum that gradually tightens the permitted
 compression band.
@@ -65,7 +65,6 @@ from .text import (
 )
 from .trainer import (
     CurriculumSchedule,
-    ReplayBuffer,
     Scorers,
     TrainerConfig,
     TrainingDiverged,

@@ -119,7 +119,9 @@ class PolicyCompressor:
     """Greedy inference-time use of a trained actor.
 
     Each of the k steps drops enough of the lowest-keep-probability
-    tokens to land on ``rho_target`` by the final step.
+    tokens to land on ``rho_target`` by the final step. A step whose goal
+    the prompt already meets is skipped: a drop budget of 0 would mean
+    0.5-thresholding and could overshoot the target.
     """
 
     actor: Actor
@@ -130,11 +132,12 @@ class PolicyCompressor:
     def compress(self, seq: TokenSequence, key: int = 0) -> CompressionResult:
         state = reset(seq)
         for step in range(self.steps):
-            out = policy_forward(self.actor, state)
             # per-step relative keep rate compounding to the target
             per_step = self.rho_target ** ((step + 1) / self.steps)
-            goal_len = keep_count(len(seq), per_step)
-            budget = max(len(state.current) - goal_len, 0)
+            budget = len(state.current) - keep_count(len(seq), per_step)
+            if budget <= 0:
+                continue
+            out = policy_forward(self.actor, state)
             action = greedy_actions(out, budget)
             state = apply_action(state, action, out.keep_probs)
         return CompressionResult(

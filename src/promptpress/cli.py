@@ -45,6 +45,7 @@ from .trainer import (
     hpc_train,
     load_checkpoint,
     save_checkpoint,
+    tokenize_corpus,
 )
 
 CONFIG_DEFAULTS: dict[str, object] = {
@@ -178,7 +179,6 @@ def _build_training_pieces(config: dict[str, object], seed: int, no_hpc: bool,
     epochs = tuple(int(v) for v in config["curriculum.epochs"])
     schedule = CurriculumSchedule(
         psi=float(config["curriculum.psi"]),
-        n_stages=len(t_max),
         t_max_per_stage=t_max,
         epochs_per_stage=epochs,
         fixed_bounds=(fixed_c_s, fixed_c_l) if no_hpc else None,
@@ -223,29 +223,21 @@ def cmd_make_corpus(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    overrides = _parse_set_flags(args.set or [])
-    for flag, key in (
-        ("psi", "curriculum.psi"),
-        ("alpha", "reward.alpha"),
-        ("beta", "reward.beta"),
-        ("gamma", "reward.gamma"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[key] = value
-    config = resolve_config(args.config, overrides)
+    config = resolve_config(args.config, _parse_set_flags(args.set or []))
     seed = resolve_seed(args.seed, config["trainer.seed"])
     config["trainer.seed"] = seed
 
     corpus = load_corpus(args.corpus)
     if not corpus:
         raise UsageError(f"corpus {args.corpus} is empty")
-    # A bad config value is a usage error, found before the manifest is written.
+    # A bad config value, band or prompt length is a usage error, found
+    # before the manifest is written.
     try:
         vocab = build_vocabulary(corpus, int(config["vocab.max_size"]))
         trainer_cfg, schedule, reward_cfg, encoder_cfg = _build_training_pieces(
             config, seed, args.no_hpc, args.fixed_c_s, args.fixed_c_l, vocab.size
         )
+        tokenize_corpus(corpus, vocab, encoder_cfg.max_len)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid training config: {exc}") from exc
 
@@ -437,10 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lower band bound used with --no-hpc")
     p.add_argument("--fixed-c-l", type=float, default=0.9,
                    help="upper band bound used with --no-hpc")
-    p.add_argument("--psi", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override any config key")
     p.set_defaults(func=cmd_train)

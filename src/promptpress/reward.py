@@ -5,15 +5,16 @@ The scalar reward for reaching compressed prompt st from original s0 is
     alpha * (1 / rho) + beta * D(s0, st) - gamma * KL_term
         - 1[rho < c_s] * p_s - 1[rho > c_l] * p_l
 
-with rho = |st| / |s0|. The band [c_s, c_l] is supplied per step by the
-curriculum; the indicator comparisons are strict, so boundary values are
+with rho = |st| / |s0|. The band (c_s, c_l) is not configuration here: the
+curriculum schedule owns it, validates it, and passes each step's band
+in. The indicator comparisons are strict, so boundary values are
 penalty-free.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .scoring import ProxyLM, RetentionScorer, output_distribution_kl
 from .text import TokenSequence
@@ -24,22 +25,14 @@ class RewardConfig:
     alpha: float = 1.0
     beta: float = 1.0
     gamma: float = 1.0
-    c_s: float = 0.5
-    c_l: float = 0.9
     p_s: float = 200.0
     p_l: float = 100.0
 
     def __post_init__(self) -> None:
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise ValueError("alpha, beta, gamma must be >= 0")
-        if not 0.0 < self.c_s < self.c_l <= 1.0:
-            raise ValueError("bounds must satisfy 0 < c_s < c_l <= 1")
         if self.p_s < 0 or self.p_l < 0:
             raise ValueError("penalties must be >= 0")
-
-    def with_bounds(self, c_s: float, c_l: float) -> "RewardConfig":
-        """Copy with the compression band replaced (curriculum hook)."""
-        return replace(self, c_s=c_s, c_l=c_l)
 
 
 class Band(enum.Enum):
@@ -48,13 +41,15 @@ class Band(enum.Enum):
     ABOVE = "above"
 
 
-def in_band(rho: float, cfg: RewardConfig) -> Band:
-    """Position of rho relative to (c_s, c_l); boundaries count as inside."""
+def in_band(rho: float, bounds: tuple[float, float]) -> Band:
+    """Position of rho relative to bounds = (c_s, c_l); boundaries count
+    as inside."""
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must be in (0, 1]")
-    if rho < cfg.c_s:
+    c_s, c_l = bounds
+    if rho < c_s:
         return Band.BELOW
-    if rho > cfg.c_l:
+    if rho > c_l:
         return Band.ABOVE
     return Band.INSIDE
 
@@ -74,10 +69,15 @@ class RewardBreakdown:
 
 
 def assemble_reward(
-    rho: float, retention: float, kl: float, cfg: RewardConfig
+    rho: float,
+    retention: float,
+    kl: float,
+    cfg: RewardConfig,
+    bounds: tuple[float, float],
 ) -> RewardBreakdown:
-    """Assemble the reward from its three measured ingredients."""
-    band = in_band(rho, cfg)
+    """Assemble the reward from its three measured ingredients and the
+    step's band."""
+    band = in_band(rho, bounds)
     if band is Band.BELOW:
         penalty = cfg.p_s
     elif band is Band.ABOVE:
@@ -96,11 +96,13 @@ def compute_reward(
     s0: TokenSequence,
     st: TokenSequence,
     cfg: RewardConfig,
+    bounds: tuple[float, float],
     retention: RetentionScorer,
     lm: ProxyLM,
     reference: TokenSequence,
 ) -> RewardBreakdown:
-    """Score a compressed prompt st against its original s0.
+    """Score a compressed prompt st against its original s0 under the
+    band ``bounds`` = (c_s, c_l).
 
     ``reference`` must be the greedy continuation generated from s0; it
     is the fixed comparison target for the divergence term. With
@@ -113,4 +115,4 @@ def compute_reward(
     kl = 0.0
     if cfg.gamma > 0.0:
         kl = output_distribution_kl(lm, s0, st, reference)
-    return assemble_reward(rho, d, kl, cfg)
+    return assemble_reward(rho, d, kl, cfg, bounds)

@@ -1,15 +1,16 @@
-"""Training loop: trajectory collection, replay buffer, clipped-surrogate
-policy updates against a leave-one-out baseline, and the staged
-compression curriculum.
+"""Training loop: trajectory collection, clipped-surrogate policy updates
+against a leave-one-out baseline, and the staged compression curriculum.
 
-Collection always runs with a frozen copy of the actor; the live actor
-is updated from buffered trajectories and copied back after every update
-round. There is no learned value function: each step's advantage is its
-return minus the mean return of the other trajectories in the buffer at
-the same step index (the leave-one-out baseline of RLOO,
+Collection always runs with a frozen copy of the actor. Every M
+trajectories (M = ``TrainerConfig.buffer_capacity``) form one update
+round: the live actor is updated from that list and then copied back to
+the frozen one. There is no learned value function: each step's
+advantage is its return minus the mean return of the round's other
+trajectories at the same step index (the leave-one-out baseline of RLOO,
 arXiv:2402.14740). The compression band [c_s, c_l] that the reward
-enforces tightens with the stage index and, within an episode, with the
-step index, so the task hardens gradually. Everything is deterministic
+enforces comes from ``CurriculumSchedule``, its one owner: it tightens
+with the stage index and, within an episode, with the step index, so the
+task hardens gradually. Everything is deterministic
 given (seed, corpus, configs): per-episode and per-update RNG streams
 are derived from (seed, stage, epoch, index) so a run resumed from a
 stage boundary reproduces the uninterrupted run exactly.
@@ -86,25 +87,39 @@ def curriculum_bounds(
 
 @dataclass(frozen=True)
 class CurriculumSchedule:
-    """Stage schedule; ``fixed_bounds`` disables the curriculum entirely."""
+    """Stage schedule and the one owner of the reward's compression band.
+
+    Stage i (1-based) runs ``epochs_per_stage[i - 1]`` epochs of episodes
+    ``t_max_per_stage[i - 1]`` steps long, so the two tuples have one
+    entry per stage. ``bounds_for`` gives each step's band (c_s, c_l):
+    the curriculum's, which is always valid, or ``fixed_bounds``, which
+    disables the curriculum and is checked here.
+    """
 
     psi: float = 0.1
-    n_stages: int = 3
     t_max_per_stage: tuple[int, ...] = (2, 2, 1)
     epochs_per_stage: tuple[int, ...] = (1, 1, 2)
     fixed_bounds: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.n_stages < 1:
-            raise ValueError("n_stages must be >= 1")
-        if len(self.t_max_per_stage) != self.n_stages:
-            raise ValueError("t_max_per_stage length must equal n_stages")
-        if len(self.epochs_per_stage) != self.n_stages:
-            raise ValueError("epochs_per_stage length must equal n_stages")
+        if not self.t_max_per_stage:
+            raise ValueError("the schedule needs at least one stage")
+        if len(self.t_max_per_stage) != len(self.epochs_per_stage):
+            raise ValueError(
+                "t_max_per_stage and epochs_per_stage must have one entry per stage"
+            )
         if min(self.t_max_per_stage) < 1 or min(self.epochs_per_stage) < 1:
             raise ValueError("per-stage entries must be >= 1")
         if self.psi <= 0:
             raise ValueError("psi must be > 0")
+        if self.fixed_bounds is not None:
+            c_s, c_l = self.fixed_bounds
+            if not 0.0 < c_s < c_l <= 1.0:
+                raise ValueError("fixed bounds must satisfy 0 < c_s < c_l <= 1")
+
+    @property
+    def n_stages(self) -> int:
+        return len(self.t_max_per_stage)
 
     def t_max_for(self, stage: int) -> int:
         self._check_stage(stage)
@@ -137,7 +152,6 @@ class TrajectoryStep:
 class Trajectory:
     steps: tuple[TrajectoryStep, ...]
     final_state: CompressionState
-    reference: TokenSequence
     bounds: tuple[tuple[float, float], ...]
 
     @property
@@ -147,39 +161,6 @@ class Trajectory:
     @property
     def rewards(self) -> list[float]:
         return [s.reward for s in self.steps]
-
-
-class ReplayBuffer:
-    """Bounded trajectory store, filled during collection and drained
-    (uniform sampling with replacement) during update rounds."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._items: list[Trajectory] = []
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> tuple[Trajectory, ...]:
-        return tuple(self._items)
-
-    def add(self, traj: Trajectory) -> None:
-        if len(self._items) >= self.capacity:
-            raise ValueError("buffer full")
-        self._items.append(traj)
-
-    def is_full(self) -> bool:
-        return len(self._items) == self.capacity
-
-    def sample(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        """Positions of k trajectories, drawn uniformly with replacement."""
-        return rng.integers(0, len(self._items), size=k)
-
-    def clear(self) -> None:
-        self._items.clear()
 
 
 @dataclass(frozen=True)
@@ -207,8 +188,8 @@ def collect_trajectory(
     for every step's divergence term. It depends only on the prompt and
     ``scorers.lm``, so a caller that already has it passes it as
     ``reference``; otherwise it is generated here. The per-step reward
-    scores the post-action prompt against the original, with the step's
-    curriculum band substituted into the reward config.
+    scores the post-action prompt against the original under the step's
+    band from ``schedule``.
     """
     state = reset(prompt)
     if reference is None:
@@ -217,14 +198,15 @@ def collect_trajectory(
     steps: list[TrajectoryStep] = []
     bounds: list[tuple[float, float]] = []
     for t in range(t_max):
-        c_s, c_l = schedule.bounds_for(stage, t)
+        band = schedule.bounds_for(stage, t)
         out = policy_forward(actor_old, state)
         action, log_prob = sample_actions(out, seed_for(seed, t))
         next_state = apply_action(state, action, out.keep_probs)
         breakdown = compute_reward(
             prompt,
             next_state.current,
-            reward_cfg.with_bounds(c_s, c_l),
+            reward_cfg,
+            band,
             scorers.retention,
             scorers.lm,
             reference,
@@ -237,14 +219,9 @@ def collect_trajectory(
                 reward=breakdown.total,
             )
         )
-        bounds.append((c_s, c_l))
+        bounds.append(band)
         state = next_state
-    return Trajectory(
-        steps=tuple(steps),
-        final_state=state,
-        reference=reference,
-        bounds=tuple(bounds),
-    )
+    return Trajectory(steps=tuple(steps), final_state=state, bounds=tuple(bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -423,14 +400,16 @@ def _exact_mean(values: Sequence[float]) -> float:
 
 
 def _update_round(
-    buffer: ReplayBuffer,
+    trajs: Sequence[Trajectory],
     state: TrainState,
     trainer_cfg: TrainerConfig,
     stage: int,
     epoch: int,
     round_idx: int,
 ) -> None:
-    trajs = buffer.items
+    """M = len(trajs) PPO iterations, each on batch_size trajectories drawn
+    uniformly with replacement from the round's list."""
+    m = len(trajs)
     all_steps = [s for traj in trajs for s in traj.steps]
     mean_reward = sum(s.reward for s in all_steps) / len(all_steps)
     mean_rho = sum(t.final_rho for t in trajs) / len(trajs)
@@ -438,18 +417,18 @@ def _update_round(
     mean_c_s = _exact_mean([b[0] for b in all_bounds])
     mean_c_l = _exact_mean([b[1] for b in all_bounds])
 
-    # The buffer is empty at every stage boundary, so all M trajectories
-    # share one stage and one t_max.
+    # A round never spans a stage boundary, so all M trajectories share
+    # one stage and one t_max.
     advantages = leave_one_out_advantages(trajs, trainer_cfg.discount)
 
     actor_params = state.actor.parameters()
-    for iteration in range(trainer_cfg.buffer_capacity):
+    for iteration in range(m):
         rng = np.random.default_rng(
             seed_for(trainer_cfg.seed, _TAG_UPDATE, stage, epoch, round_idx, iteration)
         )
         batch = [
             (step, advantages[i][t])
-            for i in buffer.sample(rng, trainer_cfg.batch_size)
+            for i in rng.integers(0, m, size=trainer_cfg.batch_size)
             for t, step in enumerate(trajs[i].steps)
         ]
 
@@ -492,6 +471,25 @@ def _update_round(
         )
 
 
+def tokenize_corpus(
+    corpus: Sequence[PromptRecord], vocab: Vocabulary, max_len: int
+) -> list[TokenSequence]:
+    """Tokenize every record; one that is empty or longer than the
+    encoder's ``max_len`` is an error naming the record."""
+    prompts: list[TokenSequence] = []
+    for record in corpus:
+        seq = tokenize(record.text, vocab)
+        if len(seq) == 0:
+            raise ValueError(f"corpus record {record.id!r} tokenizes to nothing")
+        if len(seq) > max_len:
+            raise ValueError(
+                f"corpus record {record.id!r} has {len(seq)} tokens, more than "
+                f"the encoder max_len {max_len}"
+            )
+        prompts.append(seq)
+    return prompts
+
+
 def hpc_train(
     corpus: Sequence[PromptRecord],
     vocab: Vocabulary,
@@ -506,14 +504,14 @@ def hpc_train(
     """Run the staged training loop; returns the final train state.
 
     Per stage and epoch, every corpus prompt yields one trajectory
-    collected with the frozen old actor. Whenever the buffer reaches
-    capacity M, each step's leave-one-out advantage is computed over the
-    M trajectories, M update iterations run (each on a uniformly sampled
-    batch of trajectories), the buffer is emptied, and the frozen actor
-    is refreshed. Passing a ``state`` from a checkpoint resumes at
-    ``state.next_stage`` and reproduces the uninterrupted run exactly.
+    collected with the frozen old actor. Every M = ``buffer_capacity``
+    trajectories, each step's leave-one-out advantage is computed over
+    those M, M update iterations run (each on a uniformly sampled batch
+    of them), and the frozen actor is refreshed. Passing a ``state`` from
+    a checkpoint resumes at ``state.next_stage`` and reproduces the
+    uninterrupted run exactly.
 
-    A stage's trajectories past its last full buffer would be dropped
+    A stage's trajectories past its last full round would be dropped
     unread at the stage boundary (they were collected under that stage's
     band), so they are not collected: of the P * E episodes of a stage
     with E epochs, only the first floor(P * E / M) * M run. Each prompt's
@@ -528,23 +526,12 @@ def hpc_train(
     if state is None:
         state = init_train_state(trainer_cfg, encoder_cfg)
 
-    max_len = state.actor.encoder.cfg.max_len
-    prompts: list[TokenSequence] = []
-    for record in corpus:
-        seq = tokenize(record.text, vocab)
-        if len(seq) == 0:
-            raise ValueError(f"corpus record {record.id!r} tokenizes to nothing")
-        if len(seq) > max_len:
-            raise ValueError(
-                f"corpus record {record.id!r} has {len(seq)} tokens, more than "
-                f"the encoder max_len {max_len}"
-            )
-        prompts.append(seq)
+    prompts = tokenize_corpus(corpus, vocab, state.actor.encoder.cfg.max_len)
     references: dict[int, TokenSequence] = {}
 
     actor_old = state.actor.clone()
-    buffer = ReplayBuffer(trainer_cfg.buffer_capacity)
-    m = buffer.capacity
+    m = trainer_cfg.buffer_capacity
+    trajs: list[Trajectory] = []
 
     for stage in range(state.next_stage, schedule.n_stages + 1):
         n_epochs = schedule.epochs_per_stage[stage - 1]
@@ -558,7 +545,7 @@ def hpc_train(
                     references[ep_idx] = generate_reference(
                         scorers.lm, prompt, scorers.n_gen
                     )
-                traj = collect_trajectory(
+                trajs.append(collect_trajectory(
                     prompt,
                     actor_old,
                     schedule,
@@ -567,17 +554,16 @@ def hpc_train(
                     scorers,
                     seed=seed_for(trainer_cfg.seed, _TAG_EPISODE, stage, epoch, ep_idx),
                     reference=references[ep_idx],
-                )
-                buffer.add(traj)
-                if buffer.is_full():
-                    _update_round(buffer, state, trainer_cfg, stage, epoch, round_idx)
-                    buffer.clear()
+                ))
+                if len(trajs) == m:
+                    _update_round(trajs, state, trainer_cfg, stage, epoch, round_idx)
+                    trajs = []
                     actor_old = state.actor.clone()
                     round_idx += 1
             if progress is not None:
                 progress(f"stage {stage} epoch {epoch} done ({round_idx} rounds)")
-        # n_used is a multiple of M, so the buffer is empty here and a run
-        # resumed from this boundary starts from the same (empty) buffer.
+        # n_used is a multiple of M, so no trajectory is pending here and a
+        # run resumed from this boundary starts from the same (empty) list.
         state.next_stage = stage + 1
     return state
 

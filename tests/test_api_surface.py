@@ -1,5 +1,6 @@
 """API-surface guard: every function, class and method defined in
-``src/promptpress`` is used by name somewhere else in ``src/``.
+``src/promptpress`` is used by name somewhere else in ``src/``, and every
+dataclass field is read somewhere in ``src/``.
 
 A name only tests reach is an API the program does not need; it should
 be deleted or, if it is a reference other code is compared against,
@@ -8,7 +9,9 @@ not count as uses, and references inside a definition's own body (its
 recursion, or a method calling a same-named builtin) do not either. A
 method counts as used only through an attribute (``x.name``) or a
 ``getattr``/``hasattr`` key, so a local variable of the same name does
-not hide it.
+not hide it. A field counts as read only through an attribute load
+(``x.name``, not ``x.name = ...``) or a ``getattr``/``hasattr`` key, so
+building a dataclass by keyword does not count as reading its fields.
 """
 
 import ast
@@ -26,16 +29,18 @@ ALLOWED = {
 }
 
 
-def _references(node: ast.AST) -> tuple[Counter, Counter]:
+def _references(node: ast.AST, loads_only: bool = False) -> tuple[Counter, Counter]:
     """Counts of the bare names and of the attribute names (with
-    getattr/hasattr string keys) referenced under ``node``."""
+    getattr/hasattr string keys) referenced under ``node``; with
+    ``loads_only``, attributes that are assigned or deleted are left out."""
     names: Counter = Counter()
     attributes: Counter = Counter()
     for cur in ast.walk(node):
         if isinstance(cur, ast.Name):
             names[cur.id] += 1
         elif isinstance(cur, ast.Attribute):
-            attributes[cur.attr] += 1
+            if not loads_only or isinstance(cur.ctx, ast.Load):
+                attributes[cur.attr] += 1
         elif (
             isinstance(cur, ast.Call)
             and isinstance(cur.func, ast.Name)
@@ -65,12 +70,43 @@ def _methods(tree: ast.AST) -> set[int]:
     }
 
 
-def unused_definitions() -> list[str]:
-    trees = {
+def _trees() -> dict[str, ast.AST]:
+    return {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(SRC.glob("*.py"))
         if path.name != "__init__.py"
     }
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for decorator in cls.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+def unread_fields() -> list[str]:
+    """Dataclass fields no code in ``src/`` reads."""
+    trees = _trees()
+    reads: Counter = Counter()
+    for tree in trees.values():
+        reads += _references(tree, loads_only=True)[1]
+    unread = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    if reads[stmt.target.id] == 0:
+                        unread.append(f"{module}:{stmt.lineno}:{cls.name}.{stmt.target.id}")
+    return unread
+
+
+def unused_definitions() -> list[str]:
+    trees = _trees()
     names: Counter = Counter()
     attributes: Counter = Counter()
     for tree in trees.values():
@@ -96,6 +132,11 @@ def unused_definitions() -> list[str]:
 def test_every_definition_is_used_in_src():
     unused = unused_definitions()
     assert not unused, "defined in src/ but used only outside it: " + ", ".join(unused)
+
+
+def test_every_dataclass_field_is_read_in_src():
+    unread = unread_fields()
+    assert not unread, "dataclass fields no code in src/ reads: " + ", ".join(unread)
 
 
 def test_allow_list_names_live_definitions():

@@ -1,0 +1,108 @@
+"""Baseline compressor tests: keep counts, random deletion, self-information
+ranking, and the policy compressor's landing on the target rate."""
+
+import numpy as np
+import pytest
+
+from promptpress.baselines import (
+    PolicyCompressor,
+    RandomCompressor,
+    keep_count,
+    random_compress,
+    selfinfo_compress,
+)
+from promptpress.encoder import EncoderConfig
+from promptpress.policy import Actor
+from promptpress.scoring import NextTokenDistribution
+from promptpress.text import TokenSequence
+
+
+def _is_subsequence(short, long):
+    it = iter(long)
+    return all(token in it for token in short)
+
+
+def _seq(n, offset=0):
+    """n distinct ids, so positions can be read back from the ids."""
+    return TokenSequence(tuple(range(offset, offset + n)))
+
+
+class TestKeepCount:
+    def test_rounds_half_up(self):
+        assert keep_count(5, 0.5) == 3
+        assert keep_count(3, 0.5) == 2
+        assert keep_count(10, 0.25) == 3
+
+    @pytest.mark.parametrize("rho", [0.01, 0.3, 0.5, 0.99, 1.0])
+    def test_one_token_prompt_keeps_it(self, rho):
+        assert keep_count(1, rho) == 1
+
+
+class TestRandomCompress:
+    @pytest.mark.parametrize("n, rho", [(1, 0.5), (5, 0.5), (17, 0.3), (40, 0.9)])
+    def test_keeps_exactly_keep_count_in_order(self, n, rho):
+        seq = _seq(n, offset=3)
+        for seed in range(5):
+            result = random_compress(seq, rho, seed)
+            kept = result.compressed.ids
+            assert len(kept) == keep_count(n, rho)
+            assert list(kept) == sorted(kept)  # ids rise with position
+            assert set(kept) <= set(seq.ids)
+            assert result.rho == len(kept) / n
+
+    def test_deterministic_per_seed_and_key(self):
+        seq = _seq(30)
+        a = RandomCompressor(rho_target=0.5, seed=7)
+        b = RandomCompressor(rho_target=0.5, seed=7)
+        assert a.compress(seq, key=4) == b.compress(seq, key=4)
+        subsets = {a.compress(seq, key=k).compressed.ids for k in range(8)}
+        assert len(subsets) == 8
+
+
+class _TableLM:
+    """P(token) fixed per token id, whatever the context."""
+
+    def __init__(self, probs):
+        self.probs = np.asarray(probs, dtype=float)
+
+    def next_token_dist(self, context):
+        return NextTokenDistribution(self.probs)
+
+
+class TestSelfInfoCompress:
+    def test_ties_keep_the_earlier_token(self):
+        # Every token equally likely: all scores tie.
+        seq = _seq(9)
+        result = selfinfo_compress(seq, _TableLM(np.full(9, 1 / 9)), 0.5)
+        assert result.compressed.ids == (0, 1, 2, 3, 4)
+
+    def test_ties_break_by_position_among_equal_scores(self):
+        # ids 0 and 1 are rare (kept first); 2, 3, 4 tie below them.
+        probs = [0.05, 0.05, 0.3, 0.3, 0.3]
+        seq = TokenSequence((2, 0, 3, 1, 4))
+        result = selfinfo_compress(seq, _TableLM(probs), 0.6)
+        assert result.compressed.ids == (2, 0, 1)
+
+
+class TestPolicyCompressor:
+    @pytest.fixture(scope="class")
+    def actor(self):
+        cfg = EncoderConfig(vocab_size=64, d_model=8, n_heads=2, n_layers=1,
+                            d_ff=16, max_len=64)
+        actor = Actor.build(cfg, seed=3)
+        rng = np.random.default_rng(5)
+        actor.head_w[...] = rng.normal(0, 0.5, actor.head_w.shape)
+        return actor
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.7])
+    def test_lands_on_keep_count_as_a_subsequence(self, actor, steps, rho):
+        rng = np.random.default_rng(steps * 100 + int(rho * 10))
+        compressor = PolicyCompressor(actor=actor, rho_target=rho, steps=steps)
+        for n in range(1, 41):
+            seq = TokenSequence(tuple(int(t) for t in rng.integers(0, 64, n)))
+            result = compressor.compress(seq)
+            got = result.compressed.ids
+            assert len(got) == keep_count(n, rho), (steps, rho, n)
+            assert _is_subsequence(got, seq.ids)
+            assert result.rho == len(got) / n

@@ -135,26 +135,50 @@ class TestCompressRoundTrip:
 
 class TestTrainConfig:
     @pytest.mark.parametrize(
-        "sets, message",
+        "flags, message",
         [
-            pytest.param(["trainer.buffer_m=1"], "invalid training config",
+            pytest.param(["--set", "trainer.buffer_m=1"], "invalid training config",
                          id="buffer-below-batch"),
-            pytest.param(["trainer.batch_size=1", "trainer.buffer_m=1"],
+            pytest.param(["--set", "trainer.batch_size=1", "--set", "trainer.buffer_m=1"],
                          "leave-one-out", id="buffer-of-one"),
-            pytest.param(["vocab.max_size=1"], "max_size must be >= 2",
+            pytest.param(["--set", "vocab.max_size=1"], "max_size must be >= 2",
                          id="vocab-max-size"),
-            pytest.param(["trainer.critic_lr=1e-6"],
+            pytest.param(["--set", "trainer.critic_lr=1e-6"],
                          "unknown config key: trainer.critic_lr", id="critic_lr"),
+            *(
+                pytest.param(["--no-hpc", "--fixed-c-s", c_s, "--fixed-c-l", c_l],
+                             "0 < c_s < c_l <= 1", id=f"no-hpc-band-{c_s}-{c_l}")
+                for c_s, c_l in (("0.9", "0.5"), ("0.5", "0.5"), ("0", "0.5"),
+                                 ("0.5", "1.5"))
+            ),
         ],
     )
     def test_bad_value_is_usage_error_before_any_output(
-        self, tmp_path, capsys, sets, message
+        self, tmp_path, capsys, flags, message
     ):
         corpus = tmp_path / "train.jsonl"
         _small_corpus(corpus)
         argv = ["train", "--corpus", str(corpus), "--out", str(tmp_path / "p.ckpt")]
-        for pair in sets:
-            argv += ["--set", pair]
-        assert main(argv) == 2
+        assert main(argv + flags) == 2
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [corpus]  # no manifest, no checkpoint
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param(" ".join(["w"] * 300),
+                         "record 'bad' has 300 tokens, more than the encoder max_len 256",
+                         id="over-max-len"),
+            pytest.param("   ", "record 'bad' tokenizes to nothing", id="blank"),
+        ],
+    )
+    def test_unfit_prompt_is_usage_error_before_any_output(
+        self, tmp_path, capsys, text, message
+    ):
+        corpus = tmp_path / "train.jsonl"
+        records = make_synthetic_corpus(seed=2, n_prompts=3, filler_fraction=0.5)
+        save_corpus(records + [PromptRecord("bad", text)], corpus)
+        code = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "p.ckpt")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [corpus]

@@ -28,23 +28,22 @@ class StubRetention:
 
 class TestInBand:
     def test_boundaries_are_inside(self):
-        cfg = RewardConfig(c_s=0.3, c_l=0.7)
-        assert in_band(0.3, cfg) is Band.INSIDE
-        assert in_band(0.7, cfg) is Band.INSIDE
+        bounds = (0.3, 0.7)
+        assert in_band(0.3, bounds) is Band.INSIDE
+        assert in_band(0.7, bounds) is Band.INSIDE
 
     def test_strictly_outside(self):
-        cfg = RewardConfig(c_s=0.3, c_l=0.7)
-        assert in_band(0.29, cfg) is Band.BELOW
-        assert in_band(0.71, cfg) is Band.ABOVE
+        bounds = (0.3, 0.7)
+        assert in_band(0.29, bounds) is Band.BELOW
+        assert in_band(0.71, bounds) is Band.ABOVE
 
     def test_random_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(1000):
             c_s = float(rng.uniform(0.05, 0.5))
             c_l = float(rng.uniform(c_s + 0.01, 1.0))
-            cfg = RewardConfig(c_s=c_s, c_l=c_l)
             rho = float(rng.uniform(0.001, 1.0))
-            got = in_band(rho, cfg)
+            got = in_band(rho, (c_s, c_l))
             if rho < c_s:
                 assert got is Band.BELOW
             elif rho > c_l:
@@ -54,25 +53,25 @@ class TestInBand:
 
     def test_invalid_rho(self):
         with pytest.raises(ValueError):
-            in_band(0.0, RewardConfig())
+            in_band(0.0, (0.5, 0.9))
         with pytest.raises(ValueError):
-            in_band(1.2, RewardConfig())
+            in_band(1.2, (0.5, 0.9))
 
 
 class TestAssembleReward:
     def test_hand_case_in_band(self):
-        cfg = RewardConfig(alpha=1, beta=1, gamma=1, c_s=0.5, c_l=0.9)
-        b = assemble_reward(rho=0.5, retention=0.9, kl=0.2, cfg=cfg)
+        cfg = RewardConfig(alpha=1, beta=1, gamma=1)
+        b = assemble_reward(rho=0.5, retention=0.9, kl=0.2, cfg=cfg, bounds=(0.5, 0.9))
         assert b.total == pytest.approx(2.0 + 0.9 - 0.2)
 
     def test_hand_case_over_compressed(self):
-        cfg = RewardConfig(alpha=1, beta=1, gamma=1, c_s=0.5, c_l=0.9, p_s=200)
-        b = assemble_reward(rho=0.4, retention=0.9, kl=0.2, cfg=cfg)
+        cfg = RewardConfig(alpha=1, beta=1, gamma=1, p_s=200)
+        b = assemble_reward(rho=0.4, retention=0.9, kl=0.2, cfg=cfg, bounds=(0.5, 0.9))
         assert b.total == pytest.approx(2.5 + 0.9 - 0.2 - 200)
 
     def test_hand_case_under_compressed_identity(self):
-        cfg = RewardConfig(alpha=1, beta=1, gamma=1, c_s=0.5, c_l=0.9, p_l=100)
-        b = assemble_reward(rho=1.0, retention=1.0, kl=0.0, cfg=cfg)
+        cfg = RewardConfig(alpha=1, beta=1, gamma=1, p_l=100)
+        b = assemble_reward(rho=1.0, retention=1.0, kl=0.0, cfg=cfg, bounds=(0.5, 0.9))
         assert b.total == pytest.approx(1.0 + 1.0 - 0.0 - 100)
 
     def test_breakdown_identity_exact(self):
@@ -82,14 +81,13 @@ class TestAssembleReward:
                 alpha=float(rng.uniform(0, 3)),
                 beta=float(rng.uniform(0, 3)),
                 gamma=float(rng.uniform(0, 3)),
-                c_s=0.4,
-                c_l=0.8,
             )
             b = assemble_reward(
                 rho=float(rng.uniform(0.01, 1.0)),
                 retention=float(rng.uniform(0, 1)),
                 kl=float(rng.uniform(0, 2)),
                 cfg=cfg,
+                bounds=(0.4, 0.8),
             )
             assert b.total == b.ratio_term + b.retention_term - b.kl_term - b.penalty
 
@@ -98,42 +96,44 @@ class TestAssembleReward:
         for _ in range(1000):
             c_s = float(rng.uniform(0.05, 0.6))
             c_l = float(rng.uniform(c_s + 0.05, 1.0))
-            cfg = RewardConfig(c_s=c_s, c_l=c_l, p_s=200, p_l=100)
+            cfg = RewardConfig(p_s=200, p_l=100)
             b = assemble_reward(
                 rho=float(rng.uniform(0.001, 1.0)),
                 retention=0.5,
                 kl=0.0,
                 cfg=cfg,
+                bounds=(c_s, c_l),
             )
             assert b.penalty in (0.0, 200.0, 100.0)
 
     def test_ratio_term_monotonicity(self):
-        cfg = RewardConfig(alpha=1.5, c_s=0.2, c_l=0.9)
+        cfg = RewardConfig(alpha=1.5)
         totals = [
-            assemble_reward(rho, 0.7, 0.1, cfg).total
+            assemble_reward(rho, 0.7, 0.1, cfg, (0.2, 0.9)).total
             for rho in (0.25, 0.4, 0.6, 0.85)
         ]
         assert all(a > b for a, b in zip(totals, totals[1:]))
 
     def test_zero_weight_ablations(self):
         # alpha = 0: in-band totals no longer depend on rho
-        cfg = RewardConfig(alpha=0.0, c_s=0.2, c_l=0.9)
-        t1 = assemble_reward(0.3, 0.5, 0.1, cfg).total
-        t2 = assemble_reward(0.8, 0.5, 0.1, cfg).total
+        band = (0.2, 0.9)
+        cfg = RewardConfig(alpha=0.0)
+        t1 = assemble_reward(0.3, 0.5, 0.1, cfg, band).total
+        t2 = assemble_reward(0.8, 0.5, 0.1, cfg, band).total
         assert t1 == t2
         # but the band penalty still applies
-        assert assemble_reward(0.1, 0.5, 0.1, cfg).total == pytest.approx(t1 - 200)
+        assert assemble_reward(0.1, 0.5, 0.1, cfg, band).total == pytest.approx(t1 - 200)
         # beta = 0: retention is ignored
-        cfg = RewardConfig(beta=0.0, c_s=0.2, c_l=0.9)
+        cfg = RewardConfig(beta=0.0)
         assert (
-            assemble_reward(0.5, 0.1, 0.3, cfg).total
-            == assemble_reward(0.5, 0.9, 0.3, cfg).total
+            assemble_reward(0.5, 0.1, 0.3, cfg, band).total
+            == assemble_reward(0.5, 0.9, 0.3, cfg, band).total
         )
         # gamma = 0: divergence is ignored
-        cfg = RewardConfig(gamma=0.0, c_s=0.2, c_l=0.9)
+        cfg = RewardConfig(gamma=0.0)
         assert (
-            assemble_reward(0.5, 0.5, 0.0, cfg).total
-            == assemble_reward(0.5, 0.5, 5.0, cfg).total
+            assemble_reward(0.5, 0.5, 0.0, cfg, band).total
+            == assemble_reward(0.5, 0.5, 5.0, cfg, band).total
         )
 
 
@@ -147,8 +147,8 @@ class TestComputeReward:
 
     def test_identity_compression(self):
         lm, s0, ref = self._fixture()
-        cfg = RewardConfig(c_s=0.5, c_l=0.9, p_l=100)
-        b = compute_reward(s0, s0, cfg, StubRetention(1.0), lm, ref)
+        cfg = RewardConfig(p_l=100)
+        b = compute_reward(s0, s0, cfg, (0.5, 0.9), StubRetention(1.0), lm, ref)
         # rho = 1 > c_l, D = 1, KL = 0 exactly
         assert b.kl_term == 0.0
         assert b.total == pytest.approx(1.0 + 1.0 - 0.0 - 100.0)
@@ -158,42 +158,37 @@ class TestComputeReward:
         from promptpress.scoring import output_distribution_kl
 
         st = TokenSequence(s0.ids[::2])
-        cfg = RewardConfig(alpha=1.2, beta=0.8, gamma=1.5, c_s=0.3, c_l=0.8)
-        b = compute_reward(s0, st, cfg, StubRetention(0.7), lm, ref)
+        cfg = RewardConfig(alpha=1.2, beta=0.8, gamma=1.5)
+        b = compute_reward(s0, st, cfg, (0.3, 0.8), StubRetention(0.7), lm, ref)
         kl = output_distribution_kl(lm, s0, st, ref)
-        expected = assemble_reward(len(st) / len(s0), 0.7, kl, cfg)
+        expected = assemble_reward(len(st) / len(s0), 0.7, kl, cfg, (0.3, 0.8))
         assert b.total == pytest.approx(expected.total)
 
     def test_gamma_zero_skips_divergence(self):
         lm, s0, ref = self._fixture()
-        cfg = RewardConfig(gamma=0.0, c_s=0.3, c_l=0.9)
+        cfg = RewardConfig(gamma=0.0)
         st = TokenSequence(s0.ids[:3])
-        b = compute_reward(s0, st, cfg, StubRetention(0.5), lm, ref)
+        b = compute_reward(s0, st, cfg, (0.3, 0.9), StubRetention(0.5), lm, ref)
         assert b.kl_term == 0.0
 
     def test_empty_sequences_error(self):
         lm, s0, ref = self._fixture()
         with pytest.raises(ValueError):
-            compute_reward(TokenSequence(()), s0, RewardConfig(), StubRetention(1), lm, ref)
+            compute_reward(
+                TokenSequence(()), s0, RewardConfig(), (0.5, 0.9), StubRetention(1), lm, ref
+            )
         with pytest.raises(ValueError):
-            compute_reward(s0, TokenSequence(()), RewardConfig(), StubRetention(1), lm, ref)
+            compute_reward(
+                s0, TokenSequence(()), RewardConfig(), (0.5, 0.9), StubRetention(1), lm, ref
+            )
 
 
 class TestRewardConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            RewardConfig(c_s=0.9, c_l=0.5)
-        with pytest.raises(ValueError):
-            RewardConfig(c_s=0.0, c_l=0.5)
-        with pytest.raises(ValueError):
             RewardConfig(alpha=-1.0)
         with pytest.raises(ValueError):
             RewardConfig(p_s=-5.0)
-
-    def test_with_bounds(self):
-        cfg = RewardConfig(alpha=2.0).with_bounds(0.2, 0.6)
-        assert (cfg.c_s, cfg.c_l) == (0.2, 0.6)
-        assert cfg.alpha == 2.0
 
     def test_defaults_match_documented_values(self):
         cfg = RewardConfig()

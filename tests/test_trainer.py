@@ -1,6 +1,6 @@
 """Trainer tests: curriculum schedule, PPO objective, returns and their
-leave-one-out advantages, buffer, trajectory collection, the full loop,
-and checkpoint/resume."""
+leave-one-out advantages, update rounds, trajectory collection, the full
+loop, and checkpoint/resume."""
 
 import math
 
@@ -18,7 +18,6 @@ from promptpress.reward import RewardConfig
 from promptpress.text import PromptRecord, TokenSequence, tokenize
 from promptpress.trainer import (
     CurriculumSchedule,
-    ReplayBuffer,
     TrainerConfig,
     TrajectoryStep,
     collect_trajectory,
@@ -96,12 +95,36 @@ class TestCurriculumBounds:
         assert sched.bounds_for(3, 1) == (0.5, 0.9)
 
     def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            CurriculumSchedule(n_stages=2, t_max_per_stage=(2,), epochs_per_stage=(1, 1))
+        with pytest.raises(ValueError, match="t_max_per_stage and epochs_per_stage"):
+            CurriculumSchedule(t_max_per_stage=(2,), epochs_per_stage=(1, 1))
         with pytest.raises(ValueError):
             CurriculumSchedule(t_max_per_stage=(2, 0, 1))
         with pytest.raises(ValueError):
             CurriculumSchedule(psi=0.0)
+        with pytest.raises(ValueError, match="at least one stage"):
+            CurriculumSchedule(t_max_per_stage=(), epochs_per_stage=())
+
+    def test_n_stages_follows_the_per_stage_tuples(self):
+        assert CurriculumSchedule().n_stages == 3
+        assert CurriculumSchedule(t_max_per_stage=(4,), epochs_per_stage=(2,)).n_stages == 1
+
+    @pytest.mark.parametrize(
+        "bounds", [(0.9, 0.5), (0.5, 0.5), (0.0, 0.5), (-0.1, 0.5), (0.5, 1.2)]
+    )
+    def test_invalid_fixed_bounds_error(self, bounds):
+        with pytest.raises(ValueError, match="0 < c_s < c_l <= 1"):
+            CurriculumSchedule(fixed_bounds=bounds)
+
+    def test_curriculum_bands_are_valid_far_outside_the_schedule(self):
+        # Every band the schedule can hand the reward satisfies the check
+        # fixed bounds get, so the reward never validates one.
+        for psi in (0.01, 0.1, 0.35, 1.0, 5.0):
+            sched = CurriculumSchedule(psi=psi, t_max_per_stage=(3,) * 12,
+                                       epochs_per_stage=(1,) * 12)
+            for stage in range(1, 13):
+                for t in range(4):
+                    c_s, c_l = sched.bounds_for(stage, t)
+                    assert 0.0 < c_s < c_l <= 1.0, (psi, stage, t)
 
 
 def _synthetic_step(actor, ids, labels, delta, advantage):
@@ -281,13 +304,12 @@ def _trajectory_with_rewards(rewards):
         for r in rewards
     )
     return trainer.Trajectory(
-        steps=steps, final_state=state, reference=TokenSequence((1,)),
-        bounds=((0.5, 0.9),) * len(rewards),
+        steps=steps, final_state=state, bounds=((0.5, 0.9),) * len(rewards)
     )
 
 
 class TestLeaveOneOut:
-    """A[i][t] = G_{i,t} - mean_{j != i} G_{j,t} over the update buffer."""
+    """A[i][t] = G_{i,t} - mean_{j != i} G_{j,t} over an update round."""
 
     def test_hand_values(self):
         # Returns G (discount 1): [3, 2], [1, 1], [2, -2].
@@ -315,13 +337,11 @@ class TestLeaveOneOut:
             tokenize(corpus[1].text, vocab), Actor.build(encoder_cfg, seed=3),
             CurriculumSchedule(), 1, RewardConfig(), scorers, seed=5,
         )
-        buffer = ReplayBuffer(trainer_cfg.buffer_capacity)
-        while not buffer.is_full():
-            buffer.add(traj)
-        assert leave_one_out_advantages(buffer.items, 1.0) == [[0.0, 0.0]] * 4
+        trajs = [traj] * trainer_cfg.buffer_capacity
+        assert leave_one_out_advantages(trajs, 1.0) == [[0.0, 0.0]] * 4
         state = init_train_state(trainer_cfg, encoder_cfg)
         before = {k: v.copy() for k, v in state.actor.parameters().items()}
-        trainer._update_round(buffer, state, trainer_cfg, 1, 1, 0)
+        trainer._update_round(trajs, state, trainer_cfg, 1, 1, 0)
         after = state.actor.parameters()
         assert all(np.array_equal(before[k], after[k]) for k in before)
         assert [r["objective"] for r in state.log.records] == [0.0] * 4
@@ -333,14 +353,16 @@ class TestLeaveOneOut:
     def test_each_step_is_scored_with_its_own_advantage(self, monkeypatch):
         corpus, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup()
         state = init_train_state(trainer_cfg, encoder_cfg)
-        buffer = ReplayBuffer(trainer_cfg.buffer_capacity)
-        for i in range(buffer.capacity):
-            buffer.add(collect_trajectory(
+        m = trainer_cfg.buffer_capacity
+        trajs = [
+            collect_trajectory(
                 tokenize(corpus[i].text, vocab), state.actor, CurriculumSchedule(), 1,
                 RewardConfig(), scorers, seed=i,
-            ))
-        advantages = leave_one_out_advantages(buffer.items, trainer_cfg.discount)
-        assert len({a for row in advantages for a in row}) == 2 * buffer.capacity
+            )
+            for i in range(m)
+        ]
+        advantages = leave_one_out_advantages(trajs, trainer_cfg.discount)
+        assert len({a for row in advantages for a in row}) == 2 * m
         batches = []
         objective_and_grads = trainer.ppo_objective_and_grads
 
@@ -349,57 +371,23 @@ class TestLeaveOneOut:
             return objective_and_grads(batch, *args)
 
         monkeypatch.setattr(trainer, "ppo_objective_and_grads", record)
-        trainer._update_round(buffer, state, trainer_cfg, 1, 1, 0)
+        trainer._update_round(trajs, state, trainer_cfg, 1, 1, 0)
         expected = []
-        for iteration in range(buffer.capacity):
+        for iteration in range(m):
             rng = np.random.default_rng(
                 seed_for(trainer_cfg.seed, trainer._TAG_UPDATE, 1, 1, 0, iteration)
             )
-            picks = rng.integers(0, buffer.capacity, size=trainer_cfg.batch_size)
+            picks = rng.integers(0, m, size=trainer_cfg.batch_size)
             expected.append([
                 (step, advantages[i][t])
                 for i in picks
-                for t, step in enumerate(buffer.items[i].steps)
+                for t, step in enumerate(trajs[i].steps)
             ])
         assert batches == expected
 
     def test_buffer_of_one_errors(self):
         with pytest.raises(ValueError, match="leave-one-out"):
             TrainerConfig(batch_size=1, buffer_capacity=1)
-
-
-class TestReplayBuffer:
-    def _traj(self):
-        corpus, vocab, scorers, encoder_cfg = tiny_world()
-        actor = Actor.build(encoder_cfg, seed=1)
-        prompt = tokenize(corpus[0].text, vocab)
-        return collect_trajectory(
-            prompt, actor, CurriculumSchedule(), 1,
-            RewardConfig(), scorers, seed=3,
-        )
-
-    def test_lifecycle(self):
-        traj = self._traj()
-        buffer = ReplayBuffer(capacity=3)
-        for _ in range(3):
-            buffer.add(traj)
-        assert buffer.is_full() and len(buffer) == 3
-        with pytest.raises(ValueError, match="buffer full"):
-            buffer.add(traj)
-        buffer.clear()
-        assert len(buffer) == 0
-
-    def test_uniform_sample(self):
-        traj = self._traj()
-        buffer = ReplayBuffer(capacity=2)
-        buffer.add(traj)
-        buffer.add(traj)
-        picked = buffer.sample(np.random.default_rng(0), 5)
-        assert len(picked) == 5
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            ReplayBuffer(capacity=0)
 
 
 class TestCollectTrajectory:
@@ -439,10 +427,9 @@ class TestCollectTrajectory:
             reward_cfg, self.scorers, seed=seed,
         )
         reference = generate_reference(self.scorers.lm, self.prompt, self.scorers.n_gen)
-        assert traj.reference == reference
         state = reset(self.prompt)
         for t, step in enumerate(traj.steps):
-            c_s, c_l = curriculum_bounds(stage, t, schedule.t_max_for(stage), schedule.psi)
+            band = curriculum_bounds(stage, t, schedule.t_max_for(stage), schedule.psi)
             out = policy_forward(self.actor, state)
             action, lp = sample_actions(out, seed_for(seed, t))
             assert step.state == state
@@ -450,7 +437,7 @@ class TestCollectTrajectory:
             assert step.old_log_prob == lp
             nxt = apply_action(state, action, out.keep_probs)
             expected_reward = compute_reward(
-                self.prompt, nxt.current, reward_cfg.with_bounds(c_s, c_l),
+                self.prompt, nxt.current, reward_cfg, band,
                 self.scorers.retention, self.scorers.lm, reference,
             ).total
             assert step.reward == expected_reward
@@ -474,7 +461,7 @@ class TestHpcTrain:
             n_prompts=4
         )
         schedule = CurriculumSchedule(
-            n_stages=1, t_max_per_stage=(2,), epochs_per_stage=(1,)
+            t_max_per_stage=(2,), epochs_per_stage=(1,)
         )
         state = hpc_train(
             corpus, vocab, trainer_cfg, schedule, RewardConfig(), scorers,
@@ -488,7 +475,7 @@ class TestHpcTrain:
     def test_seeded_determinism(self):
         corpus, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup()
         schedule = CurriculumSchedule(
-            n_stages=2, t_max_per_stage=(2, 1), epochs_per_stage=(1, 1)
+            t_max_per_stage=(2, 1), epochs_per_stage=(1, 1)
         )
         run = lambda: hpc_train(
             corpus, vocab, trainer_cfg, schedule, RewardConfig(), scorers,
@@ -505,7 +492,7 @@ class TestHpcTrain:
             n_prompts=4
         )
         schedule = CurriculumSchedule(
-            n_stages=1, t_max_per_stage=(1,), epochs_per_stage=(1,)
+            t_max_per_stage=(1,), epochs_per_stage=(1,)
         )
         before = Actor.build(encoder_cfg, seed_for(trainer_cfg.seed, 101)).parameters()
         state = hpc_train(
@@ -520,7 +507,7 @@ class TestHpcTrain:
             n_prompts=4
         )
         fixed = CurriculumSchedule(
-            n_stages=2, t_max_per_stage=(2, 1), epochs_per_stage=(1, 1),
+            t_max_per_stage=(2, 1), epochs_per_stage=(1, 1),
             fixed_bounds=(0.5, 0.9),
         )
         state = hpc_train(
@@ -558,7 +545,7 @@ class TestCollectionPlan:
             n_prompts=3
         )
         schedule = CurriculumSchedule(
-            n_stages=2, t_max_per_stage=(2, 1), epochs_per_stage=(1, 1)
+            t_max_per_stage=(2, 1), epochs_per_stage=(1, 1)
         )
         calls = self._counting(monkeypatch, "collect_trajectory")
         state = hpc_train(
@@ -575,7 +562,7 @@ class TestCollectionPlan:
             n_prompts=5
         )
         schedule = CurriculumSchedule(
-            n_stages=2, t_max_per_stage=(1, 1), epochs_per_stage=(1, 2)
+            t_max_per_stage=(1, 1), epochs_per_stage=(1, 2)
         )
         episodes = self._counting(monkeypatch, "collect_trajectory")
         references = self._counting(monkeypatch, "generate_reference")
@@ -606,7 +593,7 @@ class TestCheckpoint:
             n_prompts=4
         )
         schedule = CurriculumSchedule(
-            n_stages=1, t_max_per_stage=(1,), epochs_per_stage=(1,)
+            t_max_per_stage=(1,), epochs_per_stage=(1,)
         )
         state = hpc_train(
             corpus, vocab, trainer_cfg, schedule, RewardConfig(), scorers,
@@ -750,7 +737,7 @@ class TestCheckpoint:
             n_prompts=4, n_gen=2
         )
         full_schedule = CurriculumSchedule(
-            n_stages=3, t_max_per_stage=(2, 2, 1), epochs_per_stage=(1, 1, 2)
+            t_max_per_stage=(2, 2, 1), epochs_per_stage=(1, 1, 2)
         )
         full = hpc_train(
             corpus, vocab, trainer_cfg, full_schedule, RewardConfig(), scorers,
@@ -758,7 +745,7 @@ class TestCheckpoint:
         )
 
         two_stage = CurriculumSchedule(
-            n_stages=2, t_max_per_stage=(2, 2), epochs_per_stage=(1, 1)
+            t_max_per_stage=(2, 2), epochs_per_stage=(1, 1)
         )
         partial = hpc_train(
             corpus, vocab, trainer_cfg, two_stage, RewardConfig(), scorers,
