@@ -6,6 +6,9 @@ a run manifest written before any long-running work, so every run is
 reproducible from its manifest alone. Exit codes: 0 success, 2 usage or
 validation error, 1 runtime failure. Artifacts are written to a
 ``.partial`` path and renamed only when complete.
+
+``compress`` runs its prompts on every CPU the process may use, one
+thread each; its output does not depend on that number.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -36,7 +40,6 @@ from .text import (
     load_corpus,
     make_synthetic_corpus,
     save_corpus,
-    tokenize,
 )
 from .trainer import (
     CurriculumSchedule,
@@ -280,6 +283,22 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _checked_prompts(corpus, vocab, max_len: int):
+    """Every prompt tokenized; an empty or over-long one is a usage error
+    naming its record."""
+    try:
+        return tokenize_corpus(corpus, vocab, max_len)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def cmd_compress(args: argparse.Namespace) -> int:
     if args.steps < 0:
         raise UsageError("--steps must be >= 0")
@@ -287,6 +306,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
         raise UsageError("--budget must be >= 0")
     state, vocab = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.input)
+    seqs = _checked_prompts(corpus, vocab, state.actor.encoder.cfg.max_len)
     out = Path(args.out)
     write_manifest(
         out.with_name(out.name + ".manifest.json"),
@@ -296,29 +316,40 @@ def cmd_compress(args: argparse.Namespace) -> int:
         inputs={"checkpoint": str(args.checkpoint), "input": str(args.input)},
         artifacts={"output": str(out)},
     )
-    lines = []
-    for record in corpus:
-        seq = tokenize(record.text, vocab)
-        if len(seq) == 0:
-            raise ValueError(f"record {record.id!r} tokenizes to nothing")
+
+    def rollout(seq):
         env_state = reset(seq)
         for _ in range(args.steps):
             output = policy_forward(state.actor, env_state)
             action = greedy_actions(output, args.budget)
             env_state = apply_action(env_state, action, output.keep_probs)
-        lines.append(
-            json.dumps(
-                {
-                    "id": record.id,
-                    "original": record.text,
-                    "compressed": detokenize(env_state.current, vocab),
-                    "rho": compression_rate(env_state),
-                    "tokens_before": len(seq),
-                    "tokens_after": len(env_state.current),
-                },
-                sort_keys=True,
-            )
+        return env_state
+
+    # The actor is only read, and numpy releases the GIL, so prompts run
+    # in parallel; results are collected in input order. On a failure the
+    # prompts not yet started are cancelled, and the first failing one in
+    # input order is the one reported.
+    with ThreadPoolExecutor(max(1, min(_usable_cpus(), len(seqs)))) as pool:
+        futures = [pool.submit(rollout, seq) for seq in seqs]
+        try:
+            finals = [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    lines = [
+        json.dumps(
+            {
+                "id": record.id,
+                "original": record.text,
+                "compressed": detokenize(env_state.current, vocab),
+                "rho": compression_rate(env_state),
+                "tokens_before": len(seq),
+                "tokens_after": len(env_state.current),
+            },
+            sort_keys=True,
         )
+        for record, seq, env_state in zip(corpus, seqs, finals)
+    ]
     _atomic_write_text(out, "\n".join(lines) + "\n")
     print(f"wrote {len(lines)} compressed prompts to {out}")
     return 0
@@ -342,6 +373,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     if not corpus:
         raise UsageError(f"corpus {args.corpus} is empty")
+    # One vocabulary and one LM serve every method: the checkpoint's
+    # vocabulary when there is one, since the policy reads its ids. Its
+    # encoder bounds the prompt length; every method needs a prompt that
+    # tokenizes to something.
+    if args.checkpoint:
+        state, vocab = load_checkpoint(args.checkpoint)
+        _checked_prompts(corpus, vocab, state.actor.encoder.cfg.max_len)
+    else:
+        vocab = build_vocabulary(corpus, args.vocab_size)
+        _checked_prompts(corpus, vocab, max_len=sys.maxsize)
 
     prefix = Path(args.out_prefix)
     jsonl_path = prefix.with_name(prefix.name + ".jsonl")
@@ -361,12 +402,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         artifacts={"rows": str(jsonl_path), "table": str(table_path)},
     )
 
-    # One vocabulary and one LM serve every method: the checkpoint's
-    # vocabulary when there is one, since the policy reads its ids.
-    if args.checkpoint:
-        state, vocab = load_checkpoint(args.checkpoint)
-    else:
-        vocab = build_vocabulary(corpus, args.vocab_size)
     lm = fit_ngram_lm(corpus, order=args.ngram_order, smoothing=0.1, vocab=vocab)
     settings = EvalSettings(
         vocab=vocab,

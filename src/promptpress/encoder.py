@@ -10,6 +10,14 @@ The forward and backward passes take a pack: several sequences back to
 back with their lengths. Per-token work runs once over the whole pack
 and attention stays within each sequence, so a pack of one computes
 exactly what a single sequence does.
+
+There is one forward pass. Its arithmetic runs in place on arrays it has
+just made, never on a parameter, in the order of the plain expressions
+it stands for, so its results are bitwise those of that order. Training
+asks it for a backward cache; inference (``encode``) asks for none, and
+then each intermediate is released as soon as it has been read. The
+encoder is only read by a forward pass, so several threads may encode
+with one encoder at once.
 """
 
 from __future__ import annotations
@@ -53,12 +61,30 @@ def _gelu_grad(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + e) + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def _layer_norm(x, gain, bias):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+def _affine(x, w, b):
+    """x @ w + b, with b added in place."""
+    out = x @ w
+    out += b
+    return out
+
+
+def _layer_norm(x, gain, bias, keep_cache=True):
+    """Layer norm over the last axis; ``x`` is only read.
+
+    Returns the output and its backward cache (xhat, inv, gain). Without
+    ``keep_cache`` the cache is None and the output is made in place in
+    the xhat array.
+    """
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    var = (xhat**2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    cache = ((x - mu) * inv, inv, gain)
-    return _layer_norm_output(cache, bias), cache
+    xhat *= inv
+    if keep_cache:
+        cache = (xhat, inv, gain)
+        return _layer_norm_output(cache, bias), cache
+    xhat *= gain
+    xhat += bias
+    return xhat, None
 
 
 def _layer_norm_output(cache, bias):
@@ -80,12 +106,6 @@ def _layer_norm_backward(dy, cache):
     return dx, dgain, dbias
 
 
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 class TinyTransformerEncoder:
     """Per-token feature extractor: ids -> [L, d] feature matrix, trainable."""
 
@@ -94,11 +114,15 @@ class TinyTransformerEncoder:
         self.params = params
 
     @classmethod
-    def create(cls, cfg: EncoderConfig, seed: int) -> "TinyTransformerEncoder":
-        rng = np.random.default_rng(seed)
+    def create(cls, cfg: EncoderConfig, seed: int | None) -> "TinyTransformerEncoder":
+        """Encoder at its initial parameters. The weight matrices are drawn
+        from ``seed``; with seed None they are zero, for a loader to fill."""
+        rng = None if seed is None else np.random.default_rng(seed)
         d, ff = cfg.d_model, cfg.d_ff
 
         def w(*shape):
+            if rng is None:
+                return np.zeros(shape)
             return rng.normal(0.0, INIT_STD, size=shape)
 
         params: dict[str, np.ndarray] = {
@@ -157,7 +181,8 @@ class TinyTransformerEncoder:
         return arr, list(zip([0] + ends[:-1], ends))
 
     def encode(self, ids: Sequence[int]) -> np.ndarray:
-        h, _ = self.forward(ids)
+        """Features [L, d] of one sequence, computed without a backward cache."""
+        h, _ = self.forward(ids, keep_cache=False)
         return h
 
     def _heads(self, x: np.ndarray) -> np.ndarray:
@@ -165,49 +190,83 @@ class TinyTransformerEncoder:
         heads = self.cfg.n_heads
         return x.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
 
-    def forward(self, ids: Sequence[int], lengths: Sequence[int] | None = None):
+    def forward(
+        self,
+        ids: Sequence[int],
+        lengths: Sequence[int] | None = None,
+        keep_cache: bool = True,
+    ):
         """Forward pass over a pack of sequences.
 
         ``ids`` holds the sequences back to back and ``lengths`` their
         lengths (default: one sequence). Per-token work runs once over all
         T tokens; attention stays within each sequence, and positions
-        restart at 0 in each. Returns features [T, d] and a backward cache.
+        restart at 0 in each. Returns features [T, d] and a backward
+        cache, which is None without ``keep_cache``.
         """
         p = self.params
-        cfg = self.cfg
         arr, bounds = self._check_ids(ids, lengths)
-        scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
-
-        x = p["tok_emb"][arr]
+        x = p["tok_emb"][arr]  # a copy: the residual adds below run in place
         for s, e in bounds:
             x[s:e] += p["pos_emb"][: e - s]
         layer_caches = []
-        for i in range(cfg.n_layers):
-            u, ln1 = _layer_norm(x, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
-            q = u @ p[f"l{i}.wq"] + p[f"l{i}.bq"]
-            k = u @ p[f"l{i}.wk"] + p[f"l{i}.bk"]
-            v = u @ p[f"l{i}.wv"] + p[f"l{i}.bv"]
-            c = np.empty_like(q)
-            atts = []
-            for s, e in bounds:
-                qh, kh = self._heads(q[s:e]), self._heads(k[s:e])
-                att = _softmax_rows(qh @ kh.transpose(0, 2, 1) * scale)
-                self._heads(c[s:e])[...] = att @ self._heads(v[s:e])
-                atts.append(att)
-            x_attn = x + (c @ p[f"l{i}.wo"] + p[f"l{i}.bo"])
+        for i in range(self.cfg.n_layers):
+            lc = {} if keep_cache else None
+            x += self._attention(i, x, bounds, lc)
+            x += self._ffn(i, x, lc)
+            layer_caches.append(lc)
+        h, lnf = _layer_norm(x, p["lnf_g"], p["lnf_b"], keep_cache)
+        if not keep_cache:
+            return h, None
+        return h, dict(ids=arr, bounds=bounds, layers=layer_caches, lnf=lnf)
 
-            w_in, ln2 = _layer_norm(x_attn, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
-            z1 = w_in @ p[f"l{i}.w1"] + p[f"l{i}.b1"]
-            e1 = erf(z1 / math.sqrt(2.0))
-            x = x_attn + (_gelu(z1, e1) @ p[f"l{i}.w2"] + p[f"l{i}.b2"])
-            # Kept small: the backward recomputes u, w_in, z1 and the GELU
-            # output with a few cheap ops; only erf, the costly one, is kept.
-            layer_caches.append(
-                dict(ln1=ln1, q=q, k=k, v=v, atts=atts, c=c, ln2=ln2, e1=e1)
-            )
-        h, lnf = _layer_norm(x, p["lnf_g"], p["lnf_b"])
-        cache = dict(ids=arr, bounds=bounds, layers=layer_caches, lnf=lnf)
-        return h, cache
+    def _attention(self, i, x, bounds, lc):
+        """Attention block of layer i, without its residual. Stores what
+        the backward reads in ``lc`` unless it is None."""
+        p = self.params
+        scale = 1.0 / math.sqrt(self.cfg.d_model // self.cfg.n_heads)
+        u, ln1 = _layer_norm(x, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"], lc is not None)
+        q, k, v = (_affine(u, p[f"l{i}.w{n}"], p[f"l{i}.b{n}"]) for n in "qkv")
+        del u
+        c = np.empty_like(q)
+        atts = []
+        for s, e in bounds:
+            # Row softmax of the scaled scores, in place.
+            att = self._heads(q[s:e]) @ self._heads(k[s:e]).transpose(0, 2, 1)
+            att *= scale
+            att -= att.max(axis=-1, keepdims=True)
+            np.exp(att, out=att)
+            att /= att.sum(axis=-1, keepdims=True)
+            self._heads(c[s:e])[...] = att @ self._heads(v[s:e])
+            if lc is not None:
+                atts.append(att)
+        if lc is not None:
+            lc.update(ln1=ln1, q=q, k=k, v=v, atts=atts, c=c)
+        del q, k, v, att
+        return _affine(c, p[f"l{i}.wo"], p[f"l{i}.bo"])
+
+    def _ffn(self, i, x, lc):
+        """Feed-forward block of layer i, without its residual. Stores what
+        the backward reads in ``lc`` unless it is None."""
+        p = self.params
+        w_in, ln2 = _layer_norm(x, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"], lc is not None)
+        z1 = _affine(w_in, p[f"l{i}.w1"], p[f"l{i}.b1"])
+        del w_in
+        e1 = z1 / math.sqrt(2.0)
+        erf(e1, out=e1)
+        # GELU in place: 0.5 * z1 * (1 + e1).
+        z1 *= 0.5
+        if lc is None:
+            e1 += 1.0
+            z1 *= e1
+        else:
+            z1 *= 1.0 + e1
+            # Kept only for training, and small: the backward recomputes u,
+            # w_in, z1 and the GELU output with a few cheap ops; only erf,
+            # the costly one, is kept.
+            lc.update(ln2=ln2, e1=e1)
+        del e1
+        return _affine(z1, p[f"l{i}.w2"], p[f"l{i}.b2"])
 
     def backward(self, cache, dh: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of a scalar with upstream dh = d(scalar)/d(features).
@@ -240,7 +299,7 @@ class TinyTransformerEncoder:
         p = self.params
         e1, ln2 = lc.pop("e1"), lc.pop("ln2")
         w_in = _layer_norm_output(ln2, p[f"l{i}.ln2_b"])
-        z1 = w_in @ p[f"l{i}.w1"] + p[f"l{i}.b1"]
+        z1 = _affine(w_in, p[f"l{i}.w1"], p[f"l{i}.b1"])
         grads[f"l{i}.w2"] = _gelu(z1, e1).T @ dx
         grads[f"l{i}.b2"] = dx.sum(axis=0)
         dz1 = (dx @ p[f"l{i}.w2"].T) * _gelu_grad(z1, e1)

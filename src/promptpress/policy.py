@@ -43,8 +43,9 @@ class Actor:
         self.head_b = head_b
 
     @classmethod
-    def build(cls, cfg: EncoderConfig, seed: int) -> "Actor":
-        # Zero head: every token starts at keep probability 0.5.
+    def build(cls, cfg: EncoderConfig, seed: int | None) -> "Actor":
+        # Zero head: every token starts at keep probability 0.5. Seed None
+        # leaves the encoder's weights zero too (see its ``create``).
         return cls(
             encoder=TinyTransformerEncoder.create(cfg, seed),
             head_w=np.zeros((cfg.d_model, 2)),

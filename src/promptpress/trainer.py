@@ -683,7 +683,7 @@ def load_checkpoint(path: str | Path) -> tuple[TrainState, Vocabulary]:
         )
     except ValueError as exc:
         raise ValueError(f"corrupt checkpoint: {exc}") from exc
-    actor = Actor.build(encoder_cfg, seed=0)
+    actor = Actor.build(encoder_cfg, seed=None)  # no draw: the file fills it
     state = TrainState(
         actor=actor,
         actor_opt=Adam(actor.parameters(), lr=float(meta["actor_lr"])),

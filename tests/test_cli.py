@@ -1,12 +1,16 @@
-"""CLI tests: compress reads what train writes, eval scores every method
-against one vocabulary/LM pairing, and bad training config is a usage
-error."""
+"""CLI tests: compress reads what train writes, on any number of
+threads, eval scores every method against one vocabulary/LM pairing, and
+bad training config or an unfit prompt is a usage error."""
 
 import json
+import os
+import sys
 
+import numpy as np
 import pytest
 
 from conftest import bump_schema_version, edit_meta, rewrite_checkpoint
+from promptpress import cli
 from promptpress.cli import main
 from promptpress.text import PromptRecord, make_synthetic_corpus, save_corpus
 
@@ -19,6 +23,18 @@ def _rows(prefix, method):
     with open(f"{prefix}.jsonl", encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh]
     return [r for r in records if r["method"] == method]
+
+
+# A prompt over the encoder's max_len and one that tokenizes to nothing,
+# each with the message naming its record.
+OVER_MAX_LEN = " ".join(["w"] * 300)
+BLANK_MESSAGE = "record 'bad' tokenizes to nothing"
+UNFIT_PROMPTS = [
+    pytest.param(OVER_MAX_LEN,
+                 "record 'bad' has 300 tokens, more than the encoder max_len 256",
+                 id="over-max-len"),
+    pytest.param("   ", BLANK_MESSAGE, id="blank"),
+]
 
 
 def _checkpoint_on_larger_corpus(tmp_path):
@@ -71,10 +87,28 @@ class TestEvalPairing:
         assert list(tmp_path.iterdir()) == [corpus]  # no manifest, no output
 
 
+def _randomize_head(ckpt):
+    """Give the checkpoint's actor a non-zero head, so which tokens are
+    dropped depends on the encoder's features."""
+
+    def edit(arrays):
+        rng = np.random.default_rng(0)
+        for name in ("actor.head_w", "actor.head_b"):
+            arrays[name] = rng.normal(0.0, 1.0, size=arrays[name].shape)
+
+    rewrite_checkpoint(ckpt, edit)
+
+
+def _set_cpus(monkeypatch, n):
+    """Make the process look as if it may run on n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
 class TestCompressRoundTrip:
     @staticmethod
-    def _compress(ckpt, tmp_path):
-        """``compress --steps 1 --budget 3`` on synthetic prompts plus ones
+    def _compress(ckpt, tmp_path, steps=1, name="compressed.jsonl"):
+        """``compress --steps N --budget 3`` on synthetic prompts plus ones
         shorter than the budget; returns the exit code and output path."""
         records = make_synthetic_corpus(seed=2, n_prompts=3, filler_fraction=0.5)
         words = records[0].text.split()
@@ -83,10 +117,10 @@ class TestCompressRoundTrip:
         ]
         source = tmp_path / "input.jsonl"
         save_corpus(records, source)
-        out = tmp_path / "compressed.jsonl"
+        out = tmp_path / name
         code = main([
             "compress", "--checkpoint", str(ckpt), "--input", str(source),
-            "--out", str(out), "--steps", "1", "--budget", "3",
+            "--out", str(out), "--steps", str(steps), "--budget", "3",
         ])
         return code, out
 
@@ -133,6 +167,124 @@ class TestCompressRoundTrip:
         assert not out.with_name(out.name + ".partial").exists()
 
 
+class TestCompressThreads:
+    """The rollouts run on one thread per usable CPU, capped at the number
+    of prompts; the output is the same whatever that number is."""
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_output_does_not_depend_on_worker_count(self, tmp_path, monkeypatch, steps):
+        ckpt = _checkpoint_on_larger_corpus(tmp_path)
+        _randomize_head(ckpt)
+        workers = []
+
+        class RecordingPool(cli.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        outputs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for n_cpus in (1, 4, 16):
+                _set_cpus(monkeypatch, n_cpus)
+                code, out = TestCompressRoundTrip._compress(
+                    ckpt, tmp_path, steps=steps, name=f"out-{n_cpus}.jsonl"
+                )
+                assert code == 0
+                outputs.append(out.read_bytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert workers == [1, 4, 7]  # 7 prompts
+        assert outputs[0] == outputs[1] == outputs[2]
+        # The head makes the kept tokens depend on the features: at least
+        # one prompt keeps something other than its first tokens.
+        rows = [json.loads(line) for line in outputs[0].decode().splitlines()]
+        assert any(
+            row["compressed"].split()
+            != row["original"].split()[: row["tokens_after"]]
+            for row in rows
+        )
+
+    def test_first_failing_prompt_in_input_order_is_reported(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        ckpt = _checkpoint_on_larger_corpus(tmp_path)
+        real = cli.policy_forward
+
+        def failing(actor, state):
+            n = len(state.current)
+            if n in (2, 3):  # short-2, then short-3, in input order
+                raise RuntimeError(f"cannot compress a {n}-token prompt")
+            return real(actor, state)
+
+        monkeypatch.setattr(cli, "policy_forward", failing)
+        _set_cpus(monkeypatch, 4)
+        code, out = TestCompressRoundTrip._compress(ckpt, tmp_path)
+        assert code == 1
+        assert "cannot compress a 2-token prompt" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestUnfitPrompt:
+    """A prompt the encoder cannot take, or one that tokenizes to nothing,
+    is a usage error naming its record, found before any file is written."""
+
+    @staticmethod
+    def _corpus_with(tmp_path, text):
+        corpus = tmp_path / "input.jsonl"
+        records = make_synthetic_corpus(seed=2, n_prompts=3, filler_fraction=0.5)
+        save_corpus(records + [PromptRecord("bad", text)], corpus)
+        return corpus
+
+    @staticmethod
+    def _argv(command, ckpt, corpus, tmp_path):
+        if command == "compress":
+            return ["compress", "--checkpoint", str(ckpt), "--input", str(corpus),
+                    "--out", str(tmp_path / "out.jsonl")]
+        return ["eval", "--corpus", str(corpus), "--methods", "random,policy",
+                "--checkpoint", str(ckpt), "--out-prefix", str(tmp_path / "ev")]
+
+    @pytest.mark.parametrize("command", ["compress", "eval"])
+    @pytest.mark.parametrize("text, message", UNFIT_PROMPTS)
+    def test_is_usage_error_before_any_output(
+        self, tmp_path, capsys, command, text, message
+    ):
+        ckpt = _checkpoint_on_larger_corpus(tmp_path)
+        corpus = self._corpus_with(tmp_path, text)
+        before = set(tmp_path.iterdir())
+        assert main(self._argv(command, ckpt, corpus, tmp_path)) == 2
+        assert message in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == before  # no manifest, no output
+
+    def test_eval_without_checkpoint_checks_only_for_empty_prompts(
+        self, tmp_path, capsys
+    ):
+        def run(text):
+            corpus = self._corpus_with(tmp_path, text)
+            return main(["eval", "--corpus", str(corpus),
+                         "--out-prefix", str(tmp_path / "ev")])
+
+        before = set(tmp_path.iterdir()) | {tmp_path / "input.jsonl"}
+        assert run("   ") == 2
+        assert BLANK_MESSAGE in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == before
+        # No encoder reads the prompts, so a long one is scored.
+        assert run(OVER_MAX_LEN) == 0
+        rows = _rows(tmp_path / "ev", "random")
+        assert [r["tokens_before"] for r in rows if r.get("id") == "bad"] == [300]
+
+    def test_eval_corrupt_checkpoint_leaves_no_manifest(self, tmp_path, capsys):
+        ckpt = _checkpoint_on_larger_corpus(tmp_path)
+        rewrite_checkpoint(ckpt, bump_schema_version)
+        corpus = self._corpus_with(tmp_path, "a b c")
+        before = set(tmp_path.iterdir())
+        assert main(self._argv("eval", ckpt, corpus, tmp_path)) == 1
+        assert "schema_version" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == before
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize(
         "flags, message",
@@ -163,15 +315,7 @@ class TestTrainConfig:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [corpus]  # no manifest, no checkpoint
 
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            pytest.param(" ".join(["w"] * 300),
-                         "record 'bad' has 300 tokens, more than the encoder max_len 256",
-                         id="over-max-len"),
-            pytest.param("   ", "record 'bad' tokenizes to nothing", id="blank"),
-        ],
-    )
+    @pytest.mark.parametrize("text, message", UNFIT_PROMPTS)
     def test_unfit_prompt_is_usage_error_before_any_output(
         self, tmp_path, capsys, text, message
     ):

@@ -239,3 +239,59 @@ class TestPackedEncoder:
             enc.forward((1, 2, 3), (3, 0))
         with pytest.raises(ValueError, match="max_len"):
             enc.forward((1,) * (TINY.max_len + 2), (1, TINY.max_len + 1))
+
+
+class TestInferenceForward:
+    """``encode`` runs ``forward`` with no backward cache and in-place
+    arithmetic; it must give the training forward's features bit for bit
+    and write into no parameter."""
+
+    CFG = EncoderConfig(vocab_size=50, d_model=16, n_heads=2, n_layers=2, d_ff=32,
+                        max_len=256)
+
+    def _perturbed_encoder(self, seed=0):
+        # Gains and biases away from 1 and 0, so every in-place layer-norm
+        # and bias step changes the result.
+        enc = TinyTransformerEncoder.create(self.CFG, seed=seed)
+        rng = np.random.default_rng(seed + 100)
+        for value in enc.params.values():
+            value += rng.normal(0.0, 0.3, size=value.shape)
+        return enc
+
+    @pytest.mark.parametrize("n", [1, 37, 256])
+    def test_encode_matches_training_forward_bitwise(self, n):
+        enc = self._perturbed_encoder()
+        ids = np.random.default_rng(n).integers(0, self.CFG.vocab_size, n)
+        h, cache = enc.forward(ids)
+        assert cache is not None
+        assert np.array_equal(enc.encode(ids), h)
+
+    def test_pack_without_cache_matches_training_forward_bitwise(self):
+        enc = self._perturbed_encoder(seed=1)
+        lengths = (37, 1, 256, 5)
+        ids = np.random.default_rng(2).integers(0, self.CFG.vocab_size, sum(lengths))
+        h, _ = enc.forward(ids, lengths)
+        h_inference, cache = enc.forward(ids, lengths, keep_cache=False)
+        assert cache is None
+        assert np.array_equal(h_inference, h)
+
+    def test_no_parameter_is_written(self):
+        enc = self._perturbed_encoder(seed=2)
+        before = {k: v.copy() for k, v in enc.params.items()}
+        rng = np.random.default_rng(3)
+        enc.encode(rng.integers(0, self.CFG.vocab_size, 200))
+        lengths = (3, 256)
+        ids = rng.integers(0, self.CFG.vocab_size, sum(lengths))
+        h, cache = enc.forward(ids, lengths)
+        enc.backward(cache, rng.normal(size=h.shape))
+        for name, value in enc.params.items():
+            assert np.array_equal(value, before[name]), name
+
+    def test_encode_keeps_its_checks(self):
+        enc = self._perturbed_encoder()
+        with pytest.raises(ValueError, match="max_len"):
+            enc.encode(tuple(range(self.CFG.max_len + 1)))
+        with pytest.raises(ValueError, match="out of range"):
+            enc.encode((self.CFG.vocab_size,))
+        with pytest.raises(ValueError, match="non-empty"):
+            enc.encode(())
