@@ -13,7 +13,6 @@ compression band.
 __version__ = "0.1.0"
 
 from .baselines import (
-    CompressionResult,
     IdentityCompressor,
     PolicyCompressor,
     RandomCompressor,
@@ -62,6 +61,7 @@ from .text import (
     make_synthetic_corpus,
     save_corpus,
     tokenize,
+    tokenize_corpus,
 )
 from .trainer import (
     CurriculumSchedule,

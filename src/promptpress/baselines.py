@@ -9,7 +9,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .env import apply_action, compression_rate, reset
+from .env import apply_action, reset
 from .policy import Actor, greedy_actions, policy_forward
 from .scoring import ProxyLM
 from .text import TokenSequence
@@ -24,26 +24,17 @@ def keep_count(length: int, rho_target: float) -> int:
     return max(1, _round_half_up(rho_target * length))
 
 
-@dataclass(frozen=True)
-class CompressionResult:
-    original: TokenSequence
-    compressed: TokenSequence
-    rho: float
-    method: str
-
-
 @runtime_checkable
 class Compressor(Protocol):
-    """Sequence-in, subsequence-out; ``key`` diversifies per-prompt seeds."""
+    """Sequence-in, kept-subsequence-out; ``key`` diversifies per-prompt
+    seeds."""
 
     name: str
 
-    def compress(self, seq: TokenSequence, key: int = 0) -> CompressionResult: ...
+    def compress(self, seq: TokenSequence, key: int = 0) -> TokenSequence: ...
 
 
-def random_compress(
-    seq: TokenSequence, rho_target: float, seed: int
-) -> CompressionResult:
+def random_compress(seq: TokenSequence, rho_target: float, seed: int) -> TokenSequence:
     """Keep a uniformly random subset of exactly max(1, round(rho*L)) tokens."""
     if not 0.0 < rho_target <= 1.0:
         raise ValueError("rho_target must be in (0, 1]")
@@ -51,15 +42,12 @@ def random_compress(
     k = keep_count(n, rho_target)
     rng = np.random.default_rng(seed)
     kept_idx = np.sort(rng.choice(n, size=k, replace=False))
-    compressed = TokenSequence(tuple(seq.ids[int(i)] for i in kept_idx))
-    return CompressionResult(
-        original=seq, compressed=compressed, rho=k / n, method="random"
-    )
+    return TokenSequence(tuple(seq.ids[int(i)] for i in kept_idx))
 
 
 def selfinfo_compress(
     seq: TokenSequence, lm: ProxyLM, rho_target: float
-) -> CompressionResult:
+) -> TokenSequence:
     """Keep the tokens with the highest self-information under the model.
 
     Token i scores -ln P(token_i | tokens_<i); ties keep the earlier
@@ -76,20 +64,15 @@ def selfinfo_compress(
     # descending score; among equals the earlier index sorts first
     order = np.lexsort((np.arange(n), -scores))
     kept_idx = np.sort(order[:k])
-    compressed = TokenSequence(tuple(seq.ids[int(i)] for i in kept_idx))
-    return CompressionResult(
-        original=seq, compressed=compressed, rho=k / n, method="selfinfo"
-    )
+    return TokenSequence(tuple(seq.ids[int(i)] for i in kept_idx))
 
 
 @dataclass(frozen=True)
 class IdentityCompressor:
     name: str = "identity"
 
-    def compress(self, seq: TokenSequence, key: int = 0) -> CompressionResult:
-        return CompressionResult(
-            original=seq, compressed=seq, rho=1.0, method=self.name
-        )
+    def compress(self, seq: TokenSequence, key: int = 0) -> TokenSequence:
+        return seq
 
 
 @dataclass(frozen=True)
@@ -98,7 +81,7 @@ class RandomCompressor:
     seed: int
     name: str = "random"
 
-    def compress(self, seq: TokenSequence, key: int = 0) -> CompressionResult:
+    def compress(self, seq: TokenSequence, key: int = 0) -> TokenSequence:
         # deterministic per (seed, key) so prompts get distinct subsets
         child = int(np.random.SeedSequence((self.seed, key)).generate_state(1)[0])
         return random_compress(seq, self.rho_target, child)
@@ -110,7 +93,7 @@ class SelfInfoCompressor:
     rho_target: float
     name: str = "selfinfo"
 
-    def compress(self, seq: TokenSequence, key: int = 0) -> CompressionResult:
+    def compress(self, seq: TokenSequence, key: int = 0) -> TokenSequence:
         return selfinfo_compress(seq, self.lm, self.rho_target)
 
 
@@ -129,7 +112,7 @@ class PolicyCompressor:
     steps: int = 1
     name: str = "policy"
 
-    def compress(self, seq: TokenSequence, key: int = 0) -> CompressionResult:
+    def compress(self, seq: TokenSequence, key: int = 0) -> TokenSequence:
         state = reset(seq)
         for step in range(self.steps):
             # per-step relative keep rate compounding to the target
@@ -140,9 +123,4 @@ class PolicyCompressor:
             out = policy_forward(self.actor, state)
             action = greedy_actions(out, budget)
             state = apply_action(state, action, out.keep_probs)
-        return CompressionResult(
-            original=seq,
-            compressed=state.current,
-            rho=compression_rate(state),
-            method=self.name,
-        )
+        return state.current

@@ -40,6 +40,7 @@ from .text import (
     load_corpus,
     make_synthetic_corpus,
     save_corpus,
+    tokenize_corpus,
 )
 from .trainer import (
     CurriculumSchedule,
@@ -48,7 +49,6 @@ from .trainer import (
     hpc_train,
     load_checkpoint,
     save_checkpoint,
-    tokenize_corpus,
 )
 
 CONFIG_DEFAULTS: dict[str, object] = {
@@ -84,16 +84,17 @@ class UsageError(Exception):
     pass
 
 
-def _atomic_write_text(path: Path, content: str) -> None:
-    partial = path.with_name(path.name + ".partial")
-    partial.write_text(content, encoding="utf-8")
-    os.replace(partial, path)
+def _atomic(path: Path, content) -> None:
+    """Write ``content`` to a .partial path, then rename into place.
 
-
-def _atomic(path: Path, writer) -> None:
-    """Run ``writer`` against a .partial path, then rename into place."""
+    ``content`` is text, written as UTF-8, or a function that writes the
+    path it is given.
+    """
     partial = path.with_name(path.name + ".partial")
-    writer(partial)
+    if isinstance(content, str):
+        partial.write_text(content, encoding="utf-8")
+    else:
+        content(partial)
     os.replace(partial, path)
 
 
@@ -134,17 +135,11 @@ def _parse_set_flags(pairs: list[str]) -> dict[str, object]:
 
 
 def resolve_seed(flag_seed: int | None, config_seed: object) -> int:
-    """Flag beats config beats the DCP_SEED environment fallback."""
+    """Flag beats config beats 0."""
     if flag_seed is not None:
         return flag_seed
     if config_seed is not None:
         return int(config_seed)  # type: ignore[arg-type]
-    env = os.environ.get("DCP_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"DCP_SEED must be an integer, got {env!r}")
     return 0
 
 
@@ -165,7 +160,7 @@ def write_manifest(
         "inputs": inputs,
         "artifacts": artifacts,
     }
-    _atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _build_training_pieces(config: dict[str, object], seed: int, no_hpc: bool,
@@ -240,7 +235,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         trainer_cfg, schedule, reward_cfg, encoder_cfg = _build_training_pieces(
             config, seed, args.no_hpc, args.fixed_c_s, args.fixed_c_l, vocab.size
         )
-        tokenize_corpus(corpus, vocab, encoder_cfg.max_len)
+        prompts = tokenize_corpus(corpus, vocab, encoder_cfg.max_len)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid training config: {exc}") from exc
 
@@ -257,28 +252,27 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
 
     lm = fit_ngram_lm(
-        corpus,
+        prompts,
         order=int(config["scoring.ngram_order"]),
         smoothing=float(config["scoring.ngram_k"]),
         vocab=vocab,
     )
     scorers = Scorers(
-        retention=IdfRetentionScorer(compute_idf_table(corpus, vocab)),
+        retention=IdfRetentionScorer(compute_idf_table(prompts)),
         lm=lm,
         n_gen=int(config["scoring.n_gen"]),
     )
     state = hpc_train(
-        corpus,
-        vocab,
+        prompts,
         trainer_cfg,
         schedule,
         reward_cfg,
         scorers,
-        encoder_cfg=encoder_cfg,
+        encoder_cfg,
         progress=lambda msg: print(msg, file=sys.stderr),
     )
     _atomic(out, lambda p: save_checkpoint(state, vocab, p))
-    _atomic_write_text(log_path, state.log.dumps())
+    _atomic(log_path, state.log.dumps())
     print(f"wrote checkpoint {out} and log {log_path}")
     return 0
 
@@ -350,7 +344,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
         )
         for record, seq, env_state in zip(corpus, seqs, finals)
     ]
-    _atomic_write_text(out, "\n".join(lines) + "\n")
+    _atomic(out, "\n".join(lines) + "\n")
     print(f"wrote {len(lines)} compressed prompts to {out}")
     return 0
 
@@ -373,16 +367,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     if not corpus:
         raise UsageError(f"corpus {args.corpus} is empty")
-    # One vocabulary and one LM serve every method: the checkpoint's
-    # vocabulary when there is one, since the policy reads its ids. Its
-    # encoder bounds the prompt length; every method needs a prompt that
-    # tokenizes to something.
+    # One vocabulary, one tokenization and one LM serve every method: the
+    # checkpoint's vocabulary when there is one, since the policy reads
+    # its ids. Its encoder bounds the prompt length; every method needs a
+    # prompt that tokenizes to something.
     if args.checkpoint:
         state, vocab = load_checkpoint(args.checkpoint)
-        _checked_prompts(corpus, vocab, state.actor.encoder.cfg.max_len)
+        max_len = state.actor.encoder.cfg.max_len
     else:
         vocab = build_vocabulary(corpus, args.vocab_size)
-        _checked_prompts(corpus, vocab, max_len=sys.maxsize)
+        max_len = sys.maxsize
+    prompts = _checked_prompts(corpus, vocab, max_len)
 
     prefix = Path(args.out_prefix)
     jsonl_path = prefix.with_name(prefix.name + ".jsonl")
@@ -402,7 +397,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         artifacts={"rows": str(jsonl_path), "table": str(table_path)},
     )
 
-    lm = fit_ngram_lm(corpus, order=args.ngram_order, smoothing=0.1, vocab=vocab)
+    lm = fit_ngram_lm(prompts, order=args.ngram_order, smoothing=0.1, vocab=vocab)
     settings = EvalSettings(
         vocab=vocab,
         n_gen=args.n_gen,
@@ -426,13 +421,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 )
             )
 
-    reports = [evaluate(c, corpus, lm, settings) for c in compressors]
+    reports = evaluate(compressors, corpus, prompts, lm, settings)
     records = [rec for report in reports for rec in report.jsonl_records()]
-    _atomic_write_text(
+    _atomic(
         jsonl_path,
         "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records),
     )
-    _atomic_write_text(table_path, "\n".join(r.table() for r in reports))
+    _atomic(table_path, "\n".join(r.table() for r in reports))
     print(f"wrote {jsonl_path} and {table_path}")
     return 0
 

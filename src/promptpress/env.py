@@ -17,18 +17,12 @@ def _is_subsequence(sub: tuple[int, ...], full: tuple[int, ...]) -> bool:
 
 @dataclass(frozen=True)
 class CompressionState:
-    """MDP state: the original prompt, the current compressed prompt, and
-    the number of compression rounds applied so far."""
+    """MDP state: the original prompt and the current compressed prompt."""
 
     original: TokenSequence
     current: TokenSequence
-    step: int
 
     def __post_init__(self) -> None:
-        if self.step < 0:
-            raise ValueError("step must be >= 0")
-        if self.step == 0 and self.current.ids != self.original.ids:
-            raise ValueError("step 0 requires current == original")
         if not _is_subsequence(self.current.ids, self.original.ids):
             raise ValueError("current is not a subsequence of original")
 
@@ -51,7 +45,7 @@ def reset(prompt: TokenSequence) -> CompressionState:
     """Start an episode: the prompt is both the original and the current sequence."""
     if len(prompt) == 0:
         raise ValueError("empty prompt")
-    return CompressionState(original=prompt, current=prompt, step=0)
+    return CompressionState(original=prompt, current=prompt)
 
 
 def apply_action(
@@ -59,7 +53,7 @@ def apply_action(
     action: ActionVector,
     keep_probs: Sequence[float] | None = None,
 ) -> CompressionState:
-    """Keep exactly the tokens labeled 1, in order, and advance the step.
+    """Keep exactly the tokens labeled 1, in order.
 
     An all-zeros action would empty the prompt, which leaves the
     compression rate and all scorers undefined; instead one token is
@@ -76,11 +70,7 @@ def apply_action(
     if not kept:
         index = int(np.argmax(keep_probs)) if keep_probs is not None else 0
         kept = (state.current.ids[index],)
-    return CompressionState(
-        original=state.original,
-        current=TokenSequence(kept),
-        step=state.step + 1,
-    )
+    return CompressionState(original=state.original, current=TokenSequence(kept))
 
 
 def compression_rate(state: CompressionState) -> float:

@@ -1,10 +1,11 @@
 """Evaluation harness: compress, regenerate, and compare.
 
 The proxy model plays the target LLM's role: for every prompt it
-greedy-generates once from the original and once from the compressed
-prompt, and the report scores the two generations against each other
-(ROUGE-1/2/L, token F1) and the compressed generation against the
-record's reference output (exact match), when one is present.
+greedy-generates once from the original and, per method, once from the
+compressed prompt, and each method's report scores the two generations
+against each other (ROUGE-1/2/L, token F1) and the compressed
+generation against the record's reference output (exact match), when
+one is present.
 
 Exact match is applied to the full normalized generation; the report
 header records this, and which model produced the generations.
@@ -18,7 +19,7 @@ from typing import Sequence
 from .baselines import Compressor
 from .metrics import exact_match, rouge_l, rouge_n, token_f1
 from .scoring import ProxyLM
-from .text import PromptRecord, Vocabulary, detokenize, tokenize
+from .text import PromptRecord, TokenSequence, Vocabulary, detokenize
 
 EM_NOTE = "exact match compares the full normalized generation to the reference"
 
@@ -88,48 +89,60 @@ def _mean(values: Sequence[float]) -> float | None:
 
 
 def evaluate(
-    compressor: Compressor,
+    compressors: Sequence[Compressor],
     corpus: Sequence[PromptRecord],
+    prompts: Sequence[TokenSequence],
     lm: ProxyLM,
     settings: EvalSettings,
-) -> EvalReport:
-    """Per-prompt metric rows plus arithmetic-mean aggregates."""
+) -> list[EvalReport]:
+    """One report per compressor, in order: per-prompt metric rows plus
+    arithmetic-mean aggregates.
+
+    ``prompts[i]`` is ``corpus[i]`` tokenized with ``settings.vocab``.
+    Each prompt's original continuation is generated once and shared by
+    every compressor, so a compressor's report does not depend on which
+    others run beside it.
+    """
     vocab = settings.vocab
-    rows: list[dict] = []
-    for index, record in enumerate(corpus):
-        seq = tokenize(record.text, vocab)
-        if len(seq) == 0:
-            raise ValueError(f"corpus record {record.id!r} tokenizes to nothing")
-        result = compressor.compress(seq, key=index)
-        gen_c = lm.greedy_continue(result.compressed, settings.n_gen)
+    rows: list[list[dict]] = [[] for _ in compressors]
+    for index, (record, seq) in enumerate(zip(corpus, prompts, strict=True)):
         gen_o = lm.greedy_continue(seq, settings.n_gen)
-        em = None
-        if record.reference_output is not None:
-            em = exact_match(detokenize(gen_c, vocab), record.reference_output)
-        rows.append(
-            {
-                "id": record.id,
-                "method": compressor.name,
-                "tokens_before": len(seq),
-                "tokens": len(result.compressed),
-                "rho": result.rho,
-                "inv_rho": 1.0 / result.rho,
-                "rouge1_f": rouge_n(gen_c.ids, gen_o.ids, 1)[2],
-                "rouge2_f": rouge_n(gen_c.ids, gen_o.ids, 2)[2],
-                "rougeL_f": rouge_l(gen_c.ids, gen_o.ids)[2],
-                "token_f1": token_f1(gen_c.ids, gen_o.ids)[2],
-                "em": em,
-            }
-        )
-    aggregate = {"method": compressor.name, "n": len(rows)}
-    for key in ("tokens", "rho", "inv_rho", "rouge1_f", "rouge2_f", "rougeL_f",
-                "token_f1", "em"):
-        aggregate[key] = _mean([row[key] for row in rows])
+        for compressor, method_rows in zip(compressors, rows):
+            kept = compressor.compress(seq, key=index)
+            gen_c = lm.greedy_continue(kept, settings.n_gen)
+            em = None
+            if record.reference_output is not None:
+                em = exact_match(detokenize(gen_c, vocab), record.reference_output)
+            rho = len(kept) / len(seq)
+            method_rows.append(
+                {
+                    "id": record.id,
+                    "method": compressor.name,
+                    "tokens_before": len(seq),
+                    "tokens": len(kept),
+                    "rho": rho,
+                    "inv_rho": 1.0 / rho,
+                    "rouge1_f": rouge_n(gen_c.ids, gen_o.ids, 1)[2],
+                    "rouge2_f": rouge_n(gen_c.ids, gen_o.ids, 2)[2],
+                    "rougeL_f": rouge_l(gen_c.ids, gen_o.ids)[2],
+                    "token_f1": token_f1(gen_c.ids, gen_o.ids)[2],
+                    "em": em,
+                }
+            )
     lm_description = settings.lm_description or type(lm).__name__
-    return EvalReport(
-        method=compressor.name,
-        lm_description=lm_description,
-        note=EM_NOTE,
-        rows=rows,
-        aggregate=aggregate,
-    )
+    reports = []
+    for compressor, method_rows in zip(compressors, rows):
+        aggregate = {"method": compressor.name, "n": len(method_rows)}
+        for key in ("tokens", "rho", "inv_rho", "rouge1_f", "rouge2_f", "rougeL_f",
+                    "token_f1", "em"):
+            aggregate[key] = _mean([row[key] for row in method_rows])
+        reports.append(
+            EvalReport(
+                method=compressor.name,
+                lm_description=lm_description,
+                note=EM_NOTE,
+                rows=method_rows,
+                aggregate=aggregate,
+            )
+        )
+    return reports

@@ -71,8 +71,7 @@ def _softmax2(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _output_from_logits(logits: np.ndarray) -> PolicyOutput:
-    probs = _softmax2(logits)
+def _output_from_probs(probs: np.ndarray) -> PolicyOutput:
     kp = np.clip(probs[:, 1], PROB_FLOOR, 1.0 - PROB_FLOOR)
     log_probs = np.stack([np.log1p(-kp), np.log(kp)], axis=1)
     return PolicyOutput(keep_probs=kp, log_probs=log_probs)
@@ -84,7 +83,7 @@ def policy_forward(actor: Actor, state: CompressionState) -> PolicyOutput:
         raise ValueError("empty state")
     h = actor.encoder.encode(state.current.ids)
     logits = h @ actor.head_w + actor.head_b
-    return _output_from_logits(logits)
+    return _output_from_probs(_softmax2(logits))
 
 
 def sample_actions(output: PolicyOutput, rng_seed: int) -> tuple[ActionVector, float]:
@@ -123,7 +122,7 @@ def greedy_actions(output: PolicyOutput, drop_budget: int) -> ActionVector:
 def action_log_prob(actor: Actor, ids: Sequence[int], labels: Sequence[int]) -> float:
     """Log-probability of a full action vector under the actor."""
     h = actor.encoder.encode(ids)
-    out = _output_from_logits(h @ actor.head_w + actor.head_b)
+    out = _output_from_probs(_softmax2(h @ actor.head_w + actor.head_b))
     idx = np.asarray(labels, dtype=int)
     return float(out.log_probs[np.arange(idx.size), idx].sum())
 
@@ -148,7 +147,7 @@ def packed_action_log_probs(
     h, cache = actor.encoder.forward(ids, lengths)
     logits = h @ actor.head_w + actor.head_b
     probs = _softmax2(logits)
-    out = _output_from_logits(logits)
+    out = _output_from_probs(probs)
     rows = np.arange(len(ids))
     idx = np.asarray([a for l in labels for a in l], dtype=int)
     picked = out.log_probs[rows, idx]

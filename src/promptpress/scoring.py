@@ -21,7 +21,7 @@ from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .text import PromptRecord, TokenSequence, Vocabulary, build_vocabulary, tokenize
+from .text import TokenSequence, Vocabulary
 
 KL_FLOOR = 1e-10
 
@@ -258,32 +258,24 @@ class NgramLM:
         return generate_reference(self, context, n)
 
 
-
 def fit_ngram_lm(
-    corpus: Sequence[PromptRecord],
+    prompts: Sequence[TokenSequence],
     order: int,
     smoothing: float,
-    vocab: Vocabulary | None = None,
-    max_vocab: int = 512,
+    vocab: Vocabulary,
 ) -> NgramLM:
-    """Fit the reference proxy model on a corpus.
-
-    When no vocabulary is supplied one is built from the corpus with at
-    most ``max_vocab`` entries.
-    """
-    if not corpus:
+    """Fit the reference proxy model on tokenized prompts over ``vocab``."""
+    if not prompts:
         raise ValueError("empty corpus")
     if order < 1:
         raise ValueError("order must be >= 1")
     if smoothing <= 0:
         raise ValueError("smoothing must be > 0")
-    if vocab is None:
-        vocab = build_vocabulary(corpus, max_vocab)
     counts: list[dict[tuple[int, ...], dict[int, int]]] = [
         {} for _ in range(order)
     ]
-    for record in corpus:
-        ids = tokenize(record.text, vocab).ids
+    for seq in prompts:
+        ids = seq.ids
         for i, tid in enumerate(ids):
             for o in range(1, order + 1):
                 if i < o - 1:

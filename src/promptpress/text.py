@@ -122,6 +122,29 @@ def tokenize(text: str, vocab: Vocabulary) -> TokenSequence:
     return TokenSequence(tuple(vocab.id_of(s) for s in split_surfaces(text)))
 
 
+def tokenize_corpus(
+    corpus: Sequence[PromptRecord], vocab: Vocabulary, max_len: int
+) -> list[TokenSequence]:
+    """Tokenize every record; one that is empty or longer than the
+    encoder's ``max_len`` is an error naming the record.
+
+    This is the one place text becomes ids: everything downstream takes
+    the sequences it returns.
+    """
+    prompts: list[TokenSequence] = []
+    for record in corpus:
+        seq = tokenize(record.text, vocab)
+        if len(seq) == 0:
+            raise ValueError(f"corpus record {record.id!r} tokenizes to nothing")
+        if len(seq) > max_len:
+            raise ValueError(
+                f"corpus record {record.id!r} has {len(seq)} tokens, more than "
+                f"the encoder max_len {max_len}"
+            )
+        prompts.append(seq)
+    return prompts
+
+
 def detokenize(seq: TokenSequence, vocab: Vocabulary) -> str:
     """Ids -> text, surfaces joined by single spaces."""
     return " ".join(vocab.surface_of(i) for i in seq)
@@ -230,19 +253,17 @@ def make_synthetic_corpus(
     return records
 
 
-def compute_idf_table(
-    corpus: Sequence[PromptRecord], vocab: Vocabulary
-) -> dict[int, float]:
+def compute_idf_table(prompts: Sequence[TokenSequence]) -> dict[int, float]:
     """Classic inverse document frequency, ln(N / df), per token id.
 
-    Tokens present in every record get weight 0 and therefore do not
-    count as retained information. Ids never seen in the corpus are
+    Tokens present in every prompt get weight 0 and therefore do not
+    count as retained information. Ids never seen in the prompts are
     omitted (scorers fall back to weight 1 for them).
     """
-    n_docs = len(corpus)
+    n_docs = len(prompts)
     if n_docs == 0:
         raise ValueError("empty corpus")
     df: Counter[int] = Counter()
-    for record in corpus:
-        df.update(set(tokenize(record.text, vocab)))
+    for seq in prompts:
+        df.update(set(seq.ids))
     return {tid: math.log(n_docs / count) for tid, count in df.items()}

@@ -39,7 +39,7 @@ from .policy import (
 )
 from .reward import RewardConfig, compute_reward
 from .scoring import ProxyLM, RetentionScorer, generate_reference
-from .text import PromptRecord, TokenSequence, Vocabulary, tokenize
+from .text import TokenSequence, Vocabulary
 
 CHECKPOINT_SCHEMA_VERSION = 2
 GRAD_CLIP_NORM = 1.0
@@ -180,20 +180,16 @@ def collect_trajectory(
     reward_cfg: RewardConfig,
     scorers: Scorers,
     seed: int,
-    reference: TokenSequence | None = None,
+    reference: TokenSequence,
 ) -> Trajectory:
     """Roll out one episode of the stage's length with the frozen actor.
 
-    The greedy reference continuation of the original prompt is reused
-    for every step's divergence term. It depends only on the prompt and
-    ``scorers.lm``, so a caller that already has it passes it as
-    ``reference``; otherwise it is generated here. The per-step reward
-    scores the post-action prompt against the original under the step's
-    band from ``schedule``.
+    ``reference`` is the greedy continuation of ``prompt`` under
+    ``scorers.lm`` (``generate_reference``); every step's divergence term
+    reuses it. The per-step reward scores the post-action prompt against
+    the original under the step's band from ``schedule``.
     """
     state = reset(prompt)
-    if reference is None:
-        reference = generate_reference(scorers.lm, prompt, scorers.n_gen)
     t_max = schedule.t_max_for(stage)
     steps: list[TrajectoryStep] = []
     bounds: list[tuple[float, float]] = []
@@ -471,40 +467,22 @@ def _update_round(
         )
 
 
-def tokenize_corpus(
-    corpus: Sequence[PromptRecord], vocab: Vocabulary, max_len: int
-) -> list[TokenSequence]:
-    """Tokenize every record; one that is empty or longer than the
-    encoder's ``max_len`` is an error naming the record."""
-    prompts: list[TokenSequence] = []
-    for record in corpus:
-        seq = tokenize(record.text, vocab)
-        if len(seq) == 0:
-            raise ValueError(f"corpus record {record.id!r} tokenizes to nothing")
-        if len(seq) > max_len:
-            raise ValueError(
-                f"corpus record {record.id!r} has {len(seq)} tokens, more than "
-                f"the encoder max_len {max_len}"
-            )
-        prompts.append(seq)
-    return prompts
-
-
 def hpc_train(
-    corpus: Sequence[PromptRecord],
-    vocab: Vocabulary,
+    prompts: Sequence[TokenSequence],
     trainer_cfg: TrainerConfig,
     schedule: CurriculumSchedule,
     reward_cfg: RewardConfig,
     scorers: Scorers,
-    encoder_cfg: EncoderConfig | None = None,
+    encoder_cfg: EncoderConfig,
     state: TrainState | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> TrainState:
     """Run the staged training loop; returns the final train state.
 
-    Per stage and epoch, every corpus prompt yields one trajectory
-    collected with the frozen old actor. Every M = ``buffer_capacity``
+    ``prompts`` are the checked sequences of ``text.tokenize_corpus``;
+    ``encoder_cfg`` shapes the actor when no ``state`` is given. Per
+    stage and epoch, every prompt yields one trajectory collected with
+    the frozen old actor. Every M = ``buffer_capacity``
     trajectories, each step's leave-one-out advantage is computed over
     those M, M update iterations run (each on a uniformly sampled batch
     of them), and the frozen actor is refreshed. Passing a ``state`` from
@@ -517,16 +495,11 @@ def hpc_train(
     with E epochs, only the first floor(P * E / M) * M run. Each prompt's
     greedy reference is generated once, on its first episode.
     """
-    if not corpus:
+    if not prompts:
         raise ValueError("empty corpus")
-    if encoder_cfg is None:
-        encoder_cfg = EncoderConfig(vocab_size=vocab.size)
-    if encoder_cfg.vocab_size != vocab.size:
-        raise ValueError("encoder vocab_size does not match vocabulary size")
     if state is None:
         state = init_train_state(trainer_cfg, encoder_cfg)
 
-    prompts = tokenize_corpus(corpus, vocab, state.actor.encoder.cfg.max_len)
     references: dict[int, TokenSequence] = {}
 
     actor_old = state.actor.clone()

@@ -7,7 +7,13 @@ import numpy as np
 
 from promptpress.encoder import EncoderConfig
 from promptpress.scoring import IdfRetentionScorer, fit_ngram_lm
-from promptpress.text import PromptRecord, build_vocabulary, compute_idf_table
+from promptpress.text import (
+    PromptRecord,
+    build_vocabulary,
+    compute_idf_table,
+    tokenize,
+    tokenize_corpus,
+)
 from promptpress.trainer import CHECKPOINT_SCHEMA_VERSION, Scorers
 
 
@@ -23,21 +29,32 @@ def tiny_corpus(n_prompts=8, seed=0, min_len=6, max_len=10):
     return records
 
 
+def fit_lm(corpus, order, smoothing, vocab=None, max_vocab=512):
+    """An n-gram proxy fit on ``corpus`` records, over ``vocab`` or, when
+    none is given, a vocabulary of at most ``max_vocab`` built from them."""
+    if vocab is None:
+        vocab = build_vocabulary(corpus, max_vocab)
+    prompts = [tokenize(record.text, vocab) for record in corpus]
+    return fit_ngram_lm(prompts, order=order, smoothing=smoothing, vocab=vocab)
+
+
 def tiny_world(n_prompts=8, seed=0, n_gen=4, d_model=8):
-    """(corpus, vocab, scorers, encoder_cfg) sized for fast unit tests."""
+    """(prompts, vocab, scorers, encoder_cfg) sized for fast unit tests;
+    ``prompts`` are the token sequences of ``tiny_corpus``."""
     corpus = tiny_corpus(n_prompts=n_prompts, seed=seed)
     vocab = build_vocabulary(corpus, max_size=64)
-    lm = fit_ngram_lm(corpus, order=2, smoothing=0.1, vocab=vocab)
-    scorers = Scorers(
-        retention=IdfRetentionScorer(compute_idf_table(corpus, vocab)),
-        lm=lm,
-        n_gen=n_gen,
-    )
     encoder_cfg = EncoderConfig(
         vocab_size=vocab.size, d_model=d_model, n_heads=2, n_layers=2,
         d_ff=2 * d_model, max_len=32,
     )
-    return corpus, vocab, scorers, encoder_cfg
+    prompts = tokenize_corpus(corpus, vocab, encoder_cfg.max_len)
+    lm = fit_ngram_lm(prompts, order=2, smoothing=0.1, vocab=vocab)
+    scorers = Scorers(
+        retention=IdfRetentionScorer(compute_idf_table(prompts)),
+        lm=lm,
+        n_gen=n_gen,
+    )
+    return prompts, vocab, scorers, encoder_cfg
 
 
 def rewrite_checkpoint(path, edit):

@@ -146,3 +146,26 @@ def test_allow_list_names_live_definitions():
         for d in _definitions(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert ALLOWED <= defined
+
+
+def modules_naming(name: str) -> list[str]:
+    """Modules of ``src/`` that reference ``name``: as a bare name, an
+    attribute, or an imported name."""
+    found = []
+    for module, tree in _trees().items():
+        names, attributes = _references(tree)
+        imported = any(
+            alias.name == name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        )
+        if names[name] or attributes[name] or imported:
+            found.append(module)
+    return found
+
+
+def test_only_text_tokenizes():
+    # The CLI turns each prompt into ids once (text.tokenize_corpus) and
+    # every layer below it takes those sequences, so none tokenizes again.
+    assert modules_naming("tokenize") == ["text.py"]

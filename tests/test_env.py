@@ -21,7 +21,6 @@ class TestReset:
     def test_initial_state(self):
         state = reset(seq(1, 2, 3))
         assert state.current == state.original == seq(1, 2, 3)
-        assert state.step == 0
 
     def test_rho_is_one_at_reset(self):
         state = reset(TokenSequence(tuple(range(100))))
@@ -41,14 +40,12 @@ class TestApplyAction:
         state = reset(seq(10, 11, 12))
         nxt = apply_action(state, ActionVector((1, 0, 1)))
         assert nxt.current == seq(10, 12)
-        assert nxt.step == 1
         assert nxt.original == state.original
 
     def test_identity_action(self):
         state = reset(seq(1, 2))
         nxt = apply_action(state, ActionVector((1, 1)))
         assert nxt.current == state.current
-        assert nxt.step == state.step + 1
 
     def test_length_mismatch(self):
         state = reset(seq(1, 2, 3))
@@ -57,9 +54,9 @@ class TestApplyAction:
 
     def test_input_state_not_mutated(self):
         state = reset(seq(1, 2, 3))
-        before = (state.original, state.current, state.step)
+        before = (state.original, state.current)
         apply_action(state, ActionVector((0, 1, 0)))
-        assert (state.original, state.current, state.step) == before
+        assert (state.original, state.current) == before
 
     def test_all_zeros_force_keeps_highest_keep_prob(self):
         state = reset(seq(7, 8, 9))
@@ -91,7 +88,7 @@ class TestCompressionRate:
     def test_half(self):
         original = TokenSequence(tuple(range(100)))
         state = CompressionState(
-            original=original, current=TokenSequence(tuple(range(50))), step=1
+            original=original, current=TokenSequence(tuple(range(50)))
         )
         assert compression_rate(state) == 0.5
 
@@ -138,6 +135,4 @@ class TestInvariants:
 
     def test_state_validates_subsequence(self):
         with pytest.raises(ValueError):
-            CompressionState(original=seq(1, 2), current=seq(2, 1), step=1)
-        with pytest.raises(ValueError):
-            CompressionState(original=seq(1, 2), current=seq(1), step=0)
+            CompressionState(original=seq(1, 2), current=seq(2, 1))

@@ -79,7 +79,7 @@ class TestPolicyForward:
 
         actor = Actor.build(TINY, seed=1)
         state = CompressionState(
-            original=TokenSequence((1,)), current=TokenSequence(()), step=1
+            original=TokenSequence((1,)), current=TokenSequence(())
         )
         with pytest.raises(ValueError):
             policy_forward(actor, state)

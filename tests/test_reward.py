@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import fit_lm
 from promptpress.reward import (
     Band,
     RewardConfig,
@@ -10,7 +11,7 @@ from promptpress.reward import (
     compute_reward,
     in_band,
 )
-from promptpress.scoring import fit_ngram_lm, generate_reference
+from promptpress.scoring import generate_reference
 from promptpress.text import PromptRecord, TokenSequence, tokenize
 
 
@@ -140,7 +141,7 @@ class TestAssembleReward:
 class TestComputeReward:
     def _fixture(self):
         corpus = [PromptRecord("0", "a b c d a b c d e f")]
-        lm = fit_ngram_lm(corpus, order=2, smoothing=0.1)
+        lm = fit_lm(corpus, order=2, smoothing=0.1)
         s0 = tokenize("a b c d e f", lm.vocab)
         reference = generate_reference(lm, s0, 8)
         return lm, s0, reference

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import fit_lm
 from promptpress.baselines import (
     IdentityCompressor,
     RandomCompressor,
@@ -190,14 +191,14 @@ class TestGenerateReference:
 
     def test_determinism(self):
         corpus = [PromptRecord("0", "a b c a b d")]
-        lm = fit_ngram_lm(corpus, order=2, smoothing=0.1)
+        lm = fit_lm(corpus, order=2, smoothing=0.1)
         out1 = generate_reference(lm, tokenize("a b", lm.vocab), 6)
         out2 = generate_reference(lm, tokenize("a b", lm.vocab), 6)
         assert out1 == out2
 
     def test_bigram_matches_stepwise_argmax_trace(self):
         corpus = [PromptRecord("0", "a b a c a b")]
-        lm = fit_ngram_lm(corpus, order=2, smoothing=0.1)
+        lm = fit_lm(corpus, order=2, smoothing=0.1)
         context = tokenize("a", lm.vocab)
         expected = []
         trace = context
@@ -211,7 +212,7 @@ class TestGenerateReference:
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     @pytest.mark.parametrize("prompt", ["", "c", "a b", "d a c b b"])
     def test_window_tail_walk_matches_full_context_trace(self, order, prompt):
-        lm = fit_ngram_lm(MEMO_CORPUS, order=order, smoothing=0.1, vocab=MEMO_VOCAB)
+        lm = fit_lm(MEMO_CORPUS, order=order, smoothing=0.1, vocab=MEMO_VOCAB)
         context = tokenize(prompt, MEMO_VOCAB)
         expected = stepwise_argmax_trace(lm, context, 12)
         assert generate_reference(lm, context, 12).ids == expected
@@ -239,7 +240,7 @@ class TestNgramLM:
         corpus = [PromptRecord("0", "a b a b")]
         vocab = Vocabulary(surfaces=("a", "b", "<unk>"), unknown_id=2)
         k = 0.1
-        lm = fit_ngram_lm(corpus, order=2, smoothing=k, vocab=vocab)
+        lm = fit_lm(corpus, order=2, smoothing=k, vocab=vocab)
         probs = lm.next_token_dist(tokenize("a", vocab)).probs
         # count(a b) = 2, count(a .) = 2, V = 3
         assert probs[vocab.id_of("b")] == pytest.approx((2 + k) / (2 + k * 3))
@@ -248,14 +249,14 @@ class TestNgramLM:
     def test_unseen_context_backs_off_to_unigram(self):
         corpus = [PromptRecord("0", "a b a b c")]
         vocab = Vocabulary(surfaces=("a", "b", "c", "<unk>"), unknown_id=3)
-        lm = fit_ngram_lm(corpus, order=2, smoothing=0.5, vocab=vocab)
+        lm = fit_lm(corpus, order=2, smoothing=0.5, vocab=vocab)
         unseen = lm.next_token_dist(tokenize("c", vocab))  # "c" ends the text
         unigram = lm.next_token_dist(TokenSequence(()))
         np.testing.assert_allclose(unseen.probs, unigram.probs)
 
     def test_distributions_sum_to_one(self):
         corpus = [PromptRecord("0", "a b c a b"), PromptRecord("1", "b c d")]
-        lm = fit_ngram_lm(corpus, order=3, smoothing=0.1, max_vocab=8)
+        lm = fit_lm(corpus, order=3, smoothing=0.1, max_vocab=8)
         contexts = [TokenSequence(())]
         for i in range(lm.vocab.size):
             contexts.append(seq(i))
@@ -266,11 +267,11 @@ class TestNgramLM:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            fit_ngram_lm([], order=2, smoothing=0.1)
+            fit_ngram_lm([], order=2, smoothing=0.1, vocab=MEMO_VOCAB)
         with pytest.raises(ValueError):
-            fit_ngram_lm([PromptRecord("0", "a")], order=0, smoothing=0.1)
+            fit_ngram_lm([seq(0)], order=0, smoothing=0.1, vocab=MEMO_VOCAB)
         with pytest.raises(ValueError):
-            fit_ngram_lm([PromptRecord("0", "a")], order=1, smoothing=0.0)
+            fit_ngram_lm([seq(0)], order=1, smoothing=0.0, vocab=MEMO_VOCAB)
 
 
 class TestNgramMemo:
@@ -283,10 +284,10 @@ class TestNgramMemo:
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_memoised_equals_fresh_model(self, order):
-        lm = fit_ngram_lm(MEMO_CORPUS, order=order, smoothing=0.1, vocab=MEMO_VOCAB)
+        lm = fit_lm(MEMO_CORPUS, order=order, smoothing=0.1, vocab=MEMO_VOCAB)
         for _ in range(2):  # the second pass reads only memo entries
             for ctx in self.contexts():
-                fresh = fit_ngram_lm(
+                fresh = fit_lm(
                     MEMO_CORPUS, order=order, smoothing=0.1, vocab=MEMO_VOCAB
                 )
                 got = lm.next_token_dist(ctx)
@@ -296,7 +297,7 @@ class TestNgramMemo:
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_memo_is_bounded_by_count_tables(self, order):
-        lm = fit_ngram_lm(MEMO_CORPUS, order=order, smoothing=0.1, vocab=MEMO_VOCAB)
+        lm = fit_lm(MEMO_CORPUS, order=order, smoothing=0.1, vocab=MEMO_VOCAB)
         fitted = set()
         for record in MEMO_CORPUS:
             ids = tokenize(record.text, MEMO_VOCAB).ids
@@ -308,7 +309,7 @@ class TestNgramMemo:
         assert 0 < len(lm._memo) <= len(fitted) + 1
 
     def test_backed_off_contexts_share_one_entry(self):
-        lm = fit_ngram_lm(MEMO_CORPUS, order=3, smoothing=0.1, vocab=MEMO_VOCAB)
+        lm = fit_lm(MEMO_CORPUS, order=3, smoothing=0.1, vocab=MEMO_VOCAB)
         unigram = lm.next_token_dist(TokenSequence(()))
         # Neither "d" nor "a d" was seen: both back off to the unigram level.
         assert lm.next_token_dist(tokenize("d", MEMO_VOCAB)) is unigram
@@ -320,7 +321,7 @@ class TestNgramMemo:
         )
 
     def test_repeat_query_returns_same_read_only_object(self):
-        lm = fit_ngram_lm(MEMO_CORPUS, order=2, smoothing=0.1, vocab=MEMO_VOCAB)
+        lm = fit_lm(MEMO_CORPUS, order=2, smoothing=0.1, vocab=MEMO_VOCAB)
         ctx = tokenize("b a", MEMO_VOCAB)
         first = lm.next_token_dist(ctx)
         assert lm.next_token_dist(TokenSequence(ctx.ids)) is first
@@ -338,7 +339,7 @@ class TestNgramMemo:
         settings = EvalSettings(vocab=MEMO_VOCAB, n_gen=8)
 
         def fit():
-            return fit_ngram_lm(corpus, order=3, smoothing=0.1, vocab=MEMO_VOCAB)
+            return fit_lm(corpus, order=3, smoothing=0.1, vocab=MEMO_VOCAB)
 
         def compressors(lm):
             return [
@@ -348,28 +349,33 @@ class TestNgramMemo:
                 SelfInfoCompressor(lm=lm, rho_target=0.3),
             ]
 
+        prompts = [tokenize(record.text, MEMO_VOCAB) for record in corpus]
         shared = fit()
         shared_rows = [
-            evaluate(c, corpus, shared, settings).rows for c in compressors(shared)
+            report.rows
+            for report in evaluate(
+                compressors(shared), corpus, prompts, shared, settings
+            )
         ]
         fresh_rows = []
         for i in range(4):
             lm = fit()
-            fresh_rows.append(evaluate(compressors(lm)[i], corpus, lm, settings).rows)
+            (report,) = evaluate([compressors(lm)[i]], corpus, prompts, lm, settings)
+            fresh_rows.append(report.rows)
         assert shared_rows == fresh_rows
 
 
 class TestOutputDistributionKL:
     def test_identity_context_is_zero(self):
         corpus = [PromptRecord("0", "a b c a")]
-        lm = fit_ngram_lm(corpus, order=2, smoothing=0.1)
+        lm = fit_lm(corpus, order=2, smoothing=0.1)
         s0 = tokenize("a b c", lm.vocab)
         ref = generate_reference(lm, s0, 4)
         assert output_distribution_kl(lm, s0, s0, ref) == 0.0
 
     def test_unigram_lm_is_context_insensitive(self):
         corpus = [PromptRecord("0", "a b c a b")]
-        lm = fit_ngram_lm(corpus, order=1, smoothing=0.1)
+        lm = fit_lm(corpus, order=1, smoothing=0.1)
         s0 = tokenize("a b c", lm.vocab)
         st = tokenize("c", lm.vocab)
         ref = generate_reference(lm, s0, 4)
@@ -382,7 +388,7 @@ class TestOutputDistributionKL:
 
     def test_position_by_position_oracle(self):
         corpus = [PromptRecord("0", "a b a c b a b c c a")]
-        lm = fit_ngram_lm(corpus, order=2, smoothing=0.2)
+        lm = fit_lm(corpus, order=2, smoothing=0.2)
         s0 = tokenize("a b a c b", lm.vocab)
         st = tokenize("a c b", lm.vocab)
         ref = generate_reference(lm, s0, 10)
@@ -401,7 +407,7 @@ class TestOutputDistributionKL:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_context_window_skips_only_zero_terms(self, order):
         corpus = [PromptRecord("0", "a b a c b a b c c a d b a d c")]
-        lm = fit_ngram_lm(corpus, order=order, smoothing=0.2)
+        lm = fit_lm(corpus, order=order, smoothing=0.2)
         assert lm.context_window == order - 1
         s0 = tokenize("a b a c b d", lm.vocab)
         st = tokenize("a c b a", lm.vocab)
@@ -424,7 +430,7 @@ class TestOutputDistributionKL:
         [("c a", "b a"), ("a b a c b", "c b"), ("d a b", "a b"), ("b", "a")],
     )
     def test_shared_tail_skip_matches_all_positions(self, order, s0_text, st_text):
-        lm = fit_ngram_lm(MEMO_CORPUS, order=order, smoothing=0.2, vocab=MEMO_VOCAB)
+        lm = fit_lm(MEMO_CORPUS, order=order, smoothing=0.2, vocab=MEMO_VOCAB)
         s0 = tokenize(s0_text, MEMO_VOCAB)
         st = tokenize(st_text, MEMO_VOCAB)
         ref = generate_reference(lm, s0, 5)

@@ -18,6 +18,7 @@ from promptpress.text import (
     save_corpus,
     split_surfaces,
     tokenize,
+    tokenize_corpus,
 )
 
 
@@ -201,6 +202,26 @@ class TestIdfTable:
     def test_everywhere_token_weighs_zero(self):
         corpus = [PromptRecord(str(i), f"the key{i}") for i in range(4)]
         vocab = build_vocabulary(corpus, max_size=16)
-        table = compute_idf_table(corpus, vocab)
+        table = compute_idf_table([tokenize(r.text, vocab) for r in corpus])
         assert table[vocab.id_of("the")] == pytest.approx(0.0)
         assert table[vocab.id_of("key1")] == pytest.approx(np.log(4.0))
+
+
+class TestTokenizeCorpus:
+    def test_tokenizes_each_record_in_order(self):
+        corpus = [PromptRecord("a", "x y"), PromptRecord("b", "y z x")]
+        vocab = _vocab("x", "y")
+        assert tokenize_corpus(corpus, vocab, max_len=3) == [
+            tokenize("x y", vocab),
+            tokenize("y z x", vocab),
+        ]
+
+    def test_overlong_prompt_names_its_record(self):
+        corpus = [PromptRecord("ok", "x"), PromptRecord("too-long", "x " * 35)]
+        with pytest.raises(ValueError, match=r"'too-long' has 35 tokens.*max_len 32"):
+            tokenize_corpus(corpus, _vocab("x"), max_len=32)
+
+    def test_empty_prompt_names_its_record(self):
+        corpus = [PromptRecord("blank", "  \n ")]
+        with pytest.raises(ValueError, match="'blank' tokenizes to nothing"):
+            tokenize_corpus(corpus, _vocab("x"), max_len=32)

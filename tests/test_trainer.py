@@ -15,7 +15,8 @@ from promptpress.env import ActionVector, reset
 from promptpress.optim import global_norm
 from promptpress.policy import Actor, action_log_prob, policy_forward
 from promptpress.reward import RewardConfig
-from promptpress.text import PromptRecord, TokenSequence, tokenize
+from promptpress.scoring import generate_reference
+from promptpress.text import TokenSequence
 from promptpress.trainer import (
     CurriculumSchedule,
     TrainerConfig,
@@ -332,10 +333,11 @@ class TestLeaveOneOut:
         assert np.abs(advantages).max() > 1.0
 
     def test_identical_returns_leave_the_actor_unmoved(self):
-        corpus, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup()
+        prompts, _, scorers, encoder_cfg, trainer_cfg = _small_training_setup()
         traj = collect_trajectory(
-            tokenize(corpus[1].text, vocab), Actor.build(encoder_cfg, seed=3),
+            prompts[1], Actor.build(encoder_cfg, seed=3),
             CurriculumSchedule(), 1, RewardConfig(), scorers, seed=5,
+            reference=generate_reference(scorers.lm, prompts[1], scorers.n_gen),
         )
         trajs = [traj] * trainer_cfg.buffer_capacity
         assert leave_one_out_advantages(trajs, 1.0) == [[0.0, 0.0]] * 4
@@ -351,13 +353,14 @@ class TestLeaveOneOut:
         assert leave_one_out_advantages(six, 1.0) == [[0.0, 0.0]] * 6
 
     def test_each_step_is_scored_with_its_own_advantage(self, monkeypatch):
-        corpus, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup()
+        prompts, _, scorers, encoder_cfg, trainer_cfg = _small_training_setup()
         state = init_train_state(trainer_cfg, encoder_cfg)
         m = trainer_cfg.buffer_capacity
         trajs = [
             collect_trajectory(
-                tokenize(corpus[i].text, vocab), state.actor, CurriculumSchedule(), 1,
+                prompts[i], state.actor, CurriculumSchedule(), 1,
                 RewardConfig(), scorers, seed=i,
+                reference=generate_reference(scorers.lm, prompts[i], scorers.n_gen),
             )
             for i in range(m)
         ]
@@ -392,14 +395,17 @@ class TestLeaveOneOut:
 
 class TestCollectTrajectory:
     def setup_method(self):
-        self.corpus, self.vocab, self.scorers, self.encoder_cfg = tiny_world()
+        prompts, _, self.scorers, self.encoder_cfg = tiny_world()
         self.actor = Actor.build(self.encoder_cfg, seed=11)
-        self.prompt = tokenize(self.corpus[1].text, self.vocab)
+        self.prompt = prompts[1]
+        self.reference = generate_reference(
+            self.scorers.lm, self.prompt, self.scorers.n_gen
+        )
 
     def test_stage3_has_one_step(self):
         traj = collect_trajectory(
             self.prompt, self.actor, CurriculumSchedule(), 3,
-            RewardConfig(), self.scorers, seed=9,
+            RewardConfig(), self.scorers, seed=9, reference=self.reference,
         )
         assert len(traj.steps) == 1
         assert traj.bounds == (pytest.approx((0.3, 0.7)),)
@@ -408,7 +414,7 @@ class TestCollectTrajectory:
         kwargs = dict(
             prompt=self.prompt, actor_old=self.actor,
             schedule=CurriculumSchedule(), stage=1, reward_cfg=RewardConfig(),
-            scorers=self.scorers, seed=4,
+            scorers=self.scorers, seed=4, reference=self.reference,
         )
         assert collect_trajectory(**kwargs) == collect_trajectory(**kwargs)
 
@@ -417,16 +423,14 @@ class TestCollectTrajectory:
         from promptpress.env import apply_action, compression_rate
         from promptpress.policy import sample_actions
         from promptpress.reward import compute_reward
-        from promptpress.scoring import generate_reference
 
         schedule = CurriculumSchedule()
         reward_cfg = RewardConfig()
         stage, seed = 1, 21
         traj = collect_trajectory(
             self.prompt, self.actor, schedule, stage,
-            reward_cfg, self.scorers, seed=seed,
+            reward_cfg, self.scorers, seed=seed, reference=self.reference,
         )
-        reference = generate_reference(self.scorers.lm, self.prompt, self.scorers.n_gen)
         state = reset(self.prompt)
         for t, step in enumerate(traj.steps):
             band = curriculum_bounds(stage, t, schedule.t_max_for(stage), schedule.psi)
@@ -438,7 +442,7 @@ class TestCollectTrajectory:
             nxt = apply_action(state, action, out.keep_probs)
             expected_reward = compute_reward(
                 self.prompt, nxt.current, reward_cfg, band,
-                self.scorers.retention, self.scorers.lm, reference,
+                self.scorers.retention, self.scorers.lm, self.reference,
             ).total
             assert step.reward == expected_reward
             state = nxt
@@ -447,25 +451,24 @@ class TestCollectTrajectory:
 
 
 def _small_training_setup(n_prompts=8, n_gen=2):
-    corpus, vocab, scorers, encoder_cfg = tiny_world(n_prompts=n_prompts, n_gen=n_gen)
+    prompts, vocab, scorers, encoder_cfg = tiny_world(n_prompts=n_prompts, n_gen=n_gen)
     trainer_cfg = TrainerConfig(
         actor_lr=1e-3, clip_eps=0.15,
         batch_size=2, buffer_capacity=4, discount=1.0, seed=77,
     )
-    return corpus, vocab, scorers, encoder_cfg, trainer_cfg
+    return prompts, vocab, scorers, encoder_cfg, trainer_cfg
 
 
 class TestHpcTrain:
     def test_single_buffer_cycle(self):
-        corpus, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
+        prompts, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
             n_prompts=4
         )
         schedule = CurriculumSchedule(
             t_max_per_stage=(2,), epochs_per_stage=(1,)
         )
         state = hpc_train(
-            corpus, vocab, trainer_cfg, schedule, RewardConfig(), scorers,
-            encoder_cfg=encoder_cfg,
+            prompts, trainer_cfg, schedule, RewardConfig(), scorers, encoder_cfg,
         )
         # corpus size == buffer capacity: exactly one fill/update/empty cycle
         assert len(state.log.records) == trainer_cfg.buffer_capacity
@@ -473,13 +476,12 @@ class TestHpcTrain:
         assert [r["iteration"] for r in state.log.records] == list(range(4))
 
     def test_seeded_determinism(self):
-        corpus, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup()
+        prompts, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup()
         schedule = CurriculumSchedule(
             t_max_per_stage=(2, 1), epochs_per_stage=(1, 1)
         )
         run = lambda: hpc_train(
-            corpus, vocab, trainer_cfg, schedule, RewardConfig(), scorers,
-            encoder_cfg=encoder_cfg,
+            prompts, trainer_cfg, schedule, RewardConfig(), scorers, encoder_cfg,
         )
         a, b = run(), run()
         assert a.log.records == b.log.records
@@ -488,7 +490,7 @@ class TestHpcTrain:
         assert all(np.array_equal(pa[k], pb[k]) for k in pa)
 
     def test_update_changes_parameters(self):
-        corpus, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
+        prompts, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
             n_prompts=4
         )
         schedule = CurriculumSchedule(
@@ -496,14 +498,13 @@ class TestHpcTrain:
         )
         before = Actor.build(encoder_cfg, seed_for(trainer_cfg.seed, 101)).parameters()
         state = hpc_train(
-            corpus, vocab, trainer_cfg, schedule, RewardConfig(), scorers,
-            encoder_cfg=encoder_cfg,
+            prompts, trainer_cfg, schedule, RewardConfig(), scorers, encoder_cfg,
         )
         after = state.actor.parameters()
         assert any(not np.array_equal(before[k], after[k]) for k in after)
 
     def test_log_reports_bounds(self):
-        corpus, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
+        prompts, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
             n_prompts=4
         )
         fixed = CurriculumSchedule(
@@ -511,18 +512,17 @@ class TestHpcTrain:
             fixed_bounds=(0.5, 0.9),
         )
         state = hpc_train(
-            corpus, vocab, trainer_cfg, fixed, RewardConfig(), scorers,
-            encoder_cfg=encoder_cfg,
+            prompts, trainer_cfg, fixed, RewardConfig(), scorers, encoder_cfg,
         )
         assert {r["mean_c_s"] for r in state.log.records} == {0.5}
         assert {r["mean_c_l"] for r in state.log.records} == {0.9}
 
     def test_empty_corpus_errors(self):
-        _, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup()
+        _, _, scorers, encoder_cfg, trainer_cfg = _small_training_setup()
         with pytest.raises(ValueError, match="empty corpus"):
             hpc_train(
-                [], vocab, trainer_cfg, CurriculumSchedule(), RewardConfig(),
-                scorers, encoder_cfg=encoder_cfg,
+                [], trainer_cfg, CurriculumSchedule(), RewardConfig(), scorers,
+                encoder_cfg,
             )
 
 
@@ -541,7 +541,7 @@ class TestCollectionPlan:
         return calls
 
     def test_corpus_below_buffer_collects_nothing(self, monkeypatch):
-        corpus, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
+        prompts, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
             n_prompts=3
         )
         schedule = CurriculumSchedule(
@@ -549,8 +549,7 @@ class TestCollectionPlan:
         )
         calls = self._counting(monkeypatch, "collect_trajectory")
         state = hpc_train(
-            corpus, vocab, trainer_cfg, schedule, RewardConfig(), scorers,
-            encoder_cfg=encoder_cfg,
+            prompts, trainer_cfg, schedule, RewardConfig(), scorers, encoder_cfg,
         )
         assert calls == [] and state.log.records == [] and state.next_stage == 3
         initial = init_train_state(trainer_cfg, encoder_cfg)
@@ -558,7 +557,7 @@ class TestCollectionPlan:
         assert all(np.array_equal(pg[k], pw[k]) for k in pw)
 
     def test_collects_full_buffers_and_each_reference_once(self, monkeypatch):
-        corpus, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
+        prompts, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
             n_prompts=5
         )
         schedule = CurriculumSchedule(
@@ -567,37 +566,23 @@ class TestCollectionPlan:
         episodes = self._counting(monkeypatch, "collect_trajectory")
         references = self._counting(monkeypatch, "generate_reference")
         hpc_train(
-            corpus, vocab, trainer_cfg, schedule, RewardConfig(), scorers,
-            encoder_cfg=encoder_cfg,
+            prompts, trainer_cfg, schedule, RewardConfig(), scorers, encoder_cfg,
         )
         # M = 4: stage 1 runs floor(5 / 4) * 4 = 4 episodes, stage 2 runs 8.
         assert [args[3] for args in episodes] == [1] * 4 + [2] * 8
         assert len(references) == 5
 
-    def test_overlong_prompt_fails_before_collection(self):
-        corpus, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
-            n_prompts=2
-        )
-        long_text = " ".join(["w1"] * (encoder_cfg.max_len + 3))
-        corpus = corpus + [PromptRecord("too-long", long_text)]
-        with pytest.raises(ValueError, match=r"'too-long' has 35 tokens.*max_len 32"):
-            hpc_train(
-                corpus, vocab, trainer_cfg, CurriculumSchedule(), RewardConfig(),
-                scorers, encoder_cfg=encoder_cfg,
-            )
-
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
-        corpus, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
+        prompts, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
             n_prompts=4
         )
         schedule = CurriculumSchedule(
             t_max_per_stage=(1,), epochs_per_stage=(1,)
         )
         state = hpc_train(
-            corpus, vocab, trainer_cfg, schedule, RewardConfig(), scorers,
-            encoder_cfg=encoder_cfg,
+            prompts, trainer_cfg, schedule, RewardConfig(), scorers, encoder_cfg,
         )
         path = tmp_path / "ckpt.npz"
         save_checkpoint(state, vocab, path)
@@ -605,14 +590,14 @@ class TestCheckpoint:
         assert loaded_vocab == vocab
         assert loaded.next_stage == state.next_stage
         assert loaded.log.records == state.log.records
-        prompt = tokenize(corpus[0].text, vocab)
+        prompt = prompts[0]
         a = policy_forward(state.actor, reset(prompt))
         b = policy_forward(loaded.actor, reset(prompt))
         assert np.array_equal(a.keep_probs, b.keep_probs)
         assert loaded.actor_opt.t == state.actor_opt.t
 
     def test_truncated_checkpoint_errors(self, tmp_path):
-        corpus, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
+        prompts, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
             n_prompts=4
         )
         state = init_train_state(trainer_cfg, encoder_cfg)
@@ -733,32 +718,31 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_resume_reproduces_full_run(self, tmp_path):
-        corpus, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
+        prompts, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
             n_prompts=4, n_gen=2
         )
         full_schedule = CurriculumSchedule(
             t_max_per_stage=(2, 2, 1), epochs_per_stage=(1, 1, 2)
         )
         full = hpc_train(
-            corpus, vocab, trainer_cfg, full_schedule, RewardConfig(), scorers,
-            encoder_cfg=encoder_cfg,
+            prompts, trainer_cfg, full_schedule, RewardConfig(), scorers, encoder_cfg,
         )
 
         two_stage = CurriculumSchedule(
             t_max_per_stage=(2, 2), epochs_per_stage=(1, 1)
         )
         partial = hpc_train(
-            corpus, vocab, trainer_cfg, two_stage, RewardConfig(), scorers,
-            encoder_cfg=encoder_cfg,
+            prompts, trainer_cfg, two_stage, RewardConfig(), scorers, encoder_cfg,
         )
         assert partial.next_stage == 3
         path = tmp_path / "stage2.npz"
         save_checkpoint(partial, vocab, path)
 
         resumed, resumed_vocab = load_checkpoint(path)
+        assert resumed_vocab == vocab  # so ``prompts`` are its tokenization too
         done = hpc_train(
-            corpus, resumed_vocab, trainer_cfg, full_schedule, RewardConfig(),
-            scorers, encoder_cfg=encoder_cfg, state=resumed,
+            prompts, trainer_cfg, full_schedule, RewardConfig(), scorers,
+            encoder_cfg, state=resumed,
         )
         assert done.log.records == full.log.records  # log continuity
         pa, pb = done.actor.parameters(), full.actor.parameters()
