@@ -45,7 +45,6 @@ from .scoring import (
     ProxyLM,
     RetentionScorer,
     fit_ngram_lm,
-    generate_reference,
     idf_retention_score,
     kl_divergence,
     output_distribution_kl,

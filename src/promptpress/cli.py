@@ -228,14 +228,25 @@ def cmd_train(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     if not corpus:
         raise UsageError(f"corpus {args.corpus} is empty")
-    # A bad config value, band or prompt length is a usage error, found
-    # before the manifest is written.
+    # A bad config value, band, prompt length or scoring setting is a
+    # usage error, found before the manifest is written.
     try:
         vocab = build_vocabulary(corpus, int(config["vocab.max_size"]))
         trainer_cfg, schedule, reward_cfg, encoder_cfg = _build_training_pieces(
             config, seed, args.no_hpc, args.fixed_c_s, args.fixed_c_l, vocab.size
         )
         prompts = tokenize_corpus(corpus, vocab, encoder_cfg.max_len)
+        lm = fit_ngram_lm(
+            prompts,
+            order=int(config["scoring.ngram_order"]),
+            smoothing=float(config["scoring.ngram_k"]),
+            vocab=vocab,
+        )
+        scorers = Scorers(
+            retention=IdfRetentionScorer(compute_idf_table(prompts)),
+            lm=lm,
+            n_gen=int(config["scoring.n_gen"]),
+        )
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid training config: {exc}") from exc
 
@@ -251,17 +262,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         artifacts={"checkpoint": str(out), "log": str(log_path)},
     )
 
-    lm = fit_ngram_lm(
-        prompts,
-        order=int(config["scoring.ngram_order"]),
-        smoothing=float(config["scoring.ngram_k"]),
-        vocab=vocab,
-    )
-    scorers = Scorers(
-        retention=IdfRetentionScorer(compute_idf_table(prompts)),
-        lm=lm,
-        n_gen=int(config["scoring.n_gen"]),
-    )
     state = hpc_train(
         prompts,
         trainer_cfg,
@@ -363,6 +363,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise UsageError("--checkpoint is required for the policy method")
     if not 0.0 < args.rho <= 1.0:
         raise UsageError("--rho must be in (0, 1]")
+    for flag, value in (("--steps", args.steps), ("--n-gen", args.n_gen),
+                        ("--ngram-order", args.ngram_order)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1")
     seed = resolve_seed(args.seed, None)
     corpus = load_corpus(args.corpus)
     if not corpus:

@@ -7,6 +7,13 @@ against each other (ROUGE-1/2/L, token F1) and the compressed
 generation against the record's reference output (exact match), when
 one is present.
 
+Each piece of work is done once. Every compressor runs over the whole
+corpus before any continuation is generated, so a model's compressions
+run back to back. A prompt's original continuation is generated once
+and also serves every method that keeps the whole prompt, and within a
+prompt, methods whose continuations are equal share one scoring. No
+report depends on which other methods run beside it.
+
 Exact match is applied to the full normalized generation; the report
 header records this, and which model produced the generations.
 """
@@ -88,6 +95,22 @@ def _mean(values: Sequence[float]) -> float | None:
     return sum(vals) / len(vals) if vals else None
 
 
+def _scores(
+    gen_c: TokenSequence, gen_o: TokenSequence, record: PromptRecord, vocab: Vocabulary
+) -> dict:
+    """The row metrics of one compressed-prompt continuation."""
+    em = None
+    if record.reference_output is not None:
+        em = exact_match(detokenize(gen_c, vocab), record.reference_output)
+    return {
+        "rouge1_f": rouge_n(gen_c.ids, gen_o.ids, 1)[2],
+        "rouge2_f": rouge_n(gen_c.ids, gen_o.ids, 2)[2],
+        "rougeL_f": rouge_l(gen_c.ids, gen_o.ids)[2],
+        "token_f1": token_f1(gen_c.ids, gen_o.ids)[2],
+        "em": em,
+    }
+
+
 def evaluate(
     compressors: Sequence[Compressor],
     corpus: Sequence[PromptRecord],
@@ -98,21 +121,29 @@ def evaluate(
     """One report per compressor, in order: per-prompt metric rows plus
     arithmetic-mean aggregates.
 
-    ``prompts[i]`` is ``corpus[i]`` tokenized with ``settings.vocab``.
-    Each prompt's original continuation is generated once and shared by
-    every compressor, so a compressor's report does not depend on which
-    others run beside it.
+    ``prompts[i]`` is ``corpus[i]`` tokenized with ``settings.vocab``,
+    and is compressed with ``key=i``.
     """
+    if len(prompts) != len(corpus):
+        raise ValueError(f"{len(prompts)} prompts for {len(corpus)} records")
     vocab = settings.vocab
+    kept_by_method = [
+        [compressor.compress(seq, key=index) for index, seq in enumerate(prompts)]
+        for compressor in compressors
+    ]
     rows: list[list[dict]] = [[] for _ in compressors]
-    for index, (record, seq) in enumerate(zip(corpus, prompts, strict=True)):
+    for index, (record, seq) in enumerate(zip(corpus, prompts)):
         gen_o = lm.greedy_continue(seq, settings.n_gen)
-        for compressor, method_rows in zip(compressors, rows):
-            kept = compressor.compress(seq, key=index)
-            gen_c = lm.greedy_continue(kept, settings.n_gen)
-            em = None
-            if record.reference_output is not None:
-                em = exact_match(detokenize(gen_c, vocab), record.reference_output)
+        scored: dict[tuple[int, ...], dict] = {}
+        for compressor, kept_all, method_rows in zip(compressors, kept_by_method, rows):
+            kept = kept_all[index]
+            if kept.ids == seq.ids:
+                gen_c = gen_o
+            else:
+                gen_c = lm.greedy_continue(kept, settings.n_gen)
+            scores = scored.get(gen_c.ids)
+            if scores is None:
+                scores = scored[gen_c.ids] = _scores(gen_c, gen_o, record, vocab)
             rho = len(kept) / len(seq)
             method_rows.append(
                 {
@@ -122,11 +153,7 @@ def evaluate(
                     "tokens": len(kept),
                     "rho": rho,
                     "inv_rho": 1.0 / rho,
-                    "rouge1_f": rouge_n(gen_c.ids, gen_o.ids, 1)[2],
-                    "rouge2_f": rouge_n(gen_c.ids, gen_o.ids, 2)[2],
-                    "rougeL_f": rouge_l(gen_c.ids, gen_o.ids)[2],
-                    "token_f1": token_f1(gen_c.ids, gen_o.ids)[2],
-                    "em": em,
+                    **scores,
                 }
             )
     lm_description = settings.lm_description or type(lm).__name__

@@ -65,7 +65,13 @@ class ProxyLM(Protocol):
 
     def next_token_dist(self, context: TokenSequence) -> NextTokenDistribution: ...
 
-    def greedy_continue(self, context: TokenSequence, n: int) -> TokenSequence: ...
+    def greedy_continue(self, context: TokenSequence, n: int) -> TokenSequence:
+        """Greedy continuation of ``context``: ``n`` argmax steps, each
+        conditioned on ``context`` and the tokens generated so far, ties to
+        the lowest id. The result does not depend on earlier calls, and
+        ``n < 1`` is a ValueError.
+        """
+        ...
 
 
 @runtime_checkable
@@ -125,26 +131,6 @@ def _tail(ids: tuple[int, ...], window: int | None) -> tuple[int, ...]:
     return ids[max(0, len(ids) - window):]
 
 
-def generate_reference(
-    lm: ProxyLM, s0: TokenSequence, n_gen: int
-) -> TokenSequence:
-    """Greedy continuation of s0: n_gen argmax steps, ties -> lowest id.
-
-    With a finite ``lm.context_window`` w, each step passes the model
-    only the last w tokens, which are all it reads.
-    """
-    if n_gen < 1:
-        raise ValueError("n_gen must be >= 1")
-    window = getattr(lm, "context_window", None)
-    context = _tail(s0.ids, window)
-    out: list[int] = []
-    for _ in range(n_gen):
-        tid = lm.next_token_dist(TokenSequence(context)).greedy
-        out.append(tid)
-        context = _tail(context + (tid,), window)
-    return TokenSequence(tuple(out))
-
-
 def output_distribution_kl(
     lm: ProxyLM,
     s0: TokenSequence,
@@ -195,10 +181,18 @@ class NgramLM:
     unigram one: at most (contexts + 1) * V * 8 bytes, bounded by the
     count tables and not by how many queries are made.
 
+    Greedy decoding has a second memo: the greedy successor of each
+    trailing ``context_window``-token tail a walk has passed through,
+    one int per distinct tail walked. A tail holds at most
+    ``context_window`` ids, so the memo is bounded by the tuples of that
+    many ids over V, and it grows with the variety of the prompts
+    continued, not with their number or with ``n``.
+
     Count tables are immutable after fitting, and memo entries are only
     ever added, each immutable and equal to what a fresh model would
-    build, so the model is safe to share between compressors, episodes
-    and trajectory-collection workers.
+    build; two threads that miss on the same key store equal values. The
+    model is therefore safe to share between compressors, episodes and
+    threads.
     """
 
     def __init__(
@@ -223,6 +217,8 @@ class NgramLM:
         ]
         # Answering context (its length picks the level) -> distribution.
         self._memo: dict[tuple[int, ...], NextTokenDistribution] = {}
+        # Trailing context_window tokens -> greedy next token.
+        self._successor: dict[tuple[int, ...], int] = {}
 
     @property
     def context_window(self) -> int:
@@ -255,7 +251,22 @@ class NgramLM:
         return NextTokenDistribution(probs / total)
 
     def greedy_continue(self, context: TokenSequence, n: int) -> TokenSequence:
-        return generate_reference(self, context, n)
+        """Greedy continuation (see :class:`ProxyLM`), walked over the
+        successor memo: a step whose tail was walked before is one dict
+        lookup, and a new tail costs one :meth:`next_token_dist`."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        window = self.context_window
+        successor = self._successor
+        tail = _tail(context.ids, window)
+        out: list[int] = []
+        for _ in range(n):
+            tid = successor.get(tail)
+            if tid is None:
+                tid = successor[tail] = self.next_token_dist(TokenSequence(tail)).greedy
+            out.append(tid)
+            tail = _tail(tail + (tid,), window)
+        return TokenSequence(tuple(out))
 
 
 def fit_ngram_lm(

@@ -38,7 +38,7 @@ from .policy import (
     sample_actions,
 )
 from .reward import RewardConfig, compute_reward
-from .scoring import ProxyLM, RetentionScorer, generate_reference
+from .scoring import ProxyLM, RetentionScorer
 from .text import TokenSequence, Vocabulary
 
 CHECKPOINT_SCHEMA_VERSION = 2
@@ -171,6 +171,10 @@ class Scorers:
     lm: ProxyLM
     n_gen: int = 32
 
+    def __post_init__(self) -> None:
+        if self.n_gen < 1:
+            raise ValueError("n_gen must be >= 1")
+
 
 def collect_trajectory(
     prompt: TokenSequence,
@@ -185,7 +189,7 @@ def collect_trajectory(
     """Roll out one episode of the stage's length with the frozen actor.
 
     ``reference`` is the greedy continuation of ``prompt`` under
-    ``scorers.lm`` (``generate_reference``); every step's divergence term
+    ``scorers.lm`` (``greedy_continue``); every step's divergence term
     reuses it. The per-step reward scores the post-action prompt against
     the original under the step's band from ``schedule``.
     """
@@ -515,8 +519,8 @@ def hpc_train(
                 if (epoch - 1) * len(prompts) + ep_idx >= n_used:
                     break
                 if ep_idx not in references:
-                    references[ep_idx] = generate_reference(
-                        scorers.lm, prompt, scorers.n_gen
+                    references[ep_idx] = scorers.lm.greedy_continue(
+                        prompt, scorers.n_gen
                     )
                 trajs.append(collect_trajectory(
                     prompt,

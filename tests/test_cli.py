@@ -1,6 +1,7 @@
 """CLI tests: compress reads what train writes, on any number of
 threads, eval scores every method against one vocabulary/LM pairing, and
-bad training config or an unfit prompt is a usage error."""
+bad training config, a bad eval flag or an unfit prompt is a usage
+error."""
 
 import json
 import os
@@ -285,6 +286,26 @@ class TestUnfitPrompt:
         assert set(tmp_path.iterdir()) == before
 
 
+class TestEvalFlags:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--n-gen", "0"), ("--ngram-order", "0"), ("--steps", "0"), ("--steps", "-1")],
+    )
+    def test_bad_value_is_usage_error_before_any_output(
+        self, tmp_path, capsys, flag, value
+    ):
+        ckpt = _checkpoint_on_larger_corpus(tmp_path)
+        corpus = tmp_path / "eval.jsonl"
+        _small_corpus(corpus)
+        before = set(tmp_path.iterdir())
+        code = main(["eval", "--corpus", str(corpus), "--methods", "random,policy",
+                     "--checkpoint", str(ckpt), "--out-prefix", str(tmp_path / "ev"),
+                     flag, value])
+        assert code == 2
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == before  # no manifest, no output
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize(
         "flags, message",
@@ -297,6 +318,12 @@ class TestTrainConfig:
                          id="vocab-max-size"),
             pytest.param(["--set", "trainer.critic_lr=1e-6"],
                          "unknown config key: trainer.critic_lr", id="critic_lr"),
+            pytest.param(["--set", "scoring.n_gen=0"], "n_gen must be >= 1",
+                         id="n-gen"),
+            pytest.param(["--set", "scoring.ngram_order=0"], "order must be >= 1",
+                         id="ngram-order"),
+            pytest.param(["--set", "scoring.ngram_k=0"], "smoothing must be > 0",
+                         id="ngram-k"),
             *(
                 pytest.param(["--no-hpc", "--fixed-c-s", c_s, "--fixed-c-l", c_l],
                              "0 < c_s < c_l <= 1", id=f"no-hpc-band-{c_s}-{c_l}")

@@ -1,5 +1,6 @@
 """Evaluation tests: one pass over the prompts scores every compressor as
-if it ran alone, and makes each original continuation once."""
+if it ran alone, as the plain prompt-by-prompt loop would, and makes each
+original continuation once."""
 
 import numpy as np
 import pytest
@@ -12,9 +13,15 @@ from promptpress.baselines import (
 )
 from promptpress.encoder import EncoderConfig
 from promptpress.evaluation import EvalSettings, evaluate
+from promptpress.metrics import exact_match, rouge_l, rouge_n, token_f1
 from promptpress.policy import Actor
 from promptpress.scoring import fit_ngram_lm
-from promptpress.text import build_vocabulary, make_synthetic_corpus, tokenize_corpus
+from promptpress.text import (
+    build_vocabulary,
+    detokenize,
+    make_synthetic_corpus,
+    tokenize_corpus,
+)
 
 
 class CountingLM:
@@ -85,10 +92,58 @@ def test_each_original_continuation_is_made_once(world):
     corpus, prompts, lm, compressors, settings = world
     counting = CountingLM(lm)
     evaluate(compressors, corpus, prompts, counting, settings)
-    assert len(counting.continued) == len(prompts) * (len(compressors) + 1)
+    # the identity method keeps the whole prompt and reuses its original's
+    assert len(counting.continued) == len(prompts) * len(compressors)
     originals = [ctx for ctx in counting.continued if ctx in prompts]
-    # every original once, plus the identity compressor's copy of it
-    assert sorted(map(tuple, originals)) == sorted(2 * [tuple(p) for p in prompts])
+    assert sorted(map(tuple, originals)) == sorted(tuple(p) for p in prompts)
+
+
+def prompt_major_reports(compressors, corpus, prompts, lm, settings):
+    """(rows, aggregate) per compressor from the plain loop: prompt by
+    prompt, every continuation generated and every row scored afresh."""
+    rows = [[] for _ in compressors]
+    for index, (record, seq) in enumerate(zip(corpus, prompts)):
+        gen_o = lm.greedy_continue(seq, settings.n_gen)
+        for compressor, method_rows in zip(compressors, rows):
+            kept = compressor.compress(seq, key=index)
+            gen_c = lm.greedy_continue(kept, settings.n_gen)
+            em = None
+            if record.reference_output is not None:
+                em = exact_match(detokenize(gen_c, settings.vocab), record.reference_output)
+            rho = len(kept) / len(seq)
+            method_rows.append({
+                "id": record.id,
+                "method": compressor.name,
+                "tokens_before": len(seq),
+                "tokens": len(kept),
+                "rho": rho,
+                "inv_rho": 1.0 / rho,
+                "rouge1_f": rouge_n(gen_c.ids, gen_o.ids, 1)[2],
+                "rouge2_f": rouge_n(gen_c.ids, gen_o.ids, 2)[2],
+                "rougeL_f": rouge_l(gen_c.ids, gen_o.ids)[2],
+                "token_f1": token_f1(gen_c.ids, gen_o.ids)[2],
+                "em": em,
+            })
+    reports = []
+    for compressor, method_rows in zip(compressors, rows):
+        aggregate = {"method": compressor.name, "n": len(method_rows)}
+        for key in ("tokens", "rho", "inv_rho", "rouge1_f", "rouge2_f", "rougeL_f",
+                    "token_f1", "em"):
+            values = [row[key] for row in method_rows if row[key] is not None]
+            aggregate[key] = sum(values) / len(values) if values else None
+        reports.append((method_rows, aggregate))
+    return reports
+
+
+def test_reports_equal_the_prompt_major_loop(world):
+    corpus, prompts, lm, compressors, settings = world
+    fresh = fit_ngram_lm(prompts, order=3, smoothing=0.1, vocab=settings.vocab)
+    expected = prompt_major_reports(compressors, corpus, prompts, fresh, settings)
+    got = evaluate(compressors, corpus, prompts, lm, settings)
+    assert [(r.rows, r.aggregate) for r in got] == expected
+    # the world holds both shared and distinct continuations within a prompt
+    assert any(row["rouge1_f"] < 1.0 for row in got[0].rows)
+    assert all(row["em"] is not None for report in got for row in report.rows)
 
 
 def test_prompts_must_match_the_corpus(world):

@@ -11,7 +11,6 @@ from promptpress.reward import (
     compute_reward,
     in_band,
 )
-from promptpress.scoring import generate_reference
 from promptpress.text import PromptRecord, TokenSequence, tokenize
 
 
@@ -143,7 +142,7 @@ class TestComputeReward:
         corpus = [PromptRecord("0", "a b c d a b c d e f")]
         lm = fit_lm(corpus, order=2, smoothing=0.1)
         s0 = tokenize("a b c d e f", lm.vocab)
-        reference = generate_reference(lm, s0, 8)
+        reference = lm.greedy_continue(s0, 8)
         return lm, s0, reference
 
     def test_identity_compression(self):

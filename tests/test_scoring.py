@@ -1,6 +1,8 @@
 """Scoring tests: retention oracle, KL properties, n-gram model, divergence."""
 
 import itertools
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -16,8 +18,8 @@ from promptpress.evaluation import EvalSettings, evaluate
 from promptpress.scoring import (
     IdfRetentionScorer,
     NextTokenDistribution,
+    NgramLM,
     fit_ngram_lm,
-    generate_reference,
     idf_retention_score,
     kl_divergence,
     output_distribution_kl,
@@ -43,7 +45,7 @@ class ConstantLM:
         return self._dist
 
     def greedy_continue(self, context, n):
-        return generate_reference(self, context, n)
+        return TokenSequence((self._dist.greedy,) * n)
 
 
 class LengthLM:
@@ -60,7 +62,7 @@ class LengthLM:
         return dist(0.1, 0.2, 0.7)
 
     def greedy_continue(self, context, n):
-        return generate_reference(self, context, n)
+        return TokenSequence(stepwise_argmax_trace(self, context, n))
 
 
 def stepwise_argmax_trace(lm, context, n):
@@ -72,6 +74,15 @@ def stepwise_argmax_trace(lm, context, n):
         expected.append(tid)
         trace = TokenSequence(trace.ids + (tid,))
     return tuple(expected)
+
+
+def constant_ngram(probs):
+    """An order-1 n-gram model, which ignores its context: token i has
+    count probs[i], so the argmax ranking (and its ties) is that of
+    ``probs``."""
+    vocab = Vocabulary(surfaces=tuple(f"t{i}" for i in range(len(probs))), unknown_id=0)
+    counts = [{(): dict(enumerate(probs))}]
+    return NgramLM(order=1, smoothing=0.1, vocab=vocab, counts=counts)
 
 
 # "d" never occurs, so contexts ending in it back off to the unigram level.
@@ -181,20 +192,23 @@ class TestKLDivergence:
 
 
 class TestGenerateReference:
+    """The greedy reference continuation, ``NgramLM.greedy_continue``."""
+
     def test_constant_lm_repeats_argmax(self):
-        lm = ConstantLM([0.1, 0.7, 0.2])
-        assert generate_reference(lm, seq(0), 5).ids == (1,) * 5
+        lm = constant_ngram([0.1, 0.7, 0.2])
+        assert lm.greedy_continue(seq(0), 5).ids == (1,) * 5
 
     def test_argmax_tie_takes_lowest_id(self):
-        lm = ConstantLM([0.4, 0.4, 0.2])
-        assert generate_reference(lm, seq(0), 3).ids == (0, 0, 0)
+        lm = constant_ngram([0.4, 0.4, 0.2])
+        assert lm.greedy_continue(seq(0), 3).ids == (0, 0, 0)
 
     def test_determinism(self):
         corpus = [PromptRecord("0", "a b c a b d")]
         lm = fit_lm(corpus, order=2, smoothing=0.1)
-        out1 = generate_reference(lm, tokenize("a b", lm.vocab), 6)
-        out2 = generate_reference(lm, tokenize("a b", lm.vocab), 6)
-        assert out1 == out2
+        out1 = lm.greedy_continue(tokenize("a b", lm.vocab), 6)
+        out2 = lm.greedy_continue(tokenize("a b", lm.vocab), 6)
+        fresh = fit_lm(corpus, order=2, smoothing=0.1)
+        assert out1 == out2 == fresh.greedy_continue(tokenize("a b", lm.vocab), 6)
 
     def test_bigram_matches_stepwise_argmax_trace(self):
         corpus = [PromptRecord("0", "a b a c a b")]
@@ -207,7 +221,7 @@ class TestGenerateReference:
             tid = int(np.argmax(probs))
             expected.append(tid)
             trace = TokenSequence(trace.ids + (tid,))
-        assert generate_reference(lm, context, 8).ids == tuple(expected)
+        assert lm.greedy_continue(context, 8).ids == tuple(expected)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     @pytest.mark.parametrize("prompt", ["", "c", "a b", "d a c b b"])
@@ -215,24 +229,119 @@ class TestGenerateReference:
         lm = fit_lm(MEMO_CORPUS, order=order, smoothing=0.1, vocab=MEMO_VOCAB)
         context = tokenize(prompt, MEMO_VOCAB)
         expected = stepwise_argmax_trace(lm, context, 12)
-        assert generate_reference(lm, context, 12).ids == expected
+        assert lm.greedy_continue(context, 12).ids == expected
 
     @pytest.mark.parametrize("probs", [[0.1, 0.7, 0.2], [0.4, 0.4, 0.2]])
     def test_constant_lm_matches_stepwise_trace(self, probs):
-        lm = ConstantLM(probs)
-        assert generate_reference(lm, seq(2, 1), 5).ids == stepwise_argmax_trace(
+        lm = constant_ngram(probs)
+        assert lm.greedy_continue(seq(2, 1), 5).ids == stepwise_argmax_trace(
             lm, seq(2, 1), 5
         )
-
-    def test_model_without_window_sees_whole_context(self):
-        lm = LengthLM()
-        got = generate_reference(lm, seq(2, 2, 2), 6).ids
-        assert got == stepwise_argmax_trace(lm, seq(2, 2, 2), 6)
-        assert got == (2, 0, 2, 0, 2, 0)
 
     def test_greedy_field_is_lowest_argmax(self):
         assert dist(0.4, 0.4, 0.2).greedy == 0
         assert dist(0.1, 0.2, 0.7).greedy == 2
+
+
+class TestGreedyWalkMemo:
+    """The walk over the per-model memo of greedy successors."""
+
+    PROMPTS = ["", "c", "a b", "d a c b b", "b b c a a", "d"]
+
+    @staticmethod
+    def fit(order):
+        return fit_lm(MEMO_CORPUS, order=order, smoothing=0.1, vocab=MEMO_VOCAB)
+
+    @staticmethod
+    def walked_tails(lm, context, n):
+        """The trailing-window tail before each of the n greedy steps."""
+        window = lm.context_window
+        ids = context.ids + stepwise_argmax_trace(lm, context, n)
+        return {
+            ids[max(0, i - window): i]
+            for i in range(len(context), len(context) + n)
+        }
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_matches_stepwise_trace(self, order, n):
+        # n = 40 walks far past the cycle every greedy walk on a finite
+        # model falls into; contexts "" and "c" are shorter than order 3's
+        # window.
+        lm = self.fit(order)
+        for prompt in self.PROMPTS:
+            context = tokenize(prompt, MEMO_VOCAB)
+            assert lm.greedy_continue(context, n).ids == stepwise_argmax_trace(
+                lm, context, n
+            ), prompt
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_walk_enters_a_cycle(self, order):
+        lm = self.fit(order)
+        out = lm.greedy_continue(tokenize("d a c b b", MEMO_VOCAB), 40).ids
+        assert len(lm._successor) < 40
+        # past the memo's size the walk repeats a period of it
+        period = next(
+            p for p in range(1, 20) if out[20:] == out[20 - p: 40 - p]
+        )
+        assert period <= len(lm._successor)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_warm_model_equals_fresh_model(self, order):
+        warm = self.fit(order)
+        for n in (12, 3, 1, 25, 3):
+            for prompt in self.PROMPTS:
+                context = tokenize(prompt, MEMO_VOCAB)
+                got = warm.greedy_continue(context, n)
+                assert got == self.fit(order).greedy_continue(context, n)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_memo_holds_one_entry_per_distinct_tail(self, order, monkeypatch):
+        lm = self.fit(order)
+        built = []
+        next_token_dist = lm.next_token_dist
+
+        def counted(context):
+            built.append(context.ids)
+            return next_token_dist(context)
+
+        monkeypatch.setattr(lm, "next_token_dist", counted)
+        tails = set()
+        for n in (6, 2, 9):
+            for prompt in self.PROMPTS:
+                context = tokenize(prompt, MEMO_VOCAB)
+                lm.greedy_continue(context, n)
+                tails |= self.walked_tails(self.fit(order), context, n)
+        assert set(lm._successor) == tails
+        # each distinct tail cost one distribution lookup, once
+        assert sorted(built) == sorted(tails)
+
+    def test_threads_sharing_a_model_agree_with_a_fresh_one(self):
+        contexts = [tokenize(prompt, MEMO_VOCAB) for prompt in self.PROMPTS]
+        want = [self.fit(3).greedy_continue(c, 30) for c in contexts]
+        shared = self.fit(3)
+        results = {}
+
+        def work(i):
+            results[i] = [shared.greedy_continue(c, 30) for c in reversed(contexts)][::-1]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [results[i] for i in range(8)] == [want] * 8
+
+    def test_n_below_one_errors(self):
+        lm = self.fit(2)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            lm.greedy_continue(tokenize("a", MEMO_VOCAB), 0)
 
 
 class TestNgramLM:
@@ -370,7 +479,7 @@ class TestOutputDistributionKL:
         corpus = [PromptRecord("0", "a b c a")]
         lm = fit_lm(corpus, order=2, smoothing=0.1)
         s0 = tokenize("a b c", lm.vocab)
-        ref = generate_reference(lm, s0, 4)
+        ref = lm.greedy_continue(s0, 4)
         assert output_distribution_kl(lm, s0, s0, ref) == 0.0
 
     def test_unigram_lm_is_context_insensitive(self):
@@ -378,8 +487,23 @@ class TestOutputDistributionKL:
         lm = fit_lm(corpus, order=1, smoothing=0.1)
         s0 = tokenize("a b c", lm.vocab)
         st = tokenize("c", lm.vocab)
-        ref = generate_reference(lm, s0, 4)
+        ref = lm.greedy_continue(s0, 4)
         assert output_distribution_kl(lm, s0, st, ref) == pytest.approx(0.0, abs=1e-15)
+
+    def test_model_without_window_scores_every_position(self):
+        lm = LengthLM()
+        s0, st = seq(2, 2, 2), seq(2, 2)
+        ref = lm.greedy_continue(s0, 6)
+        assert ref.ids == (2, 0, 2, 0, 2, 0)
+        terms = [
+            kl_divergence(
+                lm.next_token_dist(TokenSequence(st.ids + ref.prefix(i).ids)),
+                lm.next_token_dist(TokenSequence(s0.ids + ref.prefix(i).ids)),
+            )
+            for i in range(len(ref))
+        ]
+        assert min(terms) > 0.0  # the two contexts differ in parity everywhere
+        assert output_distribution_kl(lm, s0, st, ref) == pytest.approx(np.mean(terms))
 
     def test_empty_reference_errors(self):
         lm = ConstantLM([0.5, 0.5])
@@ -391,7 +515,7 @@ class TestOutputDistributionKL:
         lm = fit_lm(corpus, order=2, smoothing=0.2)
         s0 = tokenize("a b a c b", lm.vocab)
         st = tokenize("a c b", lm.vocab)
-        ref = generate_reference(lm, s0, 10)
+        ref = lm.greedy_continue(s0, 10)
         expected = np.mean(
             [
                 kl_divergence(
@@ -411,7 +535,7 @@ class TestOutputDistributionKL:
         assert lm.context_window == order - 1
         s0 = tokenize("a b a c b d", lm.vocab)
         st = tokenize("a c b a", lm.vocab)
-        ref = generate_reference(lm, s0, 6)
+        ref = lm.greedy_continue(s0, 6)
         all_positions = np.mean(
             [
                 kl_divergence(
@@ -433,7 +557,7 @@ class TestOutputDistributionKL:
         lm = fit_lm(MEMO_CORPUS, order=order, smoothing=0.2, vocab=MEMO_VOCAB)
         s0 = tokenize(s0_text, MEMO_VOCAB)
         st = tokenize(st_text, MEMO_VOCAB)
-        ref = generate_reference(lm, s0, 5)
+        ref = lm.greedy_continue(s0, 5)
         all_positions = np.mean(
             [
                 kl_divergence(

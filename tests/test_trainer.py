@@ -15,7 +15,6 @@ from promptpress.env import ActionVector, reset
 from promptpress.optim import global_norm
 from promptpress.policy import Actor, action_log_prob, policy_forward
 from promptpress.reward import RewardConfig
-from promptpress.scoring import generate_reference
 from promptpress.text import TokenSequence
 from promptpress.trainer import (
     CurriculumSchedule,
@@ -337,7 +336,7 @@ class TestLeaveOneOut:
         traj = collect_trajectory(
             prompts[1], Actor.build(encoder_cfg, seed=3),
             CurriculumSchedule(), 1, RewardConfig(), scorers, seed=5,
-            reference=generate_reference(scorers.lm, prompts[1], scorers.n_gen),
+            reference=scorers.lm.greedy_continue(prompts[1], scorers.n_gen),
         )
         trajs = [traj] * trainer_cfg.buffer_capacity
         assert leave_one_out_advantages(trajs, 1.0) == [[0.0, 0.0]] * 4
@@ -360,7 +359,7 @@ class TestLeaveOneOut:
             collect_trajectory(
                 prompts[i], state.actor, CurriculumSchedule(), 1,
                 RewardConfig(), scorers, seed=i,
-                reference=generate_reference(scorers.lm, prompts[i], scorers.n_gen),
+                reference=scorers.lm.greedy_continue(prompts[i], scorers.n_gen),
             )
             for i in range(m)
         ]
@@ -398,8 +397,8 @@ class TestCollectTrajectory:
         prompts, _, self.scorers, self.encoder_cfg = tiny_world()
         self.actor = Actor.build(self.encoder_cfg, seed=11)
         self.prompt = prompts[1]
-        self.reference = generate_reference(
-            self.scorers.lm, self.prompt, self.scorers.n_gen
+        self.reference = self.scorers.lm.greedy_continue(
+            self.prompt, self.scorers.n_gen
         )
 
     def test_stage3_has_one_step(self):
@@ -564,7 +563,14 @@ class TestCollectionPlan:
             t_max_per_stage=(1, 1), epochs_per_stage=(1, 2)
         )
         episodes = self._counting(monkeypatch, "collect_trajectory")
-        references = self._counting(monkeypatch, "generate_reference")
+        references = []
+        greedy_continue = scorers.lm.greedy_continue
+
+        def counted(context, n):
+            references.append(context)
+            return greedy_continue(context, n)
+
+        monkeypatch.setattr(scorers.lm, "greedy_continue", counted)
         hpc_train(
             prompts, trainer_cfg, schedule, RewardConfig(), scorers, encoder_cfg,
         )
