@@ -76,7 +76,6 @@ from .trainer import (
     hpc_train,
     init_train_state,
     load_checkpoint,
-    ppo_objective,
     returns_from,
     save_checkpoint,
 )

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -24,7 +24,6 @@ def keep_count(length: int, rho_target: float) -> int:
     return max(1, _round_half_up(rho_target * length))
 
 
-@runtime_checkable
 class Compressor(Protocol):
     """Sequence-in, kept-subsequence-out; ``key`` diversifies per-prompt
     seeds."""

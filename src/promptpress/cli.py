@@ -298,9 +298,9 @@ def cmd_compress(args: argparse.Namespace) -> int:
         raise UsageError("--steps must be >= 0")
     if args.budget < 0:
         raise UsageError("--budget must be >= 0")
-    state, vocab = load_checkpoint(args.checkpoint)
+    actor, vocab = load_checkpoint(args.checkpoint, actor_only=True)
     corpus = load_corpus(args.input)
-    seqs = _checked_prompts(corpus, vocab, state.actor.encoder.cfg.max_len)
+    seqs = _checked_prompts(corpus, vocab, actor.encoder.cfg.max_len)
     out = Path(args.out)
     write_manifest(
         out.with_name(out.name + ".manifest.json"),
@@ -314,7 +314,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
     def rollout(seq):
         env_state = reset(seq)
         for _ in range(args.steps):
-            output = policy_forward(state.actor, env_state)
+            output = policy_forward(actor, env_state)
             action = greedy_actions(output, args.budget)
             env_state = apply_action(env_state, action, output.keep_probs)
         return env_state
@@ -376,8 +376,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # its ids. Its encoder bounds the prompt length; every method needs a
     # prompt that tokenizes to something.
     if args.checkpoint:
-        state, vocab = load_checkpoint(args.checkpoint)
-        max_len = state.actor.encoder.cfg.max_len
+        actor, vocab = load_checkpoint(args.checkpoint, actor_only=True)
+        max_len = actor.encoder.cfg.max_len
     else:
         vocab = build_vocabulary(corpus, args.vocab_size)
         max_len = sys.maxsize
@@ -421,7 +421,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         else:
             compressors.append(
                 PolicyCompressor(
-                    actor=state.actor, steps=args.steps, rho_target=args.rho
+                    actor=actor, steps=args.steps, rho_target=args.rho
                 )
             )
 

@@ -106,53 +106,62 @@ def _layer_norm_backward(dy, cache):
     return dx, dgain, dbias
 
 
+def parameter_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every encoder parameter, by name, in the one fixed order
+    that initialization, gradients, norms and storage all follow."""
+    d, ff = cfg.d_model, cfg.d_ff
+    shapes = {
+        "tok_emb": (cfg.vocab_size, d),
+        "pos_emb": (cfg.max_len, d),
+        "lnf_g": (d,),
+        "lnf_b": (d,),
+    }
+    for i in range(cfg.n_layers):
+        shapes.update(
+            {
+                f"l{i}.ln1_g": (d,),
+                f"l{i}.ln1_b": (d,),
+                f"l{i}.wq": (d, d),
+                f"l{i}.bq": (d,),
+                f"l{i}.wk": (d, d),
+                f"l{i}.bk": (d,),
+                f"l{i}.wv": (d, d),
+                f"l{i}.bv": (d,),
+                f"l{i}.wo": (d, d),
+                f"l{i}.bo": (d,),
+                f"l{i}.ln2_g": (d,),
+                f"l{i}.ln2_b": (d,),
+                f"l{i}.w1": (d, ff),
+                f"l{i}.b1": (ff,),
+                f"l{i}.w2": (ff, d),
+                f"l{i}.b2": (d,),
+            }
+        )
+    return shapes
+
+
 class TinyTransformerEncoder:
-    """Per-token feature extractor: ids -> [L, d] feature matrix, trainable."""
+    """Per-token feature extractor: ids -> [L, d] feature matrix, trainable.
+
+    ``params`` maps each name of ``parameter_shapes`` to its array; the
+    encoder reads them and never replaces one, so they may be views into
+    storage its owner keeps.
+    """
 
     def __init__(self, cfg: EncoderConfig, params: dict[str, np.ndarray]) -> None:
         self.cfg = cfg
         self.params = params
 
-    @classmethod
-    def create(cls, cfg: EncoderConfig, seed: int | None) -> "TinyTransformerEncoder":
-        """Encoder at its initial parameters. The weight matrices are drawn
-        from ``seed``; with seed None they are zero, for a loader to fill."""
-        rng = None if seed is None else np.random.default_rng(seed)
-        d, ff = cfg.d_model, cfg.d_ff
-
-        def w(*shape):
-            if rng is None:
-                return np.zeros(shape)
-            return rng.normal(0.0, INIT_STD, size=shape)
-
-        params: dict[str, np.ndarray] = {
-            "tok_emb": w(cfg.vocab_size, d),
-            "pos_emb": w(cfg.max_len, d),
-            "lnf_g": np.ones(d),
-            "lnf_b": np.zeros(d),
-        }
-        for i in range(cfg.n_layers):
-            params.update(
-                {
-                    f"l{i}.ln1_g": np.ones(d),
-                    f"l{i}.ln1_b": np.zeros(d),
-                    f"l{i}.wq": w(d, d),
-                    f"l{i}.bq": np.zeros(d),
-                    f"l{i}.wk": w(d, d),
-                    f"l{i}.bk": np.zeros(d),
-                    f"l{i}.wv": w(d, d),
-                    f"l{i}.bv": np.zeros(d),
-                    f"l{i}.wo": w(d, d),
-                    f"l{i}.bo": np.zeros(d),
-                    f"l{i}.ln2_g": np.ones(d),
-                    f"l{i}.ln2_b": np.zeros(d),
-                    f"l{i}.w1": w(d, ff),
-                    f"l{i}.b1": np.zeros(ff),
-                    f"l{i}.w2": w(ff, d),
-                    f"l{i}.b2": np.zeros(d),
-                }
-            )
-        return cls(cfg, params)
+    def initialize(self, seed: int) -> None:
+        """Set every parameter in place to its initial value: the weight
+        matrices drawn from ``seed`` (normal, std INIT_STD) in parameter
+        order, layer-norm gains one, and biases zero."""
+        rng = np.random.default_rng(seed)
+        for name, value in self.params.items():
+            if value.ndim == 2:
+                value[...] = rng.normal(0.0, INIT_STD, size=value.shape)
+            else:
+                value[...] = 1.0 if name.endswith("_g") else 0.0
 
     def _check_ids(
         self, ids: Sequence[int], lengths: Sequence[int] | None

@@ -1,10 +1,33 @@
-"""Adam optimizer and global gradient-norm clipping over parameter dicts."""
+"""Adam optimizer and global gradient-norm clipping over parameter dicts,
+and the named views that lay a parameter dict over one flat vector."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+
+def flat_views(
+    flat: np.ndarray, shapes: dict[str, tuple[int, ...]]
+) -> dict[str, np.ndarray]:
+    """Named views into consecutive runs of the 1-d float64 vector
+    ``flat``, one per shape in order; the sizes must add up to its length.
+
+    Writing into a view writes into ``flat``, and the reverse.
+    """
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    if flat.dtype != np.float64 or flat.shape != (sum(sizes),):
+        raise ValueError(
+            f"expected a float64 vector of shape ({sum(sizes)},), got "
+            f"{flat.dtype} {flat.shape}"
+        )
+    views = {}
+    offset = 0
+    for (name, shape), size in zip(shapes.items(), sizes):
+        views[name] = flat[offset:offset + size].reshape(shape)
+        offset += size
+    return views
 
 
 def global_norm(grads: dict[str, np.ndarray]) -> float:
@@ -22,7 +45,13 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 
 class Adam:
-    """Standard Adam over a named parameter dict; updates in place."""
+    """Standard Adam over a named parameter dict; updates in place.
+
+    The first and second moments are one vector each, ``m`` and ``v``,
+    laid out like the parameters in dict order; a step works on their
+    named views. ``moments`` adopts a saved (m, v) pair as that storage
+    instead of zeros.
+    """
 
     def __init__(
         self,
@@ -31,17 +60,23 @@ class Adam:
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
+        moments: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        shapes = {k: p.shape for k, p in params.items()}
+        if moments is None:
+            size = sum(p.size for p in params.values())
+            moments = (np.zeros(size), np.zeros(size))
+        self.m, self.v = moments
+        self._m = flat_views(self.m, shapes)
+        self._v = flat_views(self.v, shapes)
         # Scratch for the step's intermediates, shared by every parameter:
         # each step uses a view of its first ``size`` entries.
-        size = max((v.size for v in params.values()), default=0)
+        size = max((p.size for p in params.values()), default=0)
         self._scratch = (np.empty(size), np.empty(size))
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
@@ -56,8 +91,8 @@ class Adam:
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         for key, grad in grads.items():
-            m = self.m[key]
-            v = self.v[key]
+            m = self._m[key]
+            v = self._v[key]
             num, den = (a[: grad.size].reshape(grad.shape) for a in self._scratch)
             m *= self.beta1
             np.multiply(grad, 1.0 - self.beta1, out=num)

@@ -9,13 +9,15 @@ starts at keep probability 0.5. Keep probabilities are floored away from
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .encoder import EncoderConfig, TinyTransformerEncoder
+from .encoder import EncoderConfig, TinyTransformerEncoder, parameter_shapes
 from .env import ActionVector, CompressionState
+from .optim import flat_views
 
 PROB_FLOOR = 1e-6
 
@@ -34,35 +36,46 @@ class PolicyOutput:
     log_probs: np.ndarray
 
 
+def actor_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every actor parameter, by name, in storage order: the
+    encoder's (prefixed ``enc.``), then the head's."""
+    shapes = {f"enc.{k}": shape for k, shape in parameter_shapes(cfg).items()}
+    shapes["head_w"] = (cfg.d_model, 2)
+    shapes["head_b"] = (2,)
+    return shapes
+
+
 class Actor:
-    def __init__(
-        self, encoder: TinyTransformerEncoder, head_w: np.ndarray, head_b: np.ndarray
-    ):
-        self.encoder = encoder
-        self.head_w = head_w
-        self.head_b = head_b
+    """Encoder plus head, with every parameter in one flat vector.
+
+    ``flat`` holds the parameters in ``actor_shapes`` order; the
+    encoder's ``params``, ``head_w`` and ``head_b`` are views into it,
+    so copying or saving the actor is one copy or write of ``flat``.
+    """
+
+    def __init__(self, cfg: EncoderConfig, flat: np.ndarray) -> None:
+        self.flat = flat
+        self._params = flat_views(flat, actor_shapes(cfg))
+        self.encoder = TinyTransformerEncoder(
+            cfg, {k: self._params[f"enc.{k}"] for k in parameter_shapes(cfg)}
+        )
+        self.head_w = self._params["head_w"]
+        self.head_b = self._params["head_b"]
 
     @classmethod
-    def build(cls, cfg: EncoderConfig, seed: int | None) -> "Actor":
-        # Zero head: every token starts at keep probability 0.5. Seed None
-        # leaves the encoder's weights zero too (see its ``create``).
-        return cls(
-            encoder=TinyTransformerEncoder.create(cfg, seed),
-            head_w=np.zeros((cfg.d_model, 2)),
-            head_b=np.zeros(2),
-        )
+    def build(cls, cfg: EncoderConfig, seed: int) -> "Actor":
+        # Zero head: every token starts at keep probability 0.5.
+        size = sum(math.prod(shape) for shape in actor_shapes(cfg).values())
+        actor = cls(cfg, np.zeros(size))
+        actor.encoder.initialize(seed)
+        return actor
 
     def parameters(self) -> dict[str, np.ndarray]:
-        params = {f"enc.{k}": v for k, v in self.encoder.params.items()}
-        params["head_w"] = self.head_w
-        params["head_b"] = self.head_b
-        return params
+        """Named views of ``flat``, in storage order."""
+        return dict(self._params)
 
     def clone(self) -> "Actor":
-        enc = TinyTransformerEncoder(
-            self.encoder.cfg, {k: v.copy() for k, v in self.encoder.params.items()}
-        )
-        return Actor(enc, self.head_w.copy(), self.head_b.copy())
+        return Actor(self.encoder.cfg, self.flat.copy())
 
 
 def _softmax2(logits: np.ndarray) -> np.ndarray:
@@ -117,14 +130,6 @@ def greedy_actions(output: PolicyOutput, drop_budget: int) -> ActionVector:
     labels = np.ones(n, dtype=int)
     labels[order[:n_drop]] = 0
     return ActionVector(tuple(int(l) for l in labels))
-
-
-def action_log_prob(actor: Actor, ids: Sequence[int], labels: Sequence[int]) -> float:
-    """Log-probability of a full action vector under the actor."""
-    h = actor.encoder.encode(ids)
-    out = _output_from_probs(_softmax2(h @ actor.head_w + actor.head_b))
-    idx = np.asarray(labels, dtype=int)
-    return float(out.log_probs[np.arange(idx.size), idx].sum())
 
 
 def packed_action_log_probs(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, Sequence, runtime_checkable
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -49,12 +49,22 @@ class NextTokenDistribution:
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "greedy", int(np.argmax(probs)))
 
+    @classmethod
+    def _trusted(cls, probs: np.ndarray, greedy: int) -> "NextTokenDistribution":
+        """Wrap a float64 vector that is valid by construction, and its
+        lowest-id argmax, without the constructor's copy and checks;
+        ``probs`` becomes read-only."""
+        dist = object.__new__(cls)
+        probs.flags.writeable = False
+        object.__setattr__(dist, "probs", probs)
+        object.__setattr__(dist, "greedy", greedy)
+        return dist
+
     @property
     def size(self) -> int:
         return self.probs.shape[0]
 
 
-@runtime_checkable
 class ProxyLM(Protocol):
     """Small local model playing the target LLM's output-distribution role.
 
@@ -74,7 +84,6 @@ class ProxyLM(Protocol):
         ...
 
 
-@runtime_checkable
 class RetentionScorer(Protocol):
     """score(s0, st) in [0, 1]; 1 when everything is retained."""
 
@@ -176,8 +185,8 @@ class NgramLM:
     A distribution is answered by the longest trailing context (at most
     ``context_window`` tokens) found in the count tables, or by the
     unigram level. Each distinct answering context is built once and
-    memoised on the model, so the memo holds at most one validated,
-    read-only :class:`NextTokenDistribution` per fitted context plus the
+    memoised on the model, so the memo holds at most one read-only
+    :class:`NextTokenDistribution` per fitted context plus the
     unigram one: at most (contexts + 1) * V * 8 bytes, bounded by the
     count tables and not by how many queries are made.
 
@@ -239,16 +248,24 @@ class NgramLM:
         return dist
 
     def _build_dist(self, ctx: tuple[int, ...]) -> NextTokenDistribution:
+        """(k + count) / (k V + total) per id: positive and summing to 1
+        by construction, so it skips the constructor's checks. Its argmax
+        is the most counted id, the lowest on ties, or id 0 when the
+        context was never followed and every entry is k / (k V)."""
         v = self.vocab.size
         k = self.smoothing
         probs = np.full(v, k, dtype=np.float64)
         total = k * v
+        greedy = 0
         cont = self._counts[len(ctx)].get(ctx)
         if cont:
             for tid, n in cont.items():
                 probs[tid] += n
             total += self._totals[len(ctx)][ctx]
-        return NextTokenDistribution(probs / total)
+            top = max(cont.values())
+            greedy = min(tid for tid, n in cont.items() if n == top)
+        probs /= total
+        return NextTokenDistribution._trusted(probs, greedy)
 
     def greedy_continue(self, context: TokenSequence, n: int) -> TokenSequence:
         """Greedy continuation (see :class:`ProxyLM`), walked over the

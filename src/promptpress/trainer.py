@@ -30,18 +30,14 @@ import numpy as np
 from .encoder import EncoderConfig
 from .env import ActionVector, CompressionState, apply_action, compression_rate, reset
 from .optim import Adam, clip_gradients
-from .policy import (
-    Actor,
-    action_log_prob,
-    packed_action_log_probs,
-    policy_forward,
-    sample_actions,
-)
+from .policy import Actor, packed_action_log_probs, policy_forward, sample_actions
 from .reward import RewardConfig, compute_reward
 from .scoring import ProxyLM, RetentionScorer
 from .text import TokenSequence, Vocabulary
 
-CHECKPOINT_SCHEMA_VERSION = 2
+CHECKPOINT_SCHEMA_VERSION = 3
+# The members of a checkpoint, in file order.
+CHECKPOINT_MEMBERS = ("actor", "opt_actor.t", "opt_actor.m", "opt_actor.v", "__meta__")
 GRAD_CLIP_NORM = 1.0
 
 _TAG_ACTOR = 101
@@ -226,22 +222,6 @@ def collect_trajectory(
 
 # ---------------------------------------------------------------------------
 # objectives
-
-
-def ppo_objective(
-    batch: Sequence[tuple[TrajectoryStep, float]], actor_new: Actor, clip_eps: float
-) -> float:
-    """Mean clipped-surrogate value of (step, advantage) pairs under the
-    new actor."""
-    if not batch:
-        raise ValueError("empty batch")
-    total = 0.0
-    for step, advantage in batch:
-        new_lp = action_log_prob(
-            actor_new, step.state.current.ids, step.action.labels
-        )
-        total += _clipped_term(new_lp, step, advantage, clip_eps)[0]
-    return total / len(batch)
 
 
 def _clipped_term(
@@ -549,35 +529,21 @@ def hpc_train(
 # checkpointing
 
 
-def _checkpoint_arrays(state: TrainState) -> dict[str, np.ndarray]:
-    """Every array member of a checkpoint, by name, in file order.
-
-    Parameters and Adam moments are views into ``state``, so assigning
-    into them restores it; the optimizer's step count is a 0-d copy of
-    ``t``. This table is the one list of members: ``save_checkpoint``
-    writes it and ``load_checkpoint`` requires exactly its names.
-    """
-    arrays = {f"actor.{k}": v for k, v in state.actor.parameters().items()}
-    opt = state.actor_opt
-    arrays["opt_actor.t"] = np.array(opt.t, dtype=np.int64)
-    arrays.update({f"opt_actor.m.{k}": v for k, v in opt.m.items()})
-    arrays.update({f"opt_actor.v.{k}": v for k, v in opt.v.items()})
-    return arrays
-
-
 def save_checkpoint(
     state: TrainState, vocab: Vocabulary, path: str | Path
 ) -> None:
     """Write everything needed to resume training, or to compress, as one
     npz file.
 
-    Its members are the arrays of ``_checkpoint_arrays`` (actor
-    parameters, then the actor optimizer's step count and moments),
-    which is the one list of what a checkpoint holds, followed by
-    ``__meta__``: UTF-8 JSON with the schema version, the encoder
-    config, the vocabulary, the actor learning rate, the next stage and
-    the training log. The round-trip is bitwise: loading and saving
-    again reproduces identical arrays.
+    Its members are ``CHECKPOINT_MEMBERS``: ``actor``, the actor's flat
+    parameter vector (``Actor.flat``); ``opt_actor.t``, the optimizer's
+    step count (0-d int64); ``opt_actor.m`` and ``opt_actor.v``, its
+    flat moment vectors; and ``__meta__``, UTF-8 JSON with the schema
+    version, the encoder config, the vocabulary, the actor learning
+    rate, the next stage and the training log. The vectors are written
+    as they are, with no copy; their layout (names, shapes, offsets) is
+    ``policy.actor_shapes`` of the encoder config. The round-trip is
+    bitwise: loading and saving again reproduces identical members.
     """
     meta = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
@@ -591,12 +557,16 @@ def save_checkpoint(
         "next_stage": state.next_stage,
         "log": state.log.records,
     }
-    arrays = _checkpoint_arrays(state)
-    arrays["__meta__"] = np.frombuffer(
-        json.dumps(meta).encode("utf-8"), dtype=np.uint8
+    opt = state.actor_opt
+    members = (
+        state.actor.flat,
+        np.array(opt.t, dtype=np.int64),
+        opt.m,
+        opt.v,
+        np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
     )
     with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+        np.savez(fh, **dict(zip(CHECKPOINT_MEMBERS, members)))
 
 
 def _read_meta(raw: np.ndarray) -> dict:
@@ -641,42 +611,74 @@ def _read_meta(raw: np.ndarray) -> dict:
     return meta
 
 
-def load_checkpoint(path: str | Path) -> tuple[TrainState, Vocabulary]:
-    """Load a checkpoint; validates version, metadata, the member set,
-    and shapes."""
+def _read_member(data: np.lib.npyio.NpzFile, name: str) -> np.ndarray:
+    """One member's array; a member that cannot be read is a corrupt file."""
     try:
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
+        return data[name]
+    except Exception as exc:
+        raise ValueError(f"corrupt checkpoint: field {name}: {exc}") from exc
+
+
+def load_checkpoint(
+    path: str | Path, actor_only: bool = False
+) -> tuple[TrainState, Vocabulary] | tuple[Actor, Vocabulary]:
+    """Load a checkpoint written by ``save_checkpoint``.
+
+    Every load checks that the file holds exactly ``CHECKPOINT_MEMBERS``,
+    the schema version and the metadata, and that the actor's vector has
+    the length its encoder config gives; that vector becomes the actor's
+    storage as read, with no copy. Returns (train state, vocabulary),
+    after also checking the optimizer's step count and moment vectors.
+    With ``actor_only`` it returns (actor, vocabulary) instead, reading
+    no ``opt_actor.*`` member and building no optimizer: all that
+    compressing or evaluating needs.
+    """
+    try:
+        data = np.load(path)
     except Exception as exc:
         raise ValueError(f"corrupt checkpoint: {exc}") from exc
-    if "__meta__" not in arrays:
-        raise ValueError("corrupt checkpoint: missing field __meta__")
-    meta = _read_meta(arrays.pop("__meta__"))
-    try:
-        encoder_cfg = EncoderConfig(**meta["encoder_cfg"])
-        vocab = Vocabulary(
-            surfaces=tuple(meta["vocab"]["surfaces"]),
-            unknown_id=meta["vocab"]["unknown_id"],
-        )
-    except ValueError as exc:
-        raise ValueError(f"corrupt checkpoint: {exc}") from exc
-    actor = Actor.build(encoder_cfg, seed=None)  # no draw: the file fills it
-    state = TrainState(
-        actor=actor,
-        actor_opt=Adam(actor.parameters(), lr=float(meta["actor_lr"])),
-        log=TrainingLog(meta["log"]),
-        next_stage=meta["next_stage"],
-    )
-    table = _checkpoint_arrays(state)
-    if set(table) != set(arrays):
-        diff = sorted(set(table) ^ set(arrays))
-        raise ValueError(f"corrupt checkpoint: field set mismatch: {diff}")
-    for name, target in table.items():
-        if arrays[name].shape != target.shape:
-            raise ValueError(
-                f"corrupt checkpoint: field {name} has shape "
-                f"{arrays[name].shape}, expected {target.shape}"
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError("corrupt checkpoint: not an npz archive")
+    with data:
+        if "__meta__" not in data.files:
+            raise ValueError("corrupt checkpoint: missing field __meta__")
+        meta = _read_meta(_read_member(data, "__meta__"))
+        if set(data.files) != set(CHECKPOINT_MEMBERS):
+            diff = sorted(set(data.files) ^ set(CHECKPOINT_MEMBERS))
+            raise ValueError(f"corrupt checkpoint: field set mismatch: {diff}")
+        try:
+            encoder_cfg = EncoderConfig(**meta["encoder_cfg"])
+            vocab = Vocabulary(
+                surfaces=tuple(meta["vocab"]["surfaces"]),
+                unknown_id=meta["vocab"]["unknown_id"],
             )
-        target[...] = arrays[name]
-    state.actor_opt.t = int(table["opt_actor.t"])
+        except ValueError as exc:
+            raise ValueError(f"corrupt checkpoint: {exc}") from exc
+        flat = _read_member(data, "actor")
+        try:
+            actor = Actor(encoder_cfg, flat)
+        except ValueError as exc:
+            raise ValueError(f"corrupt checkpoint: field actor: {exc}") from exc
+        if actor_only:
+            return actor, vocab
+        t = _read_member(data, "opt_actor.t")
+        if t.shape != () or t.dtype.kind not in "iu" or t < 0:
+            raise ValueError(
+                f"corrupt checkpoint: field opt_actor.t is {t.dtype} of shape "
+                f"{t.shape}, expected a non-negative integer scalar"
+            )
+        moments = []
+        for name in ("opt_actor.m", "opt_actor.v"):
+            vec = _read_member(data, name)
+            if vec.dtype != np.float64 or vec.shape != actor.flat.shape:
+                raise ValueError(
+                    f"corrupt checkpoint: field {name}: expected a float64 "
+                    f"vector of shape {actor.flat.shape}, got {vec.dtype} {vec.shape}"
+                )
+            moments.append(vec)
+    actor_opt = Adam(
+        actor.parameters(), lr=float(meta["actor_lr"]), moments=tuple(moments)
+    )
+    actor_opt.t = int(t)
+    state = TrainState(actor, actor_opt, TrainingLog(meta["log"]), meta["next_stage"])
     return state, vocab

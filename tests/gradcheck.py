@@ -1,9 +1,14 @@
-"""Central finite-difference gradient checking shared by test modules, and
-the single-sequence gradient the checks compare against."""
+"""Central finite-difference gradient checking shared by test modules, the
+single-sequence gradient the checks compare against, and the unpacked
+scalar objectives the finite differences are taken of."""
+
+import math
 
 import numpy as np
 
-from promptpress.policy import packed_action_log_probs
+from promptpress.env import reset
+from promptpress.policy import packed_action_log_probs, policy_forward
+from promptpress.text import TokenSequence
 
 # Relative error with a small absolute floor: below the floor both the
 # analytic and numeric values are dominated by round-off noise.
@@ -48,3 +53,24 @@ def packed_log_prob_and_grad(actor, ids, labels):
     log_probs, gradient_of = packed_action_log_probs(actor, [ids], [labels])
     return float(log_probs[0]), gradient_of(np.ones(1))
 
+
+
+def action_log_prob(actor, ids, labels):
+    """Log-probability of one action vector, from the single-sequence
+    inference forward (``policy_forward``)."""
+    out = policy_forward(actor, reset(TokenSequence(tuple(ids))))
+    idx = np.asarray(labels, dtype=int)
+    return float(out.log_probs[np.arange(idx.size), idx].sum())
+
+
+def ppo_objective(batch, actor, clip_eps):
+    """Mean clipped surrogate min(delta A, clip(delta) A) of (step,
+    advantage) pairs, one sequence at a time: the reference the packed
+    ``trainer.ppo_objective_and_grads`` is checked against."""
+    total = 0.0
+    for step, advantage in batch:
+        new_lp = action_log_prob(actor, step.state.current.ids, step.action.labels)
+        delta = math.exp(new_lp - step.old_log_prob)
+        clipped = min(max(delta, 1.0 - clip_eps), 1.0 + clip_eps)
+        total += min(delta * advantage, clipped * advantage)
+    return total / len(batch)

@@ -14,6 +14,7 @@ from conftest import bump_schema_version, edit_meta, rewrite_checkpoint
 from promptpress import cli
 from promptpress.cli import main
 from promptpress.text import PromptRecord, make_synthetic_corpus, save_corpus
+from promptpress.trainer import load_checkpoint, save_checkpoint
 
 
 def _small_corpus(path):
@@ -91,13 +92,11 @@ class TestEvalPairing:
 def _randomize_head(ckpt):
     """Give the checkpoint's actor a non-zero head, so which tokens are
     dropped depends on the encoder's features."""
-
-    def edit(arrays):
-        rng = np.random.default_rng(0)
-        for name in ("actor.head_w", "actor.head_b"):
-            arrays[name] = rng.normal(0.0, 1.0, size=arrays[name].shape)
-
-    rewrite_checkpoint(ckpt, edit)
+    state, vocab = load_checkpoint(ckpt)
+    rng = np.random.default_rng(0)
+    for head in (state.actor.head_w, state.actor.head_b):
+        head[...] = rng.normal(0.0, 1.0, size=head.shape)
+    save_checkpoint(state, vocab, ckpt)
 
 
 def _set_cpus(monkeypatch, n):

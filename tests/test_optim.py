@@ -1,8 +1,10 @@
-"""Optimizer tests: the in-place Adam step is bitwise the textbook one."""
+"""Optimizer tests: the in-place Adam step is bitwise the textbook one,
+on moments kept as one flat vector each."""
 
 import numpy as np
+import pytest
 
-from promptpress.optim import Adam
+from promptpress.optim import Adam, flat_views
 
 
 def reference_adam(params, grads_per_step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -22,7 +24,7 @@ def reference_adam(params, grads_per_step, lr, beta1=0.9, beta2=0.999, eps=1e-8)
     return params, m, v
 
 
-def test_five_steps_bitwise_equal_to_reference():
+def _problem():
     rng = np.random.default_rng(0)
     # Parameters on the scale of an Adam update (about lr), so that a
     # rounding difference in the update shows in the parameter.
@@ -39,6 +41,16 @@ def test_five_steps_bitwise_equal_to_reference():
         }
         for _ in range(5)
     ]
+    return params, grads_per_step
+
+
+def _flat(arrays):
+    """The named arrays laid end to end, in dict order."""
+    return np.concatenate([a.ravel() for a in arrays.values()])
+
+
+def test_five_steps_bitwise_equal_to_reference():
+    params, grads_per_step = _problem()
     want, want_m, want_v = reference_adam(params, grads_per_step, lr=1e-3)
 
     got = {k: v.copy() for k, v in params.items()}
@@ -47,7 +59,46 @@ def test_five_steps_bitwise_equal_to_reference():
         opt.step(got, grads)
     for key in params:
         assert got[key].tobytes() == want[key].tobytes(), key
-        assert opt.m[key].tobytes() == want_m[key].tobytes(), key
-        assert opt.v[key].tobytes() == want_v[key].tobytes(), key
+    # The moments are one vector each, laid out like the parameters.
+    assert opt.m.tobytes() == _flat(want_m).tobytes()
+    assert opt.v.tobytes() == _flat(want_v).tobytes()
     assert np.array_equal(got["frozen"], params["frozen"])
     assert opt.t == 5
+    # The step's scratch is no larger than the largest parameter.
+    assert all(a.size == 35 for a in opt._scratch)
+
+
+def test_adopted_moments_continue_bitwise():
+    # Three steps, then a new optimizer over the same parameters that
+    # adopts the saved moments and step count, then two more steps: the
+    # result is the five-step run's, and the adopted vectors are the
+    # storage the steps write into.
+    params, grads_per_step = _problem()
+    want, want_m, want_v = reference_adam(params, grads_per_step, lr=1e-3)
+
+    flat = _flat(params)
+    got = flat_views(flat, {k: v.shape for k, v in params.items()})
+    first = Adam(got, lr=1e-3)
+    for grads in grads_per_step[:3]:
+        first.step(got, grads)
+    m, v = first.m.copy(), first.v.copy()
+    second = Adam(got, lr=1e-3, moments=(m, v))
+    second.t = first.t
+    for grads in grads_per_step[3:]:
+        second.step(got, grads)
+    assert second.m is m and second.v is v
+    assert flat.tobytes() == _flat(want).tobytes()
+    assert m.tobytes() == _flat(want_m).tobytes()
+    assert v.tobytes() == _flat(want_v).tobytes()
+
+
+def test_flat_views_share_memory_and_check_length():
+    flat = np.arange(10.0)
+    views = flat_views(flat, {"a": (2, 3), "b": (4,)})
+    assert np.shares_memory(views["a"], flat) and np.shares_memory(views["b"], flat)
+    views["b"][...] = -1.0
+    assert np.array_equal(flat[6:], [-1.0] * 4)
+    assert np.array_equal(views["a"], np.arange(6.0).reshape(2, 3))
+    for bad in (np.zeros(9), np.zeros(11), np.zeros((2, 5)), np.zeros(10, dtype=np.float32)):
+        with pytest.raises(ValueError, match="expected a float64 vector of shape"):
+            flat_views(bad, {"a": (2, 3), "b": (4,)})

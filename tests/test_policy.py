@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
-from gradcheck import REL_TOL, max_relative_error, packed_log_prob_and_grad
-from promptpress.encoder import LN_EPS, EncoderConfig, TinyTransformerEncoder
+from gradcheck import (
+    REL_TOL,
+    action_log_prob,
+    max_relative_error,
+    packed_log_prob_and_grad,
+)
+from promptpress.encoder import LN_EPS, EncoderConfig
 from promptpress.env import reset
 from promptpress.policy import (
     Actor,
     PolicyOutput,
-    action_log_prob,
     greedy_actions,
     policy_forward,
     sample_actions,
@@ -178,19 +182,44 @@ class TestGradients:
         assert all(np.all(g == 0) for g in grads.values())
 
 
+class TestInitialParameters:
+    def test_build_draws_in_the_reference_order(self):
+        # The weight matrices are drawn one after another from one stream:
+        # embeddings, then per layer wq, wk, wv, wo, w1, w2. Gains start at
+        # one, biases and the head at zero.
+        actor = Actor.build(TINY, seed=3)
+        rng = np.random.default_rng(3)
+        d, ff = TINY.d_model, TINY.d_ff
+        want = {
+            "tok_emb": rng.normal(0.0, 0.02, size=(TINY.vocab_size, d)),
+            "pos_emb": rng.normal(0.0, 0.02, size=(TINY.max_len, d)),
+        }
+        for i in range(TINY.n_layers):
+            for name, shape in (("wq", (d, d)), ("wk", (d, d)), ("wv", (d, d)),
+                                ("wo", (d, d)), ("w1", (d, ff)), ("w2", (ff, d))):
+                want[f"l{i}.{name}"] = rng.normal(0.0, 0.02, size=shape)
+        for name, value in actor.encoder.params.items():
+            if name in want:
+                assert value.tobytes() == want[name].tobytes(), name
+            else:
+                assert np.all(value == (1.0 if name.endswith("_g") else 0.0)), name
+        assert not actor.head_w.any() and not actor.head_b.any()
+        assert len(actor.encoder.params) == 4 + 16 * TINY.n_layers
+
+
 class TestEncoderContract:
     def test_output_length_matches_input(self):
-        enc = TinyTransformerEncoder.create(TINY, seed=0)
+        enc = Actor.build(TINY, seed=0).encoder
         for n in (1, 3, 8):
             assert enc.encode(tuple(range(n))).shape == (n, TINY.d_model)
 
     def test_too_long_sequence_errors(self):
-        enc = TinyTransformerEncoder.create(TINY, seed=0)
+        enc = Actor.build(TINY, seed=0).encoder
         with pytest.raises(ValueError, match="max_len"):
             enc.encode(tuple(range(TINY.max_len + 1)))
 
     def test_out_of_vocab_id_errors(self):
-        enc = TinyTransformerEncoder.create(TINY, seed=0)
+        enc = Actor.build(TINY, seed=0).encoder
         with pytest.raises(ValueError, match="out of range"):
             enc.encode((TINY.vocab_size,))
 
@@ -207,7 +236,7 @@ class TestPackedEncoder:
         return seqs, [t for seq in seqs for t in seq]
 
     def test_segments_match_solo_encode(self):
-        enc = TinyTransformerEncoder.create(TINY, seed=4)
+        enc = Actor.build(TINY, seed=4).encoder
         seqs, ids = self._pack()
         h, _ = enc.forward(ids, self.LENGTHS)
         assert h.shape == (len(ids), TINY.d_model)
@@ -219,7 +248,7 @@ class TestPackedEncoder:
             start += len(seq)
 
     def test_packed_backward_finite_difference(self):
-        enc = TinyTransformerEncoder.create(TINY, seed=5)
+        enc = Actor.build(TINY, seed=5).encoder
         _, ids = self._pack(seed=1)
         # Scalar sum(W * h): its upstream gradient is W.
         weight = np.random.default_rng(2).normal(size=(len(ids), TINY.d_model))
@@ -232,7 +261,7 @@ class TestPackedEncoder:
         assert worst < REL_TOL, f"worst gradient error {worst:.2e} at {where}"
 
     def test_bad_lengths_error(self):
-        enc = TinyTransformerEncoder.create(TINY, seed=0)
+        enc = Actor.build(TINY, seed=0).encoder
         with pytest.raises(ValueError, match="sum"):
             enc.forward((1, 2, 3), (1, 1))
         with pytest.raises(ValueError, match="at least one"):
@@ -252,7 +281,7 @@ class TestInferenceForward:
     def _perturbed_encoder(self, seed=0):
         # Gains and biases away from 1 and 0, so every in-place layer-norm
         # and bias step changes the result.
-        enc = TinyTransformerEncoder.create(self.CFG, seed=seed)
+        enc = Actor.build(self.CFG, seed=seed).encoder
         rng = np.random.default_rng(seed + 100)
         for value in enc.params.values():
             value += rng.normal(0.0, 0.3, size=value.shape)

@@ -429,6 +429,30 @@ class TestNgramMemo:
             is lm.next_token_dist(tokenize("a", MEMO_VOCAB))
         )
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "corpus",
+        [
+            MEMO_CORPUS,
+            # After "c" come b, a and d once each, b first: a tie that the
+            # lowest id, not the first counted, must win.
+            [PromptRecord("ties", "c b c a d c d")],
+        ],
+        ids=["memo", "ties"],
+    )
+    def test_built_distributions_pass_the_constructor_checks(self, order, corpus):
+        # The model builds its vectors without the constructor's checks;
+        # each must pass them and carry the same lowest-id argmax.
+        lm = fit_lm(corpus, order=order, smoothing=0.1, vocab=MEMO_VOCAB)
+        for ctx in self.contexts():
+            got = lm.next_token_dist(ctx)
+            checked = NextTokenDistribution(got.probs)
+            assert checked.probs.tobytes() == got.probs.tobytes(), ctx.ids
+            assert got.greedy == checked.greedy == int(np.argmax(got.probs)), ctx.ids
+            assert not got.probs.flags.writeable
+        if corpus is not MEMO_CORPUS and order > 1:
+            assert lm.next_token_dist(tokenize("c", MEMO_VOCAB)).greedy == 0
+
     def test_repeat_query_returns_same_read_only_object(self):
         lm = fit_lm(MEMO_CORPUS, order=2, smoothing=0.1, vocab=MEMO_VOCAB)
         ctx = tokenize("b a", MEMO_VOCAB)

@@ -2,21 +2,29 @@
 leave-one-out advantages, update rounds, trajectory collection, the full
 loop, and checkpoint/resume."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from conftest import bump_schema_version, edit_meta, rewrite_checkpoint, tiny_world
-from gradcheck import REL_TOL, max_relative_error, packed_log_prob_and_grad
+from gradcheck import (
+    REL_TOL,
+    action_log_prob,
+    max_relative_error,
+    packed_log_prob_and_grad,
+    ppo_objective,
+)
 from promptpress import trainer
 from promptpress.encoder import EncoderConfig
 from promptpress.env import ActionVector, reset
 from promptpress.optim import global_norm
-from promptpress.policy import Actor, action_log_prob, policy_forward
+from promptpress.policy import Actor, actor_shapes, policy_forward
 from promptpress.reward import RewardConfig
 from promptpress.text import TokenSequence
 from promptpress.trainer import (
+    CHECKPOINT_MEMBERS,
     CurriculumSchedule,
     TrainerConfig,
     TrajectoryStep,
@@ -26,7 +34,6 @@ from promptpress.trainer import (
     init_train_state,
     leave_one_out_advantages,
     load_checkpoint,
-    ppo_objective,
     ppo_objective_and_grads,
     returns_from,
     save_checkpoint,
@@ -140,6 +147,11 @@ def _synthetic_step(actor, ids, labels, delta, advantage):
     return step, advantage
 
 
+def _objective(batch, actor, clip_eps):
+    """The program's (packed) clipped-surrogate objective."""
+    return ppo_objective_and_grads(batch, actor, clip_eps)[0]
+
+
 class TestPpoObjective:
     def _actor(self):
         _, _, _, encoder_cfg = tiny_world()
@@ -154,26 +166,26 @@ class TestPpoObjective:
             _synthetic_step(actor, (1, 2, 3), (1, 0, 1), 1.0, 2.5),
             _synthetic_step(actor, (4, 5), (0, 1), 1.0, -1.5),
         ]
-        obj = ppo_objective(steps, actor, clip_eps=0.15)
+        obj = _objective(steps, actor, clip_eps=0.15)
         assert obj == pytest.approx((2.5 - 1.5) / 2, abs=1e-6)
 
     def test_hand_clipped_positive_advantage(self):
         actor = self._actor()
         step = _synthetic_step(actor, (1, 2), (1, 1), delta=1.3, advantage=2.0)
         # min(1.3 * 2, clip(1.3 -> 1.15) * 2) = 2.3
-        assert ppo_objective([step], actor, 0.15) == pytest.approx(2.3)
+        assert _objective([step], actor, 0.15) == pytest.approx(2.3)
 
     def test_hand_clipped_negative_advantage(self):
         actor = self._actor()
         step = _synthetic_step(actor, (1, 2), (1, 1), delta=0.7, advantage=-1.0)
         # min(-0.7, clip(0.7 -> 0.85) * -1) = -0.85
-        assert ppo_objective([step], actor, 0.15) == pytest.approx(-0.85)
+        assert _objective([step], actor, 0.15) == pytest.approx(-0.85)
 
     def test_unclipped_region_matches_plain_term(self):
         actor = self._actor()
         for delta, adv in ((0.9, 1.7), (1.1, -0.3), (1.0, 4.0)):
             step = _synthetic_step(actor, (3, 1), (0, 1), delta, adv)
-            assert ppo_objective([step], actor, 0.15) == pytest.approx(delta * adv)
+            assert _objective([step], actor, 0.15) == pytest.approx(delta * adv)
 
     def test_degenerate_ratio_errors(self):
         actor = self._actor()
@@ -184,11 +196,11 @@ class TestPpoObjective:
             reward=0.0,
         )
         with pytest.raises(ValueError, match="degenerate policy ratio"):
-            ppo_objective([(step, 1.0)], actor, 0.15)
+            _objective([(step, 1.0)], actor, 0.15)
 
     def test_empty_batch_errors(self):
         with pytest.raises(ValueError):
-            ppo_objective([], self._actor(), 0.15)
+            _objective([], self._actor(), 0.15)
 
     def test_gradient_zero_when_clipped(self):
         actor = self._actor()
@@ -621,17 +633,31 @@ class TestCheckpoint:
         return path
 
     def test_member_order(self, tmp_path):
-        # Actor parameters, then the optimizer's t, m and v, then the
-        # metadata.
+        # The actor's flat vector, then the optimizer's t, m and v, then
+        # the metadata.
         path = self._fresh_checkpoint(tmp_path)
-        state, _ = load_checkpoint(path)
         with np.load(path) as data:
             names = list(data.files)
-        expected = [f"actor.{k}" for k in state.actor.parameters()]
-        expected.append("opt_actor.t")
-        expected += [f"opt_actor.m.{k}" for k in state.actor_opt.m]
-        expected += [f"opt_actor.v.{k}" for k in state.actor_opt.v]
-        assert names == expected + ["__meta__"]
+        assert names == ["actor", "opt_actor.t", "opt_actor.m", "opt_actor.v", "__meta__"]
+        assert tuple(names) == CHECKPOINT_MEMBERS
+
+    def test_vectors_follow_the_layout_of_the_encoder_config(self, tmp_path):
+        path = self._fresh_checkpoint(tmp_path)
+        state, _ = load_checkpoint(path)
+        shapes = actor_shapes(state.actor.encoder.cfg)
+        size = sum(math.prod(shape) for shape in shapes.values())
+        with np.load(path) as data:
+            for name in ("actor", "opt_actor.m", "opt_actor.v"):
+                assert data[name].dtype == np.float64 and data[name].shape == (size,)
+            assert data["opt_actor.t"].shape == ()
+        # Each named parameter sits at its offset in the vector.
+        offset = 0
+        for name, value in state.actor.parameters().items():
+            assert value.shape == shapes[name]
+            n = value.size
+            assert np.array_equal(state.actor.flat[offset:offset + n], value.ravel())
+            offset += n
+        assert list(state.actor.parameters()) == list(shapes)
 
     def test_version_mismatch_errors(self, tmp_path):
         path = self._fresh_checkpoint(tmp_path)
@@ -639,32 +665,124 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="schema_version"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("member", ["actor.head_w", "opt_actor.v.head_w"])
-    def test_wrong_shape_errors(self, tmp_path, member):
+    def test_schema_2_file_errors(self, tmp_path):
+        # The previous format: one member per parameter and per moment.
+        _, vocab, _, encoder_cfg, trainer_cfg = _small_training_setup(n_prompts=4)
+        state = init_train_state(trainer_cfg, encoder_cfg)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(state, vocab, path)
+        params = state.actor.parameters()
+        arrays = {f"actor.{k}": v for k, v in params.items()}
+        arrays["opt_actor.t"] = np.array(0, dtype=np.int64)
+        arrays.update({f"opt_actor.m.{k}": np.zeros_like(v) for k, v in params.items()})
+        arrays.update({f"opt_actor.v.{k}": np.zeros_like(v) for k, v in params.items()})
+        with np.load(path) as data:
+            meta = json.loads(data["__meta__"].tobytes().decode())
+        meta["schema_version"] = 2
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        for actor_only in (False, True):
+            with pytest.raises(ValueError, match="unsupported checkpoint schema_version: 2"):
+                load_checkpoint(path, actor_only=actor_only)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            pytest.param(lambda a: a[:-1], id="short"),
+            pytest.param(lambda a: np.append(a, 0.0), id="long"),
+            pytest.param(lambda a: a[:, None], id="extra-axis"),
+            pytest.param(lambda a: a.astype(np.float32), id="float32"),
+        ],
+    )
+    @pytest.mark.parametrize("member", ["actor", "opt_actor.m", "opt_actor.v"])
+    def test_wrong_shape_errors(self, tmp_path, member, change):
         path = self._fresh_checkpoint(tmp_path)
-
-        def reshape(arrays):
-            arrays[member] = np.zeros(arrays[member].shape + (1,))
-
-        rewrite_checkpoint(path, reshape)
-        match = f"corrupt checkpoint: field {member} has shape"
+        rewrite_checkpoint(path, lambda arrays: arrays.update({member: change(arrays[member])}))
+        match = f"corrupt checkpoint: field {member}: expected a float64 vector of shape"
         with pytest.raises(ValueError, match=match):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "member", ["actor.head_b", "opt_actor.t", "opt_actor.m.head_b"]
+        "t", [np.array([0, 0]), np.array(1.0), np.array(-1), np.array(True)],
+        ids=["vector", "float", "negative", "bool"],
+    )
+    def test_bad_step_count_errors(self, tmp_path, t):
+        path = self._fresh_checkpoint(tmp_path)
+        rewrite_checkpoint(path, lambda arrays: arrays.update({"opt_actor.t": t}))
+        with pytest.raises(ValueError, match="corrupt checkpoint: field opt_actor.t is"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "member", ["actor", "opt_actor.t", "opt_actor.m", "opt_actor.v"]
     )
     def test_missing_member_errors(self, tmp_path, member):
         path = self._fresh_checkpoint(tmp_path)
         rewrite_checkpoint(path, lambda arrays: arrays.pop(member))
-        with pytest.raises(ValueError, match="field set mismatch"):
+        for actor_only in (False, True):
+            with pytest.raises(ValueError, match="field set mismatch"):
+                load_checkpoint(path, actor_only=actor_only)
+
+    def test_missing_meta_errors(self, tmp_path):
+        path = self._fresh_checkpoint(tmp_path)
+        rewrite_checkpoint(path, lambda arrays: arrays.pop("__meta__"))
+        with pytest.raises(ValueError, match="corrupt checkpoint: missing field __meta__"):
             load_checkpoint(path)
 
     def test_extra_member_errors(self, tmp_path):
         path = self._fresh_checkpoint(tmp_path)
         rewrite_checkpoint(path, lambda arrays: arrays.update({"actor.stray": np.zeros(2)}))
-        with pytest.raises(ValueError, match="field set mismatch"):
+        for actor_only in (False, True):
+            with pytest.raises(ValueError, match="field set mismatch"):
+                load_checkpoint(path, actor_only=actor_only)
+
+    def test_not_an_archive_errors(self, tmp_path):
+        path = tmp_path / "ckpt.npy"
+        np.save(path, np.zeros(3))
+        with pytest.raises(ValueError, match="corrupt checkpoint: not an npz archive"):
             load_checkpoint(path)
+
+    def test_actor_only_load_reads_no_optimizer_member(self, tmp_path, monkeypatch):
+        path = self._fresh_checkpoint(tmp_path)
+        state, vocab = load_checkpoint(path)
+        read = {}
+        getitem = np.lib.npyio.NpzFile.__getitem__
+
+        def recording(self, key):
+            read[key] = getitem(self, key)
+            return read[key]
+
+        def no_adam(*args, **kwargs):
+            raise AssertionError("an actor-only load built an optimizer")
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", recording)
+        monkeypatch.setattr(trainer, "Adam", no_adam)
+        actor, actor_vocab = load_checkpoint(path, actor_only=True)
+        assert sorted(read) == ["__meta__", "actor"]
+        assert isinstance(actor, Actor) and actor_vocab == vocab
+        # The array read from the file is the actor's storage.
+        assert actor.flat is read["actor"]
+        assert actor.flat.tobytes() == state.actor.flat.tobytes()
+
+    def test_views_share_the_flat_vector_and_a_clone_shares_nothing(self, tmp_path):
+        path = self._fresh_checkpoint(tmp_path)
+        state, _ = load_checkpoint(path)
+        actor, opt = state.actor, state.actor_opt
+        views = [*actor.encoder.params.values(), actor.head_w, actor.head_b]
+        assert len(views) == len(actor.parameters())
+        assert all(np.shares_memory(v, actor.flat) for v in views)
+        assert all(np.shares_memory(v, actor.flat) for v in actor.parameters().values())
+        for moments, named in ((opt.m, opt._m), (opt.v, opt._v)):
+            assert all(np.shares_memory(v, moments) for v in named.values())
+        actor.flat[...] = np.arange(actor.flat.size)
+        assert actor.head_b[1] == actor.flat.size - 1
+        assert actor.encoder.params["tok_emb"][0, 1] == 1.0
+        clone = actor.clone()
+        assert clone.flat.tobytes() == actor.flat.tobytes()
+        clone_views = [clone.flat, *clone.parameters().values()]
+        assert not any(
+            np.shares_memory(c, a) for c in clone_views for a in [actor.flat, *views]
+        )
 
     @pytest.mark.parametrize(
         "cut",
