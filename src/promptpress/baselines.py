@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -25,12 +25,12 @@ def keep_count(length: int, rho_target: float) -> int:
 
 
 class Compressor(Protocol):
-    """Sequence-in, kept-subsequence-out; ``key`` diversifies per-prompt
-    seeds."""
+    """Corpus-in, kept-subsequences-out: ``compress(seqs)[i]`` is kept
+    from ``seqs[i]``, and a seeded method seeds prompt i by its index."""
 
     name: str
 
-    def compress(self, seq: TokenSequence, key: int = 0) -> TokenSequence: ...
+    def compress(self, seqs: Sequence[TokenSequence]) -> list[TokenSequence]: ...
 
 
 def random_compress(seq: TokenSequence, rho_target: float, seed: int) -> TokenSequence:
@@ -70,8 +70,8 @@ def selfinfo_compress(
 class IdentityCompressor:
     name: str = "identity"
 
-    def compress(self, seq: TokenSequence, key: int = 0) -> TokenSequence:
-        return seq
+    def compress(self, seqs: Sequence[TokenSequence]) -> list[TokenSequence]:
+        return list(seqs)
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,13 @@ class RandomCompressor:
     seed: int
     name: str = "random"
 
-    def compress(self, seq: TokenSequence, key: int = 0) -> TokenSequence:
-        # deterministic per (seed, key) so prompts get distinct subsets
-        child = int(np.random.SeedSequence((self.seed, key)).generate_state(1)[0])
-        return random_compress(seq, self.rho_target, child)
+    def compress(self, seqs: Sequence[TokenSequence]) -> list[TokenSequence]:
+        kept = []
+        for index, seq in enumerate(seqs):
+            # deterministic per (seed, index) so prompts get distinct subsets
+            child = int(np.random.SeedSequence((self.seed, index)).generate_state(1)[0])
+            kept.append(random_compress(seq, self.rho_target, child))
+        return kept
 
 
 @dataclass(frozen=True)
@@ -92,8 +95,8 @@ class SelfInfoCompressor:
     rho_target: float
     name: str = "selfinfo"
 
-    def compress(self, seq: TokenSequence, key: int = 0) -> TokenSequence:
-        return selfinfo_compress(seq, self.lm, self.rho_target)
+    def compress(self, seqs: Sequence[TokenSequence]) -> list[TokenSequence]:
+        return [selfinfo_compress(seq, self.lm, self.rho_target) for seq in seqs]
 
 
 @dataclass(frozen=True)
@@ -102,8 +105,10 @@ class PolicyCompressor:
 
     Each of the k steps drops enough of the lowest-keep-probability
     tokens to land on ``rho_target`` by the final step. A step whose goal
-    the prompt already meets is skipped: a drop budget of 0 would mean
-    0.5-thresholding and could overshoot the target.
+    a prompt already meets skips that prompt: a drop budget of 0 would
+    mean 0.5-thresholding and could overshoot the target. The corpus
+    moves step by step, with one :func:`policy_forward` call per step
+    over every prompt still to compress.
     """
 
     actor: Actor
@@ -111,15 +116,18 @@ class PolicyCompressor:
     steps: int = 1
     name: str = "policy"
 
-    def compress(self, seq: TokenSequence, key: int = 0) -> TokenSequence:
-        state = reset(seq)
+    def compress(self, seqs: Sequence[TokenSequence]) -> list[TokenSequence]:
+        states = [reset(seq) for seq in seqs]
         for step in range(self.steps):
             # per-step relative keep rate compounding to the target
             per_step = self.rho_target ** ((step + 1) / self.steps)
-            budget = len(state.current) - keep_count(len(seq), per_step)
-            if budget <= 0:
-                continue
-            out = policy_forward(self.actor, state)
-            action = greedy_actions(out, budget)
-            state = apply_action(state, action, out.keep_probs)
-        return state.current
+            budgets = [
+                len(state.current) - keep_count(len(seq), per_step)
+                for state, seq in zip(states, seqs)
+            ]
+            active = [i for i, budget in enumerate(budgets) if budget > 0]
+            outputs = policy_forward(self.actor, [states[i] for i in active])
+            for i, out in zip(active, outputs):
+                action = greedy_actions(out, budgets[i])
+                states[i] = apply_action(states[i], action, out.keep_probs)
+        return [state.current for state in states]

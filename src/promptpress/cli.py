@@ -7,13 +7,16 @@ reproducible from its manifest alone. Exit codes: 0 success, 2 usage or
 validation error, 1 runtime failure. Artifacts are written to a
 ``.partial`` path and renamed only when complete.
 
-``compress`` runs its prompts on every CPU the process may use, one
-thread each; its output does not depend on that number.
+``compress`` encodes its prompts in passes of up to the encoder's
+``max_len`` tokens, shared out between the calling thread and one helper
+thread per further CPU the process may use; its output does not depend
+on that number.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -284,6 +287,15 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _helper_threads(n_items: int):
+    """A pool that, with the calling thread, gives one thread per usable
+    CPU and at most one per item; a null context, which gives None, when
+    the calling thread is enough. Threads start only when work is
+    submitted."""
+    workers = min(_usable_cpus(), n_items) - 1
+    return ThreadPoolExecutor(workers) if workers > 0 else contextlib.nullcontext()
+
+
 def _checked_prompts(corpus, vocab, max_len: int):
     """Every prompt tokenized; an empty or over-long one is a usage error
     naming its record."""
@@ -294,6 +306,15 @@ def _checked_prompts(corpus, vocab, max_len: int):
 
 
 def cmd_compress(args: argparse.Namespace) -> int:
+    """Compress every prompt of ``--input`` with the checkpoint's policy:
+    ``--steps`` greedy steps, each dropping ``--budget`` tokens (0:
+    every token below keep probability 0.5).
+
+    The prompts move step by step. A step is one ``policy_forward`` call
+    over every prompt, whose encoder passes the helper threads share
+    out, then each prompt's greedy action. If passes fail, the first
+    failing one in input order is reported and nothing is written.
+    """
     if args.steps < 0:
         raise UsageError("--steps must be >= 0")
     if args.budget < 0:
@@ -311,25 +332,15 @@ def cmd_compress(args: argparse.Namespace) -> int:
         artifacts={"output": str(out)},
     )
 
-    def rollout(seq):
-        env_state = reset(seq)
+    states = [reset(seq) for seq in seqs]
+    with _helper_threads(len(seqs)) as pool:
         for _ in range(args.steps):
-            output = policy_forward(actor, env_state)
-            action = greedy_actions(output, args.budget)
-            env_state = apply_action(env_state, action, output.keep_probs)
-        return env_state
-
-    # The actor is only read, and numpy releases the GIL, so prompts run
-    # in parallel; results are collected in input order. On a failure the
-    # prompts not yet started are cancelled, and the first failing one in
-    # input order is the one reported.
-    with ThreadPoolExecutor(max(1, min(_usable_cpus(), len(seqs)))) as pool:
-        futures = [pool.submit(rollout, seq) for seq in seqs]
-        try:
-            finals = [future.result() for future in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+            outputs = policy_forward(actor, states, pool)
+            states = [
+                apply_action(env_state, greedy_actions(output, args.budget),
+                             output.keep_probs)
+                for env_state, output in zip(states, outputs)
+            ]
     lines = [
         json.dumps(
             {
@@ -342,7 +353,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
             },
             sort_keys=True,
         )
-        for record, seq, env_state in zip(corpus, seqs, finals)
+        for record, seq, env_state in zip(corpus, seqs, states)
     ]
     _atomic(out, "\n".join(lines) + "\n")
     print(f"wrote {len(lines)} compressed prompts to {out}")
@@ -410,6 +421,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"{lm.context_window} tokens, fit on eval corpus)"
         ),
     )
+    # The policy runs without helper threads: on short prompts its passes
+    # spend most of their time in small numpy calls that hold the GIL,
+    # and a helper thread slowed eval instead of speeding it up.
     compressors = []
     for method in methods:
         if method == "identity":

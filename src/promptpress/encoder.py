@@ -189,9 +189,12 @@ class TinyTransformerEncoder:
         ends = list(itertools.accumulate(lengths))
         return arr, list(zip([0] + ends[:-1], ends))
 
-    def encode(self, ids: Sequence[int]) -> np.ndarray:
-        """Features [L, d] of one sequence, computed without a backward cache."""
-        h, _ = self.forward(ids, keep_cache=False)
+    def encode(
+        self, ids: Sequence[int], lengths: Sequence[int] | None = None
+    ) -> np.ndarray:
+        """Features [T, d] of a pack (see :meth:`forward`), computed
+        without a backward cache."""
+        h, _ = self.forward(ids, lengths, keep_cache=False)
         return h
 
     def _heads(self, x: np.ndarray) -> np.ndarray:

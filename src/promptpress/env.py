@@ -26,6 +26,17 @@ class CompressionState:
         if not _is_subsequence(self.current.ids, self.original.ids):
             raise ValueError("current is not a subsequence of original")
 
+    @classmethod
+    def _trusted(
+        cls, original: TokenSequence, current: TokenSequence
+    ) -> "CompressionState":
+        """A state whose ``current`` is a subsequence of ``original`` by
+        construction, built without the constructor's O(L) check."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "original", original)
+        object.__setattr__(state, "current", current)
+        return state
+
 
 @dataclass(frozen=True)
 class ActionVector:
@@ -45,7 +56,7 @@ def reset(prompt: TokenSequence) -> CompressionState:
     """Start an episode: the prompt is both the original and the current sequence."""
     if len(prompt) == 0:
         raise ValueError("empty prompt")
-    return CompressionState(original=prompt, current=prompt)
+    return CompressionState._trusted(prompt, prompt)
 
 
 def apply_action(
@@ -70,7 +81,7 @@ def apply_action(
     if not kept:
         index = int(np.argmax(keep_probs)) if keep_probs is not None else 0
         kept = (state.current.ids[index],)
-    return CompressionState(original=state.original, current=TokenSequence(kept))
+    return CompressionState._trusted(state.original, TokenSequence(kept))
 
 
 def compression_rate(state: CompressionState) -> float:

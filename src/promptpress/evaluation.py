@@ -7,9 +7,10 @@ against each other (ROUGE-1/2/L, token F1) and the compressed
 generation against the record's reference output (exact match), when
 one is present.
 
-Each piece of work is done once. Every compressor runs over the whole
-corpus before any continuation is generated, so a model's compressions
-run back to back. A prompt's original continuation is generated once
+Each piece of work is done once. Every compressor compresses the whole
+corpus in one call before any continuation is generated, so a model's
+compressions run back to back, and the policy batches its encoder
+passes across prompts. A prompt's original continuation is generated once
 and also serves every method that keeps the whole prompt, and within a
 prompt, methods whose continuations are equal share one scoring. No
 report depends on which other methods run beside it.
@@ -121,16 +122,13 @@ def evaluate(
     """One report per compressor, in order: per-prompt metric rows plus
     arithmetic-mean aggregates.
 
-    ``prompts[i]`` is ``corpus[i]`` tokenized with ``settings.vocab``,
-    and is compressed with ``key=i``.
+    ``prompts[i]`` is ``corpus[i]`` tokenized with ``settings.vocab``.
+    Each compressor gets the whole of ``prompts`` in one call.
     """
     if len(prompts) != len(corpus):
         raise ValueError(f"{len(prompts)} prompts for {len(corpus)} records")
     vocab = settings.vocab
-    kept_by_method = [
-        [compressor.compress(seq, key=index) for index, seq in enumerate(prompts)]
-        for compressor in compressors
-    ]
+    kept_by_method = [compressor.compress(prompts) for compressor in compressors]
     rows: list[list[dict]] = [[] for _ in compressors]
     for index, (record, seq) in enumerate(zip(corpus, prompts)):
         gen_o = lm.greedy_continue(seq, settings.n_gen)

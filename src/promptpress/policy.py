@@ -4,12 +4,18 @@ The actor adds a linear 2-way head per token to a
 :class:`TinyTransformerEncoder`. The head starts at zero, so every token
 starts at keep probability 0.5. Keep probabilities are floored away from
 {0, 1} so log-probabilities and policy ratios stay finite.
+
+Inference has one call, :func:`policy_forward`, over any number of
+states: it packs them into encoder passes, optionally run on a thread
+pool, and gives each state bitwise what it would get alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import queue
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -90,13 +96,89 @@ def _output_from_probs(probs: np.ndarray) -> PolicyOutput:
     return PolicyOutput(keep_probs=kp, log_probs=log_probs)
 
 
-def policy_forward(actor: Actor, state: CompressionState) -> PolicyOutput:
-    """Per-token keep/drop distributions for the state's current prompt."""
-    if len(state.current) == 0:
+def _packs(lengths: Sequence[int], max_len: int) -> list[list[int]]:
+    """Indices of consecutive sequences, grouped greedily into packs of at
+    most ``max_len`` tokens; a 1-token sequence is a pack of its own."""
+    packs: list[list[int]] = []
+    tokens = 0
+    for index, n in enumerate(lengths):
+        if packs and not (n == 1 or tokens == 1 or tokens + n > max_len):
+            packs[-1].append(index)
+            tokens += n
+        else:
+            packs.append([index])
+            tokens = n
+    return packs
+
+
+def _run_in_order(run: Callable, items: Sequence, pool: Executor | None) -> list:
+    """``[run(item) for item in items]``, with the items shared out between
+    the calling thread and ``pool``'s threads.
+
+    Items are taken in input order, and a thread takes none once it sees
+    that one has failed; the first failure in input order is raised when
+    every item taken has ended.
+    """
+    if pool is None or len(items) < 2:
+        return [run(item) for item in items]
+    results = [None] * len(items)
+    errors: dict[int, Exception] = {}
+    todo: queue.SimpleQueue[int] = queue.SimpleQueue()
+    for index in range(len(items)):
+        todo.put(index)
+
+    def drain() -> None:
+        while not errors:
+            try:
+                index = todo.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                results[index] = run(items[index])
+            except Exception as exc:
+                errors[index] = exc
+
+    # One helper per further item: the pool runs as many at once as it
+    # has threads, and a helper that finds nothing left returns at once.
+    helpers = [pool.submit(drain) for _ in items[1:]]
+    drain()
+    for helper in helpers:
+        helper.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def policy_forward(
+    actor: Actor, states: Sequence[CompressionState], pool: Executor | None = None
+) -> list[PolicyOutput]:
+    """Per-token keep/drop distributions for each state's current prompt,
+    in input order.
+
+    Consecutive states share an encoder pass of at most the encoder's
+    ``max_len`` tokens. A 1-token state has a pass of its own, as numpy
+    takes a one-row matmul down another BLAS path, and the head runs on
+    each state's rows alone; so each output is bitwise the one a call
+    with that state alone returns. With ``pool``, the calling thread and
+    the pool's threads encode the passes together; the actor is only
+    read. If passes fail, the first failing one in input order is raised.
+    """
+    seqs = [state.current.ids for state in states]
+    if not all(seqs):
         raise ValueError("empty state")
-    h = actor.encoder.encode(state.current.ids)
-    logits = h @ actor.head_w + actor.head_b
-    return _output_from_probs(_softmax2(logits))
+
+    def run(pack: list[int]) -> list[PolicyOutput]:
+        lengths = [len(seqs[i]) for i in pack]
+        h = actor.encoder.encode([tid for i in pack for tid in seqs[i]], lengths)
+        # The head runs on each state's own rows: a two-column matmul
+        # gives a row bits that depend on the rows around it.
+        return [
+            _output_from_probs(_softmax2(h[end - n:end] @ actor.head_w + actor.head_b))
+            for n, end in zip(lengths, itertools.accumulate(lengths))
+        ]
+
+    packs = _packs([len(seq) for seq in seqs], actor.encoder.cfg.max_len)
+    return [out for outs in _run_in_order(run, packs, pool) for out in outs]
 
 
 def sample_actions(output: PolicyOutput, rng_seed: int) -> tuple[ActionVector, float]:

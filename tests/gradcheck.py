@@ -58,7 +58,7 @@ def packed_log_prob_and_grad(actor, ids, labels):
 def action_log_prob(actor, ids, labels):
     """Log-probability of one action vector, from the single-sequence
     inference forward (``policy_forward``)."""
-    out = policy_forward(actor, reset(TokenSequence(tuple(ids))))
+    (out,) = policy_forward(actor, [reset(TokenSequence(tuple(ids)))])
     idx = np.asarray(labels, dtype=int)
     return float(out.log_probs[np.arange(idx.size), idx].sum())
 

@@ -49,12 +49,13 @@ class TestRandomCompress:
             assert set(kept) <= set(seq.ids)
 
     def test_deterministic_per_seed_and_key(self):
-        seq = _seq(30)
+        # The key is the prompt's index: equal prompts get distinct subsets.
+        seqs = [_seq(30)] * 8
         a = RandomCompressor(rho_target=0.5, seed=7)
         b = RandomCompressor(rho_target=0.5, seed=7)
-        assert a.compress(seq, key=4) == b.compress(seq, key=4)
-        subsets = {a.compress(seq, key=k).ids for k in range(8)}
-        assert len(subsets) == 8
+        assert a.compress(seqs) == b.compress(seqs)
+        assert a.compress(seqs[:5]) == a.compress(seqs)[:5]
+        assert len({kept.ids for kept in a.compress(seqs)}) == 8
 
 
 class _TableLM:
@@ -97,8 +98,19 @@ class TestPolicyCompressor:
     def test_lands_on_keep_count_as_a_subsequence(self, actor, steps, rho):
         rng = np.random.default_rng(steps * 100 + int(rho * 10))
         compressor = PolicyCompressor(actor=actor, rho_target=rho, steps=steps)
-        for n in range(1, 41):
-            seq = TokenSequence(tuple(int(t) for t in rng.integers(0, 64, n)))
-            got = compressor.compress(seq).ids
+        seqs = [TokenSequence(tuple(int(t) for t in rng.integers(0, 64, n)))
+                for n in range(1, 41)]
+        for seq, got in zip(seqs, compressor.compress(seqs)):
+            n = len(seq)
             assert len(got) == keep_count(n, rho), (steps, rho, n)
-            assert _is_subsequence(got, seq.ids)
+            assert _is_subsequence(got.ids, seq.ids)
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_corpus_equals_each_prompt_alone(self, actor, steps):
+        # Prompts of 1-64 tokens, packed up to max_len 64 per encoder pass.
+        rng = np.random.default_rng(steps)
+        seqs = [TokenSequence(tuple(int(t) for t in rng.integers(0, 64, n)))
+                for n in rng.integers(1, 65, 30)]
+        compressor = PolicyCompressor(actor=actor, rho_target=0.4, steps=steps)
+        alone = [compressor.compress([seq])[0] for seq in seqs]
+        assert compressor.compress(seqs) == alone

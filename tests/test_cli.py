@@ -1,11 +1,12 @@
-"""CLI tests: compress reads what train writes, on any number of
-threads, eval scores every method against one vocabulary/LM pairing, and
-bad training config, a bad eval flag or an unfit prompt is a usage
-error."""
+"""CLI tests: compress reads what train writes, compress and eval of the
+policy give the same output on any number of threads, eval scores every
+method against one vocabulary/LM pairing, and bad training config, a bad
+eval flag or an unfit prompt is a usage error."""
 
 import json
 import os
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from conftest import bump_schema_version, edit_meta, rewrite_checkpoint
 from promptpress import cli
 from promptpress.cli import main
+from promptpress.encoder import TinyTransformerEncoder
 from promptpress.text import PromptRecord, make_synthetic_corpus, save_corpus
 from promptpress.trainer import load_checkpoint, save_checkpoint
 
@@ -105,18 +107,23 @@ def _set_cpus(monkeypatch, n):
                         raising=False)
 
 
+def _compress_input(tmp_path):
+    """Three synthetic prompts, then short-1 to short-4: the first 1 to 4
+    words of the first one. Returns the corpus path."""
+    records = make_synthetic_corpus(seed=2, n_prompts=3, filler_fraction=0.5)
+    words = records[0].text.split()
+    records += [PromptRecord(f"short-{n}", " ".join(words[:n])) for n in (1, 2, 3, 4)]
+    source = tmp_path / "input.jsonl"
+    save_corpus(records, source)
+    return source
+
+
 class TestCompressRoundTrip:
     @staticmethod
     def _compress(ckpt, tmp_path, steps=1, name="compressed.jsonl"):
         """``compress --steps N --budget 3`` on synthetic prompts plus ones
         shorter than the budget; returns the exit code and output path."""
-        records = make_synthetic_corpus(seed=2, n_prompts=3, filler_fraction=0.5)
-        words = records[0].text.split()
-        records += [
-            PromptRecord(f"short-{n}", " ".join(words[:n])) for n in (1, 2, 3, 4)
-        ]
-        source = tmp_path / "input.jsonl"
-        save_corpus(records, source)
+        source = _compress_input(tmp_path)
         out = tmp_path / name
         code = main([
             "compress", "--checkpoint", str(ckpt), "--input", str(source),
@@ -168,13 +175,16 @@ class TestCompressRoundTrip:
 
 
 class TestCompressThreads:
-    """The rollouts run on one thread per usable CPU, capped at the number
-    of prompts; the output is the same whatever that number is."""
+    """``compress`` runs its encoder passes on the calling thread plus one
+    helper thread per further usable CPU, capped at the number of prompts;
+    its output, and that of ``eval --methods policy``, is the same
+    whatever that number is."""
 
-    @pytest.mark.parametrize("steps", [1, 2])
-    def test_output_does_not_depend_on_worker_count(self, tmp_path, monkeypatch, steps):
-        ckpt = _checkpoint_on_larger_corpus(tmp_path)
-        _randomize_head(ckpt)
+    @staticmethod
+    def _outputs_on_1_4_16_cpus(monkeypatch, run):
+        """``run(n_cpus)`` -> output path, at 1, 4 and 16 usable CPUs with
+        threads switched as often as possible; returns the output bytes
+        and the size of each helper pool made."""
         workers = []
 
         class RecordingPool(cli.ThreadPoolExecutor):
@@ -185,18 +195,29 @@ class TestCompressThreads:
         monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
         outputs = []
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        sys.setswitchinterval(1e-6)
         try:
             for n_cpus in (1, 4, 16):
                 _set_cpus(monkeypatch, n_cpus)
-                code, out = TestCompressRoundTrip._compress(
-                    ckpt, tmp_path, steps=steps, name=f"out-{n_cpus}.jsonl"
-                )
-                assert code == 0
-                outputs.append(out.read_bytes())
+                outputs.append(run(n_cpus).read_bytes())
         finally:
             sys.setswitchinterval(interval)
-        assert workers == [1, 4, 7]  # 7 prompts
+        return outputs, workers
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_output_does_not_depend_on_worker_count(self, tmp_path, monkeypatch, steps):
+        ckpt = _checkpoint_on_larger_corpus(tmp_path)
+        _randomize_head(ckpt)
+
+        def run(n_cpus):
+            code, out = TestCompressRoundTrip._compress(
+                ckpt, tmp_path, steps=steps, name=f"out-{n_cpus}.jsonl"
+            )
+            assert code == 0
+            return out
+
+        outputs, workers = self._outputs_on_1_4_16_cpus(monkeypatch, run)
+        assert workers == [3, 6]  # 7 prompts; none on one CPU
         assert outputs[0] == outputs[1] == outputs[2]
         # The head makes the kept tokens depend on the features: at least
         # one prompt keeps something other than its first tokens.
@@ -207,24 +228,55 @@ class TestCompressThreads:
             for row in rows
         )
 
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_eval_policy_output_does_not_depend_on_cpu_count(
+        self, tmp_path, monkeypatch, steps
+    ):
+        ckpt = _checkpoint_on_larger_corpus(tmp_path)
+        _randomize_head(ckpt)
+        corpus = _compress_input(tmp_path)
+
+        def run(n_cpus):
+            prefix = tmp_path / f"eval-{n_cpus}"
+            code = main([
+                "eval", "--corpus", str(corpus), "--methods", "policy",
+                "--checkpoint", str(ckpt), "--steps", str(steps),
+                "--out-prefix", str(prefix),
+            ])
+            assert code == 0
+            return prefix.with_name(prefix.name + ".jsonl")
+
+        outputs, workers = self._outputs_on_1_4_16_cpus(monkeypatch, run)
+        assert workers == []  # eval encodes on the calling thread alone
+        assert outputs[0] == outputs[1] == outputs[2]
+        records = [json.loads(line) for line in outputs[0].decode().splitlines()]
+        rows = [rec for rec in records if rec["record"] == "row"]
+        assert sum(row["rho"] < 1.0 for row in rows) == 6  # all but short-1
+
     def test_first_failing_prompt_in_input_order_is_reported(
         self, tmp_path, monkeypatch, capsys
     ):
+        # The 7 prompts make three encoder passes: the three synthetic
+        # prompts, short-1 alone, then short-2 to short-4. The last two
+        # fail, the later one first.
         ckpt = _checkpoint_on_larger_corpus(tmp_path)
-        real = cli.policy_forward
+        real = TinyTransformerEncoder.encode
 
-        def failing(actor, state):
-            n = len(state.current)
-            if n in (2, 3):  # short-2, then short-3, in input order
-                raise RuntimeError(f"cannot compress a {n}-token prompt")
-            return real(actor, state)
+        def failing(self, ids, lengths=None):
+            if 1 in lengths:
+                time.sleep(0.05)
+                raise RuntimeError("cannot encode the pass of short-1")
+            if 2 in lengths:
+                raise RuntimeError("cannot encode the pass of short-2")
+            return real(self, ids, lengths)
 
-        monkeypatch.setattr(cli, "policy_forward", failing)
+        monkeypatch.setattr(TinyTransformerEncoder, "encode", failing)
         _set_cpus(monkeypatch, 4)
         code, out = TestCompressRoundTrip._compress(ckpt, tmp_path)
         assert code == 1
-        assert "cannot compress a 2-token prompt" in capsys.readouterr().err
+        assert "cannot encode the pass of short-1" in capsys.readouterr().err
         assert not out.exists()
+        assert not out.with_name(out.name + ".partial").exists()
 
 
 class TestUnfitPrompt:

@@ -136,3 +136,16 @@ class TestInvariants:
     def test_state_validates_subsequence(self):
         with pytest.raises(ValueError):
             CompressionState(original=seq(1, 2), current=seq(2, 1))
+
+    def test_transitions_skip_the_check_but_build_equal_states(self):
+        # reset and apply_action make subsequences by construction and skip
+        # the check; what they build equals the checked constructor's.
+        original = seq(5, 6, 7, 8)
+        state = reset(original)
+        checked = CompressionState(original=original, current=original)
+        assert state == checked and hash(state) == hash(checked)
+        nxt = apply_action(state, ActionVector((0, 1, 0, 1)))
+        checked = CompressionState(original=original, current=seq(6, 8))
+        assert nxt == checked and hash(nxt) == hash(checked)
+        with pytest.raises(ValueError):
+            CompressionState(original=original, current=seq(8, 6))

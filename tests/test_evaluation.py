@@ -102,10 +102,11 @@ def prompt_major_reports(compressors, corpus, prompts, lm, settings):
     """(rows, aggregate) per compressor from the plain loop: prompt by
     prompt, every continuation generated and every row scored afresh."""
     rows = [[] for _ in compressors]
+    kept_by_method = [compressor.compress(prompts) for compressor in compressors]
     for index, (record, seq) in enumerate(zip(corpus, prompts)):
         gen_o = lm.greedy_continue(seq, settings.n_gen)
-        for compressor, method_rows in zip(compressors, rows):
-            kept = compressor.compress(seq, key=index)
+        for compressor, kept_all, method_rows in zip(compressors, kept_by_method, rows):
+            kept = kept_all[index]
             gen_c = lm.greedy_continue(kept, settings.n_gen)
             em = None
             if record.reference_output is not None:

@@ -1,5 +1,8 @@
 """Actor tests: forward math, sampling, greedy selection and gradients."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from gradcheck import (
     max_relative_error,
     packed_log_prob_and_grad,
 )
-from promptpress.encoder import LN_EPS, EncoderConfig
+from promptpress.encoder import LN_EPS, EncoderConfig, TinyTransformerEncoder
 from promptpress.env import reset
 from promptpress.policy import (
     Actor,
@@ -47,14 +50,14 @@ def make_passthrough_actor(seed=0):
 class TestPolicyForward:
     def test_zero_head_gives_half(self):
         actor = Actor.build(TINY, seed=1)
-        out = policy_forward(actor, reset(TokenSequence((1, 2, 3))))
+        (out,) = policy_forward(actor, [reset(TokenSequence((1, 2, 3)))])
         np.testing.assert_allclose(out.keep_probs, 0.5)
 
     def test_probabilities_normalize(self):
         actor = Actor.build(TINY, seed=2)
         rng = np.random.default_rng(0)
         actor.head_w[...] = rng.normal(0, 1.0, size=actor.head_w.shape)
-        out = policy_forward(actor, reset(TokenSequence((4, 5, 6, 7))))
+        (out,) = policy_forward(actor, [reset(TokenSequence((4, 5, 6, 7)))])
         sums = np.exp(out.log_probs).sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
         assert np.all(out.keep_probs > 0) and np.all(out.keep_probs < 1)
@@ -65,7 +68,7 @@ class TestPolicyForward:
         actor.head_w[...] = rng.normal(0, 0.8, size=actor.head_w.shape)
         actor.head_b[...] = rng.normal(0, 0.2, size=actor.head_b.shape)
         ids = (2, 7, 2)
-        out = policy_forward(actor, reset(TokenSequence(ids)))
+        (out,) = policy_forward(actor, [reset(TokenSequence(ids))])
 
         # independent arithmetic: embeddings -> layer norm -> head -> softmax
         p = actor.encoder.params
@@ -86,15 +89,83 @@ class TestPolicyForward:
             original=TokenSequence((1,)), current=TokenSequence(())
         )
         with pytest.raises(ValueError):
-            policy_forward(actor, state)
+            policy_forward(actor, [state])
 
     def test_clone_matches_bitwise(self):
         actor = Actor.build(TINY, seed=4)
         state = reset(TokenSequence((1, 2, 3, 4)))
-        a = policy_forward(actor, state)
-        b = policy_forward(actor.clone(), state)
+        (a,) = policy_forward(actor, [state])
+        (b,) = policy_forward(actor.clone(), [state])
         assert np.array_equal(a.keep_probs, b.keep_probs)
         assert np.array_equal(a.log_probs, b.log_probs)
+
+
+class TestBatchedPolicyForward:
+    """Many states in one call: packed encoder passes of at most max_len
+    tokens, each output bitwise the one-state call's."""
+
+    CFG = EncoderConfig(vocab_size=100)  # the CLI's model defaults, max_len 256
+    LENGTHS = (1, 2, 16, 48, 1, 30, 128, 256, 200, 56, 100, 157, 2, 1, 37, 45)
+    # 200 + 56 fills max_len exactly; 100 + 157 is a token over.
+    PASSES = [[1], [2, 16, 48], [1], [30, 128], [256], [200, 56], [100],
+              [157, 2], [1], [37, 45]]
+
+    @pytest.fixture(scope="class")
+    def actor(self):
+        actor = Actor.build(self.CFG, seed=6)
+        rng = np.random.default_rng(7)
+        for value in actor.encoder.params.values():
+            value += rng.normal(0.0, 0.1, size=value.shape)
+        actor.head_w[...] = rng.normal(0.0, 1.0, size=actor.head_w.shape)
+        actor.head_b[...] = rng.normal(0.0, 1.0, size=actor.head_b.shape)
+        return actor
+
+    def _states(self):
+        rng = np.random.default_rng(8)
+        return [
+            reset(TokenSequence(tuple(int(t) for t in rng.integers(0, 100, n))))
+            for n in self.LENGTHS
+        ]
+
+    @pytest.mark.parametrize("workers", [0, 1, 3])
+    def test_outputs_equal_one_state_calls_bitwise(self, actor, monkeypatch, workers):
+        states = self._states()
+        alone = [policy_forward(actor, [state])[0] for state in states]
+        passes = []
+        real = TinyTransformerEncoder.encode
+
+        def recording(self, ids, lengths=None):
+            passes.append(list(lengths))
+            return real(self, ids, lengths)
+
+        monkeypatch.setattr(TinyTransformerEncoder, "encode", recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with ThreadPoolExecutor(max(workers, 1)) as pool:
+                batched = policy_forward(actor, states, pool if workers else None)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(passes) == sorted(self.PASSES)
+        if not workers:
+            assert passes == self.PASSES
+        assert len(batched) == len(states)
+        for state, a, b in zip(states, alone, batched):
+            assert b.keep_probs.shape == (len(state.current),)
+            assert a.keep_probs.tobytes() == b.keep_probs.tobytes()
+            assert a.log_probs.tobytes() == b.log_probs.tobytes()
+        # The head makes keep probabilities vary, not all 0.5.
+        assert np.concatenate([o.keep_probs for o in batched]).std() > 0.1
+
+    def test_no_states_give_no_outputs(self, actor):
+        assert policy_forward(actor, []) == []
+
+    def test_an_empty_state_among_others_errors(self, actor):
+        from promptpress.env import CompressionState
+
+        empty = CompressionState(original=TokenSequence((1,)), current=TokenSequence(()))
+        with pytest.raises(ValueError, match="empty state"):
+            policy_forward(actor, [reset(TokenSequence((1, 2))), empty])
 
 
 class TestSampleActions:

@@ -445,7 +445,7 @@ class TestCollectTrajectory:
         state = reset(self.prompt)
         for t, step in enumerate(traj.steps):
             band = curriculum_bounds(stage, t, schedule.t_max_for(stage), schedule.psi)
-            out = policy_forward(self.actor, state)
+            (out,) = policy_forward(self.actor, [state])
             action, lp = sample_actions(out, seed_for(seed, t))
             assert step.state == state
             assert step.action == action
@@ -609,8 +609,8 @@ class TestCheckpoint:
         assert loaded.next_stage == state.next_stage
         assert loaded.log.records == state.log.records
         prompt = prompts[0]
-        a = policy_forward(state.actor, reset(prompt))
-        b = policy_forward(loaded.actor, reset(prompt))
+        (a,) = policy_forward(state.actor, [reset(prompt)])
+        (b,) = policy_forward(loaded.actor, [reset(prompt)])
         assert np.array_equal(a.keep_probs, b.keep_probs)
         assert loaded.actor_opt.t == state.actor_opt.t
 
