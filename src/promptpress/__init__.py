@@ -32,7 +32,6 @@ from .evaluation import EvalReport, EvalSettings, evaluate
 from .metrics import exact_match, lcs_length, rouge_l, rouge_n, token_f1
 from .policy import (
     Actor,
-    PolicyOutput,
     greedy_actions,
     policy_forward,
     sample_actions,

@@ -127,7 +127,7 @@ class PolicyCompressor:
             ]
             active = [i for i, budget in enumerate(budgets) if budget > 0]
             outputs = policy_forward(self.actor, [states[i] for i in active])
-            for i, out in zip(active, outputs):
-                action = greedy_actions(out, budgets[i])
-                states[i] = apply_action(states[i], action, out.keep_probs)
+            for i, keep_probs in zip(active, outputs):
+                action = greedy_actions(keep_probs, budgets[i])
+                states[i] = apply_action(states[i], action, keep_probs)
         return [state.current for state in states]

@@ -8,9 +8,9 @@ validation error, 1 runtime failure. Artifacts are written to a
 ``.partial`` path and renamed only when complete.
 
 ``compress`` encodes its prompts in passes of up to the encoder's
-``max_len`` tokens, shared out between the calling thread and one helper
-thread per further CPU the process may use; its output does not depend
-on that number.
+``max_len`` tokens, run on a pool of one thread per CPU the process may
+use while the calling thread waits; its output does not depend on that
+number.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ from .scoring import IdfRetentionScorer, fit_ngram_lm
 from .text import (
     build_vocabulary,
     compute_idf_table,
-    detokenize,
     load_corpus,
     make_synthetic_corpus,
     save_corpus,
+    split_surfaces,
     tokenize_corpus,
 )
 from .trainer import (
@@ -138,12 +138,15 @@ def _parse_set_flags(pairs: list[str]) -> dict[str, object]:
 
 
 def resolve_seed(flag_seed: int | None, config_seed: object) -> int:
-    """Flag beats config beats 0."""
-    if flag_seed is not None:
-        return flag_seed
-    if config_seed is not None:
-        return int(config_seed)  # type: ignore[arg-type]
-    return 0
+    """Flag beats config beats 0; a seed is a non-negative integer."""
+    raw = flag_seed if flag_seed is not None else config_seed
+    if raw is None:
+        return 0
+    # An int or a string of its digits: no bool, fraction or sign.
+    if isinstance(raw, (int, str)) and not isinstance(raw, bool):
+        if str(raw).isdecimal():
+            return int(raw)
+    raise UsageError(f"seed must be a non-negative integer, got {raw!r}")
 
 
 def write_manifest(
@@ -288,12 +291,11 @@ def _usable_cpus() -> int:
 
 
 def _helper_threads(n_items: int):
-    """A pool that, with the calling thread, gives one thread per usable
-    CPU and at most one per item; a null context, which gives None, when
-    the calling thread is enough. Threads start only when work is
-    submitted."""
-    workers = min(_usable_cpus(), n_items) - 1
-    return ThreadPoolExecutor(workers) if workers > 0 else contextlib.nullcontext()
+    """A pool of one thread per usable CPU and at most one per item; a
+    null context, which gives None, when one thread is enough. Threads
+    start only when work is submitted."""
+    workers = min(_usable_cpus(), n_items)
+    return ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext()
 
 
 def _checked_prompts(corpus, vocab, max_len: int):
@@ -311,9 +313,9 @@ def cmd_compress(args: argparse.Namespace) -> int:
     every token below keep probability 0.5).
 
     The prompts move step by step. A step is one ``policy_forward`` call
-    over every prompt, whose encoder passes the helper threads share
-    out, then each prompt's greedy action. If passes fail, the first
-    failing one in input order is reported and nothing is written.
+    over every prompt, whose encoder passes run on the helper pool, then
+    each prompt's greedy action. If passes fail, the first failing one in
+    input order is reported and nothing is written.
     """
     if args.steps < 0:
         raise UsageError("--steps must be >= 0")
@@ -333,28 +335,36 @@ def cmd_compress(args: argparse.Namespace) -> int:
     )
 
     states = [reset(seq) for seq in seqs]
+    # Each prompt's kept word positions, so that the output prints the
+    # original words, an out-of-vocabulary one included. A greedy action
+    # keeps a token, so they match the state's current prompt.
+    kept = [range(len(seq)) for seq in seqs]
     with _helper_threads(len(seqs)) as pool:
         for _ in range(args.steps):
             outputs = policy_forward(actor, states, pool)
+            actions = [greedy_actions(keep_probs, args.budget) for keep_probs in outputs]
             states = [
-                apply_action(env_state, greedy_actions(output, args.budget),
-                             output.keep_probs)
-                for env_state, output in zip(states, outputs)
+                apply_action(env_state, action, keep_probs)
+                for env_state, action, keep_probs in zip(states, actions, outputs)
             ]
-    lines = [
-        json.dumps(
+            kept = [
+                [p for p, label in zip(positions, action.labels) if label]
+                for positions, action in zip(kept, actions)
+            ]
+    lines = []
+    for record, seq, env_state, positions in zip(corpus, seqs, states, kept):
+        words = split_surfaces(record.text)
+        lines.append(json.dumps(
             {
                 "id": record.id,
                 "original": record.text,
-                "compressed": detokenize(env_state.current, vocab),
+                "compressed": " ".join(words[p] for p in positions),
                 "rho": compression_rate(env_state),
                 "tokens_before": len(seq),
                 "tokens_after": len(env_state.current),
             },
             sort_keys=True,
-        )
-        for record, seq, env_state in zip(corpus, seqs, states)
-    ]
+        ))
     _atomic(out, "\n".join(lines) + "\n")
     print(f"wrote {len(lines)} compressed prompts to {out}")
     return 0
@@ -378,6 +388,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
                         ("--ngram-order", args.ngram_order)):
         if value < 1:
             raise UsageError(f"{flag} must be >= 1")
+    if args.vocab_size < 2:
+        raise UsageError("--vocab-size must be >= 2")
     seed = resolve_seed(args.seed, None)
     corpus = load_corpus(args.corpus)
     if not corpus:

@@ -60,16 +60,14 @@ def reset(prompt: TokenSequence) -> CompressionState:
 
 
 def apply_action(
-    state: CompressionState,
-    action: ActionVector,
-    keep_probs: Sequence[float] | None = None,
+    state: CompressionState, action: ActionVector, keep_probs: Sequence[float]
 ) -> CompressionState:
     """Keep exactly the tokens labeled 1, in order.
 
     An all-zeros action would empty the prompt, which leaves the
     compression rate and all scorers undefined; instead one token is
-    force-kept: the one with the highest keep probability when
-    ``keep_probs`` is given, otherwise the first token.
+    force-kept: the one with the highest keep probability (the first
+    among equals).
     """
     if len(action) != len(state.current):
         raise ValueError(
@@ -79,8 +77,7 @@ def apply_action(
         tid for tid, label in zip(state.current.ids, action.labels) if label == 1
     )
     if not kept:
-        index = int(np.argmax(keep_probs)) if keep_probs is not None else 0
-        kept = (state.current.ids[index],)
+        kept = (state.current.ids[int(np.argmax(keep_probs))],)
     return CompressionState._trusted(state.original, TokenSequence(kept))
 
 

@@ -46,8 +46,8 @@ TABLE_COLUMNS = (
 @dataclass(frozen=True)
 class EvalSettings:
     vocab: Vocabulary
-    n_gen: int = 32
-    lm_description: str | None = None
+    lm_description: str
+    n_gen: int
 
 
 @dataclass
@@ -154,7 +154,6 @@ def evaluate(
                     **scores,
                 }
             )
-    lm_description = settings.lm_description or type(lm).__name__
     reports = []
     for compressor, method_rows in zip(compressors, rows):
         aggregate = {"method": compressor.name, "n": len(method_rows)}
@@ -164,7 +163,7 @@ def evaluate(
         reports.append(
             EvalReport(
                 method=compressor.name,
-                lm_description=lm_description,
+                lm_description=settings.lm_description,
                 note=EM_NOTE,
                 rows=method_rows,
                 aggregate=aggregate,

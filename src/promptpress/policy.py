@@ -7,16 +7,15 @@ starts at keep probability 0.5. Keep probabilities are floored away from
 
 Inference has one call, :func:`policy_forward`, over any number of
 states: it packs them into encoder passes, optionally run on a thread
-pool, and gives each state bitwise what it would get alone.
+pool while the calling thread waits, and gives each state bitwise the
+keep probabilities it would get alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import queue
 from concurrent.futures import Executor
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,20 +25,6 @@ from .env import ActionVector, CompressionState
 from .optim import flat_views
 
 PROB_FLOOR = 1e-6
-
-
-@dataclass(frozen=True)
-class PolicyOutput:
-    """Per-token action distributions for one state.
-
-    ``keep_probs[i]`` is the floored probability of label 1 for token i;
-    ``log_probs[i, a]`` is the log-probability of label a, so the
-    log-probability of a selected action vector is
-    ``log_probs[arange(L), labels].sum()``.
-    """
-
-    keep_probs: np.ndarray
-    log_probs: np.ndarray
 
 
 def actor_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -90,10 +75,15 @@ def _softmax2(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _output_from_probs(probs: np.ndarray) -> PolicyOutput:
-    kp = np.clip(probs[:, 1], PROB_FLOOR, 1.0 - PROB_FLOOR)
-    log_probs = np.stack([np.log1p(-kp), np.log(kp)], axis=1)
-    return PolicyOutput(keep_probs=kp, log_probs=log_probs)
+def _floored(probs: np.ndarray) -> np.ndarray:
+    """Keep probabilities from softmax rows, floored away from {0, 1}."""
+    return np.clip(probs[:, 1], PROB_FLOOR, 1.0 - PROB_FLOOR)
+
+
+def _label_log_probs(keep_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each token's log-probability of its label (1 keep, 0 drop)."""
+    log_probs = np.stack([np.log1p(-keep_probs), np.log(keep_probs)], axis=1)
+    return log_probs[np.arange(labels.size), labels]
 
 
 def _packs(lengths: Sequence[int], max_len: int) -> list[list[int]]:
@@ -111,85 +101,48 @@ def _packs(lengths: Sequence[int], max_len: int) -> list[list[int]]:
     return packs
 
 
-def _run_in_order(run: Callable, items: Sequence, pool: Executor | None) -> list:
-    """``[run(item) for item in items]``, with the items shared out between
-    the calling thread and ``pool``'s threads.
-
-    Items are taken in input order, and a thread takes none once it sees
-    that one has failed; the first failure in input order is raised when
-    every item taken has ended.
-    """
-    if pool is None or len(items) < 2:
-        return [run(item) for item in items]
-    results = [None] * len(items)
-    errors: dict[int, Exception] = {}
-    todo: queue.SimpleQueue[int] = queue.SimpleQueue()
-    for index in range(len(items)):
-        todo.put(index)
-
-    def drain() -> None:
-        while not errors:
-            try:
-                index = todo.get_nowait()
-            except queue.Empty:
-                return
-            try:
-                results[index] = run(items[index])
-            except Exception as exc:
-                errors[index] = exc
-
-    # One helper per further item: the pool runs as many at once as it
-    # has threads, and a helper that finds nothing left returns at once.
-    helpers = [pool.submit(drain) for _ in items[1:]]
-    drain()
-    for helper in helpers:
-        helper.result()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
 def policy_forward(
     actor: Actor, states: Sequence[CompressionState], pool: Executor | None = None
-) -> list[PolicyOutput]:
-    """Per-token keep/drop distributions for each state's current prompt,
-    in input order.
+) -> list[np.ndarray]:
+    """Floored keep probability of each token of each state's current
+    prompt, in input order.
 
     Consecutive states share an encoder pass of at most the encoder's
     ``max_len`` tokens. A 1-token state has a pass of its own, as numpy
     takes a one-row matmul down another BLAS path, and the head runs on
-    each state's rows alone; so each output is bitwise the one a call
-    with that state alone returns. With ``pool``, the calling thread and
-    the pool's threads encode the passes together; the actor is only
-    read. If passes fail, the first failing one in input order is raised.
+    each state's rows alone; so each state gets bitwise what a call with
+    it alone returns. With ``pool``, the pool's threads encode the passes
+    while the calling thread waits; the actor is only read. If passes
+    fail, the first failing one in input order is raised.
     """
     seqs = [state.current.ids for state in states]
     if not all(seqs):
         raise ValueError("empty state")
 
-    def run(pack: list[int]) -> list[PolicyOutput]:
+    def run(pack: list[int]) -> list[np.ndarray]:
         lengths = [len(seqs[i]) for i in pack]
         h = actor.encoder.encode([tid for i in pack for tid in seqs[i]], lengths)
         # The head runs on each state's own rows: a two-column matmul
         # gives a row bits that depend on the rows around it.
         return [
-            _output_from_probs(_softmax2(h[end - n:end] @ actor.head_w + actor.head_b))
+            _floored(_softmax2(h[end - n:end] @ actor.head_w + actor.head_b))
             for n, end in zip(lengths, itertools.accumulate(lengths))
         ]
 
     packs = _packs([len(seq) for seq in seqs], actor.encoder.cfg.max_len)
-    return [out for outs in _run_in_order(run, packs, pool) for out in outs]
+    passes = pool.map(run, packs) if pool is not None else map(run, packs)
+    return [kp for kps in passes for kp in kps]
 
 
-def sample_actions(output: PolicyOutput, rng_seed: int) -> tuple[ActionVector, float]:
+def sample_actions(keep_probs: np.ndarray, rng_seed: int) -> tuple[ActionVector, float]:
     """Draw each token's label independently; returns the summed log-prob."""
     rng = np.random.default_rng(rng_seed)
-    labels = (rng.random(output.keep_probs.shape[0]) < output.keep_probs).astype(int)
-    total = float(output.log_probs[np.arange(labels.size), labels].sum())
+    labels = (rng.random(keep_probs.shape[0]) < keep_probs).astype(int)
+    total = float(_label_log_probs(keep_probs, labels).sum())
     return ActionVector(tuple(int(l) for l in labels)), total
 
 
-def greedy_actions(output: PolicyOutput, drop_budget: int) -> ActionVector:
+def greedy_actions(keep_probs: np.ndarray, drop_budget: int) -> ActionVector:
     """Deterministic action selection.
 
     With no budget, drop every token whose keep probability is below
@@ -199,16 +152,15 @@ def greedy_actions(output: PolicyOutput, drop_budget: int) -> ActionVector:
     """
     if drop_budget < 0:
         raise ValueError("drop_budget must be >= 0")
-    kp = output.keep_probs
-    n = kp.shape[0]
+    n = keep_probs.shape[0]
     if drop_budget == 0:
-        labels = (kp >= 0.5).astype(int)
+        labels = (keep_probs >= 0.5).astype(int)
         if labels.sum() == 0:
-            labels[int(np.argmax(kp))] = 1
+            labels[int(np.argmax(keep_probs))] = 1
         return ActionVector(tuple(int(l) for l in labels))
     n_drop = min(drop_budget, n - 1)
     # ascending keep prob; among equals the higher index sorts first
-    order = np.lexsort((-np.arange(n), kp))
+    order = np.lexsort((-np.arange(n), keep_probs))
     labels = np.ones(n, dtype=int)
     labels[order[:n_drop]] = 0
     return ActionVector(tuple(int(l) for l in labels))
@@ -234,10 +186,9 @@ def packed_action_log_probs(
     h, cache = actor.encoder.forward(ids, lengths)
     logits = h @ actor.head_w + actor.head_b
     probs = _softmax2(logits)
-    out = _output_from_probs(probs)
     rows = np.arange(len(ids))
     idx = np.asarray([a for l in labels for a in l], dtype=int)
-    picked = out.log_probs[rows, idx]
+    picked = _label_log_probs(_floored(probs), idx)
     ends = list(itertools.accumulate(lengths))
     log_probs = np.array([picked[s:e].sum() for s, e in zip([0] + ends[:-1], ends)])
 

@@ -1,7 +1,9 @@
 """Tokenization, vocabulary management, and corpus ingestion.
 
 The reference tokenizer splits on whitespace runs, so that joining token
-surfaces with single spaces reproduces the whitespace-normalized input.
+surfaces with single spaces reproduces the whitespace-normalized input,
+except that every out-of-vocabulary word comes back as ``<unk>``; output
+meant for people (``compress``) joins the kept words of the input instead.
 Subword tokenizers can be swapped in by building a :class:`Vocabulary`
 over their surfaces; everything downstream only sees token ids.
 """
@@ -146,7 +148,8 @@ def tokenize_corpus(
 
 
 def detokenize(seq: TokenSequence, vocab: Vocabulary) -> str:
-    """Ids -> text, surfaces joined by single spaces."""
+    """Ids -> text, surfaces joined by single spaces; the unknown id
+    becomes ``<unk>``."""
     return " ".join(vocab.surface_of(i) for i in seq)
 
 

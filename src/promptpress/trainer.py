@@ -195,9 +195,9 @@ def collect_trajectory(
     bounds: list[tuple[float, float]] = []
     for t in range(t_max):
         band = schedule.bounds_for(stage, t)
-        (out,) = policy_forward(actor_old, [state])
-        action, log_prob = sample_actions(out, seed_for(seed, t))
-        next_state = apply_action(state, action, out.keep_probs)
+        (keep_probs,) = policy_forward(actor_old, [state])
+        action, log_prob = sample_actions(keep_probs, seed_for(seed, t))
+        next_state = apply_action(state, action, keep_probs)
         breakdown = compute_reward(
             prompt,
             next_state.current,

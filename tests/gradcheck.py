@@ -58,9 +58,9 @@ def packed_log_prob_and_grad(actor, ids, labels):
 def action_log_prob(actor, ids, labels):
     """Log-probability of one action vector, from the single-sequence
     inference forward (``policy_forward``)."""
-    (out,) = policy_forward(actor, [reset(TokenSequence(tuple(ids)))])
-    idx = np.asarray(labels, dtype=int)
-    return float(out.log_probs[np.arange(idx.size), idx].sum())
+    (keep_probs,) = policy_forward(actor, [reset(TokenSequence(tuple(ids)))])
+    keep = np.asarray(labels, dtype=int) == 1
+    return float(np.where(keep, np.log(keep_probs), np.log1p(-keep_probs)).sum())
 
 
 def ppo_objective(batch, actor, clip_eps):

@@ -1,6 +1,7 @@
 """API-surface guard: every function, class and method defined in
-``src/promptpress`` is used by name somewhere else in ``src/``, and every
-dataclass field is read somewhere in ``src/``.
+``src/promptpress`` is used by name somewhere else in ``src/``, every
+dataclass field is read somewhere in ``src/``, and every name a module
+imports is used in that module.
 
 A name only tests reach is an API the program does not need; it should
 be deleted or, if it is a reference other code is compared against,
@@ -167,3 +168,25 @@ def test_only_text_tokenizes():
     # The CLI turns each prompt into ids once (text.tokenize_corpus) and
     # every layer below it takes those sequences, so none tokenizes again.
     assert modules_naming("tokenize") == ["text.py"]
+
+
+def unused_imports() -> list[str]:
+    """Names a module of ``src/`` imports but never references."""
+    unused = []
+    for module, tree in _trees().items():
+        referenced = _references(tree)[0]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [(a.asname or a.name.split(".")[0]) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [(a.asname or a.name) for a in node.names]
+            else:
+                continue
+            unused += [f"{module}:{node.lineno}:{name}"
+                       for name in bound if not referenced[name]]
+    return unused
+
+
+def test_every_import_is_used():
+    unused = unused_imports()
+    assert not unused, "imported in src/ but never used: " + ", ".join(unused)

@@ -1,8 +1,11 @@
-"""CLI tests: compress reads what train writes, compress and eval of the
-policy give the same output on any number of threads, eval scores every
-method against one vocabulary/LM pairing, and bad training config, a bad
-eval flag or an unfit prompt is a usage error."""
+"""CLI tests: compress reads what train writes and prints the original
+words it keeps, compress and eval of the policy give the same output on
+any number of threads, eval scores every method against one
+vocabulary/LM pairing, the CLI's defaults are the library's, and bad
+training config, a bad eval flag, seed or vocabulary size, or an unfit
+prompt is a usage error."""
 
+import dataclasses
 import json
 import os
 import sys
@@ -14,9 +17,16 @@ import pytest
 from conftest import bump_schema_version, edit_meta, rewrite_checkpoint
 from promptpress import cli
 from promptpress.cli import main
-from promptpress.encoder import TinyTransformerEncoder
+from promptpress.encoder import EncoderConfig, TinyTransformerEncoder
+from promptpress.reward import RewardConfig
 from promptpress.text import PromptRecord, make_synthetic_corpus, save_corpus
-from promptpress.trainer import load_checkpoint, save_checkpoint
+from promptpress.trainer import (
+    CurriculumSchedule,
+    Scorers,
+    TrainerConfig,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 def _small_corpus(path):
@@ -174,10 +184,54 @@ class TestCompressRoundTrip:
         assert not out.with_name(out.name + ".partial").exists()
 
 
+def _is_subsequence(sub, full):
+    it = iter(full)
+    return all(any(x == y for y in it) for x in sub)
+
+
+class TestCompressWords:
+    def test_out_of_vocabulary_words_survive_verbatim(self, tmp_path):
+        """``compress`` prints the kept words of the original prompt. With
+        each out-of-vocabulary word replaced by ``<unk>``, the prompts give
+        the same ids and so the same choices; the output is then the same
+        with ``<unk>`` in place of each kept out-of-vocabulary word."""
+        ckpt = _checkpoint_on_larger_corpus(tmp_path)
+        _randomize_head(ckpt)
+        _, vocab = load_checkpoint(ckpt, actor_only=True)
+        records = make_synthetic_corpus(seed=2, n_prompts=3, filler_fraction=0.5)
+        mixed = " ".join(f"{w} word{i}" for i, w in enumerate(records[0].text.split()))
+        records += [PromptRecord("oov", " ".join(f"word{i}" for i in range(20))),
+                    PromptRecord("mixed", mixed)]
+
+        def masked(text):
+            return " ".join(w if w in vocab else "<unk>" for w in text.split())
+
+        rows = {}
+        for name, corpus in (
+            ("raw", records),
+            ("masked", [PromptRecord(r.id, masked(r.text)) for r in records]),
+        ):
+            source, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}-out.jsonl"
+            save_corpus(corpus, source)
+            assert main(["compress", "--checkpoint", str(ckpt), "--input", str(source),
+                         "--out", str(out), "--steps", "2", "--budget", "5"]) == 0
+            rows[name] = [json.loads(line) for line in out.read_text().splitlines()]
+        for raw, ids_only in zip(rows["raw"], rows["masked"]):
+            assert masked(raw["compressed"]) == ids_only["compressed"]
+            assert _is_subsequence(raw["compressed"].split(), raw["original"].split())
+            for key in ("id", "rho", "tokens_before", "tokens_after"):
+                assert raw[key] == ids_only[key]
+        kept = [row["compressed"].split() for row in rows["raw"]]
+        assert kept[3] == [f"word{i}" for i in range(20) if f"word{i}" in kept[3]]
+        assert len(kept[3]) == 10 and "<unk>" not in kept[3]
+        assert any(w.startswith("word") for w in kept[4])
+        assert any(w in vocab and w != "<unk>" for w in kept[4])
+
+
 class TestCompressThreads:
-    """``compress`` runs its encoder passes on the calling thread plus one
-    helper thread per further usable CPU, capped at the number of prompts;
-    its output, and that of ``eval --methods policy``, is the same
+    """``compress`` runs its encoder passes on a pool of one thread per
+    usable CPU, capped at the number of prompts, while the calling thread
+    waits; its output, and that of ``eval --methods policy``, is the same
     whatever that number is."""
 
     @staticmethod
@@ -217,7 +271,7 @@ class TestCompressThreads:
             return out
 
         outputs, workers = self._outputs_on_1_4_16_cpus(monkeypatch, run)
-        assert workers == [3, 6]  # 7 prompts; none on one CPU
+        assert workers == [4, 7]  # 7 prompts; none on one CPU
         assert outputs[0] == outputs[1] == outputs[2]
         # The head makes the kept tokens depend on the features: at least
         # one prompt keeps something other than its first tokens.
@@ -355,6 +409,58 @@ class TestEvalFlags:
         assert code == 2
         assert f"{flag} must be >= 1" in capsys.readouterr().err
         assert set(tmp_path.iterdir()) == before  # no manifest, no output
+
+
+class TestBadSeedOrVocabSize:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["make-corpus", "--n", "2", "--filler", "0.5",
+                          "--out", "{tmp}/c.jsonl", "--seed", "-1"], id="make-corpus-seed"),
+            pytest.param(["train", "--corpus", "{corpus}", "--out", "{tmp}/p.ckpt",
+                          "--seed", "-1"], id="train-seed"),
+            pytest.param(["train", "--corpus", "{corpus}", "--out", "{tmp}/p.ckpt",
+                          "--set", 'trainer.seed="abc"'], id="train-config-seed-text"),
+            pytest.param(["train", "--corpus", "{corpus}", "--out", "{tmp}/p.ckpt",
+                          "--set", "trainer.seed=-2"], id="train-config-seed-negative"),
+            pytest.param(["train", "--corpus", "{corpus}", "--out", "{tmp}/p.ckpt",
+                          "--set", "trainer.seed=3.7"], id="train-config-seed-fraction"),
+            pytest.param(["train", "--corpus", "{corpus}", "--out", "{tmp}/p.ckpt",
+                          "--set", "trainer.seed=true"], id="train-config-seed-bool"),
+            pytest.param(["eval", "--corpus", "{corpus}", "--out-prefix", "{tmp}/ev",
+                          "--seed", "-3"], id="eval-seed"),
+            pytest.param(["eval", "--corpus", "{corpus}", "--out-prefix", "{tmp}/ev",
+                          "--vocab-size", "1"], id="eval-vocab-size"),
+        ],
+    )
+    def test_is_usage_error_before_any_output(self, tmp_path, capsys, argv):
+        corpus = tmp_path / "corpus.jsonl"
+        _small_corpus(corpus)
+        argv = [a.format(tmp=tmp_path, corpus=corpus) for a in argv]
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [corpus]  # no manifest, no output
+
+
+class TestDefaults:
+    """The CLI's defaults restate the library's; they must agree."""
+
+    def test_config_defaults_build_the_dataclass_defaults(self):
+        pieces = cli._build_training_pieces(
+            cli.CONFIG_DEFAULTS, seed=0, no_hpc=False,
+            fixed_c_s=0.5, fixed_c_l=0.9, vocab_size=100,
+        )
+        assert pieces == (TrainerConfig(), CurriculumSchedule(), RewardConfig(),
+                          EncoderConfig(vocab_size=100))
+        assert TrainerConfig().seed == 0 == cli.resolve_seed(None, None)
+        n_gen = {f.name: f.default for f in dataclasses.fields(Scorers)}["n_gen"]
+        assert cli.CONFIG_DEFAULTS["scoring.n_gen"] == n_gen
+
+    def test_eval_flag_defaults_are_the_config_defaults(self):
+        args = cli.build_parser().parse_args(["eval", "--corpus", "c", "--out-prefix", "p"])
+        assert args.n_gen == cli.CONFIG_DEFAULTS["scoring.n_gen"]
+        assert args.ngram_order == cli.CONFIG_DEFAULTS["scoring.ngram_order"]
+        assert args.vocab_size == cli.CONFIG_DEFAULTS["vocab.max_size"]
 
 
 class TestTrainConfig:

@@ -38,24 +38,24 @@ class TestReset:
 class TestApplyAction:
     def test_direct_application(self):
         state = reset(seq(10, 11, 12))
-        nxt = apply_action(state, ActionVector((1, 0, 1)))
+        nxt = apply_action(state, ActionVector((1, 0, 1)), [0.9, 0.1, 0.8])
         assert nxt.current == seq(10, 12)
         assert nxt.original == state.original
 
     def test_identity_action(self):
         state = reset(seq(1, 2))
-        nxt = apply_action(state, ActionVector((1, 1)))
+        nxt = apply_action(state, ActionVector((1, 1)), [0.9, 0.8])
         assert nxt.current == state.current
 
     def test_length_mismatch(self):
         state = reset(seq(1, 2, 3))
         with pytest.raises(ValueError, match="action/sequence length mismatch"):
-            apply_action(state, ActionVector((1, 0)))
+            apply_action(state, ActionVector((1, 0)), [0.9, 0.1])
 
     def test_input_state_not_mutated(self):
         state = reset(seq(1, 2, 3))
         before = (state.original, state.current)
-        apply_action(state, ActionVector((0, 1, 0)))
+        apply_action(state, ActionVector((0, 1, 0)), [0.1, 0.9, 0.2])
         assert (state.original, state.current) == before
 
     def test_all_zeros_force_keeps_highest_keep_prob(self):
@@ -67,8 +67,6 @@ class TestApplyAction:
         state = reset(seq(7, 8, 9))
         nxt = apply_action(state, ActionVector((0, 0, 0)), keep_probs=[0.5, 0.5, 0.5])
         assert nxt.current == seq(7)
-        # without probabilities the first token survives
-        assert apply_action(state, ActionVector((0, 0, 0))).current == seq(7)
 
     def test_fuzz_matches_filter_oracle(self):
         rng = np.random.default_rng(42)
@@ -79,7 +77,7 @@ class TestApplyAction:
             if sum(labels) == 0:
                 labels = labels[:-1] + (1,)
             state = reset(TokenSequence(ids))
-            nxt = apply_action(state, ActionVector(labels))
+            nxt = apply_action(state, ActionVector(labels), np.full(n, 0.5))
             expected = tuple(t for t, l in zip(ids, labels) if l == 1)
             assert nxt.current.ids == expected
 
@@ -144,7 +142,7 @@ class TestInvariants:
         state = reset(original)
         checked = CompressionState(original=original, current=original)
         assert state == checked and hash(state) == hash(checked)
-        nxt = apply_action(state, ActionVector((0, 1, 0, 1)))
+        nxt = apply_action(state, ActionVector((0, 1, 0, 1)), [0.2, 0.8, 0.3, 0.7])
         checked = CompressionState(original=original, current=seq(6, 8))
         assert nxt == checked and hash(nxt) == hash(checked)
         with pytest.raises(ValueError):

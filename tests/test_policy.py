@@ -16,7 +16,7 @@ from promptpress.encoder import LN_EPS, EncoderConfig, TinyTransformerEncoder
 from promptpress.env import reset
 from promptpress.policy import (
     Actor,
-    PolicyOutput,
+    _label_log_probs,
     greedy_actions,
     policy_forward,
     sample_actions,
@@ -24,13 +24,6 @@ from promptpress.policy import (
 from promptpress.text import TokenSequence
 
 TINY = EncoderConfig(vocab_size=11, d_model=8, n_heads=2, n_layers=2, d_ff=16, max_len=8)
-
-
-def make_output(keep_probs) -> PolicyOutput:
-    kp = np.asarray(keep_probs, dtype=float)
-    return PolicyOutput(
-        keep_probs=kp, log_probs=np.stack([np.log1p(-kp), np.log(kp)], axis=1)
-    )
 
 
 def make_passthrough_actor(seed=0):
@@ -51,16 +44,18 @@ class TestPolicyForward:
     def test_zero_head_gives_half(self):
         actor = Actor.build(TINY, seed=1)
         (out,) = policy_forward(actor, [reset(TokenSequence((1, 2, 3)))])
-        np.testing.assert_allclose(out.keep_probs, 0.5)
+        np.testing.assert_allclose(out, 0.5)
 
     def test_probabilities_normalize(self):
         actor = Actor.build(TINY, seed=2)
         rng = np.random.default_rng(0)
         actor.head_w[...] = rng.normal(0, 1.0, size=actor.head_w.shape)
         (out,) = policy_forward(actor, [reset(TokenSequence((4, 5, 6, 7)))])
-        sums = np.exp(out.log_probs).sum(axis=1)
-        np.testing.assert_allclose(sums, 1.0, atol=1e-9)
-        assert np.all(out.keep_probs > 0) and np.all(out.keep_probs < 1)
+        # Each token's log-probabilities of drop and keep exponentiate to 1.
+        drop = _label_log_probs(out, np.zeros(out.size, dtype=int))
+        keep = _label_log_probs(out, np.ones(out.size, dtype=int))
+        np.testing.assert_allclose(np.exp(drop) + np.exp(keep), 1.0, atol=1e-9)
+        assert np.all(out > 0) and np.all(out < 1)
 
     def test_hand_computed_probabilities(self):
         actor = make_passthrough_actor(seed=3)
@@ -79,7 +74,7 @@ class TestPolicyForward:
         logits = h @ actor.head_w + actor.head_b
         e = np.exp(logits)
         expected = e[:, 1] / e.sum(axis=1)
-        np.testing.assert_allclose(out.keep_probs, expected, rtol=1e-12)
+        np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     def test_empty_state_errors(self):
         from promptpress.env import CompressionState
@@ -96,8 +91,7 @@ class TestPolicyForward:
         state = reset(TokenSequence((1, 2, 3, 4)))
         (a,) = policy_forward(actor, [state])
         (b,) = policy_forward(actor.clone(), [state])
-        assert np.array_equal(a.keep_probs, b.keep_probs)
-        assert np.array_equal(a.log_probs, b.log_probs)
+        assert a.tobytes() == b.tobytes()
 
 
 class TestBatchedPolicyForward:
@@ -151,11 +145,10 @@ class TestBatchedPolicyForward:
             assert passes == self.PASSES
         assert len(batched) == len(states)
         for state, a, b in zip(states, alone, batched):
-            assert b.keep_probs.shape == (len(state.current),)
-            assert a.keep_probs.tobytes() == b.keep_probs.tobytes()
-            assert a.log_probs.tobytes() == b.log_probs.tobytes()
+            assert b.shape == (len(state.current),)
+            assert a.tobytes() == b.tobytes()
         # The head makes keep probabilities vary, not all 0.5.
-        assert np.concatenate([o.keep_probs for o in batched]).std() > 0.1
+        assert np.concatenate(batched).std() > 0.1
 
     def test_no_states_give_no_outputs(self, actor):
         assert policy_forward(actor, []) == []
@@ -170,44 +163,45 @@ class TestBatchedPolicyForward:
 
 class TestSampleActions:
     def test_determinism(self):
-        out = make_output([0.3, 0.7, 0.5, 0.9])
+        out = np.array([0.3, 0.7, 0.5, 0.9])
         a1, lp1 = sample_actions(out, rng_seed=77)
         a2, lp2 = sample_actions(out, rng_seed=77)
         assert a1 == a2 and lp1 == lp2
 
     def test_near_degenerate_keeps_everything(self):
-        out = make_output([1.0 - 1e-6] * 20)
+        out = np.array([1.0 - 1e-6] * 20)
         action, _ = sample_actions(out, rng_seed=5)
         assert action.labels == (1,) * 20
 
     def test_log_prob_is_sum_of_selected(self):
-        out = make_output([0.25, 0.75])
+        out = np.array([0.25, 0.75])
         action, lp = sample_actions(out, rng_seed=3)
         expected = sum(
-            out.log_probs[i, label] for i, label in enumerate(action.labels)
+            np.log(kp) if label else np.log1p(-kp)
+            for kp, label in zip(out, action.labels)
         )
         assert lp == pytest.approx(expected)
 
     def test_monte_carlo_frequency(self):
-        out = make_output(np.full(100_000, 0.7))
+        out = np.full(100_000, 0.7)
         action, _ = sample_actions(out, rng_seed=11)
         assert abs(np.mean(action.labels) - 0.7) <= 0.01
 
 
 class TestGreedyActions:
     def test_threshold_at_half(self):
-        assert greedy_actions(make_output([0.9, 0.2, 0.8]), 0).labels == (1, 0, 1)
+        assert greedy_actions(np.array([0.9, 0.2, 0.8]), 0).labels == (1, 0, 1)
 
     def test_budget_exceeding_length_keeps_argmax(self):
-        action = greedy_actions(make_output([0.4, 0.9, 0.1]), drop_budget=10)
+        action = greedy_actions(np.array([0.4, 0.9, 0.1]), drop_budget=10)
         assert action.labels == (0, 1, 0)
 
     def test_threshold_never_all_zero(self):
-        action = greedy_actions(make_output([0.1, 0.4, 0.2]), 0)
+        action = greedy_actions(np.array([0.1, 0.4, 0.2]), 0)
         assert action.labels == (0, 1, 0)
 
     def test_tie_drops_higher_index_first(self):
-        action = greedy_actions(make_output([0.5, 0.5, 0.9]), drop_budget=1)
+        action = greedy_actions(np.array([0.5, 0.5, 0.9]), drop_budget=1)
         assert action.labels == (1, 0, 1)
 
     def test_budget_oracle_fuzz(self):
@@ -216,7 +210,7 @@ class TestGreedyActions:
             n = int(rng.integers(1, 25))
             kp = rng.random(n)
             budget = int(rng.integers(0, n + 3))
-            action = greedy_actions(make_output(kp), budget)
+            action = greedy_actions(kp, budget)
             assert sum(action.labels) >= 1
             if budget == 0:
                 continue

@@ -469,7 +469,7 @@ class TestNgramMemo:
                 ["a b a c b a b c c a", "b b c a a d", "c a b", "d d a b c a b b"]
             )
         ]
-        settings = EvalSettings(vocab=MEMO_VOCAB, n_gen=8)
+        settings = EvalSettings(vocab=MEMO_VOCAB, lm_description="test proxy", n_gen=8)
 
         def fit():
             return fit_lm(corpus, order=3, smoothing=0.1, vocab=MEMO_VOCAB)

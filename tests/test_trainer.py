@@ -445,12 +445,12 @@ class TestCollectTrajectory:
         state = reset(self.prompt)
         for t, step in enumerate(traj.steps):
             band = curriculum_bounds(stage, t, schedule.t_max_for(stage), schedule.psi)
-            (out,) = policy_forward(self.actor, [state])
-            action, lp = sample_actions(out, seed_for(seed, t))
+            (keep_probs,) = policy_forward(self.actor, [state])
+            action, lp = sample_actions(keep_probs, seed_for(seed, t))
             assert step.state == state
             assert step.action == action
             assert step.old_log_prob == lp
-            nxt = apply_action(state, action, out.keep_probs)
+            nxt = apply_action(state, action, keep_probs)
             expected_reward = compute_reward(
                 self.prompt, nxt.current, reward_cfg, band,
                 self.scorers.retention, self.scorers.lm, self.reference,
@@ -611,7 +611,7 @@ class TestCheckpoint:
         prompt = prompts[0]
         (a,) = policy_forward(state.actor, [reset(prompt)])
         (b,) = policy_forward(loaded.actor, [reset(prompt)])
-        assert np.array_equal(a.keep_probs, b.keep_probs)
+        assert np.array_equal(a, b)
         assert loaded.actor_opt.t == state.actor_opt.t
 
     def test_truncated_checkpoint_errors(self, tmp_path):
