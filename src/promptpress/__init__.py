@@ -21,17 +21,11 @@ from .baselines import (
     selfinfo_compress,
 )
 from .encoder import EncoderConfig, TinyTransformerEncoder
-from .env import (
-    ActionVector,
-    CompressionState,
-    apply_action,
-    compression_rate,
-    reset,
-)
 from .evaluation import EvalReport, EvalSettings, evaluate
 from .metrics import exact_match, lcs_length, rouge_l, rouge_n, token_f1
 from .policy import (
     Actor,
+    apply_action,
     greedy_actions,
     policy_forward,
     sample_actions,

@@ -9,8 +9,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .env import apply_action, reset
-from .policy import Actor, greedy_actions, policy_forward
+from .policy import Actor, apply_action, greedy_actions, policy_forward
 from .scoring import ProxyLM
 from .text import TokenSequence
 
@@ -108,7 +107,7 @@ class PolicyCompressor:
     a prompt already meets skips that prompt: a drop budget of 0 would
     mean 0.5-thresholding and could overshoot the target. The corpus
     moves step by step, with one :func:`policy_forward` call per step
-    over every prompt still to compress.
+    over the current prompt of every prompt still to compress.
     """
 
     actor: Actor
@@ -117,17 +116,17 @@ class PolicyCompressor:
     name: str = "policy"
 
     def compress(self, seqs: Sequence[TokenSequence]) -> list[TokenSequence]:
-        states = [reset(seq) for seq in seqs]
+        current = list(seqs)
         for step in range(self.steps):
             # per-step relative keep rate compounding to the target
             per_step = self.rho_target ** ((step + 1) / self.steps)
             budgets = [
-                len(state.current) - keep_count(len(seq), per_step)
-                for state, seq in zip(states, seqs)
+                len(cur) - keep_count(len(seq), per_step)
+                for cur, seq in zip(current, seqs)
             ]
             active = [i for i, budget in enumerate(budgets) if budget > 0]
-            outputs = policy_forward(self.actor, [states[i] for i in active])
+            outputs = policy_forward(self.actor, [current[i] for i in active])
             for i, keep_probs in zip(active, outputs):
-                action = greedy_actions(keep_probs, budgets[i])
-                states[i] = apply_action(states[i], action, keep_probs)
-        return [state.current for state in states]
+                labels = greedy_actions(keep_probs, budgets[i])
+                current[i] = apply_action(current[i], labels, keep_probs)
+        return current

@@ -31,12 +31,12 @@ from .baselines import (
     SelfInfoCompressor,
 )
 from .encoder import EncoderConfig
-from .env import apply_action, compression_rate, reset
 from .evaluation import EvalSettings, evaluate
-from .policy import greedy_actions, policy_forward
+from .policy import apply_action, greedy_actions, policy_forward
 from .reward import RewardConfig
 from .scoring import IdfRetentionScorer, fit_ngram_lm
 from .text import (
+    PromptRecord,
     build_vocabulary,
     compute_idf_table,
     load_corpus,
@@ -205,6 +205,15 @@ def _build_training_pieces(config: dict[str, object], seed: int, no_hpc: bool,
     return trainer_cfg, schedule, reward_cfg, encoder_cfg
 
 
+def _read_corpus(path: str) -> list[PromptRecord]:
+    """The records of the JSONL corpus at ``path``; a malformed line is a
+    usage error naming it."""
+    try:
+        return load_corpus(path)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def cmd_make_corpus(args: argparse.Namespace) -> int:
     if not 0.0 <= args.filler <= 1.0:
         raise UsageError("--filler must be in [0, 1]")
@@ -231,7 +240,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     seed = resolve_seed(args.seed, config["trainer.seed"])
     config["trainer.seed"] = seed
 
-    corpus = load_corpus(args.corpus)
+    corpus = _read_corpus(args.corpus)
     if not corpus:
         raise UsageError(f"corpus {args.corpus} is empty")
     # A bad config value, band, prompt length or scoring setting is a
@@ -313,16 +322,17 @@ def cmd_compress(args: argparse.Namespace) -> int:
     every token below keep probability 0.5).
 
     The prompts move step by step. A step is one ``policy_forward`` call
-    over every prompt, whose encoder passes run on the helper pool, then
-    each prompt's greedy action. If passes fail, the first failing one in
-    input order is reported and nothing is written.
+    over every prompt's current compressed form, whose encoder passes run
+    on the helper pool, then each prompt's greedy labels, which give its
+    next form. If passes fail, the first failing one in input order is
+    reported and nothing is written.
     """
     if args.steps < 0:
         raise UsageError("--steps must be >= 0")
     if args.budget < 0:
         raise UsageError("--budget must be >= 0")
     actor, vocab = load_checkpoint(args.checkpoint, actor_only=True)
-    corpus = load_corpus(args.input)
+    corpus = _read_corpus(args.input)
     seqs = _checked_prompts(corpus, vocab, actor.encoder.cfg.max_len)
     out = Path(args.out)
     write_manifest(
@@ -334,34 +344,34 @@ def cmd_compress(args: argparse.Namespace) -> int:
         artifacts={"output": str(out)},
     )
 
-    states = [reset(seq) for seq in seqs]
+    current = seqs
     # Each prompt's kept word positions, so that the output prints the
-    # original words, an out-of-vocabulary one included. A greedy action
-    # keeps a token, so they match the state's current prompt.
+    # original words, an out-of-vocabulary one included. Greedy labels
+    # keep a token, so they match the current prompt.
     kept = [range(len(seq)) for seq in seqs]
     with _helper_threads(len(seqs)) as pool:
         for _ in range(args.steps):
-            outputs = policy_forward(actor, states, pool)
-            actions = [greedy_actions(keep_probs, args.budget) for keep_probs in outputs]
-            states = [
-                apply_action(env_state, action, keep_probs)
-                for env_state, action, keep_probs in zip(states, actions, outputs)
+            outputs = policy_forward(actor, current, pool)
+            labels = [greedy_actions(keep_probs, args.budget) for keep_probs in outputs]
+            current = [
+                apply_action(cur, lab, keep_probs)
+                for cur, lab, keep_probs in zip(current, labels, outputs)
             ]
             kept = [
-                [p for p, label in zip(positions, action.labels) if label]
-                for positions, action in zip(kept, actions)
+                [p for p, label in zip(positions, lab) if label]
+                for positions, lab in zip(kept, labels)
             ]
     lines = []
-    for record, seq, env_state, positions in zip(corpus, seqs, states, kept):
+    for record, seq, cur, positions in zip(corpus, seqs, current, kept):
         words = split_surfaces(record.text)
         lines.append(json.dumps(
             {
                 "id": record.id,
                 "original": record.text,
                 "compressed": " ".join(words[p] for p in positions),
-                "rho": compression_rate(env_state),
+                "rho": len(cur) / len(seq),
                 "tokens_before": len(seq),
-                "tokens_after": len(env_state.current),
+                "tokens_after": len(cur),
             },
             sort_keys=True,
         ))
@@ -391,7 +401,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.vocab_size < 2:
         raise UsageError("--vocab-size must be >= 2")
     seed = resolve_seed(args.seed, None)
-    corpus = load_corpus(args.corpus)
+    corpus = _read_corpus(args.corpus)
     if not corpus:
         raise UsageError(f"corpus {args.corpus} is empty")
     # One vocabulary, one tokenization and one LM serve every method: the
@@ -424,7 +434,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         artifacts={"rows": str(jsonl_path), "table": str(table_path)},
     )
 
-    lm = fit_ngram_lm(prompts, order=args.ngram_order, smoothing=0.1, vocab=vocab)
+    smoothing = float(CONFIG_DEFAULTS["scoring.ngram_k"])
+    lm = fit_ngram_lm(prompts, order=args.ngram_order, smoothing=smoothing, vocab=vocab)
     settings = EvalSettings(
         vocab=vocab,
         n_gen=args.n_gen,

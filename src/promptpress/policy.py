@@ -5,6 +5,12 @@ The actor adds a linear 2-way head per token to a
 starts at keep probability 0.5. Keep probabilities are floored away from
 {0, 1} so log-probabilities and policy ratios stay finite.
 
+Compression is a sequential decision process. Its state is the current
+compressed prompt, a :class:`TokenSequence`; its action is an int array
+of per-token labels, 1 keep and 0 drop, from :func:`sample_actions` or
+:func:`greedy_actions`; :func:`apply_action` makes the next state. The
+caller keeps the original prompt.
+
 Inference has one call, :func:`policy_forward`, over any number of
 states: it packs them into encoder passes, optionally run on a thread
 pool while the calling thread waits, and gives each state bitwise the
@@ -21,8 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .encoder import EncoderConfig, TinyTransformerEncoder, parameter_shapes
-from .env import ActionVector, CompressionState
 from .optim import flat_views
+from .text import TokenSequence
 
 PROB_FLOOR = 1e-6
 
@@ -102,10 +108,10 @@ def _packs(lengths: Sequence[int], max_len: int) -> list[list[int]]:
 
 
 def policy_forward(
-    actor: Actor, states: Sequence[CompressionState], pool: Executor | None = None
+    actor: Actor, states: Sequence[TokenSequence], pool: Executor | None = None
 ) -> list[np.ndarray]:
-    """Floored keep probability of each token of each state's current
-    prompt, in input order.
+    """Floored keep probability of each token of each state (a current
+    prompt), in input order; an empty state is an error.
 
     Consecutive states share an encoder pass of at most the encoder's
     ``max_len`` tokens. A 1-token state has a pass of its own, as numpy
@@ -115,7 +121,7 @@ def policy_forward(
     while the calling thread waits; the actor is only read. If passes
     fail, the first failing one in input order is raised.
     """
-    seqs = [state.current.ids for state in states]
+    seqs = [state.ids for state in states]
     if not all(seqs):
         raise ValueError("empty state")
 
@@ -134,16 +140,16 @@ def policy_forward(
     return [kp for kps in passes for kp in kps]
 
 
-def sample_actions(keep_probs: np.ndarray, rng_seed: int) -> tuple[ActionVector, float]:
-    """Draw each token's label independently; returns the summed log-prob."""
+def sample_actions(keep_probs: np.ndarray, rng_seed: int) -> tuple[np.ndarray, float]:
+    """Draw each token's label independently; returns the labels and
+    their summed log-prob."""
     rng = np.random.default_rng(rng_seed)
     labels = (rng.random(keep_probs.shape[0]) < keep_probs).astype(int)
-    total = float(_label_log_probs(keep_probs, labels).sum())
-    return ActionVector(tuple(int(l) for l in labels)), total
+    return labels, float(_label_log_probs(keep_probs, labels).sum())
 
 
-def greedy_actions(keep_probs: np.ndarray, drop_budget: int) -> ActionVector:
-    """Deterministic action selection.
+def greedy_actions(keep_probs: np.ndarray, drop_budget: int) -> np.ndarray:
+    """Deterministic labels.
 
     With no budget, drop every token whose keep probability is below
     0.5. With a budget, drop exactly min(budget, L - 1) tokens with the
@@ -157,13 +163,32 @@ def greedy_actions(keep_probs: np.ndarray, drop_budget: int) -> ActionVector:
         labels = (keep_probs >= 0.5).astype(int)
         if labels.sum() == 0:
             labels[int(np.argmax(keep_probs))] = 1
-        return ActionVector(tuple(int(l) for l in labels))
+        return labels
     n_drop = min(drop_budget, n - 1)
     # ascending keep prob; among equals the higher index sorts first
     order = np.lexsort((-np.arange(n), keep_probs))
     labels = np.ones(n, dtype=int)
     labels[order[:n_drop]] = 0
-    return ActionVector(tuple(int(l) for l in labels))
+    return labels
+
+
+def apply_action(
+    current: TokenSequence, labels: np.ndarray, keep_probs: Sequence[float]
+) -> TokenSequence:
+    """The next state: the tokens of ``current`` labeled 1, in order.
+
+    All-zero labels would empty the prompt, which leaves the compression
+    rate and all scorers undefined; instead one token is force-kept: the
+    one with the highest keep probability (the first among equals).
+    """
+    if len(labels) != len(current):
+        raise ValueError(
+            f"action/sequence length mismatch: {len(labels)} != {len(current)}"
+        )
+    kept = tuple(tid for tid, label in zip(current.ids, labels) if label == 1)
+    if not kept:
+        kept = (current.ids[int(np.argmax(keep_probs))],)
+    return TokenSequence(kept)
 
 
 def packed_action_log_probs(
@@ -187,7 +212,7 @@ def packed_action_log_probs(
     logits = h @ actor.head_w + actor.head_b
     probs = _softmax2(logits)
     rows = np.arange(len(ids))
-    idx = np.asarray([a for l in labels for a in l], dtype=int)
+    idx = np.concatenate(labels).astype(int, copy=False)
     picked = _label_log_probs(_floored(probs), idx)
     ends = list(itertools.accumulate(lengths))
     log_probs = np.array([picked[s:e].sum() for s, e in zip([0] + ends[:-1], ends)])

@@ -38,11 +38,6 @@ class TokenSequence:
     def __iter__(self) -> Iterator[int]:
         return iter(self.ids)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return TokenSequence(self.ids[index])
-        return self.ids[index]
-
     def prefix(self, n: int) -> "TokenSequence":
         return TokenSequence(self.ids[:n])
 
@@ -76,9 +71,6 @@ class Vocabulary:
         if not 0 <= token_id < self.size:
             raise ValueError(f"id out of range: {token_id}")
         return self.surfaces[token_id]
-
-    def __contains__(self, surface: str) -> bool:
-        return surface in self._index
 
 
 @dataclass(frozen=True)
@@ -156,6 +148,8 @@ def detokenize(seq: TokenSequence, vocab: Vocabulary) -> str:
 def load_corpus(path: str | Path) -> list[PromptRecord]:
     """Read a JSONL corpus: one object per line with at least ``text``.
 
+    ``text`` is a string; ``reference_output``, a string or null; and
+    ``filler_mask``, a list of 0/1/true/false, one per word of ``text``.
     Optional fields stay absent when missing. Malformed lines raise an
     error naming the line number.
     """
@@ -170,10 +164,29 @@ def load_corpus(path: str | Path) -> list[PromptRecord]:
                 raise ValueError(f"malformed corpus line {lineno}: {exc}") from exc
             if not isinstance(obj, dict) or "text" not in obj:
                 raise ValueError(f"malformed corpus line {lineno}: missing 'text'")
-            mask = obj.get("filler_mask")
+            text, reference, mask = (
+                obj.get(k) for k in ("text", "reference_output", "filler_mask")
+            )
+            if not isinstance(text, str):
+                raise ValueError(
+                    f"malformed corpus line {lineno}: 'text' is not a string"
+                )
+            if reference is not None and not isinstance(reference, str):
+                raise ValueError(
+                    f"malformed corpus line {lineno}: 'reference_output' is not "
+                    "a string"
+                )
             if mask is not None:
+                # type(...) rules out "0" and 0.0; True and False equal 1 and 0.
+                if not isinstance(mask, list) or not all(
+                    type(v) in (bool, int) and v in (0, 1) for v in mask
+                ):
+                    raise ValueError(
+                        f"malformed corpus line {lineno}: 'filler_mask' is not "
+                        "a list of 0/1/true/false"
+                    )
                 mask = tuple(bool(v) for v in mask)
-                if len(mask) != len(split_surfaces(obj["text"])):
+                if len(mask) != len(split_surfaces(text)):
                     raise ValueError(
                         f"malformed corpus line {lineno}: filler_mask length "
                         f"{len(mask)} != token length"
@@ -181,8 +194,8 @@ def load_corpus(path: str | Path) -> list[PromptRecord]:
             records.append(
                 PromptRecord(
                     id=str(obj.get("id", f"rec-{lineno:05d}")),
-                    text=str(obj["text"]),
-                    reference_output=obj.get("reference_output"),
+                    text=text,
+                    reference_output=reference,
                     filler_mask=mask,
                 )
             )

@@ -28,9 +28,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .encoder import EncoderConfig
-from .env import ActionVector, CompressionState, apply_action, compression_rate, reset
 from .optim import Adam, clip_gradients
-from .policy import Actor, packed_action_log_probs, policy_forward, sample_actions
+from .policy import (
+    Actor,
+    apply_action,
+    packed_action_log_probs,
+    policy_forward,
+    sample_actions,
+)
 from .reward import RewardConfig, compute_reward
 from .scoring import ProxyLM, RetentionScorer
 from .text import TokenSequence, Vocabulary
@@ -138,21 +143,23 @@ class CurriculumSchedule:
 
 @dataclass(frozen=True)
 class TrajectoryStep:
-    state: CompressionState
-    action: ActionVector
+    """One step: the prompt the actor saw, the labels it sampled on it,
+    their log-probability under the frozen actor, and the reward."""
+
+    current: TokenSequence
+    labels: np.ndarray
     old_log_prob: float
     reward: float
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    steps: tuple[TrajectoryStep, ...]
-    final_state: CompressionState
-    bounds: tuple[tuple[float, float], ...]
+    """An episode's steps, its final length over the original's, and
+    each step's band."""
 
-    @property
-    def final_rho(self) -> float:
-        return compression_rate(self.final_state)
+    steps: tuple[TrajectoryStep, ...]
+    final_rho: float
+    bounds: tuple[tuple[float, float], ...]
 
     @property
     def rewards(self) -> list[float]:
@@ -187,20 +194,21 @@ def collect_trajectory(
     ``reference`` is the greedy continuation of ``prompt`` under
     ``scorers.lm`` (``greedy_continue``); every step's divergence term
     reuses it. The per-step reward scores the post-action prompt against
-    the original under the step's band from ``schedule``.
+    the original under the step's band from ``schedule``. Each step
+    starts from the previous step's prompt, the first from ``prompt``.
     """
-    state = reset(prompt)
+    current = prompt
     t_max = schedule.t_max_for(stage)
     steps: list[TrajectoryStep] = []
     bounds: list[tuple[float, float]] = []
     for t in range(t_max):
         band = schedule.bounds_for(stage, t)
-        (keep_probs,) = policy_forward(actor_old, [state])
-        action, log_prob = sample_actions(keep_probs, seed_for(seed, t))
-        next_state = apply_action(state, action, keep_probs)
+        (keep_probs,) = policy_forward(actor_old, [current])
+        labels, log_prob = sample_actions(keep_probs, seed_for(seed, t))
+        compressed = apply_action(current, labels, keep_probs)
         breakdown = compute_reward(
             prompt,
-            next_state.current,
+            compressed,
             reward_cfg,
             band,
             scorers.retention,
@@ -209,15 +217,17 @@ def collect_trajectory(
         )
         steps.append(
             TrajectoryStep(
-                state=state,
-                action=action,
+                current=current,
+                labels=labels,
                 old_log_prob=log_prob,
                 reward=breakdown.total,
             )
         )
         bounds.append(band)
-        state = next_state
-    return Trajectory(steps=tuple(steps), final_state=state, bounds=tuple(bounds))
+        current = compressed
+    return Trajectory(
+        steps=tuple(steps), final_rho=len(current) / len(prompt), bounds=tuple(bounds)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +265,8 @@ def ppo_objective_and_grads(
         raise ValueError("empty batch")
     new_lps, gradient_of = packed_action_log_probs(
         actor_new,
-        [step.state.current.ids for step, _ in batch],
-        [step.action.labels for step, _ in batch],
+        [step.current.ids for step, _ in batch],
+        [step.labels for step, _ in batch],
     )
     total = 0.0
     n = len(batch)

@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 
-from promptpress.env import reset
 from promptpress.policy import packed_action_log_probs, policy_forward
 from promptpress.text import TokenSequence
 
@@ -58,7 +57,7 @@ def packed_log_prob_and_grad(actor, ids, labels):
 def action_log_prob(actor, ids, labels):
     """Log-probability of one action vector, from the single-sequence
     inference forward (``policy_forward``)."""
-    (keep_probs,) = policy_forward(actor, [reset(TokenSequence(tuple(ids)))])
+    (keep_probs,) = policy_forward(actor, [TokenSequence(tuple(ids))])
     keep = np.asarray(labels, dtype=int) == 1
     return float(np.where(keep, np.log(keep_probs), np.log1p(-keep_probs)).sum())
 
@@ -69,7 +68,7 @@ def ppo_objective(batch, actor, clip_eps):
     ``trainer.ppo_objective_and_grads`` is checked against."""
     total = 0.0
     for step, advantage in batch:
-        new_lp = action_log_prob(actor, step.state.current.ids, step.action.labels)
+        new_lp = action_log_prob(actor, step.current.ids, step.labels)
         delta = math.exp(new_lp - step.old_log_prob)
         clipped = min(max(delta, 1.0 - clip_eps), 1.0 + clip_eps)
         total += min(delta * advantage, clipped * advantage)

@@ -2,8 +2,8 @@
 words it keeps, compress and eval of the policy give the same output on
 any number of threads, eval scores every method against one
 vocabulary/LM pairing, the CLI's defaults are the library's, and bad
-training config, a bad eval flag, seed or vocabulary size, or an unfit
-prompt is a usage error."""
+training config, a bad eval flag, seed or vocabulary size, an unfit
+prompt or a malformed corpus is a usage error."""
 
 import dataclasses
 import json
@@ -204,7 +204,7 @@ class TestCompressWords:
                     PromptRecord("mixed", mixed)]
 
         def masked(text):
-            return " ".join(w if w in vocab else "<unk>" for w in text.split())
+            return " ".join(w if w in vocab.surfaces else "<unk>" for w in text.split())
 
         rows = {}
         for name, corpus in (
@@ -225,7 +225,7 @@ class TestCompressWords:
         assert kept[3] == [f"word{i}" for i in range(20) if f"word{i}" in kept[3]]
         assert len(kept[3]) == 10 and "<unk>" not in kept[3]
         assert any(w.startswith("word") for w in kept[4])
-        assert any(w in vocab and w != "<unk>" for w in kept[4])
+        assert any(w in vocab.surfaces and w != "<unk>" for w in kept[4])
 
 
 class TestCompressThreads:
@@ -391,6 +391,45 @@ class TestUnfitPrompt:
         assert set(tmp_path.iterdir()) == before
 
 
+class TestMalformedCorpus:
+    """An ill-typed corpus field is a usage error naming its line, found
+    before any file is written, in every command that reads a corpus."""
+
+    @pytest.fixture(scope="class")
+    def ckpt(self, tmp_path_factory):
+        return _checkpoint_on_larger_corpus(tmp_path_factory.mktemp("ckpt"))
+
+    @pytest.mark.parametrize("command", ["train", "compress", "eval"])
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            pytest.param('{"id": "bad", "text": null}', "'text' is not a string",
+                         id="text-null"),
+            pytest.param('{"text": "a b", "filler_mask": ["0", "0"]}',
+                         "'filler_mask' is not a list of 0/1/true/false",
+                         id="filler-mask-strings"),
+            pytest.param('{"text": "a b", "reference_output": 5}',
+                         "'reference_output' is not a string", id="reference-int"),
+        ],
+    )
+    def test_is_usage_error_before_any_output(
+        self, tmp_path, capsys, ckpt, command, line, message
+    ):
+        corpus = tmp_path / "corpus.jsonl"
+        _small_corpus(corpus)
+        good = corpus.read_text().splitlines()[0]
+        corpus.write_text(f"{good}\n{line}\n")
+        argv = {
+            "train": ["train", "--corpus", str(corpus), "--out", str(tmp_path / "p.ckpt")],
+            "compress": ["compress", "--checkpoint", str(ckpt), "--input", str(corpus),
+                         "--out", str(tmp_path / "out.jsonl")],
+            "eval": ["eval", "--corpus", str(corpus), "--out-prefix", str(tmp_path / "ev")],
+        }[command]
+        assert main(argv) == 2
+        assert f"malformed corpus line 2: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [corpus]  # no manifest, no output
+
+
 class TestEvalFlags:
     @pytest.mark.parametrize(
         "flag, value",
@@ -455,6 +494,24 @@ class TestDefaults:
         assert TrainerConfig().seed == 0 == cli.resolve_seed(None, None)
         n_gen = {f.name: f.default for f in dataclasses.fields(Scorers)}["n_gen"]
         assert cli.CONFIG_DEFAULTS["scoring.n_gen"] == n_gen
+
+    def test_eval_fits_its_lm_with_the_config_smoothing(self, tmp_path, monkeypatch):
+        # eval has no smoothing flag; it reads the config default, so a
+        # change of the default reaches it.
+        smoothings = []
+        fit = cli.fit_ngram_lm
+
+        def recording(prompts, order, smoothing, vocab):
+            smoothings.append(smoothing)
+            return fit(prompts, order=order, smoothing=smoothing, vocab=vocab)
+
+        monkeypatch.setattr(cli, "fit_ngram_lm", recording)
+        monkeypatch.setitem(cli.CONFIG_DEFAULTS, "scoring.ngram_k", 0.37)
+        corpus = tmp_path / "eval.jsonl"
+        _small_corpus(corpus)
+        assert main(["eval", "--corpus", str(corpus), "--methods", "random",
+                     "--out-prefix", str(tmp_path / "ev")]) == 0
+        assert smoothings == [0.37]
 
     def test_eval_flag_defaults_are_the_config_defaults(self):
         args = cli.build_parser().parse_args(["eval", "--corpus", "c", "--out-prefix", "p"])

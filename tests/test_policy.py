@@ -1,4 +1,5 @@
-"""Actor tests: forward math, sampling, greedy selection and gradients."""
+"""Actor tests: forward math, sampling, greedy selection, applying labels,
+and gradients."""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -13,10 +14,10 @@ from gradcheck import (
     packed_log_prob_and_grad,
 )
 from promptpress.encoder import LN_EPS, EncoderConfig, TinyTransformerEncoder
-from promptpress.env import reset
 from promptpress.policy import (
     Actor,
     _label_log_probs,
+    apply_action,
     greedy_actions,
     policy_forward,
     sample_actions,
@@ -43,14 +44,14 @@ def make_passthrough_actor(seed=0):
 class TestPolicyForward:
     def test_zero_head_gives_half(self):
         actor = Actor.build(TINY, seed=1)
-        (out,) = policy_forward(actor, [reset(TokenSequence((1, 2, 3)))])
+        (out,) = policy_forward(actor, [TokenSequence((1, 2, 3))])
         np.testing.assert_allclose(out, 0.5)
 
     def test_probabilities_normalize(self):
         actor = Actor.build(TINY, seed=2)
         rng = np.random.default_rng(0)
         actor.head_w[...] = rng.normal(0, 1.0, size=actor.head_w.shape)
-        (out,) = policy_forward(actor, [reset(TokenSequence((4, 5, 6, 7)))])
+        (out,) = policy_forward(actor, [TokenSequence((4, 5, 6, 7))])
         # Each token's log-probabilities of drop and keep exponentiate to 1.
         drop = _label_log_probs(out, np.zeros(out.size, dtype=int))
         keep = _label_log_probs(out, np.ones(out.size, dtype=int))
@@ -63,7 +64,7 @@ class TestPolicyForward:
         actor.head_w[...] = rng.normal(0, 0.8, size=actor.head_w.shape)
         actor.head_b[...] = rng.normal(0, 0.2, size=actor.head_b.shape)
         ids = (2, 7, 2)
-        (out,) = policy_forward(actor, [reset(TokenSequence(ids))])
+        (out,) = policy_forward(actor, [TokenSequence(ids)])
 
         # independent arithmetic: embeddings -> layer norm -> head -> softmax
         p = actor.encoder.params
@@ -77,26 +78,21 @@ class TestPolicyForward:
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     def test_empty_state_errors(self):
-        from promptpress.env import CompressionState
-
         actor = Actor.build(TINY, seed=1)
-        state = CompressionState(
-            original=TokenSequence((1,)), current=TokenSequence(())
-        )
         with pytest.raises(ValueError):
-            policy_forward(actor, [state])
+            policy_forward(actor, [TokenSequence(())])
 
     def test_clone_matches_bitwise(self):
         actor = Actor.build(TINY, seed=4)
-        state = reset(TokenSequence((1, 2, 3, 4)))
+        state = TokenSequence((1, 2, 3, 4))
         (a,) = policy_forward(actor, [state])
         (b,) = policy_forward(actor.clone(), [state])
         assert a.tobytes() == b.tobytes()
 
 
 class TestBatchedPolicyForward:
-    """Many states in one call: packed encoder passes of at most max_len
-    tokens, each output bitwise the one-state call's."""
+    """Many states (current prompts) in one call: packed encoder passes of
+    at most max_len tokens, each output bitwise the one-state call's."""
 
     CFG = EncoderConfig(vocab_size=100)  # the CLI's model defaults, max_len 256
     LENGTHS = (1, 2, 16, 48, 1, 30, 128, 256, 200, 56, 100, 157, 2, 1, 37, 45)
@@ -117,7 +113,7 @@ class TestBatchedPolicyForward:
     def _states(self):
         rng = np.random.default_rng(8)
         return [
-            reset(TokenSequence(tuple(int(t) for t in rng.integers(0, 100, n))))
+            TokenSequence(tuple(int(t) for t in rng.integers(0, 100, n)))
             for n in self.LENGTHS
         ]
 
@@ -145,7 +141,7 @@ class TestBatchedPolicyForward:
             assert passes == self.PASSES
         assert len(batched) == len(states)
         for state, a, b in zip(states, alone, batched):
-            assert b.shape == (len(state.current),)
+            assert b.shape == (len(state),)
             assert a.tobytes() == b.tobytes()
         # The head makes keep probabilities vary, not all 0.5.
         assert np.concatenate(batched).std() > 0.1
@@ -154,11 +150,8 @@ class TestBatchedPolicyForward:
         assert policy_forward(actor, []) == []
 
     def test_an_empty_state_among_others_errors(self, actor):
-        from promptpress.env import CompressionState
-
-        empty = CompressionState(original=TokenSequence((1,)), current=TokenSequence(()))
         with pytest.raises(ValueError, match="empty state"):
-            policy_forward(actor, [reset(TokenSequence((1, 2))), empty])
+            policy_forward(actor, [TokenSequence((1, 2)), TokenSequence(())])
 
 
 class TestSampleActions:
@@ -166,43 +159,44 @@ class TestSampleActions:
         out = np.array([0.3, 0.7, 0.5, 0.9])
         a1, lp1 = sample_actions(out, rng_seed=77)
         a2, lp2 = sample_actions(out, rng_seed=77)
-        assert a1 == a2 and lp1 == lp2
+        assert a1.tobytes() == a2.tobytes() and lp1 == lp2
 
     def test_near_degenerate_keeps_everything(self):
         out = np.array([1.0 - 1e-6] * 20)
-        action, _ = sample_actions(out, rng_seed=5)
-        assert action.labels == (1,) * 20
+        labels, _ = sample_actions(out, rng_seed=5)
+        assert labels.tolist() == [1] * 20
 
     def test_log_prob_is_sum_of_selected(self):
         out = np.array([0.25, 0.75])
-        action, lp = sample_actions(out, rng_seed=3)
+        labels, lp = sample_actions(out, rng_seed=3)
         expected = sum(
             np.log(kp) if label else np.log1p(-kp)
-            for kp, label in zip(out, action.labels)
+            for kp, label in zip(out, labels)
         )
         assert lp == pytest.approx(expected)
 
     def test_monte_carlo_frequency(self):
         out = np.full(100_000, 0.7)
-        action, _ = sample_actions(out, rng_seed=11)
-        assert abs(np.mean(action.labels) - 0.7) <= 0.01
+        labels, _ = sample_actions(out, rng_seed=11)
+        assert set(labels.tolist()) == {0, 1}
+        assert abs(np.mean(labels) - 0.7) <= 0.01
 
 
 class TestGreedyActions:
     def test_threshold_at_half(self):
-        assert greedy_actions(np.array([0.9, 0.2, 0.8]), 0).labels == (1, 0, 1)
+        assert greedy_actions(np.array([0.9, 0.2, 0.8]), 0).tolist() == [1, 0, 1]
 
     def test_budget_exceeding_length_keeps_argmax(self):
-        action = greedy_actions(np.array([0.4, 0.9, 0.1]), drop_budget=10)
-        assert action.labels == (0, 1, 0)
+        labels = greedy_actions(np.array([0.4, 0.9, 0.1]), drop_budget=10)
+        assert labels.tolist() == [0, 1, 0]
 
     def test_threshold_never_all_zero(self):
-        action = greedy_actions(np.array([0.1, 0.4, 0.2]), 0)
-        assert action.labels == (0, 1, 0)
+        labels = greedy_actions(np.array([0.1, 0.4, 0.2]), 0)
+        assert labels.tolist() == [0, 1, 0]
 
     def test_tie_drops_higher_index_first(self):
-        action = greedy_actions(np.array([0.5, 0.5, 0.9]), drop_budget=1)
-        assert action.labels == (1, 0, 1)
+        labels = greedy_actions(np.array([0.5, 0.5, 0.9]), drop_budget=1)
+        assert labels.tolist() == [1, 0, 1]
 
     def test_budget_oracle_fuzz(self):
         rng = np.random.default_rng(21)
@@ -210,16 +204,80 @@ class TestGreedyActions:
             n = int(rng.integers(1, 25))
             kp = rng.random(n)
             budget = int(rng.integers(0, n + 3))
-            action = greedy_actions(kp, budget)
-            assert sum(action.labels) >= 1
+            labels = greedy_actions(kp, budget)
+            assert set(labels.tolist()) <= {0, 1} and labels.sum() >= 1
             if budget == 0:
                 continue
             n_drop = min(budget, n - 1)
             # brute-force bottom-k with ties dropping the higher index first
             ranked = sorted(range(n), key=lambda i: (kp[i], -i))
             dropped = set(ranked[:n_drop])
-            expected = tuple(0 if i in dropped else 1 for i in range(n))
-            assert action.labels == expected
+            expected = [0 if i in dropped else 1 for i in range(n)]
+            assert labels.tolist() == expected
+
+
+def seq(*ids):
+    return TokenSequence(tuple(ids))
+
+
+def is_subsequence(sub, full):
+    it = iter(full)
+    return all(any(x == y for y in it) for x in sub)
+
+
+class TestApplyAction:
+    def test_direct_application(self):
+        nxt = apply_action(seq(10, 11, 12), np.array([1, 0, 1]), [0.9, 0.1, 0.8])
+        assert nxt == seq(10, 12)
+
+    def test_identity_action(self):
+        current = seq(1, 2)
+        assert apply_action(current, np.array([1, 1]), [0.9, 0.8]) == current
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="action/sequence length mismatch"):
+            apply_action(seq(1, 2, 3), np.array([1, 0]), [0.9, 0.1])
+
+    def test_input_state_not_mutated(self):
+        current, labels = seq(1, 2, 3), np.array([0, 1, 0])
+        apply_action(current, labels, [0.1, 0.9, 0.2])
+        assert current == seq(1, 2, 3) and labels.tolist() == [0, 1, 0]
+
+    def test_all_zeros_force_keeps_highest_keep_prob(self):
+        nxt = apply_action(seq(7, 8, 9), np.zeros(3, dtype=int), keep_probs=[0.1, 0.9, 0.4])
+        assert nxt == seq(8)
+
+    def test_all_zeros_tie_keeps_lowest_index(self):
+        nxt = apply_action(seq(7, 8, 9), np.zeros(3, dtype=int), keep_probs=[0.5, 0.5, 0.5])
+        assert nxt == seq(7)
+
+    def test_fuzz_matches_filter_oracle(self):
+        rng = np.random.default_rng(42)
+        for _ in range(10_000):
+            n = int(rng.integers(1, 30))
+            ids = tuple(int(x) for x in rng.integers(0, 50, size=n))
+            labels = rng.integers(0, 2, size=n)
+            if labels.sum() == 0:
+                labels[-1] = 1
+            nxt = apply_action(TokenSequence(ids), labels, np.full(n, 0.5))
+            assert nxt.ids == tuple(t for t, l in zip(ids, labels) if l == 1)
+
+    def test_fuzz_episode_invariants(self):
+        # Over a few steps the result stays a non-empty subsequence of the
+        # original, and rho = len / original length is non-increasing in (0, 1].
+        rng = np.random.default_rng(123)
+        for _ in range(2_000):
+            n = int(rng.integers(1, 40))
+            ids = tuple(int(x) for x in rng.integers(0, 12, size=n))
+            current, prev_rho = TokenSequence(ids), 1.0
+            for _ in range(int(rng.integers(1, 4))):
+                labels = rng.integers(0, 2, size=len(current))
+                current = apply_action(current, labels, keep_probs=rng.random(len(labels)))
+                rho = len(current) / n
+                assert len(current) >= 1
+                assert 0.0 < rho <= prev_rho <= 1.0
+                assert is_subsequence(current.ids, ids)
+                prev_rho = rho
 
 
 class TestGradients:

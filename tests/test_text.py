@@ -52,7 +52,7 @@ class TestVocabulary:
         counts = Counter()
         for record in corpus:
             counts.update(split_surfaces(record.text))
-        covered = sum(n for surface, n in counts.items() if surface in vocab)
+        covered = sum(n for surface, n in counts.items() if surface in vocab.surfaces)
         assert covered / sum(counts.values()) >= 0.95
 
     def test_inverse_maps(self):
@@ -136,6 +136,34 @@ class TestCorpusIO:
         path.write_text('{"id": "1"}\n')
         with pytest.raises(ValueError, match="line 1"):
             load_corpus(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"text": null}',
+            '{"text": 5}',
+            '{"text": "a b", "reference_output": 5}',
+            '{"text": "a b", "reference_output": ["a"]}',
+            '{"text": "a b", "filler_mask": ["0", "0"]}',
+            '{"text": "a b", "filler_mask": [0.0, 1]}',
+            '{"text": "a b", "filler_mask": [2, 0]}',
+            '{"text": "a b", "filler_mask": "01"}',
+        ],
+    )
+    def test_ill_typed_field_names_line_number(self, tmp_path, line):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"text": "ok"}\n' + line + "\n")
+        with pytest.raises(ValueError, match="malformed corpus line 2"):
+            load_corpus(path)
+
+    def test_mask_of_booleans_and_null_reference_load(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            '{"text": "a b c", "filler_mask": [true, 0, false], "reference_output": null}\n'
+        )
+        (record,) = load_corpus(path)
+        assert record.filler_mask == (True, False, False)
+        assert record.reference_output is None
 
     def test_filler_mask_length_validated(self, tmp_path):
         path = tmp_path / "c.jsonl"

@@ -18,7 +18,6 @@ from gradcheck import (
 )
 from promptpress import trainer
 from promptpress.encoder import EncoderConfig
-from promptpress.env import ActionVector, reset
 from promptpress.optim import global_norm
 from promptpress.policy import Actor, actor_shapes, policy_forward
 from promptpress.reward import RewardConfig
@@ -139,8 +138,8 @@ def _synthetic_step(actor, ids, labels, delta, advantage):
     exactly ``delta``."""
     new_lp = action_log_prob(actor, ids, labels)
     step = TrajectoryStep(
-        state=reset(TokenSequence(ids)),
-        action=ActionVector(labels),
+        current=TokenSequence(ids),
+        labels=np.array(labels),
         old_log_prob=new_lp - math.log(delta),
         reward=advantage,
     )
@@ -190,8 +189,8 @@ class TestPpoObjective:
     def test_degenerate_ratio_errors(self):
         actor = self._actor()
         step = TrajectoryStep(
-            state=reset(TokenSequence((1, 2))),
-            action=ActionVector((1, 1)),
+            current=TokenSequence((1, 2)),
+            labels=np.array([1, 1]),
             old_log_prob=-1e6,
             reward=0.0,
         )
@@ -270,7 +269,7 @@ class TestPackedObjectives:
         total, flowing = 0.0, 0
         for step, advantage in batch:
             lp, grads = packed_log_prob_and_grad(
-                actor, step.state.current.ids, step.action.labels
+                actor, step.current.ids, step.labels
             )
             delta = math.exp(lp - step.old_log_prob)
             unclipped = delta * advantage
@@ -310,13 +309,12 @@ class TestReturns:
 
 def _trajectory_with_rewards(rewards):
     """A trajectory whose steps carry ``rewards``; nothing else is read."""
-    state = reset(TokenSequence((1, 2)))
     steps = tuple(
-        TrajectoryStep(state, ActionVector((1, 1)), old_log_prob=0.0, reward=r)
+        TrajectoryStep(TokenSequence((1, 2)), np.array([1, 1]), old_log_prob=0.0, reward=r)
         for r in rewards
     )
     return trainer.Trajectory(
-        steps=steps, final_state=state, bounds=((0.5, 0.9),) * len(rewards)
+        steps=steps, final_rho=1.0, bounds=((0.5, 0.9),) * len(rewards)
     )
 
 
@@ -404,6 +402,16 @@ class TestLeaveOneOut:
             TrainerConfig(batch_size=1, buffer_capacity=1)
 
 
+def _fields(traj):
+    """Every stored value of a trajectory, labels as their bytes, so that
+    two trajectories compare bitwise."""
+    steps = [
+        (s.current, s.labels.dtype, s.labels.tobytes(), s.old_log_prob, s.reward)
+        for s in traj.steps
+    ]
+    return steps, traj.final_rho, traj.bounds
+
+
 class TestCollectTrajectory:
     def setup_method(self):
         prompts, _, self.scorers, self.encoder_cfg = tiny_world()
@@ -427,12 +435,32 @@ class TestCollectTrajectory:
             schedule=CurriculumSchedule(), stage=1, reward_cfg=RewardConfig(),
             scorers=self.scorers, seed=4, reference=self.reference,
         )
-        assert collect_trajectory(**kwargs) == collect_trajectory(**kwargs)
+        assert _fields(collect_trajectory(**kwargs)) == _fields(collect_trajectory(**kwargs))
+
+    def test_empty_prompt_errors(self):
+        with pytest.raises(ValueError, match="empty"):
+            collect_trajectory(
+                TokenSequence(()), self.actor, CurriculumSchedule(), 1,
+                RewardConfig(), self.scorers, seed=0, reference=self.reference,
+            )
+
+    @pytest.mark.parametrize("keep_logit, final_len", [(50.0, None), (-50.0, 1)])
+    def test_final_rho_is_final_over_original_length(self, keep_logit, final_len):
+        # A head pinned at the keep-probability ceiling keeps every token
+        # (rho 1); one pinned at the floor drops all but the force-kept one.
+        actor = self.actor.clone()
+        actor.head_w[...] = 0.0
+        actor.head_b[...] = (0.0, keep_logit)
+        traj = collect_trajectory(
+            self.prompt, actor, CurriculumSchedule(), 1,
+            RewardConfig(), self.scorers, seed=3, reference=self.reference,
+        )
+        n = len(self.prompt)
+        assert traj.final_rho == (final_len or n) / n
 
     def test_hand_traced_rollout(self):
         """Re-derive every stored field with direct component calls."""
-        from promptpress.env import apply_action, compression_rate
-        from promptpress.policy import sample_actions
+        from promptpress.policy import apply_action, sample_actions
         from promptpress.reward import compute_reward
 
         schedule = CurriculumSchedule()
@@ -442,23 +470,22 @@ class TestCollectTrajectory:
             self.prompt, self.actor, schedule, stage,
             reward_cfg, self.scorers, seed=seed, reference=self.reference,
         )
-        state = reset(self.prompt)
+        current = self.prompt
         for t, step in enumerate(traj.steps):
             band = curriculum_bounds(stage, t, schedule.t_max_for(stage), schedule.psi)
-            (keep_probs,) = policy_forward(self.actor, [state])
-            action, lp = sample_actions(keep_probs, seed_for(seed, t))
-            assert step.state == state
-            assert step.action == action
+            (keep_probs,) = policy_forward(self.actor, [current])
+            labels, lp = sample_actions(keep_probs, seed_for(seed, t))
+            assert step.current == current
+            assert step.labels.tobytes() == labels.tobytes()
             assert step.old_log_prob == lp
-            nxt = apply_action(state, action, keep_probs)
+            nxt = apply_action(current, labels, keep_probs)
             expected_reward = compute_reward(
-                self.prompt, nxt.current, reward_cfg, band,
+                self.prompt, nxt, reward_cfg, band,
                 self.scorers.retention, self.scorers.lm, self.reference,
             ).total
             assert step.reward == expected_reward
-            state = nxt
-        assert traj.final_state == state
-        assert traj.final_rho == compression_rate(state)
+            current = nxt
+        assert traj.final_rho == len(current) / len(self.prompt)
 
 
 def _small_training_setup(n_prompts=8, n_gen=2):
@@ -609,8 +636,8 @@ class TestCheckpoint:
         assert loaded.next_stage == state.next_stage
         assert loaded.log.records == state.log.records
         prompt = prompts[0]
-        (a,) = policy_forward(state.actor, [reset(prompt)])
-        (b,) = policy_forward(loaded.actor, [reset(prompt)])
+        (a,) = policy_forward(state.actor, [prompt])
+        (b,) = policy_forward(loaded.actor, [prompt])
         assert np.array_equal(a, b)
         assert loaded.actor_opt.t == state.actor_opt.t
 
