@@ -48,17 +48,15 @@ def selfinfo_compress(
 ) -> TokenSequence:
     """Keep the tokens with the highest self-information under the model.
 
-    Token i scores -ln P(token_i | tokens_<i); ties keep the earlier
-    token. Order is preserved.
+    Token i scores -ln P(token_i | tokens_<i), all of them from one
+    ``lm.token_probs`` query; ties keep the earlier token. Order is
+    preserved.
     """
     if not 0.0 < rho_target <= 1.0:
         raise ValueError("rho_target must be in (0, 1]")
     n = len(seq)
     k = keep_count(n, rho_target)
-    scores = np.empty(n)
-    for i in range(n):
-        dist = lm.next_token_dist(seq.prefix(i))
-        scores[i] = -math.log(max(float(dist.probs[seq.ids[i]]), 1e-300))
+    scores = np.array([-math.log(max(p, 1e-300)) for p in lm.token_probs(seq)])
     # descending score; among equals the earlier index sorts first
     order = np.lexsort((np.arange(n), -scores))
     kept_idx = np.sort(order[:k])

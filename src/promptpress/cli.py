@@ -333,6 +333,8 @@ def cmd_compress(args: argparse.Namespace) -> int:
         raise UsageError("--budget must be >= 0")
     actor, vocab = load_checkpoint(args.checkpoint, actor_only=True)
     corpus = _read_corpus(args.input)
+    if not corpus:
+        raise UsageError(f"input {args.input} is empty")
     seqs = _checked_prompts(corpus, vocab, actor.encoder.cfg.max_len)
     out = Path(args.out)
     write_manifest(

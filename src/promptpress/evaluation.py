@@ -5,7 +5,8 @@ greedy-generates once from the original and, per method, once from the
 compressed prompt, and each method's report scores the two generations
 against each other (ROUGE-1/2/L, token F1) and the compressed
 generation against the record's reference output (exact match), when
-one is present.
+one is present. On token ids ROUGE-1 F and token F1 are the same
+clipped unigram overlap, so one computation fills both columns.
 
 Each piece of work is done once. Every compressor compresses the whole
 corpus in one call before any continuation is generated, so a model's
@@ -103,11 +104,12 @@ def _scores(
     em = None
     if record.reference_output is not None:
         em = exact_match(detokenize(gen_c, vocab), record.reference_output)
+    unigram_f = token_f1(gen_c.ids, gen_o.ids)[2]
     return {
-        "rouge1_f": rouge_n(gen_c.ids, gen_o.ids, 1)[2],
+        "rouge1_f": unigram_f,
         "rouge2_f": rouge_n(gen_c.ids, gen_o.ids, 2)[2],
         "rougeL_f": rouge_l(gen_c.ids, gen_o.ids)[2],
-        "token_f1": token_f1(gen_c.ids, gen_o.ids)[2],
+        "token_f1": unigram_f,
         "em": em,
     }
 

@@ -2,7 +2,9 @@
 
 All metrics follow the standard clipped-count definitions with no
 stemming or stopword handling, so every value can be recomputed by a
-brute-force counter.
+brute-force counter. On one tokenization ``rouge_n(c, r, 1)`` and
+``token_f1(c, r)`` count the same unigram multisets and return equal
+triples; the evaluation computes that triple once with ``token_f1``.
 """
 
 from __future__ import annotations

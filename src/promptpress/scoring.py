@@ -16,7 +16,7 @@ implementations:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
@@ -28,13 +28,9 @@ KL_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class NextTokenDistribution:
-    """A probability vector over the vocabulary; entries sum to 1.
-
-    ``greedy`` is its argmax, the lowest id on ties.
-    """
+    """A probability vector over the vocabulary; entries sum to 1."""
 
     probs: np.ndarray
-    greedy: int = field(init=False)
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=np.float64)
@@ -47,17 +43,14 @@ class NextTokenDistribution:
         probs = probs.copy()
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "greedy", int(np.argmax(probs)))
 
     @classmethod
-    def _trusted(cls, probs: np.ndarray, greedy: int) -> "NextTokenDistribution":
-        """Wrap a float64 vector that is valid by construction, and its
-        lowest-id argmax, without the constructor's copy and checks;
-        ``probs`` becomes read-only."""
+    def _trusted(cls, probs: np.ndarray) -> "NextTokenDistribution":
+        """Wrap a float64 vector that is valid by construction without the
+        constructor's copy and checks; ``probs`` becomes read-only."""
         dist = object.__new__(cls)
         probs.flags.writeable = False
         object.__setattr__(dist, "probs", probs)
-        object.__setattr__(dist, "greedy", greedy)
         return dist
 
     @property
@@ -68,12 +61,25 @@ class NextTokenDistribution:
 class ProxyLM(Protocol):
     """Small local model playing the target LLM's output-distribution role.
 
+    Three queries: the full next-token distribution after a context
+    (the divergence reads it), the probability of each token of a
+    sequence given the tokens before it (self-information reads it), and
+    a greedy continuation (the reference and the evaluation read it). The
+    last two must agree with the first bit for bit, so a model may answer
+    them without building a distribution.
+
     A model may also expose ``context_window``: the number of trailing
     context tokens its distributions depend on. A model without it is
     taken to read its whole context.
     """
 
     def next_token_dist(self, context: TokenSequence) -> NextTokenDistribution: ...
+
+    def token_probs(self, seq: TokenSequence) -> list[float]:
+        """P(seq[i] | seq[:i]) for every position i, in order: entry i
+        equals ``next_token_dist(TokenSequence(seq.ids[:i])).probs[seq.ids[i]]``
+        bit for bit, and an empty ``seq`` gives an empty list."""
+        ...
 
     def greedy_continue(self, context: TokenSequence, n: int) -> TokenSequence:
         """Greedy continuation of ``context``: ``n`` argmax steps, each
@@ -182,13 +188,22 @@ def output_distribution_kl(
 class NgramLM:
     """Add-k smoothed n-gram model with backoff to shorter contexts.
 
-    A distribution is answered by the longest trailing context (at most
+    Every query is answered by the longest trailing context (at most
     ``context_window`` tokens) found in the count tables, or by the
-    unigram level. Each distinct answering context is built once and
-    memoised on the model, so the memo holds at most one read-only
-    :class:`NextTokenDistribution` per fitted context plus the
+    unigram level. With c the count of a token after that context and
+    total the count of the context, the token's probability is
+    (k + c) / (k V + total).
+
+    :meth:`token_probs` and the greedy successor of a tail are read
+    straight from the count tables, one dict lookup per answer and no
+    V-length vector. Only :meth:`next_token_dist`, which the divergence
+    needs in full, builds vectors: each distinct answering context is
+    built once and memoised on the model, so that memo holds at most one
+    read-only :class:`NextTokenDistribution` per fitted context plus the
     unigram one: at most (contexts + 1) * V * 8 bytes, bounded by the
-    count tables and not by how many queries are made.
+    count tables and not by how many queries are made. Both read the same
+    IEEE operations, so a count answer equals the vector's entry bit for
+    bit.
 
     Greedy decoding has a second memo: the greedy successor of each
     trailing ``context_window``-token tail a walk has passed through,
@@ -234,14 +249,17 @@ class NgramLM:
         """Trailing tokens read: an order-n model conditions on n - 1."""
         return self.order - 1
 
-    def next_token_dist(self, context: TokenSequence) -> NextTokenDistribution:
-        ids = context.ids
-        ctx: tuple[int, ...] = ()
-        for o in range(min(self.order, len(ids) + 1), 1, -1):
-            tail = ids[len(ids) - (o - 1):]
+    def _answering(self, ids: tuple[int, ...], end: int) -> tuple[int, ...]:
+        """The context that answers for ``ids[:end]``: its longest tail
+        of at most ``context_window`` ids in the count tables, else ()."""
+        for o in range(min(self.order, end + 1), 1, -1):
+            tail = ids[end - (o - 1): end]
             if tail in self._counts[o - 1]:
-                ctx = tail
-                break
+                return tail
+        return ()
+
+    def next_token_dist(self, context: TokenSequence) -> NextTokenDistribution:
+        ctx = self._answering(context.ids, len(context.ids))
         dist = self._memo.get(ctx)
         if dist is None:
             dist = self._memo[ctx] = self._build_dist(ctx)
@@ -249,28 +267,47 @@ class NgramLM:
 
     def _build_dist(self, ctx: tuple[int, ...]) -> NextTokenDistribution:
         """(k + count) / (k V + total) per id: positive and summing to 1
-        by construction, so it skips the constructor's checks. Its argmax
-        is the most counted id, the lowest on ties, or id 0 when the
-        context was never followed and every entry is k / (k V)."""
+        by construction, so it skips the constructor's checks."""
         v = self.vocab.size
         k = self.smoothing
         probs = np.full(v, k, dtype=np.float64)
         total = k * v
-        greedy = 0
         cont = self._counts[len(ctx)].get(ctx)
         if cont:
             for tid, n in cont.items():
                 probs[tid] += n
             total += self._totals[len(ctx)][ctx]
-            top = max(cont.values())
-            greedy = min(tid for tid, n in cont.items() if n == top)
         probs /= total
-        return NextTokenDistribution._trusted(probs, greedy)
+        return NextTokenDistribution._trusted(probs)
+
+    def token_probs(self, seq: TokenSequence) -> list[float]:
+        """Per-position probabilities (see :class:`ProxyLM`), each read
+        from the counts of its answering context."""
+        k = self.smoothing
+        kv = k * self.vocab.size
+        ids = seq.ids
+        out = []
+        for i, tid in enumerate(ids):
+            ctx = self._answering(ids, i)
+            cont = self._counts[len(ctx)].get(ctx, {})
+            total = self._totals[len(ctx)].get(ctx, 0)
+            out.append((k + cont.get(tid, 0)) / (kv + total))
+        return out
+
+    def _greedy(self, ctx: tuple[int, ...]) -> int:
+        """The argmax of ``ctx``'s distribution: its most counted
+        continuation, the lowest id on ties, or id 0 when the context was
+        never followed and every entry is k / (k V)."""
+        cont = self._counts[len(ctx)].get(ctx)
+        if not cont:
+            return 0
+        top = max(cont.values())
+        return min(tid for tid, n in cont.items() if n == top)
 
     def greedy_continue(self, context: TokenSequence, n: int) -> TokenSequence:
         """Greedy continuation (see :class:`ProxyLM`), walked over the
         successor memo: a step whose tail was walked before is one dict
-        lookup, and a new tail costs one :meth:`next_token_dist`."""
+        lookup, and a new tail is answered from the count tables."""
         if n < 1:
             raise ValueError("n must be >= 1")
         window = self.context_window
@@ -280,7 +317,7 @@ class NgramLM:
         for _ in range(n):
             tid = successor.get(tail)
             if tid is None:
-                tid = successor[tail] = self.next_token_dist(TokenSequence(tail)).greedy
+                tid = successor[tail] = self._greedy(self._answering(tail, len(tail)))
             out.append(tid)
             tail = _tail(tail + (tid,), window)
         return TokenSequence(tuple(out))

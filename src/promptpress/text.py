@@ -38,9 +38,6 @@ class TokenSequence:
     def __iter__(self) -> Iterator[int]:
         return iter(self.ids)
 
-    def prefix(self, n: int) -> "TokenSequence":
-        return TokenSequence(self.ids[:n])
-
 
 @dataclass(frozen=True)
 class Vocabulary:
@@ -148,12 +145,15 @@ def detokenize(seq: TokenSequence, vocab: Vocabulary) -> str:
 def load_corpus(path: str | Path) -> list[PromptRecord]:
     """Read a JSONL corpus: one object per line with at least ``text``.
 
-    ``text`` is a string; ``reference_output``, a string or null; and
-    ``filler_mask``, a list of 0/1/true/false, one per word of ``text``.
-    Optional fields stay absent when missing. Malformed lines raise an
-    error naming the line number.
+    ``text`` is a string; ``id``, a string; ``reference_output``, a
+    string or null; and ``filler_mask``, a list of 0/1/true/false, one per
+    word of ``text``. A missing id defaults to ``rec-NNNNN``, NNNNN the
+    line number, and no two records share an id. Optional fields stay
+    absent when missing. Malformed lines raise an error naming the line
+    number.
     """
     records: list[PromptRecord] = []
+    first_line: dict[str, int] = {}  # id -> the line that first used it
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -171,6 +171,17 @@ def load_corpus(path: str | Path) -> list[PromptRecord]:
                 raise ValueError(
                     f"malformed corpus line {lineno}: 'text' is not a string"
                 )
+            record_id = obj.get("id", f"rec-{lineno:05d}")
+            if not isinstance(record_id, str):
+                raise ValueError(
+                    f"malformed corpus line {lineno}: 'id' is not a string"
+                )
+            if record_id in first_line:
+                raise ValueError(
+                    f"malformed corpus line {lineno}: duplicate id {record_id!r} "
+                    f"(first on line {first_line[record_id]})"
+                )
+            first_line[record_id] = lineno
             if reference is not None and not isinstance(reference, str):
                 raise ValueError(
                     f"malformed corpus line {lineno}: 'reference_output' is not "
@@ -193,7 +204,7 @@ def load_corpus(path: str | Path) -> list[PromptRecord]:
                     )
             records.append(
                 PromptRecord(
-                    id=str(obj.get("id", f"rec-{lineno:05d}")),
+                    id=record_id,
                     text=text,
                     reference_output=reference,
                     filler_mask=mask,

@@ -67,6 +67,9 @@ class _TableLM:
     def next_token_dist(self, context):
         return NextTokenDistribution(self.probs)
 
+    def token_probs(self, seq):
+        return [float(self.probs[t]) for t in seq.ids]
+
 
 class TestSelfInfoCompress:
     def test_ties_keep_the_earlier_token(self):

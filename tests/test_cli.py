@@ -3,7 +3,7 @@ words it keeps, compress and eval of the policy give the same output on
 any number of threads, eval scores every method against one
 vocabulary/LM pairing, the CLI's defaults are the library's, and bad
 training config, a bad eval flag, seed or vocabulary size, an unfit
-prompt or a malformed corpus is a usage error."""
+prompt, a malformed corpus or an empty compress input is a usage error."""
 
 import dataclasses
 import json
@@ -410,6 +410,12 @@ class TestMalformedCorpus:
                          id="filler-mask-strings"),
             pytest.param('{"text": "a b", "reference_output": 5}',
                          "'reference_output' is not a string", id="reference-int"),
+            pytest.param('{"id": null, "text": "a b"}', "'id' is not a string",
+                         id="id-null"),
+            pytest.param('{"id": 5, "text": "a b"}', "'id' is not a string",
+                         id="id-int"),
+            pytest.param('{"id": "syn-0000", "text": "a b"}',
+                         "duplicate id 'syn-0000' (first on line 1)", id="id-duplicate"),
         ],
     )
     def test_is_usage_error_before_any_output(
@@ -428,6 +434,19 @@ class TestMalformedCorpus:
         assert main(argv) == 2
         assert f"malformed corpus line 2: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [corpus]  # no manifest, no output
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_compress_empty_input_is_usage_error_before_any_output(tmp_path, capsys, text):
+    ckpt = _checkpoint_on_larger_corpus(tmp_path)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text(text)
+    before = set(tmp_path.iterdir())
+    code = main(["compress", "--checkpoint", str(ckpt), "--input", str(empty),
+                 "--out", str(tmp_path / "out.jsonl")])
+    assert code == 2
+    assert f"input {empty} is empty" in capsys.readouterr().err
+    assert set(tmp_path.iterdir()) == before  # no manifest, no output
 
 
 class TestEvalFlags:

@@ -35,6 +35,9 @@ class CountingLM:
     def next_token_dist(self, context):
         return self.lm.next_token_dist(context)
 
+    def token_probs(self, seq):
+        return self.lm.token_probs(seq)
+
     def greedy_continue(self, context, n):
         self.continued.append(context)
         return self.lm.greedy_continue(context, n)

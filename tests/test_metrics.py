@@ -1,9 +1,10 @@
-"""Metric tests: LCS against a dynamic-programming oracle, ROUGE-L values."""
+"""Metric tests: LCS against a dynamic-programming oracle, ROUGE-L values,
+and ROUGE-1 as token F1."""
 
 import numpy as np
 import pytest
 
-from promptpress.metrics import lcs_length, rouge_l
+from promptpress.metrics import lcs_length, rouge_l, rouge_n, token_f1
 
 
 def dp_lcs(a, b):
@@ -63,3 +64,18 @@ class TestRougeL:
 
     def test_degenerate_is_zero(self):
         assert rouge_l((), (1, 2)) == (0.0, 0.0, 0.0)
+
+
+class TestRougeOne:
+    def test_equals_token_f1_on_random_pairs(self):
+        # The evaluation fills both columns from one token_f1 call.
+        rng = np.random.default_rng(13)
+        pairs = [([], []), ([], [1]), ([2, 2], [])]
+        for _ in range(400):
+            alphabet = int(rng.integers(1, 8))
+            pairs.append(tuple(
+                tuple(int(x) for x in rng.integers(0, alphabet, size=int(rng.integers(0, 25))))
+                for _ in range(2)
+            ))
+        for cand, ref in pairs:
+            assert rouge_n(cand, ref, 1) == token_f1(cand, ref), (cand, ref)

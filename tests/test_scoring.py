@@ -44,8 +44,11 @@ class ConstantLM:
     def next_token_dist(self, context):
         return self._dist
 
+    def token_probs(self, seq):
+        return [float(self._dist.probs[t]) for t in seq.ids]
+
     def greedy_continue(self, context, n):
-        return TokenSequence((self._dist.greedy,) * n)
+        return TokenSequence((int(np.argmax(self._dist.probs)),) * n)
 
 
 class LengthLM:
@@ -60,6 +63,12 @@ class LengthLM:
         if len(context) % 2 == 0:
             return dist(0.4, 0.4, 0.2)
         return dist(0.1, 0.2, 0.7)
+
+    def token_probs(self, seq):
+        return [
+            float(self.next_token_dist(TokenSequence(seq.ids[:i])).probs[t])
+            for i, t in enumerate(seq.ids)
+        ]
 
     def greedy_continue(self, context, n):
         return TokenSequence(stepwise_argmax_trace(self, context, n))
@@ -238,9 +247,9 @@ class TestGenerateReference:
             lm, seq(2, 1), 5
         )
 
-    def test_greedy_field_is_lowest_argmax(self):
-        assert dist(0.4, 0.4, 0.2).greedy == 0
-        assert dist(0.1, 0.2, 0.7).greedy == 2
+    def test_greedy_successor_is_lowest_argmax(self):
+        assert constant_ngram([4, 4, 2]).greedy_continue(seq(1), 1).ids == (0,)
+        assert constant_ngram([1, 2, 7]).greedy_continue(seq(1), 1).ids == (2,)
 
 
 class TestGreedyWalkMemo:
@@ -298,14 +307,19 @@ class TestGreedyWalkMemo:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_memo_holds_one_entry_per_distinct_tail(self, order, monkeypatch):
         lm = self.fit(order)
-        built = []
-        next_token_dist = lm.next_token_dist
+        answered = []
+        greedy = lm._greedy
 
-        def counted(context):
-            built.append(context.ids)
-            return next_token_dist(context)
+        def counted(ctx):
+            answered.append(ctx)
+            return greedy(ctx)
 
-        monkeypatch.setattr(lm, "next_token_dist", counted)
+        def no_distribution(*args):
+            raise AssertionError("the walk built a distribution")
+
+        monkeypatch.setattr(lm, "_greedy", counted)
+        monkeypatch.setattr(lm, "next_token_dist", no_distribution)
+        monkeypatch.setattr(lm, "_build_dist", no_distribution)
         tails = set()
         for n in (6, 2, 9):
             for prompt in self.PROMPTS:
@@ -313,8 +327,10 @@ class TestGreedyWalkMemo:
                 lm.greedy_continue(context, n)
                 tails |= self.walked_tails(self.fit(order), context, n)
         assert set(lm._successor) == tails
-        # each distinct tail cost one distribution lookup, once
-        assert sorted(built) == sorted(tails)
+        # each distinct tail cost one count-table answer, once, and no
+        # distribution was built
+        assert len(answered) == len(tails)
+        assert lm._memo == {}
 
     def test_threads_sharing_a_model_agree_with_a_fresh_one(self):
         contexts = [tokenize(prompt, MEMO_VOCAB) for prompt in self.PROMPTS]
@@ -402,7 +418,6 @@ class TestNgramMemo:
                 got = lm.next_token_dist(ctx)
                 want = fresh.next_token_dist(ctx)
                 assert got.probs.tobytes() == want.probs.tobytes(), ctx.ids
-                assert got.greedy == int(np.argmax(want.probs))
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_memo_is_bounded_by_count_tables(self, order):
@@ -442,16 +457,17 @@ class TestNgramMemo:
     )
     def test_built_distributions_pass_the_constructor_checks(self, order, corpus):
         # The model builds its vectors without the constructor's checks;
-        # each must pass them and carry the same lowest-id argmax.
+        # each must pass them, and the greedy successor read from the
+        # counts is the vector's lowest-id argmax.
         lm = fit_lm(corpus, order=order, smoothing=0.1, vocab=MEMO_VOCAB)
         for ctx in self.contexts():
             got = lm.next_token_dist(ctx)
             checked = NextTokenDistribution(got.probs)
             assert checked.probs.tobytes() == got.probs.tobytes(), ctx.ids
-            assert got.greedy == checked.greedy == int(np.argmax(got.probs)), ctx.ids
+            assert lm.greedy_continue(ctx, 1).ids == (int(np.argmax(got.probs)),), ctx.ids
             assert not got.probs.flags.writeable
         if corpus is not MEMO_CORPUS and order > 1:
-            assert lm.next_token_dist(tokenize("c", MEMO_VOCAB)).greedy == 0
+            assert lm.greedy_continue(tokenize("c", MEMO_VOCAB), 1).ids == (0,)
 
     def test_repeat_query_returns_same_read_only_object(self):
         lm = fit_lm(MEMO_CORPUS, order=2, smoothing=0.1, vocab=MEMO_VOCAB)
@@ -498,6 +514,50 @@ class TestNgramMemo:
         assert shared_rows == fresh_rows
 
 
+class TestCountAnswers:
+    """``token_probs`` and the walk's greedy successors are read from the
+    count tables; each must equal what the built vector gives, bit for
+    bit. "d" and "<unk>" never occur in MEMO_CORPUS, so the contexts
+    below include backed-off and wholly unseen ones."""
+
+    ORDERS = [1, 2, 3, 4]
+    SMOOTHINGS = [0.1, 0.5, 1e-3]
+
+    @staticmethod
+    def sequences(length=5):
+        """Every sequence of ``length`` ids over MEMO_VOCAB: its prefixes
+        put every context of up to length - 1 ids before every id."""
+        return [
+            TokenSequence(ids)
+            for ids in itertools.product(range(MEMO_VOCAB.size), repeat=length)
+        ]
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("smoothing", SMOOTHINGS)
+    def test_token_probs_equal_distribution_entries(self, order, smoothing):
+        lm = fit_lm(MEMO_CORPUS, order=order, smoothing=smoothing, vocab=MEMO_VOCAB)
+        assert lm.token_probs(TokenSequence(())) == []
+        for s in self.sequences():
+            got = np.array(lm.token_probs(s), dtype=np.float64)
+            want = np.array([
+                lm.next_token_dist(TokenSequence(s.ids[:i])).probs[t]
+                for i, t in enumerate(s.ids)
+            ])
+            assert got.tobytes() == want.tobytes(), s.ids
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("smoothing", SMOOTHINGS)
+    def test_successors_equal_distribution_argmax(self, order, smoothing):
+        lm = fit_lm(MEMO_CORPUS, order=order, smoothing=smoothing, vocab=MEMO_VOCAB)
+        for ctx in TestNgramMemo.contexts():
+            want = int(np.argmax(lm.next_token_dist(ctx).probs))
+            assert lm.greedy_continue(ctx, 1).ids == (want,), ctx.ids
+        # every tail of up to context_window ids was answered from counts
+        assert len(lm._successor) == sum(
+            MEMO_VOCAB.size ** n for n in range(min(lm.context_window, 4) + 1)
+        )
+
+
 class TestOutputDistributionKL:
     def test_identity_context_is_zero(self):
         corpus = [PromptRecord("0", "a b c a")]
@@ -521,8 +581,8 @@ class TestOutputDistributionKL:
         assert ref.ids == (2, 0, 2, 0, 2, 0)
         terms = [
             kl_divergence(
-                lm.next_token_dist(TokenSequence(st.ids + ref.prefix(i).ids)),
-                lm.next_token_dist(TokenSequence(s0.ids + ref.prefix(i).ids)),
+                lm.next_token_dist(TokenSequence(st.ids + ref.ids[:i])),
+                lm.next_token_dist(TokenSequence(s0.ids + ref.ids[:i])),
             )
             for i in range(len(ref))
         ]
@@ -543,8 +603,8 @@ class TestOutputDistributionKL:
         expected = np.mean(
             [
                 kl_divergence(
-                    lm.next_token_dist(TokenSequence(st.ids + ref.prefix(i).ids)),
-                    lm.next_token_dist(TokenSequence(s0.ids + ref.prefix(i).ids)),
+                    lm.next_token_dist(TokenSequence(st.ids + ref.ids[:i])),
+                    lm.next_token_dist(TokenSequence(s0.ids + ref.ids[:i])),
                 )
                 for i in range(10)
             ]
@@ -563,8 +623,8 @@ class TestOutputDistributionKL:
         all_positions = np.mean(
             [
                 kl_divergence(
-                    lm.next_token_dist(TokenSequence(st.ids + ref.prefix(i).ids)),
-                    lm.next_token_dist(TokenSequence(s0.ids + ref.prefix(i).ids)),
+                    lm.next_token_dist(TokenSequence(st.ids + ref.ids[:i])),
+                    lm.next_token_dist(TokenSequence(s0.ids + ref.ids[:i])),
                 )
                 for i in range(len(ref))
             ]
@@ -585,8 +645,8 @@ class TestOutputDistributionKL:
         all_positions = np.mean(
             [
                 kl_divergence(
-                    lm.next_token_dist(TokenSequence(st.ids + ref.prefix(i).ids)),
-                    lm.next_token_dist(TokenSequence(s0.ids + ref.prefix(i).ids)),
+                    lm.next_token_dist(TokenSequence(st.ids + ref.ids[:i])),
+                    lm.next_token_dist(TokenSequence(s0.ids + ref.ids[:i])),
                 )
                 for i in range(len(ref))
             ]

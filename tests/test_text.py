@@ -148,12 +148,44 @@ class TestCorpusIO:
             '{"text": "a b", "filler_mask": [0.0, 1]}',
             '{"text": "a b", "filler_mask": [2, 0]}',
             '{"text": "a b", "filler_mask": "01"}',
+            '{"id": null, "text": "a b"}',
+            '{"id": 5, "text": "a b"}',
         ],
     )
     def test_ill_typed_field_names_line_number(self, tmp_path, line):
         path = tmp_path / "c.jsonl"
         path.write_text('{"text": "ok"}\n' + line + "\n")
         with pytest.raises(ValueError, match="malformed corpus line 2"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            pytest.param(['{"id": "5", "text": "a"}', '{"text": "b"}',
+                          '{"id": "5", "text": "c"}'],
+                         "line 3: duplicate id '5' (first on line 1)", id="explicit"),
+            # A defaulted id is taken as well: line 2 defaults to rec-00002.
+            pytest.param(['{"id": "a", "text": "a"}', '{"text": "b"}',
+                          '{"id": "rec-00002", "text": "c"}'],
+                         "line 3: duplicate id 'rec-00002' (first on line 2)",
+                         id="defaulted-first"),
+            pytest.param(['{"id": "rec-00002", "text": "a"}', '{"text": "b"}'],
+                         "line 2: duplicate id 'rec-00002' (first on line 1)",
+                         id="defaulted-second"),
+        ],
+    )
+    def test_duplicate_id_names_both_lines(self, tmp_path, lines, message):
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_corpus(path)
+        assert str(info.value) == f"malformed corpus {message}"
+
+    def test_int_id_is_not_read_as_its_string(self, tmp_path):
+        # 5 and "5" would both become "5"; the int is rejected instead.
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "5", "text": "a"}\n{"id": 5, "text": "b"}\n')
+        with pytest.raises(ValueError, match="line 2: 'id' is not a string"):
             load_corpus(path)
 
     def test_mask_of_booleans_and_null_reference_load(self, tmp_path):

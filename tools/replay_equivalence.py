@@ -1,0 +1,237 @@
+#!/usr/bin/env python3
+"""Replay a fixed set of promptpress commands on two source trees and
+compare, byte for byte, everything they write.
+
+    python3 tools/replay_equivalence.py <tree-a> <tree-b> [--work DIR]
+
+Each tree is a checkout with the package under ``src/`` (a clone or a
+``git archive`` of a commit). Both trees run the same commands, each in a
+directory of its own, as ``python -m promptpress.cli`` with that tree's
+``src`` on ``PYTHONPATH`` and one BLAS thread:
+
+* ``make-corpus`` twice, and the three seeded corpora of ``bench/inputs.py``
+  (imported read-only from this checkout, so both trees get the same
+  bytes), plus an empty corpus and one whose ids repeat;
+* ``train`` at the defaults and at n-gram orders 1, 3 and 4, with one to
+  three steps per trajectory and ``n_gen`` 1, 5 and 32, and two
+  collection-only fixtures whose head is then set to seeded random
+  values: a zero head keeps every probability at 0.5, so a change in the
+  encoder's numerics would not show in what the policy drops;
+* ``compress`` and ``eval`` on those checkpoints, over orders 1-4,
+  ``--n-gen`` 1, 5 and 32 and ``--steps`` 1-3.
+
+Every command's exit code, stdout and stderr and every file in the two
+directories are compared; in manifests the directory's own path is
+replaced first. Exit code 0: the trees agree; 1: a difference, each one
+listed; 2: a bad argument. Outputs go to a temporary directory, or to
+``--work`` (``a/`` and ``b/`` in it) to be kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+import inputs  # noqa: E402  the benchmark's seeded corpora, only read
+
+INPUT_SEED = 7
+
+# Sets the head of a checkpoint's actor to N(0, 0.5) draws and saves it.
+RANDOMIZE_HEAD = """
+import sys
+import numpy as np
+from promptpress.trainer import load_checkpoint, save_checkpoint
+src, dst, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
+state, vocab = load_checkpoint(src)
+rng = np.random.default_rng(seed)
+for head in (state.actor.head_w, state.actor.head_b):
+    head[...] = rng.normal(0.0, 0.5, size=head.shape)
+save_checkpoint(state, vocab, dst)
+"""
+
+
+def _fixture(corpus: str, out: str, n_prompts: int) -> list[str]:
+    """``train`` of one stage, epoch and step with a buffer larger than
+    the corpus: no update runs, and the vocabulary is the corpus's own."""
+    return ["train", "--corpus", corpus, "--out", out,
+            "--set", "curriculum.t_max=[1]", "--set", "curriculum.epochs=[1]",
+            "--set", f"trainer.buffer_m={n_prompts + 1}"]
+
+
+def _eval(corpus: str, ckpt: str | None, order: int, n_gen: int, steps: int,
+          out: str, methods: str = "identity,random,selfinfo,policy",
+          rho: float = 0.5) -> list[str]:
+    argv = ["eval", "--corpus", corpus, "--methods", methods, "--rho", str(rho),
+            "--ngram-order", str(order), "--n-gen", str(n_gen),
+            "--steps", str(steps), "--seed", "3", "--out-prefix", out]
+    return argv + (["--checkpoint", ckpt] if ckpt else [])
+
+
+def _compress(ckpt: str, corpus: str, steps: int, budget: int, out: str) -> list[str]:
+    return ["compress", "--checkpoint", ckpt, "--input", corpus, "--out", out,
+            "--steps", str(steps), "--budget", str(budget)]
+
+
+N_ZIPF, N_LONG = 24, 8
+
+# (name, argv): argv[0] "randomize-head" runs RANDOMIZE_HEAD, anything
+# else is a promptpress command. Paths are relative to the run directory.
+COMMANDS: list[tuple[str, list[str]]] = [
+    ("make-syn8", ["make-corpus", "--seed", "3", "--n", "8", "--filler", "0.5",
+                   "--out", "syn8.jsonl"]),
+    ("make-syn24", ["make-corpus", "--seed", "4", "--n", "24", "--filler", "0.3",
+                    "--out", "syn24.jsonl"]),
+    ("train-defaults", ["train", "--corpus", "syn8.jsonl", "--out", "t1.ckpt",
+                        "--seed", "1"]),
+    ("train-order3-steps3", ["train", "--corpus", "bsyn.jsonl", "--out", "t2.ckpt",
+                             "--seed", "2", "--set", "scoring.ngram_order=3",
+                             "--set", "scoring.n_gen=5", "--set", "curriculum.t_max=[3]",
+                             "--set", "curriculum.epochs=[2]"]),
+    ("train-order1-nohpc", ["train", "--corpus", "syn8.jsonl", "--out", "t3.ckpt",
+                            "--seed", "3", "--no-hpc", "--set", "scoring.ngram_order=1",
+                            "--set", "scoring.n_gen=1", "--set", "curriculum.t_max=[1]",
+                            "--set", "curriculum.epochs=[2]"]),
+    ("train-order4", ["train", "--corpus", "syn24.jsonl", "--out", "t4.ckpt",
+                      "--seed", "4", "--set", "scoring.ngram_order=4",
+                      "--set", "curriculum.t_max=[2]", "--set", "curriculum.epochs=[1]"]),
+    ("fixture-zipf", _fixture("zipf.jsonl", "fz.ckpt", N_ZIPF)),
+    ("fixture-long", _fixture("long.jsonl", "fl.ckpt", N_LONG)),
+    ("randomize-zipf", ["randomize-head", "fz.ckpt", "fz-rand.ckpt", "0"]),
+    ("randomize-long", ["randomize-head", "fl.ckpt", "fl-rand.ckpt", "1"]),
+    ("compress-trained-1", _compress("t1.ckpt", "syn8.jsonl", 1, 0, "c1.jsonl")),
+    ("compress-trained-2", _compress("t2.ckpt", "bsyn.jsonl", 2, 3, "c2.jsonl")),
+    ("compress-long-3", _compress("fl-rand.ckpt", "long.jsonl", 3, 20, "c3.jsonl")),
+    ("compress-long-1", _compress("fl-rand.ckpt", "long.jsonl", 1, 0, "c4.jsonl")),
+    ("compress-zipf-2", _compress("fz-rand.ckpt", "zipf.jsonl", 2, 4, "c5.jsonl")),
+    ("eval-o1-g1-s1", _eval("zipf.jsonl", "fz-rand.ckpt", 1, 1, 1, "e1")),
+    ("eval-o2-g32-s2", _eval("zipf.jsonl", "fz-rand.ckpt", 2, 32, 2, "e2")),
+    ("eval-o3-g5-s3", _eval("zipf.jsonl", "fz-rand.ckpt", 3, 5, 3, "e3")),
+    ("eval-o4-g32-s1", _eval("zipf.jsonl", "fz-rand.ckpt", 4, 32, 1, "e4")),
+    ("eval-o4-g1-s2", _eval("zipf.jsonl", "fz-rand.ckpt", 4, 1, 2, "e5")),
+    ("eval-o1-g32-s3", _eval("zipf.jsonl", "fz-rand.ckpt", 1, 32, 3, "e6")),
+    ("eval-long-o4", _eval("long.jsonl", "fl-rand.ckpt", 4, 32, 3, "e7",
+                           methods="selfinfo,policy", rho=0.3)),
+    ("eval-trained", _eval("syn8.jsonl", "t1.ckpt", 2, 32, 2, "e8", rho=0.3)),
+    ("eval-no-checkpoint", _eval("syn24.jsonl", None, 3, 5, 1, "e9",
+                                 methods="identity,random,selfinfo")),
+    ("compress-empty-input", _compress("t1.ckpt", "empty.jsonl", 1, 0, "c6.jsonl")),
+    ("eval-duplicate-ids", _eval("dup.jsonl", None, 2, 5, 1, "e10",
+                                 methods="random,selfinfo")),
+]
+
+
+def write_inputs(run: Path) -> None:
+    """The corpora no promptpress command makes, the same in every run."""
+    inputs.write_jsonl(inputs.zipf_corpus(INPUT_SEED, inputs.STREAM_ZIPF_SHORT,
+                                          N_ZIPF, 16, 48), run / "zipf.jsonl")
+    inputs.write_jsonl(inputs.zipf_corpus(INPUT_SEED, inputs.STREAM_ZIPF_LONG,
+                                          N_LONG, 128, 256), run / "long.jsonl")
+    inputs.write_jsonl(inputs.synthetic_corpus(INPUT_SEED, inputs.STREAM_TRAIN, 0,
+                                               8, 24, 48), run / "bsyn.jsonl")
+    (run / "empty.jsonl").write_text("", encoding="utf-8")
+    inputs.write_jsonl([{"id": "same", "text": "a b c"}, {"id": "same", "text": "b c"}],
+                       run / "dup.jsonl")
+
+
+def replay(tree: Path, run: Path) -> dict[str, tuple[int, bytes, bytes]]:
+    """Run every command with ``tree``'s sources in ``run``; the exit
+    code, stdout and stderr of each, by name."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env.update(PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0",
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    results = {}
+    for name, argv in COMMANDS:
+        if argv[0] == "randomize-head":
+            cmd = [sys.executable, "-c", RANDOMIZE_HEAD, *argv[1:]]
+        else:
+            cmd = [sys.executable, "-m", "promptpress.cli", *argv]
+        proc = subprocess.run(cmd, cwd=run, env=env, capture_output=True, timeout=900)
+        results[name] = (proc.returncode, proc.stdout, proc.stderr)
+    return results
+
+
+def _files(run: Path) -> dict[str, bytes]:
+    """Every file under ``run``, by relative path; in manifests the run
+    directory's own path reads ``<run>``."""
+    files = {}
+    for path in sorted(run.rglob("*")):
+        if not path.is_file() or "__pycache__" in path.parts:
+            continue
+        data = path.read_bytes()
+        if path.name.endswith(".manifest.json"):
+            for prefix in {str(run), str(run.resolve())}:
+                data = data.replace(json.dumps(prefix)[1:-1].encode(), b"<run>")
+        files[str(path.relative_to(run))] = data
+    return files
+
+
+def compare(results: tuple[dict, dict], files: tuple[dict, dict]) -> list[str]:
+    """One line per difference between the two replays."""
+    diffs = []
+    for name, _ in COMMANDS:
+        (code_a, out_a, err_a), (code_b, out_b, err_b) = (r[name] for r in results)
+        if code_a != code_b:
+            diffs.append(f"{name}: exit code {code_a} != {code_b}")
+        if out_a != out_b:
+            diffs.append(f"{name}: stdout differs")
+        if err_a != err_b:
+            diffs.append(f"{name}: stderr differs")
+    files_a, files_b = files
+    for rel in sorted(set(files_a) | set(files_b)):
+        if rel not in files_b:
+            diffs.append(f"{rel}: only in tree a")
+        elif rel not in files_a:
+            diffs.append(f"{rel}: only in tree b")
+        elif files_a[rel] != files_b[rel]:
+            diffs.append(f"{rel}: bytes differ")
+    return diffs
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("tree_a", type=Path)
+    parser.add_argument("tree_b", type=Path)
+    parser.add_argument("--work", type=Path, default=None,
+                        help="keep both runs' outputs here, in a/ and b/")
+    args = parser.parse_args(argv)
+    trees = (args.tree_a.resolve(), args.tree_b.resolve())
+    for tree in trees:
+        if not (tree / "src" / "promptpress" / "cli.py").is_file():
+            print(f"error: {tree} has no src/promptpress/cli.py", file=sys.stderr)
+            return 2
+    if args.work is not None and args.work.exists() and any(args.work.iterdir()):
+        print(f"error: --work {args.work} is not empty", file=sys.stderr)
+        return 2
+    work = args.work or Path(tempfile.mkdtemp(prefix="replay-"))
+    try:
+        runs = (work / "a", work / "b")
+        results = []
+        for tree, run in zip(trees, runs):
+            run.mkdir(parents=True)
+            write_inputs(run)
+            print(f"replaying {len(COMMANDS)} commands on {tree}", file=sys.stderr)
+            results.append(replay(tree, run))
+        files = tuple(_files(run) for run in runs)
+        diffs = compare(tuple(results), files)
+    finally:
+        if args.work is None:
+            shutil.rmtree(work, ignore_errors=True)
+    for line in diffs:
+        print(line)
+    if diffs:
+        print(f"{len(diffs)} differences")
+        return 1
+    print(f"identical: {len(COMMANDS)} commands, {len(files[0])} files")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
