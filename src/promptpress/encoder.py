@@ -18,6 +18,19 @@ asks it for a backward cache; inference (``encode``) asks for none, and
 then each intermediate is released as soon as it has been read. The
 encoder is only read by a forward pass, so several threads may encode
 with one encoder at once.
+
+The GELU is the exact one, 0.5 * x * (1 + erf(x / sqrt(2))), and its erf
+is computed here on numpy (``_erf_in_place``) to give bitwise the values
+of ``scipy.special.erf``: the Cephes ``ndtr.c`` rational approximations,
+evaluated in Cephes' operation order. For |x| <= 1 that is
+x * T(x^2) / U(x^2) over the whole array; for 1 < |x| < 6 it is
+1 - exp(-x^2) * P(|x|) / Q(|x|) with the sign of x, and from |x| = 6 on
+exactly +-1. That tail calls libm's ``exp`` (``math.exp``) element by
+element, because numpy's vectorized ``exp`` rounds differently from libm
+on a few percent of inputs, while Cephes calls libm. GELU inputs past
+|x| = sqrt(2) are rare, so the tail is cheap. The kernel keeps its
+temporaries in buffers reused from pass to pass, so that a pass does not
+fault in fresh pages.
 """
 
 from __future__ import annotations
@@ -28,7 +41,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf
 
 LN_EPS = 1e-5
 INIT_STD = 0.02
@@ -46,10 +58,97 @@ class EncoderConfig:
     def __post_init__(self) -> None:
         if self.vocab_size < 1:
             raise ValueError("vocab_size must be >= 1")
+        if min(self.d_model, self.n_heads) < 1:
+            raise ValueError("d_model and n_heads must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if min(self.n_layers, self.d_ff, self.max_len) < 1:
             raise ValueError("n_layers, d_ff, max_len must be >= 1")
+
+
+# Cephes ndtr.c: erf(x) = x * T(x^2) / U(x^2) for |x| <= 1, and
+# erfc(x) = exp(-x^2) * P(x) / Q(x) for 1 <= x < 8. U and Q are monic;
+# their leading 1 is left out.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+# erfc(6) < 2**-54, half an ulp below 1, so from |x| = 6 on 1 - erfc(x)
+# rounds to exactly 1.
+_ERF_SATURATES = 6.0
+
+# Scratch arrays of shape [2, n] not in use by any pass. A pass takes one
+# and puts it back, so there are as many as passes have run at once, and
+# they outlive the threads and encoders that used them: compress starts
+# new helper threads and loads a new encoder on every call.
+_erf_scratch: list[np.ndarray] = []
+_NO_TAIL = np.empty(0, dtype=np.intp)
+
+
+def _erf_tail(x: np.ndarray) -> np.ndarray:
+    """erf of values with |x| > 1: the sign of x times 1 - erfc(|x|)."""
+    a = np.abs(x)
+    out = np.ones_like(a)
+    mid = a < _ERF_SATURATES
+    a = a[mid]
+    p = np.full_like(a, _ERFC_P[0])
+    for c in _ERFC_P[1:]:
+        p = p * a + c
+    q = a + _ERFC_Q[0]
+    for c in _ERFC_Q[1:]:
+        q = q * a + c
+    e = np.array([math.exp(v) for v in (-a * a).tolist()])
+    out[mid] = 1.0 - e * p / q
+    return np.copysign(out, x)
+
+
+def _erf_in_place(x: np.ndarray) -> np.ndarray:
+    """Overwrite the C-contiguous float64 array ``x`` with erf(x), bitwise
+    ``scipy.special.erf`` (see the module docstring); returns ``x``."""
+    flat = x.reshape(-1)
+    n = flat.size
+    try:
+        scratch = _erf_scratch.pop()  # atomic: several threads may encode
+    except IndexError:
+        scratch = np.empty((2, n))
+    if scratch.shape[1] < n:
+        scratch = np.empty((2, n))
+    z, acc = scratch[:, :n]
+    # Huge or infinite inputs overflow the polynomials; the tail
+    # overwrites those elements.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(flat, flat, out=z)
+        tail = _NO_TAIL
+        if not z.max() <= 1.0:  # some |x| > 1, or a NaN
+            tail = np.flatnonzero(z > 1.0)
+        x_tail = flat[tail]
+        # x * T(z) / U(z), with x * T(z) made before U(z) takes acc.
+        np.multiply(z, _ERF_T[0], out=acc)
+        for c in _ERF_T[1:-1]:
+            acc += c
+            acc *= z
+        acc += _ERF_T[-1]
+        flat *= acc
+        np.add(z, _ERF_U[0], out=acc)
+        for c in _ERF_U[1:]:
+            acc *= z
+            acc += c
+        flat /= acc
+    _erf_scratch.append(scratch)
+    if tail.size:
+        flat[tail] = _erf_tail(x_tail)
+    return x
 
 
 def _gelu(x: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -264,8 +363,7 @@ class TinyTransformerEncoder:
         w_in, ln2 = _layer_norm(x, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"], lc is not None)
         z1 = _affine(w_in, p[f"l{i}.w1"], p[f"l{i}.b1"])
         del w_in
-        e1 = z1 / math.sqrt(2.0)
-        erf(e1, out=e1)
+        e1 = _erf_in_place(z1 / math.sqrt(2.0))
         # GELU in place: 0.5 * z1 * (1 + e1).
         z1 *= 0.5
         if lc is None:

@@ -1,15 +1,18 @@
 """CLI tests: compress reads what train writes and prints the original
 words it keeps, compress and eval of the policy give the same output on
 any number of threads, eval scores every method against one
-vocabulary/LM pairing, the CLI's defaults are the library's, and bad
-training config, a bad eval flag, seed or vocabulary size, an unfit
-prompt, a malformed corpus or an empty compress input is a usage error."""
+vocabulary/LM pairing, the CLI's defaults are the library's, no command
+imports scipy, and bad training config, a bad eval flag, seed or
+vocabulary size, an unfit prompt, a malformed corpus or an empty compress
+input is a usage error."""
 
 import dataclasses
 import json
 import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +175,11 @@ class TestCompressRoundTrip:
                 "corrupt checkpoint: __meta__ field vocab is missing or ill-typed",
                 id="no-vocab",
             ),
+            pytest.param(
+                edit_meta(lambda meta: meta["encoder_cfg"].update(n_heads=0)),
+                "corrupt checkpoint: d_model and n_heads must be >= 1",
+                id="zero-heads",
+            ),
         ],
     )
     def test_bad_metadata_fails_without_output(self, tmp_path, capsys, edit, message):
@@ -182,6 +190,33 @@ class TestCompressRoundTrip:
         assert message in capsys.readouterr().err
         assert not out.exists()
         assert not out.with_name(out.name + ".partial").exists()
+
+
+# Imports the CLI and runs one command in a fresh interpreter; prints the
+# exit code and every scipy module then loaded, as JSON.
+_SCIPY_PROBE = """
+import json, sys
+import promptpress.cli
+code = promptpress.cli.main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps([code, loaded]))
+"""
+
+
+def test_cli_and_compress_import_no_scipy(tmp_path):
+    ckpt = _checkpoint_on_larger_corpus(tmp_path)
+    _randomize_head(ckpt)
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(src)
+    argv = ["compress", "--checkpoint", str(ckpt), "--input",
+            str(_compress_input(tmp_path)), "--out", str(tmp_path / "out.jsonl")]
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == []
 
 
 def _is_subsequence(sub, full):
@@ -557,6 +592,11 @@ class TestTrainConfig:
                          id="ngram-order"),
             pytest.param(["--set", "scoring.ngram_k=0"], "smoothing must be > 0",
                          id="ngram-k"),
+            *(
+                pytest.param(["--set", f"model.{key}={value}"],
+                             "d_model and n_heads must be >= 1", id=f"{key}-{value}")
+                for key, value in (("n_heads", 0), ("n_heads", -2), ("d_model", 0))
+            ),
             *(
                 pytest.param(["--no-hpc", "--fixed-c-s", c_s, "--fixed-c-l", c_l],
                              "0 < c_s < c_l <= 1", id=f"no-hpc-band-{c_s}-{c_l}")

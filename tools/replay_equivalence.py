@@ -16,7 +16,9 @@ directory of its own, as ``python -m promptpress.cli`` with that tree's
   three steps per trajectory and ``n_gen`` 1, 5 and 32, and two
   collection-only fixtures whose head is then set to seeded random
   values: a zero head keeps every probability at 0.5, so a change in the
-  encoder's numerics would not show in what the policy drops;
+  encoder's numerics would not show in what the policy drops. A second
+  copy of each fixture also has its feed-forward w1 scaled by 20, so
+  that the GELU's erf runs its |x| > 1 tail;
 * ``compress`` and ``eval`` on those checkpoints, over orders 1-4,
   ``--n-gen`` 1, 5 and 32 and ``--steps`` 1-3.
 
@@ -44,16 +46,22 @@ import inputs  # noqa: E402  the benchmark's seeded corpora, only read
 
 INPUT_SEED = 7
 
-# Sets the head of a checkpoint's actor to N(0, 0.5) draws and saves it.
+# Sets the head of a checkpoint's actor to N(0, 0.5) draws, multiplies
+# every feed-forward input matrix w1 by an optional factor (default 1),
+# and saves it.
 RANDOMIZE_HEAD = """
 import sys
 import numpy as np
 from promptpress.trainer import load_checkpoint, save_checkpoint
 src, dst, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
+w1_scale = float(sys.argv[4]) if len(sys.argv) > 4 else 1.0
 state, vocab = load_checkpoint(src)
 rng = np.random.default_rng(seed)
 for head in (state.actor.head_w, state.actor.head_b):
     head[...] = rng.normal(0.0, 0.5, size=head.shape)
+for name, value in state.actor.encoder.params.items():
+    if name.endswith(".w1"):
+        value *= w1_scale
 save_checkpoint(state, vocab, dst)
 """
 
@@ -106,11 +114,16 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("fixture-long", _fixture("long.jsonl", "fl.ckpt", N_LONG)),
     ("randomize-zipf", ["randomize-head", "fz.ckpt", "fz-rand.ckpt", "0"]),
     ("randomize-long", ["randomize-head", "fl.ckpt", "fl-rand.ckpt", "1"]),
+    # w1 x 20 puts most erf arguments of the GELU outside [-1, 1], and some
+    # past 6: the erf's tail runs, which trained weights seldom reach.
+    ("scale-w1-zipf", ["randomize-head", "fz.ckpt", "fz-w1.ckpt", "2", "20"]),
+    ("scale-w1-long", ["randomize-head", "fl.ckpt", "fl-w1.ckpt", "3", "20"]),
     ("compress-trained-1", _compress("t1.ckpt", "syn8.jsonl", 1, 0, "c1.jsonl")),
     ("compress-trained-2", _compress("t2.ckpt", "bsyn.jsonl", 2, 3, "c2.jsonl")),
     ("compress-long-3", _compress("fl-rand.ckpt", "long.jsonl", 3, 20, "c3.jsonl")),
     ("compress-long-1", _compress("fl-rand.ckpt", "long.jsonl", 1, 0, "c4.jsonl")),
     ("compress-zipf-2", _compress("fz-rand.ckpt", "zipf.jsonl", 2, 4, "c5.jsonl")),
+    ("compress-long-w1", _compress("fl-w1.ckpt", "long.jsonl", 2, 0, "c7.jsonl")),
     ("eval-o1-g1-s1", _eval("zipf.jsonl", "fz-rand.ckpt", 1, 1, 1, "e1")),
     ("eval-o2-g32-s2", _eval("zipf.jsonl", "fz-rand.ckpt", 2, 32, 2, "e2")),
     ("eval-o3-g5-s3", _eval("zipf.jsonl", "fz-rand.ckpt", 3, 5, 3, "e3")),
@@ -120,6 +133,8 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("eval-long-o4", _eval("long.jsonl", "fl-rand.ckpt", 4, 32, 3, "e7",
                            methods="selfinfo,policy", rho=0.3)),
     ("eval-trained", _eval("syn8.jsonl", "t1.ckpt", 2, 32, 2, "e8", rho=0.3)),
+    ("eval-zipf-w1", _eval("zipf.jsonl", "fz-w1.ckpt", 2, 5, 2, "e11",
+                           methods="policy")),
     ("eval-no-checkpoint", _eval("syn24.jsonl", None, 3, 5, 1, "e9",
                                  methods="identity,random,selfinfo")),
     ("compress-empty-input", _compress("t1.ckpt", "empty.jsonl", 1, 0, "c6.jsonl")),
