@@ -14,6 +14,7 @@ penalty-free.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .scoring import ProxyLM, RetentionScorer, output_distribution_kl
@@ -29,6 +30,9 @@ class RewardConfig:
     p_l: float = 100.0
 
     def __post_init__(self) -> None:
+        weights = (self.alpha, self.beta, self.gamma, self.p_s, self.p_l)
+        if not all(math.isfinite(w) for w in weights):
+            raise ValueError("reward weights and penalties must be finite")
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise ValueError("alpha, beta, gamma must be >= 0")
         if self.p_s < 0 or self.p_l < 0:

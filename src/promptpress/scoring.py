@@ -8,65 +8,47 @@ implementations:
   IDF-weighted token recall, which keeps the scorer auditable; an
   embedding-based scorer can be dropped in behind the same interface.
 * :class:`ProxyLM` stands in for the target model's output distribution.
-  The reference is an add-k smoothed n-gram model with backoff; a
-  distribution-aligned neural model can be injected behind the same
-  interface.
+  The reference is an add-k smoothed n-gram model with backoff, and every
+  query is answered from its count tables: a next-token distribution is
+  the answering context's continuation counts, and the divergence of two
+  of them is a sum over the ids either context was followed by plus one
+  closed-form term for the rest. No V-length vector is built.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
-import numpy as np
-
 from .text import TokenSequence, Vocabulary
-
-KL_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
 class NextTokenDistribution:
-    """A probability vector over the vocabulary; entries sum to 1."""
+    """The count-table answer for one context, over ``size`` ids.
 
-    probs: np.ndarray
+    Entry i is (smoothing + counts.get(i, 0)) / (smoothing * size + total),
+    with ``total`` the sum of ``counts``. ``counts`` is the model's own
+    table dict, shared and never written; no vector is built.
+    """
 
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 1:
-            raise ValueError("probs must be a vector")
-        if np.any(probs < 0):
-            raise ValueError("probs must be non-negative")
-        if abs(float(probs.sum()) - 1.0) > 1e-9:
-            raise ValueError("probs must sum to 1 within 1e-9")
-        probs = probs.copy()
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
-
-    @classmethod
-    def _trusted(cls, probs: np.ndarray) -> "NextTokenDistribution":
-        """Wrap a float64 vector that is valid by construction without the
-        constructor's copy and checks; ``probs`` becomes read-only."""
-        dist = object.__new__(cls)
-        probs.flags.writeable = False
-        object.__setattr__(dist, "probs", probs)
-        return dist
-
-    @property
-    def size(self) -> int:
-        return self.probs.shape[0]
+    counts: Mapping[int, int]
+    total: int
+    smoothing: float
+    size: int
 
 
 class ProxyLM(Protocol):
     """Small local model playing the target LLM's output-distribution role.
 
-    Three queries: the full next-token distribution after a context
-    (the divergence reads it), the probability of each token of a
-    sequence given the tokens before it (self-information reads it), and
-    a greedy continuation (the reference and the evaluation read it). The
-    last two must agree with the first bit for bit, so a model may answer
-    them without building a distribution.
+    Three queries: the next-token distribution after a context (the
+    divergence reads it), the probability of each token of a sequence
+    given the tokens before it (self-information reads it), and a greedy
+    continuation (the reference and the evaluation read it). A
+    distribution is given as counts (:class:`NextTokenDistribution`), and
+    the last two queries agree with it bit for bit.
 
     A model may also expose ``context_window``: the number of trailing
     context tokens its distributions depend on. A model without it is
@@ -77,8 +59,9 @@ class ProxyLM(Protocol):
 
     def token_probs(self, seq: TokenSequence) -> list[float]:
         """P(seq[i] | seq[:i]) for every position i, in order: entry i
-        equals ``next_token_dist(TokenSequence(seq.ids[:i])).probs[seq.ids[i]]``
-        bit for bit, and an empty ``seq`` gives an empty list."""
+        equals entry ``seq.ids[i]`` of
+        ``next_token_dist(TokenSequence(seq.ids[:i]))`` bit for bit, and an
+        empty ``seq`` gives an empty list."""
         ...
 
     def greedy_continue(self, context: TokenSequence, n: int) -> TokenSequence:
@@ -129,14 +112,25 @@ class IdfRetentionScorer:
 
 
 def kl_divergence(p: NextTokenDistribution, q: NextTokenDistribution) -> float:
-    """KL(P || Q) in nats, with Q floored at 1e-10 and renormalized."""
+    """KL(P || Q) in nats, read from the two answers' counts.
+
+    A sum over the union of the ids either context was followed by, plus
+    one term for the ``size - |union|`` ids neither was: each of those
+    has p = k_p / (k_p V + T_p) and q = k_q / (k_q V + T_q). Every entry
+    is positive, so nothing is floored, and two answers from the same
+    context give exactly 0.0.
+    """
     if p.size != q.size:
         raise ValueError(f"dimension mismatch: {p.size} != {q.size}")
-    pv = p.probs
-    qv = np.maximum(q.probs, KL_FLOOR)
-    qv = qv / qv.sum()
-    mask = pv > 0
-    return float(np.sum(pv[mask] * np.log(pv[mask] / qv[mask])))
+    z_p = p.smoothing * p.size + p.total
+    z_q = q.smoothing * q.size + q.total
+    union = p.counts.keys() | q.counts.keys()
+    kl = 0.0
+    for tid in union:
+        p_i = (p.smoothing + p.counts.get(tid, 0)) / z_p
+        kl += p_i * math.log(p_i / ((q.smoothing + q.counts.get(tid, 0)) / z_q))
+    p_rest, q_rest = p.smoothing / z_p, q.smoothing / z_q
+    return kl + (p.size - len(union)) * p_rest * math.log(p_rest / q_rest)
 
 
 def _tail(ids: tuple[int, ...], window: int | None) -> tuple[int, ...]:
@@ -194,29 +188,24 @@ class NgramLM:
     total the count of the context, the token's probability is
     (k + c) / (k V + total).
 
-    :meth:`token_probs` and the greedy successor of a tail are read
-    straight from the count tables, one dict lookup per answer and no
-    V-length vector. Only :meth:`next_token_dist`, which the divergence
-    needs in full, builds vectors: each distinct answering context is
-    built once and memoised on the model, so that memo holds at most one
-    read-only :class:`NextTokenDistribution` per fitted context plus the
-    unigram one: at most (contexts + 1) * V * 8 bytes, bounded by the
-    count tables and not by how many queries are made. Both read the same
-    IEEE operations, so a count answer equals the vector's entry bit for
-    bit.
+    All three queries read the count tables and build no V-length
+    vector: :meth:`next_token_dist` returns the answering context's own
+    continuation dict and total, :meth:`token_probs` makes one dict
+    lookup per position, and the greedy successor of a tail is the most
+    counted continuation. Each entry is computed with the same IEEE
+    operations, so their answers agree bit for bit.
 
-    Greedy decoding has a second memo: the greedy successor of each
-    trailing ``context_window``-token tail a walk has passed through,
-    one int per distinct tail walked. A tail holds at most
-    ``context_window`` ids, so the memo is bounded by the tuples of that
-    many ids over V, and it grows with the variety of the prompts
-    continued, not with their number or with ``n``.
+    Greedy decoding has a memo: the greedy successor of each trailing
+    ``context_window``-token tail a walk has passed through, one int per
+    distinct tail walked. A tail holds at most ``context_window`` ids, so
+    the memo is bounded by the tuples of that many ids over V, and it
+    grows with the variety of the prompts continued, not with their
+    number or with ``n``.
 
     Count tables are immutable after fitting, and memo entries are only
-    ever added, each immutable and equal to what a fresh model would
-    build; two threads that miss on the same key store equal values. The
-    model is therefore safe to share between compressors, episodes and
-    threads.
+    ever added, each equal to what a fresh model would find; two threads
+    that miss on the same tail store equal values. The model is therefore
+    safe to share between compressors, episodes and threads.
     """
 
     def __init__(
@@ -228,8 +217,8 @@ class NgramLM:
     ) -> None:
         if order < 1:
             raise ValueError("order must be >= 1")
-        if smoothing <= 0:
-            raise ValueError("smoothing must be > 0")
+        if not 0 < smoothing < math.inf:
+            raise ValueError("smoothing must be > 0 and finite")
         self.order = order
         self.smoothing = smoothing
         self.vocab = vocab
@@ -239,8 +228,6 @@ class NgramLM:
             {ctx: sum(cont.values()) for ctx, cont in level.items()}
             for level in counts
         ]
-        # Answering context (its length picks the level) -> distribution.
-        self._memo: dict[tuple[int, ...], NextTokenDistribution] = {}
         # Trailing context_window tokens -> greedy next token.
         self._successor: dict[tuple[int, ...], int] = {}
 
@@ -260,25 +247,12 @@ class NgramLM:
 
     def next_token_dist(self, context: TokenSequence) -> NextTokenDistribution:
         ctx = self._answering(context.ids, len(context.ids))
-        dist = self._memo.get(ctx)
-        if dist is None:
-            dist = self._memo[ctx] = self._build_dist(ctx)
-        return dist
-
-    def _build_dist(self, ctx: tuple[int, ...]) -> NextTokenDistribution:
-        """(k + count) / (k V + total) per id: positive and summing to 1
-        by construction, so it skips the constructor's checks."""
-        v = self.vocab.size
-        k = self.smoothing
-        probs = np.full(v, k, dtype=np.float64)
-        total = k * v
-        cont = self._counts[len(ctx)].get(ctx)
-        if cont:
-            for tid, n in cont.items():
-                probs[tid] += n
-            total += self._totals[len(ctx)][ctx]
-        probs /= total
-        return NextTokenDistribution._trusted(probs)
+        return NextTokenDistribution(
+            counts=self._counts[len(ctx)].get(ctx, {}),
+            total=self._totals[len(ctx)].get(ctx, 0),
+            smoothing=self.smoothing,
+            size=self.vocab.size,
+        )
 
     def token_probs(self, seq: TokenSequence) -> list[float]:
         """Per-position probabilities (see :class:`ProxyLM`), each read
@@ -332,10 +306,6 @@ def fit_ngram_lm(
     """Fit the reference proxy model on tokenized prompts over ``vocab``."""
     if not prompts:
         raise ValueError("empty corpus")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if smoothing <= 0:
-        raise ValueError("smoothing must be > 0")
     counts: list[dict[tuple[int, ...], dict[int, int]]] = [
         {} for _ in range(order)
     ]

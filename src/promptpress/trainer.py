@@ -111,8 +111,8 @@ class CurriculumSchedule:
             )
         if min(self.t_max_per_stage) < 1 or min(self.epochs_per_stage) < 1:
             raise ValueError("per-stage entries must be >= 1")
-        if self.psi <= 0:
-            raise ValueError("psi must be > 0")
+        if not 0 < self.psi < math.inf:
+            raise ValueError("psi must be > 0 and finite")
         if self.fixed_bounds is not None:
             c_s, c_l = self.fixed_bounds
             if not 0.0 < c_s < c_l <= 1.0:
@@ -168,7 +168,8 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class Scorers:
-    """Reward ingredients shared by all collection workers."""
+    """Reward ingredients: the retention scorer, the proxy LM and the
+    length of each prompt's reference continuation."""
 
     retention: RetentionScorer
     lm: ProxyLM
@@ -338,8 +339,8 @@ class TrainerConfig:
             raise ValueError("buffer capacity must be >= 2 (leave-one-out baseline)")
         if not 0.0 < self.discount <= 1.0:
             raise ValueError("discount must be in (0, 1]")
-        if self.actor_lr <= 0:
-            raise ValueError("actor_lr must be > 0")
+        if not 0 < self.actor_lr < math.inf:
+            raise ValueError("actor_lr must be > 0 and finite")
 
 
 class TrainingLog:

@@ -38,6 +38,27 @@ def fit_lm(corpus, order, smoothing, vocab=None, max_vocab=512):
     return fit_ngram_lm(prompts, order=order, smoothing=smoothing, vocab=vocab)
 
 
+def dense_probs(dist):
+    """The V-vector of a count-table answer, built as the proxy once built
+    it: (k + c) / (k V + total) per id, in the same float operations, so
+    its entries equal the model's count answers bit for bit."""
+    probs = np.full(dist.size, dist.smoothing, dtype=np.float64)
+    for tid, n in dist.counts.items():
+        probs[tid] += n
+    probs /= dist.smoothing * dist.size + dist.total
+    return probs
+
+
+def dense_kl(p, q):
+    """Reference KL(P || Q) in nats over the dense vectors, as the
+    divergence was once computed: Q floored at 1e-10 and renormalized."""
+    pv = dense_probs(p)
+    qv = np.maximum(dense_probs(q), 1e-10)
+    qv = qv / qv.sum()
+    mask = pv > 0
+    return float(np.sum(pv[mask] * np.log(pv[mask] / qv[mask])))
+
+
 def tiny_world(n_prompts=8, seed=0, n_gen=4, d_model=8):
     """(prompts, vocab, scorers, encoder_cfg) sized for fast unit tests;
     ``prompts`` are the token sequences of ``tiny_corpus``."""

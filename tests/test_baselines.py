@@ -4,6 +4,7 @@ ranking, and the policy compressor's landing on the target rate."""
 import numpy as np
 import pytest
 
+from conftest import dense_probs
 from promptpress.baselines import (
     PolicyCompressor,
     RandomCompressor,
@@ -59,30 +60,33 @@ class TestRandomCompress:
 
 
 class _TableLM:
-    """P(token) fixed per token id, whatever the context."""
+    """One answer whatever the context: id i counted ``counts[i]`` times."""
 
-    def __init__(self, probs):
-        self.probs = np.asarray(probs, dtype=float)
+    def __init__(self, counts):
+        self.dist = NextTokenDistribution(
+            counts=dict(enumerate(counts)), total=sum(counts), smoothing=0.1,
+            size=len(counts),
+        )
 
     def next_token_dist(self, context):
-        return NextTokenDistribution(self.probs)
+        return self.dist
 
     def token_probs(self, seq):
-        return [float(self.probs[t]) for t in seq.ids]
+        probs = dense_probs(self.dist)
+        return [float(probs[t]) for t in seq.ids]
 
 
 class TestSelfInfoCompress:
     def test_ties_keep_the_earlier_token(self):
         # Every token equally likely: all scores tie.
         seq = _seq(9)
-        kept = selfinfo_compress(seq, _TableLM(np.full(9, 1 / 9)), 0.5)
+        kept = selfinfo_compress(seq, _TableLM([1] * 9), 0.5)
         assert kept.ids == (0, 1, 2, 3, 4)
 
     def test_ties_break_by_position_among_equal_scores(self):
         # ids 0 and 1 are rare (kept first); 2, 3, 4 tie below them.
-        probs = [0.05, 0.05, 0.3, 0.3, 0.3]
         seq = TokenSequence((2, 0, 3, 1, 4))
-        kept = selfinfo_compress(seq, _TableLM(probs), 0.6)
+        kept = selfinfo_compress(seq, _TableLM([1, 1, 6, 6, 6]), 0.6)
         assert kept.ids == (2, 0, 1)
 
 

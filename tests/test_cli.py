@@ -593,6 +593,18 @@ class TestTrainConfig:
             pytest.param(["--set", "scoring.ngram_k=0"], "smoothing must be > 0",
                          id="ngram-k"),
             *(
+                pytest.param(["--set", f"{key}={value}"], message, id=f"{key}-{value}")
+                for key, value, message in (
+                    ("curriculum.psi", "NaN", "psi must be > 0 and finite"),
+                    ("reward.p_l", "NaN", "reward weights and penalties must be finite"),
+                    ("scoring.ngram_k", "Infinity", "smoothing must be > 0 and finite"),
+                    ("trainer.actor_lr", "NaN", "actor_lr must be > 0 and finite"),
+                    ("trainer.actor_lr", "Infinity", "actor_lr must be > 0 and finite"),
+                    ("reward.alpha", "NaN", "reward weights and penalties must be finite"),
+                    ("reward.gamma", "NaN", "reward weights and penalties must be finite"),
+                )
+            ),
+            *(
                 pytest.param(["--set", f"model.{key}={value}"],
                              "d_model and n_heads must be >= 1", id=f"{key}-{value}")
                 for key, value in (("n_heads", 0), ("n_heads", -2), ("d_model", 0))

@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import fit_lm
+from conftest import dense_kl, dense_probs, fit_lm
 from promptpress.baselines import (
     IdentityCompressor,
     RandomCompressor,
@@ -31,24 +31,12 @@ def seq(*ids):
     return TokenSequence(tuple(ids))
 
 
-def dist(*probs):
-    return NextTokenDistribution(np.array(probs, dtype=float))
-
-
-class ConstantLM:
-    """Context-insensitive stub emitting one fixed distribution."""
-
-    def __init__(self, probs):
-        self._dist = dist(*probs)
-
-    def next_token_dist(self, context):
-        return self._dist
-
-    def token_probs(self, seq):
-        return [float(self._dist.probs[t]) for t in seq.ids]
-
-    def greedy_continue(self, context, n):
-        return TokenSequence((int(np.argmax(self._dist.probs)),) * n)
+def dist(*counts, smoothing=0.1):
+    """The answer of a context followed by id i ``counts[i]`` times."""
+    return NextTokenDistribution(
+        counts=dict(enumerate(counts)), total=sum(counts), smoothing=smoothing,
+        size=len(counts),
+    )
 
 
 class LengthLM:
@@ -61,12 +49,12 @@ class LengthLM:
 
     def next_token_dist(self, context):
         if len(context) % 2 == 0:
-            return dist(0.4, 0.4, 0.2)
-        return dist(0.1, 0.2, 0.7)
+            return dist(2, 2, 1)
+        return dist(1, 2, 7)
 
     def token_probs(self, seq):
         return [
-            float(self.next_token_dist(TokenSequence(seq.ids[:i])).probs[t])
+            float(dense_probs(self.next_token_dist(TokenSequence(seq.ids[:i])))[t])
             for i, t in enumerate(seq.ids)
         ]
 
@@ -79,7 +67,7 @@ def stepwise_argmax_trace(lm, context, n):
     expected = []
     trace = context
     for _ in range(n):
-        tid = int(np.argmax(lm.next_token_dist(trace).probs))
+        tid = int(np.argmax(dense_probs(lm.next_token_dist(trace))))
         expected.append(tid)
         trace = TokenSequence(trace.ids + (tid,))
     return tuple(expected)
@@ -100,6 +88,14 @@ MEMO_CORPUS = [
     PromptRecord("0", "a b a c b a b c c a"),
     PromptRecord("1", "b b c a a"),
 ]
+
+
+def all_contexts(max_len=4):
+    """Every sequence of up to ``max_len`` ids over MEMO_VOCAB."""
+    ids = range(MEMO_VOCAB.size)
+    for n in range(max_len + 1):
+        for ctx in itertools.product(ids, repeat=n):
+            yield TokenSequence(ctx)
 
 
 def brute_force_retention(s0_ids, st_ids, idf):
@@ -164,40 +160,35 @@ class TestRetention:
 
 class TestKLDivergence:
     def test_identical_is_zero(self):
-        p = dist(0.25, 0.25, 0.5)
+        p = dist(1, 1, 2)
         assert kl_divergence(p, p) == 0.0
 
     def test_two_term_hand_value(self):
-        # 0.5*ln(0.5/0.9) + 0.5*ln(0.5/0.1) = 0.510826 nats
-        assert kl_divergence(dist(0.5, 0.5), dist(0.9, 0.1)) == pytest.approx(
-            0.5108, abs=1e-4
-        )
+        # p = (5/6, 1/6), q = (1/6, 5/6):
+        # 5/6 ln 5 + 1/6 ln(1/5) = 2/3 ln 5 = 1.072959 nats
+        got = kl_divergence(dist(4, 0, smoothing=1.0), dist(0, 4, smoothing=1.0))
+        assert got == pytest.approx(2 / 3 * np.log(5), rel=1e-14)
+
+    def test_ids_neither_context_was_followed_by(self):
+        # V = 3, k = 1: p = (3/5, 1/5, 1/5), q = (1/2, 1/4, 1/4); ids 1
+        # and 2 are in neither count dict, so the closed-form term holds
+        # both: 3/5 ln(6/5) + 2 * 1/5 ln(4/5) = 0.020136 nats
+        p = NextTokenDistribution(counts={0: 2}, total=2, smoothing=1.0, size=3)
+        q = NextTokenDistribution(counts={0: 1}, total=1, smoothing=1.0, size=3)
+        want = 0.6 * np.log(1.2) + 0.4 * np.log(0.8)
+        assert kl_divergence(p, q) == pytest.approx(want, rel=1e-14)
 
     def test_non_negative_fuzz(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             k = int(rng.integers(2, 20))
-            p = rng.random(k)
-            q = rng.random(k)
-            kl = kl_divergence(
-                NextTokenDistribution(p / p.sum()), NextTokenDistribution(q / q.sum())
-            )
-            assert kl >= 0.0
-
-    def test_zero_q_entries_floored(self):
-        p = dist(0.5, 0.5, 0.0)
-        q = dist(0.5, 0.5, 0.0)
-        assert 0.0 <= kl_divergence(p, q) <= 1e-9
+            p = dist(*rng.integers(0, 6, k).tolist(), smoothing=float(rng.random()))
+            q = dist(*rng.integers(0, 6, k).tolist(), smoothing=float(rng.random()))
+            assert kl_divergence(p, q) >= 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            kl_divergence(dist(1.0), dist(0.5, 0.5))
-
-    def test_distribution_validation(self):
-        with pytest.raises(ValueError):
-            NextTokenDistribution(np.array([0.5, 0.6]))
-        with pytest.raises(ValueError):
-            NextTokenDistribution(np.array([-0.1, 1.1]))
+            kl_divergence(dist(1), dist(1, 1))
 
 
 class TestGenerateReference:
@@ -226,8 +217,7 @@ class TestGenerateReference:
         expected = []
         trace = context
         for _ in range(8):
-            probs = lm.next_token_dist(trace).probs
-            tid = int(np.argmax(probs))
+            tid = int(np.argmax(dense_probs(lm.next_token_dist(trace))))
             expected.append(tid)
             trace = TokenSequence(trace.ids + (tid,))
         assert lm.greedy_continue(context, 8).ids == tuple(expected)
@@ -250,6 +240,13 @@ class TestGenerateReference:
     def test_greedy_successor_is_lowest_argmax(self):
         assert constant_ngram([4, 4, 2]).greedy_continue(seq(1), 1).ids == (0,)
         assert constant_ngram([1, 2, 7]).greedy_continue(seq(1), 1).ids == (2,)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_tie_takes_lowest_id_not_first_counted(self, order):
+        # After "c" come b, a and d once each, b first.
+        corpus = [PromptRecord("ties", "c b c a d c d")]
+        lm = fit_lm(corpus, order=order, smoothing=0.1, vocab=MEMO_VOCAB)
+        assert lm.greedy_continue(tokenize("c", MEMO_VOCAB), 1).ids == (0,)
 
 
 class TestGreedyWalkMemo:
@@ -319,7 +316,6 @@ class TestGreedyWalkMemo:
 
         monkeypatch.setattr(lm, "_greedy", counted)
         monkeypatch.setattr(lm, "next_token_dist", no_distribution)
-        monkeypatch.setattr(lm, "_build_dist", no_distribution)
         tails = set()
         for n in (6, 2, 9):
             for prompt in self.PROMPTS:
@@ -328,9 +324,8 @@ class TestGreedyWalkMemo:
                 tails |= self.walked_tails(self.fit(order), context, n)
         assert set(lm._successor) == tails
         # each distinct tail cost one count-table answer, once, and no
-        # distribution was built
+        # distribution was asked for
         assert len(answered) == len(tails)
-        assert lm._memo == {}
 
     def test_threads_sharing_a_model_agree_with_a_fresh_one(self):
         contexts = [tokenize(prompt, MEMO_VOCAB) for prompt in self.PROMPTS]
@@ -366,7 +361,7 @@ class TestNgramLM:
         vocab = Vocabulary(surfaces=("a", "b", "<unk>"), unknown_id=2)
         k = 0.1
         lm = fit_lm(corpus, order=2, smoothing=k, vocab=vocab)
-        probs = lm.next_token_dist(tokenize("a", vocab)).probs
+        probs = dense_probs(lm.next_token_dist(tokenize("a", vocab)))
         # count(a b) = 2, count(a .) = 2, V = 3
         assert probs[vocab.id_of("b")] == pytest.approx((2 + k) / (2 + k * 3))
         assert probs[vocab.id_of("a")] == pytest.approx(k / (2 + k * 3))
@@ -377,7 +372,7 @@ class TestNgramLM:
         lm = fit_lm(corpus, order=2, smoothing=0.5, vocab=vocab)
         unseen = lm.next_token_dist(tokenize("c", vocab))  # "c" ends the text
         unigram = lm.next_token_dist(TokenSequence(()))
-        np.testing.assert_allclose(unseen.probs, unigram.probs)
+        assert unseen == unigram
 
     def test_distributions_sum_to_one(self):
         corpus = [PromptRecord("0", "a b c a b"), PromptRecord("1", "b c d")]
@@ -388,95 +383,16 @@ class TestNgramLM:
             for j in range(lm.vocab.size):
                 contexts.append(seq(i, j))
         for ctx in contexts:
-            assert abs(float(lm.next_token_dist(ctx).probs.sum()) - 1.0) <= 1e-9
+            assert abs(float(dense_probs(lm.next_token_dist(ctx)).sum()) - 1.0) <= 1e-9
 
     def test_validation(self):
         with pytest.raises(ValueError):
             fit_ngram_lm([], order=2, smoothing=0.1, vocab=MEMO_VOCAB)
         with pytest.raises(ValueError):
             fit_ngram_lm([seq(0)], order=0, smoothing=0.1, vocab=MEMO_VOCAB)
-        with pytest.raises(ValueError):
-            fit_ngram_lm([seq(0)], order=1, smoothing=0.0, vocab=MEMO_VOCAB)
-
-
-class TestNgramMemo:
-    @staticmethod
-    def contexts(max_len=4):
-        ids = range(MEMO_VOCAB.size)
-        for n in range(max_len + 1):
-            for ctx in itertools.product(ids, repeat=n):
-                yield TokenSequence(ctx)
-
-    @pytest.mark.parametrize("order", [1, 2, 3])
-    def test_memoised_equals_fresh_model(self, order):
-        lm = fit_lm(MEMO_CORPUS, order=order, smoothing=0.1, vocab=MEMO_VOCAB)
-        for _ in range(2):  # the second pass reads only memo entries
-            for ctx in self.contexts():
-                fresh = fit_lm(
-                    MEMO_CORPUS, order=order, smoothing=0.1, vocab=MEMO_VOCAB
-                )
-                got = lm.next_token_dist(ctx)
-                want = fresh.next_token_dist(ctx)
-                assert got.probs.tobytes() == want.probs.tobytes(), ctx.ids
-
-    @pytest.mark.parametrize("order", [1, 2, 3])
-    def test_memo_is_bounded_by_count_tables(self, order):
-        lm = fit_lm(MEMO_CORPUS, order=order, smoothing=0.1, vocab=MEMO_VOCAB)
-        fitted = set()
-        for record in MEMO_CORPUS:
-            ids = tokenize(record.text, MEMO_VOCAB).ids
-            for i in range(len(ids)):
-                for o in range(1, min(order, i + 1) + 1):
-                    fitted.add(ids[i - (o - 1): i])
-        for ctx in self.contexts():
-            lm.next_token_dist(ctx)
-        assert 0 < len(lm._memo) <= len(fitted) + 1
-
-    def test_backed_off_contexts_share_one_entry(self):
-        lm = fit_lm(MEMO_CORPUS, order=3, smoothing=0.1, vocab=MEMO_VOCAB)
-        unigram = lm.next_token_dist(TokenSequence(()))
-        # Neither "d" nor "a d" was seen: both back off to the unigram level.
-        assert lm.next_token_dist(tokenize("d", MEMO_VOCAB)) is unigram
-        assert lm.next_token_dist(tokenize("a d", MEMO_VOCAB)) is unigram
-        # In "c d a" the trigram context "d a" is unseen, so "a" answers.
-        assert (
-            lm.next_token_dist(tokenize("c d a", MEMO_VOCAB))
-            is lm.next_token_dist(tokenize("a", MEMO_VOCAB))
-        )
-
-    @pytest.mark.parametrize("order", [1, 2, 3])
-    @pytest.mark.parametrize(
-        "corpus",
-        [
-            MEMO_CORPUS,
-            # After "c" come b, a and d once each, b first: a tie that the
-            # lowest id, not the first counted, must win.
-            [PromptRecord("ties", "c b c a d c d")],
-        ],
-        ids=["memo", "ties"],
-    )
-    def test_built_distributions_pass_the_constructor_checks(self, order, corpus):
-        # The model builds its vectors without the constructor's checks;
-        # each must pass them, and the greedy successor read from the
-        # counts is the vector's lowest-id argmax.
-        lm = fit_lm(corpus, order=order, smoothing=0.1, vocab=MEMO_VOCAB)
-        for ctx in self.contexts():
-            got = lm.next_token_dist(ctx)
-            checked = NextTokenDistribution(got.probs)
-            assert checked.probs.tobytes() == got.probs.tobytes(), ctx.ids
-            assert lm.greedy_continue(ctx, 1).ids == (int(np.argmax(got.probs)),), ctx.ids
-            assert not got.probs.flags.writeable
-        if corpus is not MEMO_CORPUS and order > 1:
-            assert lm.greedy_continue(tokenize("c", MEMO_VOCAB), 1).ids == (0,)
-
-    def test_repeat_query_returns_same_read_only_object(self):
-        lm = fit_lm(MEMO_CORPUS, order=2, smoothing=0.1, vocab=MEMO_VOCAB)
-        ctx = tokenize("b a", MEMO_VOCAB)
-        first = lm.next_token_dist(ctx)
-        assert lm.next_token_dist(TokenSequence(ctx.ids)) is first
-        assert not first.probs.flags.writeable
-        with pytest.raises(ValueError):
-            first.probs[0] = 1.0
+        for smoothing in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="smoothing must be > 0 and finite"):
+                fit_ngram_lm([seq(0)], order=1, smoothing=smoothing, vocab=MEMO_VOCAB)
 
     def test_shared_lm_gives_same_rows_as_fresh_lms(self):
         corpus = [
@@ -516,9 +432,10 @@ class TestNgramMemo:
 
 class TestCountAnswers:
     """``token_probs`` and the walk's greedy successors are read from the
-    count tables; each must equal what the built vector gives, bit for
-    bit. "d" and "<unk>" never occur in MEMO_CORPUS, so the contexts
-    below include backed-off and wholly unseen ones."""
+    count tables; each must equal what the dense reference vector
+    (``conftest.dense_probs``) gives, bit for bit. "d" and "<unk>" never
+    occur in MEMO_CORPUS, so the contexts below include backed-off and
+    wholly unseen ones."""
 
     ORDERS = [1, 2, 3, 4]
     SMOOTHINGS = [0.1, 0.5, 1e-3]
@@ -540,7 +457,7 @@ class TestCountAnswers:
         for s in self.sequences():
             got = np.array(lm.token_probs(s), dtype=np.float64)
             want = np.array([
-                lm.next_token_dist(TokenSequence(s.ids[:i])).probs[t]
+                dense_probs(lm.next_token_dist(TokenSequence(s.ids[:i])))[t]
                 for i, t in enumerate(s.ids)
             ])
             assert got.tobytes() == want.tobytes(), s.ids
@@ -549,13 +466,76 @@ class TestCountAnswers:
     @pytest.mark.parametrize("smoothing", SMOOTHINGS)
     def test_successors_equal_distribution_argmax(self, order, smoothing):
         lm = fit_lm(MEMO_CORPUS, order=order, smoothing=smoothing, vocab=MEMO_VOCAB)
-        for ctx in TestNgramMemo.contexts():
-            want = int(np.argmax(lm.next_token_dist(ctx).probs))
+        for ctx in all_contexts():
+            want = int(np.argmax(dense_probs(lm.next_token_dist(ctx))))
             assert lm.greedy_continue(ctx, 1).ids == (want,), ctx.ids
         # every tail of up to context_window ids was answered from counts
         assert len(lm._successor) == sum(
             MEMO_VOCAB.size ** n for n in range(min(lm.context_window, 4) + 1)
         )
+
+
+class TestClosedFormKL:
+    """``kl_divergence`` read from the counts against the dense reference
+    (``conftest.dense_kl``, with its 1e-10 floor, which never binds).
+    They differ only in rounding: within 1e-12 relative or 1e-15
+    absolute. "d" and "<unk>" never occur in MEMO_CORPUS, so contexts
+    back off."""
+
+    PROMPTS = ["a", "c a", "d", "a d", "b b c", "d a c b b", "c b a", "<unk> a b"]
+
+    @staticmethod
+    def assert_close(got, want):
+        assert abs(got - want) <= max(1e-15, 1e-12 * abs(want)), (got, want)
+
+    @pytest.mark.parametrize("order", TestCountAnswers.ORDERS)
+    @pytest.mark.parametrize("smoothing", TestCountAnswers.SMOOTHINGS)
+    def test_kl_divergence_matches_dense_reference(self, order, smoothing):
+        lm = fit_lm(MEMO_CORPUS, order=order, smoothing=smoothing, vocab=MEMO_VOCAB)
+        answers = []  # one per answering context of up to three ids
+        for ctx in all_contexts(3):
+            answer = lm.next_token_dist(ctx)
+            if answer not in answers:
+                answers.append(answer)
+        for p in answers:
+            for q in answers:
+                got = kl_divergence(p, q)
+                if p == q:
+                    assert got == 0.0
+                self.assert_close(got, dense_kl(p, q))
+
+    @pytest.mark.parametrize("order", TestCountAnswers.ORDERS)
+    @pytest.mark.parametrize("smoothing", TestCountAnswers.SMOOTHINGS)
+    def test_output_distribution_kl_matches_dense_reference(self, order, smoothing):
+        lm = fit_lm(MEMO_CORPUS, order=order, smoothing=smoothing, vocab=MEMO_VOCAB)
+        prompts = [tokenize(text, MEMO_VOCAB) for text in self.PROMPTS]
+        for s0 in prompts:
+            ref = lm.greedy_continue(s0, 6)
+            for st in prompts:
+                want = sum(
+                    dense_kl(
+                        lm.next_token_dist(TokenSequence(st.ids + ref.ids[:i])),
+                        lm.next_token_dist(TokenSequence(s0.ids + ref.ids[:i])),
+                    )
+                    for i in range(len(ref))
+                ) / len(ref)
+                self.assert_close(output_distribution_kl(lm, s0, st, ref), want)
+
+    def test_contexts_with_one_answering_context_give_exactly_zero(self):
+        lm = fit_lm(MEMO_CORPUS, order=3, smoothing=0.1, vocab=MEMO_VOCAB)
+        # Neither "d" nor "a d" was seen: both back off to the unigram
+        # level. In "c d a" the trigram context "d a" is unseen, so "a"
+        # answers.
+        for text_p, text_q in [("d", "a d"), ("c d a", "a"), ("d", "")]:
+            p = lm.next_token_dist(tokenize(text_p, MEMO_VOCAB))
+            q = lm.next_token_dist(tokenize(text_q, MEMO_VOCAB))
+            assert p == q
+            assert kl_divergence(p, q) == 0.0
+        # The prompts' tails differ, so position 0 is scored, but "b d"
+        # and "a d" both back off to the unigram level; later positions
+        # share their tails.
+        s0, st = tokenize("b d", MEMO_VOCAB), tokenize("a d", MEMO_VOCAB)
+        assert output_distribution_kl(lm, s0, st, lm.greedy_continue(s0, 4)) == 0.0
 
 
 class TestOutputDistributionKL:
@@ -590,7 +570,7 @@ class TestOutputDistributionKL:
         assert output_distribution_kl(lm, s0, st, ref) == pytest.approx(np.mean(terms))
 
     def test_empty_reference_errors(self):
-        lm = ConstantLM([0.5, 0.5])
+        lm = constant_ngram([1, 1])
         with pytest.raises(ValueError, match="reference"):
             output_distribution_kl(lm, seq(0), seq(1), TokenSequence(()))
 

@@ -20,7 +20,11 @@ directory of its own, as ``python -m promptpress.cli`` with that tree's
   copy of each fixture also has its feed-forward w1 scaled by 20, so
   that the GELU's erf runs its |x| > 1 tail;
 * ``compress`` and ``eval`` on those checkpoints, over orders 1-4,
-  ``--n-gen`` 1, 5 and 32 and ``--steps`` 1-3.
+  ``--n-gen`` 1, 5 and 32 and ``--steps`` 1-3;
+* the float64 keep probabilities of ``policy_forward`` under the two
+  w1-scaled fixtures, written raw: every other output is kept words or
+  their scores, so it shows a change in the encoder's numerics only
+  when that change flips a keep/drop decision.
 
 Every command's exit code, stdout and stderr and every file in the two
 directories are compared; in manifests the directory's own path is
@@ -65,6 +69,23 @@ for name, value in state.actor.encoder.params.items():
 save_checkpoint(state, vocab, dst)
 """
 
+# Writes the keep probabilities ``policy_forward`` gives every prompt of
+# a corpus under a checkpoint, concatenated as raw float64.
+KEEP_PROBS = """
+import sys
+import numpy as np
+from promptpress.policy import policy_forward
+from promptpress.text import load_corpus, tokenize_corpus
+from promptpress.trainer import load_checkpoint
+ckpt, corpus, dst = sys.argv[1:4]
+state, vocab = load_checkpoint(ckpt)
+prompts = tokenize_corpus(load_corpus(corpus), vocab, state.actor.encoder.cfg.max_len)
+np.concatenate(policy_forward(state.actor, prompts)).astype(np.float64).tofile(dst)
+"""
+
+# Snippets a command can name as its argv[0], run with the rest of argv.
+SNIPPETS = {"randomize-head": RANDOMIZE_HEAD, "keep-probs": KEEP_PROBS}
+
 
 def _fixture(corpus: str, out: str, n_prompts: int) -> list[str]:
     """``train`` of one stage, epoch and step with a buffer larger than
@@ -90,7 +111,7 @@ def _compress(ckpt: str, corpus: str, steps: int, budget: int, out: str) -> list
 
 N_ZIPF, N_LONG = 24, 8
 
-# (name, argv): argv[0] "randomize-head" runs RANDOMIZE_HEAD, anything
+# (name, argv): argv[0] a key of SNIPPETS runs that snippet, anything
 # else is a promptpress command. Paths are relative to the run directory.
 COMMANDS: list[tuple[str, list[str]]] = [
     ("make-syn8", ["make-corpus", "--seed", "3", "--n", "8", "--filler", "0.5",
@@ -135,6 +156,8 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("eval-trained", _eval("syn8.jsonl", "t1.ckpt", 2, 32, 2, "e8", rho=0.3)),
     ("eval-zipf-w1", _eval("zipf.jsonl", "fz-w1.ckpt", 2, 5, 2, "e11",
                            methods="policy")),
+    ("keep-probs-long-w1", ["keep-probs", "fl-w1.ckpt", "long.jsonl", "kp-long.f64"]),
+    ("keep-probs-zipf-w1", ["keep-probs", "fz-w1.ckpt", "zipf.jsonl", "kp-zipf.f64"]),
     ("eval-no-checkpoint", _eval("syn24.jsonl", None, 3, 5, 1, "e9",
                                  methods="identity,random,selfinfo")),
     ("compress-empty-input", _compress("t1.ckpt", "empty.jsonl", 1, 0, "c6.jsonl")),
@@ -164,8 +187,8 @@ def replay(tree: Path, run: Path) -> dict[str, tuple[int, bytes, bytes]]:
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     results = {}
     for name, argv in COMMANDS:
-        if argv[0] == "randomize-head":
-            cmd = [sys.executable, "-c", RANDOMIZE_HEAD, *argv[1:]]
+        if argv[0] in SNIPPETS:
+            cmd = [sys.executable, "-c", SNIPPETS[argv[0]], *argv[1:]]
         else:
             cmd = [sys.executable, "-m", "promptpress.cli", *argv]
         proc = subprocess.run(cmd, cwd=run, env=env, capture_output=True, timeout=900)
