@@ -169,18 +169,26 @@ def write_manifest(
     _atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _as_int(value: object, key: str) -> int:
+    """An integer config value; a bool or a fraction is an error, where
+    ``int`` would truncate it and run a value the manifest does not hold."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _build_training_pieces(config: dict[str, object], seed: int, no_hpc: bool,
                            fixed_c_s: float, fixed_c_l: float, vocab_size: int):
     trainer_cfg = TrainerConfig(
         actor_lr=float(config["trainer.actor_lr"]),
         clip_eps=float(config["trainer.clip_eps"]),
-        batch_size=int(config["trainer.batch_size"]),
-        buffer_capacity=int(config["trainer.buffer_m"]),
+        batch_size=_as_int(config["trainer.batch_size"], "trainer.batch_size"),
+        buffer_capacity=_as_int(config["trainer.buffer_m"], "trainer.buffer_m"),
         discount=float(config["trainer.discount"]),
         seed=seed,
     )
-    t_max = tuple(int(v) for v in config["curriculum.t_max"])
-    epochs = tuple(int(v) for v in config["curriculum.epochs"])
+    t_max = tuple(_as_int(v, "curriculum.t_max") for v in config["curriculum.t_max"])
+    epochs = tuple(_as_int(v, "curriculum.epochs") for v in config["curriculum.epochs"])
     schedule = CurriculumSchedule(
         psi=float(config["curriculum.psi"]),
         t_max_per_stage=t_max,
@@ -196,11 +204,11 @@ def _build_training_pieces(config: dict[str, object], seed: int, no_hpc: bool,
     )
     encoder_cfg = EncoderConfig(
         vocab_size=vocab_size,
-        d_model=int(config["model.d_model"]),
-        n_heads=int(config["model.n_heads"]),
-        n_layers=int(config["model.n_layers"]),
-        d_ff=int(config["model.d_ff"]),
-        max_len=int(config["model.max_len"]),
+        d_model=_as_int(config["model.d_model"], "model.d_model"),
+        n_heads=_as_int(config["model.n_heads"], "model.n_heads"),
+        n_layers=_as_int(config["model.n_layers"], "model.n_layers"),
+        d_ff=_as_int(config["model.d_ff"], "model.d_ff"),
+        max_len=_as_int(config["model.max_len"], "model.max_len"),
     )
     return trainer_cfg, schedule, reward_cfg, encoder_cfg
 
@@ -246,21 +254,23 @@ def cmd_train(args: argparse.Namespace) -> int:
     # A bad config value, band, prompt length or scoring setting is a
     # usage error, found before the manifest is written.
     try:
-        vocab = build_vocabulary(corpus, int(config["vocab.max_size"]))
+        vocab = build_vocabulary(
+            corpus, _as_int(config["vocab.max_size"], "vocab.max_size")
+        )
         trainer_cfg, schedule, reward_cfg, encoder_cfg = _build_training_pieces(
             config, seed, args.no_hpc, args.fixed_c_s, args.fixed_c_l, vocab.size
         )
         prompts = tokenize_corpus(corpus, vocab, encoder_cfg.max_len)
         lm = fit_ngram_lm(
             prompts,
-            order=int(config["scoring.ngram_order"]),
+            order=_as_int(config["scoring.ngram_order"], "scoring.ngram_order"),
             smoothing=float(config["scoring.ngram_k"]),
             vocab=vocab,
         )
         scorers = Scorers(
             retention=IdfRetentionScorer(compute_idf_table(prompts)),
             lm=lm,
-            n_gen=int(config["scoring.n_gen"]),
+            n_gen=_as_int(config["scoring.n_gen"], "scoring.n_gen"),
         )
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid training config: {exc}") from exc

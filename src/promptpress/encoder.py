@@ -15,9 +15,17 @@ There is one forward pass. Its arithmetic runs in place on arrays it has
 just made, never on a parameter, in the order of the plain expressions
 it stands for, so its results are bitwise those of that order. Training
 asks it for a backward cache; inference (``encode``) asks for none, and
-then each intermediate is released as soon as it has been read. The
-encoder is only read by a forward pass, so several threads may encode
+then each intermediate is released as soon as it has been read. An
+inference pass only reads the encoder, so several threads may encode
 with one encoder at once.
+
+The backward pass recomputes nothing: the cache holds every
+intermediate it reads, the layer-norm outputs and the feed-forward
+block's pre-GELU input and GELU output included. It writes each gradient
+into an array the caller gives, in practice a view of one flat vector.
+The cache itself lives in buffers that the encoder keeps from one
+training pass to the next (``_BlockCache``), so a training step takes
+no fresh memory for its activations or its gradient.
 
 The GELU is the exact one, 0.5 * x * (1 + erf(x / sqrt(2))), and its erf
 is computed here on numpy (``_erf_in_place``) to give bitwise the values
@@ -151,58 +159,94 @@ def _erf_in_place(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _gelu(x: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """GELU of x, given e = erf(x / sqrt(2))."""
-    return 0.5 * x * (1.0 + e)
+def _gelu_grad(x: np.ndarray, e: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """GELU'(x) = 0.5 (1 + erf(x / sqrt 2)) + x exp(-x x / 2) / sqrt(2 pi),
+    given e = 1 + erf(x / sqrt 2), in the operation order of that
+    expression. Made in place in ``e``, which it returns, with ``t`` (the
+    shape of x) as scratch."""
+    np.multiply(x, -0.5, out=t)
+    t *= x
+    np.exp(t, out=t)
+    t *= x
+    t /= math.sqrt(2.0 * math.pi)
+    e *= 0.5
+    e += t
+    return e
 
 
-def _gelu_grad(x: np.ndarray, e: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + e) + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-def _affine(x, w, b):
-    """x @ w + b, with b added in place."""
-    out = x @ w
+def _affine(x, w, b, out=None):
+    """x @ w + b, made in ``out`` (a new array if None), b added in place."""
+    out = np.matmul(x, w, out=out)
     out += b
     return out
 
 
-def _layer_norm(x, gain, bias, keep_cache=True):
+class _BlockCache(dict):
+    """What the backward reads of one block of a training pass, by name.
+
+    ``take`` hands out an entry's storage: a view of a buffer kept in
+    ``buffers`` from pass to pass, grown when a pass needs more. Training
+    then reuses one set of arrays at every iteration. Arrays made afresh
+    at each pass and freed by its backward gather at the top of the heap,
+    where the allocator hands them back to the system, so each pass
+    faulted in several megabytes of fresh pages, at more cost than the
+    recomputation this cache saves. A block cache given a buffer dict of
+    its own allocates every entry afresh.
+    """
+
+    def __init__(self, buffers: dict[str, np.ndarray]) -> None:
+        super().__init__()
+        self._buffers = buffers
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """Uninitialized storage of ``shape``, recorded as entry ``name``."""
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        self[name] = view = buf[:size].reshape(shape)
+        return view
+
+
+def _layer_norm(x, gain, bias, lc=None, key=""):
     """Layer norm over the last axis; ``x`` is only read.
 
-    Returns the output and its backward cache (xhat, inv, gain). Without
-    ``keep_cache`` the cache is None and the output is made in place in
-    the xhat array.
+    Without a block cache ``lc`` the output is made in place in a new
+    array. With one, the output is its entry ``key``, and xhat and inv,
+    which the backward reads, its entries ``key.xhat`` and ``key.inv``.
     """
-    xhat = x - x.mean(axis=-1, keepdims=True)
+    xhat = np.empty_like(x) if lc is None else lc.take(key + ".xhat", x.shape)
+    np.subtract(x, x.mean(axis=-1, keepdims=True), out=xhat)
     var = (xhat**2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv
-    if keep_cache:
-        cache = (xhat, inv, gain)
-        return _layer_norm_output(cache, bias), cache
-    xhat *= gain
-    xhat += bias
-    return xhat, None
+    if lc is None:
+        out = xhat
+    else:
+        lc[key + ".inv"] = inv
+        out = lc.take(key, x.shape)
+    np.multiply(xhat, gain, out=out)
+    out += bias
+    return out
 
 
-def _layer_norm_output(cache, bias):
-    """Layer-norm output from its backward cache (the backward recomputes it)."""
-    xhat, _, gain = cache
-    return gain * xhat + bias
-
-
-def _layer_norm_backward(dy, cache):
-    xhat, inv, gain = cache
-    dgain = (dy * xhat).sum(axis=0)
-    dbias = dy.sum(axis=0)
-    dxhat = dy * gain
-    dx = inv * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
-    return dx, dgain, dbias
+def _layer_norm_backward(dy, lc, key, gain, dgain, dbias):
+    """d(input) of the layer norm kept as ``key`` in the block cache
+    ``lc``, given dy = d(output); writes d(gain) and d(bias) into
+    ``dgain`` and ``dbias``. Its cached xhat is overwritten."""
+    xhat, inv = lc[key + ".xhat"], lc[key + ".inv"]
+    prod = dy * xhat
+    prod.sum(axis=0, out=dgain)
+    dy.sum(axis=0, out=dbias)
+    # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), with
+    # dxhat = dy * gain.
+    dxhat = np.multiply(dy, gain, out=prod)
+    dx = dxhat * xhat
+    xhat *= dx.mean(axis=-1, keepdims=True)
+    np.subtract(dxhat, dxhat.mean(axis=-1, keepdims=True), out=dx)
+    dx -= xhat
+    dx *= inv
+    return dx
 
 
 def parameter_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -245,11 +289,19 @@ class TinyTransformerEncoder:
     ``params`` maps each name of ``parameter_shapes`` to its array; the
     encoder reads them and never replaces one, so they may be views into
     storage its owner keeps.
+
+    A training pass (``forward`` with a cache) keeps what its backward
+    reads in buffers the encoder makes on the first such pass and reuses
+    after, so training passes run one at a time, and a pass's cache is
+    valid until the next training pass starts. Inference passes use none
+    of it.
     """
 
     def __init__(self, cfg: EncoderConfig, params: dict[str, np.ndarray]) -> None:
         self.cfg = cfg
         self.params = params
+        self._buffers: list[dict[str, np.ndarray]] = []  # one dict per layer
+        self._pass: object = None  # the cache of the latest training pass
 
     def initialize(self, seed: int) -> None:
         """Set every parameter in place to its initial value: the weight
@@ -317,29 +369,41 @@ class TinyTransformerEncoder:
         """
         p = self.params
         arr, bounds = self._check_ids(ids, lengths)
+        if keep_cache:
+            if not self._buffers:
+                self._buffers = [{} for _ in range(self.cfg.n_layers)]
+            layer_caches = [_BlockCache(b) for b in self._buffers]
+        else:
+            layer_caches = [None] * self.cfg.n_layers
         x = p["tok_emb"][arr]  # a copy: the residual adds below run in place
         for s, e in bounds:
             x[s:e] += p["pos_emb"][: e - s]
-        layer_caches = []
-        for i in range(self.cfg.n_layers):
-            lc = {} if keep_cache else None
+        for i, lc in enumerate(layer_caches):
             x += self._attention(i, x, bounds, lc)
             x += self._ffn(i, x, lc)
-            layer_caches.append(lc)
-        h, lnf = _layer_norm(x, p["lnf_g"], p["lnf_b"], keep_cache)
         if not keep_cache:
-            return h, None
-        return h, dict(ids=arr, bounds=bounds, layers=layer_caches, lnf=lnf)
+            return _layer_norm(x, p["lnf_g"], p["lnf_b"]), None
+        # The features are the caller's to keep, so the final layer norm
+        # takes fresh storage.
+        cache = _BlockCache({})
+        h = _layer_norm(x, p["lnf_g"], p["lnf_b"], cache, "lnf")
+        cache.update(ids=arr, bounds=bounds, layers=layer_caches)
+        self._pass = cache
+        return h, cache
 
     def _attention(self, i, x, bounds, lc):
         """Attention block of layer i, without its residual. Stores what
         the backward reads in ``lc`` unless it is None."""
         p = self.params
         scale = 1.0 / math.sqrt(self.cfg.d_model // self.cfg.n_heads)
-        u, ln1 = _layer_norm(x, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"], lc is not None)
-        q, k, v = (_affine(u, p[f"l{i}.w{n}"], p[f"l{i}.b{n}"]) for n in "qkv")
+        u = _layer_norm(x, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"], lc, "ln1")
+        q, k, v = (
+            _affine(u, p[f"l{i}.w{n}"], p[f"l{i}.b{n}"],
+                    None if lc is None else lc.take(n, x.shape))
+            for n in "qkv"
+        )
         del u
-        c = np.empty_like(q)
+        c = np.empty_like(q) if lc is None else lc.take("c", x.shape)
         atts = []
         for s, e in bounds:
             # Row softmax of the scaled scores, in place.
@@ -352,7 +416,7 @@ class TinyTransformerEncoder:
             if lc is not None:
                 atts.append(att)
         if lc is not None:
-            lc.update(ln1=ln1, q=q, k=k, v=v, atts=atts, c=c)
+            lc["atts"] = atts
         del q, k, v, att
         return _affine(c, p[f"l{i}.wo"], p[f"l{i}.bo"])
 
@@ -360,78 +424,85 @@ class TinyTransformerEncoder:
         """Feed-forward block of layer i, without its residual. Stores what
         the backward reads in ``lc`` unless it is None."""
         p = self.params
-        w_in, ln2 = _layer_norm(x, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"], lc is not None)
-        z1 = _affine(w_in, p[f"l{i}.w1"], p[f"l{i}.b1"])
+        w_in = _layer_norm(x, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"], lc, "ln2")
+        shape = (x.shape[0], self.cfg.d_ff)
+        z1 = _affine(w_in, p[f"l{i}.w1"], p[f"l{i}.b1"],
+                     None if lc is None else lc.take("z1", shape))
         del w_in
-        e1 = _erf_in_place(z1 / math.sqrt(2.0))
-        # GELU in place: 0.5 * z1 * (1 + e1).
-        z1 *= 0.5
-        if lc is None:
-            e1 += 1.0
-            z1 *= e1
-        else:
-            z1 *= 1.0 + e1
-            # Kept only for training, and small: the backward recomputes u,
-            # w_in, z1 and the GELU output with a few cheap ops; only erf,
-            # the costly one, is kept.
-            lc.update(ln2=ln2, e1=e1)
-        del e1
-        return _affine(z1, p[f"l{i}.w2"], p[f"l{i}.b2"])
+        e1 = np.divide(z1, math.sqrt(2.0),
+                       out=None if lc is None else lc.take("e1", shape))
+        _erf_in_place(e1)
+        e1 += 1.0
+        # GELU: 0.5 * z1 * (1 + erf), in place in z1 for inference. Training
+        # keeps z1, 1 + erf and the GELU output, so that the backward reads
+        # them instead of recomputing them.
+        gelu = np.multiply(z1, 0.5, out=z1 if lc is None else lc.take("gelu", shape))
+        gelu *= e1
+        del z1, e1
+        return _affine(gelu, p[f"l{i}.w2"], p[f"l{i}.b2"])
 
-    def backward(self, cache, dh: np.ndarray) -> dict[str, np.ndarray]:
+    def backward(self, cache, dh: np.ndarray, grads: dict[str, np.ndarray]) -> None:
         """Gradients of a scalar with upstream dh = d(scalar)/d(features).
 
         ``dh`` is [T, d] for the pack ``cache`` came from; the gradients
-        are summed over every sequence of the pack. The cache is consumed:
-        each entry is released as soon as it has been used.
+        are summed over every sequence of the pack. ``grads`` maps every
+        parameter name to an array of its shape, typically a view of one
+        flat vector, and each is overwritten with that parameter's
+        gradient. The cache is consumed, and must be the latest training
+        pass's.
         """
+        if cache is not self._pass:
+            raise ValueError(
+                "not the cache of the latest training pass: it was used, or a "
+                "later pass has overwritten it"
+            )
+        self._pass = None
         p = self.params
         bounds = cache["bounds"]
-        layers = cache["layers"]
-        # Same key order as the parameters, so norms sum in a fixed order.
-        grads: dict[str, np.ndarray] = dict.fromkeys(p)
-
-        dx, grads["lnf_g"], grads["lnf_b"] = _layer_norm_backward(dh, cache.pop("lnf"))
-        for i in reversed(range(self.cfg.n_layers)):
-            lc = layers.pop()
+        dx = _layer_norm_backward(
+            dh, cache, "lnf", p["lnf_g"], grads["lnf_g"], grads["lnf_b"]
+        )
+        for i, lc in reversed(list(enumerate(cache["layers"]))):
             dx = self._ffn_backward(i, lc, dx, grads)
             dx = self._attention_backward(i, lc, bounds, dx, grads)
 
-        grads["tok_emb"] = np.zeros_like(p["tok_emb"])
+        grads["tok_emb"].fill(0.0)
         np.add.at(grads["tok_emb"], cache["ids"], dx)
-        grads["pos_emb"] = np.zeros_like(p["pos_emb"])
+        pos = grads["pos_emb"]
+        pos.fill(0.0)
         for s, e in bounds:
-            grads["pos_emb"][: e - s] += dx[s:e]
-        return grads
+            pos[: e - s] += dx[s:e]
 
     def _ffn_backward(self, i, lc, dx, grads):
         """Feed-forward block of layer i plus its residual; returns d(x_attn)."""
         p = self.params
-        e1, ln2 = lc.pop("e1"), lc.pop("ln2")
-        w_in = _layer_norm_output(ln2, p[f"l{i}.ln2_b"])
-        z1 = _affine(w_in, p[f"l{i}.w1"], p[f"l{i}.b1"])
-        grads[f"l{i}.w2"] = _gelu(z1, e1).T @ dx
-        grads[f"l{i}.b2"] = dx.sum(axis=0)
-        dz1 = (dx @ p[f"l{i}.w2"].T) * _gelu_grad(z1, e1)
-        grads[f"l{i}.w1"] = w_in.T @ dz1
-        grads[f"l{i}.b1"] = dz1.sum(axis=0)
-        dx_attn, grads[f"l{i}.ln2_g"], grads[f"l{i}.ln2_b"] = _layer_norm_backward(
-            dz1 @ p[f"l{i}.w1"].T, ln2
+        np.matmul(lc["gelu"].T, dx, out=grads[f"l{i}.w2"])
+        dx.sum(axis=0, out=grads[f"l{i}.b2"])
+        z1 = lc["z1"]
+        dz1 = np.matmul(dx, p[f"l{i}.w2"].T, out=lc.take("dz1", z1.shape))
+        # The GELU output is read, so its storage is the scratch.
+        dz1 *= _gelu_grad(z1, lc["e1"], lc["gelu"])
+        np.matmul(lc["ln2"].T, dz1, out=grads[f"l{i}.w1"])
+        dz1.sum(axis=0, out=grads[f"l{i}.b1"])
+        dx_attn = _layer_norm_backward(
+            dz1 @ p[f"l{i}.w1"].T, lc, "ln2", p[f"l{i}.ln2_g"],
+            grads[f"l{i}.ln2_g"], grads[f"l{i}.ln2_b"],
         )
-        return dx_attn + dx  # residual
+        dx_attn += dx  # residual
+        return dx_attn
 
     def _attention_backward(self, i, lc, bounds, da, grads):
         """Attention block of layer i plus its residual; returns d(x)."""
         p = self.params
         d = self.cfg.d_model
         scale = 1.0 / math.sqrt(d // self.cfg.n_heads)
-        q, k, v, atts, ln1 = (lc.pop(key) for key in ("q", "k", "v", "atts", "ln1"))
+        q, k, v = lc["q"], lc["k"], lc["v"]
         dc = da @ p[f"l{i}.wo"].T
-        grads[f"l{i}.wo"] = lc.pop("c").T @ da
-        grads[f"l{i}.bo"] = da.sum(axis=0)
+        np.matmul(lc["c"].T, da, out=grads[f"l{i}.wo"])
+        da.sum(axis=0, out=grads[f"l{i}.bo"])
         # attention stays within each sequence
         dq, dk, dv = np.empty_like(dc), np.empty_like(dc), np.empty_like(dc)
-        for (s, e), att in zip(bounds, atts):
+        for (s, e), att in zip(bounds, lc["atts"]):
             n = e - s
             dctx = self._heads(dc[s:e])
             datt = dctx @ self._heads(v[s:e]).transpose(0, 2, 1)
@@ -442,16 +513,13 @@ class TinyTransformerEncoder:
             dq[s:e] = dqh.transpose(1, 0, 2).reshape(n, d)
             dk[s:e] = dkh.transpose(1, 0, 2).reshape(n, d)
             dv[s:e] = dvh.transpose(1, 0, 2).reshape(n, d)
-        u = _layer_norm_output(ln1, p[f"l{i}.ln1_b"])
+        u = lc["ln1"]
         du = dq @ p[f"l{i}.wq"].T + dk @ p[f"l{i}.wk"].T + dv @ p[f"l{i}.wv"].T
-        grads[f"l{i}.wq"] = u.T @ dq
-        grads[f"l{i}.bq"] = dq.sum(axis=0)
-        grads[f"l{i}.wk"] = u.T @ dk
-        grads[f"l{i}.bk"] = dk.sum(axis=0)
-        grads[f"l{i}.wv"] = u.T @ dv
-        grads[f"l{i}.bv"] = dv.sum(axis=0)
-        dx_pre, grads[f"l{i}.ln1_g"], grads[f"l{i}.ln1_b"] = (
-            _layer_norm_backward(du, ln1)
+        for name, dy in (("q", dq), ("k", dk), ("v", dv)):
+            np.matmul(u.T, dy, out=grads[f"l{i}.w{name}"])
+            dy.sum(axis=0, out=grads[f"l{i}.b{name}"])
+        dx = _layer_norm_backward(
+            du, lc, "ln1", p[f"l{i}.ln1_g"], grads[f"l{i}.ln1_g"], grads[f"l{i}.ln1_b"]
         )
-        return dx_pre + da  # residual
-
+        dx += da  # residual
+        return dx

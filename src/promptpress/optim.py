@@ -1,9 +1,17 @@
-"""Adam optimizer and global gradient-norm clipping over parameter dicts,
-and the named views that lay a parameter dict over one flat vector."""
+"""Adam and global gradient-norm clipping over one flat parameter
+vector and its gradient, and the named views that lay the parameters
+over such a vector.
+
+Both work on the whole vector at once rather than parameter by
+parameter. Clipping still sums the squared norm per parameter view, in
+order, and Adam is elementwise, so each gives bitwise what a loop over
+the views gives.
+"""
 
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 import numpy as np
 
@@ -30,27 +38,28 @@ def flat_views(
     return views
 
 
-def global_norm(grads: dict[str, np.ndarray]) -> float:
-    return math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+def clip_gradients(
+    grad: np.ndarray, parts: Iterable[np.ndarray], max_norm: float
+) -> float:
+    """Scale ``grad`` in place so its norm is at most max_norm; returns
+    the norm before scaling.
 
-
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale gradients in place so their global norm is at most max_norm."""
-    norm = global_norm(grads)
+    ``parts`` are views that tile ``grad``, one per parameter in storage
+    order; the squared norm is their partial sums added in that order.
+    """
+    norm = math.sqrt(sum(float((g * g).sum()) for g in parts))
     if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
+        grad *= max_norm / norm
     return norm
 
 
 class Adam:
-    """Standard Adam over a named parameter dict; updates in place.
+    """Standard Adam over the parameters laid out in one flat vector.
 
-    The first and second moments are one vector each, ``m`` and ``v``,
-    laid out like the parameters in dict order; a step works on their
-    named views. ``moments`` adopts a saved (m, v) pair as that storage
-    instead of zeros.
+    ``params`` names the parameters, in storage order, only for their
+    sizes. The first and second moments are one vector each, ``m`` and
+    ``v``, laid out like the parameter vector; ``moments`` adopts a saved
+    (m, v) pair as that storage instead of zeros.
     """
 
     def __init__(
@@ -67,20 +76,19 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        shapes = {k: p.shape for k, p in params.items()}
         if moments is None:
             size = sum(p.size for p in params.values())
             moments = (np.zeros(size), np.zeros(size))
         self.m, self.v = moments
-        self._m = flat_views(self.m, shapes)
-        self._v = flat_views(self.v, shapes)
-        # Scratch for the step's intermediates, shared by every parameter:
-        # each step uses a view of its first ``size`` entries.
+        # Scratch for the step's intermediates: a step runs over the
+        # vector in chunks of its size, no larger than the largest
+        # parameter.
         size = max((p.size for p in params.values()), default=0)
         self._scratch = (np.empty(size), np.empty(size))
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        """One descent step along ``grads`` (pass negated grads to ascend).
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """One descent step of the flat ``params`` along the flat ``grad``
+        (pass a negated gradient to ascend).
 
         Computes ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
         ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)`` in that operation
@@ -90,16 +98,17 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for key, grad in grads.items():
-            m = self._m[key]
-            v = self._v[key]
-            num, den = (a[: grad.size].reshape(grad.shape) for a in self._scratch)
+        chunk = self._scratch[0].size
+        for start in range(0, grad.size, chunk):
+            end = start + chunk
+            g, m, v = grad[start:end], self.m[start:end], self.v[start:end]
+            num, den = (a[: g.size] for a in self._scratch)
             m *= self.beta1
-            np.multiply(grad, 1.0 - self.beta1, out=num)
+            np.multiply(g, 1.0 - self.beta1, out=num)
             m += num
             v *= self.beta2
-            np.multiply(grad, 1.0 - self.beta2, out=num)
-            num *= grad
+            np.multiply(g, 1.0 - self.beta2, out=num)
+            num *= g
             v += num
             np.divide(m, bc1, out=num)
             num *= self.lr
@@ -107,4 +116,4 @@ class Adam:
             np.sqrt(den, out=den)
             den += self.eps
             num /= den
-            params[key] -= num
+            params[start:end] -= num

@@ -75,6 +75,23 @@ class Actor:
         return Actor(self.encoder.cfg, self.flat.copy())
 
 
+class ActorGradient:
+    """Storage for a gradient w.r.t. every actor parameter: one flat
+    vector laid out like ``Actor.flat``, and its views.
+
+    ``views`` are named as in ``actor_shapes``; ``encoder`` holds the
+    encoder's views under the encoder's own parameter names, as its
+    backward pass takes them. Training allocates one and refills it at
+    every update iteration; inference never builds one.
+    """
+
+    def __init__(self, cfg: EncoderConfig) -> None:
+        shapes = actor_shapes(cfg)
+        self.flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+        self.views = flat_views(self.flat, shapes)
+        self.encoder = {k: self.views[f"enc.{k}"] for k in parameter_shapes(cfg)}
+
+
 def _softmax2(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -193,16 +210,16 @@ def apply_action(
 
 def packed_action_log_probs(
     actor: Actor, seqs: Sequence[Sequence[int]], labels: Sequence[Sequence[int]]
-) -> tuple[np.ndarray, Callable[[np.ndarray], dict[str, np.ndarray]]]:
+) -> tuple[np.ndarray, Callable[[np.ndarray, ActorGradient], None]]:
     """Log-probability of each action vector ``labels[j]`` on ``seqs[j]``.
 
     One encoder forward pass covers the whole pack. The returned function
-    maps per-sequence coefficients c to the gradient of
-    sum_j c_j * log_prob_j w.r.t. every actor parameter, in one backward
-    pass; call it at most once, as the backward consumes the forward's
-    cache. Tokens whose keep probability sits at the floor get zero
-    gradient, matching the clamped forward value. Requires a trainable
-    encoder (forward/backward).
+    takes per-sequence coefficients c and an :class:`ActorGradient`, and
+    overwrites the latter with the gradient of sum_j c_j * log_prob_j
+    w.r.t. every actor parameter, in one backward pass; call it at most
+    once, as the backward consumes the forward's cache. Tokens whose keep
+    probability sits at the floor get zero gradient, matching the clamped
+    forward value.
     """
     lengths = [len(seq) for seq in seqs]
     if [len(l) for l in labels] != lengths:
@@ -217,17 +234,14 @@ def packed_action_log_probs(
     ends = list(itertools.accumulate(lengths))
     log_probs = np.array([picked[s:e].sum() for s, e in zip([0] + ends[:-1], ends)])
 
-    def gradient_of(coeffs: np.ndarray) -> dict[str, np.ndarray]:
+    def gradient_into(coeffs: np.ndarray, grad: ActorGradient) -> None:
         dlogits = -probs
         dlogits[rows, idx] += 1.0
         unclamped = (probs[:, 1] > PROB_FLOOR) & (probs[:, 1] < 1.0 - PROB_FLOOR)
         dlogits[~unclamped] = 0.0
         dlogits *= np.repeat(np.asarray(coeffs, dtype=float), lengths)[:, None]
-        enc_grads = actor.encoder.backward(cache, dlogits @ actor.head_w.T)
-        grads = {f"enc.{k}": v for k, v in enc_grads.items()}
-        grads["head_w"] = h.T @ dlogits
-        grads["head_b"] = dlogits.sum(axis=0)
-        return grads
+        actor.encoder.backward(cache, dlogits @ actor.head_w.T, grad.encoder)
+        np.matmul(h.T, dlogits, out=grad.views["head_w"])
+        dlogits.sum(axis=0, out=grad.views["head_b"])
 
-    return log_probs, gradient_of
-
+    return log_probs, gradient_into

@@ -31,6 +31,7 @@ from .encoder import EncoderConfig
 from .optim import Adam, clip_gradients
 from .policy import (
     Actor,
+    ActorGradient,
     apply_action,
     packed_action_log_probs,
     policy_forward,
@@ -252,9 +253,13 @@ def _clipped_term(
 
 
 def ppo_objective_and_grads(
-    batch: Sequence[tuple[TrajectoryStep, float]], actor_new: Actor, clip_eps: float
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Objective plus its gradient w.r.t. the new actor's parameters.
+    batch: Sequence[tuple[TrajectoryStep, float]],
+    actor_new: Actor,
+    clip_eps: float,
+    grad: ActorGradient,
+) -> float:
+    """Objective; its gradient w.r.t. the new actor's parameters is
+    written into ``grad``.
 
     One encoder forward and one backward pass cover the whole batch: each
     step's coefficient delta * A / n is applied to its tokens' upstream
@@ -264,7 +269,7 @@ def ppo_objective_and_grads(
     """
     if not batch:
         raise ValueError("empty batch")
-    new_lps, gradient_of = packed_action_log_probs(
+    new_lps, gradient_into = packed_action_log_probs(
         actor_new,
         [step.current.ids for step, _ in batch],
         [step.labels for step, _ in batch],
@@ -277,7 +282,8 @@ def ppo_objective_and_grads(
         total += term
         if flows:
             coeffs[j] = delta * adv / n
-    return total / n, gradient_of(coeffs)
+    gradient_into(coeffs, grad)
+    return total / n
 
 
 def returns_from(rewards: Sequence[float], t: int, discount: float) -> float:
@@ -397,9 +403,11 @@ def _update_round(
     stage: int,
     epoch: int,
     round_idx: int,
+    grad: ActorGradient,
 ) -> None:
     """M = len(trajs) PPO iterations, each on batch_size trajectories drawn
-    uniformly with replacement from the round's list."""
+    uniformly with replacement from the round's list. ``grad`` is the
+    storage each iteration's gradient is written into."""
     m = len(trajs)
     all_steps = [s for traj in trajs for s in traj.steps]
     mean_reward = sum(s.reward for s in all_steps) / len(all_steps)
@@ -412,7 +420,6 @@ def _update_round(
     # one stage and one t_max.
     advantages = leave_one_out_advantages(trajs, trainer_cfg.discount)
 
-    actor_params = state.actor.parameters()
     for iteration in range(m):
         rng = np.random.default_rng(
             seed_for(trainer_cfg.seed, _TAG_UPDATE, stage, epoch, round_idx, iteration)
@@ -423,8 +430,8 @@ def _update_round(
             for t, step in enumerate(trajs[i].steps)
         ]
 
-        objective, actor_grads = ppo_objective_and_grads(
-            batch, state.actor, trainer_cfg.clip_eps
+        objective = ppo_objective_and_grads(
+            batch, state.actor, trainer_cfg.clip_eps, grad
         )
         if not math.isfinite(objective):
             state.log.append(
@@ -442,10 +449,9 @@ def _update_round(
                 f"round {round_idx} iteration {iteration}: {objective}"
             )
 
-        clip_gradients(actor_grads, GRAD_CLIP_NORM)
-        for g in actor_grads.values():  # ascend on the surrogate objective
-            np.negative(g, out=g)
-        state.actor_opt.step(actor_params, actor_grads)
+        clip_gradients(grad.flat, grad.views.values(), GRAD_CLIP_NORM)
+        np.negative(grad.flat, out=grad.flat)  # ascend on the surrogate objective
+        state.actor_opt.step(state.actor.flat, grad.flat)
 
         state.log.append(
             {
@@ -498,6 +504,7 @@ def hpc_train(
     references: dict[int, TokenSequence] = {}
 
     actor_old = state.actor.clone()
+    grad = ActorGradient(state.actor.encoder.cfg)
     m = trainer_cfg.buffer_capacity
     trajs: list[Trajectory] = []
 
@@ -524,9 +531,11 @@ def hpc_train(
                     reference=references[ep_idx],
                 ))
                 if len(trajs) == m:
-                    _update_round(trajs, state, trainer_cfg, stage, epoch, round_idx)
+                    _update_round(
+                        trajs, state, trainer_cfg, stage, epoch, round_idx, grad
+                    )
                     trajs = []
-                    actor_old = state.actor.clone()
+                    actor_old.flat[...] = state.actor.flat
                     round_idx += 1
             if progress is not None:
                 progress(f"stage {stage} epoch {epoch} done ({round_idx} rounds)")

@@ -18,9 +18,11 @@ import numpy as np
 import pytest
 
 from conftest import bump_schema_version, edit_meta, rewrite_checkpoint
-from promptpress import cli
+from promptpress import cli, encoder
 from promptpress.cli import main
 from promptpress.encoder import EncoderConfig, TinyTransformerEncoder
+from promptpress.optim import Adam
+from promptpress.policy import ActorGradient
 from promptpress.reward import RewardConfig
 from promptpress.text import PromptRecord, make_synthetic_corpus, save_corpus
 from promptpress.trainer import (
@@ -217,6 +219,27 @@ def test_cli_and_compress_import_no_scipy(tmp_path):
     code, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
     assert loaded == []
+
+
+def test_inference_builds_no_training_storage(tmp_path, monkeypatch):
+    # Gradient vectors, optimizer scratch and the buffers of training
+    # passes belong to training: loading an actor, compressing and
+    # evaluating build none of them.
+    ckpt = _checkpoint_on_larger_corpus(tmp_path)
+    _randomize_head(ckpt)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"inference built a {type(self).__name__}")
+
+    for cls in (ActorGradient, Adam, encoder._BlockCache):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    actor, _ = load_checkpoint(ckpt, actor_only=True)
+    assert actor.flat.size > 0
+    corpus = _compress_input(tmp_path)
+    assert main(["compress", "--checkpoint", str(ckpt), "--input", str(corpus),
+                 "--out", str(tmp_path / "out.jsonl"), "--steps", "2"]) == 0
+    assert main(["eval", "--corpus", str(corpus), "--methods", "policy",
+                 "--checkpoint", str(ckpt), "--out-prefix", str(tmp_path / "ev")]) == 0
 
 
 def _is_subsequence(sub, full):
@@ -602,6 +625,21 @@ class TestTrainConfig:
                     ("trainer.actor_lr", "Infinity", "actor_lr must be > 0 and finite"),
                     ("reward.alpha", "NaN", "reward weights and penalties must be finite"),
                     ("reward.gamma", "NaN", "reward weights and penalties must be finite"),
+                )
+            ),
+            # int() would truncate these, and the run would not be the one
+            # its manifest records.
+            *(
+                pytest.param(["--set", f"{key}={value}"],
+                             f"{key} must be an integer, got {shown}", id=f"{key}-{value}")
+                for key, value, shown in (
+                    ("scoring.n_gen", "2.9", "2.9"),
+                    ("scoring.n_gen", "true", "True"),
+                    ("curriculum.t_max", "[1.7,1,1]", "1.7"),
+                    ("curriculum.epochs", "[1,false,2]", "False"),
+                    ("trainer.buffer_m", "16.5", "16.5"),
+                    ("model.d_model", "true", "True"),
+                    ("vocab.max_size", "64.5", "64.5"),
                 )
             ),
             *(

@@ -1,10 +1,15 @@
-"""Optimizer tests: the in-place Adam step is bitwise the textbook one,
-on moments kept as one flat vector each."""
+"""Optimizer tests: the in-place Adam step over one flat vector is bitwise
+the textbook one, and clipping plus Adam over the flat vector is bitwise
+the same steps taken parameter view by parameter view."""
+
+import math
 
 import numpy as np
 import pytest
 
-from promptpress.optim import Adam, flat_views
+from promptpress.encoder import EncoderConfig
+from promptpress.optim import Adam, clip_gradients, flat_views
+from promptpress.policy import actor_shapes
 
 
 def reference_adam(params, grads_per_step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -22,6 +27,52 @@ def reference_adam(params, grads_per_step, lr, beta1=0.9, beta2=0.999, eps=1e-8)
             v[key] += (1.0 - beta2) * grad * grad
             params[key] -= lr * (m[key] / bc1) / (np.sqrt(v[key] / bc2) + eps)
     return params, m, v
+
+
+def per_view_clip(grads, max_norm):
+    """Gradient clipping one named array at a time: the norm summed per
+    array in dict order, then each array scaled."""
+    norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    if norm > max_norm and norm > 0.0:
+        scale = max_norm / norm
+        for g in grads.values():
+            g *= scale
+    return norm
+
+
+class PerViewAdam:
+    """Adam stepping one named array at a time, on scratch the size of the
+    largest, in the operation order of the program's step."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {k: np.zeros_like(p) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p) for k, p in params.items()}
+        size = max(p.size for p in params.values())
+        self._scratch = (np.empty(size), np.empty(size))
+
+    def step(self, params, grads):
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for key, grad in grads.items():
+            m, v = self.m[key], self.v[key]
+            num, den = (a[: grad.size].reshape(grad.shape) for a in self._scratch)
+            m *= self.beta1
+            np.multiply(grad, 1.0 - self.beta1, out=num)
+            m += num
+            v *= self.beta2
+            np.multiply(grad, 1.0 - self.beta2, out=num)
+            num *= grad
+            v += num
+            np.divide(m, bc1, out=num)
+            num *= self.lr
+            np.divide(v, bc2, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            num /= den
+            params[key] -= num
 
 
 def _problem():
@@ -49,14 +100,19 @@ def _flat(arrays):
     return np.concatenate([a.ravel() for a in arrays.values()])
 
 
+def _shapes(arrays):
+    return {k: a.shape for k, a in arrays.items()}
+
+
 def test_five_steps_bitwise_equal_to_reference():
     params, grads_per_step = _problem()
     want, want_m, want_v = reference_adam(params, grads_per_step, lr=1e-3)
 
-    got = {k: v.copy() for k, v in params.items()}
+    flat = _flat(params)
+    got = flat_views(flat, _shapes(params))
     opt = Adam(got, lr=1e-3)
     for grads in grads_per_step:
-        opt.step(got, grads)
+        opt.step(flat, _flat(grads))
     for key in params:
         assert got[key].tobytes() == want[key].tobytes(), key
     # The moments are one vector each, laid out like the parameters.
@@ -77,19 +133,55 @@ def test_adopted_moments_continue_bitwise():
     want, want_m, want_v = reference_adam(params, grads_per_step, lr=1e-3)
 
     flat = _flat(params)
-    got = flat_views(flat, {k: v.shape for k, v in params.items()})
+    got = flat_views(flat, _shapes(params))
     first = Adam(got, lr=1e-3)
     for grads in grads_per_step[:3]:
-        first.step(got, grads)
+        first.step(flat, _flat(grads))
     m, v = first.m.copy(), first.v.copy()
     second = Adam(got, lr=1e-3, moments=(m, v))
     second.t = first.t
     for grads in grads_per_step[3:]:
-        second.step(got, grads)
+        second.step(flat, _flat(grads))
     assert second.m is m and second.v is v
     assert flat.tobytes() == _flat(want).tobytes()
     assert m.tobytes() == _flat(want_m).tobytes()
     assert v.tobytes() == _flat(want_v).tobytes()
+
+
+@pytest.mark.parametrize("grad_scale", [1e-3, 3.0], ids=["unclipped", "clipped"])
+def test_clipped_ascent_steps_match_per_view_steps_bitwise(grad_scale):
+    # Clip, negate and step as training does, on the actor's layout, whose
+    # parameters vary in size so that the last chunk of a step is partial,
+    # against the same steps taken one parameter view at a time.
+    shapes = actor_shapes(EncoderConfig(vocab_size=11, d_model=8, n_heads=2,
+                                        n_layers=2, d_ff=16, max_len=8))
+    rng = np.random.default_rng(1)
+    size = sum(math.prod(s) for s in shapes.values())
+    start = rng.normal(scale=0.02, size=size)
+    flat = start.copy()
+    params = flat_views(flat, shapes)
+    ref_params = flat_views(start.copy(), shapes)
+    opt = Adam(params, lr=1e-2)
+    ref_opt = PerViewAdam(ref_params, lr=1e-2)
+    assert size % opt._scratch[0].size != 0
+    grad = np.empty(size)
+    norms = []
+    for _ in range(4):
+        grad[...] = rng.normal(scale=grad_scale, size=size)
+        ref_grads = {k: v.copy() for k, v in flat_views(grad, shapes).items()}
+        norm = clip_gradients(grad, flat_views(grad, shapes).values(), 1.0)
+        np.negative(grad, out=grad)
+        opt.step(flat, grad)
+        assert norm == per_view_clip(ref_grads, 1.0)
+        for g in ref_grads.values():
+            np.negative(g, out=g)
+        ref_opt.step(ref_params, ref_grads)
+        assert grad.tobytes() == _flat(ref_grads).tobytes()
+        assert flat.tobytes() == _flat(ref_params).tobytes()
+        assert opt.m.tobytes() == _flat(ref_opt.m).tobytes()
+        assert opt.v.tobytes() == _flat(ref_opt.v).tobytes()
+        norms.append(norm)
+    assert all((n > 1.0) == (grad_scale > 1.0) for n in norms)
 
 
 def test_flat_views_share_memory_and_check_length():

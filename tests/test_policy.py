@@ -10,8 +10,10 @@ import pytest
 from gradcheck import (
     REL_TOL,
     action_log_prob,
+    encoder_gradients,
     max_relative_error,
     packed_log_prob_and_grad,
+    reference_backward,
 )
 from promptpress.encoder import LN_EPS, EncoderConfig, TinyTransformerEncoder
 from promptpress.policy import (
@@ -376,7 +378,7 @@ class TestPackedEncoder:
         # Scalar sum(W * h): its upstream gradient is W.
         weight = np.random.default_rng(2).normal(size=(len(ids), TINY.d_model))
         _, cache = enc.forward(ids, self.LENGTHS)
-        grads = enc.backward(cache, weight)
+        grads = encoder_gradients(enc, cache, weight)
         worst, where = max_relative_error(
             enc.params, grads,
             lambda: float((weight * enc.forward(ids, self.LENGTHS)[0]).sum()),
@@ -435,9 +437,55 @@ class TestInferenceForward:
         lengths = (3, 256)
         ids = rng.integers(0, self.CFG.vocab_size, sum(lengths))
         h, cache = enc.forward(ids, lengths)
-        enc.backward(cache, rng.normal(size=h.shape))
+        encoder_gradients(enc, cache, rng.normal(size=h.shape))
         for name, value in enc.params.items():
             assert np.array_equal(value, before[name]), name
+
+    @pytest.mark.parametrize("lengths", [(1,), (37,), (37, 1, 256, 5)],
+                             ids=["L1", "L37", "pack"])
+    @pytest.mark.parametrize("w1_scale", [1.0, 20.0])
+    def test_backward_matches_recomputing_reference_bitwise(self, lengths, w1_scale):
+        # The backward reads what the training forward cached, in place,
+        # into views of one vector; the reference recomputes the layer-norm
+        # outputs, the feed-forward matmul and the GELU with plain
+        # expressions. Scaling w1 by 20 sends GELU inputs into the erf's
+        # |x| > 1 tail.
+        enc = self._perturbed_encoder(seed=len(lengths))
+        for i in range(self.CFG.n_layers):
+            enc.params[f"l{i}.w1"] *= w1_scale
+        rng = np.random.default_rng(sum(lengths))
+        ids = rng.integers(0, self.CFG.vocab_size, sum(lengths))
+        h, cache = enc.forward(ids, lengths)
+        dh = rng.normal(size=h.shape)
+        largest_erf = max(float(np.abs(lc["e1"] - 1.0).max()) for lc in cache["layers"])
+        want = reference_backward(enc, cache, dh)
+        _, fresh = enc.forward(ids, lengths)
+        got = encoder_gradients(enc, fresh, dh)
+        assert list(got) == list(want)
+        for name, grad in got.items():
+            assert grad.tobytes() == want[name].tobytes(), name
+        # erf(1) is 0.8427: only the tail gives values closer to +-1.
+        assert w1_scale == 1.0 or largest_erf > 0.8428
+
+    def test_training_passes_reuse_their_buffers(self):
+        # A training pass keeps its cache in buffers the next pass reuses;
+        # the features it returns are fresh, and backward refuses a cache
+        # that a later pass has overwritten or that was used already.
+        enc = self._perturbed_encoder(seed=3)
+        ids = np.random.default_rng(4).integers(0, self.CFG.vocab_size, 40)
+        h1, first = enc.forward(ids, (30, 10))
+        h1_bits = h1.tobytes()
+        h2, second = enc.forward(ids[:25])
+        for name in ("q", "ln1", "ln1.xhat", "z1", "e1", "gelu"):
+            assert np.shares_memory(first["layers"][0][name], second["layers"][0][name])
+        assert not np.shares_memory(h1, h2)
+        assert h1.tobytes() == h1_bits
+        with pytest.raises(ValueError, match="latest training pass"):
+            encoder_gradients(enc, first, np.ones_like(h1))
+        encoder_gradients(enc, second, np.ones_like(h2))
+        with pytest.raises(ValueError, match="latest training pass"):
+            encoder_gradients(enc, second, np.ones_like(h2))
+        assert enc.encode(ids).tobytes() == enc.forward(ids)[0].tobytes()
 
     def test_encode_keeps_its_checks(self):
         enc = self._perturbed_encoder()
