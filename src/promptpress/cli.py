@@ -54,29 +54,32 @@ from .trainer import (
     save_checkpoint,
 )
 
+# A default that a dataclass owns is read from it, so it changes in one
+# place. The n-gram order and smoothing and the vocabulary cap have no
+# dataclass; ``eval`` reads them from here too.
 CONFIG_DEFAULTS: dict[str, object] = {
-    "trainer.actor_lr": 1e-5,
-    "trainer.clip_eps": 0.15,
-    "trainer.batch_size": 4,
-    "trainer.buffer_m": 16,
-    "trainer.discount": 1.0,
+    "trainer.actor_lr": TrainerConfig.actor_lr,
+    "trainer.clip_eps": TrainerConfig.clip_eps,
+    "trainer.batch_size": TrainerConfig.batch_size,
+    "trainer.buffer_m": TrainerConfig.buffer_capacity,
+    "trainer.discount": TrainerConfig.discount,
     "trainer.seed": None,
-    "curriculum.psi": 0.1,
-    "curriculum.t_max": [2, 2, 1],
-    "curriculum.epochs": [1, 1, 2],
-    "reward.alpha": 1.0,
-    "reward.beta": 1.0,
-    "reward.gamma": 1.0,
-    "reward.p_s": 200.0,
-    "reward.p_l": 100.0,
+    "curriculum.psi": CurriculumSchedule.psi,
+    "curriculum.t_max": list(CurriculumSchedule.t_max_per_stage),
+    "curriculum.epochs": list(CurriculumSchedule.epochs_per_stage),
+    "reward.alpha": RewardConfig.alpha,
+    "reward.beta": RewardConfig.beta,
+    "reward.gamma": RewardConfig.gamma,
+    "reward.p_s": RewardConfig.p_s,
+    "reward.p_l": RewardConfig.p_l,
     "scoring.ngram_order": 2,
     "scoring.ngram_k": 0.1,
-    "scoring.n_gen": 32,
-    "model.d_model": 64,
-    "model.n_heads": 2,
-    "model.n_layers": 2,
-    "model.d_ff": 256,
-    "model.max_len": 256,
+    "scoring.n_gen": Scorers.n_gen,
+    "model.d_model": EncoderConfig.d_model,
+    "model.n_heads": EncoderConfig.n_heads,
+    "model.n_layers": EncoderConfig.n_layers,
+    "model.d_ff": EncoderConfig.d_ff,
+    "model.max_len": EncoderConfig.max_len,
     "vocab.max_size": 512,
 }
 
@@ -99,6 +102,12 @@ def _atomic(path: Path, content) -> None:
     else:
         content(partial)
     os.replace(partial, path)
+
+
+def _jsonl(records) -> str:
+    """One JSON object per line, keys sorted: the format of every JSONL
+    file the commands write."""
+    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
 
 
 def resolve_config(
@@ -244,6 +253,10 @@ def cmd_make_corpus(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    if not args.no_hpc and (args.fixed_c_s, args.fixed_c_l) != (None, None):
+        raise UsageError("--fixed-c-s and --fixed-c-l set the band only with --no-hpc")
+    fixed_c_s = 0.5 if args.fixed_c_s is None else args.fixed_c_s
+    fixed_c_l = 0.9 if args.fixed_c_l is None else args.fixed_c_l
     config = resolve_config(args.config, _parse_set_flags(args.set or []))
     seed = resolve_seed(args.seed, config["trainer.seed"])
     config["trainer.seed"] = seed
@@ -258,7 +271,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             corpus, _as_int(config["vocab.max_size"], "vocab.max_size")
         )
         trainer_cfg, schedule, reward_cfg, encoder_cfg = _build_training_pieces(
-            config, seed, args.no_hpc, args.fixed_c_s, args.fixed_c_l, vocab.size
+            config, seed, args.no_hpc, fixed_c_s, fixed_c_l, vocab.size
         )
         prompts = tokenize_corpus(corpus, vocab, encoder_cfg.max_len)
         lm = fit_ngram_lm(
@@ -282,7 +295,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         command="train",
         seed=seed,
         config={**config, "no_hpc": bool(args.no_hpc),
-                "fixed_c_s": args.fixed_c_s, "fixed_c_l": args.fixed_c_l},
+                "fixed_c_s": fixed_c_s, "fixed_c_l": fixed_c_l},
         inputs={"corpus": str(args.corpus)},
         artifacts={"checkpoint": str(out), "log": str(log_path)},
     )
@@ -297,7 +310,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         progress=lambda msg: print(msg, file=sys.stderr),
     )
     _atomic(out, lambda p: save_checkpoint(state, vocab, p))
-    _atomic(log_path, state.log.dumps())
+    _atomic(log_path, _jsonl(state.log))
     print(f"wrote checkpoint {out} and log {log_path}")
     return 0
 
@@ -373,22 +386,19 @@ def cmd_compress(args: argparse.Namespace) -> int:
                 [p for p, label in zip(positions, lab) if label]
                 for positions, lab in zip(kept, labels)
             ]
-    lines = []
+    rows = []
     for record, seq, cur, positions in zip(corpus, seqs, current, kept):
         words = split_surfaces(record.text)
-        lines.append(json.dumps(
-            {
-                "id": record.id,
-                "original": record.text,
-                "compressed": " ".join(words[p] for p in positions),
-                "rho": len(cur) / len(seq),
-                "tokens_before": len(seq),
-                "tokens_after": len(cur),
-            },
-            sort_keys=True,
-        ))
-    _atomic(out, "\n".join(lines) + "\n")
-    print(f"wrote {len(lines)} compressed prompts to {out}")
+        rows.append({
+            "id": record.id,
+            "original": record.text,
+            "compressed": " ".join(words[p] for p in positions),
+            "rho": len(cur) / len(seq),
+            "tokens_before": len(seq),
+            "tokens_after": len(cur),
+        })
+    _atomic(out, _jsonl(rows))
+    print(f"wrote {len(rows)} compressed prompts to {out}")
     return 0
 
 
@@ -475,11 +485,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
 
     reports = evaluate(compressors, corpus, prompts, lm, settings)
-    records = [rec for report in reports for rec in report.jsonl_records()]
-    _atomic(
-        jsonl_path,
-        "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records),
-    )
+    _atomic(jsonl_path, _jsonl(r for report in reports for r in report.jsonl_records()))
     _atomic(table_path, "\n".join(r.table() for r in reports))
     print(f"wrote {jsonl_path} and {table_path}")
     return 0
@@ -508,9 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--no-hpc", action="store_true",
                    help="freeze the compression band instead of the curriculum")
-    p.add_argument("--fixed-c-s", type=float, default=0.5,
+    p.add_argument("--fixed-c-s", type=float, default=None,
                    help="lower band bound used with --no-hpc")
-    p.add_argument("--fixed-c-l", type=float, default=0.9,
+    p.add_argument("--fixed-c-l", type=float, default=None,
                    help="upper band bound used with --no-hpc")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override any config key")
@@ -532,9 +538,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=0.5)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--steps", type=int, default=1, help="policy rollout steps")
-    p.add_argument("--ngram-order", type=int, default=2)
-    p.add_argument("--n-gen", type=int, default=32)
-    p.add_argument("--vocab-size", type=int, default=512,
+    p.add_argument("--ngram-order", type=int,
+                   default=CONFIG_DEFAULTS["scoring.ngram_order"])
+    p.add_argument("--n-gen", type=int, default=CONFIG_DEFAULTS["scoring.n_gen"])
+    p.add_argument("--vocab-size", type=int, default=CONFIG_DEFAULTS["vocab.max_size"],
                    help="vocabulary cap when no --checkpoint supplies one")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-prefix", required=True)

@@ -79,36 +79,31 @@ class RetentionScorer(Protocol):
     def score(self, s0: TokenSequence, st: TokenSequence) -> float: ...
 
 
-def idf_retention_score(
-    s0: TokenSequence, st: TokenSequence, idf: Mapping[int, float]
-) -> float:
-    """IDF-weighted recall of the original prompt's tokens.
-
-    Σ idf over the multiset intersection of s0 and st, divided by Σ idf
-    over s0. Ids missing from the table weigh 1.
-    """
-    if len(s0) == 0:
-        raise ValueError("undefined retention: empty original sequence")
-    counts0 = Counter(s0.ids)
-    counts_t = Counter(st.ids)
-    total = sum(idf.get(tid, 1.0) * n for tid, n in counts0.items())
-    if total <= 0.0:
-        # Degenerate table (all-zero weights): everything counts equally.
-        total = float(len(s0))
-        kept = float(sum(min(n, counts_t[tid]) for tid, n in counts0.items()))
-        return kept / total
-    kept = sum(
-        idf.get(tid, 1.0) * min(n, counts_t[tid]) for tid, n in counts0.items()
-    )
-    return kept / total
-
-
 @dataclass(frozen=True)
 class IdfRetentionScorer:
     idf: Mapping[int, float]
 
     def score(self, s0: TokenSequence, st: TokenSequence) -> float:
-        return idf_retention_score(s0, st, self.idf)
+        """IDF-weighted recall of the original prompt's tokens.
+
+        Σ idf over the multiset intersection of s0 and st, divided by Σ idf
+        over s0. Ids missing from the table weigh 1.
+        """
+        if len(s0) == 0:
+            raise ValueError("undefined retention: empty original sequence")
+        idf = self.idf
+        counts0 = Counter(s0.ids)
+        counts_t = Counter(st.ids)
+        total = sum(idf.get(tid, 1.0) * n for tid, n in counts0.items())
+        if total <= 0.0:
+            # Degenerate table (all-zero weights): everything counts equally.
+            total = float(len(s0))
+            kept = float(sum(min(n, counts_t[tid]) for tid, n in counts0.items()))
+            return kept / total
+        kept = sum(
+            idf.get(tid, 1.0) * min(n, counts_t[tid]) for tid, n in counts0.items()
+        )
+        return kept / total
 
 
 def kl_divergence(p: NextTokenDistribution, q: NextTokenDistribution) -> float:

@@ -155,12 +155,10 @@ class TrajectoryStep:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """An episode's steps, its final length over the original's, and
-    each step's band."""
+    """An episode's steps and its final length over the original's."""
 
     steps: tuple[TrajectoryStep, ...]
     final_rho: float
-    bounds: tuple[tuple[float, float], ...]
 
     @property
     def rewards(self) -> list[float]:
@@ -202,9 +200,7 @@ def collect_trajectory(
     current = prompt
     t_max = schedule.t_max_for(stage)
     steps: list[TrajectoryStep] = []
-    bounds: list[tuple[float, float]] = []
     for t in range(t_max):
-        band = schedule.bounds_for(stage, t)
         (keep_probs,) = policy_forward(actor_old, [current])
         labels, log_prob = sample_actions(keep_probs, seed_for(seed, t))
         compressed = apply_action(current, labels, keep_probs)
@@ -212,7 +208,7 @@ def collect_trajectory(
             prompt,
             compressed,
             reward_cfg,
-            band,
+            schedule.bounds_for(stage, t),
             scorers.retention,
             scorers.lm,
             reference,
@@ -225,11 +221,8 @@ def collect_trajectory(
                 reward=breakdown.total,
             )
         )
-        bounds.append(band)
         current = compressed
-    return Trajectory(
-        steps=tuple(steps), final_rho=len(current) / len(prompt), bounds=tuple(bounds)
-    )
+    return Trajectory(steps=tuple(steps), final_rho=len(current) / len(prompt))
 
 
 # ---------------------------------------------------------------------------
@@ -349,28 +342,14 @@ class TrainerConfig:
             raise ValueError("actor_lr must be > 0 and finite")
 
 
-class TrainingLog:
-    """Ordered per-update records, serializable as JSONL."""
-
-    def __init__(self, records: list[dict] | None = None) -> None:
-        self.records: list[dict] = list(records or [])
-
-    def append(self, record: dict) -> None:
-        self.records.append(record)
-
-    def dumps(self) -> str:
-        return "".join(
-            json.dumps(record, sort_keys=True) + "\n" for record in self.records
-        )
-
-
 @dataclass
 class TrainState:
-    """Everything needed to continue training from a stage boundary."""
+    """Everything needed to continue training from a stage boundary;
+    ``log`` holds the training log's records, in order."""
 
     actor: Actor
     actor_opt: Adam
-    log: TrainingLog
+    log: list[dict]
     next_stage: int = 1
 
 
@@ -381,7 +360,7 @@ def init_train_state(
     return TrainState(
         actor=actor,
         actor_opt=Adam(actor.parameters(), lr=trainer_cfg.actor_lr),
-        log=TrainingLog(),
+        log=[],
         next_stage=1,
     )
 
@@ -400,6 +379,7 @@ def _update_round(
     trajs: Sequence[Trajectory],
     state: TrainState,
     trainer_cfg: TrainerConfig,
+    schedule: CurriculumSchedule,
     stage: int,
     epoch: int,
     round_idx: int,
@@ -412,12 +392,14 @@ def _update_round(
     all_steps = [s for traj in trajs for s in traj.steps]
     mean_reward = sum(s.reward for s in all_steps) / len(all_steps)
     mean_rho = sum(t.final_rho for t in trajs) / len(trajs)
-    all_bounds = [b for traj in trajs for b in traj.bounds]
-    mean_c_s = _exact_mean([b[0] for b in all_bounds])
-    mean_c_l = _exact_mean([b[1] for b in all_bounds])
-
     # A round never spans a stage boundary, so all M trajectories share
-    # one stage and one t_max.
+    # one stage and one t_max, and step t of each ran under the same band.
+    bands = [
+        schedule.bounds_for(stage, t) for traj in trajs for t in range(len(traj.steps))
+    ]
+    mean_c_s = _exact_mean([b[0] for b in bands])
+    mean_c_l = _exact_mean([b[1] for b in bands])
+
     advantages = leave_one_out_advantages(trajs, trainer_cfg.discount)
 
     for iteration in range(m):
@@ -532,7 +514,7 @@ def hpc_train(
                 ))
                 if len(trajs) == m:
                     _update_round(
-                        trajs, state, trainer_cfg, stage, epoch, round_idx, grad
+                        trajs, state, trainer_cfg, schedule, stage, epoch, round_idx, grad
                     )
                     trajs = []
                     actor_old.flat[...] = state.actor.flat
@@ -575,7 +557,7 @@ def save_checkpoint(
         },
         "actor_lr": state.actor_opt.lr,
         "next_stage": state.next_stage,
-        "log": state.log.records,
+        "log": state.log,
     }
     opt = state.actor_opt
     members = (
@@ -654,12 +636,18 @@ def load_checkpoint(
     compressing or evaluating needs.
     """
     try:
-        data = np.load(path)
-    except Exception as exc:
+        fh = open(path, "rb")
+    except OSError as exc:
         raise ValueError(f"corrupt checkpoint: {exc}") from exc
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise ValueError("corrupt checkpoint: not an npz archive")
-    with data:
+    # The archive reads its members from ``fh``, so every read stays in
+    # this block, which closes the file on every path out of it.
+    with fh:
+        try:
+            data = np.load(fh)
+        except Exception as exc:
+            raise ValueError(f"corrupt checkpoint: {exc}") from exc
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("corrupt checkpoint: not an npz archive")
         if "__meta__" not in data.files:
             raise ValueError("corrupt checkpoint: missing field __meta__")
         meta = _read_meta(_read_member(data, "__meta__"))
@@ -700,5 +688,5 @@ def load_checkpoint(
         actor.parameters(), lr=float(meta["actor_lr"]), moments=tuple(moments)
     )
     actor_opt.t = int(t)
-    state = TrainState(actor, actor_opt, TrainingLog(meta["log"]), meta["next_stage"])
+    state = TrainState(actor, actor_opt, meta["log"], meta["next_stage"])
     return state, vocab

@@ -1,16 +1,18 @@
 """API-surface guard: every function, class and method defined in
 ``src/promptpress`` is used by name somewhere else in ``src/``, every
-dataclass field is read somewhere in ``src/``, and every name a module
-imports is used in that module.
+dataclass field is read somewhere in ``src/``, every name a module
+imports is used in that module, and ``__init__.py`` imports nothing from
+its own package.
 
 A name only tests reach is an API the program does not need; it should
 be deleted or, if it is a reference other code is compared against,
-listed in ``ALLOWED`` with the reason. Re-exports in ``__init__.py`` do
-not count as uses, and references inside a definition's own body (its
-recursion, or a method calling a same-named builtin) do not either. A
-method counts as used only through an attribute (``x.name``) or a
-``getattr``/``hasattr`` key, so a local variable of the same name does
-not hide it. A field counts as read only through an attribute load
+listed in ``ALLOWED`` with the reason. The package re-exports nothing:
+callers import each name from the module that defines it, so no facade
+can make a name look used. References inside a definition's own body
+(its recursion, or a method calling a same-named builtin) do not count
+as uses. A method counts as used only through an attribute (``x.name``)
+or a ``getattr``/``hasattr`` key, so a local variable of the same name
+does not hide it. A field counts as read only through an attribute load
 (``x.name``, not ``x.name = ...``) or a ``getattr``/``hasattr`` key, so
 building a dataclass by keyword does not count as reading its fields.
 """
@@ -136,6 +138,19 @@ def test_every_definition_is_used_in_src():
 def test_every_dataclass_field_is_read_in_src():
     unread = unread_fields()
     assert not unread, "dataclass fields no code in src/ reads: " + ", ".join(unread)
+
+
+def test_package_init_imports_no_submodule():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imports = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").startswith("promptpress")))
+        or (isinstance(node, ast.Import)
+            and any(a.name.startswith("promptpress") for a in node.names))
+    ]
+    assert not imports, "__init__.py imports from its package: " + "; ".join(imports)
 
 
 def test_allow_list_names_live_definitions():

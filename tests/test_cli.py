@@ -1,10 +1,11 @@
 """CLI tests: compress reads what train writes and prints the original
 words it keeps, compress and eval of the policy give the same output on
 any number of threads, eval scores every method against one
-vocabulary/LM pairing, the CLI's defaults are the library's, no command
-imports scipy, and bad training config, a bad eval flag, seed or
-vocabulary size, an unfit prompt, a malformed corpus or an empty compress
-input is a usage error."""
+vocabulary/LM pairing, the CLI's defaults are the library's, a config
+file's values reach the run under any ``--set``, no command imports
+scipy, and bad training config, a bad config file, a band flag without
+``--no-hpc``, a bad eval flag, seed or vocabulary size, an unfit prompt,
+a malformed corpus or an empty compress input is a usage error."""
 
 import dataclasses
 import json
@@ -559,7 +560,10 @@ class TestBadSeedOrVocabSize:
 
 
 class TestDefaults:
-    """The CLI's defaults restate the library's; they must agree."""
+    """``CONFIG_DEFAULTS`` reads each default a dataclass owns from it, so
+    the resolved defaults build the dataclass defaults; ``eval`` takes its
+    n-gram order, smoothing, continuation length and vocabulary cap from
+    ``CONFIG_DEFAULTS``."""
 
     def test_config_defaults_build_the_dataclass_defaults(self):
         pieces = cli._build_training_pieces(
@@ -647,6 +651,16 @@ class TestTrainConfig:
                              "d_model and n_heads must be >= 1", id=f"{key}-{value}")
                 for key, value in (("n_heads", 0), ("n_heads", -2), ("d_model", 0))
             ),
+            # Without --no-hpc the curriculum sets the band, and a band flag
+            # would be recorded in the manifest yet ignored.
+            *(
+                pytest.param(flags, "only with --no-hpc", id=f"band-without-no-hpc-{i}")
+                for i, flags in enumerate((
+                    ["--fixed-c-s", "0.3", "--fixed-c-l", "0.35"],
+                    ["--fixed-c-s", "0.5"],
+                    ["--fixed-c-l", "0.9"],
+                ))
+            ),
             *(
                 pytest.param(["--no-hpc", "--fixed-c-s", c_s, "--fixed-c-l", c_l],
                              "0 < c_s < c_l <= 1", id=f"no-hpc-band-{c_s}-{c_l}")
@@ -676,3 +690,70 @@ class TestTrainConfig:
         assert code == 2
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [corpus]
+
+
+class TestConfigFile:
+    """``train --config`` layers a flat JSON file over the defaults, and
+    ``--set`` over the file."""
+
+    # A buffer larger than the corpus: no episode runs, so each train is quick.
+    FILE = {"trainer.buffer_m": 65, "trainer.actor_lr": 3e-4,
+            "curriculum.t_max": [1], "curriculum.epochs": [1],
+            "model.d_model": 32, "scoring.n_gen": 5}
+
+    def _train(self, tmp_path, config, *flags):
+        corpus = tmp_path / "train.jsonl"
+        _small_corpus(corpus)
+        path = tmp_path / "config.json"
+        if config is not None:  # None: no file at the path given
+            path.write_text(config if isinstance(config, str) else json.dumps(config),
+                            encoding="utf-8")
+        ckpt = tmp_path / "p.ckpt"
+        code = main(["train", "--corpus", str(corpus), "--out", str(ckpt),
+                     "--config", str(path), *flags])
+        return code, ckpt, tmp_path / "p.ckpt.manifest.json"
+
+    def test_file_values_reach_the_run_and_the_manifest(self, tmp_path):
+        code, ckpt, manifest_path = self._train(tmp_path, self.FILE)
+        assert code == 0
+        config = json.loads(manifest_path.read_text(encoding="utf-8"))["config"]
+        assert {k: config[k] for k in self.FILE} == self.FILE
+        assert config["model.n_layers"] == cli.CONFIG_DEFAULTS["model.n_layers"]
+        # No band flag: the manifest records the --no-hpc band defaults.
+        assert (config["no_hpc"], config["fixed_c_s"], config["fixed_c_l"]) == (
+            False, 0.5, 0.9)
+        state, _ = load_checkpoint(ckpt)
+        assert state.actor.encoder.cfg.d_model == 32
+        assert state.actor_opt.lr == 3e-4
+
+    def test_set_overrides_the_file(self, tmp_path):
+        code, ckpt, manifest_path = self._train(
+            tmp_path, self.FILE, "--set", "model.d_model=16",
+            "--set", "trainer.actor_lr=0.002",
+        )
+        assert code == 0
+        config = json.loads(manifest_path.read_text(encoding="utf-8"))["config"]
+        assert (config["model.d_model"], config["trainer.actor_lr"]) == (16, 0.002)
+        assert config["scoring.n_gen"] == 5
+        state, _ = load_checkpoint(ckpt)
+        assert state.actor.encoder.cfg.d_model == 16
+        assert state.actor_opt.lr == 0.002
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            pytest.param({"trainer.critic_lr": 1e-6},
+                         "unknown config key in file: trainer.critic_lr", id="unknown-key"),
+            pytest.param([["trainer.seed", 3]], "one flat JSON object", id="not-an-object"),
+            pytest.param("{", "cannot read config file", id="not-json"),
+            pytest.param(None, "cannot read config file", id="missing"),
+        ],
+    )
+    def test_bad_file_is_usage_error_before_any_output(
+        self, tmp_path, capsys, config, message
+    ):
+        code, _, _ = self._train(tmp_path, config)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        # No manifest, no checkpoint.
+        assert {p.name for p in tmp_path.iterdir()} <= {"train.jsonl", "config.json"}

@@ -20,7 +20,6 @@ from promptpress.scoring import (
     NextTokenDistribution,
     NgramLM,
     fit_ngram_lm,
-    idf_retention_score,
     kl_divergence,
     output_distribution_kl,
 )
@@ -112,19 +111,19 @@ def brute_force_retention(s0_ids, st_ids, idf):
 class TestRetention:
     def test_identity_is_one(self):
         s = seq(1, 2, 2, 3)
-        assert idf_retention_score(s, s, {1: 2.0, 2: 0.5, 3: 1.0}) == 1.0
+        assert IdfRetentionScorer({1: 2.0, 2: 0.5, 3: 1.0}).score(s, s) == 1.0
 
     def test_single_kept_token(self):
         idf = {1: 3.0, 2: 1.0, 3: 0.5}
         s0 = seq(1, 2, 3)
-        assert idf_retention_score(s0, seq(1), idf) == pytest.approx(3.0 / 4.5)
+        assert IdfRetentionScorer(idf).score(s0, seq(1)) == pytest.approx(3.0 / 4.5)
 
     def test_empty_original_errors(self):
         with pytest.raises(ValueError, match="undefined retention"):
-            idf_retention_score(TokenSequence(()), seq(1), {})
+            IdfRetentionScorer({}).score(TokenSequence(()), seq(1))
 
     def test_missing_idf_defaults_to_one(self):
-        assert idf_retention_score(seq(5, 6), seq(5), {}) == pytest.approx(0.5)
+        assert IdfRetentionScorer({}).score(seq(5, 6), seq(5)) == pytest.approx(0.5)
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(17)
@@ -134,7 +133,7 @@ class TestRetention:
             keep = rng.random(n) < 0.6
             st_ids = tuple(t for t, k in zip(s0_ids, keep) if k)
             idf = {tid: float(w) for tid, w in enumerate(rng.random(10) * 3)}
-            got = idf_retention_score(seq(*s0_ids), seq(*st_ids), idf)
+            got = IdfRetentionScorer(idf).score(seq(*s0_ids), seq(*st_ids))
             assert got == pytest.approx(brute_force_retention(s0_ids, st_ids, idf))
             assert 0.0 <= got <= 1.0
 
@@ -146,10 +145,10 @@ class TestRetention:
             s0_ids = tuple(int(x) for x in rng.integers(0, 8, size=n))
             st = list(s0_ids)
             s0 = seq(*s0_ids)
-            prev = idf_retention_score(s0, seq(*st), idf)
+            prev = IdfRetentionScorer(idf).score(s0, seq(*st))
             while len(st) > 1:
                 st.pop(int(rng.integers(len(st))))
-                score = idf_retention_score(s0, seq(*st), idf)
+                score = IdfRetentionScorer(idf).score(s0, seq(*st))
                 assert score <= prev + 1e-12
                 prev = score
 

@@ -324,7 +324,7 @@ def _trajectory_with_rewards(rewards):
         for r in rewards
     )
     return trainer.Trajectory(
-        steps=steps, final_rho=1.0, bounds=((0.5, 0.9),) * len(rewards)
+        steps=steps, final_rho=1.0
     )
 
 
@@ -363,11 +363,12 @@ class TestLeaveOneOut:
         state = init_train_state(trainer_cfg, encoder_cfg)
         before = {k: v.copy() for k, v in state.actor.parameters().items()}
         trainer._update_round(
-            trajs, state, trainer_cfg, 1, 1, 0, ActorGradient(encoder_cfg)
+            trajs, state, trainer_cfg, CurriculumSchedule(), 1, 1, 0,
+            ActorGradient(encoder_cfg),
         )
         after = state.actor.parameters()
         assert all(np.array_equal(before[k], after[k]) for k in before)
-        assert [r["objective"] for r in state.log.records] == [0.0] * 4
+        assert [r["objective"] for r in state.log] == [0.0] * 4
         # Exact for any M: with M = 6 the uncentred (M G_i - sum_j G_j) / (M - 1)
         # leaves about 5e-14 here.
         six = [_trajectory_with_rewards([-187.3, 0.1])] * 6
@@ -396,7 +397,8 @@ class TestLeaveOneOut:
 
         monkeypatch.setattr(trainer, "ppo_objective_and_grads", record)
         trainer._update_round(
-            trajs, state, trainer_cfg, 1, 1, 0, ActorGradient(encoder_cfg)
+            trajs, state, trainer_cfg, CurriculumSchedule(), 1, 1, 0,
+            ActorGradient(encoder_cfg),
         )
         expected = []
         for iteration in range(m):
@@ -423,7 +425,7 @@ def _fields(traj):
         (s.current, s.labels.dtype, s.labels.tobytes(), s.old_log_prob, s.reward)
         for s in traj.steps
     ]
-    return steps, traj.final_rho, traj.bounds
+    return steps, traj.final_rho
 
 
 class TestCollectTrajectory:
@@ -441,7 +443,6 @@ class TestCollectTrajectory:
             RewardConfig(), self.scorers, seed=9, reference=self.reference,
         )
         assert len(traj.steps) == 1
-        assert traj.bounds == (pytest.approx((0.3, 0.7)),)
 
     def test_fixed_seed_repeats_bitwise(self):
         kwargs = dict(
@@ -523,9 +524,9 @@ class TestHpcTrain:
             prompts, trainer_cfg, schedule, RewardConfig(), scorers, encoder_cfg,
         )
         # corpus size == buffer capacity: exactly one fill/update/empty cycle
-        assert len(state.log.records) == trainer_cfg.buffer_capacity
-        assert {r["round"] for r in state.log.records} == {0}
-        assert [r["iteration"] for r in state.log.records] == list(range(4))
+        assert len(state.log) == trainer_cfg.buffer_capacity
+        assert {r["round"] for r in state.log} == {0}
+        assert [r["iteration"] for r in state.log] == list(range(4))
 
     def test_seeded_determinism(self):
         prompts, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup()
@@ -536,8 +537,7 @@ class TestHpcTrain:
             prompts, trainer_cfg, schedule, RewardConfig(), scorers, encoder_cfg,
         )
         a, b = run(), run()
-        assert a.log.records == b.log.records
-        assert a.log.dumps() == b.log.dumps()
+        assert a.log == b.log
         pa, pb = a.actor.parameters(), b.actor.parameters()
         assert all(np.array_equal(pa[k], pb[k]) for k in pa)
 
@@ -566,8 +566,8 @@ class TestHpcTrain:
         state = hpc_train(
             prompts, trainer_cfg, fixed, RewardConfig(), scorers, encoder_cfg,
         )
-        assert {r["mean_c_s"] for r in state.log.records} == {0.5}
-        assert {r["mean_c_l"] for r in state.log.records} == {0.9}
+        assert {r["mean_c_s"] for r in state.log} == {0.5}
+        assert {r["mean_c_l"] for r in state.log} == {0.9}
 
     def test_empty_corpus_errors(self):
         _, _, scorers, encoder_cfg, trainer_cfg = _small_training_setup()
@@ -603,7 +603,7 @@ class TestCollectionPlan:
         state = hpc_train(
             prompts, trainer_cfg, schedule, RewardConfig(), scorers, encoder_cfg,
         )
-        assert calls == [] and state.log.records == [] and state.next_stage == 3
+        assert calls == [] and state.log == [] and state.next_stage == 3
         initial = init_train_state(trainer_cfg, encoder_cfg)
         pg, pw = state.actor.parameters(), initial.actor.parameters()
         assert all(np.array_equal(pg[k], pw[k]) for k in pw)
@@ -648,7 +648,7 @@ class TestCheckpoint:
         loaded, loaded_vocab = load_checkpoint(path)
         assert loaded_vocab == vocab
         assert loaded.next_stage == state.next_stage
-        assert loaded.log.records == state.log.records
+        assert loaded.log == state.log
         prompt = prompts[0]
         (a,) = policy_forward(state.actor, [prompt])
         (b,) = policy_forward(loaded.actor, [prompt])
@@ -908,6 +908,6 @@ class TestCheckpoint:
             prompts, trainer_cfg, full_schedule, RewardConfig(), scorers,
             encoder_cfg, state=resumed,
         )
-        assert done.log.records == full.log.records  # log continuity
+        assert done.log == full.log  # log continuity
         pa, pb = done.actor.parameters(), full.actor.parameters()
         assert all(np.array_equal(pa[k], pb[k]) for k in pa)
