@@ -9,7 +9,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .policy import Actor, apply_action, greedy_actions, policy_forward
+from .policy import Actor, apply_action, greedy_actions, policy_forward, seed_for
 from .scoring import ProxyLM
 from .text import TokenSequence
 
@@ -78,12 +78,11 @@ class RandomCompressor:
     name: str = "random"
 
     def compress(self, seqs: Sequence[TokenSequence]) -> list[TokenSequence]:
-        kept = []
-        for index, seq in enumerate(seqs):
-            # deterministic per (seed, index) so prompts get distinct subsets
-            child = int(np.random.SeedSequence((self.seed, index)).generate_state(1)[0])
-            kept.append(random_compress(seq, self.rho_target, child))
-        return kept
+        # deterministic per (seed, index) so prompts get distinct subsets
+        return [
+            random_compress(seq, self.rho_target, seed_for(self.seed, index))
+            for index, seq in enumerate(seqs)
+        ]
 
 
 @dataclass(frozen=True)

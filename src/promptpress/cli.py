@@ -113,7 +113,8 @@ def _jsonl(records) -> str:
 def resolve_config(
     config_path: str | None, overrides: dict[str, object]
 ) -> dict[str, object]:
-    """defaults <- config file <- flag overrides; unknown keys are errors."""
+    """defaults <- config file <- flag overrides; an unknown key, or a value
+    of another JSON type than its default's, is an error."""
     resolved = dict(CONFIG_DEFAULTS)
     if config_path:
         try:
@@ -130,6 +131,13 @@ def resolve_config(
         if key not in resolved:
             raise UsageError(f"unknown config key: {key}")
         resolved[key] = value
+    # A string or a bool would be cast and run as a value the manifest does
+    # not hold. Integers, and a list's entries, are checked by ``_as_int``.
+    for key, default in CONFIG_DEFAULTS.items():
+        if type(default) is float and type(resolved[key]) not in (int, float):
+            raise UsageError(f"{key} must be a number, got {resolved[key]!r}")
+        if type(default) is list and type(resolved[key]) is not list:
+            raise UsageError(f"{key} must be a JSON list, got {resolved[key]!r}")
     return resolved
 
 
@@ -179,9 +187,9 @@ def write_manifest(
 
 
 def _as_int(value: object, key: str) -> int:
-    """An integer config value; a bool or a fraction is an error, where
-    ``int`` would truncate it and run a value the manifest does not hold."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An integer config value; a string, bool or fraction is an error,
+    where ``int`` would cast it to a value the manifest does not hold."""
+    if type(value) is not int and not (type(value) is float and value.is_integer()):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
@@ -223,10 +231,12 @@ def _build_training_pieces(config: dict[str, object], seed: int, no_hpc: bool,
 
 
 def _read_corpus(path: str) -> list[PromptRecord]:
-    """The records of the JSONL corpus at ``path``; a malformed line is a
-    usage error naming it."""
+    """The records of the JSONL corpus at ``path``; a file that cannot be
+    read, or a malformed line, is a usage error naming it."""
     try:
         return load_corpus(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read corpus {path}: {exc}") from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -469,20 +479,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # The policy runs without helper threads: on short prompts its passes
     # spend most of their time in small numpy calls that hold the GIL,
     # and a helper thread slowed eval instead of speeding it up.
-    compressors = []
-    for method in methods:
-        if method == "identity":
-            compressors.append(IdentityCompressor())
-        elif method == "random":
-            compressors.append(RandomCompressor(rho_target=args.rho, seed=seed))
-        elif method == "selfinfo":
-            compressors.append(SelfInfoCompressor(lm=lm, rho_target=args.rho))
-        else:
-            compressors.append(
-                PolicyCompressor(
-                    actor=actor, steps=args.steps, rho_target=args.rho
-                )
-            )
+    build = {
+        "identity": IdentityCompressor,
+        "random": lambda: RandomCompressor(rho_target=args.rho, seed=seed),
+        "selfinfo": lambda: SelfInfoCompressor(lm=lm, rho_target=args.rho),
+        "policy": lambda: PolicyCompressor(actor, args.rho, steps=args.steps),
+    }
+    compressors = [build[method]() for method in methods]
 
     reports = evaluate(compressors, corpus, prompts, lm, settings)
     _atomic(jsonl_path, _jsonl(r for report in reports for r in report.jsonl_records()))

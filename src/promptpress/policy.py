@@ -157,6 +157,12 @@ def policy_forward(
     return [kp for kps in passes for kp in kps]
 
 
+def seed_for(*parts: int) -> int:
+    """Derive a child seed from integer coordinates, platform-stably."""
+    ss = np.random.SeedSequence(tuple(int(p) for p in parts))
+    return int(ss.generate_state(1)[0])
+
+
 def sample_actions(keep_probs: np.ndarray, rng_seed: int) -> tuple[np.ndarray, float]:
     """Draw each token's label independently; returns the labels and
     their summed log-prob."""

@@ -1,12 +1,14 @@
 """Training loop: trajectory collection, clipped-surrogate policy updates
 against a leave-one-out baseline, and the staged compression curriculum.
 
-Collection always runs with a frozen copy of the actor. Every M
-trajectories (M = ``TrainerConfig.buffer_capacity``) form one update
-round: the live actor is updated from that list and then copied back to
-the frozen one. There is no learned value function: each step's
-advantage is its return minus the mean return of the round's other
-trajectories at the same step index (the leave-one-out baseline of RLOO,
+Training runs in update rounds of M episodes (M =
+``TrainerConfig.buffer_capacity``). A round is collected in one call
+with a frozen copy of the actor, step by step: each step is one
+``policy_forward`` over every episode's current prompt. The live actor
+is then updated from the round's M trajectories and copied back to the
+frozen one. There is no learned value function: each step's advantage
+is its return minus the mean return of the round's other trajectories at
+the same step index (the leave-one-out baseline of RLOO,
 arXiv:2402.14740). The compression band [c_s, c_l] that the reward
 enforces comes from ``CurriculumSchedule``, its one owner: it tightens
 with the stage index and, within an episode, with the step index, so the
@@ -36,6 +38,7 @@ from .policy import (
     packed_action_log_probs,
     policy_forward,
     sample_actions,
+    seed_for,
 )
 from .reward import RewardConfig, compute_reward
 from .scoring import ProxyLM, RetentionScorer
@@ -49,12 +52,6 @@ GRAD_CLIP_NORM = 1.0
 _TAG_ACTOR = 101
 _TAG_EPISODE = 103
 _TAG_UPDATE = 104
-
-
-def seed_for(*parts: int) -> int:
-    """Derive a child seed from integer coordinates, platform-stably."""
-    ss = np.random.SeedSequence(tuple(int(p) for p in parts))
-    return int(ss.generate_state(1)[0])
 
 
 class TrainingDiverged(RuntimeError):
@@ -180,49 +177,44 @@ class Scorers:
 
 
 def collect_trajectory(
-    prompt: TokenSequence,
+    prompts: Sequence[TokenSequence],
+    references: Sequence[TokenSequence],
+    seeds: Sequence[int],
     actor_old: Actor,
     schedule: CurriculumSchedule,
     stage: int,
     reward_cfg: RewardConfig,
     scorers: Scorers,
-    seed: int,
-    reference: TokenSequence,
-) -> Trajectory:
-    """Roll out one episode of the stage's length with the frozen actor.
+) -> list[Trajectory]:
+    """Roll out one episode of the stage's length per prompt with the
+    frozen actor, all episodes a step at a time.
 
-    ``reference`` is the greedy continuation of ``prompt`` under
-    ``scorers.lm`` (``greedy_continue``); every step's divergence term
-    reuses it. The per-step reward scores the post-action prompt against
-    the original under the step's band from ``schedule``. Each step
-    starts from the previous step's prompt, the first from ``prompt``.
+    A step is one ``policy_forward`` call over every episode's current
+    prompt, which gives each bitwise what it gets alone. Episode j
+    samples step t with ``seed_for(seeds[j], t)``. ``references[j]`` is
+    the greedy continuation of ``prompts[j]`` under ``scorers.lm``
+    (``greedy_continue``); every step's divergence term reuses it. The
+    per-step reward scores the post-action prompt against the original
+    under the step's band from ``schedule``. Each step starts from the
+    previous step's prompt, the first from the original.
     """
-    current = prompt
-    t_max = schedule.t_max_for(stage)
-    steps: list[TrajectoryStep] = []
-    for t in range(t_max):
-        (keep_probs,) = policy_forward(actor_old, [current])
-        labels, log_prob = sample_actions(keep_probs, seed_for(seed, t))
-        compressed = apply_action(current, labels, keep_probs)
-        breakdown = compute_reward(
-            prompt,
-            compressed,
-            reward_cfg,
-            schedule.bounds_for(stage, t),
-            scorers.retention,
-            scorers.lm,
-            reference,
-        )
-        steps.append(
-            TrajectoryStep(
-                current=current,
-                labels=labels,
-                old_log_prob=log_prob,
-                reward=breakdown.total,
-            )
-        )
-        current = compressed
-    return Trajectory(steps=tuple(steps), final_rho=len(current) / len(prompt))
+    currents = list(prompts)
+    steps: list[list[TrajectoryStep]] = [[] for _ in prompts]
+    for t in range(schedule.t_max_for(stage)):
+        band = schedule.bounds_for(stage, t)
+        for j, keep_probs in enumerate(policy_forward(actor_old, currents)):
+            labels, log_prob = sample_actions(keep_probs, seed_for(seeds[j], t))
+            compressed = apply_action(currents[j], labels, keep_probs)
+            reward = compute_reward(
+                prompts[j], compressed, reward_cfg, band,
+                scorers.retention, scorers.lm, references[j],
+            ).total
+            steps[j].append(TrajectoryStep(currents[j], labels, log_prob, reward))
+            currents[j] = compressed
+    return [
+        Trajectory(steps=tuple(s), final_rho=len(current) / len(prompt))
+        for s, current, prompt in zip(steps, currents, prompts)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -463,20 +455,21 @@ def hpc_train(
     """Run the staged training loop; returns the final train state.
 
     ``prompts`` are the checked sequences of ``text.tokenize_corpus``;
-    ``encoder_cfg`` shapes the actor when no ``state`` is given. Per
-    stage and epoch, every prompt yields one trajectory collected with
-    the frozen old actor. Every M = ``buffer_capacity``
-    trajectories, each step's leave-one-out advantage is computed over
-    those M, M update iterations run (each on a uniformly sampled batch
-    of them), and the frozen actor is refreshed. Passing a ``state`` from
-    a checkpoint resumes at ``state.next_stage`` and reproduces the
-    uninterrupted run exactly.
+    ``encoder_cfg`` shapes the actor when no ``state`` is given. A stage
+    of E epochs over P prompts has P * E episodes: episode k rolls out
+    prompt k mod P in epoch k div P + 1. Round r is episodes rM to
+    rM + M - 1 (M = ``buffer_capacity``), collected in one call with the
+    frozen old actor. Each step's leave-one-out advantage is computed
+    over the round's M trajectories, M update iterations run (each on a
+    uniformly sampled batch of them), and the frozen actor is refreshed.
+    A round is logged under the epoch of its last episode, numbered from
+    0 within that epoch. Passing a ``state`` from a checkpoint resumes at
+    ``state.next_stage`` and reproduces the uninterrupted run exactly.
 
-    A stage's trajectories past its last full round would be dropped
-    unread at the stage boundary (they were collected under that stage's
-    band), so they are not collected: of the P * E episodes of a stage
-    with E epochs, only the first floor(P * E / M) * M run. Each prompt's
-    greedy reference is generated once, on its first episode.
+    Only the floor(P * E / M) whole rounds of a stage run: episodes past
+    the last would be dropped unread at the stage boundary, so they are
+    not collected. Each prompt's greedy reference is generated once, on
+    its first episode.
     """
     if not prompts:
         raise ValueError("empty corpus")
@@ -488,41 +481,34 @@ def hpc_train(
     actor_old = state.actor.clone()
     grad = ActorGradient(state.actor.encoder.cfg)
     m = trainer_cfg.buffer_capacity
-    trajs: list[Trajectory] = []
+    n = len(prompts)
 
     for stage in range(state.next_stage, schedule.n_stages + 1):
-        n_epochs = schedule.epochs_per_stage[stage - 1]
-        n_used = len(prompts) * n_epochs // m * m
-        for epoch in range(1, n_epochs + 1):
-            round_idx = 0
-            for ep_idx, prompt in enumerate(prompts):
-                if (epoch - 1) * len(prompts) + ep_idx >= n_used:
-                    break
-                if ep_idx not in references:
-                    references[ep_idx] = scorers.lm.greedy_continue(
-                        prompt, scorers.n_gen
-                    )
-                trajs.append(collect_trajectory(
-                    prompt,
-                    actor_old,
-                    schedule,
-                    stage,
-                    reward_cfg,
-                    scorers,
-                    seed=seed_for(trainer_cfg.seed, _TAG_EPISODE, stage, epoch, ep_idx),
-                    reference=references[ep_idx],
-                ))
-                if len(trajs) == m:
-                    _update_round(
-                        trajs, state, trainer_cfg, schedule, stage, epoch, round_idx, grad
-                    )
-                    trajs = []
-                    actor_old.flat[...] = state.actor.flat
-                    round_idx += 1
+        for epoch in range(1, schedule.epochs_per_stage[stage - 1] + 1):
+            # The rounds whose last episode falls in this epoch.
+            first, end = (epoch - 1) * n // m, epoch * n // m
+            for r in range(first, end):
+                episodes = [divmod(k, n) for k in range(r * m, (r + 1) * m)]
+                for _, i in episodes:
+                    if i not in references:
+                        references[i] = scorers.lm.greedy_continue(
+                            prompts[i], scorers.n_gen
+                        )
+                seeds = [
+                    seed_for(trainer_cfg.seed, _TAG_EPISODE, stage, e + 1, i)
+                    for e, i in episodes
+                ]
+                trajs = collect_trajectory(
+                    [prompts[i] for _, i in episodes],
+                    [references[i] for _, i in episodes],
+                    seeds, actor_old, schedule, stage, reward_cfg, scorers,
+                )
+                _update_round(
+                    trajs, state, trainer_cfg, schedule, stage, epoch, r - first, grad
+                )
+                actor_old.flat[...] = state.actor.flat
             if progress is not None:
-                progress(f"stage {stage} epoch {epoch} done ({round_idx} rounds)")
-        # n_used is a multiple of M, so no trajectory is pending here and a
-        # run resumed from this boundary starts from the same (empty) list.
+                progress(f"stage {stage} epoch {epoch} done ({end - first} rounds)")
         state.next_stage = stage + 1
     return state
 

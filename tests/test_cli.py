@@ -5,7 +5,8 @@ vocabulary/LM pairing, the CLI's defaults are the library's, a config
 file's values reach the run under any ``--set``, no command imports
 scipy, and bad training config, a bad config file, a band flag without
 ``--no-hpc``, a bad eval flag, seed or vocabulary size, an unfit prompt,
-a malformed corpus or an empty compress input is a usage error."""
+a malformed or missing corpus or an empty compress input is a usage
+error."""
 
 import dataclasses
 import json
@@ -451,8 +452,9 @@ class TestUnfitPrompt:
 
 
 class TestMalformedCorpus:
-    """An ill-typed corpus field is a usage error naming its line, found
-    before any file is written, in every command that reads a corpus."""
+    """An ill-typed corpus field is a usage error naming its line, and a
+    corpus that cannot be read one naming its path, found before any file
+    is written, in every command that reads a corpus."""
 
     @pytest.fixture(scope="class")
     def ckpt(self, tmp_path_factory):
@@ -484,15 +486,28 @@ class TestMalformedCorpus:
         _small_corpus(corpus)
         good = corpus.read_text().splitlines()[0]
         corpus.write_text(f"{good}\n{line}\n")
-        argv = {
+        assert main(self._argv(command, corpus, ckpt, tmp_path)) == 2
+        assert f"malformed corpus line 2: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [corpus]  # no manifest, no output
+
+    @pytest.mark.parametrize("command", ["train", "compress", "eval"])
+    def test_missing_corpus_is_usage_error_before_any_output(
+        self, tmp_path, capsys, ckpt, command
+    ):
+        corpus = tmp_path / "nope.jsonl"
+        assert main(self._argv(command, corpus, ckpt, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read corpus {corpus}: [Errno 2]" in err
+        assert list(tmp_path.iterdir()) == []  # no manifest, no output
+
+    @staticmethod
+    def _argv(command, corpus, ckpt, tmp_path):
+        return {
             "train": ["train", "--corpus", str(corpus), "--out", str(tmp_path / "p.ckpt")],
             "compress": ["compress", "--checkpoint", str(ckpt), "--input", str(corpus),
                          "--out", str(tmp_path / "out.jsonl")],
             "eval": ["eval", "--corpus", str(corpus), "--out-prefix", str(tmp_path / "ev")],
         }[command]
-        assert main(argv) == 2
-        assert f"malformed corpus line 2: {message}" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == [corpus]  # no manifest, no output
 
 
 @pytest.mark.parametrize("text", ["", "\n  \n"])
@@ -646,6 +661,24 @@ class TestTrainConfig:
                     ("vocab.max_size", "64.5", "64.5"),
                 )
             ),
+            # A cast would parse these strings, or take a string's characters
+            # as a list's entries, and run a value the manifest does not hold.
+            *(
+                pytest.param(["--set", f"{key}={value}"],
+                             f"{key} must be {kind}, got {shown}", id=f"{key}-type-{i}")
+                for i, (key, value, kind, shown) in enumerate((
+                    ("curriculum.t_max", '"12"', "a JSON list", "'12'"),
+                    ("curriculum.epochs", '"11"', "a JSON list", "'11'"),
+                    ("curriculum.epochs", "2", "a JSON list", "2"),
+                    ("curriculum.t_max", '["2",2,1]', "an integer", "'2'"),
+                    ("trainer.batch_size", '"4"', "an integer", "'4'"),
+                    ("vocab.max_size", '"64"', "an integer", "'64'"),
+                    ("trainer.actor_lr", '"1e-3"', "a number", "'1e-3'"),
+                    ("scoring.ngram_k", '"0.1"', "a number", "'0.1'"),
+                    ("reward.beta", "true", "a number", "True"),
+                    ("trainer.discount", "false", "a number", "False"),
+                ))
+            ),
             *(
                 pytest.param(["--set", f"model.{key}={value}"],
                              "d_model and n_heads must be >= 1", id=f"{key}-{value}")
@@ -745,6 +778,10 @@ class TestConfigFile:
             pytest.param({"trainer.critic_lr": 1e-6},
                          "unknown config key in file: trainer.critic_lr", id="unknown-key"),
             pytest.param([["trainer.seed", 3]], "one flat JSON object", id="not-an-object"),
+            pytest.param({"curriculum.t_max": "12"},
+                         "curriculum.t_max must be a JSON list, got '12'", id="string-list"),
+            pytest.param({"trainer.batch_size": "4"},
+                         "trainer.batch_size must be an integer, got '4'", id="string-int"),
             pytest.param("{", "cannot read config file", id="not-json"),
             pytest.param(None, "cannot read config file", id="missing"),
         ],

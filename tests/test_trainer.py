@@ -18,12 +18,20 @@ from gradcheck import (
 )
 from promptpress import trainer
 from promptpress.encoder import EncoderConfig
-from promptpress.policy import Actor, ActorGradient, actor_shapes, policy_forward
+from promptpress.policy import (
+    Actor,
+    ActorGradient,
+    actor_shapes,
+    policy_forward,
+    seed_for,
+)
 from promptpress.reward import RewardConfig
+from promptpress.scoring import fit_ngram_lm
 from promptpress.text import TokenSequence
 from promptpress.trainer import (
     CHECKPOINT_MEMBERS,
     CurriculumSchedule,
+    Scorers,
     TrainerConfig,
     TrajectoryStep,
     collect_trajectory,
@@ -35,7 +43,6 @@ from promptpress.trainer import (
     ppo_objective_and_grads,
     returns_from,
     save_checkpoint,
-    seed_for,
 )
 
 # Hand-evaluated schedule grid for psi = 0.1, stages (T_max): 1..2 -> 2, 3 -> 1.
@@ -353,10 +360,10 @@ class TestLeaveOneOut:
 
     def test_identical_returns_leave_the_actor_unmoved(self):
         prompts, _, scorers, encoder_cfg, trainer_cfg = _small_training_setup()
-        traj = collect_trajectory(
-            prompts[1], Actor.build(encoder_cfg, seed=3),
-            CurriculumSchedule(), 1, RewardConfig(), scorers, seed=5,
-            reference=scorers.lm.greedy_continue(prompts[1], scorers.n_gen),
+        (traj,) = collect_trajectory(
+            [prompts[1]], [scorers.lm.greedy_continue(prompts[1], scorers.n_gen)],
+            [5], Actor.build(encoder_cfg, seed=3),
+            CurriculumSchedule(), 1, RewardConfig(), scorers,
         )
         trajs = [traj] * trainer_cfg.buffer_capacity
         assert leave_one_out_advantages(trajs, 1.0) == [[0.0, 0.0]] * 4
@@ -380,10 +387,9 @@ class TestLeaveOneOut:
         m = trainer_cfg.buffer_capacity
         trajs = [
             collect_trajectory(
-                prompts[i], state.actor, CurriculumSchedule(), 1,
-                RewardConfig(), scorers, seed=i,
-                reference=scorers.lm.greedy_continue(prompts[i], scorers.n_gen),
-            )
+                [prompts[i]], [scorers.lm.greedy_continue(prompts[i], scorers.n_gen)],
+                [i], state.actor, CurriculumSchedule(), 1, RewardConfig(), scorers,
+            )[0]
             for i in range(m)
         ]
         advantages = leave_one_out_advantages(trajs, trainer_cfg.discount)
@@ -430,33 +436,34 @@ def _fields(traj):
 
 class TestCollectTrajectory:
     def setup_method(self):
-        prompts, _, self.scorers, self.encoder_cfg = tiny_world()
+        self.prompts, _, self.scorers, self.encoder_cfg = tiny_world()
         self.actor = Actor.build(self.encoder_cfg, seed=11)
-        self.prompt = prompts[1]
+        self.prompt = self.prompts[1]
         self.reference = self.scorers.lm.greedy_continue(
             self.prompt, self.scorers.n_gen
         )
 
     def test_stage3_has_one_step(self):
-        traj = collect_trajectory(
-            self.prompt, self.actor, CurriculumSchedule(), 3,
-            RewardConfig(), self.scorers, seed=9, reference=self.reference,
+        (traj,) = collect_trajectory(
+            [self.prompt], [self.reference], [9], self.actor,
+            CurriculumSchedule(), 3, RewardConfig(), self.scorers,
         )
         assert len(traj.steps) == 1
 
     def test_fixed_seed_repeats_bitwise(self):
         kwargs = dict(
-            prompt=self.prompt, actor_old=self.actor,
-            schedule=CurriculumSchedule(), stage=1, reward_cfg=RewardConfig(),
-            scorers=self.scorers, seed=4, reference=self.reference,
+            prompts=[self.prompt], references=[self.reference], seeds=[4],
+            actor_old=self.actor, schedule=CurriculumSchedule(), stage=1,
+            reward_cfg=RewardConfig(), scorers=self.scorers,
         )
-        assert _fields(collect_trajectory(**kwargs)) == _fields(collect_trajectory(**kwargs))
+        (a,), (b,) = collect_trajectory(**kwargs), collect_trajectory(**kwargs)
+        assert _fields(a) == _fields(b)
 
     def test_empty_prompt_errors(self):
         with pytest.raises(ValueError, match="empty"):
             collect_trajectory(
-                TokenSequence(()), self.actor, CurriculumSchedule(), 1,
-                RewardConfig(), self.scorers, seed=0, reference=self.reference,
+                [TokenSequence(())], [self.reference], [0], self.actor,
+                CurriculumSchedule(), 1, RewardConfig(), self.scorers,
             )
 
     @pytest.mark.parametrize("keep_logit, final_len", [(50.0, None), (-50.0, 1)])
@@ -466,12 +473,38 @@ class TestCollectTrajectory:
         actor = self.actor.clone()
         actor.head_w[...] = 0.0
         actor.head_b[...] = (0.0, keep_logit)
-        traj = collect_trajectory(
-            self.prompt, actor, CurriculumSchedule(), 1,
-            RewardConfig(), self.scorers, seed=3, reference=self.reference,
+        (traj,) = collect_trajectory(
+            [self.prompt], [self.reference], [3], actor,
+            CurriculumSchedule(), 1, RewardConfig(), self.scorers,
         )
         n = len(self.prompt)
         assert traj.final_rho == (final_len or n) / n
+
+    def test_a_round_gives_each_episode_what_it_gets_alone(self):
+        # Mixed lengths, a prompt twice and a 1-token prompt (a pass of its
+        # own in policy_forward), over the two steps of stage 1. A random
+        # head makes the keep probabilities depend on the encoder's bits,
+        # and a trigram proxy makes the divergence read each reference.
+        actor = self.actor.clone()
+        rng = np.random.default_rng(5)
+        for head in (actor.head_w, actor.head_b):
+            head[...] = rng.normal(0.0, 0.5, size=head.shape)
+        lm = fit_ngram_lm(self.prompts, 3, 0.1, self.scorers.lm.vocab)
+        scorers = Scorers(self.scorers.retention, lm, n_gen=4)
+        p = self.prompts
+        prompts = [p[0], p[2], TokenSequence(p[3].ids[:1]), p[4], p[2], p[5]]
+        references = [lm.greedy_continue(q, scorers.n_gen) for q in prompts]
+        seeds = [31, 32, 33, 34, 35, 36]
+        rest = (actor, CurriculumSchedule(), 1, RewardConfig(), scorers)
+        together = collect_trajectory(prompts, references, seeds, *rest)
+        alone = [
+            collect_trajectory([q], [ref], [seed], *rest)[0]
+            for q, ref, seed in zip(prompts, references, seeds)
+        ]
+        assert [len(traj.steps) for traj in together] == [2] * len(prompts)
+        assert [_fields(traj) for traj in together] == [_fields(traj) for traj in alone]
+        # The two copies of p[2] ran on their own seeds.
+        assert _fields(together[1]) != _fields(together[4])
 
     def test_hand_traced_rollout(self):
         """Re-derive every stored field with direct component calls."""
@@ -481,9 +514,9 @@ class TestCollectTrajectory:
         schedule = CurriculumSchedule()
         reward_cfg = RewardConfig()
         stage, seed = 1, 21
-        traj = collect_trajectory(
-            self.prompt, self.actor, schedule, stage,
-            reward_cfg, self.scorers, seed=seed, reference=self.reference,
+        (traj,) = collect_trajectory(
+            [self.prompt], [self.reference], [seed], self.actor,
+            schedule, stage, reward_cfg, self.scorers,
         )
         current = self.prompt
         for t, step in enumerate(traj.steps):
@@ -579,7 +612,8 @@ class TestHpcTrain:
 
 
 class TestCollectionPlan:
-    """Only the episodes that fill a buffer within their stage are run."""
+    """Only a stage's whole rounds run, each collected in one call with
+    one policy pass per step."""
 
     def _counting(self, monkeypatch, name):
         calls = []
@@ -608,14 +642,14 @@ class TestCollectionPlan:
         pg, pw = state.actor.parameters(), initial.actor.parameters()
         assert all(np.array_equal(pg[k], pw[k]) for k in pw)
 
-    def test_collects_full_buffers_and_each_reference_once(self, monkeypatch):
+    def test_collects_whole_rounds_and_each_reference_once(self, monkeypatch):
         prompts, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
             n_prompts=5
         )
         schedule = CurriculumSchedule(
             t_max_per_stage=(1, 1), epochs_per_stage=(1, 2)
         )
-        episodes = self._counting(monkeypatch, "collect_trajectory")
+        rounds = self._counting(monkeypatch, "collect_trajectory")
         references = []
         greedy_continue = scorers.lm.greedy_continue
 
@@ -624,12 +658,62 @@ class TestCollectionPlan:
             return greedy_continue(context, n)
 
         monkeypatch.setattr(scorers.lm, "greedy_continue", counted)
+        state = hpc_train(
+            prompts, trainer_cfg, schedule, RewardConfig(), scorers, encoder_cfg,
+        )
+        # M = 4: stage 1 runs floor(5 / 4) = 1 round, stage 2 runs floor(10 / 4) = 2.
+        assert [args[5] for args in rounds] == [1, 2, 2]
+        assert len(references) == 5
+        # Stage 2's second round is episodes 4-7: prompt 4 of epoch 1, then
+        # prompts 0-2 of epoch 2, each on its episode's seed. It is logged as
+        # round 0 of epoch 2, the epoch of its last episode.
+        plan = [(1, 4), (2, 0), (2, 1), (2, 2)]
+        assert rounds[2][0] == [prompts[i] for _, i in plan]
+        assert rounds[2][2] == [
+            seed_for(trainer_cfg.seed, trainer._TAG_EPISODE, 2, e, i) for e, i in plan
+        ]
+        logged = sorted({(r["stage"], r["epoch"], r["round"]) for r in state.log})
+        assert logged == [(1, 1, 0), (2, 1, 0), (2, 2, 0)]
+
+    def test_one_policy_pass_per_step_of_each_round(self, monkeypatch):
+        prompts, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
+            n_prompts=5
+        )
+        schedule = CurriculumSchedule(
+            t_max_per_stage=(2, 1), epochs_per_stage=(1, 2)
+        )
+        passes = self._counting(monkeypatch, "policy_forward")
         hpc_train(
             prompts, trainer_cfg, schedule, RewardConfig(), scorers, encoder_cfg,
         )
-        # M = 4: stage 1 runs floor(5 / 4) * 4 = 4 episodes, stage 2 runs 8.
-        assert [args[3] for args in episodes] == [1] * 4 + [2] * 8
-        assert len(references) == 5
+        # Stage 1: one round of two steps; stage 2: two rounds of one step.
+        # Each pass covers the round's M = 4 episodes.
+        assert [len(args[1]) for args in passes] == [4] * 4
+
+    def test_each_epoch_reports_after_its_last_round(self, monkeypatch):
+        prompts, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
+            n_prompts=5
+        )
+        schedule = CurriculumSchedule(
+            t_max_per_stage=(1, 1), epochs_per_stage=(1, 2)
+        )
+        events = []
+        update_round = trainer._update_round
+
+        def recorded(trajs, state, cfg, schedule, stage, epoch, round_idx, grad):
+            events.append((stage, epoch, round_idx))
+            update_round(trajs, state, cfg, schedule, stage, epoch, round_idx, grad)
+
+        monkeypatch.setattr(trainer, "_update_round", recorded)
+        hpc_train(
+            prompts, trainer_cfg, schedule, RewardConfig(), scorers, encoder_cfg,
+            progress=events.append,
+        )
+        assert events == [
+            (1, 1, 0), "stage 1 epoch 1 done (1 rounds)",
+            (2, 1, 0), "stage 2 epoch 1 done (1 rounds)",
+            (2, 2, 0), "stage 2 epoch 2 done (1 rounds)",
+        ]
 
 
 class TestCheckpoint:

@@ -16,12 +16,16 @@ directory of its own, as ``python -m promptpress.cli`` with that tree's
   three steps per trajectory and ``n_gen`` 1, 5 and 32; once with a
   buffer of 4 and a learning rate of 1e-3, so that every stage trains
   rounds, two-step episodes get updated, and the gradient is clipped at
-  some update steps and not at others; and two collection-only fixtures
-  whose head is then set to seeded random values: a zero head keeps
-  every probability at 0.5, so a change in the encoder's numerics would
-  not show in what the policy drops. A second copy of each fixture also
-  has its feed-forward w1 scaled by 20, so that the GELU's erf runs its
-  |x| > 1 tail;
+  some update steps and not at others; twice with update rounds that
+  straddle epochs: ``syn24`` with a buffer of 5 (several rounds per
+  stage, episodes dropped at each stage's end, a stage-3 round over
+  epochs 1 and 2), and ``syn8`` with a buffer of 12 over three epochs of
+  two-step episodes (a prompt twice in one round); and two
+  collection-only fixtures whose head is then set to seeded random
+  values: a zero head keeps every probability at 0.5, so a change in the
+  encoder's numerics would not show in what the policy drops. A second
+  copy of each fixture also has its feed-forward w1 scaled by 20, so
+  that the GELU's erf runs its |x| > 1 tail;
 * ``compress`` and ``eval`` on those checkpoints, over orders 1-4,
   ``--n-gen`` 1, 5 and 32 and ``--steps`` 1-3;
 * the float64 keep probabilities of ``policy_forward`` under the two
@@ -126,6 +130,12 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("train-buffer4-lr1e-3", ["train", "--corpus", "syn8.jsonl", "--out", "t5.ckpt",
                               "--seed", "5", "--set", "trainer.buffer_m=4",
                               "--set", "trainer.actor_lr=1e-3"]),
+    ("train-buffer5-syn24", ["train", "--corpus", "syn24.jsonl", "--out", "t6.ckpt",
+                             "--seed", "6", "--set", "trainer.buffer_m=5"]),
+    ("train-buffer12-epochs3", ["train", "--corpus", "syn8.jsonl", "--out", "t7.ckpt",
+                                "--seed", "7", "--set", "trainer.buffer_m=12",
+                                "--set", "curriculum.t_max=[2]",
+                                "--set", "curriculum.epochs=[3]"]),
     ("train-order3-steps3", ["train", "--corpus", "bsyn.jsonl", "--out", "t2.ckpt",
                              "--seed", "2", "--set", "scoring.ngram_order=3",
                              "--set", "scoring.n_gen=5", "--set", "curriculum.t_max=[3]",
