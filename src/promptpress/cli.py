@@ -1,7 +1,10 @@
 """Operator entry points: make-corpus, train, compress, eval.
 
 Configuration has three layers: built-in defaults, then a flat JSON
-config file, then command-line flags. The resolved result is frozen in
+config file, then command-line flags. Each ``train`` key is one entry of
+``_KEYS``: the dataclass field that holds it, whose default and
+annotated type (int, float or a tuple of ints) it takes, or the type and
+default of a key no dataclass holds. The resolved result is frozen in
 a run manifest written before any long-running work, so every run is
 reproducible from its manifest alone. Exit codes: 0 success, 2 usage or
 validation error, 1 runtime failure. Artifacts are written to a
@@ -17,11 +20,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .baselines import (
@@ -54,33 +60,67 @@ from .trainer import (
     save_checkpoint,
 )
 
-# A default that a dataclass owns is read from it, so it changes in one
-# place. The n-gram order and smoothing and the vocabulary cap have no
-# dataclass; ``eval`` reads them from here too.
+# How an error names each type a config key may have.
+_KINDS = {int: "an integer", float: "a number", tuple[int, ...]: "a JSON list"}
+_hints = functools.cache(typing.get_type_hints)
+
+
+def _cast(key: str, value: object, kind: type):
+    """``value`` as ``kind``; a value that a cast would change (another
+    JSON type, a bool, a fraction for an integer) is an error."""
+    if type(value) in (int, float) and (kind is float or kind is int and not value % 1):
+        return kind(value)
+    if kind == tuple[int, ...] and type(value) is list:
+        return tuple(_cast(key, v, int) for v in value)
+    raise ValueError(f"{key} must be {_KINDS[kind]}, got {value!r}")
+
+
+class _Key(NamedTuple):
+    kind: type
+    default: object
+    owner: type | None = None  # the dataclass whose field holds the value
+    field: str = ""
+
+
+def _held(owner: type, field: str) -> _Key:
+    """The key of ``owner``'s ``field``, typed by its annotation."""
+    kind = _hints(owner)[field]
+    if kind not in _KINDS:
+        raise TypeError(f"{owner.__name__}.{field}: no config type {kind}")
+    return _Key(kind, getattr(owner, field), owner, field)
+
+
+# Every ``train`` config key but the seed, which ``resolve_seed`` reads.
+_KEYS: dict[str, _Key] = {
+    "trainer.actor_lr": _held(TrainerConfig, "actor_lr"),
+    "trainer.clip_eps": _held(TrainerConfig, "clip_eps"),
+    "trainer.batch_size": _held(TrainerConfig, "batch_size"),
+    "trainer.buffer_m": _held(TrainerConfig, "buffer_capacity"),
+    "trainer.discount": _held(TrainerConfig, "discount"),
+    "curriculum.psi": _held(CurriculumSchedule, "psi"),
+    "curriculum.t_max": _held(CurriculumSchedule, "t_max_per_stage"),
+    "curriculum.epochs": _held(CurriculumSchedule, "epochs_per_stage"),
+    "reward.alpha": _held(RewardConfig, "alpha"),
+    "reward.beta": _held(RewardConfig, "beta"),
+    "reward.gamma": _held(RewardConfig, "gamma"),
+    "reward.p_s": _held(RewardConfig, "p_s"),
+    "reward.p_l": _held(RewardConfig, "p_l"),
+    "scoring.ngram_order": _Key(int, 2),
+    "scoring.ngram_k": _Key(float, 0.1),
+    "scoring.n_gen": _held(Scorers, "n_gen"),
+    "model.d_model": _held(EncoderConfig, "d_model"),
+    "model.n_heads": _held(EncoderConfig, "n_heads"),
+    "model.n_layers": _held(EncoderConfig, "n_layers"),
+    "model.d_ff": _held(EncoderConfig, "d_ff"),
+    "model.max_len": _held(EncoderConfig, "max_len"),
+    "vocab.max_size": _Key(int, 512),
+}
+
+# Each default as a config file gives it; ``eval`` reads these too.
 CONFIG_DEFAULTS: dict[str, object] = {
-    "trainer.actor_lr": TrainerConfig.actor_lr,
-    "trainer.clip_eps": TrainerConfig.clip_eps,
-    "trainer.batch_size": TrainerConfig.batch_size,
-    "trainer.buffer_m": TrainerConfig.buffer_capacity,
-    "trainer.discount": TrainerConfig.discount,
     "trainer.seed": None,
-    "curriculum.psi": CurriculumSchedule.psi,
-    "curriculum.t_max": list(CurriculumSchedule.t_max_per_stage),
-    "curriculum.epochs": list(CurriculumSchedule.epochs_per_stage),
-    "reward.alpha": RewardConfig.alpha,
-    "reward.beta": RewardConfig.beta,
-    "reward.gamma": RewardConfig.gamma,
-    "reward.p_s": RewardConfig.p_s,
-    "reward.p_l": RewardConfig.p_l,
-    "scoring.ngram_order": 2,
-    "scoring.ngram_k": 0.1,
-    "scoring.n_gen": Scorers.n_gen,
-    "model.d_model": EncoderConfig.d_model,
-    "model.n_heads": EncoderConfig.n_heads,
-    "model.n_layers": EncoderConfig.n_layers,
-    "model.d_ff": EncoderConfig.d_ff,
-    "model.max_len": EncoderConfig.max_len,
-    "vocab.max_size": 512,
+    **{key: list(k.default) if type(k.default) is tuple else k.default
+       for key, k in _KEYS.items()},
 }
 
 EVAL_METHODS = ("identity", "random", "selfinfo", "policy")
@@ -113,8 +153,8 @@ def _jsonl(records) -> str:
 def resolve_config(
     config_path: str | None, overrides: dict[str, object]
 ) -> dict[str, object]:
-    """defaults <- config file <- flag overrides; an unknown key, or a value
-    of another JSON type than its default's, is an error."""
+    """defaults <- config file <- flag overrides; an unknown key is an
+    error. Values are checked as they are cast (``_build``, ``_value``)."""
     resolved = dict(CONFIG_DEFAULTS)
     if config_path:
         try:
@@ -131,13 +171,6 @@ def resolve_config(
         if key not in resolved:
             raise UsageError(f"unknown config key: {key}")
         resolved[key] = value
-    # A string or a bool would be cast and run as a value the manifest does
-    # not hold. Integers, and a list's entries, are checked by ``_as_int``.
-    for key, default in CONFIG_DEFAULTS.items():
-        if type(default) is float and type(resolved[key]) not in (int, float):
-            raise UsageError(f"{key} must be a number, got {resolved[key]!r}")
-        if type(default) is list and type(resolved[key]) is not list:
-            raise UsageError(f"{key} must be a JSON list, got {resolved[key]!r}")
     return resolved
 
 
@@ -186,48 +219,18 @@ def write_manifest(
     _atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _as_int(value: object, key: str) -> int:
-    """An integer config value; a string, bool or fraction is an error,
-    where ``int`` would cast it to a value the manifest does not hold."""
-    if type(value) is not int and not (type(value) is float and value.is_integer()):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+def _build(owner: type, config: dict[str, object], **given):
+    """``owner`` from ``given`` and the config keys it holds, each checked
+    and cast to its field's type."""
+    for key, k in _KEYS.items():
+        if k.owner is owner:
+            given[k.field] = _cast(key, config[key], k.kind)
+    return owner(**given)
 
 
-def _build_training_pieces(config: dict[str, object], seed: int, no_hpc: bool,
-                           fixed_c_s: float, fixed_c_l: float, vocab_size: int):
-    trainer_cfg = TrainerConfig(
-        actor_lr=float(config["trainer.actor_lr"]),
-        clip_eps=float(config["trainer.clip_eps"]),
-        batch_size=_as_int(config["trainer.batch_size"], "trainer.batch_size"),
-        buffer_capacity=_as_int(config["trainer.buffer_m"], "trainer.buffer_m"),
-        discount=float(config["trainer.discount"]),
-        seed=seed,
-    )
-    t_max = tuple(_as_int(v, "curriculum.t_max") for v in config["curriculum.t_max"])
-    epochs = tuple(_as_int(v, "curriculum.epochs") for v in config["curriculum.epochs"])
-    schedule = CurriculumSchedule(
-        psi=float(config["curriculum.psi"]),
-        t_max_per_stage=t_max,
-        epochs_per_stage=epochs,
-        fixed_bounds=(fixed_c_s, fixed_c_l) if no_hpc else None,
-    )
-    reward_cfg = RewardConfig(
-        alpha=float(config["reward.alpha"]),
-        beta=float(config["reward.beta"]),
-        gamma=float(config["reward.gamma"]),
-        p_s=float(config["reward.p_s"]),
-        p_l=float(config["reward.p_l"]),
-    )
-    encoder_cfg = EncoderConfig(
-        vocab_size=vocab_size,
-        d_model=_as_int(config["model.d_model"], "model.d_model"),
-        n_heads=_as_int(config["model.n_heads"], "model.n_heads"),
-        n_layers=_as_int(config["model.n_layers"], "model.n_layers"),
-        d_ff=_as_int(config["model.d_ff"], "model.d_ff"),
-        max_len=_as_int(config["model.max_len"], "model.max_len"),
-    )
-    return trainer_cfg, schedule, reward_cfg, encoder_cfg
+def _value(config: dict[str, object], key: str):
+    """The value of a key no dataclass holds, checked and cast."""
+    return _cast(key, config[key], _KEYS[key].kind)
 
 
 def _read_corpus(path: str) -> list[PromptRecord]:
@@ -277,25 +280,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     # A bad config value, band, prompt length or scoring setting is a
     # usage error, found before the manifest is written.
     try:
-        vocab = build_vocabulary(
-            corpus, _as_int(config["vocab.max_size"], "vocab.max_size")
-        )
-        trainer_cfg, schedule, reward_cfg, encoder_cfg = _build_training_pieces(
-            config, seed, args.no_hpc, fixed_c_s, fixed_c_l, vocab.size
-        )
+        vocab = build_vocabulary(corpus, _value(config, "vocab.max_size"))
+        trainer_cfg = _build(TrainerConfig, config, seed=seed)
+        schedule = _build(CurriculumSchedule, config, fixed_bounds=(
+            (fixed_c_s, fixed_c_l) if args.no_hpc else None))
+        reward_cfg = _build(RewardConfig, config)
+        encoder_cfg = _build(EncoderConfig, config, vocab_size=vocab.size)
         prompts = tokenize_corpus(corpus, vocab, encoder_cfg.max_len)
-        lm = fit_ngram_lm(
-            prompts,
-            order=_as_int(config["scoring.ngram_order"], "scoring.ngram_order"),
-            smoothing=float(config["scoring.ngram_k"]),
-            vocab=vocab,
-        )
-        scorers = Scorers(
-            retention=IdfRetentionScorer(compute_idf_table(prompts)),
-            lm=lm,
-            n_gen=_as_int(config["scoring.n_gen"], "scoring.n_gen"),
-        )
-    except (TypeError, ValueError) as exc:
+        lm = fit_ngram_lm(prompts, order=_value(config, "scoring.ngram_order"),
+                          smoothing=_value(config, "scoring.ngram_k"), vocab=vocab)
+        scorers = _build(Scorers, config, lm=lm,
+                         retention=IdfRetentionScorer(compute_idf_table(prompts)))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"invalid training config: {exc}") from exc
 
     out = Path(args.out)
@@ -466,7 +462,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         artifacts={"rows": str(jsonl_path), "table": str(table_path)},
     )
 
-    smoothing = float(CONFIG_DEFAULTS["scoring.ngram_k"])
+    smoothing = _value(CONFIG_DEFAULTS, "scoring.ngram_k")
     lm = fit_ngram_lm(prompts, order=args.ngram_order, smoothing=smoothing, vocab=vocab)
     settings = EvalSettings(
         vocab=vocab,

@@ -71,9 +71,6 @@ class Actor:
         """Named views of ``flat``, in storage order."""
         return dict(self._params)
 
-    def clone(self) -> "Actor":
-        return Actor(self.encoder.cfg, self.flat.copy())
-
 
 class ActorGradient:
     """Storage for a gradient w.r.t. every actor parameter: one flat

@@ -18,6 +18,7 @@ implementations:
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
@@ -223,6 +224,14 @@ class NgramLM:
             {ctx: sum(cont.values()) for ctx, cont in level.items()}
             for level in counts
         ]
+        # The least probability, k / (k V + the largest total), must be a
+        # normal float, else a log or a division meets 0 or inf. An
+        # overflowing k V makes it 0.
+        largest = max(max(level.values(), default=0) for level in self._totals)
+        if smoothing / (smoothing * vocab.size + largest) < sys.float_info.min:
+            raise ValueError(
+                "smoothing must keep k * V finite and every probability normal"
+            )
         # Trailing context_window tokens -> greedy next token.
         self._successor: dict[tuple[int, ...], int] = {}
 

@@ -3,16 +3,15 @@ against a leave-one-out baseline, and the staged compression curriculum.
 
 Training runs in update rounds of M episodes (M =
 ``TrainerConfig.buffer_capacity``). A round is collected in one call
-with a frozen copy of the actor, step by step: each step is one
-``policy_forward`` over every episode's current prompt. The live actor
-is then updated from the round's M trajectories and copied back to the
-frozen one. There is no learned value function: each step's advantage
-is its return minus the mean return of the round's other trajectories at
-the same step index (the leave-one-out baseline of RLOO,
-arXiv:2402.14740). The compression band [c_s, c_l] that the reward
-enforces comes from ``CurriculumSchedule``, its one owner: it tightens
-with the stage index and, within an episode, with the step index, so the
-task hardens gradually. Everything is deterministic
+with the actor as it stands, step by step: each step is one
+``policy_forward`` over every episode's current prompt. The actor is
+then updated from the round's M trajectories. There is no learned value
+function: each step's advantage is its return minus the mean return of
+the round's other trajectories at the same step index (the leave-one-out
+baseline of RLOO, arXiv:2402.14740). The compression band [c_s, c_l]
+that the reward enforces comes from ``CurriculumSchedule``, its one
+owner: it tightens with the stage index and, within an episode, with the
+step index, so the task hardens gradually. Everything is deterministic
 given (seed, corpus, configs): per-episode and per-update RNG streams
 are derived from (seed, stage, epoch, index) so a run resumed from a
 stage boundary reproduces the uninterrupted run exactly.
@@ -142,7 +141,7 @@ class CurriculumSchedule:
 @dataclass(frozen=True)
 class TrajectoryStep:
     """One step: the prompt the actor saw, the labels it sampled on it,
-    their log-probability under the frozen actor, and the reward."""
+    their log-probability when sampled, and the reward."""
 
     current: TokenSequence
     labels: np.ndarray
@@ -180,14 +179,14 @@ def collect_trajectory(
     prompts: Sequence[TokenSequence],
     references: Sequence[TokenSequence],
     seeds: Sequence[int],
-    actor_old: Actor,
+    actor: Actor,
     schedule: CurriculumSchedule,
     stage: int,
     reward_cfg: RewardConfig,
     scorers: Scorers,
 ) -> list[Trajectory]:
-    """Roll out one episode of the stage's length per prompt with the
-    frozen actor, all episodes a step at a time.
+    """Roll out one episode of the stage's length per prompt with
+    ``actor``, all episodes a step at a time.
 
     A step is one ``policy_forward`` call over every episode's current
     prompt, which gives each bitwise what it gets alone. Episode j
@@ -202,7 +201,7 @@ def collect_trajectory(
     steps: list[list[TrajectoryStep]] = [[] for _ in prompts]
     for t in range(schedule.t_max_for(stage)):
         band = schedule.bounds_for(stage, t)
-        for j, keep_probs in enumerate(policy_forward(actor_old, currents)):
+        for j, keep_probs in enumerate(policy_forward(actor, currents)):
             labels, log_prob = sample_actions(keep_probs, seed_for(seeds[j], t))
             compressed = apply_action(currents[j], labels, keep_probs)
             reward = compute_reward(
@@ -459,9 +458,9 @@ def hpc_train(
     of E epochs over P prompts has P * E episodes: episode k rolls out
     prompt k mod P in epoch k div P + 1. Round r is episodes rM to
     rM + M - 1 (M = ``buffer_capacity``), collected in one call with the
-    frozen old actor. Each step's leave-one-out advantage is computed
-    over the round's M trajectories, M update iterations run (each on a
-    uniformly sampled batch of them), and the frozen actor is refreshed.
+    actor the previous round left. Each step's leave-one-out advantage is
+    computed over the round's M trajectories, and M update iterations run,
+    each on a uniformly sampled batch of them.
     A round is logged under the epoch of its last episode, numbered from
     0 within that epoch. Passing a ``state`` from a checkpoint resumes at
     ``state.next_stage`` and reproduces the uninterrupted run exactly.
@@ -477,8 +476,6 @@ def hpc_train(
         state = init_train_state(trainer_cfg, encoder_cfg)
 
     references: dict[int, TokenSequence] = {}
-
-    actor_old = state.actor.clone()
     grad = ActorGradient(state.actor.encoder.cfg)
     m = trainer_cfg.buffer_capacity
     n = len(prompts)
@@ -501,12 +498,11 @@ def hpc_train(
                 trajs = collect_trajectory(
                     [prompts[i] for _, i in episodes],
                     [references[i] for _, i in episodes],
-                    seeds, actor_old, schedule, stage, reward_cfg, scorers,
+                    seeds, state.actor, schedule, stage, reward_cfg, scorers,
                 )
                 _update_round(
                     trajs, state, trainer_cfg, schedule, stage, epoch, r - first, grad
                 )
-                actor_old.flat[...] = state.actor.flat
             if progress is not None:
                 progress(f"stage {stage} epoch {epoch} done ({end - first} rounds)")
         state.next_stage = stage + 1

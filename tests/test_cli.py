@@ -6,11 +6,14 @@ file's values reach the run under any ``--set``, no command imports
 scipy, and bad training config, a bad config file, a band flag without
 ``--no-hpc``, a bad eval flag, seed or vocabulary size, an unfit prompt,
 a malformed or missing corpus or an empty compress input is a usage
-error."""
+error. A seeded fuzz of ``train``'s config values finds no exit but 0, 2
+before the manifest, or 1 when training diverges."""
 
 import dataclasses
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -581,9 +584,12 @@ class TestDefaults:
     ``CONFIG_DEFAULTS``."""
 
     def test_config_defaults_build_the_dataclass_defaults(self):
-        pieces = cli._build_training_pieces(
-            cli.CONFIG_DEFAULTS, seed=0, no_hpc=False,
-            fixed_c_s=0.5, fixed_c_l=0.9, vocab_size=100,
+        defaults = cli.CONFIG_DEFAULTS
+        pieces = (
+            cli._build(TrainerConfig, defaults, seed=0),
+            cli._build(CurriculumSchedule, defaults),
+            cli._build(RewardConfig, defaults),
+            cli._build(EncoderConfig, defaults, vocab_size=100),
         )
         assert pieces == (TrainerConfig(), CurriculumSchedule(), RewardConfig(),
                           EncoderConfig(vocab_size=100))
@@ -634,6 +640,17 @@ class TestTrainConfig:
                          id="ngram-order"),
             pytest.param(["--set", "scoring.ngram_k=0"], "smoothing must be > 0",
                          id="ngram-k"),
+            # Finite and positive, but k * V overflows or the least
+            # probability is subnormal or 0: the run would fail after its
+            # manifest.
+            *(
+                pytest.param(["--set", f"scoring.ngram_k={k}"],
+                             "smoothing must keep k * V finite", id=f"ngram-k-{k}")
+                for k in ("5e-324", "1e308", "1e-320")
+            ),
+            # A JSON integer too large for a float.
+            pytest.param(["--set", "reward.beta=1" + "0" * 400],
+                         "int too large to convert to float", id="reward.beta-huge-int"),
             *(
                 pytest.param(["--set", f"{key}={value}"], message, id=f"{key}-{value}")
                 for key, value, message in (
@@ -794,3 +811,88 @@ class TestConfigFile:
         assert message in capsys.readouterr().err
         # No manifest, no checkpoint.
         assert {p.name for p in tmp_path.iterdir()} <= {"train.jsonl", "config.json"}
+
+
+def _mutated(rng, default):
+    """A value for a key whose default is ``default``: half the time one
+    of the default's own type, else one of any JSON type.
+
+    Numbers stay small: a huge integer size or count (``model.n_layers``,
+    ``scoring.ngram_order``, ``curriculum.epochs``) is accepted and then
+    allocates or loops without bound, so an integer key never gets 1e308.
+    """
+    integral = type(default) is not float
+    if rng.random() < 0.5:
+        if type(default) is list:
+            return [rng.choice([rng.randint(1, 3), float(rng.randint(1, 3))])
+                    for _ in default]
+        return rng.choice([rng.randint(1, 6), float(rng.randint(1, 6))]
+                          + ([] if integral else [rng.uniform(0.0, 6.0)]))
+    kinds = [
+        lambda: rng.choice(["4", "0.5", "abc", "", "[1, 2]", "true"]),
+        lambda: rng.choice([True, False]),
+        lambda: None,
+        lambda: rng.randint(0, 6),
+        lambda: float(rng.randint(0, 6)),
+        lambda: rng.uniform(0.0, 6.0),
+        lambda: rng.choice([-rng.randint(1, 3), -rng.uniform(0.0, 2.0)]),
+        lambda: -0.0,
+        lambda: 5e-324,
+        lambda: math.nan,
+        lambda: math.inf,
+        lambda: [rng.choice([rng.randint(1, 3), 2.0, 1.5, "2"])
+                 for _ in range(rng.randint(1, 4))],
+        lambda: [[1], 2, 1],
+        lambda: [],
+    ]
+    if not integral:
+        kinds.append(lambda: 1e308)
+    return rng.choice(kinds)()
+
+
+class TestConfigFuzz:
+    """Seeded fuzz of ``train``'s config: one to three keys per run, by
+    ``--set`` or a config file, each given a value of a random JSON type.
+    A run exits 0 with a manifest that holds every value as given, 2 with
+    no manifest, or 1 only when training itself diverges."""
+
+    RUNS = 100
+    DIVERGED = ("non-finite objective", "degenerate policy ratio")
+
+    def test_every_exit_is_clean(self, tmp_path, capsys):
+        rng = random.Random(20)
+        corpus = tmp_path / "train.jsonl"
+        _small_corpus(corpus)
+        keys = sorted(k for k in cli.CONFIG_DEFAULTS if k != "trainer.seed")
+        codes = []
+        for i in range(self.RUNS):
+            run = tmp_path / f"run{i}"
+            run.mkdir()
+            given = {
+                key: _mutated(rng, cli.CONFIG_DEFAULTS[key])
+                for key in rng.sample(keys, rng.randint(1, 3))
+            }
+            # Most runs keep a buffer larger than the corpus, so no round
+            # trains; a buffer of 4 trains one round, in stage 3.
+            config = {"trainer.buffer_m": rng.choice([65, 65, 65, 4]), **given}
+            argv = ["train", "--corpus", str(corpus), "--out", str(run / "p.ckpt")]
+            if rng.random() < 0.5:
+                argv += [f"--set={k}={json.dumps(v)}" for k, v in config.items()]
+            else:
+                (run / "config.json").write_text(json.dumps(config), encoding="utf-8")
+                argv += ["--config", str(run / "config.json")]
+            code = main(argv)
+            err = capsys.readouterr().err
+            case = f"run {i}: {config} exited {code}: {err}"
+            manifest = run / "p.ckpt.manifest.json"
+            assert code in (0, 1, 2), case
+            if code == 1:
+                assert any(m in err for m in self.DIVERGED), case
+            if code == 2:
+                assert not manifest.exists() and not (run / "p.ckpt").exists(), case
+            if code == 0:
+                written = json.loads(manifest.read_text(encoding="utf-8"))["config"]
+                for key, value in config.items():
+                    assert json.dumps(written[key]) == json.dumps(value), case
+            codes.append(code)
+        assert {0, 2} <= set(codes)

@@ -88,7 +88,7 @@ class TestPolicyForward:
         actor = Actor.build(TINY, seed=4)
         state = TokenSequence((1, 2, 3, 4))
         (a,) = policy_forward(actor, [state])
-        (b,) = policy_forward(actor.clone(), [state])
+        (b,) = policy_forward(Actor(TINY, actor.flat.copy()), [state])
         assert a.tobytes() == b.tobytes()
 
 

@@ -393,6 +393,17 @@ class TestNgramLM:
             with pytest.raises(ValueError, match="smoothing must be > 0 and finite"):
                 fit_ngram_lm([seq(0)], order=1, smoothing=smoothing, vocab=MEMO_VOCAB)
 
+    @pytest.mark.parametrize("smoothing", [5e-324, 1e-320, 1e308])
+    def test_smoothing_floats_cannot_carry_is_refused(self, smoothing):
+        # k V overflows (1e308), or k / (k V + total) is subnormal or 0.
+        with pytest.raises(ValueError, match=r"smoothing must keep k \* V finite"):
+            fit_ngram_lm([seq(0, 1, 2)], order=2, smoothing=smoothing, vocab=MEMO_VOCAB)
+
+    def test_smallest_normal_probability_is_kept(self):
+        # k / (k V + 3) is a normal float here, so k is accepted.
+        lm = fit_ngram_lm([seq(0, 1, 2)], order=2, smoothing=1e-300, vocab=MEMO_VOCAB)
+        assert min(lm.token_probs(seq(2, 2))) >= sys.float_info.min
+
     def test_shared_lm_gives_same_rows_as_fresh_lms(self):
         corpus = [
             PromptRecord(str(i), text)

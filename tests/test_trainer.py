@@ -453,7 +453,7 @@ class TestCollectTrajectory:
     def test_fixed_seed_repeats_bitwise(self):
         kwargs = dict(
             prompts=[self.prompt], references=[self.reference], seeds=[4],
-            actor_old=self.actor, schedule=CurriculumSchedule(), stage=1,
+            actor=self.actor, schedule=CurriculumSchedule(), stage=1,
             reward_cfg=RewardConfig(), scorers=self.scorers,
         )
         (a,), (b,) = collect_trajectory(**kwargs), collect_trajectory(**kwargs)
@@ -470,7 +470,7 @@ class TestCollectTrajectory:
     def test_final_rho_is_final_over_original_length(self, keep_logit, final_len):
         # A head pinned at the keep-probability ceiling keeps every token
         # (rho 1); one pinned at the floor drops all but the force-kept one.
-        actor = self.actor.clone()
+        actor = Actor(self.actor.encoder.cfg, self.actor.flat.copy())
         actor.head_w[...] = 0.0
         actor.head_b[...] = (0.0, keep_logit)
         (traj,) = collect_trajectory(
@@ -485,7 +485,7 @@ class TestCollectTrajectory:
         # own in policy_forward), over the two steps of stage 1. A random
         # head makes the keep probabilities depend on the encoder's bits,
         # and a trigram proxy makes the divergence read each reference.
-        actor = self.actor.clone()
+        actor = Actor(self.actor.encoder.cfg, self.actor.flat.copy())
         rng = np.random.default_rng(5)
         for head in (actor.head_w, actor.head_b):
             head[...] = rng.normal(0.0, 0.5, size=head.shape)
@@ -901,7 +901,7 @@ class TestCheckpoint:
         actor.flat[...] = np.arange(actor.flat.size)
         assert actor.head_b[1] == actor.flat.size - 1
         assert actor.encoder.params["tok_emb"][0, 1] == 1.0
-        clone = actor.clone()
+        clone = Actor(actor.encoder.cfg, actor.flat.copy())
         assert clone.flat.tobytes() == actor.flat.tobytes()
         clone_views = [clone.flat, *clone.parameters().values()]
         assert not any(

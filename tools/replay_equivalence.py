@@ -20,7 +20,10 @@ directory of its own, as ``python -m promptpress.cli`` with that tree's
   straddle epochs: ``syn24`` with a buffer of 5 (several rounds per
   stage, episodes dropped at each stage's end, a stage-3 round over
   epochs 1 and 2), and ``syn8`` with a buffer of 12 over three epochs of
-  two-step episodes (a prompt twice in one round); and two
+  two-step episodes (a prompt twice in one round); twice with
+  ``CONFIG_AS_FLOATS``, once from a ``--config`` file and once by
+  ``--set``, which gives integer keys integral floats and a float key an
+  int, each kept as given in the manifest; and two
   collection-only fixtures whose head is then set to seeded random
   values: a zero head keeps every probability at 0.5, so a change in the
   encoder's numerics would not show in what the policy drops. A second
@@ -118,6 +121,11 @@ def _compress(ckpt: str, corpus: str, steps: int, budget: int, out: str) -> list
 
 N_ZIPF, N_LONG = 24, 8
 
+# Integer keys given integral floats and a float key given an int, with a
+# buffer of 4 so that rounds train.
+CONFIG_AS_FLOATS = {"trainer.buffer_m": 4.0, "model.d_model": 32.0,
+                    "curriculum.t_max": [1, 2.0, 1], "reward.beta": 2}
+
 # (name, argv): argv[0] a key of SNIPPETS runs that snippet, anything
 # else is a promptpress command. Paths are relative to the run directory.
 COMMANDS: list[tuple[str, list[str]]] = [
@@ -136,6 +144,12 @@ COMMANDS: list[tuple[str, list[str]]] = [
                                 "--seed", "7", "--set", "trainer.buffer_m=12",
                                 "--set", "curriculum.t_max=[2]",
                                 "--set", "curriculum.epochs=[3]"]),
+    ("train-config-floats", ["train", "--corpus", "syn8.jsonl", "--out", "t8.ckpt",
+                             "--seed", "8", "--config", "floats.json"]),
+    ("train-set-floats", ["train", "--corpus", "syn8.jsonl", "--out", "t9.ckpt",
+                          "--seed", "9",
+                          *(f"--set={k}={json.dumps(v)}"
+                            for k, v in CONFIG_AS_FLOATS.items())]),
     ("train-order3-steps3", ["train", "--corpus", "bsyn.jsonl", "--out", "t2.ckpt",
                              "--seed", "2", "--set", "scoring.ngram_order=3",
                              "--set", "scoring.n_gen=5", "--set", "curriculum.t_max=[3]",
@@ -183,7 +197,8 @@ COMMANDS: list[tuple[str, list[str]]] = [
 
 
 def write_inputs(run: Path) -> None:
-    """The corpora no promptpress command makes, the same in every run."""
+    """The corpora no promptpress command makes, and the config file of
+    ``CONFIG_AS_FLOATS``, the same in every run."""
     inputs.write_jsonl(inputs.zipf_corpus(INPUT_SEED, inputs.STREAM_ZIPF_SHORT,
                                           N_ZIPF, 16, 48), run / "zipf.jsonl")
     inputs.write_jsonl(inputs.zipf_corpus(INPUT_SEED, inputs.STREAM_ZIPF_LONG,
@@ -191,6 +206,7 @@ def write_inputs(run: Path) -> None:
     inputs.write_jsonl(inputs.synthetic_corpus(INPUT_SEED, inputs.STREAM_TRAIN, 0,
                                                8, 24, 48), run / "bsyn.jsonl")
     (run / "empty.jsonl").write_text("", encoding="utf-8")
+    (run / "floats.json").write_text(json.dumps(CONFIG_AS_FLOATS), encoding="utf-8")
     inputs.write_jsonl([{"id": "same", "text": "a b c"}, {"id": "same", "text": "b c"}],
                        run / "dup.jsonl")
 
