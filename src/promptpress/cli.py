@@ -38,7 +38,7 @@ from .baselines import (
 )
 from .encoder import EncoderConfig
 from .evaluation import EvalSettings, evaluate
-from .policy import apply_action, greedy_actions, policy_forward
+from .policy import actor_size, apply_action, greedy_actions, policy_forward
 from .reward import RewardConfig
 from .scoring import IdfRetentionScorer, fit_ngram_lm
 from .text import (
@@ -233,6 +233,21 @@ def _value(config: dict[str, object], key: str):
     return _cast(key, config[key], _KEYS[key].kind)
 
 
+def _check_memory(cfg: EncoderConfig) -> None:
+    """Refuse a model whose training state, four float64 vectors of the
+    actor's size (the actor, its gradient and Adam's two moments), is
+    larger than physical memory; skipped where ``os.sysconf`` cannot
+    tell. Loaded checkpoints are not checked: they were allocated."""
+    if not {"SC_PAGE_SIZE", "SC_PHYS_PAGES"} <= set(getattr(os, "sysconf_names", ())):
+        return
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 4 * 8 * actor_size(cfg) > physical:
+        raise ValueError(
+            f"the model's training state exceeds the {physical} bytes of "
+            "physical memory"
+        )
+
+
 def _read_corpus(path: str) -> list[PromptRecord]:
     """The records of the JSONL corpus at ``path``; a file that cannot be
     read, or a malformed line, is a usage error naming it."""
@@ -286,6 +301,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             (fixed_c_s, fixed_c_l) if args.no_hpc else None))
         reward_cfg = _build(RewardConfig, config)
         encoder_cfg = _build(EncoderConfig, config, vocab_size=vocab.size)
+        _check_memory(encoder_cfg)
         prompts = tokenize_corpus(corpus, vocab, encoder_cfg.max_len)
         lm = fit_ngram_lm(prompts, order=_value(config, "scoring.ngram_order"),
                           smoothing=_value(config, "scoring.ngram_k"), vocab=vocab)

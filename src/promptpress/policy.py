@@ -20,7 +20,6 @@ keep probabilities it would get alone.
 from __future__ import annotations
 
 import itertools
-import math
 from concurrent.futures import Executor
 from typing import Callable, Sequence
 
@@ -40,6 +39,14 @@ def actor_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
     shapes["head_w"] = (cfg.d_model, 2)
     shapes["head_b"] = (2,)
     return shapes
+
+
+def actor_size(cfg: EncoderConfig) -> int:
+    """The number of parameters ``actor_shapes`` holds, in Python ints
+    and without a loop over layers, so that a huge config costs nothing."""
+    d, ff = cfg.d_model, cfg.d_ff
+    layer = 4 * d * d + 2 * d * ff + 9 * d + ff
+    return (cfg.vocab_size + cfg.max_len + 4) * d + 2 + cfg.n_layers * layer
 
 
 class Actor:
@@ -62,8 +69,7 @@ class Actor:
     @classmethod
     def build(cls, cfg: EncoderConfig, seed: int) -> "Actor":
         # Zero head: every token starts at keep probability 0.5.
-        size = sum(math.prod(shape) for shape in actor_shapes(cfg).values())
-        actor = cls(cfg, np.zeros(size))
+        actor = cls(cfg, np.zeros(actor_size(cfg)))
         actor.encoder.initialize(seed)
         return actor
 
@@ -83,9 +89,8 @@ class ActorGradient:
     """
 
     def __init__(self, cfg: EncoderConfig) -> None:
-        shapes = actor_shapes(cfg)
-        self.flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
-        self.views = flat_views(self.flat, shapes)
+        self.flat = np.zeros(actor_size(cfg))
+        self.views = flat_views(self.flat, actor_shapes(cfg))
         self.encoder = {k: self.views[f"enc.{k}"] for k in parameter_shapes(cfg)}
 
 

@@ -103,14 +103,14 @@ def compute_reward(
     bounds: tuple[float, float],
     retention: RetentionScorer,
     lm: ProxyLM,
-    reference: TokenSequence,
+    n_gen: int,
 ) -> RewardBreakdown:
     """Score a compressed prompt st against its original s0 under the
     band ``bounds`` = (c_s, c_l).
 
-    ``reference`` must be the greedy continuation generated from s0; it
-    is the fixed comparison target for the divergence term. With
-    gamma = 0 the divergence is not evaluated at all.
+    The divergence term averages over ``n_gen`` positions of s0's greedy
+    continuation (``output_distribution_kl``). With gamma = 0 it is not
+    evaluated at all.
     """
     if len(s0) == 0 or len(st) == 0:
         raise ValueError("empty prompt")
@@ -118,5 +118,5 @@ def compute_reward(
     d = retention.score(s0, st)
     kl = 0.0
     if cfg.gamma > 0.0:
-        kl = output_distribution_kl(lm, s0, st, reference)
+        kl = output_distribution_kl(lm, s0, st, n_gen)
     return assemble_reward(rho, d, kl, cfg, bounds)

@@ -12,7 +12,8 @@ implementations:
   query is answered from its count tables: a next-token distribution is
   the answering context's continuation counts, and the divergence of two
   of them is a sum over the ids either context was followed by plus one
-  closed-form term for the rest. No V-length vector is built.
+  closed-form term for the rest. No V-length vector is built, and the
+  divergence walks only the part of its reference that it reads.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class ProxyLM(Protocol):
     Three queries: the next-token distribution after a context (the
     divergence reads it), the probability of each token of a sequence
     given the tokens before it (self-information reads it), and a greedy
-    continuation (the reference and the evaluation read it). A
+    continuation (the divergence's reference and the evaluation read it). A
     distribution is given as counts (:class:`NextTokenDistribution`), and
     the last two queries agree with it bit for bit.
 
@@ -140,31 +141,33 @@ def output_distribution_kl(
     lm: ProxyLM,
     s0: TokenSequence,
     st: TokenSequence,
-    reference: TokenSequence,
+    n_gen: int,
 ) -> float:
     """Teacher-forced divergence between generating from st and from s0.
 
-    Mean over reference positions i of
-    KL(P(. | st ++ ref[:i]) || P(. | s0 ++ ref[:i])), a factorized
-    surrogate for the divergence between the two generation
+    Mean over the first ``n_gen`` positions i of s0's greedy
+    continuation ref of KL(P(. | st ++ ref[:i]) || P(. | s0 ++ ref[:i])),
+    a factorized surrogate for the divergence between the two generation
     distributions along the fixed s0-conditioned continuation.
 
     With a finite ``lm.context_window`` w, a position is skipped when
     both contexts end in the same w tokens (or, shorter than w, are
     equal): their distributions are then equal and the term is 0. That
     holds for every i >= w, where both end in the same reference tokens,
-    so only positions i < w are looked at. The mean still divides by
-    every reference position.
+    so only positions i < min(n_gen, w) are scored, and ref is walked up
+    to the last of them: not at all for a bigram model, which scores
+    position 0 alone. The mean still divides by ``n_gen``.
     """
-    if len(reference) == 0:
-        raise ValueError("empty reference continuation")
+    if n_gen < 1:
+        raise ValueError("n_gen must be >= 1: empty reference continuation")
     if st.ids == s0.ids:
         return 0.0
     window = getattr(lm, "context_window", None)
-    scored = len(reference) if window is None else min(len(reference), window)
+    scored = n_gen if window is None else min(n_gen, window)
+    reference = lm.greedy_continue(s0, scored - 1).ids if scored > 1 else ()
     total = 0.0
     for i in range(scored):
-        prefix = reference.ids[:i]
+        prefix = reference[:i]
         ctx_t = st.ids + prefix
         ctx_0 = s0.ids + prefix
         if _tail(ctx_t, window) == _tail(ctx_0, window):
@@ -172,7 +175,7 @@ def output_distribution_kl(
         p = lm.next_token_dist(TokenSequence(ctx_t))
         q = lm.next_token_dist(TokenSequence(ctx_0))
         total += kl_divergence(p, q)
-    return total / len(reference)
+    return total / n_gen
 
 
 class NgramLM:
@@ -180,9 +183,10 @@ class NgramLM:
 
     Every query is answered by the longest trailing context (at most
     ``context_window`` tokens) found in the count tables, or by the
-    unigram level. With c the count of a token after that context and
-    total the count of the context, the token's probability is
-    (k + c) / (k V + total).
+    unigram level. The tables stop at the longest fit prompt, as no
+    longer context was seen. With c the count of a token after that
+    context and total the count of the context, the token's probability
+    is (k + c) / (k V + total).
 
     All three queries read the count tables and build no V-length
     vector: :meth:`next_token_dist` returns the answering context's own
@@ -192,11 +196,11 @@ class NgramLM:
     operations, so their answers agree bit for bit.
 
     Greedy decoding has a memo: the greedy successor of each trailing
-    ``context_window``-token tail a walk has passed through, one int per
-    distinct tail walked. A tail holds at most ``context_window`` ids, so
-    the memo is bounded by the tuples of that many ids over V, and it
-    grows with the variety of the prompts continued, not with their
-    number or with ``n``.
+    tail a walk has passed through, one int per distinct tail walked. A
+    tail holds at most ``context_window`` ids, and no more than the
+    longest context in the tables, so the memo is bounded by the tuples
+    of that many ids over V, and it grows with the variety of the
+    prompts continued, not with their number or with ``n``.
 
     Count tables are immutable after fitting, and memo entries are only
     ever added, each equal to what a fresh model would find; two threads
@@ -243,7 +247,7 @@ class NgramLM:
     def _answering(self, ids: tuple[int, ...], end: int) -> tuple[int, ...]:
         """The context that answers for ``ids[:end]``: its longest tail
         of at most ``context_window`` ids in the count tables, else ()."""
-        for o in range(min(self.order, end + 1), 1, -1):
+        for o in range(min(len(self._counts), end + 1), 1, -1):
             tail = ids[end - (o - 1): end]
             if tail in self._counts[o - 1]:
                 return tail
@@ -288,7 +292,8 @@ class NgramLM:
         lookup, and a new tail is answered from the count tables."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        window = self.context_window
+        # No longer tail than the tables' longest context can answer.
+        window = min(self.context_window, len(self._counts) - 1)
         successor = self._successor
         tail = _tail(context.ids, window)
         out: list[int] = []
@@ -307,18 +312,19 @@ def fit_ngram_lm(
     smoothing: float,
     vocab: Vocabulary,
 ) -> NgramLM:
-    """Fit the reference proxy model on tokenized prompts over ``vocab``."""
+    """Fit the reference proxy model on tokenized prompts over ``vocab``:
+    min(``order``, the longest prompt's length) count levels, at least
+    one, as no longer context occurs. The model keeps ``order``."""
     if not prompts:
         raise ValueError("empty corpus")
+    levels = max(1, min(order, max(len(seq) for seq in prompts)))
     counts: list[dict[tuple[int, ...], dict[int, int]]] = [
-        {} for _ in range(order)
+        {} for _ in range(levels)
     ]
     for seq in prompts:
         ids = seq.ids
         for i, tid in enumerate(ids):
-            for o in range(1, order + 1):
-                if i < o - 1:
-                    continue
+            for o in range(1, min(i + 1, levels) + 1):
                 ctx = ids[i - (o - 1): i]
                 cont = counts[o - 1].setdefault(ctx, {})
                 cont[tid] = cont.get(tid, 0) + 1

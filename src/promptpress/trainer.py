@@ -11,10 +11,11 @@ the round's other trajectories at the same step index (the leave-one-out
 baseline of RLOO, arXiv:2402.14740). The compression band [c_s, c_l]
 that the reward enforces comes from ``CurriculumSchedule``, its one
 owner: it tightens with the stage index and, within an episode, with the
-step index, so the task hardens gradually. Everything is deterministic
-given (seed, corpus, configs): per-episode and per-update RNG streams
-are derived from (seed, stage, epoch, index) so a run resumed from a
-stage boundary reproduces the uninterrupted run exactly.
+step index, so the task hardens gradually. The reward's divergence term
+walks its own reference. Everything is deterministic given (seed,
+corpus, configs): per-episode and per-update RNG streams are derived
+from (seed, stage, epoch, index) so a run resumed from a stage boundary
+reproduces the uninterrupted run exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -163,21 +165,23 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class Scorers:
-    """Reward ingredients: the retention scorer, the proxy LM and the
-    length of each prompt's reference continuation."""
+    """Reward ingredients: the retention scorer, the proxy LM and
+    ``n_gen``, the number of reference positions the divergence term
+    averages over. A bigram proxy scores only the first, so there
+    ``n_gen`` only scales the term, as gamma does."""
 
     retention: RetentionScorer
     lm: ProxyLM
     n_gen: int = 32
 
     def __post_init__(self) -> None:
-        if self.n_gen < 1:
-            raise ValueError("n_gen must be >= 1")
+        # The divergence term divides by n_gen as a float.
+        if not 1 <= self.n_gen <= sys.float_info.max:
+            raise ValueError("n_gen must be >= 1 and at most the largest float")
 
 
 def collect_trajectory(
     prompts: Sequence[TokenSequence],
-    references: Sequence[TokenSequence],
     seeds: Sequence[int],
     actor: Actor,
     schedule: CurriculumSchedule,
@@ -190,12 +194,10 @@ def collect_trajectory(
 
     A step is one ``policy_forward`` call over every episode's current
     prompt, which gives each bitwise what it gets alone. Episode j
-    samples step t with ``seed_for(seeds[j], t)``. ``references[j]`` is
-    the greedy continuation of ``prompts[j]`` under ``scorers.lm``
-    (``greedy_continue``); every step's divergence term reuses it. The
-    per-step reward scores the post-action prompt against the original
-    under the step's band from ``schedule``. Each step starts from the
-    previous step's prompt, the first from the original.
+    samples step t with ``seed_for(seeds[j], t)``. The per-step reward
+    scores the post-action prompt against the original under the step's
+    band from ``schedule``. Each step starts from the previous step's
+    prompt, the first from the original.
     """
     currents = list(prompts)
     steps: list[list[TrajectoryStep]] = [[] for _ in prompts]
@@ -206,7 +208,7 @@ def collect_trajectory(
             compressed = apply_action(currents[j], labels, keep_probs)
             reward = compute_reward(
                 prompts[j], compressed, reward_cfg, band,
-                scorers.retention, scorers.lm, references[j],
+                scorers.retention, scorers.lm, scorers.n_gen,
             ).total
             steps[j].append(TrajectoryStep(currents[j], labels, log_prob, reward))
             currents[j] = compressed
@@ -467,15 +469,13 @@ def hpc_train(
 
     Only the floor(P * E / M) whole rounds of a stage run: episodes past
     the last would be dropped unread at the stage boundary, so they are
-    not collected. Each prompt's greedy reference is generated once, on
-    its first episode.
+    not collected.
     """
     if not prompts:
         raise ValueError("empty corpus")
     if state is None:
         state = init_train_state(trainer_cfg, encoder_cfg)
 
-    references: dict[int, TokenSequence] = {}
     grad = ActorGradient(state.actor.encoder.cfg)
     m = trainer_cfg.buffer_capacity
     n = len(prompts)
@@ -486,18 +486,12 @@ def hpc_train(
             first, end = (epoch - 1) * n // m, epoch * n // m
             for r in range(first, end):
                 episodes = [divmod(k, n) for k in range(r * m, (r + 1) * m)]
-                for _, i in episodes:
-                    if i not in references:
-                        references[i] = scorers.lm.greedy_continue(
-                            prompts[i], scorers.n_gen
-                        )
                 seeds = [
                     seed_for(trainer_cfg.seed, _TAG_EPISODE, stage, e + 1, i)
                     for e, i in episodes
                 ]
                 trajs = collect_trajectory(
                     [prompts[i] for _, i in episodes],
-                    [references[i] for _, i in episodes],
                     seeds, state.actor, schedule, stage, reward_cfg, scorers,
                 )
                 _update_round(

@@ -6,7 +6,7 @@ import json
 import numpy as np
 
 from promptpress.encoder import EncoderConfig
-from promptpress.scoring import IdfRetentionScorer, fit_ngram_lm
+from promptpress.scoring import IdfRetentionScorer, NgramLM, fit_ngram_lm
 from promptpress.text import (
     PromptRecord,
     build_vocabulary,
@@ -36,6 +36,22 @@ def fit_lm(corpus, order, smoothing, vocab=None, max_vocab=512):
         vocab = build_vocabulary(corpus, max_vocab)
     prompts = [tokenize(record.text, vocab) for record in corpus]
     return fit_ngram_lm(prompts, order=order, smoothing=smoothing, vocab=vocab)
+
+
+def fit_every_level(prompts, order, smoothing, vocab):
+    """Reference n-gram fit with one count level per order, as the proxy
+    was once fit: every token counted after each of its contexts, and
+    the levels past the longest prompt left empty."""
+    counts = [{} for _ in range(order)]
+    for seq in prompts:
+        ids = seq.ids
+        for i, tid in enumerate(ids):
+            for o in range(1, order + 1):
+                if i < o - 1:
+                    continue
+                cont = counts[o - 1].setdefault(ids[i - (o - 1): i], {})
+                cont[tid] = cont.get(tid, 0) + 1
+    return NgramLM(order=order, smoothing=smoothing, vocab=vocab, counts=counts)
 
 
 def dense_probs(dist):

@@ -7,7 +7,9 @@ scipy, and bad training config, a bad config file, a band flag without
 ``--no-hpc``, a bad eval flag, seed or vocabulary size, an unfit prompt,
 a malformed or missing corpus or an empty compress input is a usage
 error. A seeded fuzz of ``train``'s config values finds no exit but 0, 2
-before the manifest, or 1 when training diverges."""
+before the manifest, or 1 when training diverges; one of ``compress`` and
+``eval`` finds no exit but 0, 2 with nothing written, or 1 on a corrupt
+checkpoint."""
 
 import dataclasses
 import json
@@ -59,6 +61,10 @@ UNFIT_PROMPTS = [
                  id="over-max-len"),
     pytest.param("   ", BLANK_MESSAGE, id="blank"),
 ]
+
+
+PHYSICAL_MEMORY_KNOWN = {"SC_PAGE_SIZE", "SC_PHYS_PAGES"} <= set(
+    getattr(os, "sysconf_names", ()))
 
 
 def _checkpoint_on_larger_corpus(tmp_path):
@@ -634,6 +640,9 @@ class TestTrainConfig:
                          id="vocab-max-size"),
             pytest.param(["--set", "trainer.critic_lr=1e-6"],
                          "unknown config key: trainer.critic_lr", id="critic_lr"),
+            pytest.param(["--set", "scoring.n_gen=1" + "0" * 400],
+                         "n_gen must be >= 1 and at most the largest float",
+                         id="n-gen-past-float"),
             pytest.param(["--set", "scoring.n_gen=0"], "n_gen must be >= 1",
                          id="n-gen"),
             pytest.param(["--set", "scoring.ngram_order=0"], "order must be >= 1",
@@ -700,6 +709,18 @@ class TestTrainConfig:
                 pytest.param(["--set", f"model.{key}={value}"],
                              "d_model and n_heads must be >= 1", id=f"{key}-{value}")
                 for key, value in (("n_heads", 0), ("n_heads", -2), ("d_model", 0))
+            ),
+            # A model whose training state would not fit in memory: refused
+            # from the config alone, before the actor or its layers are built.
+            *(
+                pytest.param(["--set", f"model.{key}={value}"],
+                             "invalid training config: the model's training state "
+                             "exceeds the", id=f"{key}-{value}",
+                             marks=pytest.mark.skipif(
+                                 not PHYSICAL_MEMORY_KNOWN,
+                                 reason="os.sysconf does not report physical memory"))
+                for key, value in (("n_layers", "1e300"), ("d_model", "1e300"),
+                                   ("d_ff", "1e300"), ("max_len", "1e9"))
             ),
             # Without --no-hpc the curriculum sets the band, and a band flag
             # would be recorded in the manifest yet ignored.
@@ -817,9 +838,9 @@ def _mutated(rng, default):
     """A value for a key whose default is ``default``: half the time one
     of the default's own type, else one of any JSON type.
 
-    Numbers stay small: a huge integer size or count (``model.n_layers``,
-    ``scoring.ngram_order``, ``curriculum.epochs``) is accepted and then
-    allocates or loops without bound, so an integer key never gets 1e308.
+    Numbers stay small: a huge integer count (``curriculum.epochs``) is
+    accepted and then loops without bound, so an integer key never gets
+    1e308.
     """
     integral = type(default) is not float
     if rng.random() < 0.5:
@@ -896,3 +917,157 @@ class TestConfigFuzz:
                     assert json.dumps(written[key]) == json.dumps(value), case
             codes.append(code)
         assert {0, 2} <= set(codes)
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoints(tmp_path_factory):
+    """A checkpoint over the synthetic vocabulary with a random head, and
+    one trained on another corpus, whose words the inputs never use."""
+    tmp = tmp_path_factory.mktemp("fuzz-ckpt")
+    good = _checkpoint_on_larger_corpus(tmp)
+    _randomize_head(good)
+    other_corpus = tmp / "other.jsonl"
+    save_corpus([PromptRecord(f"o{i}", " ".join(f"v{(i * j) % 7}" for j in range(9)))
+                 for i in range(5)], other_corpus)
+    other = tmp / "other.ckpt"
+    assert main(["train", "--corpus", str(other_corpus), "--out", str(other),
+                 "--set", "curriculum.t_max=[1]", "--set", "curriculum.epochs=[1]",
+                 "--set", "trainer.buffer_m=6"]) == 0
+    return {"good": good, "other": other}
+
+
+def _fuzzed_records(rng, p):
+    """Three or four synthetic records; each field, with probability p,
+    given a wrong JSON type, an empty or blank value, an over-long or
+    unseen text, another record's id or a mask of the wrong length. With
+    probability p / 10 there are none at all."""
+    records = [
+        {"id": r.id, "text": r.text, "reference_output": r.reference_output,
+         "filler_mask": [int(v) for v in r.filler_mask]}
+        for r in make_synthetic_corpus(rng.randint(0, 3), rng.randint(3, 4), 0.5)
+    ]
+    if rng.random() < p / 10:
+        return []
+    for record in records:
+        mask = record["filler_mask"]
+        choices = {
+            "text": [None, 5, ["a"], {"a": 1}, True, "", "   ", OVER_MAX_LEN,
+                     "fresh unseen words"],
+            "id": [None, 5, [], True, "", " ", records[0]["id"], records[-1]["id"]],
+            "reference_output": [None, 5, [], True, "", "  ", "key words"],
+            "filler_mask": [None, "0", 5, ["0"], [2], [], mask[:-1], mask + [0],
+                            [True] * len(mask)],
+        }
+        for key, values in choices.items():
+            if rng.random() < p:
+                record[key] = rng.choice(values)
+                if key == "text" and rng.random() < 0.7:
+                    record["filler_mask"] = None  # else its length no longer matches
+    # A None id or mask stands for the field left out.
+    return [{k: v for k, v in r.items() if v is not None or k == "reference_output"}
+            for r in records]
+
+
+def _fuzzed_argv(rng, p, command, corpus, ckpt, out):
+    """``command``'s argv: each flag left out, or given a valid value or,
+    with probability p, a zero, negative, nan or out-of-range one."""
+    def maybe(flag, good, bad):
+        if rng.random() < 0.5:
+            return []
+        return [flag, rng.choice(bad if rng.random() < p else good)]
+
+    if command == "compress":
+        return (["compress", "--input", str(corpus), "--out", str(out)]
+                + (["--checkpoint", str(ckpt)] if ckpt else [])
+                + maybe("--steps", ["0", "1", "2", "3"], ["-1", "nan"])
+                + maybe("--budget", ["0", "1", "2", "5"], ["-1", "nan"]))
+    names = list(cli.EVAL_METHODS)
+    if ckpt is None:
+        names.remove("policy")
+    if rng.random() < p:
+        names += ["bogus", "", "policy"]
+    methods = ",".join(rng.choice(names) for _ in range(rng.randint(1, 4)))
+    return (["eval", "--corpus", str(corpus), "--out-prefix", str(out),
+             "--methods", methods, "--seed", str(rng.randint(0, 9))]
+            + (["--checkpoint", str(ckpt)] if ckpt else [])
+            + maybe("--steps", ["1", "2", "3"], ["0", "-1", "nan"])
+            + maybe("--rho", ["0.5", "0.3", "1", "1e-9"], ["0", "-0.5", "1.5", "nan"])
+            + maybe("--n-gen", ["1", "2", "5"], ["0", "-1", "nan"])
+            + maybe("--ngram-order", ["1", "2", "3", "60"], ["0", "-2", "nan"])
+            + maybe("--vocab-size", ["2", "3", "16"], ["1", "0", "-1", "nan"]))
+
+
+class TestCompressEvalFuzz:
+    """Seeded fuzz of ``compress`` and ``eval``: corpus fields, flags and
+    the checkpoint each given bad or edge values. A run exits 0 with
+    outputs that parse, every compressed prompt a subsequence of its
+    input and every eval number finite, or 2 with nothing written. A
+    checkpoint that is missing or truncated is reported as a corrupt
+    checkpoint, exit 1, also with nothing written."""
+
+    RUNS = 100
+
+    @staticmethod
+    def _checked_outputs(command, out, records):
+        if command == "compress":
+            rows = [json.loads(line) for line in out.read_text().splitlines()]
+            assert [row["id"] for row in rows] == [r.get("id", f"rec-{i:05d}")
+                                                  for i, r in enumerate(records, 1)]
+            for row in rows:
+                assert _is_subsequence(row["compressed"].split(), row["original"].split())
+                assert row["tokens_after"] == len(row["compressed"].split())
+                assert 0.0 < row["rho"] <= 1.0
+            return
+        lines = Path(f"{out}.jsonl").read_text().splitlines()
+        assert Path(f"{out}.txt").read_text()
+        for record in map(json.loads, lines):
+            if record["record"] in ("row", "aggregate"):
+                for value in record.values():
+                    if isinstance(value, (int, float)):
+                        assert math.isfinite(value), record
+                assert 0.0 < record["rho"] <= 1.0, record
+
+    def test_every_exit_is_clean(self, tmp_path, capsys, fuzz_checkpoints):
+        rng = random.Random(22)
+        codes = []
+        for i in range(self.RUNS):
+            run = tmp_path / f"run{i}"
+            run.mkdir()
+            # The chance of each fault: most runs have none or one.
+            p = rng.choice([0.0, 0.0, 0.05, 0.1, 0.3])
+            records = _fuzzed_records(rng, p)
+            corpus = run / "corpus.jsonl"
+            corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+            command = rng.choice(["compress", "eval"])
+            kinds = ["good", "good", "other"] + (["none"] if command == "eval" else [])
+            if rng.random() < p:
+                kinds = ["missing", "truncated"]
+            kind = rng.choice(kinds)
+            ckpt = fuzz_checkpoints.get(kind)
+            if kind == "missing":
+                ckpt = run / "missing.ckpt"
+            elif kind == "truncated":
+                data = fuzz_checkpoints["good"].read_bytes()
+                ckpt = run / "truncated.ckpt"
+                ckpt.write_bytes(data[:rng.randint(0, len(data) - 1)])
+            inputs = set(run.iterdir())
+            out = run / ("out.jsonl" if command == "compress" else "ev")
+            argv = _fuzzed_argv(rng, p, command, corpus, ckpt, out)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses a flag's value
+                code = exc.code
+            err = capsys.readouterr().err
+            case = f"run {i}: {argv} on {records} exited {code}: {err}"
+            if code == 1:
+                assert kind in ("missing", "truncated"), case
+                assert "corrupt checkpoint" in err, case
+            else:
+                assert code in (0, 2), case
+            if code == 0:
+                self._checked_outputs(command, out, records)
+            else:
+                assert set(run.iterdir()) == inputs, case  # no manifest, no output
+            codes.append(code)
+        assert {0, 1, 2} <= set(codes)
+

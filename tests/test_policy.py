@@ -1,6 +1,7 @@
 """Actor tests: forward math, sampling, greedy selection, applying labels,
 and gradients."""
 
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -19,6 +20,8 @@ from promptpress.encoder import LN_EPS, EncoderConfig, TinyTransformerEncoder
 from promptpress.policy import (
     Actor,
     _label_log_probs,
+    actor_shapes,
+    actor_size,
     apply_action,
     greedy_actions,
     policy_forward,
@@ -330,6 +333,19 @@ class TestInitialParameters:
                 assert np.all(value == (1.0 if name.endswith("_g") else 0.0)), name
         assert not actor.head_w.any() and not actor.head_b.any()
         assert len(actor.encoder.params) == 4 + 16 * TINY.n_layers
+
+    @pytest.mark.parametrize("cfg", [
+        TINY,
+        EncoderConfig(vocab_size=1, d_model=1, n_heads=1, n_layers=1, d_ff=1, max_len=1),
+        EncoderConfig(vocab_size=512),
+        EncoderConfig(vocab_size=7, d_model=12, n_heads=3, n_layers=5, d_ff=5, max_len=33),
+        EncoderConfig(vocab_size=300, d_model=32, n_heads=4, n_layers=3, d_ff=96,
+                      max_len=19),
+    ])
+    def test_size_is_the_sum_of_the_shapes(self, cfg):
+        want = sum(math.prod(shape) for shape in actor_shapes(cfg).values())
+        assert actor_size(cfg) == want
+        assert Actor.build(cfg, seed=0).flat.size == want
 
 
 class TestEncoderContract:

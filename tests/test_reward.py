@@ -142,44 +142,43 @@ class TestComputeReward:
         corpus = [PromptRecord("0", "a b c d a b c d e f")]
         lm = fit_lm(corpus, order=2, smoothing=0.1)
         s0 = tokenize("a b c d e f", lm.vocab)
-        reference = lm.greedy_continue(s0, 8)
-        return lm, s0, reference
+        return lm, s0, 8
 
     def test_identity_compression(self):
-        lm, s0, ref = self._fixture()
+        lm, s0, n_gen = self._fixture()
         cfg = RewardConfig(p_l=100)
-        b = compute_reward(s0, s0, cfg, (0.5, 0.9), StubRetention(1.0), lm, ref)
+        b = compute_reward(s0, s0, cfg, (0.5, 0.9), StubRetention(1.0), lm, n_gen)
         # rho = 1 > c_l, D = 1, KL = 0 exactly
         assert b.kl_term == 0.0
         assert b.total == pytest.approx(1.0 + 1.0 - 0.0 - 100.0)
 
     def test_matches_assembled_ingredients(self):
-        lm, s0, ref = self._fixture()
+        lm, s0, n_gen = self._fixture()
         from promptpress.scoring import output_distribution_kl
 
         st = TokenSequence(s0.ids[::2])
         cfg = RewardConfig(alpha=1.2, beta=0.8, gamma=1.5)
-        b = compute_reward(s0, st, cfg, (0.3, 0.8), StubRetention(0.7), lm, ref)
-        kl = output_distribution_kl(lm, s0, st, ref)
+        b = compute_reward(s0, st, cfg, (0.3, 0.8), StubRetention(0.7), lm, n_gen)
+        kl = output_distribution_kl(lm, s0, st, n_gen)
         expected = assemble_reward(len(st) / len(s0), 0.7, kl, cfg, (0.3, 0.8))
         assert b.total == pytest.approx(expected.total)
 
     def test_gamma_zero_skips_divergence(self):
-        lm, s0, ref = self._fixture()
+        lm, s0, n_gen = self._fixture()
         cfg = RewardConfig(gamma=0.0)
         st = TokenSequence(s0.ids[:3])
-        b = compute_reward(s0, st, cfg, (0.3, 0.9), StubRetention(0.5), lm, ref)
+        b = compute_reward(s0, st, cfg, (0.3, 0.9), StubRetention(0.5), lm, n_gen)
         assert b.kl_term == 0.0
 
     def test_empty_sequences_error(self):
-        lm, s0, ref = self._fixture()
+        lm, s0, n_gen = self._fixture()
         with pytest.raises(ValueError):
             compute_reward(
-                TokenSequence(()), s0, RewardConfig(), (0.5, 0.9), StubRetention(1), lm, ref
+                TokenSequence(()), s0, RewardConfig(), (0.5, 0.9), StubRetention(1), lm, n_gen
             )
         with pytest.raises(ValueError):
             compute_reward(
-                s0, TokenSequence(()), RewardConfig(), (0.5, 0.9), StubRetention(1), lm, ref
+                s0, TokenSequence(()), RewardConfig(), (0.5, 0.9), StubRetention(1), lm, n_gen
             )
 
 

@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import dense_kl, dense_probs, fit_lm
+from conftest import dense_kl, dense_probs, fit_every_level, fit_lm
 from promptpress.baselines import (
     IdentityCompressor,
     RandomCompressor,
@@ -393,6 +393,38 @@ class TestNgramLM:
             with pytest.raises(ValueError, match="smoothing must be > 0 and finite"):
                 fit_ngram_lm([seq(0)], order=1, smoothing=smoothing, vocab=MEMO_VOCAB)
 
+    # MEMO_CORPUS's longest prompt has 10 tokens.
+    @pytest.mark.parametrize("order", range(1, 14))
+    def test_fit_answers_as_a_fit_of_every_level(self, order):
+        prompts = [tokenize(record.text, MEMO_VOCAB) for record in MEMO_CORPUS]
+        lm = fit_ngram_lm(prompts, order=order, smoothing=0.1, vocab=MEMO_VOCAB)
+        want = fit_every_level(prompts, order, 0.1, MEMO_VOCAB)
+        assert (lm.order, lm.context_window) == (order, order - 1)
+        assert len(lm._counts) == min(order, 10)
+        # Short contexts, every slice of each prompt, each prompt after
+        # an unseen token, and both prompts joined, past the longest.
+        contexts = list(all_contexts(2))
+        for p in prompts:
+            contexts += [TokenSequence(p.ids[i:j])
+                         for i in range(len(p)) for j in range(i + 1, len(p) + 1)]
+            contexts.append(TokenSequence((3,) + p.ids))
+        contexts.append(TokenSequence(prompts[0].ids + prompts[1].ids))
+        for ctx in contexts:
+            assert lm.next_token_dist(ctx) == want.next_token_dist(ctx), ctx.ids
+            assert lm.token_probs(ctx) == want.token_probs(ctx), ctx.ids
+            assert lm.greedy_continue(ctx, 12) == want.greedy_continue(ctx, 12), ctx.ids
+
+    def test_huge_order_fits_one_level_per_token_of_the_longest_prompt(self):
+        prompts = [tokenize(record.text, MEMO_VOCAB) for record in MEMO_CORPUS]
+        lm = fit_ngram_lm(prompts, order=10**9, smoothing=0.1, vocab=MEMO_VOCAB)
+        assert len(lm._counts) == 10
+        assert (lm.order, lm.context_window) == (10**9, 10**9 - 1)
+        want = fit_every_level(prompts, 11, 0.1, MEMO_VOCAB)
+        joined = TokenSequence(prompts[0].ids + prompts[1].ids)
+        assert lm.greedy_continue(joined, 12) == want.greedy_continue(joined, 12)
+        # the walk's memo keys hold no more than the longest context
+        assert max(len(tail) for tail in lm._successor) == 9
+
     @pytest.mark.parametrize("smoothing", [5e-324, 1e-320, 1e308])
     def test_smoothing_floats_cannot_carry_is_refused(self, smoothing):
         # k V overflows (1e308), or k / (k V + total) is subnormal or 0.
@@ -516,11 +548,13 @@ class TestClosedFormKL:
 
     @pytest.mark.parametrize("order", TestCountAnswers.ORDERS)
     @pytest.mark.parametrize("smoothing", TestCountAnswers.SMOOTHINGS)
-    def test_output_distribution_kl_matches_dense_reference(self, order, smoothing):
+    @pytest.mark.parametrize("n_gen", [1, 2, 6])
+    def test_output_distribution_kl_matches_dense_reference(self, order, smoothing, n_gen):
+        # n_gen 1 and 2 are below the window of order 4, 6 above every window.
         lm = fit_lm(MEMO_CORPUS, order=order, smoothing=smoothing, vocab=MEMO_VOCAB)
         prompts = [tokenize(text, MEMO_VOCAB) for text in self.PROMPTS]
         for s0 in prompts:
-            ref = lm.greedy_continue(s0, 6)
+            ref = lm.greedy_continue(s0, n_gen)
             for st in prompts:
                 want = sum(
                     dense_kl(
@@ -529,7 +563,7 @@ class TestClosedFormKL:
                     )
                     for i in range(len(ref))
                 ) / len(ref)
-                self.assert_close(output_distribution_kl(lm, s0, st, ref), want)
+                self.assert_close(output_distribution_kl(lm, s0, st, n_gen), want)
 
     def test_contexts_with_one_answering_context_give_exactly_zero(self):
         lm = fit_lm(MEMO_CORPUS, order=3, smoothing=0.1, vocab=MEMO_VOCAB)
@@ -545,7 +579,7 @@ class TestClosedFormKL:
         # and "a d" both back off to the unigram level; later positions
         # share their tails.
         s0, st = tokenize("b d", MEMO_VOCAB), tokenize("a d", MEMO_VOCAB)
-        assert output_distribution_kl(lm, s0, st, lm.greedy_continue(s0, 4)) == 0.0
+        assert output_distribution_kl(lm, s0, st, 4) == 0.0
 
 
 class TestOutputDistributionKL:
@@ -553,18 +587,17 @@ class TestOutputDistributionKL:
         corpus = [PromptRecord("0", "a b c a")]
         lm = fit_lm(corpus, order=2, smoothing=0.1)
         s0 = tokenize("a b c", lm.vocab)
-        ref = lm.greedy_continue(s0, 4)
-        assert output_distribution_kl(lm, s0, s0, ref) == 0.0
+        assert output_distribution_kl(lm, s0, s0, 4) == 0.0
 
     def test_unigram_lm_is_context_insensitive(self):
         corpus = [PromptRecord("0", "a b c a b")]
         lm = fit_lm(corpus, order=1, smoothing=0.1)
         s0 = tokenize("a b c", lm.vocab)
         st = tokenize("c", lm.vocab)
-        ref = lm.greedy_continue(s0, 4)
-        assert output_distribution_kl(lm, s0, st, ref) == pytest.approx(0.0, abs=1e-15)
+        assert output_distribution_kl(lm, s0, st, 4) == pytest.approx(0.0, abs=1e-15)
 
-    def test_model_without_window_scores_every_position(self):
+    @pytest.mark.parametrize("n_gen", [1, 2, 6])
+    def test_model_without_window_scores_every_position(self, n_gen):
         lm = LengthLM()
         s0, st = seq(2, 2, 2), seq(2, 2)
         ref = lm.greedy_continue(s0, 6)
@@ -577,12 +610,35 @@ class TestOutputDistributionKL:
             for i in range(len(ref))
         ]
         assert min(terms) > 0.0  # the two contexts differ in parity everywhere
-        assert output_distribution_kl(lm, s0, st, ref) == pytest.approx(np.mean(terms))
+        got = output_distribution_kl(lm, s0, st, n_gen)
+        assert got == pytest.approx(np.mean(terms[:n_gen]))
 
-    def test_empty_reference_errors(self):
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_gen", [1, 2, 3, 5])
+    def test_walks_only_the_reference_it_scores(self, order, n_gen, monkeypatch):
+        # min(n_gen, window) positions are scored; the last reads the
+        # reference tokens before it.
+        lm = fit_lm(MEMO_CORPUS, order=order, smoothing=0.2, vocab=MEMO_VOCAB)
+        walks = []
+        greedy_continue = lm.greedy_continue
+
+        def recorded(context, n):
+            walks.append((context, n))
+            return greedy_continue(context, n)
+
+        monkeypatch.setattr(lm, "greedy_continue", recorded)
+        s0, st = tokenize("a b a c b", MEMO_VOCAB), tokenize("c b", MEMO_VOCAB)
+        output_distribution_kl(lm, s0, st, n_gen)
+        scored = min(n_gen, order - 1)
+        assert walks == ([(s0, scored - 1)] if scored > 1 else [])
+        output_distribution_kl(lm, s0, s0, n_gen)
+        assert len(walks) == (1 if scored > 1 else 0)
+
+    @pytest.mark.parametrize("n_gen", [0, -1])
+    def test_empty_reference_errors(self, n_gen):
         lm = constant_ngram([1, 1])
         with pytest.raises(ValueError, match="reference"):
-            output_distribution_kl(lm, seq(0), seq(1), TokenSequence(()))
+            output_distribution_kl(lm, seq(0), seq(1), n_gen)
 
     def test_position_by_position_oracle(self):
         corpus = [PromptRecord("0", "a b a c b a b c c a")]
@@ -599,8 +655,8 @@ class TestOutputDistributionKL:
                 for i in range(10)
             ]
         )
-        assert output_distribution_kl(lm, s0, st, ref) == pytest.approx(float(expected))
-        assert output_distribution_kl(lm, s0, st, ref) >= 0.0
+        assert output_distribution_kl(lm, s0, st, 10) == pytest.approx(float(expected))
+        assert output_distribution_kl(lm, s0, st, 10) >= 0.0
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_context_window_skips_only_zero_terms(self, order):
@@ -619,7 +675,7 @@ class TestOutputDistributionKL:
                 for i in range(len(ref))
             ]
         )
-        got = output_distribution_kl(lm, s0, st, ref)
+        got = output_distribution_kl(lm, s0, st, len(ref))
         assert abs(got - all_positions) <= 1e-12
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -641,4 +697,5 @@ class TestOutputDistributionKL:
                 for i in range(len(ref))
             ]
         )
-        assert abs(output_distribution_kl(lm, s0, st, ref) - all_positions) <= 1e-12
+        got = output_distribution_kl(lm, s0, st, len(ref))
+        assert abs(got - all_positions) <= 1e-12

@@ -361,8 +361,7 @@ class TestLeaveOneOut:
     def test_identical_returns_leave_the_actor_unmoved(self):
         prompts, _, scorers, encoder_cfg, trainer_cfg = _small_training_setup()
         (traj,) = collect_trajectory(
-            [prompts[1]], [scorers.lm.greedy_continue(prompts[1], scorers.n_gen)],
-            [5], Actor.build(encoder_cfg, seed=3),
+            [prompts[1]], [5], Actor.build(encoder_cfg, seed=3),
             CurriculumSchedule(), 1, RewardConfig(), scorers,
         )
         trajs = [traj] * trainer_cfg.buffer_capacity
@@ -387,8 +386,8 @@ class TestLeaveOneOut:
         m = trainer_cfg.buffer_capacity
         trajs = [
             collect_trajectory(
-                [prompts[i]], [scorers.lm.greedy_continue(prompts[i], scorers.n_gen)],
-                [i], state.actor, CurriculumSchedule(), 1, RewardConfig(), scorers,
+                [prompts[i]], [i], state.actor, CurriculumSchedule(), 1,
+                RewardConfig(), scorers,
             )[0]
             for i in range(m)
         ]
@@ -439,20 +438,17 @@ class TestCollectTrajectory:
         self.prompts, _, self.scorers, self.encoder_cfg = tiny_world()
         self.actor = Actor.build(self.encoder_cfg, seed=11)
         self.prompt = self.prompts[1]
-        self.reference = self.scorers.lm.greedy_continue(
-            self.prompt, self.scorers.n_gen
-        )
 
     def test_stage3_has_one_step(self):
         (traj,) = collect_trajectory(
-            [self.prompt], [self.reference], [9], self.actor,
+            [self.prompt], [9], self.actor,
             CurriculumSchedule(), 3, RewardConfig(), self.scorers,
         )
         assert len(traj.steps) == 1
 
     def test_fixed_seed_repeats_bitwise(self):
         kwargs = dict(
-            prompts=[self.prompt], references=[self.reference], seeds=[4],
+            prompts=[self.prompt], seeds=[4],
             actor=self.actor, schedule=CurriculumSchedule(), stage=1,
             reward_cfg=RewardConfig(), scorers=self.scorers,
         )
@@ -462,7 +458,7 @@ class TestCollectTrajectory:
     def test_empty_prompt_errors(self):
         with pytest.raises(ValueError, match="empty"):
             collect_trajectory(
-                [TokenSequence(())], [self.reference], [0], self.actor,
+                [TokenSequence(())], [0], self.actor,
                 CurriculumSchedule(), 1, RewardConfig(), self.scorers,
             )
 
@@ -474,7 +470,7 @@ class TestCollectTrajectory:
         actor.head_w[...] = 0.0
         actor.head_b[...] = (0.0, keep_logit)
         (traj,) = collect_trajectory(
-            [self.prompt], [self.reference], [3], actor,
+            [self.prompt], [3], actor,
             CurriculumSchedule(), 1, RewardConfig(), self.scorers,
         )
         n = len(self.prompt)
@@ -484,7 +480,7 @@ class TestCollectTrajectory:
         # Mixed lengths, a prompt twice and a 1-token prompt (a pass of its
         # own in policy_forward), over the two steps of stage 1. A random
         # head makes the keep probabilities depend on the encoder's bits,
-        # and a trigram proxy makes the divergence read each reference.
+        # and a trigram proxy makes the divergence walk each reference.
         actor = Actor(self.actor.encoder.cfg, self.actor.flat.copy())
         rng = np.random.default_rng(5)
         for head in (actor.head_w, actor.head_b):
@@ -493,13 +489,12 @@ class TestCollectTrajectory:
         scorers = Scorers(self.scorers.retention, lm, n_gen=4)
         p = self.prompts
         prompts = [p[0], p[2], TokenSequence(p[3].ids[:1]), p[4], p[2], p[5]]
-        references = [lm.greedy_continue(q, scorers.n_gen) for q in prompts]
         seeds = [31, 32, 33, 34, 35, 36]
         rest = (actor, CurriculumSchedule(), 1, RewardConfig(), scorers)
-        together = collect_trajectory(prompts, references, seeds, *rest)
+        together = collect_trajectory(prompts, seeds, *rest)
         alone = [
-            collect_trajectory([q], [ref], [seed], *rest)[0]
-            for q, ref, seed in zip(prompts, references, seeds)
+            collect_trajectory([q], [seed], *rest)[0]
+            for q, seed in zip(prompts, seeds)
         ]
         assert [len(traj.steps) for traj in together] == [2] * len(prompts)
         assert [_fields(traj) for traj in together] == [_fields(traj) for traj in alone]
@@ -515,7 +510,7 @@ class TestCollectTrajectory:
         reward_cfg = RewardConfig()
         stage, seed = 1, 21
         (traj,) = collect_trajectory(
-            [self.prompt], [self.reference], [seed], self.actor,
+            [self.prompt], [seed], self.actor,
             schedule, stage, reward_cfg, self.scorers,
         )
         current = self.prompt
@@ -529,7 +524,7 @@ class TestCollectTrajectory:
             nxt = apply_action(current, labels, keep_probs)
             expected_reward = compute_reward(
                 self.prompt, nxt, reward_cfg, band,
-                self.scorers.retention, self.scorers.lm, self.reference,
+                self.scorers.retention, self.scorers.lm, self.scorers.n_gen,
             ).total
             assert step.reward == expected_reward
             current = nxt
@@ -642,7 +637,7 @@ class TestCollectionPlan:
         pg, pw = state.actor.parameters(), initial.actor.parameters()
         assert all(np.array_equal(pg[k], pw[k]) for k in pw)
 
-    def test_collects_whole_rounds_and_each_reference_once(self, monkeypatch):
+    def test_collects_whole_rounds_and_walks_no_reference(self, monkeypatch):
         prompts, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
             n_prompts=5
         )
@@ -650,11 +645,11 @@ class TestCollectionPlan:
             t_max_per_stage=(1, 1), epochs_per_stage=(1, 2)
         )
         rounds = self._counting(monkeypatch, "collect_trajectory")
-        references = []
+        walks = []
         greedy_continue = scorers.lm.greedy_continue
 
         def counted(context, n):
-            references.append(context)
+            walks.append(context)
             return greedy_continue(context, n)
 
         monkeypatch.setattr(scorers.lm, "greedy_continue", counted)
@@ -662,14 +657,16 @@ class TestCollectionPlan:
             prompts, trainer_cfg, schedule, RewardConfig(), scorers, encoder_cfg,
         )
         # M = 4: stage 1 runs floor(5 / 4) = 1 round, stage 2 runs floor(10 / 4) = 2.
-        assert [args[5] for args in rounds] == [1, 2, 2]
-        assert len(references) == 5
+        assert [args[4] for args in rounds] == [1, 2, 2]
+        # The bigram proxy's divergence reads only the first reference
+        # position, whose context is the prompt itself.
+        assert walks == []
         # Stage 2's second round is episodes 4-7: prompt 4 of epoch 1, then
         # prompts 0-2 of epoch 2, each on its episode's seed. It is logged as
         # round 0 of epoch 2, the epoch of its last episode.
         plan = [(1, 4), (2, 0), (2, 1), (2, 2)]
         assert rounds[2][0] == [prompts[i] for _, i in plan]
-        assert rounds[2][2] == [
+        assert rounds[2][1] == [
             seed_for(trainer_cfg.seed, trainer._TAG_EPISODE, 2, e, i) for e, i in plan
         ]
         logged = sorted({(r["stage"], r["epoch"], r["round"]) for r in state.log})

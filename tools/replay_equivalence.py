@@ -13,7 +13,9 @@ directory of its own, as ``python -m promptpress.cli`` with that tree's
   (imported read-only from this checkout, so both trees get the same
   bytes), plus an empty corpus and one whose ids repeat;
 * ``train`` at the defaults and at n-gram orders 1, 3 and 4, with one to
-  three steps per trajectory and ``n_gen`` 1, 5 and 32; once with a
+  three steps per trajectory and ``n_gen`` 1, 5 and 32; at order 4 with
+  ``n_gen`` 2, where the divergence scores fewer positions than the
+  window, and at order 60, past the longest prompt; once with a
   buffer of 4 and a learning rate of 1e-3, so that every stage trains
   rounds, two-step episodes get updated, and the gradient is clipped at
   some update steps and not at others; twice with update rounds that
@@ -29,7 +31,7 @@ directory of its own, as ``python -m promptpress.cli`` with that tree's
   encoder's numerics would not show in what the policy drops. A second
   copy of each fixture also has its feed-forward w1 scaled by 20, so
   that the GELU's erf runs its |x| > 1 tail;
-* ``compress`` and ``eval`` on those checkpoints, over orders 1-4,
+* ``compress`` and ``eval`` on those checkpoints, over orders 1-4 and 60,
   ``--n-gen`` 1, 5 and 32 and ``--steps`` 1-3;
 * the float64 keep probabilities of ``policy_forward`` under the two
   w1-scaled fixtures, written raw: every other output is kept words or
@@ -161,6 +163,11 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("train-order4", ["train", "--corpus", "syn24.jsonl", "--out", "t4.ckpt",
                       "--seed", "4", "--set", "scoring.ngram_order=4",
                       "--set", "curriculum.t_max=[2]", "--set", "curriculum.epochs=[1]"]),
+    ("train-order4-ngen2", ["train", "--corpus", "syn8.jsonl", "--out", "t10.ckpt",
+                           "--seed", "10", "--set", "scoring.ngram_order=4",
+                           "--set", "scoring.n_gen=2"]),
+    ("train-order60", ["train", "--corpus", "syn8.jsonl", "--out", "t11.ckpt",
+                       "--seed", "11", "--set", "scoring.ngram_order=60"]),
     ("fixture-zipf", _fixture("zipf.jsonl", "fz.ckpt", N_ZIPF)),
     ("fixture-long", _fixture("long.jsonl", "fl.ckpt", N_LONG)),
     ("randomize-zipf", ["randomize-head", "fz.ckpt", "fz-rand.ckpt", "0"]),
@@ -181,6 +188,7 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("eval-o4-g32-s1", _eval("zipf.jsonl", "fz-rand.ckpt", 4, 32, 1, "e4")),
     ("eval-o4-g1-s2", _eval("zipf.jsonl", "fz-rand.ckpt", 4, 1, 2, "e5")),
     ("eval-o1-g32-s3", _eval("zipf.jsonl", "fz-rand.ckpt", 1, 32, 3, "e6")),
+    ("eval-o60-g32-s2", _eval("zipf.jsonl", "fz-rand.ckpt", 60, 32, 2, "e12")),
     ("eval-long-o4", _eval("long.jsonl", "fl-rand.ckpt", 4, 32, 3, "e7",
                            methods="selfinfo,policy", rho=0.3)),
     ("eval-trained", _eval("syn8.jsonl", "t1.ckpt", 2, 32, 2, "e8", rho=0.3)),
