@@ -6,9 +6,14 @@ config file, then command-line flags. Each ``train`` key is one entry of
 annotated type (int, float or a tuple of ints) it takes, or the type and
 default of a key no dataclass holds. The resolved result is frozen in
 a run manifest written before any long-running work, so every run is
-reproducible from its manifest alone. Exit codes: 0 success, 2 usage or
-validation error, 1 runtime failure. Artifacts are written to a
-``.partial`` path and renamed only when complete.
+reproducible from its manifest alone. A ``train`` run reruns on its
+manifest's input corpus from the manifest's ``config`` written as a
+``--config`` file, less the ``no_hpc``, ``fixed_c_s`` and ``fixed_c_l``
+entries, which only flags set: with ``--no-hpc --fixed-c-s C_S
+--fixed-c-l C_L`` when ``no_hpc`` is true, and with no band flag
+otherwise. Exit codes: 0 success, 2 usage or validation error, 1
+runtime failure. Artifacts are written to a ``.partial`` path and
+renamed only when complete.
 
 ``compress`` encodes its prompts in passes of up to the encoder's
 ``max_len`` tokens, run on a pool of one thread per CPU the process may
@@ -37,7 +42,7 @@ from .baselines import (
     SelfInfoCompressor,
 )
 from .encoder import EncoderConfig
-from .evaluation import EvalSettings, evaluate
+from .evaluation import evaluate, report_records, report_table
 from .policy import actor_size, apply_action, greedy_actions, policy_forward
 from .reward import RewardConfig
 from .scoring import IdfRetentionScorer, fit_ngram_lm
@@ -259,6 +264,16 @@ def _read_corpus(path: str) -> list[PromptRecord]:
         raise UsageError(str(exc)) from exc
 
 
+def _read_checkpoint(path: str):
+    """The actor and vocabulary of the checkpoint at ``path``; a file that
+    cannot be read is a usage error naming it, and one that reads but is
+    corrupt a runtime failure."""
+    try:
+        return load_checkpoint(path, actor_only=True)
+    except OSError as exc:
+        raise UsageError(f"cannot read checkpoint {path}: {exc}") from exc
+
+
 def cmd_make_corpus(args: argparse.Namespace) -> int:
     if not 0.0 <= args.filler <= 1.0:
         raise UsageError("--filler must be in [0, 1]")
@@ -376,7 +391,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
         raise UsageError("--steps must be >= 0")
     if args.budget < 0:
         raise UsageError("--budget must be >= 0")
-    actor, vocab = load_checkpoint(args.checkpoint, actor_only=True)
+    actor, vocab = _read_checkpoint(args.checkpoint)
     corpus = _read_corpus(args.input)
     if not corpus:
         raise UsageError(f"input {args.input} is empty")
@@ -453,7 +468,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # its ids. Its encoder bounds the prompt length; every method needs a
     # prompt that tokenizes to something.
     if args.checkpoint:
-        actor, vocab = load_checkpoint(args.checkpoint, actor_only=True)
+        actor, vocab = _read_checkpoint(args.checkpoint)
         max_len = actor.encoder.cfg.max_len
     else:
         vocab = build_vocabulary(corpus, args.vocab_size)
@@ -480,13 +495,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     smoothing = _value(CONFIG_DEFAULTS, "scoring.ngram_k")
     lm = fit_ngram_lm(prompts, order=args.ngram_order, smoothing=smoothing, vocab=vocab)
-    settings = EvalSettings(
-        vocab=vocab,
-        n_gen=args.n_gen,
-        lm_description=(
-            f"add-k n-gram proxy (order={lm.order}, context window "
-            f"{lm.context_window} tokens, fit on eval corpus)"
-        ),
+    lm_description = (
+        f"add-k n-gram proxy (order={lm.order}, context window "
+        f"{lm.context_window} tokens, fit on eval corpus)"
     )
     # The policy runs without helper threads: on short prompts its passes
     # spend most of their time in small numpy calls that hold the GIL,
@@ -499,9 +510,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     }
     compressors = [build[method]() for method in methods]
 
-    reports = evaluate(compressors, corpus, prompts, lm, settings)
-    _atomic(jsonl_path, _jsonl(r for report in reports for r in report.jsonl_records()))
-    _atomic(table_path, "\n".join(r.table() for r in reports))
+    results = evaluate(compressors, corpus, prompts, lm, vocab, args.n_gen)
+    _atomic(jsonl_path, _jsonl(record for rows, aggregate in results
+                               for record in report_records(rows, aggregate, lm_description)))
+    _atomic(table_path, "\n".join(report_table(aggregate, lm_description)
+                                  for _, aggregate in results))
     print(f"wrote {jsonl_path} and {table_path}")
     return 0
 

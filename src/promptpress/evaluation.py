@@ -2,11 +2,11 @@
 
 The proxy model plays the target LLM's role: for every prompt it
 greedy-generates once from the original and, per method, once from the
-compressed prompt, and each method's report scores the two generations
-against each other (ROUGE-1/2/L, token F1) and the compressed
-generation against the record's reference output (exact match), when
-one is present. On token ids ROUGE-1 F and token F1 are the same
-clipped unigram overlap, so one computation fills both columns.
+compressed prompt, and each method's rows score the two generations
+against each other (ROUGE-1/2/L) and the compressed generation against
+the record's reference output (exact match), when one is present. The
+ROUGE-1 F is written twice, as ``rouge1_f`` and as ``token_f1``: on
+token ids the two are one clipped unigram overlap.
 
 Each piece of work is done once. Every compressor compresses the whole
 corpus in one call before any continuation is generated, so a model's
@@ -14,19 +14,20 @@ compressions run back to back, and the policy batches its encoder
 passes across prompts. A prompt's original continuation is generated once
 and also serves every method that keeps the whole prompt, and within a
 prompt, methods whose continuations are equal share one scoring. No
-report depends on which other methods run beside it.
+method's rows depend on which other methods run beside it.
 
-Exact match is applied to the full normalized generation; the report
-header records this, and which model produced the generations.
+``evaluate`` returns each method's rows and their aggregate; the
+report's header record and its table name the model that produced the
+generations, and note that exact match is applied to the full
+normalized generation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .baselines import Compressor
-from .metrics import exact_match, rouge_l, rouge_n, token_f1
+from .metrics import exact_match, rouge_l, rouge_n
 from .scoring import ProxyLM
 from .text import PromptRecord, TokenSequence, Vocabulary, detokenize
 
@@ -44,52 +45,41 @@ TABLE_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class EvalSettings:
-    vocab: Vocabulary
-    lm_description: str
-    n_gen: int
+def report_records(rows: list[dict], aggregate: dict, lm_description: str) -> list[dict]:
+    """One method's JSONL records: a header naming the method, the model
+    and ``EM_NOTE``, then its rows, then its aggregate."""
+    header = {
+        "record": "header",
+        "method": aggregate["method"],
+        "lm": lm_description,
+        "note": EM_NOTE,
+    }
+    return [header, *({"record": "row", **row} for row in rows),
+            {"record": "aggregate", **aggregate}]
 
 
-@dataclass
-class EvalReport:
-    method: str
-    lm_description: str
-    note: str
-    rows: list[dict]
-    aggregate: dict = field(default_factory=dict)
-
-    def jsonl_records(self) -> list[dict]:
-        header = {
-            "record": "header",
-            "method": self.method,
-            "lm": self.lm_description,
-            "note": self.note,
-        }
-        rows = [{"record": "row", **row} for row in self.rows]
-        return [header, *rows, {"record": "aggregate", **self.aggregate}]
-
-    def table(self) -> str:
-        lines = [
-            f"# generations produced by: {self.lm_description}",
-            f"# note: {self.note}",
-        ]
-        values = []
-        for key, _ in TABLE_COLUMNS:
-            val = self.aggregate.get(key)
-            if key == "method":
-                values.append(self.method)
-            elif val is None:
-                values.append("-")
-            elif key == "tokens":
-                values.append(f"{val:.1f}")
-            else:
-                values.append(f"{val:.4f}")
-        headers = [title for _, title in TABLE_COLUMNS]
-        widths = [max(len(h), len(v)) for h, v in zip(headers, values)]
-        lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-        lines.append("  ".join(v.ljust(w) for v, w in zip(values, widths)))
-        return "\n".join(lines) + "\n"
+def report_table(aggregate: dict, lm_description: str) -> str:
+    """One method's aggregate as a two-line table under the model and
+    ``EM_NOTE``; a mean with no values reads "-"."""
+    values = []
+    for key, _ in TABLE_COLUMNS:
+        val = aggregate[key]
+        if key == "method":
+            values.append(val)
+        elif val is None:
+            values.append("-")
+        elif key == "tokens":
+            values.append(f"{val:.1f}")
+        else:
+            values.append(f"{val:.4f}")
+    headers = [title for _, title in TABLE_COLUMNS]
+    widths = [max(len(h), len(v)) for h, v in zip(headers, values)]
+    return "\n".join([
+        f"# generations produced by: {lm_description}",
+        f"# note: {EM_NOTE}",
+        "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
+        "  ".join(v.ljust(w) for v, w in zip(values, widths)),
+    ]) + "\n"
 
 
 def _mean(values: Sequence[float]) -> float | None:
@@ -104,7 +94,7 @@ def _scores(
     em = None
     if record.reference_output is not None:
         em = exact_match(detokenize(gen_c, vocab), record.reference_output)
-    unigram_f = token_f1(gen_c.ids, gen_o.ids)[2]
+    unigram_f = rouge_n(gen_c.ids, gen_o.ids, 1)[2]
     return {
         "rouge1_f": unigram_f,
         "rouge2_f": rouge_n(gen_c.ids, gen_o.ids, 2)[2],
@@ -119,28 +109,29 @@ def evaluate(
     corpus: Sequence[PromptRecord],
     prompts: Sequence[TokenSequence],
     lm: ProxyLM,
-    settings: EvalSettings,
-) -> list[EvalReport]:
-    """One report per compressor, in order: per-prompt metric rows plus
-    arithmetic-mean aggregates.
+    vocab: Vocabulary,
+    n_gen: int,
+) -> list[tuple[list[dict], dict]]:
+    """(rows, aggregate) per compressor, in order: one metric row per
+    prompt, scoring ``n_gen``-token continuations, and their
+    arithmetic means.
 
-    ``prompts[i]`` is ``corpus[i]`` tokenized with ``settings.vocab``.
-    Each compressor gets the whole of ``prompts`` in one call.
+    ``prompts[i]`` is ``corpus[i]`` tokenized with ``vocab``. Each
+    compressor gets the whole of ``prompts`` in one call.
     """
     if len(prompts) != len(corpus):
         raise ValueError(f"{len(prompts)} prompts for {len(corpus)} records")
-    vocab = settings.vocab
     kept_by_method = [compressor.compress(prompts) for compressor in compressors]
     rows: list[list[dict]] = [[] for _ in compressors]
     for index, (record, seq) in enumerate(zip(corpus, prompts)):
-        gen_o = lm.greedy_continue(seq, settings.n_gen)
+        gen_o = lm.greedy_continue(seq, n_gen)
         scored: dict[tuple[int, ...], dict] = {}
         for compressor, kept_all, method_rows in zip(compressors, kept_by_method, rows):
             kept = kept_all[index]
             if kept.ids == seq.ids:
                 gen_c = gen_o
             else:
-                gen_c = lm.greedy_continue(kept, settings.n_gen)
+                gen_c = lm.greedy_continue(kept, n_gen)
             scores = scored.get(gen_c.ids)
             if scores is None:
                 scores = scored[gen_c.ids] = _scores(gen_c, gen_o, record, vocab)
@@ -156,19 +147,11 @@ def evaluate(
                     **scores,
                 }
             )
-    reports = []
+    results = []
     for compressor, method_rows in zip(compressors, rows):
         aggregate = {"method": compressor.name, "n": len(method_rows)}
         for key in ("tokens", "rho", "inv_rho", "rouge1_f", "rouge2_f", "rougeL_f",
                     "token_f1", "em"):
             aggregate[key] = _mean([row[key] for row in method_rows])
-        reports.append(
-            EvalReport(
-                method=compressor.name,
-                lm_description=settings.lm_description,
-                note=EM_NOTE,
-                rows=method_rows,
-                aggregate=aggregate,
-            )
-        )
-    return reports
+        results.append((method_rows, aggregate))
+    return results

@@ -1,10 +1,9 @@
-"""Evaluation metrics: exact match, token F1, and ROUGE (n-gram and LCS).
+"""Evaluation metrics: exact match and ROUGE (n-gram and LCS).
 
 All metrics follow the standard clipped-count definitions with no
 stemming or stopword handling, so every value can be recomputed by a
-brute-force counter. On one tokenization ``rouge_n(c, r, 1)`` and
-``token_f1(c, r)`` count the same unigram multisets and return equal
-triples; the evaluation computes that triple once with ``token_f1``.
+brute-force counter. ROUGE-1 is the clipped unigram overlap that is
+also called token F1; the evaluation reports its F under both names.
 """
 
 from __future__ import annotations
@@ -34,20 +33,10 @@ def _prf(overlap: float, n_cand: float, n_ref: float) -> tuple[float, float, flo
     return precision, recall, f1
 
 
-def token_f1(
-    candidate: Sequence[Hashable], reference: Sequence[Hashable]
-) -> tuple[float, float, float]:
-    """Clipped unigram-overlap precision/recall/F1 over token multisets."""
-    cand = Counter(candidate)
-    ref = Counter(reference)
-    overlap = sum(min(n, ref[tok]) for tok, n in cand.items())
-    return _prf(overlap, sum(cand.values()), sum(ref.values()))
-
-
 def _ngrams(tokens: Sequence[Hashable], n: int) -> Counter:
-    return Counter(
-        tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)
-    )
+    """The multiset of ``tokens``' n-grams, each a tuple, zipped from n
+    shifted slices."""
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def rouge_n(

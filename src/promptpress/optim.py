@@ -15,6 +15,9 @@ from typing import Iterable
 
 import numpy as np
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba, 2015).
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def flat_views(
     flat: np.ndarray, shapes: dict[str, tuple[int, ...]]
@@ -54,7 +57,8 @@ def clip_gradients(
 
 
 class Adam:
-    """Standard Adam over the parameters laid out in one flat vector.
+    """Standard Adam, at ``BETA1``, ``BETA2`` and ``EPS``, over the
+    parameters laid out in one flat vector.
 
     ``params`` names the parameters, in storage order, only for their
     sizes. The first and second moments are one vector each, ``m`` and
@@ -66,15 +70,9 @@ class Adam:
         self,
         params: dict[str, np.ndarray],
         lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
         moments: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         if moments is None:
             size = sum(p.size for p in params.values())
@@ -96,24 +94,24 @@ class Adam:
         allocated per step.
         """
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         chunk = self._scratch[0].size
         for start in range(0, grad.size, chunk):
             end = start + chunk
             g, m, v = grad[start:end], self.m[start:end], self.v[start:end]
             num, den = (a[: g.size] for a in self._scratch)
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=num)
+            m *= BETA1
+            np.multiply(g, 1.0 - BETA1, out=num)
             m += num
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=num)
+            v *= BETA2
+            np.multiply(g, 1.0 - BETA2, out=num)
             num *= g
             v += num
             np.divide(m, bc1, out=num)
             num *= self.lr
             np.divide(v, bc2, out=den)
             np.sqrt(den, out=den)
-            den += self.eps
+            den += EPS
             num /= den
             params[start:end] -= num

@@ -12,8 +12,10 @@ implementations:
   query is answered from its count tables: a next-token distribution is
   the answering context's continuation counts, and the divergence of two
   of them is a sum over the ids either context was followed by plus one
-  closed-form term for the rest. No V-length vector is built, and the
-  divergence walks only the part of its reference that it reads.
+  closed-form term for the rest. No V-length vector is built. A model
+  owns one context window, the trailing tokens its answers can depend
+  on; the divergence scores no position past it, as every later term is
+  exactly 0, and walks only the part of its reference that it reads.
 """
 
 from __future__ import annotations
@@ -52,10 +54,14 @@ class ProxyLM(Protocol):
     distribution is given as counts (:class:`NextTokenDistribution`), and
     the last two queries agree with it bit for bit.
 
-    A model may also expose ``context_window``: the number of trailing
-    context tokens its distributions depend on. A model without it is
-    taken to read its whole context.
+    ``context_window`` is the number of trailing context tokens its
+    answers depend on: two contexts that end in the same
+    ``context_window`` tokens, or are equal when shorter, get the same
+    answers. A model that reads its whole context declares a window no
+    context reaches.
     """
+
+    context_window: int
 
     def next_token_dist(self, context: TokenSequence) -> NextTokenDistribution: ...
 
@@ -130,10 +136,8 @@ def kl_divergence(p: NextTokenDistribution, q: NextTokenDistribution) -> float:
     return kl + (p.size - len(union)) * p_rest * math.log(p_rest / q_rest)
 
 
-def _tail(ids: tuple[int, ...], window: int | None) -> tuple[int, ...]:
-    """The trailing ``window`` ids; all of them when None or fewer."""
-    if window is None:
-        return ids
+def _tail(ids: tuple[int, ...], window: int) -> tuple[int, ...]:
+    """The trailing ``window`` ids; all of them when fewer."""
     return ids[max(0, len(ids) - window):]
 
 
@@ -150,20 +154,20 @@ def output_distribution_kl(
     a factorized surrogate for the divergence between the two generation
     distributions along the fixed s0-conditioned continuation.
 
-    With a finite ``lm.context_window`` w, a position is skipped when
-    both contexts end in the same w tokens (or, shorter than w, are
-    equal): their distributions are then equal and the term is 0. That
-    holds for every i >= w, where both end in the same reference tokens,
-    so only positions i < min(n_gen, w) are scored, and ref is walked up
-    to the last of them: not at all for a bigram model, which scores
-    position 0 alone. The mean still divides by ``n_gen``.
+    With w = ``lm.context_window``, a position is skipped when both
+    contexts end in the same w tokens (or, shorter than w, are equal):
+    one context answers both, and the term is exactly 0. That holds for
+    every i >= w, where both end in the same reference tokens, so only
+    positions i < min(n_gen, w) are scored, and ref is walked up to the
+    last of them: not at all for a bigram model, which scores position 0
+    alone. The mean still divides by ``n_gen``.
     """
     if n_gen < 1:
         raise ValueError("n_gen must be >= 1: empty reference continuation")
     if st.ids == s0.ids:
         return 0.0
-    window = getattr(lm, "context_window", None)
-    scored = n_gen if window is None else min(n_gen, window)
+    window = lm.context_window
+    scored = min(n_gen, window)
     reference = lm.greedy_continue(s0, scored - 1).ids if scored > 1 else ()
     total = 0.0
     for i in range(scored):
@@ -184,9 +188,10 @@ class NgramLM:
     Every query is answered by the longest trailing context (at most
     ``context_window`` tokens) found in the count tables, or by the
     unigram level. The tables stop at the longest fit prompt, as no
-    longer context was seen. With c the count of a token after that
-    context and total the count of the context, the token's probability
-    is (k + c) / (k V + total).
+    longer context was seen, so ``context_window`` is min(order, levels
+    held) - 1: no more than the longest fit prompt's length less one.
+    With c the count of a token after that context and total the count
+    of the context, the token's probability is (k + c) / (k V + total).
 
     All three queries read the count tables and build no V-length
     vector: :meth:`next_token_dist` returns the answering context's own
@@ -197,10 +202,9 @@ class NgramLM:
 
     Greedy decoding has a memo: the greedy successor of each trailing
     tail a walk has passed through, one int per distinct tail walked. A
-    tail holds at most ``context_window`` ids, and no more than the
-    longest context in the tables, so the memo is bounded by the tuples
-    of that many ids over V, and it grows with the variety of the
-    prompts continued, not with their number or with ``n``.
+    tail holds at most ``context_window`` ids, so the memo is bounded by
+    the tuples of that many ids over V, and it grows with the variety of
+    the prompts continued, not with their number or with ``n``.
 
     Count tables are immutable after fitting, and memo entries are only
     ever added, each equal to what a fresh model would find; two threads
@@ -224,6 +228,8 @@ class NgramLM:
         self.vocab = vocab
         # counts[o - 1] maps a length-(o-1) context to continuation counts.
         self._counts = counts
+        # Trailing tokens the tables can answer from.
+        self.context_window = min(order, len(counts)) - 1
         self._totals = [
             {ctx: sum(cont.values()) for ctx, cont in level.items()}
             for level in counts
@@ -239,15 +245,10 @@ class NgramLM:
         # Trailing context_window tokens -> greedy next token.
         self._successor: dict[tuple[int, ...], int] = {}
 
-    @property
-    def context_window(self) -> int:
-        """Trailing tokens read: an order-n model conditions on n - 1."""
-        return self.order - 1
-
     def _answering(self, ids: tuple[int, ...], end: int) -> tuple[int, ...]:
         """The context that answers for ``ids[:end]``: its longest tail
         of at most ``context_window`` ids in the count tables, else ()."""
-        for o in range(min(len(self._counts), end + 1), 1, -1):
+        for o in range(min(self.context_window, end) + 1, 1, -1):
             tail = ids[end - (o - 1): end]
             if tail in self._counts[o - 1]:
                 return tail
@@ -292,8 +293,7 @@ class NgramLM:
         lookup, and a new tail is answered from the count tables."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        # No longer tail than the tables' longest context can answer.
-        window = min(self.context_window, len(self._counts) - 1)
+        window = self.context_window
         successor = self._successor
         tail = _tail(context.ids, window)
         out: list[int] = []
@@ -314,7 +314,8 @@ def fit_ngram_lm(
 ) -> NgramLM:
     """Fit the reference proxy model on tokenized prompts over ``vocab``:
     min(``order``, the longest prompt's length) count levels, at least
-    one, as no longer context occurs. The model keeps ``order``."""
+    one, as no longer context occurs. The model keeps ``order`` and
+    reads a window of one token less than the levels it holds."""
     if not prompts:
         raise ValueError("empty corpus")
     levels = max(1, min(order, max(len(seq) for seq in prompts)))

@@ -236,14 +236,12 @@ KEY_LEXICON = tuple(
     for b in ("ite", "ak", "um", "or")
 )
 FILLER_LEXICON = ("the", "um", "well", "basically", "just", "so")
+# The token counts a synthetic prompt is drawn between, both included.
+SYNTHETIC_MIN_TOKENS, SYNTHETIC_MAX_TOKENS = 24, 48
 
 
 def make_synthetic_corpus(
-    seed: int,
-    n_prompts: int,
-    filler_fraction: float,
-    min_tokens: int = 24,
-    max_tokens: int = 48,
+    seed: int, n_prompts: int, filler_fraction: float
 ) -> list[PromptRecord]:
     """Generate prompts that interleave key words with filler words.
 
@@ -258,7 +256,7 @@ def make_synthetic_corpus(
     rng = np.random.default_rng(seed)
     records = []
     for i in range(n_prompts):
-        length = int(rng.integers(min_tokens, max_tokens + 1))
+        length = int(rng.integers(SYNTHETIC_MIN_TOKENS, SYNTHETIC_MAX_TOKENS + 1))
         is_filler = rng.random(length) < filler_fraction
         words = []
         keys = []

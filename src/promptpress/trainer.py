@@ -167,8 +167,9 @@ class Trajectory:
 class Scorers:
     """Reward ingredients: the retention scorer, the proxy LM and
     ``n_gen``, the number of reference positions the divergence term
-    averages over. A bigram proxy scores only the first, so there
-    ``n_gen`` only scales the term, as gamma does."""
+    averages over. It scores at most the proxy's ``context_window`` of
+    them, the first alone for a bigram proxy, as every later term is 0;
+    past that window ``n_gen`` only scales the term, as gamma does."""
 
     retention: RetentionScorer
     lm: ProxyLM
@@ -609,15 +610,13 @@ def load_checkpoint(
     after also checking the optimizer's step count and moment vectors.
     With ``actor_only`` it returns (actor, vocabulary) instead, reading
     no ``opt_actor.*`` member and building no optimizer: all that
-    compressing or evaluating needs.
+    compressing or evaluating needs. A file that cannot be opened raises
+    the ``OSError`` of its ``open``; a fault in what it holds is a
+    ValueError.
     """
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise ValueError(f"corrupt checkpoint: {exc}") from exc
     # The archive reads its members from ``fh``, so every read stays in
     # this block, which closes the file on every path out of it.
-    with fh:
+    with open(path, "rb") as fh:
         try:
             data = np.load(fh)
         except Exception as exc:

@@ -1,8 +1,8 @@
 """API-surface guard: every function, class and method defined in
 ``src/promptpress`` is used by name somewhere else in ``src/``, every
-dataclass field is read somewhere in ``src/``, every name a module
-imports is used in that module, and ``__init__.py`` imports nothing from
-its own package.
+dataclass field is read somewhere in ``src/``, every parameter default is
+overridden by some call in ``src/``, every name a module imports is used
+in that module, and ``__init__.py`` imports nothing from its own package.
 
 A name only tests reach is an API the program does not need; it should
 be deleted or, if it is a reference other code is compared against,
@@ -205,3 +205,73 @@ def unused_imports() -> list[str]:
 def test_every_import_is_used():
     unused = unused_imports()
     assert not unused, "imported in src/ but never used: " + ", ".join(unused)
+
+
+# Parameters whose default no call in ``src/`` overrides, each with its
+# reason.
+UNSET_DEFAULTS_ALLOWED: dict[str, str] = {
+    "main(argv)": "the console entry point reads sys.argv; tests pass argv",
+    "hpc_train(state)": "resuming from a stage boundary, which only tests drive",
+}
+
+
+def _calls_by_name() -> dict[str, list[ast.Call]]:
+    """Every call in ``src/``, by the name it calls: ``f(...)`` and
+    ``x.f(...)`` are both calls of ``f``."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in _trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name:
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether ``call`` gives ``param``: by keyword, at its ``position``
+    (None for a keyword-only parameter), or through ``*``/``**``."""
+    keywords = [k.arg for k in call.keywords]
+    if param in keywords or None in keywords:
+        return True
+    if position is None:
+        return False
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    return starred or len(call.args) > position
+
+
+def unset_defaults() -> list[str]:
+    """``function(param)`` for each parameter with a default that no call
+    in ``src/`` passes; a class's ``__init__`` is called by the class name,
+    and a method's ``self`` is not counted among the positions."""
+    calls = _calls_by_name()
+    unset = []
+    for tree in _trees().values():
+        owners = {id(m): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for m in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, _FUNCS):
+                continue
+            cls = owners.get(id(fn))
+            name = cls.name if cls and fn.name == "__init__" else fn.name
+            static = any(getattr(d, "id", "") == "staticmethod" for d in fn.decorator_list)
+            args = fn.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            if cls and not static:
+                positional = positional[1:]
+            defaulted = positional[len(positional) - len(args.defaults):]
+            params = [(p, positional.index(p)) for p in defaulted] + [
+                (a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            for param, position in params:
+                if not any(_passes(c, param, position) for c in calls.get(name, [])):
+                    unset.append(f"{name}({param})")
+    return unset
+
+
+def test_every_parameter_default_is_overridden_in_src():
+    unset = [u for u in unset_defaults() if u not in UNSET_DEFAULTS_ALLOWED]
+    assert not unset, (
+        "parameters whose default no call in src/ overrides (make them "
+        "constants): " + ", ".join(unset))
+    assert set(UNSET_DEFAULTS_ALLOWED) <= set(unset_defaults())

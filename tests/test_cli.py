@@ -5,9 +5,10 @@ vocabulary/LM pairing, the CLI's defaults are the library's, a config
 file's values reach the run under any ``--set``, no command imports
 scipy, and bad training config, a bad config file, a band flag without
 ``--no-hpc``, a bad eval flag, seed or vocabulary size, an unfit prompt,
-a malformed or missing corpus or an empty compress input is a usage
-error. A seeded fuzz of ``train``'s config values finds no exit but 0, 2
-before the manifest, or 1 when training diverges; one of ``compress`` and
+a malformed or missing corpus, a missing checkpoint or an empty compress
+input is a usage error, and a train run reruns from its manifest. A
+seeded fuzz of ``train``'s config values finds no exit but 0, 2 before
+the manifest, or 1 when training diverges; one of ``compress`` and
 ``eval`` finds no exit but 0, 2 with nothing written, or 1 on a corrupt
 checkpoint."""
 
@@ -509,6 +510,19 @@ class TestMalformedCorpus:
         assert f"cannot read corpus {corpus}: [Errno 2]" in err
         assert list(tmp_path.iterdir()) == []  # no manifest, no output
 
+    @pytest.mark.parametrize("command", ["compress", "eval"])
+    def test_missing_checkpoint_is_usage_error_before_any_output(
+        self, tmp_path, capsys, command
+    ):
+        corpus = tmp_path / "corpus.jsonl"
+        _small_corpus(corpus)
+        ckpt = tmp_path / "nope.ckpt"
+        argv = self._argv(command, corpus, ckpt, tmp_path) + (
+            ["--methods", "policy", "--checkpoint", str(ckpt)] if command == "eval" else [])
+        assert main(argv) == 2
+        assert f"cannot read checkpoint {ckpt}: [Errno 2]" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [corpus]  # no manifest, no output
+
     @staticmethod
     def _argv(command, corpus, ckpt, tmp_path):
         return {
@@ -833,6 +847,36 @@ class TestConfigFile:
         # No manifest, no checkpoint.
         assert {p.name for p in tmp_path.iterdir()} <= {"train.jsonl", "config.json"}
 
+    @pytest.mark.parametrize("band", [[], ["--no-hpc", "--fixed-c-s", "0.3",
+                                           "--fixed-c-l", "0.8"]])
+    def test_run_reruns_from_its_manifest(self, tmp_path, band):
+        # The recipe of the cli docstring: the manifest's config less the
+        # band entries as a --config file, and the band as flags.
+        corpus = tmp_path / "train.jsonl"
+        _small_corpus(corpus)
+        first = tmp_path / "first.ckpt"
+        assert main(["train", "--corpus", str(corpus), "--out", str(first), "--seed", "5",
+                     "--set", "trainer.buffer_m=2", "--set", "trainer.batch_size=2",
+                     "--set", "curriculum.t_max=[1]",
+                     "--set", "curriculum.epochs=[1]", "--set", "model.d_model=16",
+                     *band]) == 0
+        manifest = json.loads((tmp_path / "first.ckpt.manifest.json").read_text())
+        config = dict(manifest["config"])
+        no_hpc, c_s, c_l = (config.pop(k) for k in ("no_hpc", "fixed_c_s", "fixed_c_l"))
+        rerun_band = ["--no-hpc", "--fixed-c-s", str(c_s), "--fixed-c-l", str(c_l)]
+        assert (rerun_band if no_hpc else []) == band
+        (tmp_path / "rerun.json").write_text(json.dumps(config))
+        second = tmp_path / "second.ckpt"
+        assert main(["train", "--corpus", manifest["inputs"]["corpus"], "--out", str(second),
+                     "--config", str(tmp_path / "rerun.json"),
+                     *(rerun_band if no_hpc else [])]) == 0
+        rerun = json.loads((tmp_path / "second.ckpt.manifest.json").read_text())
+        assert rerun["config"] == manifest["config"]
+        log = (tmp_path / "first.ckpt.log.jsonl").read_text()
+        assert '"objective"' in log  # an update round ran
+        assert (tmp_path / "second.ckpt.log.jsonl").read_text() == log
+        assert second.read_bytes() == first.read_bytes()
+
 
 def _mutated(rng, default):
     """A value for a key whose default is ``default``: half the time one
@@ -1002,8 +1046,9 @@ class TestCompressEvalFuzz:
     the checkpoint each given bad or edge values. A run exits 0 with
     outputs that parse, every compressed prompt a subsequence of its
     input and every eval number finite, or 2 with nothing written. A
-    checkpoint that is missing or truncated is reported as a corrupt
-    checkpoint, exit 1, also with nothing written."""
+    missing checkpoint cannot be read, exit 2; a truncated one is
+    reported as a corrupt checkpoint, exit 1, also with nothing
+    written."""
 
     RUNS = 100
 
@@ -1059,8 +1104,10 @@ class TestCompressEvalFuzz:
                 code = exc.code
             err = capsys.readouterr().err
             case = f"run {i}: {argv} on {records} exited {code}: {err}"
+            if kind == "missing":
+                assert code == 2, case
             if code == 1:
-                assert kind in ("missing", "truncated"), case
+                assert kind == "truncated", case
                 assert "corrupt checkpoint" in err, case
             else:
                 assert code in (0, 2), case

@@ -1,10 +1,10 @@
 """Metric tests: LCS against a dynamic-programming oracle, ROUGE-L values,
-and ROUGE-1 as token F1."""
+and ROUGE-N against a brute-force clipped n-gram count."""
 
 import numpy as np
 import pytest
 
-from promptpress.metrics import lcs_length, rouge_l, rouge_n, token_f1
+from promptpress.metrics import lcs_length, rouge_l, rouge_n
 
 
 def dp_lcs(a, b):
@@ -66,10 +66,36 @@ class TestRougeL:
         assert rouge_l((), (1, 2)) == (0.0, 0.0, 0.0)
 
 
-class TestRougeOne:
-    def test_equals_token_f1_on_random_pairs(self):
-        # The evaluation fills both columns from one token_f1 call.
-        rng = np.random.default_rng(13)
+def brute_rouge_n(cand, ref, n):
+    """Clipped n-gram overlap by counting each distinct n-gram's
+    occurrences in both sequences by hand."""
+    def grams(seq):
+        return [tuple(seq[i:i + n]) for i in range(len(seq) - n + 1)]
+
+    c, r = grams(cand), grams(ref)
+    overlap = sum(min(c.count(g), r.count(g)) for g in set(c))
+    p = overlap / len(c) if c else 0.0
+    rec = overlap / len(r) if r else 0.0
+    return p, rec, (2.0 * p * rec / (p + rec) if p + rec > 0 else 0.0)
+
+
+class TestRougeN:
+    def test_hand_values(self):
+        # Unigrams: 2 of (1 1 2) clip against (1 2 3 3): P = 2/3, R = 2/4.
+        p, r, f = rouge_n((1, 1, 2), (1, 2, 3, 3), 1)
+        assert (p, r) == (2 / 3, 0.5)
+        assert f == pytest.approx(2 * (2 / 3) * 0.5 / (2 / 3 + 0.5))
+        # Bigrams (1 2) and (2 3) of three in the candidate, of two in the
+        # reference.
+        assert rouge_n((1, 2, 3, 1), (1, 2, 3), 2)[:2] == (2 / 3, 1.0)
+        assert rouge_n((1, 2), (1, 2), 3) == (0.0, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            rouge_n((1,), (1,), 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_brute_force_on_random_pairs(self, n):
+        # Unigram F is also the evaluation's token F1 column.
+        rng = np.random.default_rng(13 + n)
         pairs = [([], []), ([], [1]), ([2, 2], [])]
         for _ in range(400):
             alphabet = int(rng.integers(1, 8))
@@ -78,4 +104,5 @@ class TestRougeOne:
                 for _ in range(2)
             ))
         for cand, ref in pairs:
-            assert rouge_n(cand, ref, 1) == token_f1(cand, ref), (cand, ref)
+            assert rouge_n(cand, ref, n) == brute_rouge_n(cand, ref, n), (cand, ref)
+            assert rouge_n(list(cand), list(ref), n) == rouge_n(cand, ref, n)

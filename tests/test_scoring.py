@@ -14,7 +14,7 @@ from promptpress.baselines import (
     RandomCompressor,
     SelfInfoCompressor,
 )
-from promptpress.evaluation import EvalSettings, evaluate
+from promptpress.evaluation import evaluate
 from promptpress.scoring import (
     IdfRetentionScorer,
     NextTokenDistribution,
@@ -39,12 +39,14 @@ def dist(*counts, smoothing=0.1):
 
 
 class LengthLM:
-    """Stub without ``context_window`` that reads its whole context.
+    """Stub that reads its whole context: no context reaches its window.
 
     On a context of even length entries 0 and 1 tie (greedy takes 0); on
     an odd one entry 2 wins, so the output shows whether every token of
     the growing context was passed.
     """
+
+    context_window = sys.maxsize
 
     def next_token_dist(self, context):
         if len(context) % 2 == 0:
@@ -399,7 +401,8 @@ class TestNgramLM:
         prompts = [tokenize(record.text, MEMO_VOCAB) for record in MEMO_CORPUS]
         lm = fit_ngram_lm(prompts, order=order, smoothing=0.1, vocab=MEMO_VOCAB)
         want = fit_every_level(prompts, order, 0.1, MEMO_VOCAB)
-        assert (lm.order, lm.context_window) == (order, order - 1)
+        # the window is what the tables can answer: none past the longest
+        assert (lm.order, lm.context_window) == (order, min(order, 10) - 1)
         assert len(lm._counts) == min(order, 10)
         # Short contexts, every slice of each prompt, each prompt after
         # an unseen token, and both prompts joined, past the longest.
@@ -418,7 +421,7 @@ class TestNgramLM:
         prompts = [tokenize(record.text, MEMO_VOCAB) for record in MEMO_CORPUS]
         lm = fit_ngram_lm(prompts, order=10**9, smoothing=0.1, vocab=MEMO_VOCAB)
         assert len(lm._counts) == 10
-        assert (lm.order, lm.context_window) == (10**9, 10**9 - 1)
+        assert (lm.order, lm.context_window) == (10**9, 9)
         want = fit_every_level(prompts, 11, 0.1, MEMO_VOCAB)
         joined = TokenSequence(prompts[0].ids + prompts[1].ids)
         assert lm.greedy_continue(joined, 12) == want.greedy_continue(joined, 12)
@@ -443,7 +446,6 @@ class TestNgramLM:
                 ["a b a c b a b c c a", "b b c a a d", "c a b", "d d a b c a b b"]
             )
         ]
-        settings = EvalSettings(vocab=MEMO_VOCAB, lm_description="test proxy", n_gen=8)
 
         def fit():
             return fit_lm(corpus, order=3, smoothing=0.1, vocab=MEMO_VOCAB)
@@ -459,16 +461,17 @@ class TestNgramLM:
         prompts = [tokenize(record.text, MEMO_VOCAB) for record in corpus]
         shared = fit()
         shared_rows = [
-            report.rows
-            for report in evaluate(
-                compressors(shared), corpus, prompts, shared, settings
+            rows
+            for rows, _ in evaluate(
+                compressors(shared), corpus, prompts, shared, MEMO_VOCAB, 8
             )
         ]
         fresh_rows = []
         for i in range(4):
             lm = fit()
-            (report,) = evaluate([compressors(lm)[i]], corpus, prompts, lm, settings)
-            fresh_rows.append(report.rows)
+            ((rows, _),) = evaluate([compressors(lm)[i]], corpus, prompts, lm,
+                                    MEMO_VOCAB, 8)
+            fresh_rows.append(rows)
         assert shared_rows == fresh_rows
 
 
@@ -546,11 +549,13 @@ class TestClosedFormKL:
                     assert got == 0.0
                 self.assert_close(got, dense_kl(p, q))
 
-    @pytest.mark.parametrize("order", TestCountAnswers.ORDERS)
+    @pytest.mark.parametrize("order", [*TestCountAnswers.ORDERS, 12, 10**9])
     @pytest.mark.parametrize("smoothing", TestCountAnswers.SMOOTHINGS)
-    @pytest.mark.parametrize("n_gen", [1, 2, 6])
+    @pytest.mark.parametrize("n_gen", [1, 2, 6, 14])
     def test_output_distribution_kl_matches_dense_reference(self, order, smoothing, n_gen):
-        # n_gen 1 and 2 are below the window of order 4, 6 above every window.
+        # n_gen 1 and 2 are below the window of order 4, 6 above the
+        # windows of orders 1-4. Orders 12 and 10**9 pass MEMO_CORPUS's
+        # longest prompt, so their window is 9 tokens, which 14 passes.
         lm = fit_lm(MEMO_CORPUS, order=order, smoothing=smoothing, vocab=MEMO_VOCAB)
         prompts = [tokenize(text, MEMO_VOCAB) for text in self.PROMPTS]
         for s0 in prompts:
@@ -633,6 +638,24 @@ class TestOutputDistributionKL:
         assert walks == ([(s0, scored - 1)] if scored > 1 else [])
         output_distribution_kl(lm, s0, s0, n_gen)
         assert len(walks) == (1 if scored > 1 else 0)
+
+    def test_huge_counts_score_at_most_the_window(self, monkeypatch):
+        # Order 10**9 on MEMO_CORPUS reads a window of 9 tokens: of 10**6
+        # positions, only the first 9 can differ, two answers each.
+        lm = fit_lm(MEMO_CORPUS, order=10**9, smoothing=0.2, vocab=MEMO_VOCAB)
+        calls = []
+        next_token_dist = lm.next_token_dist
+
+        def counted(context):
+            calls.append(context)
+            return next_token_dist(context)
+
+        monkeypatch.setattr(lm, "next_token_dist", counted)
+        s0, st = tokenize("d a c b b", MEMO_VOCAB), tokenize("b b c a a", MEMO_VOCAB)
+        got = output_distribution_kl(lm, s0, st, 10**6)
+        assert 0 < len(calls) <= 2 * lm.context_window
+        assert got > 0.0
+        assert got == pytest.approx(output_distribution_kl(lm, s0, st, 9) * 9 / 10**6)
 
     @pytest.mark.parametrize("n_gen", [0, -1])
     def test_empty_reference_errors(self, n_gen):

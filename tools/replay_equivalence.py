@@ -15,7 +15,8 @@ directory of its own, as ``python -m promptpress.cli`` with that tree's
 * ``train`` at the defaults and at n-gram orders 1, 3 and 4, with one to
   three steps per trajectory and ``n_gen`` 1, 5 and 32; at order 4 with
   ``n_gen`` 2, where the divergence scores fewer positions than the
-  window, and at order 60, past the longest prompt; once with a
+  window, and at order 60, past the longest prompt, with ``n_gen`` 32,
+  below the window the tables can answer, and 64, past it; once with a
   buffer of 4 and a learning rate of 1e-3, so that every stage trains
   rounds, two-step episodes get updated, and the gradient is clipped at
   some update steps and not at others; twice with update rounds that
@@ -168,6 +169,9 @@ COMMANDS: list[tuple[str, list[str]]] = [
                            "--set", "scoring.n_gen=2"]),
     ("train-order60", ["train", "--corpus", "syn8.jsonl", "--out", "t11.ckpt",
                        "--seed", "11", "--set", "scoring.ngram_order=60"]),
+    ("train-order60-ngen64", ["train", "--corpus", "syn8.jsonl", "--out", "t12.ckpt",
+                              "--seed", "12", "--set", "scoring.ngram_order=60",
+                              "--set", "scoring.n_gen=64"]),
     ("fixture-zipf", _fixture("zipf.jsonl", "fz.ckpt", N_ZIPF)),
     ("fixture-long", _fixture("long.jsonl", "fl.ckpt", N_LONG)),
     ("randomize-zipf", ["randomize-head", "fz.ckpt", "fz-rand.ckpt", "0"]),
