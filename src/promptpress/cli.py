@@ -13,7 +13,9 @@ entries, which only flags set: with ``--no-hpc --fixed-c-s C_S
 --fixed-c-l C_L`` when ``no_hpc`` is true, and with no band flag
 otherwise. Exit codes: 0 success, 2 usage or validation error, 1
 runtime failure. Artifacts are written to a ``.partial`` path and
-renamed only when complete.
+renamed only when complete. A ``train`` run whose objective diverges
+writes its log, ending in the ``"diverged"`` record, and no checkpoint,
+and exits 1.
 
 ``compress`` encodes its prompts in passes of up to the encoder's
 ``max_len`` tokens, run on a pool of one thread per CPU the process may
@@ -60,6 +62,7 @@ from .trainer import (
     CurriculumSchedule,
     Scorers,
     TrainerConfig,
+    TrainingDiverged,
     hpc_train,
     load_checkpoint,
     save_checkpoint,
@@ -255,13 +258,17 @@ def _check_memory(cfg: EncoderConfig) -> None:
 
 def _read_corpus(path: str) -> list[PromptRecord]:
     """The records of the JSONL corpus at ``path``; a file that cannot be
-    read, or a malformed line, is a usage error naming it."""
+    read, a malformed line or no record at all is a usage error naming
+    it."""
     try:
-        return load_corpus(path)
+        corpus = load_corpus(path)
     except OSError as exc:
         raise UsageError(f"cannot read corpus {path}: {exc}") from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if not corpus:
+        raise UsageError(f"corpus {path} is empty")
+    return corpus
 
 
 def _read_checkpoint(path: str):
@@ -305,8 +312,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     config["trainer.seed"] = seed
 
     corpus = _read_corpus(args.corpus)
-    if not corpus:
-        raise UsageError(f"corpus {args.corpus} is empty")
     # A bad config value, band, prompt length or scoring setting is a
     # usage error, found before the manifest is written.
     try:
@@ -337,15 +342,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         artifacts={"checkpoint": str(out), "log": str(log_path)},
     )
 
-    state = hpc_train(
-        prompts,
-        trainer_cfg,
-        schedule,
-        reward_cfg,
-        scorers,
-        encoder_cfg,
-        progress=lambda msg: print(msg, file=sys.stderr),
-    )
+    try:
+        state = hpc_train(prompts, trainer_cfg, schedule, reward_cfg, scorers,
+                          encoder_cfg, progress=lambda msg: print(msg, file=sys.stderr))
+    except TrainingDiverged as exc:
+        _atomic(log_path, _jsonl(exc.log))
+        raise
     _atomic(out, lambda p: save_checkpoint(state, vocab, p))
     _atomic(log_path, _jsonl(state.log))
     print(f"wrote checkpoint {out} and log {log_path}")
@@ -393,8 +395,6 @@ def cmd_compress(args: argparse.Namespace) -> int:
         raise UsageError("--budget must be >= 0")
     actor, vocab = _read_checkpoint(args.checkpoint)
     corpus = _read_corpus(args.input)
-    if not corpus:
-        raise UsageError(f"input {args.input} is empty")
     seqs = _checked_prompts(corpus, vocab, actor.encoder.cfg.max_len)
     out = Path(args.out)
     write_manifest(
@@ -461,8 +461,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise UsageError("--vocab-size must be >= 2")
     seed = resolve_seed(args.seed, None)
     corpus = _read_corpus(args.corpus)
-    if not corpus:
-        raise UsageError(f"corpus {args.corpus} is empty")
     # One vocabulary, one tokenization and one LM serve every method: the
     # checkpoint's vocabulary when there is one, since the policy reads
     # its ids. Its encoder bounds the prompt length; every method needs a

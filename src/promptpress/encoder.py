@@ -11,6 +11,12 @@ back with their lengths. Per-token work runs once over the whole pack
 and attention stays within each sequence, so a pack of one computes
 exactly what a single sequence does.
 
+Attention has no key bias. A key bias b_k adds q . b_k to every score of
+a query, one shift per softmax row, which the softmax removes exactly
+(Namazifar et al., "Role of Bias Terms in Dot-Product Attention", ICASSP
+2023); so b_k could never learn, and its measured gradient was rounding
+noise, near 1e-17. The query, value and output projections keep theirs.
+
 There is one forward pass. Its arithmetic runs in place on arrays it has
 just made, never on a parameter, in the order of the plain expressions
 it stands for, so its results are bitwise those of that order. Training
@@ -267,7 +273,6 @@ def parameter_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
                 f"l{i}.wq": (d, d),
                 f"l{i}.bq": (d,),
                 f"l{i}.wk": (d, d),
-                f"l{i}.bk": (d,),
                 f"l{i}.wv": (d, d),
                 f"l{i}.bv": (d,),
                 f"l{i}.wo": (d, d),
@@ -315,14 +320,12 @@ class TinyTransformerEncoder:
                 value[...] = 1.0 if name.endswith("_g") else 0.0
 
     def _check_ids(
-        self, ids: Sequence[int], lengths: Sequence[int] | None
+        self, ids: Sequence[int], lengths: Sequence[int]
     ) -> tuple[np.ndarray, list[tuple[int, int]]]:
         """Validated id array and the [start, end) bounds of each segment."""
         arr = np.asarray(ids, dtype=np.int64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("ids must be a non-empty 1-d sequence")
-        if lengths is None:
-            lengths = (arr.size,)
         if min(lengths) < 1:
             raise ValueError("every segment must hold at least one token")
         if sum(lengths) != arr.size:
@@ -340,9 +343,7 @@ class TinyTransformerEncoder:
         ends = list(itertools.accumulate(lengths))
         return arr, list(zip([0] + ends[:-1], ends))
 
-    def encode(
-        self, ids: Sequence[int], lengths: Sequence[int] | None = None
-    ) -> np.ndarray:
+    def encode(self, ids: Sequence[int], lengths: Sequence[int]) -> np.ndarray:
         """Features [T, d] of a pack (see :meth:`forward`), computed
         without a backward cache."""
         h, _ = self.forward(ids, lengths, keep_cache=False)
@@ -356,16 +357,16 @@ class TinyTransformerEncoder:
     def forward(
         self,
         ids: Sequence[int],
-        lengths: Sequence[int] | None = None,
+        lengths: Sequence[int],
         keep_cache: bool = True,
     ):
         """Forward pass over a pack of sequences.
 
         ``ids`` holds the sequences back to back and ``lengths`` their
-        lengths (default: one sequence). Per-token work runs once over all
-        T tokens; attention stays within each sequence, and positions
-        restart at 0 in each. Returns features [T, d] and a backward
-        cache, which is None without ``keep_cache``.
+        lengths. Per-token work runs once over all T tokens; attention
+        stays within each sequence, and positions restart at 0 in each.
+        Returns features [T, d] and a backward cache, which is None
+        without ``keep_cache``.
         """
         p = self.params
         arr, bounds = self._check_ids(ids, lengths)
@@ -397,11 +398,10 @@ class TinyTransformerEncoder:
         p = self.params
         scale = 1.0 / math.sqrt(self.cfg.d_model // self.cfg.n_heads)
         u = _layer_norm(x, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"], lc, "ln1")
-        q, k, v = (
-            _affine(u, p[f"l{i}.w{n}"], p[f"l{i}.b{n}"],
-                    None if lc is None else lc.take(n, x.shape))
-            for n in "qkv"
-        )
+        q, k, v = (None if lc is None else lc.take(n, x.shape) for n in "qkv")
+        q = _affine(u, p[f"l{i}.wq"], p[f"l{i}.bq"], q)
+        k = np.matmul(u, p[f"l{i}.wk"], out=k)  # no key bias
+        v = _affine(u, p[f"l{i}.wv"], p[f"l{i}.bv"], v)
         del u
         c = np.empty_like(q) if lc is None else lc.take("c", x.shape)
         atts = []
@@ -517,7 +517,8 @@ class TinyTransformerEncoder:
         du = dq @ p[f"l{i}.wq"].T + dk @ p[f"l{i}.wk"].T + dv @ p[f"l{i}.wv"].T
         for name, dy in (("q", dq), ("k", dk), ("v", dv)):
             np.matmul(u.T, dy, out=grads[f"l{i}.w{name}"])
-            dy.sum(axis=0, out=grads[f"l{i}.b{name}"])
+        dq.sum(axis=0, out=grads[f"l{i}.bq"])
+        dv.sum(axis=0, out=grads[f"l{i}.bv"])
         dx = _layer_norm_backward(
             du, lc, "ln1", p[f"l{i}.ln1_g"], grads[f"l{i}.ln1_g"], grads[f"l{i}.ln1_b"]
         )

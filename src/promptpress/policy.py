@@ -45,7 +45,7 @@ def actor_size(cfg: EncoderConfig) -> int:
     """The number of parameters ``actor_shapes`` holds, in Python ints
     and without a loop over layers, so that a huge config costs nothing."""
     d, ff = cfg.d_model, cfg.d_ff
-    layer = 4 * d * d + 2 * d * ff + 9 * d + ff
+    layer = 4 * d * d + 2 * d * ff + 8 * d + ff
     return (cfg.vocab_size + cfg.max_len + 4) * d + 2 + cfg.n_layers * layer
 
 

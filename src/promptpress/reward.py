@@ -17,7 +17,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .scoring import ProxyLM, RetentionScorer, output_distribution_kl
+from .scoring import IdfRetentionScorer, ProxyLM, output_distribution_kl
 from .text import TokenSequence
 
 
@@ -101,7 +101,7 @@ def compute_reward(
     st: TokenSequence,
     cfg: RewardConfig,
     bounds: tuple[float, float],
-    retention: RetentionScorer,
+    retention: IdfRetentionScorer,
     lm: ProxyLM,
     n_gen: int,
 ) -> RewardBreakdown:

@@ -1,21 +1,20 @@
 """Learned-signal ingredients of the reward.
 
-Two pluggable scorer interfaces with deterministic reference
-implementations:
+Two deterministic scorers:
 
-* :class:`RetentionScorer` measures how much of the original prompt's key
-  information survives in the compressed prompt. The reference is an
-  IDF-weighted token recall, which keeps the scorer auditable; an
-  embedding-based scorer can be dropped in behind the same interface.
+* :class:`IdfRetentionScorer`, the one retention scorer, measures how much
+  of the original prompt's key information survives in the compressed
+  prompt, as an IDF-weighted token recall, which keeps it auditable.
 * :class:`ProxyLM` stands in for the target model's output distribution.
-  The reference is an add-k smoothed n-gram model with backoff, and every
-  query is answered from its count tables: a next-token distribution is
-  the answering context's continuation counts, and the divergence of two
-  of them is a sum over the ids either context was followed by plus one
-  closed-form term for the rest. No V-length vector is built. A model
-  owns one context window, the trailing tokens its answers can depend
-  on; the divergence scores no position past it, as every later term is
-  exactly 0, and walks only the part of its reference that it reads.
+  Its implementation is an add-k smoothed n-gram model with backoff, and
+  every query is answered from its count tables: a next-token
+  distribution is the answering context's continuation counts, and the
+  divergence of two of them is a sum over the ids either context was
+  followed by plus one closed-form term for the rest. No V-length vector
+  is built. A model owns one context window, the trailing tokens its
+  answers can depend on; the divergence scores no position past it, as
+  every later term is exactly 0, and walks only the part of its
+  reference that it reads.
 """
 
 from __future__ import annotations
@@ -81,18 +80,16 @@ class ProxyLM(Protocol):
         ...
 
 
-class RetentionScorer(Protocol):
-    """score(s0, st) in [0, 1]; 1 when everything is retained."""
-
-    def score(self, s0: TokenSequence, st: TokenSequence) -> float: ...
-
-
 @dataclass(frozen=True)
 class IdfRetentionScorer:
+    """The retention scorer: how much of an original prompt's key
+    information a compressed prompt keeps, in [0, 1]."""
+
     idf: Mapping[int, float]
 
     def score(self, s0: TokenSequence, st: TokenSequence) -> float:
-        """IDF-weighted recall of the original prompt's tokens.
+        """IDF-weighted recall of the original prompt's tokens: 1 when
+        everything is retained.
 
         Σ idf over the multiset intersection of s0 and st, divided by Σ idf
         over s0. Ids missing from the table weigh 1.

@@ -42,10 +42,10 @@ from .policy import (
     seed_for,
 )
 from .reward import RewardConfig, compute_reward
-from .scoring import ProxyLM, RetentionScorer
+from .scoring import IdfRetentionScorer, ProxyLM
 from .text import TokenSequence, Vocabulary
 
-CHECKPOINT_SCHEMA_VERSION = 3
+CHECKPOINT_SCHEMA_VERSION = 4
 # The members of a checkpoint, in file order.
 CHECKPOINT_MEMBERS = ("actor", "opt_actor.t", "opt_actor.m", "opt_actor.v", "__meta__")
 GRAD_CLIP_NORM = 1.0
@@ -56,33 +56,16 @@ _TAG_UPDATE = 104
 
 
 class TrainingDiverged(RuntimeError):
-    pass
+    """A non-finite objective. ``log`` holds the run's log records, up to
+    and including the ``"diverged"`` record."""
+
+    def __init__(self, message: str, log: list[dict]) -> None:
+        super().__init__(message)
+        self.log = log
 
 
 # ---------------------------------------------------------------------------
 # curriculum
-
-
-def curriculum_bounds(
-    stage: int, t: int, t_max: int, psi: float
-) -> tuple[float, float]:
-    """Compression band for stage P_i at within-episode step t.
-
-    c_s = 0.6 - (P_i + t / T_max) * psi and c_l = 1.0 - the same offset,
-    so the band keeps width 0.4 and slides down as training progresses.
-    Clamps (c_s at 0.05, c_l at 0.1) keep the band usable far outside
-    the reference schedule; they are inactive for the default stages.
-    """
-    if stage < 1:
-        raise ValueError("stage must be >= 1")
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
-    if not 0 <= t <= t_max:
-        raise ValueError("step t must satisfy 0 <= t <= t_max")
-    offset = (stage + t / t_max) * psi
-    c_s = max(0.6 - offset, 0.05)
-    c_l = max(1.0 - offset, 0.1)
-    return c_s, c_l
 
 
 @dataclass(frozen=True)
@@ -90,10 +73,17 @@ class CurriculumSchedule:
     """Stage schedule and the one owner of the reward's compression band.
 
     Stage i (1-based) runs ``epochs_per_stage[i - 1]`` epochs of episodes
-    ``t_max_per_stage[i - 1]`` steps long, so the two tuples have one
-    entry per stage. ``bounds_for`` gives each step's band (c_s, c_l):
-    the curriculum's, which is always valid, or ``fixed_bounds``, which
-    disables the curriculum and is checked here.
+    T_max = ``t_max_per_stage[i - 1]`` steps long, so the two tuples have
+    one entry per stage. ``bounds_for`` gives each step's band (c_s, c_l):
+    ``fixed_bounds``, which disables the curriculum and is checked here,
+    or the curriculum's at step t of stage i,
+
+        c_s = max(0.6 - offset, 0.05),  c_l = max(1.0 - offset, 0.1),
+        offset = (i + t / T_max) * psi,
+
+    so the band keeps width 0.4 and slides down as training progresses.
+    The clamps keep it valid, 0 < c_s < c_l <= 1, far outside the
+    reference schedule; they are inactive for the default stages.
     """
 
     psi: float = 0.1
@@ -122,18 +112,18 @@ class CurriculumSchedule:
         return len(self.t_max_per_stage)
 
     def t_max_for(self, stage: int) -> int:
-        self._check_stage(stage)
+        if not 1 <= stage <= self.n_stages:
+            raise ValueError(f"stage {stage} outside 1..{self.n_stages}")
         return self.t_max_per_stage[stage - 1]
 
     def bounds_for(self, stage: int, t: int) -> tuple[float, float]:
-        self._check_stage(stage)
+        t_max = self.t_max_for(stage)
+        if not 0 <= t <= t_max:
+            raise ValueError(f"step {t} outside 0..{t_max}")
         if self.fixed_bounds is not None:
             return self.fixed_bounds
-        return curriculum_bounds(stage, t, self.t_max_for(stage), self.psi)
-
-    def _check_stage(self, stage: int) -> None:
-        if not 1 <= stage <= self.n_stages:
-            raise ValueError(f"stage {stage} outside 1..{self.n_stages}")
+        offset = (stage + t / t_max) * self.psi
+        return max(0.6 - offset, 0.05), max(1.0 - offset, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +161,7 @@ class Scorers:
     them, the first alone for a bigram proxy, as every later term is 0;
     past that window ``n_gen`` only scales the term, as gamma does."""
 
-    retention: RetentionScorer
+    retention: IdfRetentionScorer
     lm: ProxyLM
     n_gen: int = 32
 
@@ -227,11 +217,13 @@ def _clipped_term(
     new_lp: float, step: TrajectoryStep, adv: float, clip_eps: float
 ) -> tuple[float, bool, float]:
     """One step's min(delta*A, clip(delta)*A); flags whether the
-    unclipped branch is active (i.e. gradient flows)."""
+    unclipped branch is active (i.e. gradient flows). A ratio that is not
+    finite gives a NaN term with no gradient, which the update round
+    reports as divergence."""
     with np.errstate(over="ignore"):
         delta = float(np.exp(new_lp - step.old_log_prob))
     if not math.isfinite(delta):
-        raise ValueError("degenerate policy ratio")
+        return math.nan, False, delta
     unclipped = delta * adv
     clipped = min(max(delta, 1.0 - clip_eps), 1.0 + clip_eps) * adv
     if unclipped <= clipped:
@@ -304,8 +296,11 @@ def leave_one_out_advantages(
             for traj in trajs
         ]
     )
-    d = returns - returns[0]
-    return ((m * d - d.sum(axis=0)) / (m - 1)).tolist()
+    # Non-finite returns give NaN advantages, and so a NaN objective,
+    # which the update round reports; numpy need not warn of them.
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = returns - returns[0]
+        return ((m * d - d.sum(axis=0)) / (m - 1)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +417,8 @@ def _update_round(
             )
             raise TrainingDiverged(
                 f"non-finite objective at stage {stage} epoch {epoch} "
-                f"round {round_idx} iteration {iteration}: {objective}"
+                f"round {round_idx} iteration {iteration}: {objective}",
+                state.log,
             )
 
         clip_gradients(grad.flat, grad.views.values(), GRAD_CLIP_NORM)

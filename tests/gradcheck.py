@@ -180,7 +180,8 @@ def reference_backward(encoder, cache, dh):
         du = dq @ p[f"l{i}.wq"].T + dk @ p[f"l{i}.wk"].T + dv @ p[f"l{i}.wv"].T
         for name, dy in (("q", dq), ("k", dk), ("v", dv)):
             grads[f"l{i}.w{name}"] = u.T @ dy
-            grads[f"l{i}.b{name}"] = dy.sum(axis=0)
+        grads[f"l{i}.bq"] = dq.sum(axis=0)
+        grads[f"l{i}.bv"] = dv.sum(axis=0)
         dx_pre, grads[f"l{i}.ln1_g"], grads[f"l{i}.ln1_b"] = _ln_backward(du, ln1)
         dx = dx_pre + da
     grads["tok_emb"] = np.zeros_like(p["tok_emb"])

@@ -1,8 +1,10 @@
 """API-surface guard: every function, class and method defined in
 ``src/promptpress`` is used by name somewhere else in ``src/``, every
 dataclass field is read somewhere in ``src/``, every parameter default is
-overridden by some call in ``src/``, every name a module imports is used
-in that module, and ``__init__.py`` imports nothing from its own package.
+overridden by some call in ``src/`` and, where ``src/`` calls its
+function, taken by some call there too, every name a module imports is
+used in that module, and ``__init__.py`` imports nothing from its own
+package.
 
 A name only tests reach is an API the program does not need; it should
 be deleted or, if it is a reference other code is compared against,
@@ -241,12 +243,11 @@ def _passes(call: ast.Call, param: str, position: int | None) -> bool:
     return starred or len(call.args) > position
 
 
-def unset_defaults() -> list[str]:
-    """``function(param)`` for each parameter with a default that no call
-    in ``src/`` passes; a class's ``__init__`` is called by the class name,
-    and a method's ``self`` is not counted among the positions."""
-    calls = _calls_by_name()
-    unset = []
+def _defaulted_params():
+    """(name, param, position) for each parameter with a default defined
+    in ``src/``: a class's ``__init__`` is named by the class, a method's
+    ``self`` is not counted among the positions, and a keyword-only
+    parameter has position None."""
     for tree in _trees().values():
         owners = {id(m): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                   for m in cls.body}
@@ -261,12 +262,30 @@ def unset_defaults() -> list[str]:
             if cls and not static:
                 positional = positional[1:]
             defaulted = positional[len(positional) - len(args.defaults):]
-            params = [(p, positional.index(p)) for p in defaulted] + [
-                (a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
-            for param, position in params:
-                if not any(_passes(c, param, position) for c in calls.get(name, [])):
-                    unset.append(f"{name}({param})")
-    return unset
+            for param in defaulted:
+                yield name, param, positional.index(param)
+            for a, d in zip(args.kwonlyargs, args.kw_defaults):
+                if d:
+                    yield name, a.arg, None
+
+
+def unset_defaults() -> list[str]:
+    """``function(param)`` for each parameter with a default that no call
+    in ``src/`` passes."""
+    calls = _calls_by_name()
+    return [f"{name}({param})" for name, param, position in _defaulted_params()
+            if not any(_passes(c, param, position) for c in calls.get(name, []))]
+
+
+def defaults_only_tests_use() -> list[str]:
+    """``function(param)`` for each parameter with a default that every
+    call in ``src/`` passes, so that only callers outside it get the
+    default. Calls are matched by name alone, so an unrelated call of the
+    same name that leaves the parameter out hides one."""
+    calls = _calls_by_name()
+    return [f"{name}({param})" for name, param, position in _defaulted_params()
+            if calls.get(name)
+            and all(_passes(c, param, position) for c in calls[name])]
 
 
 def test_every_parameter_default_is_overridden_in_src():
@@ -275,3 +294,20 @@ def test_every_parameter_default_is_overridden_in_src():
         "parameters whose default no call in src/ overrides (make them "
         "constants): " + ", ".join(unset))
     assert set(UNSET_DEFAULTS_ALLOWED) <= set(unset_defaults())
+
+
+# Parameters whose default only callers outside ``src/`` get, each with
+# its reason.
+TEST_ONLY_DEFAULTS_ALLOWED: dict[str, str] = {
+    "hpc_train(progress)": "tests train silently; the CLI reports each epoch",
+    "load_checkpoint(actor_only)": (
+        "resuming and tools/replay_equivalence.py load the full train state"),
+}
+
+
+def test_no_parameter_default_serves_only_tests():
+    flagged = [d for d in defaults_only_tests_use() if d not in TEST_ONLY_DEFAULTS_ALLOWED]
+    assert not flagged, (
+        "parameters every call in src/ passes, so only tests use the default "
+        "(make them required): " + ", ".join(flagged))
+    assert set(TEST_ONLY_DEFAULTS_ALLOWED) <= set(defaults_only_tests_use())

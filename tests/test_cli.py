@@ -5,8 +5,9 @@ vocabulary/LM pairing, the CLI's defaults are the library's, a config
 file's values reach the run under any ``--set``, no command imports
 scipy, and bad training config, a bad config file, a band flag without
 ``--no-hpc``, a bad eval flag, seed or vocabulary size, an unfit prompt,
-a malformed or missing corpus, a missing checkpoint or an empty compress
-input is a usage error, and a train run reruns from its manifest. A
+a malformed, missing or empty corpus or a missing checkpoint is a usage
+error, a diverged train run writes its log and no checkpoint, and a
+train run reruns from its manifest. A
 seeded fuzz of ``train``'s config values finds no exit but 0, 2 before
 the manifest, or 1 when training diverges; one of ``compress`` and
 ``eval`` finds no exit but 0, 2 with nothing written, or 1 on a corrupt
@@ -20,6 +21,7 @@ import random
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -542,7 +544,7 @@ def test_compress_empty_input_is_usage_error_before_any_output(tmp_path, capsys,
     code = main(["compress", "--checkpoint", str(ckpt), "--input", str(empty),
                  "--out", str(tmp_path / "out.jsonl")])
     assert code == 2
-    assert f"input {empty} is empty" in capsys.readouterr().err
+    assert f"corpus {empty} is empty" in capsys.readouterr().err
     assert set(tmp_path.iterdir()) == before  # no manifest, no output
 
 
@@ -777,6 +779,31 @@ class TestTrainConfig:
         assert list(tmp_path.iterdir()) == [corpus]
 
 
+def test_diverged_train_writes_its_log_and_no_checkpoint(tmp_path, capsys):
+    # Rewards near the float limit overflow, so the first objective is NaN.
+    corpus = tmp_path / "train.jsonl"
+    save_corpus(make_synthetic_corpus(seed=3, n_prompts=8, filler_fraction=0.5), corpus)
+    out = tmp_path / "p.ckpt"
+    argv = ["train", "--corpus", str(corpus), "--out", str(out),
+            "--set", "trainer.buffer_m=4",
+            *(f"--set=reward.{key}=1e308" for key in ("alpha", "p_s", "p_l"))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would fail the run
+        assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "failure: non-finite objective at stage 1 epoch 1 round 0 iteration 0: nan\n")
+    log_path = tmp_path / "p.ckpt.log.jsonl"
+    (record,) = [json.loads(line) for line in log_path.read_text().splitlines()]
+    objective = record.pop("objective")
+    assert math.isnan(objective)
+    assert record == {"event": "diverged", "stage": 1, "epoch": 1, "round": 0,
+                      "iteration": 0}
+    manifest = json.loads((tmp_path / "p.ckpt.manifest.json").read_text())
+    assert manifest["artifacts"]["log"] == str(log_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "p.ckpt.log.jsonl", "p.ckpt.manifest.json", "train.jsonl"]
+
+
 class TestConfigFile:
     """``train --config`` layers a flat JSON file over the defaults, and
     ``--set`` over the file."""
@@ -922,7 +949,7 @@ class TestConfigFuzz:
     no manifest, or 1 only when training itself diverges."""
 
     RUNS = 100
-    DIVERGED = ("non-finite objective", "degenerate policy ratio")
+    DIVERGED = "non-finite objective"
 
     def test_every_exit_is_clean(self, tmp_path, capsys):
         rng = random.Random(20)
@@ -952,7 +979,7 @@ class TestConfigFuzz:
             manifest = run / "p.ckpt.manifest.json"
             assert code in (0, 1, 2), case
             if code == 1:
-                assert any(m in err for m in self.DIVERGED), case
+                assert self.DIVERGED in err, case
             if code == 2:
                 assert not manifest.exists() and not (run / "p.ckpt").exists(), case
             if code == 0:

@@ -35,7 +35,6 @@ from promptpress.trainer import (
     TrainerConfig,
     TrajectoryStep,
     collect_trajectory,
-    curriculum_bounds,
     hpc_train,
     init_train_state,
     leave_one_out_advantages,
@@ -45,7 +44,8 @@ from promptpress.trainer import (
     save_checkpoint,
 )
 
-# Hand-evaluated schedule grid for psi = 0.1, stages (T_max): 1..2 -> 2, 3 -> 1.
+# Hand-evaluated band grid of the default schedule (psi = 0.1, stages
+# (T_max): 1..2 -> 2, 3 -> 1), keyed by (stage, t, T_max).
 SCHEDULE_GRID = {
     (1, 0, 2): (0.5, 0.9),
     (1, 1, 2): (0.45, 0.85),
@@ -60,19 +60,23 @@ SCHEDULE_GRID = {
 
 class TestCurriculumBounds:
     def test_hand_evaluated_grid(self):
+        sched = CurriculumSchedule(psi=0.1)
         for (stage, t, t_max), expected in SCHEDULE_GRID.items():
-            c_s, c_l = curriculum_bounds(stage, t, t_max, psi=0.1)
+            assert sched.t_max_for(stage) == t_max
+            c_s, c_l = sched.bounds_for(stage, t)
             assert c_s == pytest.approx(expected[0], abs=1e-12)
             assert c_l == pytest.approx(expected[1], abs=1e-12)
 
     def test_band_width_constant(self):
-        for (stage, t, t_max) in SCHEDULE_GRID:
-            c_s, c_l = curriculum_bounds(stage, t, t_max, psi=0.1)
+        sched = CurriculumSchedule(psi=0.1)
+        for (stage, t, _) in SCHEDULE_GRID:
+            c_s, c_l = sched.bounds_for(stage, t)
             assert c_l - c_s == pytest.approx(0.4, abs=1e-12)
 
     def test_monotone_in_progress(self):
+        sched = CurriculumSchedule(psi=0.1)
         values = [
-            curriculum_bounds(stage, t, t_max, 0.1)
+            sched.bounds_for(stage, t)
             for (stage, t, t_max) in sorted(
                 SCHEDULE_GRID, key=lambda k: k[0] + k[1] / k[2]
             )
@@ -81,17 +85,20 @@ class TestCurriculumBounds:
             assert s2 <= s1 + 1e-12 and l2 <= l1 + 1e-12
 
     def test_invalid_arguments(self):
+        sched = CurriculumSchedule(t_max_per_stage=(2,), epochs_per_stage=(1,))
         with pytest.raises(ValueError):
-            curriculum_bounds(0, 0, 2, 0.1)
+            sched.bounds_for(0, 0)
         with pytest.raises(ValueError):
-            curriculum_bounds(1, 3, 2, 0.1)
+            sched.bounds_for(1, 3)
         with pytest.raises(ValueError):
-            curriculum_bounds(1, -1, 2, 0.1)
+            sched.bounds_for(1, -1)
         with pytest.raises(ValueError):
-            curriculum_bounds(1, 0, 0, 0.1)
+            CurriculumSchedule(t_max_per_stage=(0,), epochs_per_stage=(1,))
 
     def test_clamp_far_outside_schedule(self):
-        c_s, c_l = curriculum_bounds(9, 1, 1, psi=0.1)
+        sched = CurriculumSchedule(psi=0.1, t_max_per_stage=(1,) * 9,
+                                   epochs_per_stage=(1,) * 9)
+        c_s, c_l = sched.bounds_for(9, 1)
         assert c_s == pytest.approx(0.05)
         assert c_s < c_l
 
@@ -199,7 +206,9 @@ class TestPpoObjective:
             step = _synthetic_step(actor, (3, 1), (0, 1), delta, adv)
             assert _objective([step], actor, 0.15) == pytest.approx(delta * adv)
 
-    def test_degenerate_ratio_errors(self):
+    def test_degenerate_ratio_gives_nan_objective(self):
+        # An overflowing ratio is a NaN term with no gradient; the update
+        # round reports the NaN objective as divergence.
         actor = self._actor()
         step = TrajectoryStep(
             current=TokenSequence((1, 2)),
@@ -207,8 +216,9 @@ class TestPpoObjective:
             old_log_prob=-1e6,
             reward=0.0,
         )
-        with pytest.raises(ValueError, match="degenerate policy ratio"):
-            _objective([(step, 1.0)], actor, 0.15)
+        objective, grads = _objective_and_grads([(step, 1.0)], actor, 0.15)
+        assert math.isnan(objective)
+        assert all(np.all(g == 0) for g in grads.values())
 
     def test_empty_batch_errors(self):
         with pytest.raises(ValueError):
@@ -515,7 +525,7 @@ class TestCollectTrajectory:
         )
         current = self.prompt
         for t, step in enumerate(traj.steps):
-            band = curriculum_bounds(stage, t, schedule.t_max_for(stage), schedule.psi)
+            band = schedule.bounds_for(stage, t)
             (keep_probs,) = policy_forward(self.actor, [current])
             labels, lp = sample_actions(keep_probs, seed_for(seed, t))
             assert step.current == current
@@ -806,6 +816,24 @@ class TestCheckpoint:
             np.savez(fh, **arrays)
         for actor_only in (False, True):
             with pytest.raises(ValueError, match="unsupported checkpoint schema_version: 2"):
+                load_checkpoint(path, actor_only=actor_only)
+
+    def test_schema_3_file_errors(self, tmp_path):
+        # The previous layout: each attention layer also held a key bias.
+        _, vocab, _, encoder_cfg, trainer_cfg = _small_training_setup(n_prompts=4)
+        state = init_train_state(trainer_cfg, encoder_cfg)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(state, vocab, path)
+        extra = np.zeros(encoder_cfg.n_layers * encoder_cfg.d_model)
+
+        def schema_3(arrays):
+            for name in ("actor", "opt_actor.m", "opt_actor.v"):
+                arrays[name] = np.concatenate([arrays[name], extra])
+            edit_meta(lambda meta: meta.update(schema_version=3))(arrays)
+
+        rewrite_checkpoint(path, schema_3)
+        for actor_only in (False, True):
+            with pytest.raises(ValueError, match="unsupported checkpoint schema_version: 3"):
                 load_checkpoint(path, actor_only=actor_only)
 
     @pytest.mark.parametrize(

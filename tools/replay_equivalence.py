@@ -26,10 +26,12 @@ directory of its own, as ``python -m promptpress.cli`` with that tree's
   two-step episodes (a prompt twice in one round); twice with
   ``CONFIG_AS_FLOATS``, once from a ``--config`` file and once by
   ``--set``, which gives integer keys integral floats and a float key an
-  int, each kept as given in the manifest; and two
-  collection-only fixtures whose head is then set to seeded random
-  values: a zero head keeps every probability at 0.5, so a change in the
-  encoder's numerics would not show in what the policy drops. A second
+  int, each kept as given in the manifest; once with rewards near the
+  float limit, whose first objective is NaN, so that the run fails (exit
+  1) and writes its log and no checkpoint; and two collection-only
+  fixtures whose head is then set to seeded random values: a zero head
+  keeps every probability at 0.5, so a change in the encoder's numerics
+  would not show in what the policy drops. A second
   copy of each fixture also has its feed-forward w1 scaled by 20, so
   that the GELU's erf runs its |x| > 1 tail;
 * ``compress`` and ``eval`` on those checkpoints, over orders 1-4 and 60,
@@ -172,6 +174,9 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("train-order60-ngen64", ["train", "--corpus", "syn8.jsonl", "--out", "t12.ckpt",
                               "--seed", "12", "--set", "scoring.ngram_order=60",
                               "--set", "scoring.n_gen=64"]),
+    ("train-diverges", ["train", "--corpus", "syn8.jsonl", "--out", "t13.ckpt",
+                        "--seed", "13", "--set", "trainer.buffer_m=4",
+                        *(f"--set=reward.{key}=1e308" for key in ("alpha", "p_s", "p_l"))]),
     ("fixture-zipf", _fixture("zipf.jsonl", "fz.ckpt", N_ZIPF)),
     ("fixture-long", _fixture("long.jsonl", "fl.ckpt", N_LONG)),
     ("randomize-zipf", ["randomize-head", "fz.ckpt", "fz-rand.ckpt", "0"]),
