@@ -15,7 +15,7 @@ otherwise. Exit codes: 0 success, 2 usage or validation error, 1
 runtime failure. Artifacts are written to a ``.partial`` path and
 renamed only when complete. A ``train`` run whose objective diverges
 writes its log, ending in the ``"diverged"`` record, and no checkpoint,
-and exits 1.
+rewrites its manifest to list the log alone, and exits 1.
 
 ``compress`` encodes its prompts in passes of up to the encoder's
 ``max_len`` tokens, run on a pool of one thread per CPU the process may
@@ -332,21 +332,27 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     log_path = Path(args.log) if args.log else out.with_name(out.name + ".log.jsonl")
-    write_manifest(
-        out.with_name(out.name + ".manifest.json"),
-        command="train",
-        seed=seed,
-        config={**config, "no_hpc": bool(args.no_hpc),
-                "fixed_c_s": fixed_c_s, "fixed_c_l": fixed_c_l},
-        inputs={"corpus": str(args.corpus)},
-        artifacts={"checkpoint": str(out), "log": str(log_path)},
-    )
 
+    def manifest(artifacts: dict[str, str]) -> None:
+        write_manifest(
+            out.with_name(out.name + ".manifest.json"),
+            command="train",
+            seed=seed,
+            config={**config, "no_hpc": bool(args.no_hpc),
+                    "fixed_c_s": fixed_c_s, "fixed_c_l": fixed_c_l},
+            inputs={"corpus": str(args.corpus)},
+            artifacts=artifacts,
+        )
+
+    manifest({"checkpoint": str(out), "log": str(log_path)})
     try:
         state = hpc_train(prompts, trainer_cfg, schedule, reward_cfg, scorers,
                           encoder_cfg, progress=lambda msg: print(msg, file=sys.stderr))
     except TrainingDiverged as exc:
+        # A diverged run writes its log and no checkpoint, and its
+        # manifest then names only what it wrote.
         _atomic(log_path, _jsonl(exc.log))
+        manifest({"log": str(log_path)})
         raise
     _atomic(out, lambda p: save_checkpoint(state, vocab, p))
     _atomic(log_path, _jsonl(state.log))

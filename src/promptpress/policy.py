@@ -14,7 +14,9 @@ caller keeps the original prompt.
 Inference has one call, :func:`policy_forward`, over any number of
 states: it packs them into encoder passes, optionally run on a thread
 pool while the calling thread waits, and gives each state bitwise the
-keep probabilities it would get alone.
+keep probabilities it would get alone. It and
+:func:`packed_action_log_probs` encode each distinct state once, however
+often it repeats among their inputs.
 """
 
 from __future__ import annotations
@@ -126,27 +128,40 @@ def _packs(lengths: Sequence[int], max_len: int) -> list[list[int]]:
     return packs
 
 
+def _firsts(seqs: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
+    """The index of each distinct sequence's first occurrence, in the
+    order of those occurrences, which is the order they are encoded in."""
+    firsts: dict[tuple[int, ...], int] = {}
+    for j, seq in enumerate(seqs):
+        firsts.setdefault(seq, j)
+    return firsts
+
+
 def policy_forward(
     actor: Actor, states: Sequence[TokenSequence], pool: Executor | None = None
 ) -> list[np.ndarray]:
     """Floored keep probability of each token of each state (a current
     prompt), in input order; an empty state is an error.
 
-    Consecutive states share an encoder pass of at most the encoder's
-    ``max_len`` tokens. A 1-token state has a pass of its own, as numpy
-    takes a one-row matmul down another BLAS path, and the head runs on
-    each state's rows alone; so each state gets bitwise what a call with
-    it alone returns. With ``pool``, the pool's threads encode the passes
-    while the calling thread waits; the actor is only read. If passes
-    fail, the first failing one in input order is raised.
+    Each distinct state, by its ids, is encoded once; a repeat gets a
+    copy of what its first occurrence gets, so no two outputs share
+    storage. Consecutive distinct states share an encoder pass of at
+    most the encoder's ``max_len`` tokens. A 1-token state has a pass of
+    its own, as numpy takes a one-row matmul down another BLAS path, and
+    the head runs on each state's rows alone; so each state gets bitwise
+    what a call with it alone returns. With ``pool``, the pool's threads
+    encode the passes while the calling thread waits; the actor is only
+    read. If passes fail, the first failing one in input order is raised.
     """
     seqs = [state.ids for state in states]
     if not all(seqs):
         raise ValueError("empty state")
+    firsts = _firsts(seqs)
+    distinct = list(firsts)
 
     def run(pack: list[int]) -> list[np.ndarray]:
-        lengths = [len(seqs[i]) for i in pack]
-        h = actor.encoder.encode([tid for i in pack for tid in seqs[i]], lengths)
+        lengths = [len(distinct[i]) for i in pack]
+        h = actor.encoder.encode([tid for i in pack for tid in distinct[i]], lengths)
         # The head runs on each state's own rows: a two-column matmul
         # gives a row bits that depend on the rows around it.
         return [
@@ -154,9 +169,13 @@ def policy_forward(
             for n, end in zip(lengths, itertools.accumulate(lengths))
         ]
 
-    packs = _packs([len(seq) for seq in seqs], actor.encoder.cfg.max_len)
+    packs = _packs([len(seq) for seq in distinct], actor.encoder.cfg.max_len)
     passes = pool.map(run, packs) if pool is not None else map(run, packs)
-    return [kp for kps in passes for kp in kps]
+    by_seq = dict(zip(distinct, (kp for kps in passes for kp in kps)))
+    return [
+        by_seq[seq] if firsts[seq] == j else by_seq[seq].copy()
+        for j, seq in enumerate(seqs)
+    ]
 
 
 def seed_for(*parts: int) -> int:
@@ -221,22 +240,38 @@ def packed_action_log_probs(
 ) -> tuple[np.ndarray, Callable[[np.ndarray, ActorGradient], None]]:
     """Log-probability of each action vector ``labels[j]`` on ``seqs[j]``.
 
-    One encoder forward pass covers the whole pack. The returned function
-    takes per-sequence coefficients c and an :class:`ActorGradient`, and
-    overwrites the latter with the gradient of sum_j c_j * log_prob_j
-    w.r.t. every actor parameter, in one backward pass; call it at most
-    once, as the backward consumes the forward's cache. Tokens whose keep
-    probability sits at the floor get zero gradient, matching the clamped
-    forward value.
+    One encoder forward pass covers each distinct sequence once, however
+    often it repeats, and each step reads its sequence's rows with its
+    own labels. The returned function takes per-step coefficients c and
+    an :class:`ActorGradient`, and overwrites the latter with the
+    gradient of sum_j c_j * log_prob_j w.r.t. every actor parameter, in
+    one backward pass, each step's upstream rows added into its
+    sequence's; call it at most once, as the backward consumes the
+    forward's cache. Tokens whose keep probability sits at the floor get
+    zero gradient, matching the clamped forward value.
+
+    With no repeated sequence the pass is the whole batch, as a batch of
+    steps packed back to back. A repeat leaves the head's matmul fewer
+    rows, which moves the results in their low-order bits only (see
+    ``policy_forward``).
     """
     lengths = [len(seq) for seq in seqs]
     if [len(l) for l in labels] != lengths:
         raise ValueError("each label vector must match its sequence's length")
-    ids = [tid for seq in seqs for tid in seq]
-    h, cache = actor.encoder.forward(ids, lengths)
-    logits = h @ actor.head_w + actor.head_b
-    probs = _softmax2(logits)
-    rows = np.arange(len(ids))
+    keys = [tuple(seq) for seq in seqs]
+    firsts = _firsts(keys)
+    distinct = list(firsts)
+    h, cache = actor.encoder.forward(
+        [tid for key in distinct for tid in key], [len(key) for key in distinct]
+    )
+    # The pass's row of each step's tokens, and whether it is a lead's:
+    # the first step on its sequence.
+    starts = dict(
+        zip(distinct, itertools.accumulate(map(len, distinct[:-1]), initial=0))
+    )
+    rows = np.concatenate([np.arange(starts[k], starts[k] + len(k)) for k in keys])
+    lead = np.repeat([firsts[k] == j for j, k in enumerate(keys)], lengths)
+    probs = _softmax2(h @ actor.head_w + actor.head_b)[rows]
     idx = np.concatenate(labels).astype(int, copy=False)
     picked = _label_log_probs(_floored(probs), idx)
     ends = list(itertools.accumulate(lengths))
@@ -244,12 +279,16 @@ def packed_action_log_probs(
 
     def gradient_into(coeffs: np.ndarray, grad: ActorGradient) -> None:
         dlogits = -probs
-        dlogits[rows, idx] += 1.0
+        dlogits[np.arange(idx.size), idx] += 1.0
         unclamped = (probs[:, 1] > PROB_FLOOR) & (probs[:, 1] < 1.0 - PROB_FLOOR)
         dlogits[~unclamped] = 0.0
         dlogits *= np.repeat(np.asarray(coeffs, dtype=float), lengths)[:, None]
-        actor.encoder.backward(cache, dlogits @ actor.head_w.T, grad.encoder)
-        np.matmul(h.T, dlogits, out=grad.views["head_w"])
-        dlogits.sum(axis=0, out=grad.views["head_b"])
+        # The leads' rows are the pass's rows, in order; each repeat's
+        # row is added into the one it reads.
+        upstream = dlogits[lead]
+        np.add.at(upstream, rows[~lead], dlogits[~lead])
+        actor.encoder.backward(cache, upstream @ actor.head_w.T, grad.encoder)
+        np.matmul(h.T, upstream, out=grad.views["head_w"])
+        upstream.sum(axis=0, out=grad.views["head_b"])
 
     return log_probs, gradient_into

@@ -5,13 +5,17 @@ Training runs in update rounds of M episodes (M =
 ``TrainerConfig.buffer_capacity``). A round is collected in one call
 with the actor as it stands, step by step: each step is one
 ``policy_forward`` over every episode's current prompt. The actor is
-then updated from the round's M trajectories. There is no learned value
-function: each step's advantage is its return minus the mean return of
-the round's other trajectories at the same step index (the leave-one-out
-baseline of RLOO, arXiv:2402.14740). The compression band [c_s, c_l]
-that the reward enforces comes from ``CurriculumSchedule``, its one
-owner: it tightens with the stage index and, within an episode, with the
-step index, so the task hardens gradually. The reward's divergence term
+then updated from the round's M trajectories, each update iteration in
+one forward and one backward pass over its batch. A round of M episodes
+over fewer prompts, or a batch that draws one trajectory twice, repeats
+a state; both kinds of pass encode each distinct state once. There is
+no learned value function: each step's advantage is its return minus
+the mean return of the round's other trajectories at the same step
+index (the leave-one-out baseline of RLOO, arXiv:2402.14740). The
+compression band [c_s, c_l] that the reward enforces comes from
+``CurriculumSchedule``, its one owner: it tightens with the stage index
+and, within an episode, with the step index, so the task hardens
+gradually. The reward's divergence term
 walks its own reference. Everything is deterministic given (seed,
 corpus, configs): per-episode and per-update RNG streams are derived
 from (seed, stage, epoch, index) so a run resumed from a stage boundary
@@ -240,11 +244,12 @@ def ppo_objective_and_grads(
     """Objective; its gradient w.r.t. the new actor's parameters is
     written into ``grad``.
 
-    One encoder forward and one backward pass cover the whole batch: each
-    step's coefficient delta * A / n is applied to its tokens' upstream
-    gradient before the backward. Steps where the clipped branch is the
-    active minimum get coefficient 0 and so contribute no gradient,
-    exactly like the piecewise objective.
+    One encoder forward and one backward pass cover the whole batch, with
+    each distinct prompt encoded once: each step's coefficient
+    delta * A / n is applied to its tokens' upstream gradient before the
+    backward. Steps where the clipped branch is the active minimum get
+    coefficient 0 and so contribute no gradient, exactly like the
+    piecewise objective.
     """
     if not batch:
         raise ValueError("empty batch")

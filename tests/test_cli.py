@@ -800,6 +800,7 @@ def test_diverged_train_writes_its_log_and_no_checkpoint(tmp_path, capsys):
                       "iteration": 0}
     manifest = json.loads((tmp_path / "p.ckpt.manifest.json").read_text())
     assert manifest["artifacts"]["log"] == str(log_path)
+    assert "checkpoint" not in manifest["artifacts"]
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "p.ckpt.log.jsonl", "p.ckpt.manifest.json", "train.jsonl"]
 

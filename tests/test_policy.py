@@ -153,6 +153,37 @@ class TestBatchedPolicyForward:
         # The head makes keep probabilities vary, not all 0.5.
         assert np.concatenate(batched).std() > 0.1
 
+    @pytest.mark.parametrize("workers", [0, 3])
+    def test_a_repeated_state_is_encoded_once(self, actor, monkeypatch, workers):
+        states = self._states()[:6]
+        # States 0, 2 and 4 (0 and 4 of one token) repeat as the same
+        # object, state 3 as equal ids in new objects.
+        twins = [TokenSequence(list(states[3].ids)) for _ in range(2)]
+        assert twins[0].ids is not states[3].ids
+        batch = [states[0], states[3], states[0], twins[0], states[4], states[2],
+                 states[4], twins[1], states[2], states[5]]
+        alone = [policy_forward(actor, [state])[0] for state in batch]
+        encoded = []
+        real = TinyTransformerEncoder.encode
+
+        def recording(self, ids, lengths):
+            ends = np.cumsum(lengths)
+            encoded.extend(tuple(ids[e - n:e]) for n, e in zip(lengths, ends))
+            return real(self, ids, lengths)
+
+        monkeypatch.setattr(TinyTransformerEncoder, "encode", recording)
+        with ThreadPoolExecutor(max(workers, 1)) as pool:
+            batched = policy_forward(actor, batch, pool if workers else None)
+        assert sorted(encoded) == sorted({state.ids for state in batch})
+        for a, b in zip(alone, batched):
+            assert a.tobytes() == b.tobytes()
+        # No two outputs share storage: writing one leaves its repeats be.
+        for j, k in ((0, 2), (1, 3), (1, 7), (4, 6), (5, 8)):
+            before = batched[k].copy()
+            batched[j][...] = -1.0
+            assert batched[k].tobytes() == before.tobytes()
+            assert not np.shares_memory(batched[j], batched[k])
+
     def test_no_states_give_no_outputs(self, actor):
         assert policy_forward(actor, []) == []
 

@@ -17,7 +17,7 @@ from gradcheck import (
     ppo_objective,
 )
 from promptpress import trainer
-from promptpress.encoder import EncoderConfig
+from promptpress.encoder import EncoderConfig, TinyTransformerEncoder
 from promptpress.policy import (
     Actor,
     ActorGradient,
@@ -314,6 +314,57 @@ class TestPackedObjectives:
     def test_ppo_finite_difference(self):
         cfg, actor = self._models()
         batch = self._batch(cfg, actor)
+        _, grads = _objective_and_grads(batch, actor, 0.15)
+        worst, where = max_relative_error(
+            actor.parameters(), grads, lambda: ppo_objective(batch, actor, 0.15)
+        )
+        assert worst < REL_TOL, f"worst {worst:.2e} at {where}"
+
+    def _repeated_batch(self, cfg, actor):
+        """The mixed batch with its first step twice more, and its
+        max_len sequence once more with other labels: a pass encodes the
+        four distinct sequences once each."""
+        batch = self._batch(cfg, actor)
+        ids = batch[2][0].current.ids
+        relabeled = _synthetic_step(
+            actor, ids, tuple(1 - int(a) for a in batch[2][0].labels), 0.95, 1.2
+        )
+        return [batch[0], *batch[1:3], batch[0], relabeled, batch[3], batch[0]]
+
+    def test_ppo_with_repeats_matches_per_step_sum(self, monkeypatch):
+        cfg, actor = self._models()
+        batch = self._repeated_batch(cfg, actor)
+        eps, n = 0.15, len(batch)
+        expected = {k: np.zeros_like(v) for k, v in actor.parameters().items()}
+        total, flowing = 0.0, 0
+        for step, advantage in batch:
+            lp, grads = packed_log_prob_and_grad(actor, step.current.ids, step.labels)
+            delta = math.exp(lp - step.old_log_prob)
+            unclipped = delta * advantage
+            clipped = min(max(delta, 1 - eps), 1 + eps) * advantage
+            total += min(unclipped, clipped)
+            if unclipped <= clipped:
+                flowing += 1
+                for k, g in grads.items():
+                    expected[k] += delta * advantage / n * g
+        # The repeated first step and the relabeled one both flow.
+        assert flowing == 5
+        passes = []
+        forward = TinyTransformerEncoder.forward
+
+        def recording(self, ids, lengths, keep_cache=True):
+            passes.append(list(lengths))
+            return forward(self, ids, lengths, keep_cache)
+
+        monkeypatch.setattr(TinyTransformerEncoder, "forward", recording)
+        objective, got = _objective_and_grads(batch, actor, eps)
+        assert passes == [[4, 1, cfg.max_len, 7]]
+        assert objective == pytest.approx(total / n, rel=1e-12)
+        assert _relative_gap(got, expected) <= 1e-12
+
+    def test_ppo_with_repeats_finite_difference(self):
+        cfg, actor = self._models()
+        batch = self._repeated_batch(cfg, actor)
         _, grads = _objective_and_grads(batch, actor, 0.15)
         worst, where = max_relative_error(
             actor.parameters(), grads, lambda: ppo_objective(batch, actor, 0.15)
@@ -696,6 +747,28 @@ class TestCollectionPlan:
         # Stage 1: one round of two steps; stage 2: two rounds of one step.
         # Each pass covers the round's M = 4 episodes.
         assert [len(args[1]) for args in passes] == [4] * 4
+
+    def test_a_round_encodes_each_distinct_prompt_once(self, monkeypatch):
+        prompts, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(
+            n_prompts=2
+        )
+        # M = 4 episodes over P = 2 prompts: one round over two epochs, in
+        # which each prompt starts two episodes.
+        schedule = CurriculumSchedule(t_max_per_stage=(1,), epochs_per_stage=(2,))
+        passes = self._counting(monkeypatch, "policy_forward")
+        encoded = []
+        real = TinyTransformerEncoder.encode
+
+        def recording(self, ids, lengths):
+            encoded.append(list(lengths))
+            return real(self, ids, lengths)
+
+        monkeypatch.setattr(TinyTransformerEncoder, "encode", recording)
+        hpc_train(
+            prompts, trainer_cfg, schedule, RewardConfig(), scorers, encoder_cfg,
+        )
+        assert [len(args[1]) for args in passes] == [4]
+        assert encoded == [[len(prompts[0]), len(prompts[1])]]
 
     def test_each_epoch_reports_after_its_last_round(self, monkeypatch):
         prompts, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(

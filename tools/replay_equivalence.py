@@ -28,7 +28,8 @@ directory of its own, as ``python -m promptpress.cli`` with that tree's
   ``--set``, which gives integer keys integral floats and a float key an
   int, each kept as given in the manifest; once with rewards near the
   float limit, whose first objective is NaN, so that the run fails (exit
-  1) and writes its log and no checkpoint; and two collection-only
+  1) and writes its log, no checkpoint, and a manifest naming the log
+  alone; and two collection-only
   fixtures whose head is then set to seeded random values: a zero head
   keeps every probability at 0.5, so a change in the encoder's numerics
   would not show in what the policy drops. A second
@@ -46,22 +47,39 @@ directories are compared; in manifests the directory's own path is
 replaced first. Exit code 0: the trees agree; 1: a difference, each one
 listed; 2: a bad argument. Outputs go to a temporary directory, or to
 ``--work`` (``a/`` and ``b/`` in it) to be kept.
+
+A train log (``*.log.jsonl``) or checkpoint (``*.ckpt``) whose bytes
+differ is still a difference, but its line also says how far apart the
+two are: whether every non-float field (of a log record or of the
+checkpoint's ``__meta__``) and every non-float member is identical, the
+largest relative difference of each float field, by name, and the
+largest absolute difference of each float member. That is how a change
+whose training arithmetic moves in low-order bits shows its tolerance.
+Encoding each distinct state once per pass leaves the head's matmul
+fewer rows; against a tree that encoded repeats again, train logs differ
+only in ``objective``, by at most 6.7e-14 relative, and checkpoints only
+in float members, by at most 1.7e-14 absolute (both in the learning-rate
+1e-3 run; a few 1e-16 at the CLI defaults).
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import zipfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 import inputs  # noqa: E402  the benchmark's seeded corpora, only read
+import numpy as np  # noqa: E402
 
 INPUT_SEED = 7
 
@@ -260,6 +278,80 @@ def _files(run: Path) -> dict[str, bytes]:
     return files
 
 
+def _float_gaps(a, b, name: str, gaps: dict[str, float]) -> bool:
+    """Walk two JSON values in step: whether everything but their floats
+    is identical, with the largest relative difference of the floats
+    recorded in ``gaps`` under their dotted dict-key path (list indices
+    left out, so a log field's gap is over all its records)."""
+    if type(a) is float and type(b) is float:
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            gap = 0.0
+        elif math.isfinite(a) and math.isfinite(b):
+            gap = abs(a - b) / max(abs(a), abs(b))
+        else:
+            gap = math.inf
+        gaps[name] = max(gaps.get(name, 0.0), gap)
+        return True
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        same = a.keys() == b.keys()
+        for key in a.keys() & b.keys():
+            same &= _float_gaps(a[key], b[key], f"{name}.{key}".lstrip("."), gaps)
+        return same
+    if isinstance(a, list):
+        same = len(a) == len(b)
+        for x, y in zip(a, b):
+            same &= _float_gaps(x, y, name, gaps)
+        return same
+    return a == b
+
+
+def _gap_text(gaps: dict[str, float]) -> str:
+    return ", ".join(f"{name} {gap:.2g}" for name, gap in sorted(gaps.items()))
+
+
+def _log_gaps(data_a: bytes, data_b: bytes) -> str:
+    """How far two train logs are apart, as a clause of a diff line."""
+    try:
+        records = [[json.loads(line) for line in data.decode().splitlines()]
+                   for data in (data_a, data_b)]
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        return f"not both readable: {exc}"
+    gaps: dict[str, float] = {}
+    same = _float_gaps(*records, "", gaps)
+    return (f"non-float fields {'identical' if same else 'differ'}; "
+            f"largest relative difference: {_gap_text(gaps) or 'no float field'}")
+
+
+def _checkpoint_gaps(data_a: bytes, data_b: bytes) -> str:
+    """How far two checkpoints are apart, member by member, as a clause of
+    a diff line; ``__meta__`` is compared as JSON, like a log."""
+    try:
+        with np.load(io.BytesIO(data_a)) as za, np.load(io.BytesIO(data_b)) as zb:
+            a, b = dict(za), dict(zb)
+        metas = [json.loads(m["__meta__"].tobytes().decode()) for m in (a, b)]
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        return f"not both readable: {exc!r}"
+    same = a.keys() == b.keys()
+    absolute: dict[str, float] = {}
+    relative: dict[str, float] = {}
+    for name in sorted(a.keys() & b.keys()):
+        x, y = a[name], b[name]
+        if name == "__meta__":
+            same &= _float_gaps(*metas, "", relative)
+        elif x.dtype != y.dtype or x.shape != y.shape:
+            same = False
+        elif x.dtype.kind == "f":
+            absolute[name] = float(np.max(np.abs(x - y), initial=0.0))
+        else:
+            same &= bool(np.array_equal(x, y))
+    return (f"non-float members and __meta__ fields "
+            f"{'identical' if same else 'differ'}; largest absolute difference: "
+            f"{_gap_text(absolute) or 'no float member'}; largest relative "
+            f"difference in __meta__: {_gap_text(relative) or 'no float field'}")
+
+
 def compare(results: tuple[dict, dict], files: tuple[dict, dict]) -> list[str]:
     """One line per difference between the two replays."""
     diffs = []
@@ -278,7 +370,12 @@ def compare(results: tuple[dict, dict], files: tuple[dict, dict]) -> list[str]:
         elif rel not in files_a:
             diffs.append(f"{rel}: only in tree b")
         elif files_a[rel] != files_b[rel]:
-            diffs.append(f"{rel}: bytes differ")
+            detail = ""
+            if rel.endswith(".log.jsonl"):
+                detail = "; " + _log_gaps(files_a[rel], files_b[rel])
+            elif rel.endswith(".ckpt"):
+                detail = "; " + _checkpoint_gaps(files_a[rel], files_b[rel])
+            diffs.append(f"{rel}: bytes differ{detail}")
     return diffs
 
 
