@@ -250,10 +250,9 @@ def packed_action_log_probs(
     forward's cache. Tokens whose keep probability sits at the floor get
     zero gradient, matching the clamped forward value.
 
-    With no repeated sequence the pass is the whole batch, as a batch of
-    steps packed back to back. A repeat leaves the head's matmul fewer
-    rows, which moves the results in their low-order bits only (see
-    ``policy_forward``).
+    With no repeated sequence the pass holds every step's sequence, back
+    to back. A repeat leaves the head's matmul fewer rows, which moves
+    the results in their low-order bits only (see ``policy_forward``).
     """
     lengths = [len(seq) for seq in seqs]
     if [len(l) for l in labels] != lengths:
