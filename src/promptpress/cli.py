@@ -1,26 +1,24 @@
 """Operator entry points: make-corpus, train, compress, eval.
 
 Configuration has three layers: built-in defaults, then a flat JSON
-config file, then command-line flags. Each ``train`` key is one entry of
-``_KEYS``: the dataclass field that holds it, whose default and
-annotated type (int, float or a tuple of ints) it takes, or the type and
-default of a key no dataclass holds. The resolved result is frozen in
-a run manifest written before any long-running work, so every run is
-reproducible from its manifest alone. A ``train`` run reruns on its
-manifest's input corpus from the manifest's ``config`` written as a
-``--config`` file, less the ``no_hpc``, ``fixed_c_s`` and ``fixed_c_l``
-entries, which only flags set: with ``--no-hpc --fixed-c-s C_S
---fixed-c-l C_L`` when ``no_hpc`` is true, and with no band flag
-otherwise. Exit codes: 0 success, 2 usage or validation error, 1
-runtime failure. Artifacts are written to a ``.partial`` path and
-renamed only when complete. A ``train`` run whose objective diverges
-writes its log, ending in the ``"diverged"`` record, and no checkpoint,
-rewrites its manifest to list the log alone, and exits 1.
+config file, then command-line flags. Each ``train`` setting is one key
+of ``_KEYS``: the dataclass field that holds it, whose default and
+annotated type (one of ``_KINDS``) it takes, or the type and default of
+a key no dataclass holds. ``train --seed`` sets ``trainer.seed`` over
+the file and ``--set``. The resolved result is frozen in a run manifest
+written before any long-running work, so every run is reproducible from
+its manifest alone: a ``train`` run reruns on the manifest's input
+corpus with its ``config``, as it is, for the ``--config`` file. Exit
+codes: 0 success, 2 usage or validation error, 1 runtime failure.
+Artifacts are written to a ``.partial`` path and renamed only when
+complete. A ``train`` run whose objective diverges writes its log,
+ending in the ``"diverged"`` record, and no checkpoint, rewrites its
+manifest to list the log alone, and exits 1.
 
 ``compress`` encodes its prompts in passes of up to the encoder's
-``max_len`` tokens, run on a pool of one thread per CPU the process may
-use while the calling thread waits; its output does not depend on that
-number.
+``max_len`` tokens, run on a pool of as many threads as the CPUs the
+process may use divided by the threads of a BLAS call, while the calling
+thread waits; its output does not depend on that number.
 """
 
 from __future__ import annotations
@@ -69,7 +67,9 @@ from .trainer import (
 )
 
 # How an error names each type a config key may have.
-_KINDS = {int: "an integer", float: "a number", tuple[int, ...]: "a JSON list"}
+_BAND = tuple[float, float] | None
+_KINDS = {int: "an integer", float: "a number", tuple[int, ...]: "a JSON list",
+          _BAND: "a JSON list of two numbers, or null"}
 _hints = functools.cache(typing.get_type_hints)
 
 
@@ -80,6 +80,8 @@ def _cast(key: str, value: object, kind: type):
         return kind(value)
     if kind == tuple[int, ...] and type(value) is list:
         return tuple(_cast(key, v, int) for v in value)
+    if kind == _BAND and (value is None or type(value) is list and len(value) == 2):
+        return None if value is None else tuple(_cast(key, v, float) for v in value)
     raise ValueError(f"{key} must be {_KINDS[kind]}, got {value!r}")
 
 
@@ -98,8 +100,9 @@ def _held(owner: type, field: str) -> _Key:
     return _Key(kind, getattr(owner, field), owner, field)
 
 
-# Every ``train`` config key but the seed, which ``resolve_seed`` reads.
+# Every ``train`` config key.
 _KEYS: dict[str, _Key] = {
+    "trainer.seed": _held(TrainerConfig, "seed"),
     "trainer.actor_lr": _held(TrainerConfig, "actor_lr"),
     "trainer.clip_eps": _held(TrainerConfig, "clip_eps"),
     "trainer.batch_size": _held(TrainerConfig, "batch_size"),
@@ -108,6 +111,7 @@ _KEYS: dict[str, _Key] = {
     "curriculum.psi": _held(CurriculumSchedule, "psi"),
     "curriculum.t_max": _held(CurriculumSchedule, "t_max_per_stage"),
     "curriculum.epochs": _held(CurriculumSchedule, "epochs_per_stage"),
+    "curriculum.fixed_bounds": _held(CurriculumSchedule, "fixed_bounds"),
     "reward.alpha": _held(RewardConfig, "alpha"),
     "reward.beta": _held(RewardConfig, "beta"),
     "reward.gamma": _held(RewardConfig, "gamma"),
@@ -126,9 +130,8 @@ _KEYS: dict[str, _Key] = {
 
 # Each default as a config file gives it; ``eval`` reads these too.
 CONFIG_DEFAULTS: dict[str, object] = {
-    "trainer.seed": None,
-    **{key: list(k.default) if type(k.default) is tuple else k.default
-       for key, k in _KEYS.items()},
+    key: list(k.default) if type(k.default) is tuple else k.default
+    for key, k in _KEYS.items()
 }
 
 EVAL_METHODS = ("identity", "random", "selfinfo", "policy")
@@ -163,7 +166,7 @@ def resolve_config(
 ) -> dict[str, object]:
     """defaults <- config file <- flag overrides; an unknown key is an
     error. Values are checked as they are cast (``_build``, ``_value``)."""
-    resolved = dict(CONFIG_DEFAULTS)
+    layers = [("unknown config key", overrides)]
     if config_path:
         try:
             loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
@@ -171,14 +174,13 @@ def resolve_config(
             raise UsageError(f"cannot read config file {config_path}: {exc}")
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold one flat JSON object")
-        for key, value in loaded.items():
+        layers.insert(0, ("unknown config key in file", loaded))
+    resolved = dict(CONFIG_DEFAULTS)
+    for unknown, layer in layers:
+        for key, value in layer.items():
             if key not in resolved:
-                raise UsageError(f"unknown config key in file: {key}")
+                raise UsageError(f"{unknown}: {key}")
             resolved[key] = value
-    for key, value in overrides.items():
-        if key not in resolved:
-            raise UsageError(f"unknown config key: {key}")
-        resolved[key] = value
     return resolved
 
 
@@ -195,16 +197,11 @@ def _parse_set_flags(pairs: list[str]) -> dict[str, object]:
     return overrides
 
 
-def resolve_seed(flag_seed: int | None, config_seed: object) -> int:
-    """Flag beats config beats 0; a seed is a non-negative integer."""
-    raw = flag_seed if flag_seed is not None else config_seed
-    if raw is None:
-        return 0
-    # An int or a string of its digits: no bool, fraction or sign.
-    if isinstance(raw, (int, str)) and not isinstance(raw, bool):
-        if str(raw).isdecimal():
-            return int(raw)
-    raise UsageError(f"seed must be a non-negative integer, got {raw!r}")
+def resolve_seed(flag_seed: int | None) -> int:
+    """The ``--seed`` flag, or 0 without it; never negative."""
+    if flag_seed is not None and flag_seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {flag_seed}")
+    return flag_seed or 0
 
 
 def write_manifest(
@@ -286,7 +283,7 @@ def cmd_make_corpus(args: argparse.Namespace) -> int:
         raise UsageError("--filler must be in [0, 1]")
     if args.n < 1:
         raise UsageError("--n must be >= 1")
-    seed = resolve_seed(args.seed, None)
+    seed = resolve_seed(args.seed)
     out = Path(args.out)
     write_manifest(
         out.with_name(out.name + ".manifest.json"),
@@ -303,22 +300,17 @@ def cmd_make_corpus(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    if not args.no_hpc and (args.fixed_c_s, args.fixed_c_l) != (None, None):
-        raise UsageError("--fixed-c-s and --fixed-c-l set the band only with --no-hpc")
-    fixed_c_s = 0.5 if args.fixed_c_s is None else args.fixed_c_s
-    fixed_c_l = 0.9 if args.fixed_c_l is None else args.fixed_c_l
     config = resolve_config(args.config, _parse_set_flags(args.set or []))
-    seed = resolve_seed(args.seed, config["trainer.seed"])
-    config["trainer.seed"] = seed
+    if args.seed is not None:
+        config["trainer.seed"] = args.seed
 
     corpus = _read_corpus(args.corpus)
-    # A bad config value, band, prompt length or scoring setting is a
-    # usage error, found before the manifest is written.
+    # A bad config value, prompt length or scoring setting is a usage
+    # error, found before the manifest is written.
     try:
         vocab = build_vocabulary(corpus, _value(config, "vocab.max_size"))
-        trainer_cfg = _build(TrainerConfig, config, seed=seed)
-        schedule = _build(CurriculumSchedule, config, fixed_bounds=(
-            (fixed_c_s, fixed_c_l) if args.no_hpc else None))
+        trainer_cfg = _build(TrainerConfig, config)
+        schedule = _build(CurriculumSchedule, config)
         reward_cfg = _build(RewardConfig, config)
         encoder_cfg = _build(EncoderConfig, config, vocab_size=vocab.size)
         _check_memory(encoder_cfg)
@@ -337,9 +329,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         write_manifest(
             out.with_name(out.name + ".manifest.json"),
             command="train",
-            seed=seed,
-            config={**config, "no_hpc": bool(args.no_hpc),
-                    "fixed_c_s": fixed_c_s, "fixed_c_l": fixed_c_l},
+            seed=trainer_cfg.seed,
+            config=config,
             inputs={"corpus": str(args.corpus)},
             artifacts=artifacts,
         )
@@ -360,18 +351,25 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _cpus_per_blas_call() -> int:
+    """The CPUs this process may run on over the threads of a BLAS call,
+    at least 1. A call takes, as OpenBLAS reads them, the first positive
+    ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``, else every CPU."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdecimal() and int(value) > 0:
+            return max(cpus // int(value), 1)
+    return 1
 
 
 def _helper_threads(n_items: int):
-    """A pool of one thread per usable CPU and at most one per item; a
-    null context, which gives None, when one thread is enough. Threads
-    start only when work is submitted."""
-    workers = min(_usable_cpus(), n_items)
+    """A pool of one thread per BLAS call's share of the CPUs, so that
+    the pool's BLAS calls do not compete for them, and at most one per
+    item; a null context, which gives None, when one thread is enough.
+    Threads start only when work is submitted."""
+    workers = min(_cpus_per_blas_call(), n_items)
     return ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext()
 
 
@@ -465,7 +463,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise UsageError(f"{flag} must be >= 1")
     if args.vocab_size < 2:
         raise UsageError("--vocab-size must be >= 2")
-    seed = resolve_seed(args.seed, None)
+    seed = resolve_seed(args.seed)
     corpus = _read_corpus(args.corpus)
     # One vocabulary, one tokenization and one LM serve every method: the
     # checkpoint's vocabulary when there is one, since the policy reads
@@ -543,13 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--log", default=None, help="training log path (JSONL)")
     p.add_argument("--config", default=None, help="flat JSON config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--no-hpc", action="store_true",
-                   help="freeze the compression band instead of the curriculum")
-    p.add_argument("--fixed-c-s", type=float, default=None,
-                   help="lower band bound used with --no-hpc")
-    p.add_argument("--fixed-c-l", type=float, default=None,
-                   help="upper band bound used with --no-hpc")
+    p.add_argument("--seed", type=int, default=None, help="sets trainer.seed")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override any config key")
     p.set_defaults(func=cmd_train)

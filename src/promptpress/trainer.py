@@ -50,6 +50,7 @@ from .scoring import IdfRetentionScorer, ProxyLM
 from .text import TokenSequence, Vocabulary
 
 CHECKPOINT_SCHEMA_VERSION = 4
+CHECKPOINT_KIND = "promptpress-checkpoint"
 # The members of a checkpoint, in file order.
 CHECKPOINT_MEMBERS = ("actor", "opt_actor.t", "opt_actor.m", "opt_actor.v", "__meta__")
 GRAD_CLIP_NORM = 1.0
@@ -79,8 +80,8 @@ class CurriculumSchedule:
     Stage i (1-based) runs ``epochs_per_stage[i - 1]`` epochs of episodes
     T_max = ``t_max_per_stage[i - 1]`` steps long, so the two tuples have
     one entry per stage. ``bounds_for`` gives each step's band (c_s, c_l):
-    ``fixed_bounds``, which disables the curriculum and is checked here,
-    or the curriculum's at step t of stage i,
+    ``fixed_bounds`` (``train``'s key ``curriculum.fixed_bounds``), which
+    disables the curriculum and is checked here, or at step t of stage i,
 
         c_s = max(0.6 - offset, 0.05),  c_l = max(1.0 - offset, 0.1),
         offset = (i + t / T_max) * psi,
@@ -334,6 +335,8 @@ class TrainerConfig:
             raise ValueError("discount must be in (0, 1]")
         if not 0 < self.actor_lr < math.inf:
             raise ValueError("actor_lr must be > 0 and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -527,7 +530,7 @@ def save_checkpoint(
     """
     meta = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        "kind": "promptpress-checkpoint",
+        "kind": CHECKPOINT_KIND,
         "encoder_cfg": dataclasses.asdict(state.actor.encoder.cfg),
         "vocab": {
             "surfaces": list(vocab.surfaces),
@@ -550,7 +553,7 @@ def save_checkpoint(
 
 
 def _read_meta(raw: np.ndarray) -> dict:
-    """Decode ``__meta__`` and check the version and each field's type.
+    """Decode ``__meta__``; check its version, kind and field types.
 
     Any defect other than the version is reported as a corrupt checkpoint,
     naming the field, so a damaged file never surfaces as a bare KeyError.
@@ -572,6 +575,7 @@ def _read_meta(raw: np.ndarray) -> dict:
     # type(...) is int, unlike isinstance, rejects JSON true and false.
     cfg_names = {f.name for f in dataclasses.fields(EncoderConfig)}
     well_typed = {
+        "kind": meta.get("kind") == CHECKPOINT_KIND,
         "encoder_cfg": type(cfg) is dict
         and set(cfg) == cfg_names
         and all(type(v) is int for v in cfg.values()),
@@ -605,15 +609,15 @@ def load_checkpoint(
     """Load a checkpoint written by ``save_checkpoint``.
 
     Every load checks that the file holds exactly ``CHECKPOINT_MEMBERS``,
-    the schema version and the metadata, and that the actor's vector has
-    the length its encoder config gives; that vector becomes the actor's
-    storage as read, with no copy. Returns (train state, vocabulary),
-    after also checking the optimizer's step count and moment vectors.
-    With ``actor_only`` it returns (actor, vocabulary) instead, reading
-    no ``opt_actor.*`` member and building no optimizer: all that
-    compressing or evaluating needs. A file that cannot be opened raises
-    the ``OSError`` of its ``open``; a fault in what it holds is a
-    ValueError.
+    the schema version and the metadata, and that the vocabulary and the
+    actor's vector have the sizes its encoder config gives; that vector
+    becomes the actor's storage as read, with no copy. Returns (train
+    state, vocabulary), after also checking the optimizer's step count
+    and moment vectors. With ``actor_only`` it returns (actor,
+    vocabulary) instead, reading no ``opt_actor.*`` member and building
+    no optimizer: all that compressing or evaluating needs. A file that
+    cannot be opened raises the ``OSError`` of its ``open``; a fault in
+    what it holds is a ValueError.
     """
     # The archive reads its members from ``fh``, so every read stays in
     # this block, which closes the file on every path out of it.
@@ -636,6 +640,9 @@ def load_checkpoint(
                 surfaces=tuple(meta["vocab"]["surfaces"]),
                 unknown_id=meta["vocab"]["unknown_id"],
             )
+            if vocab.size != encoder_cfg.vocab_size:
+                raise ValueError(f"a vocabulary of {vocab.size} surfaces for an "
+                                 f"encoder of {encoder_cfg.vocab_size} token ids")
         except ValueError as exc:
             raise ValueError(f"corrupt checkpoint: {exc}") from exc
         flat = _read_member(data, "actor")

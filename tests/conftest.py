@@ -120,3 +120,16 @@ def bump_schema_version(arrays):
     meta = json.loads(arrays["__meta__"].tobytes().decode())
     meta["schema_version"] = CHECKPOINT_SCHEMA_VERSION + 1
     arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+
+
+def cut_vocabulary(meta):
+    """An ``edit_meta`` change: the stored vocabulary loses its last word,
+    and the unknown surface keeps the last id."""
+    meta["vocab"]["surfaces"].pop(-2)
+    meta["vocab"]["unknown_id"] -= 1
+
+
+def extend_vocabulary(meta):
+    """An ``edit_meta`` change: the stored vocabulary gains a word past
+    the encoder's ids."""
+    meta["vocab"]["surfaces"].append("word-past-the-encoder")

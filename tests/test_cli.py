@@ -1,17 +1,20 @@
 """CLI tests: compress reads what train writes and prints the original
 words it keeps, compress and eval of the policy give the same output on
-any number of threads, eval scores every method against one
-vocabulary/LM pairing, the CLI's defaults are the library's, a config
-file's values reach the run under any ``--set``, no command imports
-scipy, and bad training config, a bad config file, a band flag without
-``--no-hpc``, a bad eval flag, seed or vocabulary size, an unfit prompt,
-a malformed, missing or empty corpus or a missing checkpoint is a usage
-error, a diverged train run writes its log and no checkpoint, and a
-train run reruns from its manifest. A
-seeded fuzz of ``train``'s config values finds no exit but 0, 2 before
-the manifest, or 1 when training diverges; one of ``compress`` and
-``eval`` finds no exit but 0, 2 with nothing written, or 1 on a corrupt
-checkpoint."""
+any number of threads, compress sizes its pool by CPUs per BLAS thread,
+eval scores every method against one vocabulary/LM pairing, the CLI's
+defaults are the library's, every ``train`` setting, the seed and the
+fixed band included, is a config key, a config file's values reach the
+run under any ``--set`` and ``--seed`` beats the config's seed, no
+command imports scipy, and bad training config, a bad config file, a bad
+eval flag, seed or vocabulary size, an unfit prompt, a malformed,
+missing or empty corpus or a missing checkpoint is a usage error, a
+diverged train run writes its log and no checkpoint, and a train run,
+on the curriculum or on a fixed band, reruns from its manifest's config
+as it is. A seeded fuzz of ``train``'s config values finds no exit but
+0, 2 before the manifest, or 1 when training diverges, and runs a fixed
+band to exit 0; one of ``compress`` and ``eval`` finds no exit but 0, 2
+with nothing written, or 1 on a corrupt checkpoint, which a checkpoint
+whose vocabulary does not fit its encoder is."""
 
 import dataclasses
 import json
@@ -27,7 +30,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import bump_schema_version, edit_meta, rewrite_checkpoint
+from conftest import (
+    bump_schema_version,
+    cut_vocabulary,
+    edit_meta,
+    extend_vocabulary,
+    rewrite_checkpoint,
+)
 from promptpress import cli, encoder
 from promptpress.cli import main
 from promptpress.encoder import EncoderConfig, TinyTransformerEncoder
@@ -65,6 +74,8 @@ UNFIT_PROMPTS = [
     pytest.param("   ", BLANK_MESSAGE, id="blank"),
 ]
 
+
+BAND_KIND = "a JSON list of two numbers, or null"
 
 PHYSICAL_MEMORY_KNOWN = {"SC_PAGE_SIZE", "SC_PHYS_PAGES"} <= set(
     getattr(os, "sysconf_names", ()))
@@ -131,9 +142,11 @@ def _randomize_head(ckpt):
 
 
 def _set_cpus(monkeypatch, n):
-    """Make the process look as if it may run on n CPUs."""
+    """Make the process look as if it may run on n CPUs, with one BLAS
+    thread per call."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
                         raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
 
 
 def _compress_input(tmp_path):
@@ -195,6 +208,16 @@ class TestCompressRoundTrip:
                 edit_meta(lambda meta: meta["encoder_cfg"].update(n_heads=0)),
                 "corrupt checkpoint: d_model and n_heads must be >= 1",
                 id="zero-heads",
+            ),
+            pytest.param(
+                edit_meta(cut_vocabulary),
+                "corrupt checkpoint: a vocabulary of ",
+                id="vocab-cut",
+            ),
+            pytest.param(
+                edit_meta(lambda meta: meta.update(kind="other")),
+                "corrupt checkpoint: __meta__ field kind is missing or ill-typed",
+                id="wrong-kind",
             ),
         ],
     )
@@ -302,9 +325,37 @@ class TestCompressWords:
 
 class TestCompressThreads:
     """``compress`` runs its encoder passes on a pool of one thread per
-    usable CPU, capped at the number of prompts, while the calling thread
-    waits; its output, and that of ``eval --methods policy``, is the same
-    whatever that number is."""
+    BLAS call's share of the usable CPUs, capped at the number of prompts,
+    while the calling thread waits; its output, and that of ``eval
+    --methods policy``, is the same whatever that number is."""
+
+    @pytest.mark.parametrize(
+        "openblas, omp, n_items, workers",
+        [
+            pytest.param(None, None, 9, 1, id="unset-one-blas-thread-per-cpu"),
+            pytest.param("1", None, 9, 4, id="openblas-1"),
+            pytest.param("1", None, 3, 3, id="openblas-1-three-items"),
+            pytest.param("2", None, 9, 2, id="openblas-2"),
+            pytest.param("3", None, 9, 1, id="openblas-3"),
+            pytest.param("64", None, 9, 1, id="openblas-past-the-cpus"),
+            pytest.param(None, "2", 9, 2, id="omp-2"),
+            pytest.param("1", "4", 9, 4, id="openblas-beats-omp"),
+            pytest.param("0", "2", 9, 2, id="openblas-0-reads-omp"),
+            pytest.param("abc", None, 9, 1, id="openblas-not-a-number"),
+        ],
+    )
+    def test_pool_size_follows_blas_threads(
+        self, monkeypatch, openblas, omp, n_items, workers
+    ):
+        _set_cpus(monkeypatch, 4)
+        for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", lambda n: n)
+        pool = cli._helper_threads(n_items)
+        assert (pool if type(pool) is int else 1) == workers
 
     @staticmethod
     def _outputs_on_1_4_16_cpus(monkeypatch, run):
@@ -607,15 +658,16 @@ class TestDefaults:
 
     def test_config_defaults_build_the_dataclass_defaults(self):
         defaults = cli.CONFIG_DEFAULTS
+        assert defaults.keys() == cli._KEYS.keys()
         pieces = (
-            cli._build(TrainerConfig, defaults, seed=0),
+            cli._build(TrainerConfig, defaults),
             cli._build(CurriculumSchedule, defaults),
             cli._build(RewardConfig, defaults),
             cli._build(EncoderConfig, defaults, vocab_size=100),
         )
         assert pieces == (TrainerConfig(), CurriculumSchedule(), RewardConfig(),
                           EncoderConfig(vocab_size=100))
-        assert TrainerConfig().seed == 0 == cli.resolve_seed(None, None)
+        assert TrainerConfig().seed == 0 == cli.resolve_seed(None)
         n_gen = {f.name: f.default for f in dataclasses.fields(Scorers)}["n_gen"]
         assert cli.CONFIG_DEFAULTS["scoring.n_gen"] == n_gen
 
@@ -719,6 +771,14 @@ class TestTrainConfig:
                     ("scoring.ngram_k", '"0.1"', "a number", "'0.1'"),
                     ("reward.beta", "true", "a number", "True"),
                     ("trainer.discount", "false", "a number", "False"),
+                    ("trainer.seed", '"3"', "an integer", "'3'"),
+                    ("curriculum.fixed_bounds", "[0.5]", BAND_KIND, "[0.5]"),
+                    ("curriculum.fixed_bounds", "[0.3,0.5,0.9]", BAND_KIND,
+                     "[0.3, 0.5, 0.9]"),
+                    ("curriculum.fixed_bounds", '"0.5,0.9"', BAND_KIND, "'0.5,0.9'"),
+                    ("curriculum.fixed_bounds", "0.5", BAND_KIND, "0.5"),
+                    ("curriculum.fixed_bounds", "[true,0.9]", "a number", "True"),
+                    ("curriculum.fixed_bounds", '[0.5,"0.9"]', "a number", "'0.9'"),
                 ))
             ),
             *(
@@ -738,22 +798,15 @@ class TestTrainConfig:
                 for key, value in (("n_layers", "1e300"), ("d_model", "1e300"),
                                    ("d_ff", "1e300"), ("max_len", "1e9"))
             ),
-            # Without --no-hpc the curriculum sets the band, and a band flag
-            # would be recorded in the manifest yet ignored.
             *(
-                pytest.param(flags, "only with --no-hpc", id=f"band-without-no-hpc-{i}")
-                for i, flags in enumerate((
-                    ["--fixed-c-s", "0.3", "--fixed-c-l", "0.35"],
-                    ["--fixed-c-s", "0.5"],
-                    ["--fixed-c-l", "0.9"],
-                ))
-            ),
-            *(
-                pytest.param(["--no-hpc", "--fixed-c-s", c_s, "--fixed-c-l", c_l],
-                             "0 < c_s < c_l <= 1", id=f"no-hpc-band-{c_s}-{c_l}")
+                pytest.param(["--set", f"curriculum.fixed_bounds=[{c_s},{c_l}]"],
+                             "0 < c_s < c_l <= 1", id=f"fixed-band-{c_s}-{c_l}")
                 for c_s, c_l in (("0.9", "0.5"), ("0.5", "0.5"), ("0", "0.5"),
-                                 ("0.5", "1.5"))
+                                 ("0.5", "1.5"), ("NaN", "0.9"))
             ),
+            pytest.param(["--seed", "-1"], "seed must be >= 0", id="seed-flag-negative"),
+            pytest.param(["--set", "trainer.seed=-2"], "seed must be >= 0",
+                         id="seed-negative"),
         ],
     )
     def test_bad_value_is_usage_error_before_any_output(
@@ -832,9 +885,7 @@ class TestConfigFile:
         config = json.loads(manifest_path.read_text(encoding="utf-8"))["config"]
         assert {k: config[k] for k in self.FILE} == self.FILE
         assert config["model.n_layers"] == cli.CONFIG_DEFAULTS["model.n_layers"]
-        # No band flag: the manifest records the --no-hpc band defaults.
-        assert (config["no_hpc"], config["fixed_c_s"], config["fixed_c_l"]) == (
-            False, 0.5, 0.9)
+        assert config["curriculum.fixed_bounds"] is None  # the curriculum
         state, _ = load_checkpoint(ckpt)
         assert state.actor.encoder.cfg.d_model == 32
         assert state.actor_opt.lr == 3e-4
@@ -875,11 +926,10 @@ class TestConfigFile:
         # No manifest, no checkpoint.
         assert {p.name for p in tmp_path.iterdir()} <= {"train.jsonl", "config.json"}
 
-    @pytest.mark.parametrize("band", [[], ["--no-hpc", "--fixed-c-s", "0.3",
-                                           "--fixed-c-l", "0.8"]])
+    @pytest.mark.parametrize("band", [None, [0.3, 0.8]])
     def test_run_reruns_from_its_manifest(self, tmp_path, band):
-        # The recipe of the cli docstring: the manifest's config less the
-        # band entries as a --config file, and the band as flags.
+        # The rule of the cli docstring: the manifest's config, as it is,
+        # is the --config file of the rerun.
         corpus = tmp_path / "train.jsonl"
         _small_corpus(corpus)
         first = tmp_path / "first.ckpt"
@@ -887,28 +937,46 @@ class TestConfigFile:
                      "--set", "trainer.buffer_m=2", "--set", "trainer.batch_size=2",
                      "--set", "curriculum.t_max=[1]",
                      "--set", "curriculum.epochs=[1]", "--set", "model.d_model=16",
-                     *band]) == 0
+                     "--set", f"curriculum.fixed_bounds={json.dumps(band)}"]) == 0
         manifest = json.loads((tmp_path / "first.ckpt.manifest.json").read_text())
-        config = dict(manifest["config"])
-        no_hpc, c_s, c_l = (config.pop(k) for k in ("no_hpc", "fixed_c_s", "fixed_c_l"))
-        rerun_band = ["--no-hpc", "--fixed-c-s", str(c_s), "--fixed-c-l", str(c_l)]
-        assert (rerun_band if no_hpc else []) == band
-        (tmp_path / "rerun.json").write_text(json.dumps(config))
+        assert manifest["config"]["curriculum.fixed_bounds"] == band
+        (tmp_path / "rerun.json").write_text(json.dumps(manifest["config"]))
         second = tmp_path / "second.ckpt"
         assert main(["train", "--corpus", manifest["inputs"]["corpus"], "--out", str(second),
-                     "--config", str(tmp_path / "rerun.json"),
-                     *(rerun_band if no_hpc else [])]) == 0
+                     "--config", str(tmp_path / "rerun.json")]) == 0
         rerun = json.loads((tmp_path / "second.ckpt.manifest.json").read_text())
         assert rerun["config"] == manifest["config"]
         log = (tmp_path / "first.ckpt.log.jsonl").read_text()
-        assert '"objective"' in log  # an update round ran
+        records = [json.loads(line) for line in log.splitlines()]
+        assert records and all("objective" in r for r in records)  # rounds ran
+        if band is not None:  # the band held at every step
+            assert {(r["mean_c_s"], r["mean_c_l"]) for r in records} == {tuple(band)}
         assert (tmp_path / "second.ckpt.log.jsonl").read_text() == log
         assert second.read_bytes() == first.read_bytes()
+
+    def test_seed_flag_beats_the_config(self, tmp_path):
+        # An integral float is an integer seed, kept as given; --seed then
+        # replaces it, in the run and in the manifest's config alike.
+        runs = {}
+        for name, flags in (("file", []), ("flag", ["--seed", "4"]),
+                            ("four", ["--set", "trainer.seed=4"])):
+            run = tmp_path / name
+            run.mkdir()
+            code, ckpt, manifest_path = self._train(
+                run, {**self.FILE, "trainer.seed": 3.0}, *flags)
+            assert code == 0
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            runs[name] = (manifest["seed"], manifest["config"]["trainer.seed"],
+                          ckpt.read_bytes())
+        assert runs["file"][:2] == (3, 3.0)
+        assert runs["flag"][:2] == (4, 4) == runs["four"][:2]
+        assert runs["flag"][2] == runs["four"][2] != runs["file"][2]
 
 
 def _mutated(rng, default):
     """A value for a key whose default is ``default``: half the time one
-    of the default's own type, else one of any JSON type.
+    of the default's own type (null or a valid pair for the fixed band,
+    whose default is null), else one of any JSON type.
 
     Numbers stay small: a huge integer count (``curriculum.epochs``) is
     accepted and then loops without bound, so an integer key never gets
@@ -916,6 +984,8 @@ def _mutated(rng, default):
     """
     integral = type(default) is not float
     if rng.random() < 0.5:
+        if default is None:
+            return rng.choice([None, [0.5, 0.9], [rng.uniform(0.01, 0.5), 1]])
         if type(default) is list:
             return [rng.choice([rng.randint(1, 3), float(rng.randint(1, 3))])
                     for _ in default]
@@ -947,7 +1017,8 @@ class TestConfigFuzz:
     """Seeded fuzz of ``train``'s config: one to three keys per run, by
     ``--set`` or a config file, each given a value of a random JSON type.
     A run exits 0 with a manifest that holds every value as given, 2 with
-    no manifest, or 1 only when training itself diverges."""
+    no manifest, or 1 only when training itself diverges; some run with
+    a fixed band exits 0."""
 
     RUNS = 100
     DIVERGED = "non-finite objective"
@@ -956,8 +1027,8 @@ class TestConfigFuzz:
         rng = random.Random(20)
         corpus = tmp_path / "train.jsonl"
         _small_corpus(corpus)
-        keys = sorted(k for k in cli.CONFIG_DEFAULTS if k != "trainer.seed")
-        codes = []
+        keys = sorted(cli.CONFIG_DEFAULTS)
+        codes, fixed_band_codes = [], []
         for i in range(self.RUNS):
             run = tmp_path / f"run{i}"
             run.mkdir()
@@ -966,8 +1037,12 @@ class TestConfigFuzz:
                 for key in rng.sample(keys, rng.randint(1, 3))
             }
             # Most runs keep a buffer larger than the corpus, so no round
-            # trains; a buffer of 4 trains one round, in stage 3.
-            config = {"trainer.buffer_m": rng.choice([65, 65, 65, 4]), **given}
+            # trains; a buffer of 4 trains one round, in stage 3. One run
+            # in four also fixes a valid band, which a given band replaces.
+            config = {"trainer.buffer_m": rng.choice([65, 65, 65, 4])}
+            if rng.random() < 0.25:
+                config["curriculum.fixed_bounds"] = [rng.uniform(0.01, 0.5), 0.9]
+            config.update(given)
             argv = ["train", "--corpus", str(corpus), "--out", str(run / "p.ckpt")]
             if rng.random() < 0.5:
                 argv += [f"--set={k}={json.dumps(v)}" for k, v in config.items()]
@@ -988,16 +1063,29 @@ class TestConfigFuzz:
                 for key, value in config.items():
                     assert json.dumps(written[key]) == json.dumps(value), case
             codes.append(code)
+            if config.get("curriculum.fixed_bounds") is not None:
+                fixed_band_codes.append(code)
         assert {0, 2} <= set(codes)
+        assert 0 in fixed_band_codes
+
+
+# Checkpoint kinds whose stored vocabulary no longer fits the encoder.
+MISPAIRED = {"cut": cut_vocabulary, "extended": extend_vocabulary}
 
 
 @pytest.fixture(scope="module")
 def fuzz_checkpoints(tmp_path_factory):
-    """A checkpoint over the synthetic vocabulary with a random head, and
-    one trained on another corpus, whose words the inputs never use."""
+    """A checkpoint over the synthetic vocabulary with a random head, a
+    copy of it for each ``MISPAIRED`` edit, and one trained on another
+    corpus, whose words the inputs never use."""
     tmp = tmp_path_factory.mktemp("fuzz-ckpt")
     good = _checkpoint_on_larger_corpus(tmp)
     _randomize_head(good)
+    mispaired = {}
+    for kind, change in MISPAIRED.items():
+        mispaired[kind] = tmp / f"{kind}.ckpt"
+        mispaired[kind].write_bytes(good.read_bytes())
+        rewrite_checkpoint(mispaired[kind], edit_meta(change))
     other_corpus = tmp / "other.jsonl"
     save_corpus([PromptRecord(f"o{i}", " ".join(f"v{(i * j) % 7}" for j in range(9)))
                  for i in range(5)], other_corpus)
@@ -1005,7 +1093,7 @@ def fuzz_checkpoints(tmp_path_factory):
     assert main(["train", "--corpus", str(other_corpus), "--out", str(other),
                  "--set", "curriculum.t_max=[1]", "--set", "curriculum.epochs=[1]",
                  "--set", "trainer.buffer_m=6"]) == 0
-    return {"good": good, "other": other}
+    return {"good": good, "other": other, **mispaired}
 
 
 def _fuzzed_records(rng, p):
@@ -1074,9 +1162,10 @@ class TestCompressEvalFuzz:
     the checkpoint each given bad or edge values. A run exits 0 with
     outputs that parse, every compressed prompt a subsequence of its
     input and every eval number finite, or 2 with nothing written. A
-    missing checkpoint cannot be read, exit 2; a truncated one is
-    reported as a corrupt checkpoint, exit 1, also with nothing
-    written."""
+    missing checkpoint cannot be read, exit 2; a truncated one, or one
+    whose vocabulary does not fit its encoder, is reported as a corrupt
+    checkpoint, exit 1, also with nothing written. A run with no other
+    fault on a checkpoint of the wrong vocabulary exits 1."""
 
     RUNS = 100
 
@@ -1102,7 +1191,7 @@ class TestCompressEvalFuzz:
 
     def test_every_exit_is_clean(self, tmp_path, capsys, fuzz_checkpoints):
         rng = random.Random(22)
-        codes = []
+        codes, mispaired_codes = [], []
         for i in range(self.RUNS):
             run = tmp_path / f"run{i}"
             run.mkdir()
@@ -1112,7 +1201,8 @@ class TestCompressEvalFuzz:
             corpus = run / "corpus.jsonl"
             corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
             command = rng.choice(["compress", "eval"])
-            kinds = ["good", "good", "other"] + (["none"] if command == "eval" else [])
+            kinds = (["good", "good", "good", "other", *MISPAIRED]
+                     + (["none"] if command == "eval" else []))
             if rng.random() < p:
                 kinds = ["missing", "truncated"]
             kind = rng.choice(kinds)
@@ -1134,8 +1224,11 @@ class TestCompressEvalFuzz:
             case = f"run {i}: {argv} on {records} exited {code}: {err}"
             if kind == "missing":
                 assert code == 2, case
+            if kind in MISPAIRED:
+                assert code == 1 if p == 0.0 else code in (1, 2), case
+                mispaired_codes.append(code)
             if code == 1:
-                assert kind == "truncated", case
+                assert kind in ("truncated", *MISPAIRED), case
                 assert "corrupt checkpoint" in err, case
             else:
                 assert code in (0, 2), case
@@ -1145,4 +1238,5 @@ class TestCompressEvalFuzz:
                 assert set(run.iterdir()) == inputs, case  # no manifest, no output
             codes.append(code)
         assert {0, 1, 2} <= set(codes)
+        assert 1 in mispaired_codes
 

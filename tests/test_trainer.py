@@ -8,7 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bump_schema_version, edit_meta, rewrite_checkpoint, tiny_world
+from conftest import (
+    bump_schema_version,
+    cut_vocabulary,
+    edit_meta,
+    extend_vocabulary,
+    rewrite_checkpoint,
+    tiny_world,
+)
 from gradcheck import (
     REL_TOL,
     action_log_prob,
@@ -1041,6 +1048,8 @@ class TestCheckpoint:
             ("next_stage", lambda m: m.update(next_stage=True)),
             ("log", lambda m: m.pop("log")),
             ("log", lambda m: m.update(log="[]")),
+            ("kind", lambda m: m.pop("kind")),
+            ("kind", lambda m: m.update(kind="promptpress-corpus")),
         ],
     )
     def test_missing_or_ill_typed_meta_field_errors(self, tmp_path, field, change):
@@ -1062,6 +1071,19 @@ class TestCheckpoint:
         rewrite_checkpoint(path, edit_meta(change))
         with pytest.raises(ValueError, match=f"corrupt checkpoint: .*{message}"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("actor_only", [False, True])
+    @pytest.mark.parametrize("change, size", [(cut_vocabulary, -1), (extend_vocabulary, 1)])
+    def test_vocabulary_that_does_not_fit_the_encoder_errors(
+        self, tmp_path, change, size, actor_only
+    ):
+        path = self._fresh_checkpoint(tmp_path)
+        _, vocab = load_checkpoint(path)
+        rewrite_checkpoint(path, edit_meta(change))
+        match = (f"corrupt checkpoint: a vocabulary of {vocab.size + size} surfaces "
+                 f"for an encoder of {vocab.size} token ids")
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path, actor_only=actor_only)
 
     def test_resume_reproduces_full_run(self, tmp_path):
         prompts, vocab, scorers, encoder_cfg, trainer_cfg = _small_training_setup(

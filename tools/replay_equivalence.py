@@ -26,7 +26,10 @@ directory of its own, as ``python -m promptpress.cli`` with that tree's
   two-step episodes (a prompt twice in one round); twice with
   ``CONFIG_AS_FLOATS``, once from a ``--config`` file and once by
   ``--set``, which gives integer keys integral floats and a float key an
-  int, each kept as given in the manifest; once with rewards near the
+  int, each kept as given in the manifest; twice with the fixed band
+  [0.5, 0.9] in place of the curriculum, at n-gram order 1, once by
+  ``--set curriculum.fixed_bounds=[0.5,0.9]`` and once from a
+  ``--config`` file; once with rewards near the
   float limit, whose first objective is NaN, so that the run fails (exit
   1) and writes its log, no checkpoint, and a manifest naming the log
   alone; and two collection-only
@@ -47,6 +50,13 @@ directories are compared; in manifests the directory's own path is
 replaced first. Exit code 0: the trees agree; 1: a difference, each one
 listed; 2: a bad argument. Outputs go to a temporary directory, or to
 ``--work`` (``a/`` and ``b/`` in it) to be kept.
+
+A tree from before ``curriculum.fixed_bounds`` was a config key refuses
+the two fixed-band cases (exit 2), and its train manifests hold the band
+entries ``no_hpc``, ``fixed_c_s`` and ``fixed_c_l`` in place of the key.
+Against such a tree, compare those two cases by hand: run its
+``train`` with ``--no-hpc``, whose band defaults are 0.5 and 0.9, in
+place of the key; the checkpoint and log bytes must be identical.
 
 A train log (``*.log.jsonl``) or checkpoint (``*.ckpt``) whose bytes
 differ is still a difference, but its line also says how far apart the
@@ -149,6 +159,10 @@ N_ZIPF, N_LONG = 24, 8
 CONFIG_AS_FLOATS = {"trainer.buffer_m": 4.0, "model.d_model": 32.0,
                     "curriculum.t_max": [1, 2.0, 1], "reward.beta": 2}
 
+# A fixed band in place of the curriculum, at n-gram order 1.
+FIXED_BAND = {"curriculum.fixed_bounds": [0.5, 0.9], "scoring.ngram_order": 1,
+              "scoring.n_gen": 1, "curriculum.t_max": [1], "curriculum.epochs": [2]}
+
 # (name, argv): argv[0] a key of SNIPPETS runs that snippet, anything
 # else is a promptpress command. Paths are relative to the run directory.
 COMMANDS: list[tuple[str, list[str]]] = [
@@ -178,9 +192,10 @@ COMMANDS: list[tuple[str, list[str]]] = [
                              "--set", "scoring.n_gen=5", "--set", "curriculum.t_max=[3]",
                              "--set", "curriculum.epochs=[2]"]),
     ("train-order1-nohpc", ["train", "--corpus", "syn8.jsonl", "--out", "t3.ckpt",
-                            "--seed", "3", "--no-hpc", "--set", "scoring.ngram_order=1",
-                            "--set", "scoring.n_gen=1", "--set", "curriculum.t_max=[1]",
-                            "--set", "curriculum.epochs=[2]"]),
+                            "--seed", "3",
+                            *(f"--set={k}={json.dumps(v)}" for k, v in FIXED_BAND.items())]),
+    ("train-order1-nohpc-config", ["train", "--corpus", "syn8.jsonl", "--out", "t14.ckpt",
+                                   "--seed", "3", "--config", "band.json"]),
     ("train-order4", ["train", "--corpus", "syn24.jsonl", "--out", "t4.ckpt",
                       "--seed", "4", "--set", "scoring.ngram_order=4",
                       "--set", "curriculum.t_max=[2]", "--set", "curriculum.epochs=[1]"]),
@@ -232,8 +247,8 @@ COMMANDS: list[tuple[str, list[str]]] = [
 
 
 def write_inputs(run: Path) -> None:
-    """The corpora no promptpress command makes, and the config file of
-    ``CONFIG_AS_FLOATS``, the same in every run."""
+    """The corpora no promptpress command makes, and the config files of
+    ``CONFIG_AS_FLOATS`` and ``FIXED_BAND``, the same in every run."""
     inputs.write_jsonl(inputs.zipf_corpus(INPUT_SEED, inputs.STREAM_ZIPF_SHORT,
                                           N_ZIPF, 16, 48), run / "zipf.jsonl")
     inputs.write_jsonl(inputs.zipf_corpus(INPUT_SEED, inputs.STREAM_ZIPF_LONG,
@@ -242,6 +257,7 @@ def write_inputs(run: Path) -> None:
                                                8, 24, 48), run / "bsyn.jsonl")
     (run / "empty.jsonl").write_text("", encoding="utf-8")
     (run / "floats.json").write_text(json.dumps(CONFIG_AS_FLOATS), encoding="utf-8")
+    (run / "band.json").write_text(json.dumps(FIXED_BAND), encoding="utf-8")
     inputs.write_jsonl([{"id": "same", "text": "a b c"}, {"id": "same", "text": "b c"}],
                        run / "dup.jsonl")
 
