@@ -10,7 +10,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .policy import Actor, apply_action, greedy_actions, policy_forward, seed_for
-from .scoring import ProxyLM
+from .scoring import NgramLM
 from .text import TokenSequence
 
 
@@ -44,7 +44,7 @@ def random_compress(seq: TokenSequence, rho_target: float, seed: int) -> TokenSe
 
 
 def selfinfo_compress(
-    seq: TokenSequence, lm: ProxyLM, rho_target: float
+    seq: TokenSequence, lm: NgramLM, rho_target: float
 ) -> TokenSequence:
     """Keep the tokens with the highest self-information under the model.
 
@@ -87,7 +87,7 @@ class RandomCompressor:
 
 @dataclass(frozen=True)
 class SelfInfoCompressor:
-    lm: ProxyLM
+    lm: NgramLM
     rho_target: float
     name: str = "selfinfo"
 

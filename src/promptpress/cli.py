@@ -9,11 +9,13 @@ the file and ``--set``. The resolved result is frozen in a run manifest
 written before any long-running work, so every run is reproducible from
 its manifest alone: a ``train`` run reruns on the manifest's input
 corpus with its ``config``, as it is, for the ``--config`` file. Exit
-codes: 0 success, 2 usage or validation error, 1 runtime failure.
-Artifacts are written to a ``.partial`` path and renamed only when
-complete. A ``train`` run whose objective diverges writes its log,
-ending in the ``"diverged"`` record, and no checkpoint, rewrites its
-manifest to list the log alone, and exits 1.
+codes: 0 success, 2 usage or validation error, 1 runtime failure; an
+output path that cannot be written is a usage error, found when the
+manifest, each command's first write, fails. Artifacts are written to a
+``.partial`` path and renamed only when complete. A ``train`` run whose
+objective diverges writes its log, ending in the ``"diverged"`` record,
+and no checkpoint, rewrites its manifest to list the log alone, and
+exits 1.
 
 ``compress`` encodes its prompts in passes of up to the encoder's
 ``max_len`` tokens, run on a pool of as many threads as the CPUs the
@@ -44,7 +46,7 @@ from .baselines import (
 from .encoder import EncoderConfig
 from .evaluation import evaluate, report_records, report_table
 from .policy import actor_size, apply_action, greedy_actions, policy_forward
-from .reward import RewardConfig
+from .reward import RewardConfig, Scorers
 from .scoring import IdfRetentionScorer, fit_ngram_lm
 from .text import (
     PromptRecord,
@@ -58,7 +60,6 @@ from .text import (
 )
 from .trainer import (
     CurriculumSchedule,
-    Scorers,
     TrainerConfig,
     TrainingDiverged,
     hpc_train,
@@ -224,6 +225,17 @@ def write_manifest(
     _atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+@contextlib.contextmanager
+def _first_write(out: Path):
+    """A command's first write, its manifest, comes before any work, so
+    an ``OSError`` there is a bad argument: a usage error naming ``out``,
+    the path given. A later write that fails is a runtime failure."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
+
+
 def _build(owner: type, config: dict[str, object], **given):
     """``owner`` from ``given`` and the config keys it holds, each checked
     and cast to its field's type."""
@@ -285,14 +297,15 @@ def cmd_make_corpus(args: argparse.Namespace) -> int:
         raise UsageError("--n must be >= 1")
     seed = resolve_seed(args.seed)
     out = Path(args.out)
-    write_manifest(
-        out.with_name(out.name + ".manifest.json"),
-        command="make-corpus",
-        seed=seed,
-        config={"n": args.n, "filler": args.filler},
-        inputs={},
-        artifacts={"corpus": str(out)},
-    )
+    with _first_write(out):
+        write_manifest(
+            out.with_name(out.name + ".manifest.json"),
+            command="make-corpus",
+            seed=seed,
+            config={"n": args.n, "filler": args.filler},
+            inputs={},
+            artifacts={"corpus": str(out)},
+        )
     records = make_synthetic_corpus(seed, args.n, args.filler)
     _atomic(out, lambda p: save_corpus(records, p))
     print(f"wrote {len(records)} records to {out}")
@@ -324,10 +337,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     log_path = Path(args.log) if args.log else out.with_name(out.name + ".log.jsonl")
+    manifest_path = out.with_name(out.name + ".manifest.json")
+    # The log is written last, so it would replace either file.
+    if log_path.resolve() in (out.resolve(), manifest_path.resolve()):
+        raise UsageError(f"--log {log_path} names the checkpoint or its manifest")
 
     def manifest(artifacts: dict[str, str]) -> None:
         write_manifest(
-            out.with_name(out.name + ".manifest.json"),
+            manifest_path,
             command="train",
             seed=trainer_cfg.seed,
             config=config,
@@ -335,7 +352,8 @@ def cmd_train(args: argparse.Namespace) -> int:
             artifacts=artifacts,
         )
 
-    manifest({"checkpoint": str(out), "log": str(log_path)})
+    with _first_write(out):
+        manifest({"checkpoint": str(out), "log": str(log_path)})
     try:
         state = hpc_train(prompts, trainer_cfg, schedule, reward_cfg, scorers,
                           encoder_cfg, progress=lambda msg: print(msg, file=sys.stderr))
@@ -401,14 +419,15 @@ def cmd_compress(args: argparse.Namespace) -> int:
     corpus = _read_corpus(args.input)
     seqs = _checked_prompts(corpus, vocab, actor.encoder.cfg.max_len)
     out = Path(args.out)
-    write_manifest(
-        out.with_name(out.name + ".manifest.json"),
-        command="compress",
-        seed=0,
-        config={"steps": args.steps, "budget": args.budget},
-        inputs={"checkpoint": str(args.checkpoint), "input": str(args.input)},
-        artifacts={"output": str(out)},
-    )
+    with _first_write(out):
+        write_manifest(
+            out.with_name(out.name + ".manifest.json"),
+            command="compress",
+            seed=0,
+            config={"steps": args.steps, "budget": args.budget},
+            inputs={"checkpoint": str(args.checkpoint), "input": str(args.input)},
+            artifacts={"output": str(out)},
+        )
 
     current = seqs
     # Each prompt's kept word positions, so that the output prints the
@@ -480,20 +499,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
     prefix = Path(args.out_prefix)
     jsonl_path = prefix.with_name(prefix.name + ".jsonl")
     table_path = prefix.with_name(prefix.name + ".txt")
-    write_manifest(
-        prefix.with_name(prefix.name + ".manifest.json"),
-        command="eval",
-        seed=seed,
-        config={
-            "methods": methods,
-            "rho": args.rho,
-            "ngram_order": args.ngram_order,
-            "n_gen": args.n_gen,
-            "steps": args.steps,
-        },
-        inputs={"corpus": str(args.corpus), "checkpoint": args.checkpoint or ""},
-        artifacts={"rows": str(jsonl_path), "table": str(table_path)},
-    )
+    with _first_write(prefix):
+        write_manifest(
+            prefix.with_name(prefix.name + ".manifest.json"),
+            command="eval",
+            seed=seed,
+            config={
+                "methods": methods,
+                "rho": args.rho,
+                "ngram_order": args.ngram_order,
+                "n_gen": args.n_gen,
+                "steps": args.steps,
+            },
+            inputs={"corpus": str(args.corpus), "checkpoint": args.checkpoint or ""},
+            artifacts={"rows": str(jsonl_path), "table": str(table_path)},
+        )
 
     smoothing = _value(CONFIG_DEFAULTS, "scoring.ngram_k")
     lm = fit_ngram_lm(prompts, order=args.ngram_order, smoothing=smoothing, vocab=vocab)

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .baselines import Compressor
 from .metrics import exact_match, rouge_l, rouge_n
-from .scoring import ProxyLM
+from .scoring import NgramLM
 from .text import PromptRecord, TokenSequence, Vocabulary, detokenize
 
 EM_NOTE = "exact match compares the full normalized generation to the reference"
@@ -108,7 +108,7 @@ def evaluate(
     compressors: Sequence[Compressor],
     corpus: Sequence[PromptRecord],
     prompts: Sequence[TokenSequence],
-    lm: ProxyLM,
+    lm: NgramLM,
     vocab: Vocabulary,
     n_gen: int,
 ) -> list[tuple[list[dict], dict]]:

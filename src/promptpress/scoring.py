@@ -5,16 +5,16 @@ Two deterministic scorers:
 * :class:`IdfRetentionScorer`, the one retention scorer, measures how much
   of the original prompt's key information survives in the compressed
   prompt, as an IDF-weighted token recall, which keeps it auditable.
-* :class:`ProxyLM` stands in for the target model's output distribution.
-  Its implementation is an add-k smoothed n-gram model with backoff, and
-  every query is answered from its count tables: a next-token
-  distribution is the answering context's continuation counts, and the
-  divergence of two of them is a sum over the ids either context was
-  followed by plus one closed-form term for the rest. No V-length vector
-  is built. A model owns one context window, the trailing tokens its
-  answers can depend on; the divergence scores no position past it, as
-  every later term is exactly 0, and walks only the part of its
-  reference that it reads.
+* :class:`NgramLM`, the proxy LM, stands in for the target model's output
+  distribution: an add-k smoothed n-gram model with backoff, and every
+  query is answered from its count tables. A next-token distribution is
+  the answering context's continuation counts, and the divergence of two
+  of them (:func:`output_distribution_kl`) is a sum over the ids either
+  context was followed by plus one closed-form term for the rest. No
+  V-length vector is built. A model owns one context window, the
+  trailing tokens its answers can depend on; the divergence scores no
+  position past it, as every later term is exactly 0, and walks only the
+  part of its reference that it reads.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
 from .text import TokenSequence, Vocabulary
 
@@ -41,43 +41,6 @@ class NextTokenDistribution:
     total: int
     smoothing: float
     size: int
-
-
-class ProxyLM(Protocol):
-    """Small local model playing the target LLM's output-distribution role.
-
-    Three queries: the next-token distribution after a context (the
-    divergence reads it), the probability of each token of a sequence
-    given the tokens before it (self-information reads it), and a greedy
-    continuation (the divergence's reference and the evaluation read it). A
-    distribution is given as counts (:class:`NextTokenDistribution`), and
-    the last two queries agree with it bit for bit.
-
-    ``context_window`` is the number of trailing context tokens its
-    answers depend on: two contexts that end in the same
-    ``context_window`` tokens, or are equal when shorter, get the same
-    answers. A model that reads its whole context declares a window no
-    context reaches.
-    """
-
-    context_window: int
-
-    def next_token_dist(self, context: TokenSequence) -> NextTokenDistribution: ...
-
-    def token_probs(self, seq: TokenSequence) -> list[float]:
-        """P(seq[i] | seq[:i]) for every position i, in order: entry i
-        equals entry ``seq.ids[i]`` of
-        ``next_token_dist(TokenSequence(seq.ids[:i]))`` bit for bit, and an
-        empty ``seq`` gives an empty list."""
-        ...
-
-    def greedy_continue(self, context: TokenSequence, n: int) -> TokenSequence:
-        """Greedy continuation of ``context``: ``n`` argmax steps, each
-        conditioned on ``context`` and the tokens generated so far, ties to
-        the lowest id. The result does not depend on earlier calls, and
-        ``n < 1`` is a ValueError.
-        """
-        ...
 
 
 @dataclass(frozen=True)
@@ -139,7 +102,7 @@ def _tail(ids: tuple[int, ...], window: int) -> tuple[int, ...]:
 
 
 def output_distribution_kl(
-    lm: ProxyLM,
+    lm: NgramLM,
     s0: TokenSequence,
     st: TokenSequence,
     n_gen: int,
@@ -180,7 +143,23 @@ def output_distribution_kl(
 
 
 class NgramLM:
-    """Add-k smoothed n-gram model with backoff to shorter contexts.
+    """Add-k smoothed n-gram model with backoff to shorter contexts: the
+    proxy LM, a small local model playing the target LLM's
+    output-distribution role.
+
+    It answers three queries: the next-token distribution after a
+    context, given as counts (:class:`NextTokenDistribution`), which the
+    divergence reads; the probability of each token of a sequence given
+    the tokens before it, which self-information reads; and a greedy
+    continuation, which the divergence's reference and the evaluation
+    read. The last two agree with the first bit for bit. A stand-in for
+    it needs only the queries its caller reads, under the same contract.
+
+    ``context_window`` is the number of trailing context tokens its
+    answers depend on: two contexts that end in the same
+    ``context_window`` tokens, or are equal when shorter, get the same
+    answers. A stand-in that reads its whole context declares a window
+    no context reaches.
 
     Every query is answered by the longest trailing context (at most
     ``context_window`` tokens) found in the count tables, or by the
@@ -195,7 +174,7 @@ class NgramLM:
     continuation dict and total, :meth:`token_probs` makes one dict
     lookup per position, and the greedy successor of a tail is the most
     counted continuation. Each entry is computed with the same IEEE
-    operations, so their answers agree bit for bit.
+    operations, which is how the three agree bit for bit.
 
     Greedy decoding has a memo: the greedy successor of each trailing
     tail a walk has passed through, one int per distinct tail walked. A
@@ -261,8 +240,11 @@ class NgramLM:
         )
 
     def token_probs(self, seq: TokenSequence) -> list[float]:
-        """Per-position probabilities (see :class:`ProxyLM`), each read
-        from the counts of its answering context."""
+        """P(seq[i] | seq[:i]) for every position i, in order: entry i
+        equals entry ``seq.ids[i]`` of
+        ``next_token_dist(TokenSequence(seq.ids[:i]))`` bit for bit, and an
+        empty ``seq`` gives an empty list. Each is read from the counts of
+        its answering context."""
         k = self.smoothing
         kv = k * self.vocab.size
         ids = seq.ids
@@ -285,9 +267,12 @@ class NgramLM:
         return min(tid for tid, n in cont.items() if n == top)
 
     def greedy_continue(self, context: TokenSequence, n: int) -> TokenSequence:
-        """Greedy continuation (see :class:`ProxyLM`), walked over the
+        """Greedy continuation of ``context``: ``n`` argmax steps, each
+        conditioned on ``context`` and the tokens generated so far, ties to
+        the lowest id; ``n < 1`` is a ValueError. The steps walk the
         successor memo: a step whose tail was walked before is one dict
-        lookup, and a new tail is answered from the count tables."""
+        lookup, and a new tail is answered from the count tables, so the
+        result does not depend on earlier calls."""
         if n < 1:
             raise ValueError("n must be >= 1")
         window = self.context_window

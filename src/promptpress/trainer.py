@@ -27,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -39,14 +38,14 @@ from .optim import Adam, clip_gradients
 from .policy import (
     Actor,
     ActorGradient,
+    actor_size,
     apply_action,
     packed_action_log_probs,
     policy_forward,
     sample_actions,
     seed_for,
 )
-from .reward import RewardConfig, compute_reward
-from .scoring import IdfRetentionScorer, ProxyLM
+from .reward import RewardConfig, Scorers, compute_reward
 from .text import TokenSequence, Vocabulary
 
 CHECKPOINT_SCHEMA_VERSION = 4
@@ -158,24 +157,6 @@ class Trajectory:
         return [s.reward for s in self.steps]
 
 
-@dataclass(frozen=True)
-class Scorers:
-    """Reward ingredients: the retention scorer, the proxy LM and
-    ``n_gen``, the number of reference positions the divergence term
-    averages over. It scores at most the proxy's ``context_window`` of
-    them, the first alone for a bigram proxy, as every later term is 0;
-    past that window ``n_gen`` only scales the term, as gamma does."""
-
-    retention: IdfRetentionScorer
-    lm: ProxyLM
-    n_gen: int = 32
-
-    def __post_init__(self) -> None:
-        # The divergence term divides by n_gen as a float.
-        if not 1 <= self.n_gen <= sys.float_info.max:
-            raise ValueError("n_gen must be >= 1 and at most the largest float")
-
-
 def collect_trajectory(
     prompts: Sequence[TokenSequence],
     seeds: Sequence[int],
@@ -202,10 +183,7 @@ def collect_trajectory(
         for j, keep_probs in enumerate(policy_forward(actor, currents)):
             labels, log_prob = sample_actions(keep_probs, seed_for(seeds[j], t))
             compressed = apply_action(currents[j], labels, keep_probs)
-            reward = compute_reward(
-                prompts[j], compressed, reward_cfg, band,
-                scorers.retention, scorers.lm, scorers.n_gen,
-            ).total
+            reward = compute_reward(prompts[j], compressed, reward_cfg, band, scorers).total
             steps[j].append(TrajectoryStep(currents[j], labels, log_prob, reward))
             currents[j] = compressed
     return [
@@ -645,11 +623,16 @@ def load_checkpoint(
                                  f"encoder of {encoder_cfg.vocab_size} token ids")
         except ValueError as exc:
             raise ValueError(f"corrupt checkpoint: {exc}") from exc
+        # Checked against the closed-form size before any layer is laid
+        # out, so a config that claims many layers costs nothing.
         flat = _read_member(data, "actor")
-        try:
-            actor = Actor(encoder_cfg, flat)
-        except ValueError as exc:
-            raise ValueError(f"corrupt checkpoint: field actor: {exc}") from exc
+        size = actor_size(encoder_cfg)
+        if flat.dtype != np.float64 or flat.shape != (size,):
+            raise ValueError(
+                f"corrupt checkpoint: field actor: expected a float64 vector of "
+                f"shape ({size},), got {flat.dtype} {flat.shape}"
+            )
+        actor = Actor(encoder_cfg, flat)
         if actor_only:
             return actor, vocab
         t = _read_member(data, "opt_actor.t")

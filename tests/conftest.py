@@ -6,6 +6,7 @@ import json
 import numpy as np
 
 from promptpress.encoder import EncoderConfig
+from promptpress.reward import Scorers
 from promptpress.scoring import IdfRetentionScorer, NgramLM, fit_ngram_lm
 from promptpress.text import (
     PromptRecord,
@@ -14,7 +15,7 @@ from promptpress.text import (
     tokenize,
     tokenize_corpus,
 )
-from promptpress.trainer import CHECKPOINT_SCHEMA_VERSION, Scorers
+from promptpress.trainer import CHECKPOINT_SCHEMA_VERSION
 
 
 def tiny_corpus(n_prompts=8, seed=0, min_len=6, max_len=10):

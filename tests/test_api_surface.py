@@ -3,8 +3,10 @@
 dataclass field is read somewhere in ``src/``, every parameter default is
 overridden by some call in ``src/`` and, where ``src/`` calls its
 function, taken by some call there too, every name a module imports is
-used in that module, and ``__init__.py`` imports nothing from its own
-package.
+used in that module, ``__init__.py`` imports nothing from its own
+package, and every name imported from a ``promptpress`` module, in
+``src/``, ``tests/`` and ``tools/``, comes from the module that defines
+it.
 
 A name only tests reach is an API the program does not need; it should
 be deleted or, if it is a reference other code is compared against,
@@ -26,6 +28,7 @@ from pathlib import Path
 import promptpress
 
 SRC = Path(promptpress.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 # Names exempt from the check, each with its reason. Empty: references
 # that tests compare the program against live under ``tests/``.
@@ -311,3 +314,60 @@ def test_no_parameter_default_serves_only_tests():
         "parameters every call in src/ passes, so only tests use the default "
         "(make them required): " + ", ".join(flagged))
     assert set(TEST_ONLY_DEFAULTS_ALLOWED) <= set(defaults_only_tests_use())
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    """The names a module defines: its top-level functions, classes and
+    assignment targets."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, _FUNCS + (ast.ClassDef,)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def _imports_from(tree: ast.AST):
+    """Every ``from ... import`` under ``tree``, also in string constants
+    that parse as code (the snippets a tool runs in a subprocess)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield node
+        elif isinstance(node, ast.Constant) and "import" in str(node.value):
+            try:
+                snippet = ast.parse(node.value)
+            except SyntaxError:
+                continue
+            # Numbered as lines of the file the string sits in.
+            yield from _imports_from(ast.increment_lineno(snippet, node.lineno - 1))
+
+
+def imports_not_from_their_definer() -> list[str]:
+    """``file:line: module.name`` for each name imported from a
+    ``promptpress`` module that does not define it. From the package
+    itself, a name is a submodule or defined in ``__init__.py``."""
+    defined = {path.stem: _top_level_names(ast.parse(path.read_text(encoding="utf-8")))
+               for path in SRC.glob("*.py")}
+    defined["__init__"] |= set(defined)
+    files = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+             *(ROOT / "tools").glob("*.py")]
+    found = []
+    for path in sorted(files):
+        for node in _imports_from(ast.parse(path.read_text(encoding="utf-8"))):
+            if node.level == 1 and path.parent == SRC:
+                module = node.module or "__init__"
+            elif node.level == 0 and (node.module or "").split(".")[0] == "promptpress":
+                module = node.module.partition(".")[2] or "__init__"
+            else:
+                continue
+            where = f"{path.parent.name}/{path.name}:{node.lineno}"
+            found += [f"{where}: {module}.{alias.name}" for alias in node.names
+                      if alias.name not in defined.get(module, ())]
+    return found
+
+
+def test_every_import_comes_from_the_defining_module():
+    found = imports_not_from_their_definer()
+    assert not found, "imported from a module that does not define it: " + ", ".join(found)

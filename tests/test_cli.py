@@ -7,14 +7,16 @@ fixed band included, is a config key, a config file's values reach the
 run under any ``--set`` and ``--seed`` beats the config's seed, no
 command imports scipy, and bad training config, a bad config file, a bad
 eval flag, seed or vocabulary size, an unfit prompt, a malformed,
-missing or empty corpus or a missing checkpoint is a usage error, a
-diverged train run writes its log and no checkpoint, and a train run,
-on the curriculum or on a fixed band, reruns from its manifest's config
-as it is. A seeded fuzz of ``train``'s config values finds no exit but
-0, 2 before the manifest, or 1 when training diverges, and runs a fixed
-band to exit 0; one of ``compress`` and ``eval`` finds no exit but 0, 2
-with nothing written, or 1 on a corrupt checkpoint, which a checkpoint
-whose vocabulary does not fit its encoder is."""
+missing or empty corpus, a missing checkpoint, an output in a missing
+directory or a ``train --log`` that names the checkpoint or its manifest
+is a usage error, a diverged train run writes its log and no
+checkpoint, and a train run, on the curriculum or on a fixed band,
+reruns from its manifest's config as it is. A seeded fuzz of
+``train``'s config values finds no exit but 0, 2 before the manifest,
+or 1 when training diverges, and runs a fixed band to exit 0; one of
+``compress`` and ``eval`` finds no exit but 0, 2 with nothing written,
+or 1 on a corrupt checkpoint, which a checkpoint whose vocabulary does
+not fit its encoder is."""
 
 import dataclasses
 import json
@@ -42,11 +44,10 @@ from promptpress.cli import main
 from promptpress.encoder import EncoderConfig, TinyTransformerEncoder
 from promptpress.optim import Adam
 from promptpress.policy import ActorGradient
-from promptpress.reward import RewardConfig
+from promptpress.reward import RewardConfig, Scorers
 from promptpress.text import PromptRecord, make_synthetic_corpus, save_corpus
 from promptpress.trainer import (
     CurriculumSchedule,
-    Scorers,
     TrainerConfig,
     load_checkpoint,
     save_checkpoint,
@@ -831,6 +832,46 @@ class TestTrainConfig:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [corpus]
 
+    @pytest.mark.parametrize("log", ["./p.ckpt", "MANIFEST"], ids=["checkpoint", "manifest"])
+    def test_log_naming_the_checkpoint_or_its_manifest_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, log
+    ):
+        # Compared as resolved paths: a relative --out and an absolute or
+        # differently spelled --log still collide.
+        monkeypatch.chdir(tmp_path)
+        corpus = tmp_path / "train.jsonl"
+        _small_corpus(corpus)
+        if log == "MANIFEST":
+            log = str(tmp_path / "p.ckpt.manifest.json")
+        code = main(["train", "--corpus", "train.jsonl", "--out", "p.ckpt", "--log", log])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --log {Path(log)} names the checkpoint or its manifest\n")
+        assert list(tmp_path.iterdir()) == [corpus]
+
+
+@pytest.mark.parametrize("command", ["make-corpus", "train", "compress", "eval"])
+def test_output_in_a_missing_directory_is_usage_error(
+    tmp_path, capsys, fuzz_checkpoints, command
+):
+    # Every command writes its manifest first; when that fails, the path
+    # given is at fault, and the error names it, not the manifest.
+    corpus = tmp_path / "corpus.jsonl"
+    _small_corpus(corpus)
+    out = tmp_path / "missing" / "out"
+    ckpt = str(fuzz_checkpoints["good"])
+    argv = {
+        "make-corpus": ["make-corpus", "--n", "2", "--filler", "0.5", "--out", str(out)],
+        "train": ["train", "--corpus", str(corpus), "--out", str(out)],
+        "compress": ["compress", "--checkpoint", ckpt, "--input", str(corpus),
+                     "--out", str(out)],
+        "eval": ["eval", "--corpus", str(corpus), "--checkpoint", ckpt,
+                 "--methods", "identity,policy", "--out-prefix", str(out)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == [corpus]
+
 
 def test_diverged_train_writes_its_log_and_no_checkpoint(tmp_path, capsys):
     # Rewards near the float limit overflow, so the first objective is NaN.
@@ -1162,10 +1203,11 @@ class TestCompressEvalFuzz:
     the checkpoint each given bad or edge values. A run exits 0 with
     outputs that parse, every compressed prompt a subsequence of its
     input and every eval number finite, or 2 with nothing written. A
-    missing checkpoint cannot be read, exit 2; a truncated one, or one
-    whose vocabulary does not fit its encoder, is reported as a corrupt
-    checkpoint, exit 1, also with nothing written. A run with no other
-    fault on a checkpoint of the wrong vocabulary exits 1."""
+    missing checkpoint cannot be read, and an output in a missing
+    directory cannot be written, both exit 2; a truncated checkpoint, or
+    one whose vocabulary does not fit its encoder, is reported as a
+    corrupt checkpoint, exit 1, also with nothing written. A run with no
+    other fault on a checkpoint of the wrong vocabulary exits 1."""
 
     RUNS = 100
 
@@ -1192,6 +1234,7 @@ class TestCompressEvalFuzz:
     def test_every_exit_is_clean(self, tmp_path, capsys, fuzz_checkpoints):
         rng = random.Random(22)
         codes, mispaired_codes = [], []
+        unwritable = 0  # runs refused for their output's missing directory
         for i in range(self.RUNS):
             run = tmp_path / f"run{i}"
             run.mkdir()
@@ -1201,20 +1244,23 @@ class TestCompressEvalFuzz:
             corpus = run / "corpus.jsonl"
             corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
             command = rng.choice(["compress", "eval"])
-            kinds = (["good", "good", "good", "other", *MISPAIRED]
+            kinds = (["good", "good", "good", "other", "no-out-dir", *MISPAIRED]
                      + (["none"] if command == "eval" else []))
             if rng.random() < p:
                 kinds = ["missing", "truncated"]
             kind = rng.choice(kinds)
             ckpt = fuzz_checkpoints.get(kind)
+            out = run / ("out.jsonl" if command == "compress" else "ev")
             if kind == "missing":
                 ckpt = run / "missing.ckpt"
             elif kind == "truncated":
                 data = fuzz_checkpoints["good"].read_bytes()
                 ckpt = run / "truncated.ckpt"
                 ckpt.write_bytes(data[:rng.randint(0, len(data) - 1)])
+            elif kind == "no-out-dir":
+                ckpt = fuzz_checkpoints["good"]
+                out = run / "missing" / out.name
             inputs = set(run.iterdir())
-            out = run / ("out.jsonl" if command == "compress" else "ev")
             argv = _fuzzed_argv(rng, p, command, corpus, ckpt, out)
             try:
                 code = main(argv)
@@ -1222,8 +1268,11 @@ class TestCompressEvalFuzz:
                 code = exc.code
             err = capsys.readouterr().err
             case = f"run {i}: {argv} on {records} exited {code}: {err}"
-            if kind == "missing":
+            if kind in ("missing", "no-out-dir"):
                 assert code == 2, case
+            if kind == "no-out-dir" and "cannot write" in err:
+                assert err == f"error: cannot write {out}: No such file or directory\n", case
+                unwritable += 1
             if kind in MISPAIRED:
                 assert code == 1 if p == 0.0 else code in (1, 2), case
                 mispaired_codes.append(code)
@@ -1239,4 +1288,5 @@ class TestCompressEvalFuzz:
             codes.append(code)
         assert {0, 1, 2} <= set(codes)
         assert 1 in mispaired_codes
+        assert unwritable
 

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import fit_lm
-from promptpress.reward import (
-    Band,
-    RewardConfig,
-    assemble_reward,
-    compute_reward,
-    in_band,
-)
+from promptpress.reward import RewardConfig, Scorers, assemble_reward, compute_reward
 from promptpress.text import PromptRecord, TokenSequence, tokenize
 
 
@@ -26,16 +20,24 @@ class StubRetention:
         return self.value
 
 
-class TestInBand:
-    def test_boundaries_are_inside(self):
+class TestBandPenalty:
+    """The band penalty of ``assemble_reward``: p_s strictly below c_s,
+    p_l strictly above c_l, none on or between the boundaries."""
+
+    CFG = RewardConfig(p_s=200.0, p_l=100.0)
+
+    def penalty(self, rho, bounds):
+        return assemble_reward(rho, 0.5, 0.1, self.CFG, bounds).penalty
+
+    def test_boundaries_are_penalty_free(self):
         bounds = (0.3, 0.7)
-        assert in_band(0.3, bounds) is Band.INSIDE
-        assert in_band(0.7, bounds) is Band.INSIDE
+        assert self.penalty(0.3, bounds) == 0.0
+        assert self.penalty(0.7, bounds) == 0.0
 
     def test_strictly_outside(self):
         bounds = (0.3, 0.7)
-        assert in_band(0.29, bounds) is Band.BELOW
-        assert in_band(0.71, bounds) is Band.ABOVE
+        assert self.penalty(0.29, bounds) == 200.0
+        assert self.penalty(0.71, bounds) == 100.0
 
     def test_random_oracle(self):
         rng = np.random.default_rng(3)
@@ -43,19 +45,18 @@ class TestInBand:
             c_s = float(rng.uniform(0.05, 0.5))
             c_l = float(rng.uniform(c_s + 0.01, 1.0))
             rho = float(rng.uniform(0.001, 1.0))
-            got = in_band(rho, (c_s, c_l))
+            got = self.penalty(rho, (c_s, c_l))
             if rho < c_s:
-                assert got is Band.BELOW
+                assert got == 200.0
             elif rho > c_l:
-                assert got is Band.ABOVE
+                assert got == 100.0
             else:
-                assert got is Band.INSIDE
+                assert got == 0.0
 
-    def test_invalid_rho(self):
-        with pytest.raises(ValueError):
-            in_band(0.0, (0.5, 0.9))
-        with pytest.raises(ValueError):
-            in_band(1.2, (0.5, 0.9))
+    @pytest.mark.parametrize("rho", [0.0, -0.5, 1.2, float("nan")])
+    def test_invalid_rho(self, rho):
+        with pytest.raises(ValueError, match="rho must be in"):
+            self.penalty(rho, (0.5, 0.9))
 
 
 class TestAssembleReward:
@@ -147,7 +148,7 @@ class TestComputeReward:
     def test_identity_compression(self):
         lm, s0, n_gen = self._fixture()
         cfg = RewardConfig(p_l=100)
-        b = compute_reward(s0, s0, cfg, (0.5, 0.9), StubRetention(1.0), lm, n_gen)
+        b = compute_reward(s0, s0, cfg, (0.5, 0.9), Scorers(StubRetention(1.0), lm, n_gen))
         # rho = 1 > c_l, D = 1, KL = 0 exactly
         assert b.kl_term == 0.0
         assert b.total == pytest.approx(1.0 + 1.0 - 0.0 - 100.0)
@@ -158,7 +159,7 @@ class TestComputeReward:
 
         st = TokenSequence(s0.ids[::2])
         cfg = RewardConfig(alpha=1.2, beta=0.8, gamma=1.5)
-        b = compute_reward(s0, st, cfg, (0.3, 0.8), StubRetention(0.7), lm, n_gen)
+        b = compute_reward(s0, st, cfg, (0.3, 0.8), Scorers(StubRetention(0.7), lm, n_gen))
         kl = output_distribution_kl(lm, s0, st, n_gen)
         expected = assemble_reward(len(st) / len(s0), 0.7, kl, cfg, (0.3, 0.8))
         assert b.total == pytest.approx(expected.total)
@@ -167,19 +168,16 @@ class TestComputeReward:
         lm, s0, n_gen = self._fixture()
         cfg = RewardConfig(gamma=0.0)
         st = TokenSequence(s0.ids[:3])
-        b = compute_reward(s0, st, cfg, (0.3, 0.9), StubRetention(0.5), lm, n_gen)
+        b = compute_reward(s0, st, cfg, (0.3, 0.9), Scorers(StubRetention(0.5), lm, n_gen))
         assert b.kl_term == 0.0
 
     def test_empty_sequences_error(self):
         lm, s0, n_gen = self._fixture()
+        scorers = Scorers(StubRetention(1), lm, n_gen)
         with pytest.raises(ValueError):
-            compute_reward(
-                TokenSequence(()), s0, RewardConfig(), (0.5, 0.9), StubRetention(1), lm, n_gen
-            )
+            compute_reward(TokenSequence(()), s0, RewardConfig(), (0.5, 0.9), scorers)
         with pytest.raises(ValueError):
-            compute_reward(
-                s0, TokenSequence(()), RewardConfig(), (0.5, 0.9), StubRetention(1), lm, n_gen
-            )
+            compute_reward(s0, TokenSequence(()), RewardConfig(), (0.5, 0.9), scorers)
 
 
 class TestRewardConfig:

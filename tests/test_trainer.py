@@ -23,7 +23,7 @@ from gradcheck import (
     packed_log_prob_and_grad,
     ppo_objective,
 )
-from promptpress import trainer
+from promptpress import policy, trainer
 from promptpress.encoder import EncoderConfig, TinyTransformerEncoder
 from promptpress.policy import (
     Actor,
@@ -32,13 +32,12 @@ from promptpress.policy import (
     policy_forward,
     seed_for,
 )
-from promptpress.reward import RewardConfig
+from promptpress.reward import RewardConfig, Scorers
 from promptpress.scoring import fit_ngram_lm
 from promptpress.text import TokenSequence
 from promptpress.trainer import (
     CHECKPOINT_MEMBERS,
     CurriculumSchedule,
-    Scorers,
     TrainerConfig,
     TrajectoryStep,
     collect_trajectory,
@@ -591,8 +590,7 @@ class TestCollectTrajectory:
             assert step.old_log_prob == lp
             nxt = apply_action(current, labels, keep_probs)
             expected_reward = compute_reward(
-                self.prompt, nxt, reward_cfg, band,
-                self.scorers.retention, self.scorers.lm, self.scorers.n_gen,
+                self.prompt, nxt, reward_cfg, band, self.scorers
             ).total
             assert step.reward == expected_reward
             current = nxt
@@ -932,6 +930,23 @@ class TestCheckpoint:
         match = f"corrupt checkpoint: field {member}: expected a float64 vector of shape"
         with pytest.raises(ValueError, match=match):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("actor_only", [False, True])
+    def test_a_claim_of_many_layers_is_refused_before_any_is_laid_out(
+        self, tmp_path, monkeypatch, actor_only
+    ):
+        # A loop over 10**12 layers would never end; the closed-form size
+        # refuses the claim first.
+        path = self._fresh_checkpoint(tmp_path)
+        rewrite_checkpoint(path, edit_meta(lambda m: m["encoder_cfg"].update(n_layers=10**12)))
+
+        def no_layout(cfg):
+            raise AssertionError("the actor's layout was built for a claimed config")
+
+        monkeypatch.setattr(policy, "actor_shapes", no_layout)
+        match = "corrupt checkpoint: field actor: expected a float64 vector of shape"
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path, actor_only=actor_only)
 
     @pytest.mark.parametrize(
         "t", [np.array([0, 0]), np.array(1.0), np.array(-1), np.array(True)],

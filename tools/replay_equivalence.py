@@ -29,10 +29,13 @@ directory of its own, as ``python -m promptpress.cli`` with that tree's
   int, each kept as given in the manifest; twice with the fixed band
   [0.5, 0.9] in place of the curriculum, at n-gram order 1, once by
   ``--set curriculum.fixed_bounds=[0.5,0.9]`` and once from a
-  ``--config`` file; once with rewards near the
-  float limit, whose first objective is NaN, so that the run fails (exit
-  1) and writes its log, no checkpoint, and a manifest naming the log
-  alone; and two collection-only
+  ``--config`` file; once with the fixed band [0.05, 0.1] and
+  ``reward.gamma=0``, so that every step pays the penalty for rho > c_l
+  (its 16 reward evaluations; the other train cases pay it 3 times in
+  all) and none evaluates the divergence term; once with rewards
+  near the float limit, whose first objective is NaN, so that the run
+  fails (exit 1) and writes its log, no checkpoint, and a manifest naming
+  the log alone; and two collection-only
   fixtures whose head is then set to seeded random values: a zero head
   keeps every probability at 0.5, so a change in the encoder's numerics
   would not show in what the policy drops. A second
@@ -51,13 +54,6 @@ replaced first. Exit code 0: the trees agree; 1: a difference, each one
 listed; 2: a bad argument. Outputs go to a temporary directory, or to
 ``--work`` (``a/`` and ``b/`` in it) to be kept.
 
-A tree from before ``curriculum.fixed_bounds`` was a config key refuses
-the two fixed-band cases (exit 2), and its train manifests hold the band
-entries ``no_hpc``, ``fixed_c_s`` and ``fixed_c_l`` in place of the key.
-Against such a tree, compare those two cases by hand: run its
-``train`` with ``--no-hpc``, whose band defaults are 0.5 and 0.9, in
-place of the key; the checkpoint and log bytes must be identical.
-
 A train log (``*.log.jsonl``) or checkpoint (``*.ckpt``) whose bytes
 differ is still a difference, but its line also says how far apart the
 two are: whether every non-float field (of a log record or of the
@@ -65,11 +61,6 @@ checkpoint's ``__meta__``) and every non-float member is identical, the
 largest relative difference of each float field, by name, and the
 largest absolute difference of each float member. That is how a change
 whose training arithmetic moves in low-order bits shows its tolerance.
-Encoding each distinct state once per pass leaves the head's matmul
-fewer rows; against a tree that encoded repeats again, train logs differ
-only in ``objective``, by at most 6.7e-14 relative, and checkpoints only
-in float members, by at most 1.7e-14 absolute (both in the learning-rate
-1e-3 run; a few 1e-16 at the CLI defaults).
 """
 
 from __future__ import annotations
@@ -207,6 +198,10 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("train-order60-ngen64", ["train", "--corpus", "syn8.jsonl", "--out", "t12.ckpt",
                               "--seed", "12", "--set", "scoring.ngram_order=60",
                               "--set", "scoring.n_gen=64"]),
+    ("train-above-band-gamma0", ["train", "--corpus", "syn8.jsonl", "--out", "t15.ckpt",
+                                 "--seed", "15",
+                                 "--set", "curriculum.fixed_bounds=[0.05,0.1]",
+                                 "--set", "reward.gamma=0"]),
     ("train-diverges", ["train", "--corpus", "syn8.jsonl", "--out", "t13.ckpt",
                         "--seed", "13", "--set", "trainer.buffer_m=4",
                         *(f"--set=reward.{key}=1e308" for key in ("alpha", "p_s", "p_l"))]),
