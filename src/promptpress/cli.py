@@ -9,13 +9,14 @@ the file and ``--set``. The resolved result is frozen in a run manifest
 written before any long-running work, so every run is reproducible from
 its manifest alone: a ``train`` run reruns on the manifest's input
 corpus with its ``config``, as it is, for the ``--config`` file. Exit
-codes: 0 success, 2 usage or validation error, 1 runtime failure; an
-output path that cannot be written is a usage error, found when the
-manifest, each command's first write, fails. Artifacts are written to a
-``.partial`` path and renamed only when complete. A ``train`` run whose
-objective diverges writes its log, ending in the ``"diverged"`` record,
-and no checkpoint, rewrites its manifest to list the log alone, and
-exits 1.
+codes: 0 success, 2 usage or validation error, 1 runtime failure. An
+output that is a directory, or that names a file the command reads or
+another of its outputs, is a usage error found before the manifest; an
+output path that cannot be written is one found when the manifest, each
+command's first write, fails. Artifacts are written to a ``.partial``
+path and renamed only when complete. A ``train`` run whose objective
+diverges writes its log, ending in the ``"diverged"`` record, and no
+checkpoint, rewrites its manifest to list the log alone, and exits 1.
 
 ``compress`` encodes its prompts in passes of up to the encoder's
 ``max_len`` tokens, run on a pool of as many threads as the CPUs the
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import json
 import os
@@ -206,32 +208,39 @@ def resolve_seed(flag_seed: int | None) -> int:
 
 
 def write_manifest(
-    path: Path,
+    out: Path,
     command: str,
     seed: int,
     config: dict[str, object],
     inputs: dict[str, str],
     artifacts: dict[str, str],
+    config_file: str | None = None,
 ) -> None:
-    manifest = {
-        "tool": "promptpress",
-        "version": __version__,
-        "command": command,
-        "seed": seed,
-        "config": config,
-        "inputs": inputs,
-        "artifacts": artifacts,
+    """Write ``<out>.manifest.json``, a command's first write, before any
+    work. Each output, the manifest first and then ``artifacts`` in the
+    order they are written, is refused if it is a directory or resolves
+    to a file the command reads (``inputs`` and ``config_file``) or to an
+    earlier output; these refusals, and an ``OSError`` of the write, are
+    usage errors naming the path. A later write that fails is a runtime
+    failure."""
+    manifest_path = out.with_name(out.name + ".manifest.json")
+    taken = {
+        os.path.realpath(path): f"the {role} {path}, which this command reads"
+        for role, path in [*inputs.items(), ("config file", config_file)] if path
     }
-    _atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-@contextlib.contextmanager
-def _first_write(out: Path):
-    """A command's first write, its manifest, comes before any work, so
-    an ``OSError`` there is a bad argument: a usage error naming ``out``,
-    the path given. A later write that fails is a runtime failure."""
+    for role, path in [("manifest", manifest_path),
+                       *((role, Path(path)) for role, path in artifacts.items())]:
+        if path.is_dir():
+            raise UsageError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+        resolved = os.path.realpath(path)  # unlike Path.resolve, never raises
+        if resolved in taken:
+            raise UsageError(f"cannot write {path}: the {role} would replace "
+                             f"{taken[resolved]}")
+        taken[resolved] = f"the {role} {path}"
+    manifest = dict(tool="promptpress", version=__version__, command=command, seed=seed,
+                    config=config, inputs=inputs, artifacts=artifacts)
     try:
-        yield
+        _atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
@@ -297,15 +306,9 @@ def cmd_make_corpus(args: argparse.Namespace) -> int:
         raise UsageError("--n must be >= 1")
     seed = resolve_seed(args.seed)
     out = Path(args.out)
-    with _first_write(out):
-        write_manifest(
-            out.with_name(out.name + ".manifest.json"),
-            command="make-corpus",
-            seed=seed,
-            config={"n": args.n, "filler": args.filler},
-            inputs={},
-            artifacts={"corpus": str(out)},
-        )
+    write_manifest(out, command="make-corpus", seed=seed,
+                   config={"n": args.n, "filler": args.filler},
+                   inputs={}, artifacts={"corpus": str(out)})
     records = make_synthetic_corpus(seed, args.n, args.filler)
     _atomic(out, lambda p: save_corpus(records, p))
     print(f"wrote {len(records)} records to {out}")
@@ -337,23 +340,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     log_path = Path(args.log) if args.log else out.with_name(out.name + ".log.jsonl")
-    manifest_path = out.with_name(out.name + ".manifest.json")
-    # The log is written last, so it would replace either file.
-    if log_path.resolve() in (out.resolve(), manifest_path.resolve()):
-        raise UsageError(f"--log {log_path} names the checkpoint or its manifest")
 
     def manifest(artifacts: dict[str, str]) -> None:
-        write_manifest(
-            manifest_path,
-            command="train",
-            seed=trainer_cfg.seed,
-            config=config,
-            inputs={"corpus": str(args.corpus)},
-            artifacts=artifacts,
-        )
+        write_manifest(out, command="train", seed=trainer_cfg.seed, config=config,
+                       inputs={"corpus": str(args.corpus)}, artifacts=artifacts,
+                       config_file=args.config)
 
-    with _first_write(out):
-        manifest({"checkpoint": str(out), "log": str(log_path)})
+    manifest({"checkpoint": str(out), "log": str(log_path)})
     try:
         state = hpc_train(prompts, trainer_cfg, schedule, reward_cfg, scorers,
                           encoder_cfg, progress=lambda msg: print(msg, file=sys.stderr))
@@ -419,15 +412,10 @@ def cmd_compress(args: argparse.Namespace) -> int:
     corpus = _read_corpus(args.input)
     seqs = _checked_prompts(corpus, vocab, actor.encoder.cfg.max_len)
     out = Path(args.out)
-    with _first_write(out):
-        write_manifest(
-            out.with_name(out.name + ".manifest.json"),
-            command="compress",
-            seed=0,
-            config={"steps": args.steps, "budget": args.budget},
-            inputs={"checkpoint": str(args.checkpoint), "input": str(args.input)},
-            artifacts={"output": str(out)},
-        )
+    write_manifest(out, command="compress", seed=0,
+                   config={"steps": args.steps, "budget": args.budget},
+                   inputs={"checkpoint": str(args.checkpoint), "input": str(args.input)},
+                   artifacts={"output": str(out)})
 
     current = seqs
     # Each prompt's kept word positions, so that the output prints the
@@ -499,21 +487,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     prefix = Path(args.out_prefix)
     jsonl_path = prefix.with_name(prefix.name + ".jsonl")
     table_path = prefix.with_name(prefix.name + ".txt")
-    with _first_write(prefix):
-        write_manifest(
-            prefix.with_name(prefix.name + ".manifest.json"),
-            command="eval",
-            seed=seed,
-            config={
-                "methods": methods,
-                "rho": args.rho,
-                "ngram_order": args.ngram_order,
-                "n_gen": args.n_gen,
-                "steps": args.steps,
-            },
-            inputs={"corpus": str(args.corpus), "checkpoint": args.checkpoint or ""},
-            artifacts={"rows": str(jsonl_path), "table": str(table_path)},
-        )
+    write_manifest(prefix, command="eval", seed=seed,
+                   config={"methods": methods, "rho": args.rho,
+                           "ngram_order": args.ngram_order, "n_gen": args.n_gen,
+                           "steps": args.steps},
+                   inputs={"corpus": str(args.corpus), "checkpoint": args.checkpoint or ""},
+                   artifacts={"rows": str(jsonl_path), "table": str(table_path)})
 
     smoothing = _value(CONFIG_DEFAULTS, "scoring.ngram_k")
     lm = fit_ngram_lm(prompts, order=args.ngram_order, smoothing=smoothing, vocab=vocab)

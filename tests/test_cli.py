@@ -7,16 +7,18 @@ fixed band included, is a config key, a config file's values reach the
 run under any ``--set`` and ``--seed`` beats the config's seed, no
 command imports scipy, and bad training config, a bad config file, a bad
 eval flag, seed or vocabulary size, an unfit prompt, a malformed,
-missing or empty corpus, a missing checkpoint, an output in a missing
-directory or a ``train --log`` that names the checkpoint or its manifest
-is a usage error, a diverged train run writes its log and no
-checkpoint, and a train run, on the curriculum or on a fixed band,
-reruns from its manifest's config as it is. A seeded fuzz of
-``train``'s config values finds no exit but 0, 2 before the manifest,
-or 1 when training diverges, and runs a fixed band to exit 0; one of
-``compress`` and ``eval`` finds no exit but 0, 2 with nothing written,
-or 1 on a corrupt checkpoint, which a checkpoint whose vocabulary does
-not fit its encoder is."""
+missing or empty corpus, a missing checkpoint, or an output in a
+missing directory, that is a directory, or that names a file the
+command reads (``train``'s ``--config`` file included) or another of its
+outputs is a usage error with nothing written, a diverged train run
+writes its log and no checkpoint, and a train run, on the curriculum or
+on a fixed band, reruns from its manifest's config as it is. A seeded
+fuzz of ``train``'s config values finds no exit but 0, 2 before the
+manifest, or 1 when training diverges, and runs a fixed band to exit 0;
+one of ``compress`` and ``eval``, outputs that are a directory or the
+input included, finds no exit but 0, 2 with nothing written, or 1 on a
+corrupt checkpoint, which a checkpoint whose vocabulary does not fit its
+encoder is."""
 
 import dataclasses
 import json
@@ -841,24 +843,73 @@ class TestTrainConfig:
         monkeypatch.chdir(tmp_path)
         corpus = tmp_path / "train.jsonl"
         _small_corpus(corpus)
+        replaced = "checkpoint p.ckpt"
         if log == "MANIFEST":
             log = str(tmp_path / "p.ckpt.manifest.json")
+            replaced = "manifest p.ckpt.manifest.json"
         code = main(["train", "--corpus", "train.jsonl", "--out", "p.ckpt", "--log", log])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: --log {Path(log)} names the checkpoint or its manifest\n")
+            f"error: cannot write {Path(log)}: the log would replace the {replaced}\n")
         assert list(tmp_path.iterdir()) == [corpus]
 
+    @pytest.mark.parametrize("flag, role", [("--log", "log"), ("--out", "checkpoint")],
+                             ids=["log", "out"])
+    @pytest.mark.parametrize("target", ["corpus", "config file"], ids=["corpus", "config"])
+    def test_output_naming_a_file_train_reads_is_usage_error(
+        self, tmp_path, capsys, flag, role, target
+    ):
+        corpus = tmp_path / "train.jsonl"
+        _small_corpus(corpus)
+        config = tmp_path / "config.json"
+        config.write_text("{}", encoding="utf-8")
+        named = corpus if target == "corpus" else config
+        argv = {"--corpus": str(corpus), "--out": str(tmp_path / "p.ckpt"),
+                "--config": str(config), flag: str(named)}
+        assert main(["train", *(x for pair in argv.items() for x in pair)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {named}: the {role} would replace the {target} "
+            f"{named}, which this command reads\n")
+        assert set(tmp_path.iterdir()) == {corpus, config}
 
-@pytest.mark.parametrize("command", ["make-corpus", "train", "compress", "eval"])
-def test_output_in_a_missing_directory_is_usage_error(
-    tmp_path, capsys, fuzz_checkpoints, command
-):
-    # Every command writes its manifest first; when that fails, the path
-    # given is at fault, and the error names it, not the manifest.
+
+# How each command's output is made unwritable, and the path the error
+# names: one in a missing directory, an existing directory, or one of the
+# command's inputs; make-corpus reads nothing.
+UNWRITABLE = [
+    *(pytest.param(command, "missing-dir", id=f"{command}-missing-dir")
+      for command in ("make-corpus", "train", "compress", "eval")),
+    *(pytest.param(command, "dir", id=f"{command}-dir")
+      for command in ("make-corpus", "train", "compress", "eval")),
+    *(pytest.param(command, "input", id=f"{command}-input")
+      for command in ("train", "compress", "eval")),
+]
+
+
+@pytest.mark.parametrize("command, fault", UNWRITABLE)
+def test_unwritable_output_is_usage_error(tmp_path, capsys, fuzz_checkpoints, command,
+                                          fault):
+    # Every command checks its outputs, then writes its manifest first;
+    # when either fails, the path given is at fault, and the error names
+    # it, not the manifest.
     corpus = tmp_path / "corpus.jsonl"
     _small_corpus(corpus)
-    out = tmp_path / "missing" / "out"
+    out = tmp_path / "out"
+    # The file eval writes at out.jsonl; the other commands write out.
+    written = tmp_path / "out.jsonl" if command == "eval" else out
+    if fault == "missing-dir":
+        out = written = tmp_path / "missing" / "out"
+        message = "No such file or directory"
+    elif fault == "dir":
+        written.mkdir()
+        message = "Is a directory"
+    else:
+        out = tmp_path / "corpus" if command == "eval" else corpus
+        written = corpus
+        role, reads = {"train": ("checkpoint", "corpus"), "compress": ("output", "input"),
+                       "eval": ("rows", "corpus")}[command]
+        message = f"the {role} would replace the {reads} {corpus}, which this command reads"
+    before = set(tmp_path.iterdir())
     ckpt = str(fuzz_checkpoints["good"])
     argv = {
         "make-corpus": ["make-corpus", "--n", "2", "--filler", "0.5", "--out", str(out)],
@@ -869,8 +920,20 @@ def test_output_in_a_missing_directory_is_usage_error(
                  "--methods", "identity,policy", "--out-prefix", str(out)],
     }[command]
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
-    assert list(tmp_path.iterdir()) == [corpus]
+    assert capsys.readouterr().err == f"error: cannot write {written}: {message}\n"
+    assert set(tmp_path.iterdir()) == before
+    if fault == "dir":
+        assert not any(written.iterdir())
+
+
+def test_output_on_a_symlink_loop_replaces_the_link(tmp_path):
+    # The output checks resolve the path without raising on the loop, and
+    # the rename replaces the link, as it did before those checks.
+    out = tmp_path / "loop"
+    out.symlink_to(tmp_path / "back")
+    (tmp_path / "back").symlink_to(out)
+    assert main(["make-corpus", "--n", "2", "--filler", "0.5", "--out", str(out)]) == 0
+    assert not out.is_symlink() and len(out.read_text().splitlines()) == 2
 
 
 def test_diverged_train_writes_its_log_and_no_checkpoint(tmp_path, capsys):
@@ -1204,7 +1267,8 @@ class TestCompressEvalFuzz:
     outputs that parse, every compressed prompt a subsequence of its
     input and every eval number finite, or 2 with nothing written. A
     missing checkpoint cannot be read, and an output in a missing
-    directory cannot be written, both exit 2; a truncated checkpoint, or
+    directory, one that is a directory or one that names the input
+    corpus cannot be written, all exit 2; a truncated checkpoint, or
     one whose vocabulary does not fit its encoder, is reported as a
     corrupt checkpoint, exit 1, also with nothing written. A run with no
     other fault on a checkpoint of the wrong vocabulary exits 1."""
@@ -1234,7 +1298,8 @@ class TestCompressEvalFuzz:
     def test_every_exit_is_clean(self, tmp_path, capsys, fuzz_checkpoints):
         rng = random.Random(22)
         codes, mispaired_codes = [], []
-        unwritable = 0  # runs refused for their output's missing directory
+        # For each fault of the output, the runs refused with its error.
+        unwritable = {"no-out-dir": 0, "out-is-dir": 0, "out-is-input": 0}
         for i in range(self.RUNS):
             run = tmp_path / f"run{i}"
             run.mkdir()
@@ -1244,7 +1309,7 @@ class TestCompressEvalFuzz:
             corpus = run / "corpus.jsonl"
             corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
             command = rng.choice(["compress", "eval"])
-            kinds = (["good", "good", "good", "other", "no-out-dir", *MISPAIRED]
+            kinds = (["good", "good", "good", "other", *unwritable, *MISPAIRED]
                      + (["none"] if command == "eval" else []))
             if rng.random() < p:
                 kinds = ["missing", "truncated"]
@@ -1257,9 +1322,22 @@ class TestCompressEvalFuzz:
                 data = fuzz_checkpoints["good"].read_bytes()
                 ckpt = run / "truncated.ckpt"
                 ckpt.write_bytes(data[:rng.randint(0, len(data) - 1)])
-            elif kind == "no-out-dir":
+            elif kind in unwritable:
                 ckpt = fuzz_checkpoints["good"]
-                out = run / "missing" / out.name
+            # The file the error names: compress writes out, eval out.jsonl.
+            written = out if command == "compress" else Path(f"{out}.jsonl")
+            if kind == "no-out-dir":
+                out = written = run / "missing" / out.name
+                expected = "No such file or directory"
+            elif kind == "out-is-dir":
+                written.mkdir()
+                expected = "Is a directory"
+            elif kind == "out-is-input":
+                out = corpus if command == "compress" else run / "corpus"
+                written = corpus
+                role = "output would replace the input" if command == "compress" else (
+                    "rows would replace the corpus")
+                expected = f"the {role} {corpus}, which this command reads"
             inputs = set(run.iterdir())
             argv = _fuzzed_argv(rng, p, command, corpus, ckpt, out)
             try:
@@ -1268,11 +1346,11 @@ class TestCompressEvalFuzz:
                 code = exc.code
             err = capsys.readouterr().err
             case = f"run {i}: {argv} on {records} exited {code}: {err}"
-            if kind in ("missing", "no-out-dir"):
+            if kind in ("missing", *unwritable):
                 assert code == 2, case
-            if kind == "no-out-dir" and "cannot write" in err:
-                assert err == f"error: cannot write {out}: No such file or directory\n", case
-                unwritable += 1
+            if kind in unwritable and "cannot write" in err:
+                assert err == f"error: cannot write {written}: {expected}\n", case
+                unwritable[kind] += 1
             if kind in MISPAIRED:
                 assert code == 1 if p == 0.0 else code in (1, 2), case
                 mispaired_codes.append(code)
@@ -1288,5 +1366,5 @@ class TestCompressEvalFuzz:
             codes.append(code)
         assert {0, 1, 2} <= set(codes)
         assert 1 in mispaired_codes
-        assert unwritable
+        assert all(unwritable.values()), unwritable
 
