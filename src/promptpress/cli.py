@@ -10,18 +10,24 @@ written before any long-running work, so every run is reproducible from
 its manifest alone: a ``train`` run reruns on the manifest's input
 corpus with its ``config``, as it is, for the ``--config`` file. Exit
 codes: 0 success, 2 usage or validation error, 1 runtime failure. An
-output that is a directory, or that names a file the command reads or
-another of its outputs, is a usage error found before the manifest; an
-output path that cannot be written is one found when the manifest, each
-command's first write, fails. Artifacts are written to a ``.partial``
-path and renamed only when complete. A ``train`` run whose objective
-diverges writes its log, ending in the ``"diverged"`` record, and no
-checkpoint, rewrites its manifest to list the log alone, and exits 1.
+output that, or whose ``.partial`` path, is a directory or names a file
+the command reads or another of its outputs, is a usage error found
+before the manifest; an output path that cannot be written is one found
+when the manifest, each command's first write, fails. Artifacts are
+written to a ``.partial`` path and renamed only when complete. A
+``train`` run whose objective diverges writes its log, ending in the
+``"diverged"`` record, and no checkpoint, rewrites its manifest to list
+the log alone, and exits 1.
 
 ``compress`` encodes its prompts in passes of up to the encoder's
 ``max_len`` tokens, run on a pool of as many threads as the CPUs the
 process may use divided by the threads of a BLAS call, while the calling
-thread waits; its output does not depend on that number.
+thread waits; its output does not depend on that number. ``compress``
+runs fastest with ``OPENBLAS_NUM_THREADS=1``: unset, each BLAS call
+takes every CPU and the pool has one thread; on a 2-vCPU VM, 48 prompts
+of 128-256 tokens took 0.33-0.38 s unset against 0.22 s at 1 (medians
+of 8 runs). The program does not set it: the caller's environment
+decides.
 """
 
 from __future__ import annotations
@@ -218,10 +224,12 @@ def write_manifest(
 ) -> None:
     """Write ``<out>.manifest.json``, a command's first write, before any
     work. Each output, the manifest first and then ``artifacts`` in the
-    order they are written, is refused if it is a directory or resolves
-    to a file the command reads (``inputs`` and ``config_file``) or to an
-    earlier output; these refusals, and an ``OSError`` of the write, are
-    usage errors naming the path. A later write that fails is a runtime
+    order they are written, is refused if it or the ``.partial`` path it
+    is first written to is a directory, or resolves to a file the command
+    reads (``inputs`` and ``config_file``), to an earlier output's path or
+    ``.partial`` path, or, for the ``.partial`` path, to the output
+    itself; these refusals, and an ``OSError`` of the write, are usage
+    errors naming the path. A later write that fails is a runtime
     failure."""
     manifest_path = out.with_name(out.name + ".manifest.json")
     taken = {
@@ -230,13 +238,18 @@ def write_manifest(
     }
     for role, path in [("manifest", manifest_path),
                        *((role, Path(path)) for role, path in artifacts.items())]:
-        if path.is_dir():
-            raise UsageError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
-        resolved = os.path.realpath(path)  # unlike Path.resolve, never raises
-        if resolved in taken:
-            raise UsageError(f"cannot write {path}: the {role} would replace "
-                             f"{taken[resolved]}")
-        taken[resolved] = f"the {role} {path}"
+        # _atomic writes through a link at the .partial path. Unlike
+        # Path.resolve, realpath never raises.
+        partial = path.with_name(path.name + ".partial")
+        for target, what in ((path, f"the {role}"),
+                             (partial, f"the partial file of the {role}")):
+            if target.is_dir():
+                raise UsageError(f"cannot write {target}: {os.strerror(errno.EISDIR)}")
+            resolved = os.path.realpath(target)
+            if resolved in taken:
+                raise UsageError(f"cannot write {path}: {what} would replace "
+                                 f"{taken[resolved]}")
+            taken[resolved] = f"{what} {target}"
     manifest = dict(tool="promptpress", version=__version__, command=command, seed=seed,
                     config=config, inputs=inputs, artifacts=artifacts)
     try:

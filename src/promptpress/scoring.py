@@ -15,6 +15,12 @@ Two deterministic scorers:
   trailing tokens its answers can depend on; the divergence scores no
   position past it, as every later term is exactly 0, and walks only the
   part of its reference that it reads.
+
+The count tables keep the order in which the fit first met their keys,
+prompt by prompt and token by token: each level's contexts, and each
+context's continuations. That order is part of the model, as
+:func:`kl_divergence` sums over a union of continuation keys and a float
+sum depends on its order; a faster fit must keep it, key for key.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .text import TokenSequence, Vocabulary
@@ -297,18 +304,26 @@ def fit_ngram_lm(
     """Fit the reference proxy model on tokenized prompts over ``vocab``:
     min(``order``, the longest prompt's length) count levels, at least
     one, as no longer context occurs. The model keeps ``order`` and
-    reads a window of one token less than the levels it holds."""
+    reads a window of one token less than the levels it holds.
+
+    The unigram level is one Counter over every token; each longer level
+    is one pass over the prompts. Both keep first-occurrence order."""
     if not prompts:
         raise ValueError("empty corpus")
-    levels = max(1, min(order, max(len(seq) for seq in prompts)))
-    counts: list[dict[tuple[int, ...], dict[int, int]]] = [
-        {} for _ in range(levels)
-    ]
-    for seq in prompts:
-        ids = seq.ids
-        for i, tid in enumerate(ids):
-            for o in range(1, min(i + 1, levels) + 1):
-                ctx = ids[i - (o - 1): i]
-                cont = counts[o - 1].setdefault(ctx, {})
-                cont[tid] = cont.get(tid, 0) + 1
+    all_ids = [seq.ids for seq in prompts]
+    levels = max(1, min(order, max(map(len, all_ids))))
+    unigrams = dict(Counter(chain.from_iterable(all_ids)))
+    counts: list[dict[tuple[int, ...], dict[int, int]]] = [{(): unigrams} if unigrams else {}]
+    for o in range(1, levels):
+        level: dict[tuple[int, ...], dict[int, int]] = {}
+        get = level.get
+        for ids in all_ids:
+            for i in range(o, len(ids)):
+                ctx, tid = ids[i - o: i], ids[i]
+                cont = get(ctx)
+                if cont is None:
+                    level[ctx] = {tid: 1}
+                else:
+                    cont[tid] = cont.get(tid, 0) + 1
+        counts.append(level)
     return NgramLM(order=order, smoothing=smoothing, vocab=vocab, counts=counts)

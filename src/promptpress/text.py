@@ -6,6 +6,14 @@ except that every out-of-vocabulary word comes back as ``<unk>``; output
 meant for people (``compress``) joins the kept words of the input instead.
 Subword tokenizers can be swapped in by building a :class:`Vocabulary`
 over their surfaces; everything downstream only sees token ids.
+
+The per-word and per-token loops of corpus set-up run in C: a word
+becomes its id through the vocabulary's index, and the vocabulary's
+surface counts and the IDF table's document counts are each one
+``Counter`` over the chained words or ids. A count table keeps the order
+in which its keys were first met, prompt by prompt, as the n-gram
+tables of :mod:`promptpress.scoring` do; the IDF table takes each
+prompt's distinct ids in the order of their set.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -60,10 +69,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.surfaces)
 
-    def id_of(self, surface: str) -> int:
-        """Id of a surface string; unknown surfaces map to ``unknown_id``."""
-        return self._index.get(surface, self.unknown_id)
-
     def surface_of(self, token_id: int) -> str:
         if not 0 <= token_id < self.size:
             raise ValueError(f"id out of range: {token_id}")
@@ -99,9 +104,7 @@ def build_vocabulary(corpus: Sequence[PromptRecord], max_size: int) -> Vocabular
         raise ValueError("empty corpus")
     if max_size < 2:
         raise ValueError("max_size must be >= 2")
-    counts: Counter[str] = Counter()
-    for record in corpus:
-        counts.update(split_surfaces(record.text))
+    counts = Counter(chain.from_iterable(split_surfaces(r.text) for r in corpus))
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     kept = [surface for surface, _ in ranked[: max_size - 1]]
     surfaces = tuple(kept) + (UNKNOWN_SURFACE,)
@@ -110,7 +113,8 @@ def build_vocabulary(corpus: Sequence[PromptRecord], max_size: int) -> Vocabular
 
 def tokenize(text: str, vocab: Vocabulary) -> TokenSequence:
     """Deterministic text -> ids; out-of-vocabulary surfaces become unknown."""
-    return TokenSequence(tuple(vocab.id_of(s) for s in split_surfaces(text)))
+    return TokenSequence(tuple(map(vocab._index.get, split_surfaces(text),
+                                   repeat(vocab.unknown_id))))
 
 
 def tokenize_corpus(
@@ -188,15 +192,17 @@ def load_corpus(path: str | Path) -> list[PromptRecord]:
                     "a string"
                 )
             if mask is not None:
-                # type(...) rules out "0" and 0.0; True and False equal 1 and 0.
-                if not isinstance(mask, list) or not all(
-                    type(v) in (bool, int) and v in (0, 1) for v in mask
+                # type(...) rules out "0" and 0.0, and an unhashable
+                # entry before set(mask) meets it; True and False equal 1
+                # and 0.
+                if not isinstance(mask, list) or not (
+                    set(map(type, mask)) <= {bool, int} and set(mask) <= {0, 1}
                 ):
                     raise ValueError(
                         f"malformed corpus line {lineno}: 'filler_mask' is not "
                         "a list of 0/1/true/false"
                     )
-                mask = tuple(bool(v) for v in mask)
+                mask = tuple(map(bool, mask))
                 if len(mask) != len(split_surfaces(text)):
                     raise ValueError(
                         f"malformed corpus line {lineno}: filler_mask length "
@@ -288,7 +294,5 @@ def compute_idf_table(prompts: Sequence[TokenSequence]) -> dict[int, float]:
     n_docs = len(prompts)
     if n_docs == 0:
         raise ValueError("empty corpus")
-    df: Counter[int] = Counter()
-    for seq in prompts:
-        df.update(set(seq.ids))
+    df = Counter(chain.from_iterable(set(seq.ids) for seq in prompts))
     return {tid: math.log(n_docs / count) for tid, count in df.items()}

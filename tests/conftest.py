@@ -1,7 +1,10 @@
-"""Shared builders for small deterministic training worlds, and checkpoint
+"""Shared builders for small deterministic training worlds, references
+that corpus set-up and the proxy are compared against, and checkpoint
 edits for the load-validation tests."""
 
 import json
+import math
+from collections import Counter
 
 import numpy as np
 
@@ -9,7 +12,10 @@ from promptpress.encoder import EncoderConfig
 from promptpress.reward import Scorers
 from promptpress.scoring import IdfRetentionScorer, NgramLM, fit_ngram_lm
 from promptpress.text import (
+    UNKNOWN_SURFACE,
     PromptRecord,
+    TokenSequence,
+    Vocabulary,
     build_vocabulary,
     compute_idf_table,
     tokenize,
@@ -39,20 +45,68 @@ def fit_lm(corpus, order, smoothing, vocab=None, max_vocab=512):
     return fit_ngram_lm(prompts, order=order, smoothing=smoothing, vocab=vocab)
 
 
-def fit_every_level(prompts, order, smoothing, vocab):
-    """Reference n-gram fit with one count level per order, as the proxy
-    was once fit: every token counted after each of its contexts, and
-    the levels past the longest prompt left empty."""
-    counts = [{} for _ in range(order)]
+def reference_counts(prompts, order):
+    """The n-gram count tables as the proxy was once fit, token by token:
+    each token counted after each of its contexts, every level at once,
+    a context's dict fetched or made by ``setdefault``; min(``order``,
+    the longest prompt's length) levels, at least one."""
+    levels = max(1, min(order, max(len(seq) for seq in prompts)))
+    counts = [{} for _ in range(levels)]
     for seq in prompts:
         ids = seq.ids
         for i, tid in enumerate(ids):
-            for o in range(1, order + 1):
-                if i < o - 1:
-                    continue
+            for o in range(1, min(i + 1, levels) + 1):
                 cont = counts[o - 1].setdefault(ids[i - (o - 1): i], {})
                 cont[tid] = cont.get(tid, 0) + 1
+    return counts
+
+
+def fit_every_level(prompts, order, smoothing, vocab):
+    """Reference n-gram fit with one count level per order, as the proxy
+    was once fit: the levels past the longest prompt are held, empty."""
+    counts = reference_counts(prompts, order)
+    counts += [{} for _ in range(order - len(counts))]
     return NgramLM(order=order, smoothing=smoothing, vocab=vocab, counts=counts)
+
+
+def reference_tokenize(text, vocab):
+    """Text -> ids as once tokenized, one dict lookup per word."""
+    index = {surface: i for i, surface in enumerate(vocab.surfaces)}
+    return TokenSequence(tuple(index.get(s, vocab.unknown_id) for s in text.split()))
+
+
+def reference_vocabulary(corpus, max_size):
+    """The vocabulary as once built: surface counts updated record by
+    record, then the ``max_size - 1`` most frequent, ties by surface."""
+    counts = Counter()
+    for record in corpus:
+        counts.update(record.text.split())
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    surfaces = tuple(s for s, _ in ranked[: max_size - 1]) + (UNKNOWN_SURFACE,)
+    return Vocabulary(surfaces=surfaces, unknown_id=len(surfaces) - 1)
+
+
+def reference_idf(prompts):
+    """The IDF table as once computed: document counts updated prompt by
+    prompt with each prompt's set of ids."""
+    df = Counter()
+    for seq in prompts:
+        df.update(set(seq.ids))
+    return {tid: math.log(len(prompts) / n) for tid, n in df.items()}
+
+
+def reference_filler_mask(mask, n_words, lineno):
+    """A corpus line's ``filler_mask`` as ``load_corpus`` once checked it,
+    entry by entry, and its error when refused."""
+    if not isinstance(mask, list) or not all(
+        type(v) in (bool, int) and v in (0, 1) for v in mask
+    ):
+        raise ValueError(f"malformed corpus line {lineno}: 'filler_mask' is not "
+                         "a list of 0/1/true/false")
+    if len(mask) != n_words:
+        raise ValueError(f"malformed corpus line {lineno}: filler_mask length "
+                         f"{len(mask)} != token length")
+    return tuple(bool(v) for v in mask)
 
 
 def dense_probs(dist):

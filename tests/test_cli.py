@@ -874,15 +874,17 @@ class TestTrainConfig:
 
 
 # How each command's output is made unwritable, and the path the error
-# names: one in a missing directory, an existing directory, or one of the
-# command's inputs; make-corpus reads nothing.
+# names: one in a missing directory, an existing directory, one whose
+# .partial path is an existing directory, one of the command's inputs,
+# one whose .partial path is the input, or, for train, a log whose
+# .partial path is the checkpoint; make-corpus reads nothing.
 UNWRITABLE = [
-    *(pytest.param(command, "missing-dir", id=f"{command}-missing-dir")
-      for command in ("make-corpus", "train", "compress", "eval")),
-    *(pytest.param(command, "dir", id=f"{command}-dir")
-      for command in ("make-corpus", "train", "compress", "eval")),
-    *(pytest.param(command, "input", id=f"{command}-input")
-      for command in ("train", "compress", "eval")),
+    *(pytest.param(command, fault, id=f"{command}-{fault}")
+      for command in ("make-corpus", "train", "compress", "eval")
+      for fault in ("missing-dir", "dir", "partial-dir")),
+    *(pytest.param(command, fault, id=f"{command}-{fault}")
+      for command in ("train", "compress", "eval") for fault in ("input", "partial-input")),
+    pytest.param("train", "partial-output", id="train-partial-output"),
 ]
 
 
@@ -892,28 +894,43 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, fuzz_checkpoints, co
     # Every command checks its outputs, then writes its manifest first;
     # when either fails, the path given is at fault, and the error names
     # it, not the manifest.
-    corpus = tmp_path / "corpus.jsonl"
-    _small_corpus(corpus)
     out = tmp_path / "out"
     # The file eval writes at out.jsonl; the other commands write out.
     written = tmp_path / "out.jsonl" if command == "eval" else out
+    # The rows, the output or the checkpoint would first be written at
+    # the corpus.
+    corpus = tmp_path / (f"{written.name}.partial" if fault == "partial-input"
+                         else "corpus.jsonl")
+    _small_corpus(corpus)
+    role, reads = {"train": ("checkpoint", "corpus"), "compress": ("output", "input"),
+                   "eval": ("rows", "corpus")}.get(command, (None, None))
+    log = []
     if fault == "missing-dir":
         out = written = tmp_path / "missing" / "out"
         message = "No such file or directory"
     elif fault == "dir":
         written.mkdir()
         message = "Is a directory"
-    else:
+    elif fault == "partial-dir":
+        written = written.with_name(f"{written.name}.partial")
+        written.mkdir()
+        message = "Is a directory"
+    elif fault == "input":
         out = tmp_path / "corpus" if command == "eval" else corpus
         written = corpus
-        role, reads = {"train": ("checkpoint", "corpus"), "compress": ("output", "input"),
-                       "eval": ("rows", "corpus")}[command]
         message = f"the {role} would replace the {reads} {corpus}, which this command reads"
+    elif fault == "partial-input":
+        message = (f"the partial file of the {role} would replace the {reads} {corpus}, "
+                   "which this command reads")
+    else:  # the log's .partial path is the checkpoint
+        out, written = tmp_path / "out.partial", out
+        log = ["--log", str(written)]
+        message = f"the partial file of the log would replace the checkpoint {out}"
     before = set(tmp_path.iterdir())
     ckpt = str(fuzz_checkpoints["good"])
     argv = {
         "make-corpus": ["make-corpus", "--n", "2", "--filler", "0.5", "--out", str(out)],
-        "train": ["train", "--corpus", str(corpus), "--out", str(out)],
+        "train": ["train", "--corpus", str(corpus), "--out", str(out), *log],
         "compress": ["compress", "--checkpoint", ckpt, "--input", str(corpus),
                      "--out", str(out)],
         "eval": ["eval", "--corpus", str(corpus), "--checkpoint", ckpt,
@@ -922,7 +939,7 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, fuzz_checkpoints, co
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: cannot write {written}: {message}\n"
     assert set(tmp_path.iterdir()) == before
-    if fault == "dir":
+    if fault in ("dir", "partial-dir"):
         assert not any(written.iterdir())
 
 
@@ -1267,8 +1284,9 @@ class TestCompressEvalFuzz:
     outputs that parse, every compressed prompt a subsequence of its
     input and every eval number finite, or 2 with nothing written. A
     missing checkpoint cannot be read, and an output in a missing
-    directory, one that is a directory or one that names the input
-    corpus cannot be written, all exit 2; a truncated checkpoint, or
+    directory, one that is a directory, one that names the input corpus
+    or one whose ``.partial`` path does cannot be written, all exit 2; a
+    truncated checkpoint, or
     one whose vocabulary does not fit its encoder, is reported as a
     corrupt checkpoint, exit 1, also with nothing written. A run with no
     other fault on a checkpoint of the wrong vocabulary exits 1."""
@@ -1299,7 +1317,8 @@ class TestCompressEvalFuzz:
         rng = random.Random(22)
         codes, mispaired_codes = [], []
         # For each fault of the output, the runs refused with its error.
-        unwritable = {"no-out-dir": 0, "out-is-dir": 0, "out-is-input": 0}
+        unwritable = {"no-out-dir": 0, "out-is-dir": 0, "out-is-input": 0,
+                      "out-partial-is-input": 0}
         for i in range(self.RUNS):
             run = tmp_path / f"run{i}"
             run.mkdir()
@@ -1338,6 +1357,12 @@ class TestCompressEvalFuzz:
                 role = "output would replace the input" if command == "compress" else (
                     "rows would replace the corpus")
                 expected = f"the {role} {corpus}, which this command reads"
+            elif kind == "out-partial-is-input":
+                # The output would first be written at the input corpus.
+                corpus = corpus.rename(Path(f"{written}.partial"))
+                role = "output would replace the input" if command == "compress" else (
+                    "rows would replace the corpus")
+                expected = f"the partial file of the {role} {corpus}, which this command reads"
             inputs = set(run.iterdir())
             argv = _fuzzed_argv(rng, p, command, corpus, ckpt, out)
             try:

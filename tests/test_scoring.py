@@ -8,7 +8,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import dense_kl, dense_probs, fit_every_level, fit_lm
+from conftest import (
+    dense_kl,
+    dense_probs,
+    fit_every_level,
+    fit_lm,
+    reference_counts,
+    reference_idf,
+    reference_tokenize,
+    reference_vocabulary,
+)
 from promptpress.baselines import (
     IdentityCompressor,
     RandomCompressor,
@@ -23,7 +32,18 @@ from promptpress.scoring import (
     kl_divergence,
     output_distribution_kl,
 )
-from promptpress.text import PromptRecord, TokenSequence, Vocabulary, tokenize
+from promptpress.text import (
+    PromptRecord,
+    TokenSequence,
+    Vocabulary,
+    build_vocabulary,
+    compute_idf_table,
+    load_corpus,
+    make_synthetic_corpus,
+    save_corpus,
+    tokenize,
+    tokenize_corpus,
+)
 
 
 def seq(*ids):
@@ -364,8 +384,9 @@ class TestNgramLM:
         lm = fit_lm(corpus, order=2, smoothing=k, vocab=vocab)
         probs = dense_probs(lm.next_token_dist(tokenize("a", vocab)))
         # count(a b) = 2, count(a .) = 2, V = 3
-        assert probs[vocab.id_of("b")] == pytest.approx((2 + k) / (2 + k * 3))
-        assert probs[vocab.id_of("a")] == pytest.approx(k / (2 + k * 3))
+        a, b = tokenize("a b", vocab).ids
+        assert probs[b] == pytest.approx((2 + k) / (2 + k * 3))
+        assert probs[a] == pytest.approx(k / (2 + k * 3))
 
     def test_unseen_context_backs_off_to_unigram(self):
         corpus = [PromptRecord("0", "a b a b c")]
@@ -722,3 +743,57 @@ class TestOutputDistributionKL:
         )
         got = output_distribution_kl(lm, s0, st, len(ref))
         assert abs(got - all_positions) <= 1e-12
+
+
+def _setup_corpus(kind, rng):
+    """(records, vocabulary cap) of one kind of corpus for the set-up
+    comparison: synthetic with filler masks, read back from JSONL; Zipf
+    over 600 words under a 128-word cap, so that ``<unk>`` occurs; two
+    words in long runs, so that ids repeat; or 1-token prompts."""
+    if kind == "synthetic":
+        return make_synthetic_corpus(seed=int(rng.integers(1000)), n_prompts=40,
+                                     filler_fraction=0.5), 512
+    if kind == "zipf":
+        weights = 1.0 / np.arange(1, 601) ** 1.1
+        draws = [rng.choice(600, size=int(rng.integers(16, 49)), p=weights / weights.sum())
+                 for _ in range(200)]
+        texts = [" ".join(f"z{int(w)}" for w in d) for d in draws]
+        return [PromptRecord(f"z{i}", t) for i, t in enumerate(texts)], 128
+    if kind == "repeated":
+        texts = [" ".join(rng.choice(["a", "a", "a", "b"], size=int(n)))
+                 for n in rng.integers(1, 31, size=30)]
+        return [PromptRecord(f"r{i}", t) for i, t in enumerate(texts + ["a " * 40])], 512
+    words = ["x", "y", "z", "w", "v"]
+    return [PromptRecord(f"o{i}", words[int(w)])
+            for i, w in enumerate(rng.integers(0, 5, size=25))], 512
+
+
+class TestCorpusSetUpMatchesReference:
+    """Corpus set-up gives what the per-token loops in ``conftest`` give:
+    the same ids, vocabulary, IDF table and n-gram count tables, with the
+    same key order at every dict level, as ``kl_divergence`` sums in that
+    order."""
+
+    @pytest.mark.parametrize("kind", ["synthetic", "zipf", "repeated", "one-token"])
+    def test_every_table_equals_the_reference_in_order(self, tmp_path, kind):
+        rng = np.random.default_rng(29)
+        corpus, cap = _setup_corpus(kind, rng)
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(corpus, path)
+        assert load_corpus(path) == corpus
+        vocab = build_vocabulary(corpus, cap)
+        assert vocab == reference_vocabulary(corpus, cap)
+        prompts = tokenize_corpus(corpus, vocab, max_len=sys.maxsize)
+        assert prompts == [reference_tokenize(r.text, vocab) for r in corpus]
+        if kind == "zipf":
+            assert any(vocab.unknown_id in p.ids for p in prompts)
+        idf = compute_idf_table(prompts)
+        assert list(idf.items()) == list(reference_idf(prompts).items())
+        longest = max(map(len, prompts))
+        for order in (1, 2, 3, 4, 5, longest + 2):
+            counts = fit_ngram_lm(prompts, order, 0.1, vocab)._counts
+            want = reference_counts(prompts, order)
+            assert counts == want, order
+            assert [list(level) for level in counts] == [list(level) for level in want]
+            assert [[list(cont) for cont in level.values()] for level in counts] == [
+                [list(cont) for cont in level.values()] for level in want]

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import reference_filler_mask
 from promptpress.text import (
     PromptRecord,
     TokenSequence,
@@ -58,14 +59,14 @@ class TestVocabulary:
     def test_inverse_maps(self):
         vocab = _vocab("a", "b", "c")
         for i, surface in enumerate(vocab.surfaces):
-            assert vocab.id_of(surface) == i
+            assert tokenize(surface, vocab).ids == (i,)
             assert vocab.surface_of(i) == surface
 
 
 class TestTokenizeDetokenize:
     def test_basic(self):
         vocab = _vocab("a", "b")
-        assert tokenize("a b", vocab).ids == (vocab.id_of("a"), vocab.id_of("b"))
+        assert tokenize("a b", vocab).ids == (0, 1)
 
     def test_unknown_maps_to_unknown_id(self):
         vocab = _vocab("a")
@@ -197,6 +198,26 @@ class TestCorpusIO:
         assert record.filler_mask == (True, False, False)
         assert record.reference_output is None
 
+    @pytest.mark.parametrize(
+        "mask",
+        [["0"], [0.0], [2], [[1]], [None], [True, 0], [1, 0, 1], [1, 0, 1, 1], "01",
+         {"0": 1}],
+        ids=repr,
+    )
+    def test_mask_accepted_or_refused_as_the_reference_decides(self, tmp_path, mask):
+        text = " ".join("abc"[: len(mask)] if isinstance(mask, list) else "ab")
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"text": text, "filler_mask": mask}) + "\n")
+        try:
+            want = reference_filler_mask(mask, len(text.split()), 1)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                load_corpus(path)
+            assert str(info.value) == str(exc)
+        else:
+            (record,) = load_corpus(path)
+            assert record.filler_mask == want
+
     def test_filler_mask_length_validated(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"text": "a b c", "filler_mask": [1, 0]}\n')
@@ -263,8 +284,9 @@ class TestIdfTable:
         corpus = [PromptRecord(str(i), f"the key{i}") for i in range(4)]
         vocab = build_vocabulary(corpus, max_size=16)
         table = compute_idf_table([tokenize(r.text, vocab) for r in corpus])
-        assert table[vocab.id_of("the")] == pytest.approx(0.0)
-        assert table[vocab.id_of("key1")] == pytest.approx(np.log(4.0))
+        the, key1 = tokenize("the key1", vocab).ids
+        assert table[the] == pytest.approx(0.0)
+        assert table[key1] == pytest.approx(np.log(4.0))
 
 
 class TestTokenizeCorpus:

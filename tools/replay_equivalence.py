@@ -11,7 +11,9 @@ directory of its own, as ``python -m promptpress.cli`` with that tree's
 
 * ``make-corpus`` twice, and the three seeded corpora of ``bench/inputs.py``
   (imported read-only from this checkout, so both trees get the same
-  bytes), plus an empty corpus and one whose ids repeat;
+  bytes) and two larger ones from its generators, 500 Zipf prompts and
+  64 synthetic prompts with filler masks, plus an empty corpus and one
+  whose ids repeat;
 * ``train`` at the defaults and at n-gram orders 1, 3 and 4, with one to
   three steps per trajectory and ``n_gen`` 1, 5 and 32; at order 4 with
   ``n_gen`` 2, where the divergence scores fewer positions than the
@@ -35,14 +37,19 @@ directory of its own, as ``python -m promptpress.cli`` with that tree's
   all) and none evaluates the divergence term; once with rewards
   near the float limit, whose first objective is NaN, so that the run
   fails (exit 1) and writes its log, no checkpoint, and a manifest naming
-  the log alone; and two collection-only
+  the log alone; once on the 64 masked prompts at n-gram order 3 with a
+  buffer of 16, so that corpus set-up runs at size and the log's rewards
+  read the trigram proxy it fits; and two collection-only
   fixtures whose head is then set to seeded random values: a zero head
   keeps every probability at 0.5, so a change in the encoder's numerics
   would not show in what the policy drops. A second
   copy of each fixture also has its feed-forward w1 scaled by 20, so
   that the GELU's erf runs its |x| > 1 tail;
 * ``compress`` and ``eval`` on those checkpoints, over orders 1-4 and 60,
-  ``--n-gen`` 1, 5 and 32 and ``--steps`` 1-3;
+  ``--n-gen`` 1, 5 and 32 and ``--steps`` 1-3, and ``eval`` of the
+  identity, random and self-information methods with no checkpoint on
+  the 500 Zipf prompts at orders 2 and 4, where the 512-word cap binds
+  and ``<unk>`` occurs;
 * the float64 keep probabilities of ``policy_forward`` under the two
   w1-scaled fixtures, written raw: every other output is kept words or
   their scores, so it shows a change in the encoder's numerics only
@@ -144,6 +151,8 @@ def _compress(ckpt: str, corpus: str, steps: int, budget: int, out: str) -> list
 
 
 N_ZIPF, N_LONG = 24, 8
+# Corpora large enough that set-up's per-token loops run at size.
+N_ZIPF_LARGE, N_SYN_LARGE = 500, 64
 
 # Integer keys given integral floats and a float key given an int, with a
 # buffer of 4 so that rounds train.
@@ -238,6 +247,16 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("compress-empty-input", _compress("t1.ckpt", "empty.jsonl", 1, 0, "c6.jsonl")),
     ("eval-duplicate-ids", _eval("dup.jsonl", None, 2, 5, 1, "e10",
                                  methods="random,selfinfo")),
+    # Corpus set-up at size: 500 Zipf prompts under the 512-word cap, so
+    # that <unk> occurs, and a train whose log reads a trigram proxy fit
+    # on 64 masked prompts.
+    ("eval-zipf500-o2", _eval("zipf500.jsonl", None, 2, 5, 1, "e13",
+                              methods="identity,random,selfinfo")),
+    ("eval-zipf500-o4", _eval("zipf500.jsonl", None, 4, 5, 1, "e14",
+                              methods="identity,random,selfinfo")),
+    ("train-syn64-order3", ["train", "--corpus", "bsyn64.jsonl", "--out", "t16.ckpt",
+                            "--seed", "16", "--set", "scoring.ngram_order=3",
+                            "--set", "trainer.buffer_m=16"]),
 ]
 
 
@@ -250,6 +269,10 @@ def write_inputs(run: Path) -> None:
                                           N_LONG, 128, 256), run / "long.jsonl")
     inputs.write_jsonl(inputs.synthetic_corpus(INPUT_SEED, inputs.STREAM_TRAIN, 0,
                                                8, 24, 48), run / "bsyn.jsonl")
+    inputs.write_jsonl(inputs.zipf_corpus(INPUT_SEED, inputs.STREAM_ZIPF_SHORT,
+                                          N_ZIPF_LARGE, 16, 48), run / "zipf500.jsonl")
+    inputs.write_jsonl(inputs.synthetic_corpus(INPUT_SEED, inputs.STREAM_TRAIN, 1,
+                                               N_SYN_LARGE, 24, 48), run / "bsyn64.jsonl")
     (run / "empty.jsonl").write_text("", encoding="utf-8")
     (run / "floats.json").write_text(json.dumps(CONFIG_AS_FLOATS), encoding="utf-8")
     (run / "band.json").write_text(json.dumps(FIXED_BAND), encoding="utf-8")
