@@ -14,7 +14,8 @@ output that, or whose ``.partial`` path, is a directory or names a file
 the command reads or another of its outputs, is a usage error found
 before the manifest; an output path that cannot be written is one found
 when the manifest, each command's first write, fails. Artifacts are
-written to a ``.partial`` path and renamed only when complete. A
+written as new files at a ``.partial`` path, replacing any entry there,
+and renamed only when complete. A
 ``train`` run whose objective diverges writes its log, ending in the
 ``"diverged"`` record, and no checkpoint, rewrites its manifest to list
 the log alone, and exits 1.
@@ -154,9 +155,11 @@ def _atomic(path: Path, content) -> None:
     """Write ``content`` to a .partial path, then rename into place.
 
     ``content`` is text, written as UTF-8, or a function that writes the
-    path it is given.
+    path it is given. Any entry at the .partial path, a link included,
+    is removed first, so the write never goes through it.
     """
     partial = path.with_name(path.name + ".partial")
+    partial.unlink(missing_ok=True)
     if isinstance(content, str):
         partial.write_text(content, encoding="utf-8")
     else:
@@ -238,8 +241,9 @@ def write_manifest(
     }
     for role, path in [("manifest", manifest_path),
                        *((role, Path(path)) for role, path in artifacts.items())]:
-        # _atomic writes through a link at the .partial path. Unlike
-        # Path.resolve, realpath never raises.
+        # _atomic removes the entry at the .partial path, which can still
+        # be an input when it is reached through a linked directory.
+        # Unlike Path.resolve, realpath never raises.
         partial = path.with_name(path.name + ".partial")
         for target, what in ((path, f"the {role}"),
                              (partial, f"the partial file of the {role}")):
@@ -471,6 +475,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 f"unknown compressor {method!r}; valid names: "
                 + ", ".join(EVAL_METHODS)
             )
+        if methods.count(method) > 1:
+            raise UsageError(f"--methods names {method!r} more than once")
     if not methods:
         raise UsageError("--methods must name at least one compressor")
     if "policy" in methods and not args.checkpoint:

@@ -2,24 +2,26 @@
 against a leave-one-out baseline, and the staged compression curriculum.
 
 Training runs in update rounds of M episodes (M =
-``TrainerConfig.buffer_capacity``). A round is collected in one call
-with the actor as it stands, step by step: each step is one
-``policy_forward`` over every episode's current prompt. The actor is
-then updated from the round's M trajectories, each update iteration in
-one forward and one backward pass over its batch. A round of M episodes
-over fewer prompts, or a batch that draws one trajectory twice, repeats
-a state; both kinds of pass encode each distinct state once. There is
-no learned value function: each step's advantage is its return minus
-the mean return of the round's other trajectories at the same step
+``TrainerConfig.buffer_capacity``) of T steps. A round is collected in
+one call with the actor as it stands, step by step: each step is one
+``policy_forward`` over every episode's current prompt. The round is one
+``Round``: each step's prompts and labels, and [M, T] arrays of the
+labels' log-probabilities when sampled and of the rewards. The actor is
+then updated from it, each update iteration in one forward and one
+backward pass over a batch of its episodes, drawn as row indices. A
+round over fewer prompts, or a batch that draws one episode twice,
+repeats a state; both kinds of pass encode each distinct state once.
+There is no learned value function: each step's advantage is its return
+minus the mean return of the round's other episodes at the same step
 index (the leave-one-out baseline of RLOO, arXiv:2402.14740). The
 compression band [c_s, c_l] that the reward enforces comes from
 ``CurriculumSchedule``, its one owner: it tightens with the stage index
 and, within an episode, with the step index, so the task hardens
-gradually. The reward's divergence term
-walks its own reference. Everything is deterministic given (seed,
-corpus, configs): per-episode and per-update RNG streams are derived
-from (seed, stage, epoch, index) so a run resumed from a stage boundary
-reproduces the uninterrupted run exactly.
+gradually. The reward's divergence term walks its own reference.
+Everything is deterministic given (seed, corpus, configs): per-episode
+and per-update RNG streams are derived from (seed, stage, epoch, index)
+so a run resumed from a stage boundary reproduces the uninterrupted run
+exactly.
 """
 
 from __future__ import annotations
@@ -131,30 +133,23 @@ class CurriculumSchedule:
 
 
 # ---------------------------------------------------------------------------
-# trajectories
+# update rounds
 
 
 @dataclass(frozen=True)
-class TrajectoryStep:
-    """One step: the prompt the actor saw, the labels it sampled on it,
-    their log-probability when sampled, and the reward."""
+class Round:
+    """An update round of M episodes, T steps each, rolled out with one
+    actor. At step t, episode i saw the prompt ``states[t][i]``, sampled
+    ``labels[t][i]`` on it with log-probability ``old_log_probs[i, t]``
+    and was paid ``rewards[i, t]``; ``final_rho[i]`` is its final length
+    over its original's. The three arrays are float64, [M, T], [M, T]
+    and [M]."""
 
-    current: TokenSequence
-    labels: np.ndarray
-    old_log_prob: float
-    reward: float
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """An episode's steps and its final length over the original's."""
-
-    steps: tuple[TrajectoryStep, ...]
-    final_rho: float
-
-    @property
-    def rewards(self) -> list[float]:
-        return [s.reward for s in self.steps]
+    states: tuple[tuple[TokenSequence, ...], ...]
+    labels: tuple[tuple[np.ndarray, ...], ...]
+    old_log_probs: np.ndarray
+    rewards: np.ndarray
+    final_rho: np.ndarray
 
 
 def collect_trajectory(
@@ -165,9 +160,10 @@ def collect_trajectory(
     stage: int,
     reward_cfg: RewardConfig,
     scorers: Scorers,
-) -> list[Trajectory]:
+) -> Round:
     """Roll out one episode of the stage's length per prompt with
-    ``actor``, all episodes a step at a time.
+    ``actor``, all episodes a step at a time, into one ``Round``: each
+    step's prompt and labels, their log-probability and the reward.
 
     A step is one ``policy_forward`` call over every episode's current
     prompt, which gives each bitwise what it gets alone. Episode j
@@ -176,115 +172,93 @@ def collect_trajectory(
     band from ``schedule``. Each step starts from the previous step's
     prompt, the first from the original.
     """
+    t_max = schedule.t_max_for(stage)
     currents = list(prompts)
-    steps: list[list[TrajectoryStep]] = [[] for _ in prompts]
-    for t in range(schedule.t_max_for(stage)):
+    states, labels = [], []
+    old_log_probs = np.empty((len(prompts), t_max))
+    rewards = np.empty((len(prompts), t_max))
+    for t in range(t_max):
         band = schedule.bounds_for(stage, t)
+        states.append(tuple(currents))
+        step_labels = []
         for j, keep_probs in enumerate(policy_forward(actor, currents)):
-            labels, log_prob = sample_actions(keep_probs, seed_for(seeds[j], t))
-            compressed = apply_action(currents[j], labels, keep_probs)
-            reward = compute_reward(prompts[j], compressed, reward_cfg, band, scorers).total
-            steps[j].append(TrajectoryStep(currents[j], labels, log_prob, reward))
-            currents[j] = compressed
-    return [
-        Trajectory(steps=tuple(s), final_rho=len(current) / len(prompt))
-        for s, current, prompt in zip(steps, currents, prompts)
-    ]
+            drawn, old_log_probs[j, t] = sample_actions(keep_probs, seed_for(seeds[j], t))
+            step_labels.append(drawn)
+            currents[j] = apply_action(currents[j], drawn, keep_probs)
+            rewards[j, t] = compute_reward(
+                prompts[j], currents[j], reward_cfg, band, scorers
+            ).total
+        labels.append(tuple(step_labels))
+    final_rho = np.array([len(c) / len(p) for c, p in zip(currents, prompts)])
+    return Round(tuple(states), tuple(labels), old_log_probs, rewards, final_rho)
 
 
 # ---------------------------------------------------------------------------
 # objectives
 
 
-def _clipped_term(
-    new_lp: float, step: TrajectoryStep, adv: float, clip_eps: float
-) -> tuple[float, bool, float]:
-    """One step's min(delta*A, clip(delta)*A); flags whether the
-    unclipped branch is active (i.e. gradient flows). A ratio that is not
-    finite gives a NaN term with no gradient, which the update round
-    reports as divergence."""
-    with np.errstate(over="ignore"):
-        delta = float(np.exp(new_lp - step.old_log_prob))
-    if not math.isfinite(delta):
-        return math.nan, False, delta
-    unclipped = delta * adv
-    clipped = min(max(delta, 1.0 - clip_eps), 1.0 + clip_eps) * adv
-    if unclipped <= clipped:
-        return unclipped, True, delta
-    return clipped, False, delta
-
-
 def ppo_objective_and_grads(
-    batch: Sequence[tuple[TrajectoryStep, float]],
+    seqs: Sequence[Sequence[int]],
+    labels: Sequence[np.ndarray],
+    old_log_probs: np.ndarray,
+    advantages: np.ndarray,
     actor_new: Actor,
     clip_eps: float,
     grad: ActorGradient,
 ) -> float:
-    """Objective; its gradient w.r.t. the new actor's parameters is
-    written into ``grad``.
+    """Mean clipped surrogate min(delta * A, clip(delta) * A) over the
+    batch of steps j, each ``labels[j]`` on ``seqs[j]`` with its old
+    log-probability and advantage; its gradient w.r.t. the new actor's
+    parameters is written into ``grad``.
 
     One encoder forward and one backward pass cover the whole batch, with
     each distinct prompt encoded once: each step's coefficient
     delta * A / n is applied to its tokens' upstream gradient before the
     backward. Steps where the clipped branch is the active minimum get
     coefficient 0 and so contribute no gradient, exactly like the
-    piecewise objective.
+    piecewise objective. A ratio that is not finite gives a NaN term with
+    no gradient, which the update round reports as divergence.
     """
-    if not batch:
+    n = len(seqs)
+    if not n:
         raise ValueError("empty batch")
-    new_lps, gradient_into = packed_action_log_probs(
-        actor_new,
-        [step.current.ids for step, _ in batch],
-        [step.labels for step, _ in batch],
-    )
-    total = 0.0
-    n = len(batch)
-    coeffs = np.zeros(n)
-    for j, (step, adv) in enumerate(batch):
-        term, flows, delta = _clipped_term(float(new_lps[j]), step, adv, clip_eps)
-        total += term
-        if flows:
-            coeffs[j] = delta * adv / n
+    new_lps, gradient_into = packed_action_log_probs(actor_new, seqs, labels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = np.exp(new_lps - old_log_probs)
+        unclipped = ratios * advantages
+        clipped = np.clip(ratios, 1.0 - clip_eps, 1.0 + clip_eps) * advantages
+        finite = np.isfinite(ratios)
+        flows = finite & (unclipped <= clipped)
+        terms = np.where(finite, np.where(flows, unclipped, clipped), np.nan)
+        coeffs = np.where(flows, unclipped / n, 0.0)
     gradient_into(coeffs, grad)
-    return total / n
+    # Python's sum, in batch order: numpy's pairwise summation of a long
+    # batch would move the objective's low bits.
+    return sum(terms.tolist()) / n
 
 
-def returns_from(rewards: Sequence[float], t: int, discount: float) -> float:
-    """Discounted return G_t = sum_{k>=t} discount^(k-t) * r_k."""
-    if not 0 <= t < len(rewards):
-        raise ValueError(f"t {t} out of range for {len(rewards)} rewards")
-    total = 0.0
-    factor = 1.0
-    for r in rewards[t:]:
-        total += factor * r
-        factor *= discount
-    return total
+def leave_one_out_advantages(rewards: np.ndarray, discount: float) -> np.ndarray:
+    """A[i, t] = G[i, t] - mean_{j != i} G[j, t] for the [M, T] rewards of
+    M >= 2 episodes.
 
-
-def leave_one_out_advantages(
-    trajs: Sequence[Trajectory], discount: float
-) -> list[list[float]]:
-    """A[i][t] = G_{i,t} - mean_{j != i} G_{j,t} over M >= 2 trajectories
-    of one length.
-
-    G is ``returns_from``. The baseline of trajectory i is the mean return
-    of the others at the same step index, so it needs no learned weights
-    and is independent of i's own action. Returns are taken relative to
-    the first trajectory's, which leaves A unchanged in exact arithmetic
-    and makes it exactly 0 when every return at a step index is equal.
+    G[i, t] = sum_{k>=t} discount^(k-t) * rewards[i, k], summed from
+    k = t upward. The baseline of episode i is the mean return of the
+    others at the same step index, so it needs no learned weights and is
+    independent of i's own action. Returns are taken relative to the
+    first episode's, which leaves A unchanged in exact arithmetic and
+    makes it exactly 0 when every return at a step index is equal.
     """
-    m = len(trajs)
-    returns = np.array(
-        [
-            [returns_from(traj.rewards, t, discount) for t in range(len(traj.steps))]
-            for traj in trajs
-        ]
-    )
+    m, t_max = rewards.shape
+    returns = np.zeros_like(rewards)
     # Non-finite returns give NaN advantages, and so a NaN objective,
     # which the update round reports; numpy need not warn of them.
     with np.errstate(invalid="ignore", over="ignore"):
+        factor = 1.0
+        for k in range(t_max):
+            returns[:, : t_max - k] += factor * rewards[:, k:]
+            factor *= discount
         d = returns - returns[0]
-        return ((m * d - d.sum(axis=0)) / (m - 1)).tolist()
+        return (m * d - d.sum(axis=0)) / (m - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +325,7 @@ def _exact_mean(values: Sequence[float]) -> float:
 
 
 def _update_round(
-    trajs: Sequence[Trajectory],
+    round_: Round,
     state: TrainState,
     trainer_cfg: TrainerConfig,
     schedule: CurriculumSchedule,
@@ -360,47 +334,35 @@ def _update_round(
     round_idx: int,
     grad: ActorGradient,
 ) -> None:
-    """M = len(trajs) PPO iterations, each on batch_size trajectories drawn
-    uniformly with replacement from the round's list. ``grad`` is the
-    storage each iteration's gradient is written into."""
-    m = len(trajs)
-    all_steps = [s for traj in trajs for s in traj.steps]
-    mean_reward = sum(s.reward for s in all_steps) / len(all_steps)
-    mean_rho = sum(t.final_rho for t in trajs) / len(trajs)
-    # A round never spans a stage boundary, so all M trajectories share
-    # one stage and one t_max, and step t of each ran under the same band.
-    bands = [
-        schedule.bounds_for(stage, t) for traj in trajs for t in range(len(traj.steps))
-    ]
+    """M PPO iterations, each on every step of batch_size episodes drawn
+    uniformly with replacement as row indices into ``round_``. ``grad``
+    is the storage each iteration's gradient is written into."""
+    m, t_max = round_.rewards.shape
+    mean_reward = sum(round_.rewards.ravel().tolist()) / round_.rewards.size
+    mean_rho = sum(round_.final_rho.tolist()) / m
+    # A round never spans a stage boundary, so step t of every episode
+    # ran under the same band.
+    bands = [schedule.bounds_for(stage, t) for t in range(t_max)] * m
     mean_c_s = _exact_mean([b[0] for b in bands])
     mean_c_l = _exact_mean([b[1] for b in bands])
 
-    advantages = leave_one_out_advantages(trajs, trainer_cfg.discount)
+    advantages = leave_one_out_advantages(round_.rewards, trainer_cfg.discount)
 
     for iteration in range(m):
         rng = np.random.default_rng(
             seed_for(trainer_cfg.seed, _TAG_UPDATE, stage, epoch, round_idx, iteration)
         )
-        batch = [
-            (step, advantages[i][t])
-            for i in rng.integers(0, m, size=trainer_cfg.batch_size)
-            for t, step in enumerate(trajs[i].steps)
-        ]
-
+        rows = rng.integers(0, m, size=trainer_cfg.batch_size)
         objective = ppo_objective_and_grads(
-            batch, state.actor, trainer_cfg.clip_eps, grad
+            [round_.states[t][i].ids for i in rows for t in range(t_max)],
+            [round_.labels[t][i] for i in rows for t in range(t_max)],
+            round_.old_log_probs[rows].ravel(),
+            advantages[rows].ravel(),
+            state.actor, trainer_cfg.clip_eps, grad,
         )
+        where = {"stage": stage, "epoch": epoch, "round": round_idx, "iteration": iteration}
         if not math.isfinite(objective):
-            state.log.append(
-                {
-                    "event": "diverged",
-                    "stage": stage,
-                    "epoch": epoch,
-                    "round": round_idx,
-                    "iteration": iteration,
-                    "objective": objective,
-                }
-            )
+            state.log.append({"event": "diverged", **where, "objective": objective})
             raise TrainingDiverged(
                 f"non-finite objective at stage {stage} epoch {epoch} "
                 f"round {round_idx} iteration {iteration}: {objective}",
@@ -413,10 +375,7 @@ def _update_round(
 
         state.log.append(
             {
-                "stage": stage,
-                "epoch": epoch,
-                "round": round_idx,
-                "iteration": iteration,
+                **where,
                 "objective": objective,
                 "mean_reward": mean_reward,
                 "mean_rho": mean_rho,
@@ -442,10 +401,10 @@ def hpc_train(
     ``encoder_cfg`` shapes the actor when no ``state`` is given. A stage
     of E epochs over P prompts has P * E episodes: episode k rolls out
     prompt k mod P in epoch k div P + 1. Round r is episodes rM to
-    rM + M - 1 (M = ``buffer_capacity``), collected in one call with the
-    actor the previous round left. Each step's leave-one-out advantage is
-    computed over the round's M trajectories, and M update iterations run,
-    each on a uniformly sampled batch of them.
+    rM + M - 1 (M = ``buffer_capacity``), collected into one ``Round``
+    with the actor the previous round left. Each step's leave-one-out
+    advantage is computed over the round's M episodes, and M update
+    iterations run, each on a uniformly sampled batch of them.
     A round is logged under the epoch of its last episode, numbered from
     0 within that epoch. Passing a ``state`` from a checkpoint resumes at
     ``state.next_stage`` and reproduces the uninterrupted run exactly.
@@ -473,12 +432,12 @@ def hpc_train(
                     seed_for(trainer_cfg.seed, _TAG_EPISODE, stage, e + 1, i)
                     for e, i in episodes
                 ]
-                trajs = collect_trajectory(
+                round_ = collect_trajectory(
                     [prompts[i] for _, i in episodes],
                     seeds, state.actor, schedule, stage, reward_cfg, scorers,
                 )
                 _update_round(
-                    trajs, state, trainer_cfg, schedule, stage, epoch, r - first, grad
+                    round_, state, trainer_cfg, schedule, stage, epoch, r - first, grad
                 )
             if progress is not None:
                 progress(f"stage {stage} epoch {epoch} done ({end - first} rounds)")

@@ -78,15 +78,16 @@ def action_log_prob(actor, ids, labels):
 
 
 def ppo_objective(batch, actor, clip_eps):
-    """Mean clipped surrogate min(delta A, clip(delta) A) of (step,
-    advantage) pairs, one sequence at a time: the reference the packed
+    """Mean clipped surrogate min(delta A, clip(delta) A) of steps (each
+    with ``ids``, ``labels``, ``old_log_prob`` and ``advantage``), one
+    sequence at a time: the reference the packed
     ``trainer.ppo_objective_and_grads`` is checked against."""
     total = 0.0
-    for step, advantage in batch:
-        new_lp = action_log_prob(actor, step.current.ids, step.labels)
+    for step in batch:
+        new_lp = action_log_prob(actor, step.ids, step.labels)
         delta = math.exp(new_lp - step.old_log_prob)
         clipped = min(max(delta, 1.0 - clip_eps), 1.0 + clip_eps)
-        total += min(delta * advantage, clipped * advantage)
+        total += min(delta * step.advantage, clipped * step.advantage)
     return total / len(batch)
 
 

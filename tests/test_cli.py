@@ -5,8 +5,10 @@ eval scores every method against one vocabulary/LM pairing, the CLI's
 defaults are the library's, every ``train`` setting, the seed and the
 fixed band included, is a config key, a config file's values reach the
 run under any ``--set`` and ``--seed`` beats the config's seed, no
-command imports scipy, and bad training config, a bad config file, a bad
-eval flag, seed or vocabulary size, an unfit prompt, a malformed,
+command imports scipy, an output whose ``.partial`` path holds a link, a
+hard link or a dangling link is written as a new file, and bad training
+config, a bad config file, a bad eval flag, seed or vocabulary size, an
+unknown or repeated eval method, an unfit prompt, a malformed,
 missing or empty corpus, a missing checkpoint, or an output in a
 missing directory, that is a directory, or that names a file the
 command reads (``train``'s ``--config`` file included) or another of its
@@ -120,6 +122,21 @@ class TestEvalPairing:
             rows[methods] = _rows(prefix, "selfinfo")
         assert rows["selfinfo,policy"]
         assert rows["selfinfo,policy"] == rows["policy,selfinfo"] == rows["selfinfo"]
+
+    @pytest.mark.parametrize("methods, message", [
+        ("random,bogus", "unknown compressor 'bogus'; valid names: "
+                         "identity, random, selfinfo, policy"),
+        ("random,random,identity", "--methods names 'random' more than once"),
+    ])
+    def test_unknown_or_repeated_method_is_usage_error(self, tmp_path, capsys,
+                                                       methods, message):
+        corpus = tmp_path / "eval.jsonl"
+        _small_corpus(corpus)
+        code = main(["eval", "--corpus", str(corpus), "--methods", methods,
+                     "--out-prefix", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == [corpus]  # no manifest, no output
 
     def test_policy_without_checkpoint_is_usage_error(self, tmp_path, capsys):
         corpus = tmp_path / "eval.jsonl"
@@ -943,6 +960,41 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, fuzz_checkpoints, co
         assert not any(written.iterdir())
 
 
+@pytest.mark.parametrize("link", ["symlink", "hard-link", "dangling-symlink"])
+@pytest.mark.parametrize("command, linked", [
+    ("make-corpus", "c.jsonl"), ("train", "t.ckpt"), ("train", "t.ckpt.log.jsonl"),
+])
+def test_an_entry_at_the_partial_path_is_replaced_not_written_through(
+    tmp_path, command, linked, link
+):
+    # make-corpus's corpus and train's checkpoint are written by a
+    # function, train's log as text; each is written as a new file,
+    # whatever sits at its .partial path.
+    victim = tmp_path / "victim.txt"
+    victim.write_text("not an output\n", encoding="utf-8")
+    corpus = tmp_path / "train.jsonl"
+    _small_corpus(corpus)
+    out = tmp_path / ("c.jsonl" if command == "make-corpus" else "t.ckpt")
+    partial = tmp_path / f"{linked}.partial"
+    if link == "symlink":
+        partial.symlink_to(victim)
+    elif link == "hard-link":
+        os.link(victim, partial)
+    else:
+        partial.symlink_to(tmp_path / "new.txt")
+    before = {p.name: p.read_bytes() for p in (victim, corpus)}
+    argv = {"make-corpus": ["make-corpus", "--n", "2", "--filler", "0.5"],
+            "train": ["train", "--corpus", str(corpus)]}[command]
+    assert main([*argv, "--out", str(out)]) == 0
+    written = {out.name, f"{out.name}.manifest.json",
+               *([f"{out.name}.log.jsonl"] if command == "train" else [])}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({*before, *written})
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+    for name in written:
+        path = tmp_path / name
+        assert path.is_file() and not path.is_symlink() and os.stat(path).st_nlink == 1
+
+
 def test_output_on_a_symlink_loop_replaces_the_link(tmp_path):
     # The output checks resolve the path without raising on the loop, and
     # the rename replaces the link, as it did before those checks.
@@ -1288,8 +1340,9 @@ class TestCompressEvalFuzz:
     or one whose ``.partial`` path does cannot be written, all exit 2; a
     truncated checkpoint, or
     one whose vocabulary does not fit its encoder, is reported as a
-    corrupt checkpoint, exit 1, also with nothing written. A run with no
-    other fault on a checkpoint of the wrong vocabulary exits 1."""
+    corrupt checkpoint, exit 1, also with nothing written. An eval that
+    names a method twice exits 2 before it reads the checkpoint. A run
+    with no other fault on a checkpoint of the wrong vocabulary exits 1."""
 
     RUNS = 100
 
@@ -1365,6 +1418,9 @@ class TestCompressEvalFuzz:
                 expected = f"the partial file of the {role} {corpus}, which this command reads"
             inputs = set(run.iterdir())
             argv = _fuzzed_argv(rng, p, command, corpus, ckpt, out)
+            methods = [] if command == "compress" else [
+                m for m in argv[argv.index("--methods") + 1].split(",") if m]
+            repeated = len(set(methods)) < len(methods)
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse refuses a flag's value
@@ -1376,8 +1432,10 @@ class TestCompressEvalFuzz:
             if kind in unwritable and "cannot write" in err:
                 assert err == f"error: cannot write {written}: {expected}\n", case
                 unwritable[kind] += 1
+            if p == 0.0 and repeated:
+                assert code == 2 and "more than once" in err, case
             if kind in MISPAIRED:
-                assert code == 1 if p == 0.0 else code in (1, 2), case
+                assert code == 1 if p == 0.0 and not repeated else code in (1, 2), case
                 mispaired_codes.append(code)
             if code == 1:
                 assert kind in ("truncated", *MISPAIRED), case

@@ -1,9 +1,10 @@
 """Trainer tests: curriculum schedule, PPO objective, returns and their
-leave-one-out advantages, update rounds, trajectory collection, the full
+leave-one-out advantages, update rounds, round collection, the full
 loop, and checkpoint/resume."""
 
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from promptpress.policy import (
     Actor,
     ActorGradient,
     actor_shapes,
+    packed_action_log_probs,
     policy_forward,
     seed_for,
 )
@@ -39,14 +41,12 @@ from promptpress.trainer import (
     CHECKPOINT_MEMBERS,
     CurriculumSchedule,
     TrainerConfig,
-    TrajectoryStep,
     collect_trajectory,
     hpc_train,
     init_train_state,
     leave_one_out_advantages,
     load_checkpoint,
     ppo_objective_and_grads,
-    returns_from,
     save_checkpoint,
 )
 
@@ -152,24 +152,34 @@ class TestCurriculumBounds:
                     assert 0.0 < c_s < c_l <= 1.0, (psi, stage, t)
 
 
+class Step(NamedTuple):
+    """One step of a batch: the labels sampled on a prompt's ids, their
+    log-probability when sampled, and the step's advantage."""
+
+    ids: tuple[int, ...]
+    labels: np.ndarray
+    old_log_prob: float
+    advantage: float
+
+
 def _synthetic_step(actor, ids, labels, delta, advantage):
-    """A (step, advantage) pair whose policy ratio under ``actor`` is
-    exactly ``delta``."""
+    """A step whose policy ratio under ``actor`` is exactly ``delta``."""
     new_lp = action_log_prob(actor, ids, labels)
-    step = TrajectoryStep(
-        current=TokenSequence(ids),
-        labels=np.array(labels),
-        old_log_prob=new_lp - math.log(delta),
-        reward=advantage,
-    )
-    return step, advantage
+    return Step(tuple(ids), np.array(labels), new_lp - math.log(delta), advantage)
 
 
 def _objective_and_grads(batch, actor, clip_eps):
     """The program's (packed) clipped-surrogate objective and its
     gradient, as named views of a fresh gradient vector."""
     grad = ActorGradient(actor.encoder.cfg)
-    return ppo_objective_and_grads(batch, actor, clip_eps, grad), grad.views
+    objective = ppo_objective_and_grads(
+        [step.ids for step in batch],
+        [step.labels for step in batch],
+        np.array([step.old_log_prob for step in batch]),
+        np.array([step.advantage for step in batch]),
+        actor, clip_eps, grad,
+    )
+    return objective, grad.views
 
 
 def _objective(batch, actor, clip_eps):
@@ -216,13 +226,8 @@ class TestPpoObjective:
         # An overflowing ratio is a NaN term with no gradient; the update
         # round reports the NaN objective as divergence.
         actor = self._actor()
-        step = TrajectoryStep(
-            current=TokenSequence((1, 2)),
-            labels=np.array([1, 1]),
-            old_log_prob=-1e6,
-            reward=0.0,
-        )
-        objective, grads = _objective_and_grads([(step, 1.0)], actor, 0.15)
+        step = Step((1, 2), np.array([1, 1]), old_log_prob=-1e6, advantage=1.0)
+        objective, grads = _objective_and_grads([step], actor, 0.15)
         assert math.isnan(objective)
         assert all(np.all(g == 0) for g in grads.values())
 
@@ -300,10 +305,9 @@ class TestPackedObjectives:
         eps, n = 0.15, len(batch)
         expected = {k: np.zeros_like(v) for k, v in actor.parameters().items()}
         total, flowing = 0.0, 0
-        for step, advantage in batch:
-            lp, grads = packed_log_prob_and_grad(
-                actor, step.current.ids, step.labels
-            )
+        for step in batch:
+            advantage = step.advantage
+            lp, grads = packed_log_prob_and_grad(actor, step.ids, step.labels)
             delta = math.exp(lp - step.old_log_prob)
             unclipped = delta * advantage
             clipped = min(max(delta, 1 - eps), 1 + eps) * advantage
@@ -331,9 +335,9 @@ class TestPackedObjectives:
         max_len sequence once more with other labels: a pass encodes the
         four distinct sequences once each."""
         batch = self._batch(cfg, actor)
-        ids = batch[2][0].current.ids
+        ids = batch[2].ids
         relabeled = _synthetic_step(
-            actor, ids, tuple(1 - int(a) for a in batch[2][0].labels), 0.95, 1.2
+            actor, ids, tuple(1 - int(a) for a in batch[2].labels), 0.95, 1.2
         )
         return [batch[0], *batch[1:3], batch[0], relabeled, batch[3], batch[0]]
 
@@ -343,8 +347,9 @@ class TestPackedObjectives:
         eps, n = 0.15, len(batch)
         expected = {k: np.zeros_like(v) for k, v in actor.parameters().items()}
         total, flowing = 0.0, 0
-        for step, advantage in batch:
-            lp, grads = packed_log_prob_and_grad(actor, step.current.ids, step.labels)
+        for step in batch:
+            advantage = step.advantage
+            lp, grads = packed_log_prob_and_grad(actor, step.ids, step.labels)
             delta = math.exp(lp - step.old_log_prob)
             unclipped = delta * advantage
             clipped = min(max(delta, 1 - eps), 1 + eps) * advantage
@@ -368,6 +373,28 @@ class TestPackedObjectives:
         assert objective == pytest.approx(total / n, rel=1e-12)
         assert _relative_gap(got, expected) <= 1e-12
 
+    @pytest.mark.parametrize("makes", [
+        ("_batch",), ("_repeated_batch",), ("_batch", "_repeated_batch"),
+    ], ids=["mixed", "repeated", "both"])
+    def test_objective_equals_a_per_step_loop(self, makes):
+        # The batch's own packed log-probabilities, folded one step at a
+        # time in batch order as scalars: the array expressions give the
+        # same bits. The two batches back to back are 11 steps, past the
+        # 8 that numpy's sum adds one at a time.
+        cfg, actor = self._models()
+        batch = [step for make in makes for step in getattr(self, make)(cfg, actor)]
+        eps = 0.15
+        new_lps, _ = packed_action_log_probs(
+            actor, [step.ids for step in batch], [step.labels for step in batch]
+        )
+        total = 0.0
+        for lp, step in zip(new_lps.tolist(), batch):
+            delta = float(np.exp(lp - step.old_log_prob))
+            unclipped = delta * step.advantage
+            clipped = min(max(delta, 1 - eps), 1 + eps) * step.advantage
+            total += min(unclipped, clipped)
+        assert _objective(batch, actor, eps) == total / len(batch)
+
     def test_ppo_with_repeats_finite_difference(self):
         cfg, actor = self._models()
         batch = self._repeated_batch(cfg, actor)
@@ -379,27 +406,30 @@ class TestPackedObjectives:
 
 
 class TestReturns:
-    def test_hand_sums(self):
-        assert returns_from([1.0, 2.0], 0, 1.0) == pytest.approx(3.0)
-        assert returns_from([1.0, 2.0], 1, 1.0) == pytest.approx(2.0)
-        assert returns_from([1.0, 2.0, 4.0], 0, 0.5) == pytest.approx(3.0)
+    """Against an episode of zero rewards, an episode's leave-one-out
+    advantages are its returns G_t = sum_{k>=t} discount^(k-t) r_k."""
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            returns_from([1.0], 1, 1.0)
-        with pytest.raises(ValueError):
-            returns_from([1.0], -1, 1.0)
-
-
-def _trajectory_with_rewards(rewards):
-    """A trajectory whose steps carry ``rewards``; nothing else is read."""
-    steps = tuple(
-        TrajectoryStep(TokenSequence((1, 2)), np.array([1, 1]), old_log_prob=0.0, reward=r)
-        for r in rewards
+    @pytest.mark.parametrize(
+        "discount, returns", [(1.0, [7.0, 6.0, 4.0]), (0.5, [3.0, 4.0, 4.0])]
     )
-    return trainer.Trajectory(
-        steps=steps, final_rho=1.0
-    )
+    def test_hand_sums(self, discount, returns):
+        rewards = np.array([[1.0, 2.0, 4.0], [0.0, 0.0, 0.0]])
+        advantages = leave_one_out_advantages(rewards, discount)
+        assert advantages.tolist() == [returns, [-g for g in returns]]
+
+    def test_each_return_is_summed_from_t_upward(self):
+        # The scalar loop adds discount^(k-t) * r_k for k = t upward,
+        # starting at 0.0; the array sums give the same bits.
+        rewards = np.random.default_rng(5).normal(-150, 60, size=5)
+        returns = []
+        for t in range(len(rewards)):
+            total, factor = 0.0, 1.0
+            for r in rewards[t:].tolist():
+                total += factor * r
+                factor *= 0.9
+            returns.append(total)
+        advantages = leave_one_out_advantages(np.array([rewards, np.zeros(5)]), 0.9)
+        assert advantages[0].tolist() == returns
 
 
 class TestLeaveOneOut:
@@ -407,9 +437,8 @@ class TestLeaveOneOut:
 
     def test_hand_values(self):
         # Returns G (discount 1): [3, 2], [1, 1], [2, -2].
-        rewards = ([1.0, 2.0], [0.0, 1.0], [4.0, -2.0])
-        trajs = [_trajectory_with_rewards(r) for r in rewards]
-        advantages = leave_one_out_advantages(trajs, 1.0)
+        rewards = np.array([[1.0, 2.0], [0.0, 1.0], [4.0, -2.0]])
+        advantages = leave_one_out_advantages(rewards, 1.0)
         # t = 0: 3 - (1 + 2) / 2, 1 - (3 + 2) / 2, 2 - (3 + 1) / 2
         # t = 1: 2 - (1 - 2) / 2, 1 - (2 - 2) / 2, -2 - (2 + 1) / 2
         expected = [[1.5, 2.5], [-1.5, 1.0], [0.0, -3.5]]
@@ -417,26 +446,26 @@ class TestLeaveOneOut:
 
     def test_sums_to_zero_at_each_step_index(self):
         rng = np.random.default_rng(3)
-        trajs = [
-            _trajectory_with_rewards(rng.normal(-150, 60, size=2)) for _ in range(16)
-        ]
-        advantages = np.asarray(leave_one_out_advantages(trajs, 0.9))
+        rewards = np.array([rng.normal(-150, 60, size=2) for _ in range(16)])
+        advantages = leave_one_out_advantages(rewards, 0.9)
         assert advantages.shape == (16, 2)
         assert np.abs(advantages.sum(axis=0)).max() <= 1e-10
         assert np.abs(advantages).max() > 1.0
 
     def test_identical_returns_leave_the_actor_unmoved(self):
         prompts, _, scorers, encoder_cfg, trainer_cfg = _small_training_setup()
-        (traj,) = collect_trajectory(
-            [prompts[1]], [5], Actor.build(encoder_cfg, seed=3),
+        m = trainer_cfg.buffer_capacity
+        # One prompt on one seed, M times: M identical episodes.
+        round_ = collect_trajectory(
+            [prompts[1]] * m, [5] * m, Actor.build(encoder_cfg, seed=3),
             CurriculumSchedule(), 1, RewardConfig(), scorers,
         )
-        trajs = [traj] * trainer_cfg.buffer_capacity
-        assert leave_one_out_advantages(trajs, 1.0) == [[0.0, 0.0]] * 4
+        advantages = leave_one_out_advantages(round_.rewards, 1.0)
+        assert advantages.tolist() == [[0.0, 0.0]] * 4
         state = init_train_state(trainer_cfg, encoder_cfg)
         before = {k: v.copy() for k, v in state.actor.parameters().items()}
         trainer._update_round(
-            trajs, state, trainer_cfg, CurriculumSchedule(), 1, 1, 0,
+            round_, state, trainer_cfg, CurriculumSchedule(), 1, 1, 0,
             ActorGradient(encoder_cfg),
         )
         after = state.actor.parameters()
@@ -444,32 +473,29 @@ class TestLeaveOneOut:
         assert [r["objective"] for r in state.log] == [0.0] * 4
         # Exact for any M: with M = 6 the uncentred (M G_i - sum_j G_j) / (M - 1)
         # leaves about 5e-14 here.
-        six = [_trajectory_with_rewards([-187.3, 0.1])] * 6
-        assert leave_one_out_advantages(six, 1.0) == [[0.0, 0.0]] * 6
+        six = np.array([[-187.3, 0.1]] * 6)
+        assert leave_one_out_advantages(six, 1.0).tolist() == [[0.0, 0.0]] * 6
 
     def test_each_step_is_scored_with_its_own_advantage(self, monkeypatch):
         prompts, _, scorers, encoder_cfg, trainer_cfg = _small_training_setup()
         state = init_train_state(trainer_cfg, encoder_cfg)
         m = trainer_cfg.buffer_capacity
-        trajs = [
-            collect_trajectory(
-                [prompts[i]], [i], state.actor, CurriculumSchedule(), 1,
-                RewardConfig(), scorers,
-            )[0]
-            for i in range(m)
-        ]
-        advantages = leave_one_out_advantages(trajs, trainer_cfg.discount)
-        assert len({a for row in advantages for a in row}) == 2 * m
+        round_ = collect_trajectory(
+            prompts[:m], list(range(m)), state.actor, CurriculumSchedule(), 1,
+            RewardConfig(), scorers,
+        )
+        advantages = leave_one_out_advantages(round_.rewards, trainer_cfg.discount)
+        assert len(set(advantages.ravel().tolist())) == 2 * m
         batches = []
         objective_and_grads = trainer.ppo_objective_and_grads
 
-        def record(batch, *args):
-            batches.append(batch)
-            return objective_and_grads(batch, *args)
+        def record(seqs, labels, old_log_probs, advantages, *args):
+            batches.append(_batch_bits(seqs, labels, old_log_probs, advantages))
+            return objective_and_grads(seqs, labels, old_log_probs, advantages, *args)
 
         monkeypatch.setattr(trainer, "ppo_objective_and_grads", record)
         trainer._update_round(
-            trajs, state, trainer_cfg, CurriculumSchedule(), 1, 1, 0,
+            round_, state, trainer_cfg, CurriculumSchedule(), 1, 1, 0,
             ActorGradient(encoder_cfg),
         )
         expected = []
@@ -478,11 +504,13 @@ class TestLeaveOneOut:
                 seed_for(trainer_cfg.seed, trainer._TAG_UPDATE, 1, 1, 0, iteration)
             )
             picks = rng.integers(0, m, size=trainer_cfg.batch_size)
-            expected.append([
-                (step, advantages[i][t])
-                for i in picks
-                for t, step in enumerate(trajs[i].steps)
-            ])
+            steps = [(i, t) for i in picks for t in range(len(round_.states))]
+            expected.append(_batch_bits(
+                [round_.states[t][i].ids for i, t in steps],
+                [round_.labels[t][i] for i, t in steps],
+                np.array([round_.old_log_probs[i, t] for i, t in steps]),
+                np.array([advantages[i, t] for i, t in steps]),
+            ))
         assert batches == expected
 
     def test_buffer_of_one_errors(self):
@@ -490,14 +518,32 @@ class TestLeaveOneOut:
             TrainerConfig(batch_size=1, buffer_capacity=1)
 
 
-def _fields(traj):
-    """Every stored value of a trajectory, labels as their bytes, so that
-    two trajectories compare bitwise."""
+def _batch_bits(seqs, labels, old_log_probs, advantages):
+    """A batch of ``ppo_objective_and_grads``, labels and arrays as their
+    dtypes and bytes, so that two batches compare bitwise."""
+    return (
+        [tuple(seq) for seq in seqs],
+        [(a.dtype, a.tobytes()) for a in labels],
+        [(a.dtype, a.shape, a.tobytes()) for a in (old_log_probs, advantages)],
+    )
+
+
+def _episode(round_, i):
+    """Every stored value of episode ``i`` of a round, labels and floats
+    as their bytes, so that two episodes compare bitwise."""
     steps = [
-        (s.current, s.labels.dtype, s.labels.tobytes(), s.old_log_prob, s.reward)
-        for s in traj.steps
+        (states[i], labels[i].dtype, labels[i].tobytes())
+        for states, labels in zip(round_.states, round_.labels)
     ]
-    return steps, traj.final_rho
+    floats = (round_.old_log_probs[i], round_.rewards[i], round_.final_rho[i])
+    return steps, [(a.dtype, a.tobytes()) for a in floats]
+
+
+def _fields(round_):
+    """Every stored value of a round, episode by episode, and its shapes."""
+    m = len(round_.final_rho)
+    shapes = (round_.old_log_probs.shape, round_.rewards.shape, round_.final_rho.shape)
+    return shapes, [_episode(round_, i) for i in range(m)]
 
 
 class TestCollectTrajectory:
@@ -507,11 +553,12 @@ class TestCollectTrajectory:
         self.prompt = self.prompts[1]
 
     def test_stage3_has_one_step(self):
-        (traj,) = collect_trajectory(
+        round_ = collect_trajectory(
             [self.prompt], [9], self.actor,
             CurriculumSchedule(), 3, RewardConfig(), self.scorers,
         )
-        assert len(traj.steps) == 1
+        assert len(round_.states) == len(round_.labels) == 1
+        assert round_.old_log_probs.shape == round_.rewards.shape == (1, 1)
 
     def test_fixed_seed_repeats_bitwise(self):
         kwargs = dict(
@@ -519,7 +566,7 @@ class TestCollectTrajectory:
             actor=self.actor, schedule=CurriculumSchedule(), stage=1,
             reward_cfg=RewardConfig(), scorers=self.scorers,
         )
-        (a,), (b,) = collect_trajectory(**kwargs), collect_trajectory(**kwargs)
+        a, b = collect_trajectory(**kwargs), collect_trajectory(**kwargs)
         assert _fields(a) == _fields(b)
 
     def test_empty_prompt_errors(self):
@@ -536,12 +583,12 @@ class TestCollectTrajectory:
         actor = Actor(self.actor.encoder.cfg, self.actor.flat.copy())
         actor.head_w[...] = 0.0
         actor.head_b[...] = (0.0, keep_logit)
-        (traj,) = collect_trajectory(
+        round_ = collect_trajectory(
             [self.prompt], [3], actor,
             CurriculumSchedule(), 1, RewardConfig(), self.scorers,
         )
         n = len(self.prompt)
-        assert traj.final_rho == (final_len or n) / n
+        assert round_.final_rho.tolist() == [(final_len or n) / n]
 
     def test_a_round_gives_each_episode_what_it_gets_alone(self):
         # Mixed lengths, a prompt twice and a 1-token prompt (a pass of its
@@ -559,14 +606,14 @@ class TestCollectTrajectory:
         seeds = [31, 32, 33, 34, 35, 36]
         rest = (actor, CurriculumSchedule(), 1, RewardConfig(), scorers)
         together = collect_trajectory(prompts, seeds, *rest)
-        alone = [
-            collect_trajectory([q], [seed], *rest)[0]
-            for q, seed in zip(prompts, seeds)
+        alone = [collect_trajectory([q], [seed], *rest) for q, seed in zip(prompts, seeds)]
+        assert [len(states) for states in together.states] == [len(prompts)] * 2
+        assert together.rewards.shape == (len(prompts), 2)
+        assert [_episode(together, i) for i in range(len(prompts))] == [
+            _episode(round_, 0) for round_ in alone
         ]
-        assert [len(traj.steps) for traj in together] == [2] * len(prompts)
-        assert [_fields(traj) for traj in together] == [_fields(traj) for traj in alone]
         # The two copies of p[2] ran on their own seeds.
-        assert _fields(together[1]) != _fields(together[4])
+        assert _episode(together, 1) != _episode(together, 4)
 
     def test_hand_traced_rollout(self):
         """Re-derive every stored field with direct component calls."""
@@ -576,25 +623,29 @@ class TestCollectTrajectory:
         schedule = CurriculumSchedule()
         reward_cfg = RewardConfig()
         stage, seed = 1, 21
-        (traj,) = collect_trajectory(
+        round_ = collect_trajectory(
             [self.prompt], [seed], self.actor,
             schedule, stage, reward_cfg, self.scorers,
         )
         current = self.prompt
-        for t, step in enumerate(traj.steps):
+        old_log_probs, rewards = [], []
+        for t in range(schedule.t_max_for(stage)):
             band = schedule.bounds_for(stage, t)
             (keep_probs,) = policy_forward(self.actor, [current])
             labels, lp = sample_actions(keep_probs, seed_for(seed, t))
-            assert step.current == current
-            assert step.labels.tobytes() == labels.tobytes()
-            assert step.old_log_prob == lp
+            assert round_.states[t] == (current,)
+            (stored,) = round_.labels[t]
+            assert (stored.dtype, stored.tobytes()) == (labels.dtype, labels.tobytes())
             nxt = apply_action(current, labels, keep_probs)
-            expected_reward = compute_reward(
+            old_log_probs.append(lp)
+            rewards.append(compute_reward(
                 self.prompt, nxt, reward_cfg, band, self.scorers
-            ).total
-            assert step.reward == expected_reward
+            ).total)
             current = nxt
-        assert traj.final_rho == len(current) / len(self.prompt)
+        assert len(round_.states) == len(round_.labels) == len(rewards)
+        assert round_.old_log_probs.tobytes() == np.array([old_log_probs]).tobytes()
+        assert round_.rewards.tobytes() == np.array([rewards]).tobytes()
+        assert round_.final_rho.tobytes() == np.array([len(current) / len(self.prompt)]).tobytes()
 
 
 def _small_training_setup(n_prompts=8, n_gen=2):
@@ -785,9 +836,9 @@ class TestCollectionPlan:
         events = []
         update_round = trainer._update_round
 
-        def recorded(trajs, state, cfg, schedule, stage, epoch, round_idx, grad):
+        def recorded(round_, state, cfg, schedule, stage, epoch, round_idx, grad):
             events.append((stage, epoch, round_idx))
-            update_round(trajs, state, cfg, schedule, stage, epoch, round_idx, grad)
+            update_round(round_, state, cfg, schedule, stage, epoch, round_idx, grad)
 
         monkeypatch.setattr(trainer, "_update_round", recorded)
         hpc_train(

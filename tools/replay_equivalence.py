@@ -39,8 +39,11 @@ directory of its own, as ``python -m promptpress.cli`` with that tree's
   fails (exit 1) and writes its log, no checkpoint, and a manifest naming
   the log alone; once on the 64 masked prompts at n-gram order 3 with a
   buffer of 16, so that corpus set-up runs at size and the log's rewards
-  read the trigram proxy it fits; and two collection-only
-  fixtures whose head is then set to seeded random values: a zero head
+  read the trigram proxy it fits; once on ``syn8`` with
+  ``trainer.discount=0.9``, three-step episodes and a buffer of 4, so
+  that updates run on returns summed with a discount below 1; and two
+  collection-only fixtures whose head is then set to seeded random
+  values: a zero head
   keeps every probability at 0.5, so a change in the encoder's numerics
   would not show in what the policy drops. A second
   copy of each fixture also has its feed-forward w1 scaled by 20, so
@@ -257,6 +260,12 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("train-syn64-order3", ["train", "--corpus", "bsyn64.jsonl", "--out", "t16.ckpt",
                             "--seed", "16", "--set", "scoring.ngram_order=3",
                             "--set", "trainer.buffer_m=16"]),
+    # Updates on three-step returns summed with a discount below 1.
+    ("train-discount0.9-steps3", ["train", "--corpus", "syn8.jsonl", "--out", "t17.ckpt",
+                                  "--seed", "17", "--set", "trainer.discount=0.9",
+                                  "--set", "curriculum.t_max=[3]",
+                                  "--set", "curriculum.epochs=[1]",
+                                  "--set", "trainer.buffer_m=4"]),
 ]
 
 
