@@ -10,13 +10,13 @@ written before any long-running work, so every run is reproducible from
 its manifest alone: a ``train`` run reruns on the manifest's input
 corpus with its ``config``, as it is, for the ``--config`` file. Exit
 codes: 0 success, 2 usage or validation error, 1 runtime failure. An
-output that, or whose ``.partial`` path, is a directory or names a file
-the command reads or another of its outputs, is a usage error found
+output that is a directory (as a path with no name is) or names a file
+the command reads or another of its outputs is a usage error found
 before the manifest; an output path that cannot be written is one found
-when the manifest, each command's first write, fails. Artifacts are
-written as new files at a ``.partial`` path, replacing any entry there,
-and renamed only when complete. A
-``train`` run whose objective diverges writes its log, ending in the
+when the manifest, each command's first write, fails. Each output is
+written to a new file beside it, ``<out>.<8 hex digits>.partial``, and
+renamed onto it when complete; a killed run leaves that file. A ``train``
+run whose objective diverges writes its log, ending in the
 ``"diverged"`` record, and no checkpoint, rewrites its manifest to list
 the log alone, and exits 1.
 
@@ -152,19 +152,25 @@ class UsageError(Exception):
 
 
 def _atomic(path: Path, content) -> None:
-    """Write ``content`` to a .partial path, then rename into place.
-
-    ``content`` is text, written as UTF-8, or a function that writes the
-    path it is given. Any entry at the .partial path, a link included,
-    is removed first, so the write never goes through it.
-    """
-    partial = path.with_name(path.name + ".partial")
-    partial.unlink(missing_ok=True)
-    if isinstance(content, str):
-        partial.write_text(content, encoding="utf-8")
-    else:
-        content(partial)
-    os.replace(partial, path)
+    """Write ``content``, text or a function that writes the path it is
+    given, to a new file beside ``path``, created as ``open`` creates one
+    under a name no entry had; rename it onto ``path``, or remove it if
+    the write fails. Text is not reopened: ext4 flushes a truncated file."""
+    while True:
+        staging = Path(f"{path}.{os.urandom(4).hex()}.partial")
+        with contextlib.suppress(FileExistsError):
+            created = open(staging, "x", encoding="utf-8")
+            break
+    try:
+        with created:
+            if isinstance(content, str):
+                created.write(content)
+            else:
+                content(staging)
+        os.replace(staging, path)
+    except BaseException:
+        staging.unlink(missing_ok=True)
+        raise
 
 
 def _jsonl(records) -> str:
@@ -226,34 +232,29 @@ def write_manifest(
     config_file: str | None = None,
 ) -> None:
     """Write ``<out>.manifest.json``, a command's first write, before any
-    work. Each output, the manifest first and then ``artifacts`` in the
-    order they are written, is refused if it or the ``.partial`` path it
-    is first written to is a directory, or resolves to a file the command
-    reads (``inputs`` and ``config_file``), to an earlier output's path or
-    ``.partial`` path, or, for the ``.partial`` path, to the output
-    itself; these refusals, and an ``OSError`` of the write, are usage
-    errors naming the path. A later write that fails is a runtime
-    failure."""
-    manifest_path = out.with_name(out.name + ".manifest.json")
+    work. An ``out`` with no name (``.``, ``/``) is a directory. Each
+    output, the manifest first and then ``artifacts`` in the order they
+    are written, is refused if it is a directory, or resolves to a file
+    the command reads (``inputs`` and ``config_file``) or to an earlier
+    output; these refusals, and an ``OSError`` of the write, are usage
+    errors naming the path. A later write that fails is a runtime failure."""
+    if not out.name:
+        raise UsageError(f"cannot write {out}: {os.strerror(errno.EISDIR)}")
+    manifest_path = Path(f"{out}.manifest.json")
     taken = {
         os.path.realpath(path): f"the {role} {path}, which this command reads"
         for role, path in [*inputs.items(), ("config file", config_file)] if path
     }
     for role, path in [("manifest", manifest_path),
                        *((role, Path(path)) for role, path in artifacts.items())]:
-        # _atomic removes the entry at the .partial path, which can still
-        # be an input when it is reached through a linked directory.
+        if path.is_dir():
+            raise UsageError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
         # Unlike Path.resolve, realpath never raises.
-        partial = path.with_name(path.name + ".partial")
-        for target, what in ((path, f"the {role}"),
-                             (partial, f"the partial file of the {role}")):
-            if target.is_dir():
-                raise UsageError(f"cannot write {target}: {os.strerror(errno.EISDIR)}")
-            resolved = os.path.realpath(target)
-            if resolved in taken:
-                raise UsageError(f"cannot write {path}: {what} would replace "
-                                 f"{taken[resolved]}")
-            taken[resolved] = f"{what} {target}"
+        resolved = os.path.realpath(path)
+        if resolved in taken:
+            raise UsageError(f"cannot write {path}: the {role} would replace "
+                             f"{taken[resolved]}")
+        taken[resolved] = f"the {role} {path}"
     manifest = dict(tool="promptpress", version=__version__, command=command, seed=seed,
                     config=config, inputs=inputs, artifacts=artifacts)
     try:
@@ -356,7 +357,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise UsageError(f"invalid training config: {exc}") from exc
 
     out = Path(args.out)
-    log_path = Path(args.log) if args.log else out.with_name(out.name + ".log.jsonl")
+    log_path = Path(args.log) if args.log else Path(f"{out}.log.jsonl")
 
     def manifest(artifacts: dict[str, str]) -> None:
         write_manifest(out, command="train", seed=trainer_cfg.seed, config=config,
@@ -504,8 +505,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     prompts = _checked_prompts(corpus, vocab, max_len)
 
     prefix = Path(args.out_prefix)
-    jsonl_path = prefix.with_name(prefix.name + ".jsonl")
-    table_path = prefix.with_name(prefix.name + ".txt")
+    jsonl_path, table_path = Path(f"{prefix}.jsonl"), Path(f"{prefix}.txt")
     write_manifest(prefix, command="eval", seed=seed,
                    config={"methods": methods, "rho": args.rho,
                            "ngram_order": args.ngram_order, "n_gen": args.n_gen,

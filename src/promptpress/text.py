@@ -95,10 +95,10 @@ def split_surfaces(text: str) -> list[str]:
 
 
 def build_vocabulary(corpus: Sequence[PromptRecord], max_size: int) -> Vocabulary:
-    """Build a vocabulary of the ``max_size - 1`` most frequent surfaces.
+    """Build a vocabulary of the ``max_size - 1`` most frequent surfaces
+    but ``UNKNOWN_SURFACE``, the unknown token's, which takes the last id.
 
-    Ties are broken by lexicographic order of the surface string. The
-    unknown token takes the last id.
+    Ties are broken by lexicographic order of the surface string.
     """
     if not corpus:
         raise ValueError("empty corpus")
@@ -106,7 +106,7 @@ def build_vocabulary(corpus: Sequence[PromptRecord], max_size: int) -> Vocabular
         raise ValueError("max_size must be >= 2")
     counts = Counter(chain.from_iterable(split_surfaces(r.text) for r in corpus))
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    kept = [surface for surface, _ in ranked[: max_size - 1]]
+    kept = [surface for surface, _ in ranked if surface != UNKNOWN_SURFACE][: max_size - 1]
     surfaces = tuple(kept) + (UNKNOWN_SURFACE,)
     return Vocabulary(surfaces=surfaces, unknown_id=len(surfaces) - 1)
 

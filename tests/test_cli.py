@@ -5,30 +5,38 @@ eval scores every method against one vocabulary/LM pairing, the CLI's
 defaults are the library's, every ``train`` setting, the seed and the
 fixed band included, is a config key, a config file's values reach the
 run under any ``--set`` and ``--seed`` beats the config's seed, no
-command imports scipy, an output whose ``.partial`` path holds a link, a
-hard link or a dangling link is written as a new file, and bad training
-config, a bad config file, a bad eval flag, seed or vocabulary size, an
-unknown or repeated eval method, an unfit prompt, a malformed,
-missing or empty corpus, a missing checkpoint, or an output in a
-missing directory, that is a directory, or that names a file the
+command imports scipy, an entry at an output's ``.partial`` path (a
+link, a hard link, a dangling link, a directory, an input or another
+output) is left as it was, two writers of one path both succeed, a
+writer that fails leaves no file, every output has the mode ``open``
+gives under the umask, a corpus holding the word ``<unk>`` trains and
+evaluates, and bad training config, a bad config file, a bad eval flag,
+seed or vocabulary size, an unknown or repeated eval method, an unfit
+prompt, a malformed, missing or empty corpus, a missing checkpoint, or
+an output in a missing directory, that is a directory or has no name,
+or that names a file the
 command reads (``train``'s ``--config`` file included) or another of its
 outputs is a usage error with nothing written, a diverged train run
 writes its log and no checkpoint, and a train run, on the curriculum or
 on a fixed band, reruns from its manifest's config as it is. A seeded
 fuzz of ``train``'s config values finds no exit but 0, 2 before the
 manifest, or 1 when training diverges, and runs a fixed band to exit 0;
-one of ``compress`` and ``eval``, outputs that are a directory or the
-input included, finds no exit but 0, 2 with nothing written, or 1 on a
-corrupt checkpoint, which a checkpoint whose vocabulary does not fit its
-encoder is."""
+one of ``compress`` and ``eval``, outputs that are a directory, that
+have no name or that are the input included, and an input corpus at
+the output's ``.partial`` path, which is left as it was, finds no exit
+but 0, 2 with nothing written, or 1 on a corrupt checkpoint, which a
+checkpoint whose vocabulary does not fit its encoder is."""
 
 import dataclasses
+import errno
 import json
 import math
 import os
 import random
+import stat
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -205,11 +213,11 @@ class TestCompressRoundTrip:
     def test_bumped_schema_version_fails_without_output(self, tmp_path, capsys):
         ckpt = _checkpoint_on_larger_corpus(tmp_path)
         rewrite_checkpoint(ckpt, bump_schema_version)
+        before = {*tmp_path.iterdir(), _compress_input(tmp_path)}
         code, out = self._compress(ckpt, tmp_path)
         assert code == 1
         assert "schema_version" in capsys.readouterr().err
-        assert not out.exists()
-        assert not out.with_name(out.name + ".partial").exists()
+        assert set(tmp_path.iterdir()) == before  # no output, no staging file
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -244,11 +252,11 @@ class TestCompressRoundTrip:
     def test_bad_metadata_fails_without_output(self, tmp_path, capsys, edit, message):
         ckpt = _checkpoint_on_larger_corpus(tmp_path)
         rewrite_checkpoint(ckpt, edit)
-        code, out = self._compress(ckpt, tmp_path)
+        before = {*tmp_path.iterdir(), _compress_input(tmp_path)}
+        code, _ = self._compress(ckpt, tmp_path)
         assert code == 1
         assert message in capsys.readouterr().err
-        assert not out.exists()
-        assert not out.with_name(out.name + ".partial").exists()
+        assert set(tmp_path.iterdir()) == before  # no output, no staging file
 
 
 # Imports the CLI and runs one command in a fresh interpreter; prints the
@@ -469,11 +477,12 @@ class TestCompressThreads:
 
         monkeypatch.setattr(TinyTransformerEncoder, "encode", failing)
         _set_cpus(monkeypatch, 4)
+        before = {*tmp_path.iterdir(), _compress_input(tmp_path)}
         code, out = TestCompressRoundTrip._compress(ckpt, tmp_path)
         assert code == 1
         assert "cannot encode the pass of short-1" in capsys.readouterr().err
-        assert not out.exists()
-        assert not out.with_name(out.name + ".partial").exists()
+        # The manifest, and no output or staging file.
+        assert set(tmp_path.iterdir()) == {*before, Path(f"{out}.manifest.json")}
 
 
 class TestUnfitPrompt:
@@ -891,108 +900,235 @@ class TestTrainConfig:
 
 
 # How each command's output is made unwritable, and the path the error
-# names: one in a missing directory, an existing directory, one whose
-# .partial path is an existing directory, one of the command's inputs,
-# one whose .partial path is the input, or, for train, a log whose
-# .partial path is the checkpoint; make-corpus reads nothing.
+# names: one in a missing directory, an existing directory, a path with
+# no name, which is the working directory, or one of the command's
+# inputs; make-corpus reads nothing.
 UNWRITABLE = [
     *(pytest.param(command, fault, id=f"{command}-{fault}")
       for command in ("make-corpus", "train", "compress", "eval")
-      for fault in ("missing-dir", "dir", "partial-dir")),
-    *(pytest.param(command, fault, id=f"{command}-{fault}")
-      for command in ("train", "compress", "eval") for fault in ("input", "partial-input")),
-    pytest.param("train", "partial-output", id="train-partial-output"),
+      for fault in ("missing-dir", "dir", "no-name")),
+    *(pytest.param(command, "input", id=f"{command}-input")
+      for command in ("train", "compress", "eval")),
 ]
 
 
+def _argv(command, out, corpus, ckpt, *extra):
+    """``command`` on ``corpus``, writing ``out``; compress and eval run
+    the policy of ``ckpt``."""
+    return {
+        "make-corpus": ["make-corpus", "--n", "2", "--filler", "0.5", "--out", str(out)],
+        "train": ["train", "--corpus", str(corpus), "--out", str(out)],
+        "compress": ["compress", "--checkpoint", str(ckpt), "--input", str(corpus),
+                     "--out", str(out)],
+        "eval": ["eval", "--corpus", str(corpus), "--checkpoint", str(ckpt),
+                 "--methods", "identity,policy", "--out-prefix", str(out)],
+    }[command] + list(extra)
+
+
 @pytest.mark.parametrize("command, fault", UNWRITABLE)
-def test_unwritable_output_is_usage_error(tmp_path, capsys, fuzz_checkpoints, command,
-                                          fault):
+def test_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys, fuzz_checkpoints,
+                                          command, fault):
     # Every command checks its outputs, then writes its manifest first;
     # when either fails, the path given is at fault, and the error names
     # it, not the manifest.
     out = tmp_path / "out"
     # The file eval writes at out.jsonl; the other commands write out.
     written = tmp_path / "out.jsonl" if command == "eval" else out
-    # The rows, the output or the checkpoint would first be written at
-    # the corpus.
-    corpus = tmp_path / (f"{written.name}.partial" if fault == "partial-input"
-                         else "corpus.jsonl")
+    corpus = tmp_path / "corpus.jsonl"
     _small_corpus(corpus)
     role, reads = {"train": ("checkpoint", "corpus"), "compress": ("output", "input"),
                    "eval": ("rows", "corpus")}.get(command, (None, None))
-    log = []
     if fault == "missing-dir":
         out = written = tmp_path / "missing" / "out"
         message = "No such file or directory"
     elif fault == "dir":
         written.mkdir()
         message = "Is a directory"
-    elif fault == "partial-dir":
-        written = written.with_name(f"{written.name}.partial")
-        written.mkdir()
+    elif fault == "no-name":
+        monkeypatch.chdir(tmp_path)
+        out, written = "", Path(".")
         message = "Is a directory"
-    elif fault == "input":
+    else:  # an input
         out = tmp_path / "corpus" if command == "eval" else corpus
         written = corpus
         message = f"the {role} would replace the {reads} {corpus}, which this command reads"
-    elif fault == "partial-input":
-        message = (f"the partial file of the {role} would replace the {reads} {corpus}, "
-                   "which this command reads")
-    else:  # the log's .partial path is the checkpoint
-        out, written = tmp_path / "out.partial", out
-        log = ["--log", str(written)]
-        message = f"the partial file of the log would replace the checkpoint {out}"
     before = set(tmp_path.iterdir())
-    ckpt = str(fuzz_checkpoints["good"])
-    argv = {
-        "make-corpus": ["make-corpus", "--n", "2", "--filler", "0.5", "--out", str(out)],
-        "train": ["train", "--corpus", str(corpus), "--out", str(out), *log],
-        "compress": ["compress", "--checkpoint", ckpt, "--input", str(corpus),
-                     "--out", str(out)],
-        "eval": ["eval", "--corpus", str(corpus), "--checkpoint", ckpt,
-                 "--methods", "identity,policy", "--out-prefix", str(out)],
-    }[command]
-    assert main(argv) == 2
+    assert main(_argv(command, out, corpus, fuzz_checkpoints["good"])) == 2
     assert capsys.readouterr().err == f"error: cannot write {written}: {message}\n"
     assert set(tmp_path.iterdir()) == before
-    if fault in ("dir", "partial-dir"):
+    if fault == "dir":
         assert not any(written.iterdir())
+
+
+# An entry at ``<out>.partial``, the one name every output was once
+# staged at: an existing directory, the command's input corpus, or, for
+# train, the checkpoint, at its log's.
+PARTIAL_ENTRIES = [
+    *(pytest.param(command, "partial-dir", id=f"{command}-partial-dir")
+      for command in ("make-corpus", "train", "compress", "eval")),
+    *(pytest.param(command, "partial-input", id=f"{command}-partial-input")
+      for command in ("train", "compress", "eval")),
+    pytest.param("train", "partial-output", id="train-partial-output"),
+]
+
+
+@pytest.mark.parametrize("command, entry", PARTIAL_ENTRIES)
+def test_an_entry_at_the_partial_path_is_left_as_it_was(tmp_path, fuzz_checkpoints,
+                                                         command, entry):
+    # Each output is staged under a name no entry had, so the entry at
+    # <out>.partial is neither refused, written nor removed.
+    out = tmp_path / "out"
+    # eval's first output is its rows, at out.jsonl.
+    partial = tmp_path / ("out.jsonl.partial" if command == "eval" else "out.partial")
+    corpus = partial if entry == "partial-input" else tmp_path / "corpus.jsonl"
+    _small_corpus(corpus)
+    log = out.with_name("out.log.jsonl")
+    if entry == "partial-dir":
+        partial.mkdir()
+        (partial / "kept.txt").write_text("kept\n", encoding="utf-8")
+    elif entry == "partial-output":
+        out, log = partial, out
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    extra = ["--log", str(log)] if command == "train" else []
+    assert main(_argv(command, out, corpus, fuzz_checkpoints["good"], *extra)) == 0
+    outputs = {"make-corpus": [out], "train": [out, log], "compress": [out],
+               "eval": [Path(f"{out}.jsonl"), Path(f"{out}.txt")]}[command]
+    manifest = Path(f"{out}.manifest.json")
+    assert set(tmp_path.rglob("*")) == {*before, *outputs, manifest,
+                                        *([partial] if entry == "partial-dir" else [])}
+    assert {path: path.read_bytes() for path in before} == before
+    artifacts = json.loads(manifest.read_text(encoding="utf-8"))["artifacts"]
+    assert sorted(artifacts.values()) == sorted(map(str, outputs))
+    if command == "train":  # the log, written last, left the checkpoint whole
+        load_checkpoint(out)
 
 
 @pytest.mark.parametrize("link", ["symlink", "hard-link", "dangling-symlink"])
 @pytest.mark.parametrize("command, linked", [
     ("make-corpus", "c.jsonl"), ("train", "t.ckpt"), ("train", "t.ckpt.log.jsonl"),
 ])
-def test_an_entry_at_the_partial_path_is_replaced_not_written_through(
-    tmp_path, command, linked, link
-):
+def test_a_link_at_the_partial_path_is_left_in_place(tmp_path, command, linked, link):
     # make-corpus's corpus and train's checkpoint are written by a
-    # function, train's log as text; each is written as a new file,
-    # whatever sits at its .partial path.
+    # function, train's log as text; each is written as a new file, and
+    # the link at its .partial path stays, pointing where it did.
     victim = tmp_path / "victim.txt"
     victim.write_text("not an output\n", encoding="utf-8")
     corpus = tmp_path / "train.jsonl"
     _small_corpus(corpus)
     out = tmp_path / ("c.jsonl" if command == "make-corpus" else "t.ckpt")
     partial = tmp_path / f"{linked}.partial"
-    if link == "symlink":
-        partial.symlink_to(victim)
-    elif link == "hard-link":
+    target = tmp_path / "new.txt" if link == "dangling-symlink" else victim
+    if link == "hard-link":
         os.link(victim, partial)
     else:
-        partial.symlink_to(tmp_path / "new.txt")
+        partial.symlink_to(target)
     before = {p.name: p.read_bytes() for p in (victim, corpus)}
     argv = {"make-corpus": ["make-corpus", "--n", "2", "--filler", "0.5"],
             "train": ["train", "--corpus", str(corpus)]}[command]
     assert main([*argv, "--out", str(out)]) == 0
     written = {out.name, f"{out.name}.manifest.json",
                *([f"{out.name}.log.jsonl"] if command == "train" else [])}
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({*before, *written})
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        {*before, partial.name, *written})
     assert {name: (tmp_path / name).read_bytes() for name in before} == before
+    if link == "hard-link":
+        assert not partial.is_symlink() and partial.samefile(victim)
+    else:
+        assert partial.readlink() == target
     for name in written:
         path = tmp_path / name
         assert path.is_file() and not path.is_symlink() and os.stat(path).st_nlink == 1
+
+
+def test_two_writers_of_one_path_both_succeed(tmp_path):
+    # A's writer stops mid-write while B's write of the same path runs to
+    # its end; each stages in a file of its own, so A then ends too, and
+    # the output is A's whole content.
+    out = tmp_path / "out.txt"
+    halfway, b_done = threading.Event(), threading.Event()
+    raised = []
+
+    def write_a(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("a, first half; ")
+            fh.flush()
+            halfway.set()
+            assert b_done.wait(10)
+            fh.write("a, second half\n")
+
+    def run_a():
+        try:
+            cli._atomic(out, write_a)
+        except BaseException as exc:
+            raised.append(exc)
+
+    a = threading.Thread(target=run_a)
+    a.start()
+    try:
+        assert halfway.wait(10)
+        cli._atomic(out, "b\n")
+        assert out.read_text(encoding="utf-8") == "b\n"
+    finally:
+        b_done.set()
+        a.join()
+    assert raised == []
+    assert out.read_text(encoding="utf-8") == "a, first half; a, second half\n"
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+
+def test_a_writer_that_fails_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # The checkpoint's writer fails after writing part of it: train exits
+    # 1, and the manifest is all that is left.
+    corpus = tmp_path / "train.jsonl"
+    _small_corpus(corpus)
+
+    def failing(state, vocab, path):
+        Path(path).write_bytes(b"PK\x03\x04 half a checkpoint")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "save_checkpoint", failing)
+    out = tmp_path / "t.ckpt"
+    assert main(["train", "--corpus", str(corpus), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.endswith(
+        f"failure: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+    assert set(tmp_path.iterdir()) == {corpus, Path(f"{out}.manifest.json")}
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+def test_every_output_has_the_mode_open_gives(tmp_path, umask):
+    # Every output is created as open creates a file: mode 0o666 less the
+    # umask, whatever the mode of the file it is staged in.
+    corpus, ckpt = tmp_path / "c.jsonl", tmp_path / "t.ckpt"
+    previous = os.umask(umask)
+    try:
+        for command, out in (("make-corpus", corpus), ("train", ckpt),
+                             ("compress", tmp_path / "c.out.jsonl"),
+                             ("eval", tmp_path / "ev")):
+            assert main(_argv(command, out, corpus, ckpt)) == 0, command
+    finally:
+        os.umask(previous)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(
+        ["c.jsonl", "c.jsonl.manifest.json", "t.ckpt", "t.ckpt.log.jsonl",
+         "t.ckpt.manifest.json", "c.out.jsonl", "c.out.jsonl.manifest.json",
+         "ev.jsonl", "ev.txt", "ev.manifest.json"], 0o666 & ~umask)
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_corpus_holding_the_unknown_word_is_read(tmp_path, capsys, command):
+    # "<unk>" in a prompt is a word the vocabulary does not rank, so it
+    # reads as the unknown token, which prints as "<unk>".
+    corpus = tmp_path / "unk.jsonl"
+    save_corpus([PromptRecord("a", "the <unk> word here"),
+                 PromptRecord("b", "another <unk> word")], corpus)
+    out = tmp_path / "out"
+    argv = {"train": ["train", "--corpus", str(corpus), "--out", str(out)],
+            "eval": ["eval", "--corpus", str(corpus), "--out-prefix", str(out)]}[command]
+    assert main(argv) == 0, capsys.readouterr().err
+    if command == "train":
+        _, vocab = load_checkpoint(out)
+        assert vocab.surfaces.count("<unk>") == 1
+        assert vocab.surfaces[vocab.unknown_id] == "<unk>"
 
 
 def test_output_on_a_symlink_loop_replaces_the_link(tmp_path):
@@ -1270,10 +1406,12 @@ def fuzz_checkpoints(tmp_path_factory):
 
 
 def _fuzzed_records(rng, p):
-    """Three or four synthetic records; each field, with probability p,
-    given a wrong JSON type, an empty or blank value, an over-long or
-    unseen text, another record's id or a mask of the wrong length. With
-    probability p / 10 there are none at all."""
+    """Three or four synthetic records, in half of the calls with one
+    word of one text replaced by ``<unk>``, the unknown token's surface;
+    each field, with probability p, given a wrong JSON type, an empty or
+    blank value, an over-long or unseen text, another record's id or a
+    mask of the wrong length. With probability p / 10 there are none at
+    all."""
     records = [
         {"id": r.id, "text": r.text, "reference_output": r.reference_output,
          "filler_mask": [int(v) for v in r.filler_mask]}
@@ -1281,6 +1419,11 @@ def _fuzzed_records(rng, p):
     ]
     if rng.random() < p / 10:
         return []
+    if rng.random() < 0.5:
+        record = rng.choice(records)
+        words = record["text"].split()
+        words[rng.randrange(len(words))] = "<unk>"
+        record["text"] = " ".join(words)
     for record in records:
         mask = record["filler_mask"]
         choices = {
@@ -1336,15 +1479,16 @@ class TestCompressEvalFuzz:
     outputs that parse, every compressed prompt a subsequence of its
     input and every eval number finite, or 2 with nothing written. A
     missing checkpoint cannot be read, and an output in a missing
-    directory, one that is a directory, one that names the input corpus
-    or one whose ``.partial`` path does cannot be written, all exit 2; a
-    truncated checkpoint, or
-    one whose vocabulary does not fit its encoder, is reported as a
-    corrupt checkpoint, exit 1, also with nothing written. An eval that
-    names a method twice exits 2 before it reads the checkpoint. A run
-    with no other fault on a checkpoint of the wrong vocabulary exits 1."""
+    directory, one that is a directory, one with no name or one that
+    names the input corpus cannot be written, all exit 2; a truncated
+    checkpoint, or one whose vocabulary does not fit its encoder, is
+    reported as a corrupt checkpoint, exit 1, also with nothing written.
+    An eval that names a method twice exits 2 before it reads the
+    checkpoint. A run with no other fault on a checkpoint of the wrong
+    vocabulary exits 1, and one whose input corpus is at the output's
+    ``.partial`` path exits 0, leaving the corpus as it was."""
 
-    RUNS = 100
+    RUNS = 200
 
     @staticmethod
     def _checked_outputs(command, out, records):
@@ -1366,12 +1510,15 @@ class TestCompressEvalFuzz:
                         assert math.isfinite(value), record
                 assert 0.0 < record["rho"] <= 1.0, record
 
-    def test_every_exit_is_clean(self, tmp_path, capsys, fuzz_checkpoints):
+    def test_every_exit_is_clean(self, tmp_path, monkeypatch, capsys, fuzz_checkpoints):
         rng = random.Random(22)
         codes, mispaired_codes = [], []
         # For each fault of the output, the runs refused with its error.
         unwritable = {"no-out-dir": 0, "out-is-dir": 0, "out-is-input": 0,
-                      "out-partial-is-input": 0}
+                      "out-has-no-name": 0}
+        # The exits of the runs whose input corpus is at the output's
+        # .partial path.
+        partial_codes = []
         for i in range(self.RUNS):
             run = tmp_path / f"run{i}"
             run.mkdir()
@@ -1381,7 +1528,8 @@ class TestCompressEvalFuzz:
             corpus = run / "corpus.jsonl"
             corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
             command = rng.choice(["compress", "eval"])
-            kinds = (["good", "good", "good", "other", *unwritable, *MISPAIRED]
+            kinds = (["good", "good", "good", "other", *unwritable, "out-partial-is-input",
+                      *MISPAIRED]
                      + (["none"] if command == "eval" else []))
             if rng.random() < p:
                 kinds = ["missing", "truncated"]
@@ -1394,7 +1542,7 @@ class TestCompressEvalFuzz:
                 data = fuzz_checkpoints["good"].read_bytes()
                 ckpt = run / "truncated.ckpt"
                 ckpt.write_bytes(data[:rng.randint(0, len(data) - 1)])
-            elif kind in unwritable:
+            elif kind in (*unwritable, "out-partial-is-input"):
                 ckpt = fuzz_checkpoints["good"]
             # The file the error names: compress writes out, eval out.jsonl.
             written = out if command == "compress" else Path(f"{out}.jsonl")
@@ -1410,12 +1558,15 @@ class TestCompressEvalFuzz:
                 role = "output would replace the input" if command == "compress" else (
                     "rows would replace the corpus")
                 expected = f"the {role} {corpus}, which this command reads"
+            elif kind == "out-has-no-name":
+                monkeypatch.chdir(run)
+                out = rng.choice(["", ".", "/"])
+                written = Path(out)
+                expected = "Is a directory"
             elif kind == "out-partial-is-input":
-                # The output would first be written at the input corpus.
+                # The one name an output was once staged at.
                 corpus = corpus.rename(Path(f"{written}.partial"))
-                role = "output would replace the input" if command == "compress" else (
-                    "rows would replace the corpus")
-                expected = f"the partial file of the {role} {corpus}, which this command reads"
+            corpus_bytes = corpus.read_bytes()
             inputs = set(run.iterdir())
             argv = _fuzzed_argv(rng, p, command, corpus, ckpt, out)
             methods = [] if command == "compress" else [
@@ -1434,6 +1585,10 @@ class TestCompressEvalFuzz:
                 unwritable[kind] += 1
             if p == 0.0 and repeated:
                 assert code == 2 and "more than once" in err, case
+            if kind == "out-partial-is-input":
+                assert corpus.read_bytes() == corpus_bytes, case
+                assert code == 0 if p == 0.0 and not repeated else code in (0, 2), case
+                partial_codes.append(code)
             if kind in MISPAIRED:
                 assert code == 1 if p == 0.0 and not repeated else code in (1, 2), case
                 mispaired_codes.append(code)
@@ -1450,4 +1605,5 @@ class TestCompressEvalFuzz:
         assert {0, 1, 2} <= set(codes)
         assert 1 in mispaired_codes
         assert all(unwritable.values()), unwritable
+        assert 0 in partial_codes, partial_codes
 

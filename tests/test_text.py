@@ -37,6 +37,14 @@ class TestVocabulary:
         vocab = build_vocabulary([PromptRecord("0", "x")], max_size=2)
         assert set(vocab.surfaces) == {"x", "<unk>"}
 
+    def test_the_unknown_word_is_never_ranked(self):
+        # "<unk>", the most frequent word, takes no id of its own: it
+        # tokenizes to the unknown id, which detokenizes back to it.
+        vocab = build_vocabulary([PromptRecord("0", "<unk> a <unk> b <unk>")], max_size=3)
+        assert vocab.surfaces == ("a", "b", "<unk>")
+        assert tokenize("b <unk> c", vocab).ids == (1, 2, 2)
+        assert detokenize(tokenize("a <unk>", vocab), vocab) == "a <unk>"
+
     def test_empty_corpus_error(self):
         with pytest.raises(ValueError, match="empty corpus"):
             build_vocabulary([], max_size=8)

@@ -60,8 +60,10 @@ directory of its own, as ``python -m promptpress.cli`` with that tree's
 
 Every command's exit code, stdout and stderr and every file in the two
 directories are compared; in manifests the directory's own path is
-replaced first. Exit code 0: the trees agree; 1: a difference, each one
-listed; 2: a bad argument. Outputs go to a temporary directory, or to
+replaced first. A command that leaves a staging entry, one named
+``*.partial``, in either directory fails as a difference, even where
+both trees leave one. Exit code 0: the trees agree; 1: a difference,
+each one listed; 2: a bad argument. Outputs go to a temporary directory, or to
 ``--work`` (``a/`` and ``b/`` in it) to be kept.
 
 A train log (``*.log.jsonl``) or checkpoint (``*.ckpt``) whose bytes
@@ -289,20 +291,23 @@ def write_inputs(run: Path) -> None:
                        run / "dup.jsonl")
 
 
-def replay(tree: Path, run: Path) -> dict[str, tuple[int, bytes, bytes]]:
+def replay(tree: Path, run: Path) -> dict[str, tuple[int, bytes, bytes, list[str]]]:
     """Run every command with ``tree``'s sources in ``run``; the exit
-    code, stdout and stderr of each, by name."""
+    code, stdout and stderr of each, by name, and the staging entries it
+    left that no earlier command did."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env.update(PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0",
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    results = {}
+    results, staged = {}, set()
     for name, argv in COMMANDS:
         if argv[0] in SNIPPETS:
             cmd = [sys.executable, "-c", SNIPPETS[argv[0]], *argv[1:]]
         else:
             cmd = [sys.executable, "-m", "promptpress.cli", *argv]
         proc = subprocess.run(cmd, cwd=run, env=env, capture_output=True, timeout=900)
-        results[name] = (proc.returncode, proc.stdout, proc.stderr)
+        left = {str(path.relative_to(run)) for path in run.rglob("*.partial")} - staged
+        staged |= left
+        results[name] = (proc.returncode, proc.stdout, proc.stderr, sorted(left))
     return results
 
 
@@ -399,13 +404,17 @@ def compare(results: tuple[dict, dict], files: tuple[dict, dict]) -> list[str]:
     """One line per difference between the two replays."""
     diffs = []
     for name, _ in COMMANDS:
-        (code_a, out_a, err_a), (code_b, out_b, err_b) = (r[name] for r in results)
+        (code_a, out_a, err_a, left_a), (code_b, out_b, err_b, left_b) = (
+            r[name] for r in results)
         if code_a != code_b:
             diffs.append(f"{name}: exit code {code_a} != {code_b}")
         if out_a != out_b:
             diffs.append(f"{name}: stdout differs")
         if err_a != err_b:
             diffs.append(f"{name}: stderr differs")
+        for tree, left in (("a", left_a), ("b", left_b)):
+            if left:
+                diffs.append(f"{name}: tree {tree} left staging entries {', '.join(left)}")
     files_a, files_b = files
     for rel in sorted(set(files_a) | set(files_b)):
         if rel not in files_b:
