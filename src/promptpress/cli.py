@@ -14,11 +14,12 @@ output that is a directory (as a path with no name is) or names a file
 the command reads or another of its outputs is a usage error found
 before the manifest; an output path that cannot be written is one found
 when the manifest, each command's first write, fails. Each output is
-written to a new file beside it, ``<out>.<8 hex digits>.partial``, and
-renamed onto it when complete; a killed run leaves that file. A ``train``
-run whose objective diverges writes its log, ending in the
-``"diverged"`` record, and no checkpoint, rewrites its manifest to list
-the log alone, and exits 1.
+written to a new file in its directory, ``.<8 hex digits>.partial``, and
+renamed onto it when complete; a killed run leaves that file. That name
+is as long for every output, so an output can be written whenever the
+names derived from it fit. A ``train`` run whose objective diverges
+writes its log, ending in the ``"diverged"`` record, and no checkpoint,
+rewrites its manifest to list the log alone, and exits 1.
 
 ``compress`` encodes its prompts in passes of up to the encoder's
 ``max_len`` tokens, run on a pool of as many threads as the CPUs the
@@ -153,11 +154,12 @@ class UsageError(Exception):
 
 def _atomic(path: Path, content) -> None:
     """Write ``content``, text or a function that writes the path it is
-    given, to a new file beside ``path``, created as ``open`` creates one
-    under a name no entry had; rename it onto ``path``, or remove it if
-    the write fails. Text is not reopened: ext4 flushes a truncated file."""
+    given, to a new file in ``path``'s directory, created as ``open``
+    creates one under a name no entry had, of a length that does not
+    depend on ``path``'s; rename it onto ``path``, or remove it if the
+    write fails. Text is not reopened: ext4 flushes a truncated file."""
     while True:
-        staging = Path(f"{path}.{os.urandom(4).hex()}.partial")
+        staging = path.with_name(f".{os.urandom(4).hex()}.partial")
         with contextlib.suppress(FileExistsError):
             created = open(staging, "x", encoding="utf-8")
             break
@@ -530,7 +532,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     }
     compressors = [build[method]() for method in methods]
 
-    results = evaluate(compressors, corpus, prompts, lm, vocab, args.n_gen)
+    results = evaluate(compressors, corpus, prompts, lm, args.n_gen)
     _atomic(jsonl_path, _jsonl(record for rows, aggregate in results
                                for record in report_records(rows, aggregate, lm_description)))
     _atomic(table_path, "\n".join(report_table(aggregate, lm_description)

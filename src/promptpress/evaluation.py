@@ -3,10 +3,9 @@
 The proxy model plays the target LLM's role: for every prompt it
 greedy-generates once from the original and, per method, once from the
 compressed prompt, and each method's rows score the two generations
-against each other (ROUGE-1/2/L) and the compressed generation against
-the record's reference output (exact match), when one is present. The
-ROUGE-1 F is written twice, as ``rouge1_f`` and as ``token_f1``: on
-token ids the two are one clipped unigram overlap.
+against each other (ROUGE-1/2/L). The ROUGE-1 F is written twice, as
+``rouge1_f`` and as ``token_f1``: on token ids the two are one clipped
+unigram overlap.
 
 Each piece of work is done once. Every compressor compresses the whole
 corpus in one call before any continuation is generated, so a model's
@@ -18,8 +17,7 @@ method's rows depend on which other methods run beside it.
 
 ``evaluate`` returns each method's rows and their aggregate; the
 report's header record and its table name the model that produced the
-generations, and note that exact match is applied to the full
-normalized generation.
+generations.
 """
 
 from __future__ import annotations
@@ -27,11 +25,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from .baselines import Compressor
-from .metrics import exact_match, rouge_l, rouge_n
+from .metrics import rouge_l, rouge_n
 from .scoring import NgramLM
-from .text import PromptRecord, TokenSequence, Vocabulary, detokenize
-
-EM_NOTE = "exact match compares the full normalized generation to the reference"
+from .text import PromptRecord, TokenSequence
 
 TABLE_COLUMNS = (
     ("method", "Method"),
@@ -39,35 +35,26 @@ TABLE_COLUMNS = (
     ("rouge2_f", "Rouge-2"),
     ("rougeL_f", "Rouge-L"),
     ("token_f1", "TokenF1"),
-    ("em", "EM"),
     ("tokens", "Tokens"),
     ("inv_rho", "1/rho"),
 )
 
 
 def report_records(rows: list[dict], aggregate: dict, lm_description: str) -> list[dict]:
-    """One method's JSONL records: a header naming the method, the model
-    and ``EM_NOTE``, then its rows, then its aggregate."""
-    header = {
-        "record": "header",
-        "method": aggregate["method"],
-        "lm": lm_description,
-        "note": EM_NOTE,
-    }
+    """One method's JSONL records: a header naming the method and the
+    model, then its rows, then its aggregate."""
+    header = {"record": "header", "method": aggregate["method"], "lm": lm_description}
     return [header, *({"record": "row", **row} for row in rows),
             {"record": "aggregate", **aggregate}]
 
 
 def report_table(aggregate: dict, lm_description: str) -> str:
-    """One method's aggregate as a two-line table under the model and
-    ``EM_NOTE``; a mean with no values reads "-"."""
+    """One method's aggregate as a two-line table under the model."""
     values = []
     for key, _ in TABLE_COLUMNS:
         val = aggregate[key]
         if key == "method":
             values.append(val)
-        elif val is None:
-            values.append("-")
         elif key == "tokens":
             values.append(f"{val:.1f}")
         else:
@@ -76,31 +63,19 @@ def report_table(aggregate: dict, lm_description: str) -> str:
     widths = [max(len(h), len(v)) for h, v in zip(headers, values)]
     return "\n".join([
         f"# generations produced by: {lm_description}",
-        f"# note: {EM_NOTE}",
         "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
         "  ".join(v.ljust(w) for v, w in zip(values, widths)),
     ]) + "\n"
 
 
-def _mean(values: Sequence[float]) -> float | None:
-    vals = [v for v in values if v is not None]
-    return sum(vals) / len(vals) if vals else None
-
-
-def _scores(
-    gen_c: TokenSequence, gen_o: TokenSequence, record: PromptRecord, vocab: Vocabulary
-) -> dict:
+def _scores(gen_c: TokenSequence, gen_o: TokenSequence) -> dict:
     """The row metrics of one compressed-prompt continuation."""
-    em = None
-    if record.reference_output is not None:
-        em = exact_match(detokenize(gen_c, vocab), record.reference_output)
     unigram_f = rouge_n(gen_c.ids, gen_o.ids, 1)[2]
     return {
         "rouge1_f": unigram_f,
         "rouge2_f": rouge_n(gen_c.ids, gen_o.ids, 2)[2],
         "rougeL_f": rouge_l(gen_c.ids, gen_o.ids)[2],
         "token_f1": unigram_f,
-        "em": em,
     }
 
 
@@ -109,16 +84,17 @@ def evaluate(
     corpus: Sequence[PromptRecord],
     prompts: Sequence[TokenSequence],
     lm: NgramLM,
-    vocab: Vocabulary,
     n_gen: int,
 ) -> list[tuple[list[dict], dict]]:
     """(rows, aggregate) per compressor, in order: one metric row per
     prompt, scoring ``n_gen``-token continuations, and their
     arithmetic means.
 
-    ``prompts[i]`` is ``corpus[i]`` tokenized with ``vocab``. Each
-    compressor gets the whole of ``prompts`` in one call.
+    ``prompts[i]`` is ``corpus[i]`` tokenized. Each compressor gets the
+    whole of ``prompts`` in one call.
     """
+    if not corpus:
+        raise ValueError("empty corpus")
     if len(prompts) != len(corpus):
         raise ValueError(f"{len(prompts)} prompts for {len(corpus)} records")
     kept_by_method = [compressor.compress(prompts) for compressor in compressors]
@@ -134,7 +110,7 @@ def evaluate(
                 gen_c = lm.greedy_continue(kept, n_gen)
             scores = scored.get(gen_c.ids)
             if scores is None:
-                scores = scored[gen_c.ids] = _scores(gen_c, gen_o, record, vocab)
+                scores = scored[gen_c.ids] = _scores(gen_c, gen_o)
             rho = len(kept) / len(seq)
             method_rows.append(
                 {
@@ -151,7 +127,7 @@ def evaluate(
     for compressor, method_rows in zip(compressors, rows):
         aggregate = {"method": compressor.name, "n": len(method_rows)}
         for key in ("tokens", "rho", "inv_rho", "rouge1_f", "rouge2_f", "rougeL_f",
-                    "token_f1", "em"):
-            aggregate[key] = _mean([row[key] for row in method_rows])
+                    "token_f1"):
+            aggregate[key] = sum(row[key] for row in method_rows) / len(method_rows)
         results.append((method_rows, aggregate))
     return results

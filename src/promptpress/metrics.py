@@ -1,4 +1,4 @@
-"""Evaluation metrics: exact match and ROUGE (n-gram and LCS).
+"""Evaluation metrics: ROUGE (n-gram and LCS) on token ids.
 
 All metrics follow the standard clipped-count definitions with no
 stemming or stopword handling, so every value can be recomputed by a
@@ -10,16 +10,6 @@ from __future__ import annotations
 
 from collections import Counter
 from typing import Hashable, Sequence
-
-
-def normalize_text(text: str) -> str:
-    """Trim, collapse whitespace, casefold."""
-    return " ".join(text.split()).casefold()
-
-
-def exact_match(predicted: str, reference: str) -> int:
-    """1 iff the normalized strings are equal."""
-    return int(normalize_text(predicted) == normalize_text(reference))
 
 
 def _prf(overlap: float, n_cand: float, n_ref: float) -> tuple[float, float, float]:

@@ -2,8 +2,9 @@
 
 The reference tokenizer splits on whitespace runs, so that joining token
 surfaces with single spaces reproduces the whitespace-normalized input,
-except that every out-of-vocabulary word comes back as ``<unk>``; output
-meant for people (``compress``) joins the kept words of the input instead.
+except that every out-of-vocabulary word comes back as ``<unk>``. Nothing
+maps ids back to text: output meant for people (``compress``) joins the
+kept words of the input.
 Subword tokenizers can be swapped in by building a :class:`Vocabulary`
 over their surfaces; everything downstream only sees token ids.
 
@@ -69,11 +70,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.surfaces)
 
-    def surface_of(self, token_id: int) -> str:
-        if not 0 <= token_id < self.size:
-            raise ValueError(f"id out of range: {token_id}")
-        return self.surfaces[token_id]
-
 
 @dataclass(frozen=True)
 class PromptRecord:
@@ -138,12 +134,6 @@ def tokenize_corpus(
             )
         prompts.append(seq)
     return prompts
-
-
-def detokenize(seq: TokenSequence, vocab: Vocabulary) -> str:
-    """Ids -> text, surfaces joined by single spaces; the unknown id
-    becomes ``<unk>``."""
-    return " ".join(vocab.surface_of(i) for i in seq)
 
 
 def load_corpus(path: str | Path) -> list[PromptRecord]:

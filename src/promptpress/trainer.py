@@ -21,7 +21,11 @@ gradually. The reward's divergence term walks its own reference.
 Everything is deterministic given (seed, corpus, configs): per-episode
 and per-update RNG streams are derived from (seed, stage, epoch, index)
 so a run resumed from a stage boundary reproduces the uninterrupted run
-exactly.
+exactly. Resume is a property of the library, which no command offers:
+``hpc_train`` given the ``state`` of ``load_checkpoint``.
+``tools/replay_equivalence.py`` proves it through ``train``: a run
+resumed after stages 1-2 writes the checkpoint and log of the
+uninterrupted run, byte for byte.
 """
 
 from __future__ import annotations

@@ -75,6 +75,11 @@ def reference_tokenize(text, vocab):
     return TokenSequence(tuple(index.get(s, vocab.unknown_id) for s in text.split()))
 
 
+def reference_join(seq, vocab):
+    """Ids -> text: each id's surface, joined by single spaces."""
+    return " ".join(vocab.surfaces[i] for i in seq.ids)
+
+
 def reference_vocabulary(corpus, max_size):
     """The vocabulary as once built: surface counts updated record by
     record, then the ``max_size - 1`` most frequent, ties by surface."""

@@ -216,7 +216,8 @@ def test_every_import_is_used():
 # reason.
 UNSET_DEFAULTS_ALLOWED: dict[str, str] = {
     "main(argv)": "the console entry point reads sys.argv; tests pass argv",
-    "hpc_train(state)": "resuming from a stage boundary, which only tests drive",
+    "hpc_train(state)": "resuming from a stage boundary, a library property that "
+                        "tests and tools/replay_equivalence.py's resume case drive",
 }
 
 

@@ -1,20 +1,21 @@
 """CLI tests: compress reads what train writes and prints the original
 words it keeps, compress and eval of the policy give the same output on
 any number of threads, compress sizes its pool by CPUs per BLAS thread,
-eval scores every method against one vocabulary/LM pairing, the CLI's
-defaults are the library's, every ``train`` setting, the seed and the
-fixed band included, is a config key, a config file's values reach the
-run under any ``--set`` and ``--seed`` beats the config's seed, no
+eval scores every method against one vocabulary/LM pairing and writes no
+exact-match key, note or column for a corpus with reference outputs, the
+CLI's defaults are the library's, every ``train`` setting, the seed and
+the fixed band included, is a config key, a config file's values reach
+the run under any ``--set`` and ``--seed`` beats the config's seed, no
 command imports scipy, an entry at an output's ``.partial`` path (a
 link, a hard link, a dangling link, a directory, an input or another
-output) is left as it was, two writers of one path both succeed, a
-writer that fails leaves no file, every output has the mode ``open``
-gives under the umask, a corpus holding the word ``<unk>`` trains and
-evaluates, and bad training config, a bad config file, a bad eval flag,
-seed or vocabulary size, an unknown or repeated eval method, an unfit
-prompt, a malformed, missing or empty corpus, a missing checkpoint, or
-an output in a missing directory, that is a directory or has no name,
-or that names a file the
+output) is left as it was, an output whose manifest's name fits is
+written, two writers of one path both succeed, a writer that fails
+leaves no file, every output has the mode ``open`` gives under the
+umask, a corpus holding the word ``<unk>`` trains and evaluates, and bad
+training config, a bad config file, a bad eval flag, seed or vocabulary
+size, an unknown or repeated eval method, an unfit prompt, a malformed,
+missing or empty corpus, a missing checkpoint, or an output in a missing
+directory, that is a directory or has no name, or that names a file the
 command reads (``train``'s ``--config`` file included) or another of its
 outputs is a usage error with nothing written, a diverged train run
 writes its log and no checkpoint, and a train run, on the curriculum or
@@ -22,9 +23,9 @@ on a fixed band, reruns from its manifest's config as it is. A seeded
 fuzz of ``train``'s config values finds no exit but 0, 2 before the
 manifest, or 1 when training diverges, and runs a fixed band to exit 0;
 one of ``compress`` and ``eval``, outputs that are a directory, that
-have no name or that are the input included, and an input corpus at
-the output's ``.partial`` path, which is left as it was, finds no exit
-but 0, 2 with nothing written, or 1 on a corrupt checkpoint, which a
+have no name or that are the input included, and an input corpus at the
+output's ``.partial`` path, which is left as it was, finds no exit but
+0, 2 with nothing written, or 1 on a corrupt checkpoint, which a
 checkpoint whose vocabulary does not fit its encoder is."""
 
 import dataclasses
@@ -130,6 +131,25 @@ class TestEvalPairing:
             rows[methods] = _rows(prefix, "selfinfo")
         assert rows["selfinfo,policy"]
         assert rows["selfinfo,policy"] == rows["policy,selfinfo"] == rows["selfinfo"]
+
+    def test_no_exact_match_is_reported(self, tmp_path):
+        # Every synthetic record has a reference output, and eval scores
+        # no generation against it: no key, note or column is written.
+        corpus = tmp_path / "eval.jsonl"
+        _small_corpus(corpus)
+        assert all(json.loads(line)["reference_output"]
+                   for line in corpus.read_text().splitlines())
+        prefix = tmp_path / "out"
+        assert main(["eval", "--corpus", str(corpus), "--methods", "identity,random",
+                     "--out-prefix", str(prefix)]) == 0
+        records = [json.loads(line)
+                   for line in Path(f"{prefix}.jsonl").read_text().splitlines()]
+        assert len(records) == 2 * (1 + 3 + 1)
+        assert not any({"em", "note"} & record.keys() for record in records)
+        table = Path(f"{prefix}.txt").read_text().splitlines()
+        assert not any(line.startswith("# note:") for line in table)
+        assert [line.split() for line in table if line.startswith("Method")] == [
+            ["Method", "Rouge-1", "Rouge-2", "Rouge-L", "TokenF1", "Tokens", "1/rho"]] * 2
 
     @pytest.mark.parametrize("methods, message", [
         ("random,bogus", "unknown compressor 'bogus'; valid names: "
@@ -1114,6 +1134,19 @@ def test_every_output_has_the_mode_open_gives(tmp_path, umask):
          "ev.jsonl", "ev.txt", "ev.manifest.json"], 0o666 & ~umask)
 
 
+def test_an_output_whose_manifest_name_fits_is_written(tmp_path):
+    # The manifest's name is the output's and 14 characters more, the
+    # longest name a command derives; staging names add nothing to it.
+    name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+    out = tmp_path / ("n" * (name_max - len(".manifest.json")))
+    assert main(["make-corpus", "--n", "2", "--filler", "0.5", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2
+    assert json.loads(Path(f"{out}.manifest.json").read_text())["artifacts"] == {
+        "corpus": str(out)}
+    assert sorted(p.name for p in tmp_path.iterdir()) == [out.name,
+                                                          f"{out.name}.manifest.json"]
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_a_corpus_holding_the_unknown_word_is_read(tmp_path, capsys, command):
     # "<unk>" in a prompt is a word the vocabulary does not rank, so it
@@ -1486,7 +1519,9 @@ class TestCompressEvalFuzz:
     An eval that names a method twice exits 2 before it reads the
     checkpoint. A run with no other fault on a checkpoint of the wrong
     vocabulary exits 1, and one whose input corpus is at the output's
-    ``.partial`` path exits 0, leaving the corpus as it was."""
+    ``.partial`` path exits 0, leaving the corpus as it was. The first
+    runs force each of these faults and each output fault once per
+    command, with no other, so each is reached whatever the seed."""
 
     RUNS = 200
 
@@ -1519,21 +1554,27 @@ class TestCompressEvalFuzz:
         # The exits of the runs whose input corpus is at the output's
         # .partial path.
         partial_codes = []
+        forced = [(command, kind) for kind in (*unwritable, "out-partial-is-input",
+                                               *MISPAIRED)
+                  for command in ("compress", "eval")]
         for i in range(self.RUNS):
             run = tmp_path / f"run{i}"
             run.mkdir()
             # The chance of each fault: most runs have none or one.
-            p = rng.choice([0.0, 0.0, 0.05, 0.1, 0.3])
+            p = 0.0 if i < len(forced) else rng.choice([0.0, 0.0, 0.05, 0.1, 0.3])
             records = _fuzzed_records(rng, p)
             corpus = run / "corpus.jsonl"
             corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
-            command = rng.choice(["compress", "eval"])
-            kinds = (["good", "good", "good", "other", *unwritable, "out-partial-is-input",
-                      *MISPAIRED]
-                     + (["none"] if command == "eval" else []))
-            if rng.random() < p:
-                kinds = ["missing", "truncated"]
-            kind = rng.choice(kinds)
+            if i < len(forced):
+                command, kind = forced[i]
+            else:
+                command = rng.choice(["compress", "eval"])
+                kinds = (["good", "good", "good", "other", *unwritable,
+                          "out-partial-is-input", *MISPAIRED]
+                         + (["none"] if command == "eval" else []))
+                if rng.random() < p:
+                    kinds = ["missing", "truncated"]
+                kind = rng.choice(kinds)
             ckpt = fuzz_checkpoints.get(kind)
             out = run / ("out.jsonl" if command == "compress" else "ev")
             if kind == "missing":
@@ -1569,6 +1610,10 @@ class TestCompressEvalFuzz:
             corpus_bytes = corpus.read_bytes()
             inputs = set(run.iterdir())
             argv = _fuzzed_argv(rng, p, command, corpus, ckpt, out)
+            if i < len(forced) and command == "eval":
+                # Named once each, so that the run reaches its fault.
+                at = argv.index("--methods") + 1
+                argv[at] = ",".join(dict.fromkeys(argv[at].split(",")))
             methods = [] if command == "compress" else [
                 m for m in argv[argv.index("--methods") + 1].split(",") if m]
             repeated = len(set(methods)) < len(methods)

@@ -1,7 +1,7 @@
 """Evaluation tests: one pass over the prompts scores every compressor as
 if it ran alone, as the plain prompt-by-prompt loop would, and makes each
 original continuation once; the report records and table are built from
-the returned rows alone."""
+the returned rows alone; an empty corpus is refused."""
 
 import numpy as np
 import pytest
@@ -13,16 +13,11 @@ from promptpress.baselines import (
     SelfInfoCompressor,
 )
 from promptpress.encoder import EncoderConfig
-from promptpress.evaluation import EM_NOTE, evaluate, report_records, report_table
-from promptpress.metrics import exact_match, rouge_l, rouge_n
+from promptpress.evaluation import evaluate, report_records, report_table
+from promptpress.metrics import rouge_l, rouge_n
 from promptpress.policy import Actor
 from promptpress.scoring import fit_ngram_lm
-from promptpress.text import (
-    build_vocabulary,
-    detokenize,
-    make_synthetic_corpus,
-    tokenize_corpus,
-)
+from promptpress.text import build_vocabulary, make_synthetic_corpus, tokenize_corpus
 
 
 class CountingLM:
@@ -63,23 +58,23 @@ def world():
         PolicyCompressor(actor=actor, rho_target=0.5, steps=2),
         RandomCompressor(rho_target=0.5, seed=2),  # a repeated method
     ]
-    return corpus, prompts, lm, compressors, vocab, 6
+    return corpus, prompts, lm, compressors, 6
 
 
 def test_one_pass_matches_each_compressor_alone(world):
-    corpus, prompts, lm, compressors, vocab, n_gen = world
-    together = evaluate(compressors, corpus, prompts, lm, vocab, n_gen)
+    corpus, prompts, lm, compressors, n_gen = world
+    together = evaluate(compressors, corpus, prompts, lm, n_gen)
     assert [agg["method"] for _, agg in together] == [c.name for c in compressors]
     for compressor, result in zip(compressors, together):
-        (alone,) = evaluate([compressor], corpus, prompts, lm, vocab, n_gen)
+        (alone,) = evaluate([compressor], corpus, prompts, lm, n_gen)
         assert result == alone
     assert together[0] == together[-1]
     assert together[0][0] is not together[-1][0]
 
 
 def test_rows_rate_the_kept_length(world):
-    corpus, prompts, lm, compressors, vocab, n_gen = world
-    results = evaluate(compressors, corpus, prompts, lm, vocab, n_gen)
+    corpus, prompts, lm, compressors, n_gen = world
+    results = evaluate(compressors, corpus, prompts, lm, n_gen)
     identity_rows, identity_aggregate = results[1]
     assert [row["rho"] for row in identity_rows] == [1.0] * len(prompts)
     assert identity_aggregate["rouge1_f"] == 1.0
@@ -91,16 +86,16 @@ def test_rows_rate_the_kept_length(world):
 
 
 def test_each_original_continuation_is_made_once(world):
-    corpus, prompts, lm, compressors, vocab, n_gen = world
+    corpus, prompts, lm, compressors, n_gen = world
     counting = CountingLM(lm)
-    evaluate(compressors, corpus, prompts, counting, vocab, n_gen)
+    evaluate(compressors, corpus, prompts, counting, n_gen)
     # the identity method keeps the whole prompt and reuses its original's
     assert len(counting.continued) == len(prompts) * len(compressors)
     originals = [ctx for ctx in counting.continued if ctx in prompts]
     assert sorted(map(tuple, originals)) == sorted(tuple(p) for p in prompts)
 
 
-def prompt_major_reports(compressors, corpus, prompts, lm, vocab, n_gen):
+def prompt_major_reports(compressors, corpus, prompts, lm, n_gen):
     """(rows, aggregate) per compressor from the plain loop: prompt by
     prompt, every continuation generated and every row scored afresh."""
     rows = [[] for _ in compressors]
@@ -110,9 +105,6 @@ def prompt_major_reports(compressors, corpus, prompts, lm, vocab, n_gen):
         for compressor, kept_all, method_rows in zip(compressors, kept_by_method, rows):
             kept = kept_all[index]
             gen_c = lm.greedy_continue(kept, n_gen)
-            em = None
-            if record.reference_output is not None:
-                em = exact_match(detokenize(gen_c, vocab), record.reference_output)
             rho = len(kept) / len(seq)
             method_rows.append({
                 "id": record.id,
@@ -125,54 +117,56 @@ def prompt_major_reports(compressors, corpus, prompts, lm, vocab, n_gen):
                 "rouge2_f": rouge_n(gen_c.ids, gen_o.ids, 2)[2],
                 "rougeL_f": rouge_l(gen_c.ids, gen_o.ids)[2],
                 "token_f1": rouge_n(gen_c.ids, gen_o.ids, 1)[2],
-                "em": em,
             })
     reports = []
     for compressor, method_rows in zip(compressors, rows):
         aggregate = {"method": compressor.name, "n": len(method_rows)}
         for key in ("tokens", "rho", "inv_rho", "rouge1_f", "rouge2_f", "rougeL_f",
-                    "token_f1", "em"):
-            values = [row[key] for row in method_rows if row[key] is not None]
-            aggregate[key] = sum(values) / len(values) if values else None
+                    "token_f1"):
+            values = [row[key] for row in method_rows]
+            aggregate[key] = sum(values) / len(values)
         reports.append((method_rows, aggregate))
     return reports
 
 
 def test_reports_equal_the_prompt_major_loop(world):
-    corpus, prompts, lm, compressors, vocab, n_gen = world
-    fresh = fit_ngram_lm(prompts, order=3, smoothing=0.1, vocab=vocab)
-    expected = prompt_major_reports(compressors, corpus, prompts, fresh, vocab, n_gen)
-    got = evaluate(compressors, corpus, prompts, lm, vocab, n_gen)
+    corpus, prompts, lm, compressors, n_gen = world
+    fresh = fit_ngram_lm(prompts, order=3, smoothing=0.1,
+                         vocab=build_vocabulary(corpus, max_size=64))
+    expected = prompt_major_reports(compressors, corpus, prompts, fresh, n_gen)
+    got = evaluate(compressors, corpus, prompts, lm, n_gen)
     assert got == expected
     # the world holds both shared and distinct continuations within a prompt
     assert any(row["rouge1_f"] < 1.0 for row in got[0][0])
-    assert all(row["em"] is not None for rows, _ in got for row in rows)
 
 
 def test_prompts_must_match_the_corpus(world):
-    corpus, prompts, lm, compressors, vocab, n_gen = world
+    corpus, prompts, lm, compressors, n_gen = world
     with pytest.raises(ValueError):
-        evaluate(compressors, corpus, prompts[:-1], lm, vocab, n_gen)
+        evaluate(compressors, corpus, prompts[:-1], lm, n_gen)
+
+
+def test_an_empty_corpus_is_refused(world):
+    _, _, lm, compressors, n_gen = world
+    with pytest.raises(ValueError, match="empty corpus"):
+        evaluate(compressors, [], [], lm, n_gen)
 
 
 def test_report_records_and_table(world):
-    corpus, prompts, lm, compressors, vocab, n_gen = world
-    (rows, aggregate), = evaluate(compressors[2:3], corpus, prompts, lm, vocab, n_gen)
+    corpus, prompts, lm, compressors, n_gen = world
+    (rows, aggregate), = evaluate(compressors[2:3], corpus, prompts, lm, n_gen)
     records = report_records(rows, aggregate, "test proxy")
-    assert records[0] == {"record": "header", "method": "selfinfo",
-                          "lm": "test proxy", "note": EM_NOTE}
+    assert records[0] == {"record": "header", "method": "selfinfo", "lm": "test proxy"}
     assert records[1:-1] == [{"record": "row", **row} for row in rows]
     assert records[-1] == {"record": "aggregate", **aggregate}
     lines = report_table(aggregate, "test proxy").split("\n")
-    assert lines[:2] == ["# generations produced by: test proxy", f"# note: {EM_NOTE}"]
-    assert lines[2].split() == ["Method", "Rouge-1", "Rouge-2", "Rouge-L", "TokenF1",
-                                "EM", "Tokens", "1/rho"]
-    assert lines[3].split() == [
+    assert lines[0] == "# generations produced by: test proxy"
+    assert lines[1].split() == ["Method", "Rouge-1", "Rouge-2", "Rouge-L", "TokenF1",
+                                "Tokens", "1/rho"]
+    assert lines[2].split() == [
         "selfinfo", *(f"{aggregate[k]:.4f}" for k in
-                      ("rouge1_f", "rouge2_f", "rougeL_f", "token_f1", "em")),
+                      ("rouge1_f", "rouge2_f", "rougeL_f", "token_f1")),
         f"{aggregate['tokens']:.1f}", f"{aggregate['inv_rho']:.4f}",
     ]
-    assert [len(line) for line in lines[2:4]] == [len(lines[2])] * 2
-    assert lines[4:] == [""]
-    no_em = {**aggregate, "em": None}
-    assert report_table(no_em, "test proxy").split("\n")[3].split()[5] == "-"
+    assert [len(line) for line in lines[1:3]] == [len(lines[1])] * 2
+    assert lines[3:] == [""]

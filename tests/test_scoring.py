@@ -484,14 +484,13 @@ class TestNgramLM:
         shared_rows = [
             rows
             for rows, _ in evaluate(
-                compressors(shared), corpus, prompts, shared, MEMO_VOCAB, 8
+                compressors(shared), corpus, prompts, shared, 8
             )
         ]
         fresh_rows = []
         for i in range(4):
             lm = fit()
-            ((rows, _),) = evaluate([compressors(lm)[i]], corpus, prompts, lm,
-                                    MEMO_VOCAB, 8)
+            ((rows, _),) = evaluate([compressors(lm)[i]], corpus, prompts, lm, 8)
             fresh_rows.append(rows)
         assert shared_rows == fresh_rows
 

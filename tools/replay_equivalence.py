@@ -56,7 +56,14 @@ directory of its own, as ``python -m promptpress.cli`` with that tree's
 * the float64 keep probabilities of ``policy_forward`` under the two
   w1-scaled fixtures, written raw: every other output is kept words or
   their scores, so it shows a change in the encoder's numerics only
-  when that change flips a keep/drop decision.
+  when that change flips a keep/drop decision;
+* resume from a stage boundary, which no command offers: ``train`` on the
+  64 masked prompts at the defaults, and again for the first two stages
+  alone (``curriculum.t_max=[2,2]``, ``curriculum.epochs=[1,1]``), whose
+  checkpoint a snippet loads and hands, as ``hpc_train``'s ``state``, to
+  the full ``train`` run through ``promptpress.cli.main``. Within each
+  tree, the resumed run's checkpoint and log must equal the
+  uninterrupted run's byte for byte, or that is a difference too.
 
 Every command's exit code, stdout and stderr and every file in the two
 directories are compared; in manifests the directory's own path is
@@ -129,8 +136,20 @@ prompts = tokenize_corpus(load_corpus(corpus), vocab, state.actor.encoder.cfg.ma
 np.concatenate(policy_forward(state.actor, prompts)).astype(np.float64).tofile(dst)
 """
 
+# Runs the promptpress command of argv[2:] with ``cli.hpc_train`` given
+# the train state of the checkpoint argv[1] to resume from.
+RESUME = """
+import sys
+from promptpress import cli
+from promptpress.trainer import load_checkpoint
+state, _ = load_checkpoint(sys.argv[1])
+train = cli.hpc_train
+cli.hpc_train = lambda *args, **kwargs: train(*args, state=state, **kwargs)
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
 # Snippets a command can name as its argv[0], run with the rest of argv.
-SNIPPETS = {"randomize-head": RANDOMIZE_HEAD, "keep-probs": KEEP_PROBS}
+SNIPPETS = {"randomize-head": RANDOMIZE_HEAD, "keep-probs": KEEP_PROBS, "resume": RESUME}
 
 
 def _fixture(corpus: str, out: str, n_prompts: int) -> list[str]:
@@ -268,7 +287,19 @@ COMMANDS: list[tuple[str, list[str]]] = [
                                   "--set", "curriculum.t_max=[3]",
                                   "--set", "curriculum.epochs=[1]",
                                   "--set", "trainer.buffer_m=4"]),
+    # Resume: the first two stages alone, then the full run resumed from
+    # their checkpoint, which must equal the uninterrupted run.
+    ("train-syn64-defaults", ["train", "--corpus", "bsyn64.jsonl", "--out", "t18.ckpt",
+                              "--seed", "18"]),
+    ("train-syn64-stages12", ["train", "--corpus", "bsyn64.jsonl", "--out", "t19.ckpt",
+                              "--seed", "18", "--set", "curriculum.t_max=[2,2]",
+                              "--set", "curriculum.epochs=[1,1]"]),
+    ("train-syn64-resumed", ["resume", "t19.ckpt", "train", "--corpus", "bsyn64.jsonl",
+                             "--out", "t20.ckpt", "--seed", "18"]),
 ]
+
+# Each resumed run's file, and the uninterrupted run's it must equal.
+RESUMED = {"t20.ckpt": "t18.ckpt", "t20.ckpt.log.jsonl": "t18.ckpt.log.jsonl"}
 
 
 def write_inputs(run: Path) -> None:
@@ -416,6 +447,10 @@ def compare(results: tuple[dict, dict], files: tuple[dict, dict]) -> list[str]:
             if left:
                 diffs.append(f"{name}: tree {tree} left staging entries {', '.join(left)}")
     files_a, files_b = files
+    for tree, tree_files in (("a", files_a), ("b", files_b)):
+        for resumed, full in RESUMED.items():
+            if resumed not in tree_files or tree_files[resumed] != tree_files.get(full):
+                diffs.append(f"tree {tree}: resumed {resumed} differs from {full}")
     for rel in sorted(set(files_a) | set(files_b)):
         if rel not in files_b:
             diffs.append(f"{rel}: only in tree a")
